@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,35 +102,41 @@ def _as_index_array(indices, n_subcarriers: int) -> np.ndarray:
 class ResourceAllocation:
     """Per-symbol active subcarrier index sets.
 
-    Index sets are ascending and duplicate-free.  Patterns produced by
-    make_allocation are identical for every OFDM symbol; custom
-    allocations may vary per symbol (the CRLB machinery supports that,
-    the autocorrelation estimator does not).
+    Stored index sets are ascending, duplicate-free, read-only copies of the
+    input.  Each distinct input array is validated once, so all symbols of
+    a constant allocation share one stored array; `is_constant` is decided
+    at construction.  Patterns produced by make_allocation are identical
+    for every OFDM symbol; custom allocations may vary per symbol (the CRLB
+    machinery supports that, the autocorrelation estimator does not).
+    `mask()` is built on first use, cached and read-only.
     """
 
     per_symbol_indices: tuple[np.ndarray, ...]
     n_subcarriers: int
     pattern_label: str = "custom"
+    is_constant: bool = field(init=False, repr=False, compare=False)
+    _mask: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.per_symbol_indices) < 1:
             raise ValueError("allocation needs at least one symbol")
-        cleaned = tuple(
-            _as_index_array(idx, self.n_subcarriers) for idx in self.per_symbol_indices
-        )
+        # constant() passes one array object for every symbol
+        by_id: dict[int, np.ndarray] = {}
+        for idx in self.per_symbol_indices:
+            if id(idx) not in by_id:
+                by_id[id(idx)] = _as_index_array(idx, self.n_subcarriers)
+        cleaned = tuple(by_id[id(idx)] for idx in self.per_symbol_indices)
+        head = cleaned[0]
         object.__setattr__(self, "per_symbol_indices", cleaned)
+        object.__setattr__(
+            self,
+            "is_constant",
+            all(idx is head or np.array_equal(idx, head) for idx in cleaned),
+        )
 
     @property
     def n_symbols(self) -> int:
         return len(self.per_symbol_indices)
-
-    @property
-    def is_constant(self) -> bool:
-        first = self.per_symbol_indices[0]
-        return all(
-            idx is first or np.array_equal(idx, first)
-            for idx in self.per_symbol_indices
-        )
 
     @property
     def indices(self) -> np.ndarray:
@@ -146,18 +152,33 @@ class ResourceAllocation:
     def cardinalities(self) -> np.ndarray:
         return np.array([idx.size for idx in self.per_symbol_indices], dtype=np.int64)
 
+    def column_counts(self) -> np.ndarray:
+        """Number of symbols in which each subcarrier is active, shape (N,)."""
+        if self.is_constant:
+            counts = np.zeros(self.n_subcarriers, dtype=np.int64)
+            counts[self.indices] = self.n_symbols
+            return counts
+        return np.bincount(
+            np.concatenate(self.per_symbol_indices), minlength=self.n_subcarriers
+        )
+
     def mask(self) -> np.ndarray:
-        """Boolean (n_symbols, n_subcarriers) activity mask."""
-        out = np.zeros((self.n_symbols, self.n_subcarriers), dtype=bool)
-        for m, idx in enumerate(self.per_symbol_indices):
-            out[m, idx] = True
-        return out
+        """Boolean (n_symbols, n_subcarriers) activity mask, cached and read-only."""
+        if self._mask is None:
+            out = np.zeros((self.n_symbols, self.n_subcarriers), dtype=bool)
+            if self.is_constant:
+                out[:, self.indices] = True
+            else:
+                for m, idx in enumerate(self.per_symbol_indices):
+                    out[m, idx] = True
+            out.setflags(write=False)
+            object.__setattr__(self, "_mask", out)
+        return self._mask
 
     @classmethod
     def constant(cls, indices, n_symbols: int, n_subcarriers: int, label: str = "custom"):
-        idx = _as_index_array(indices, n_subcarriers)
         return cls(
-            per_symbol_indices=tuple([idx] * n_symbols),
+            per_symbol_indices=(indices,) * n_symbols,
             n_subcarriers=n_subcarriers,
             pattern_label=label,
         )
@@ -322,12 +343,8 @@ def make_allocation(
                     f"custom per-symbol allocation needs {params.n_symbols} index "
                     f"sets, got {len(indices)}"
                 )
-            return ResourceAllocation(
-                per_symbol_indices=tuple(np.asarray(s, dtype=np.int64) for s in indices),
-                n_subcarriers=n,
-                pattern_label=label,
-            )
-        idx = np.asarray(indices, dtype=np.int64)
+            return ResourceAllocation(tuple(indices), n, label)
+        idx = indices
     else:
         raise ValueError(f"unknown pattern {pattern!r}")
 

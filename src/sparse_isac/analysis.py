@@ -63,6 +63,14 @@ class SingularFimError(ValueError):
     """The Fisher information matrix is singular (no delay information)."""
 
 
+def _fim_sums(alloc: ResourceAllocation, params: OfdmParams) -> tuple[float, float, float]:
+    """(sum (w i)^2, sum w i, count) over all active elements, w = 2 pi df,
+    as O(N) sums over subcarriers weighted by their per-column activity counts."""
+    counts = alloc.column_counts().astype(np.float64)
+    wi = 2.0 * math.pi * params.subcarrier_spacing_hz * np.arange(params.n_subcarriers)
+    return float(counts @ (wi * wi)), float(counts @ wi), float(counts.sum())
+
+
 def fim_single_target(
     alloc: ResourceAllocation, params: OfdmParams, amplitude: float, noise_var: float
 ) -> np.ndarray:
@@ -73,29 +81,8 @@ def fim_single_target(
     """
     if amplitude <= 0 or noise_var <= 0:
         raise ValueError("amplitude and noise_var must be positive")
-    if sum(int(s.size) for s in alloc.per_symbol_indices) == 0:
-        raise ValueError("allocation has no active resource elements")
-    w = 2.0 * math.pi * params.subcarrier_spacing_hz
-    a = b = c = 0.0
-    for idx in alloc.per_symbol_indices:
-        i = idx.astype(np.float64)
-        a += float(np.sum((w * i) ** 2))
-        b += float(np.sum(w * i))
-        c += float(idx.size)
+    a, b, c = _fim_sums(alloc, params)
     return (2.0 * amplitude**2 / noise_var) * np.array([[a, b], [b, c]])
-
-
-def _crlb_terms(alloc: ResourceAllocation, params: OfdmParams) -> tuple[float, float, float]:
-    w = 2.0 * math.pi * params.subcarrier_spacing_hz
-    total = 0.0
-    g1 = 0.0
-    lin = 0.0
-    for idx in alloc.per_symbol_indices:
-        i = idx.astype(np.float64)
-        total += float(idx.size)
-        g1 += float(np.sum((w * i) ** 2))
-        lin += float(np.sum(w * i))
-    return total, g1, lin**2
 
 
 def crlb_delay(
@@ -111,8 +98,8 @@ def crlb_delay(
     """
     if amplitude <= 0 or noise_var <= 0:
         raise ValueError("amplitude and noise_var must be positive")
-    total, g1, g2 = _crlb_terms(alloc, params)
-    denom = total * g1 - g2
+    g1, lin, total = _fim_sums(alloc, params)
+    denom = total * g1 - lin**2
     if denom <= 0.0:
         raise SingularFimError(
             "delay CRLB undefined: allocation spans fewer than two distinct subcarriers"
@@ -123,15 +110,10 @@ def crlb_delay(
 def crlb_delay_constant(
     indices, params: OfdmParams, n_symbols: int, amplitude: float, noise_var: float
 ) -> float:
-    """Symbol-constant special case evaluated directly from one index set."""
-    alloc = ResourceAllocation.constant(indices, 1, params.n_subcarriers)
-    total, g1, g2 = _crlb_terms(alloc, params)
-    denom = total * g1 - g2
-    if denom <= 0.0:
-        raise SingularFimError(
-            "delay CRLB undefined: allocation spans fewer than two distinct subcarriers"
-        )
-    return (noise_var / (2.0 * n_symbols * amplitude**2)) * total / denom
+    """Symbol-constant special case: the one-symbol CRLB of the index set,
+    divided by the number of symbols."""
+    one = ResourceAllocation.constant(indices, 1, params.n_subcarriers)
+    return crlb_delay(one, params, amplitude, noise_var) / n_symbols
 
 
 @dataclass(frozen=True)

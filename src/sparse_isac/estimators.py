@@ -15,6 +15,7 @@ Three estimators work off the same received grid:
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -146,21 +147,19 @@ class PeakList:
         return len(self.peaks) >= self.requested
 
     def to_csv(self, path) -> None:
+        doppler = self.domain == "doppler"
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["rank", "delay_s", "range_m", "magnitude"])
+            w.writerow(
+                ["rank", "doppler_hz", "magnitude"]
+                if doppler
+                else ["rank", "delay_s", "range_m", "magnitude"]
+            )
             for rank, p in enumerate(self.peaks, start=1):
-                delay = p.refined_axis_value
-                rng_m = delay * SPEED_OF_LIGHT / 2.0 if self.domain == "delay" else ""
-                w.writerow([rank, f"{delay:.12g}", f"{rng_m:.12g}" if rng_m != "" else "", f"{p.magnitude:.12g}"])
-
-
-def _active_cardinality(alloc: ResourceAllocation) -> float:
-    """Mean active subcarriers per symbol (scale factor for periodograms)."""
-    total = int(alloc.cardinalities().sum())
-    if total == 0:
-        raise ValueError("allocation has no active resource elements")
-    return total / alloc.n_symbols
+                cols = [p.refined_axis_value]
+                if not doppler:
+                    cols.append(p.refined_axis_value * SPEED_OF_LIGHT / 2.0)
+                w.writerow([rank, *(f"{x:.12g}" for x in cols + [p.magnitude])])
 
 
 def zero_fill_periodogram(grid: FreqGrid, oversample: int = 4) -> Periodogram:
@@ -176,7 +175,7 @@ def zero_fill_periodogram(grid: FreqGrid, oversample: int = 4) -> Periodogram:
     params = grid.params
     n = params.n_subcarriers
     q_bins = oversample * n
-    k = _active_cardinality(grid.alloc)
+    k = grid.alloc.cardinalities().mean()  # active subcarriers per symbol
     collapsed = grid.samples.sum(axis=0)  # symbols combine coherently
     spectrum = np.fft.ifft(collapsed, n=q_bins) * q_bins
     values = np.abs(spectrum) / (grid.n_symbols * k)
@@ -211,21 +210,17 @@ def _refine_bin(values: np.ndarray, idx: int) -> float:
     return idx + _parabolic_offset(math.log(vm1), math.log(v0), math.log(vp1))
 
 
-_STEERING_CACHE: dict = {}
-
-
-def _steering_block(q_bins: int, active: np.ndarray) -> list[np.ndarray]:
+@functools.lru_cache(maxsize=8)
+def _steering_blocks(q_bins: int, active_key: bytes) -> tuple[np.ndarray, ...]:
     """Chunked e^{j 2 pi q n / Q} blocks over the active subcarriers.
 
     Building the exponentials dominates the direct ML search, so blocks
-    are cached per (grid size, active set); Monte-Carlo loops reuse them.
+    are cached per (grid size, active set bytes); Monte-Carlo loops reuse
+    them.  The blocks are shared between callers and read-only.
     """
-    key = (q_bins, active.tobytes())
-    hit = _STEERING_CACHE.get(key)
-    if hit is not None:
-        return hit
+    active = np.frombuffer(active_key, dtype=np.intp)
     chunk = 4096
-    blocks = [
+    blocks = tuple(
         np.exp(
             2j
             * np.pi
@@ -233,10 +228,9 @@ def _steering_block(q_bins: int, active: np.ndarray) -> list[np.ndarray]:
             / q_bins
         )
         for q0 in range(0, q_bins, chunk)
-    ]
-    if len(_STEERING_CACHE) >= 8:
-        _STEERING_CACHE.pop(next(iter(_STEERING_CACHE)))
-    _STEERING_CACHE[key] = blocks
+    )
+    for block in blocks:
+        block.setflags(write=False)
     return blocks
 
 
@@ -259,10 +253,10 @@ def ml_single_target(
     if not np.any(grid.samples):
         raise ValueError("grid is empty (all-zero samples)")
     collapsed = grid.samples.sum(axis=0)
-    active = np.unique(np.concatenate(grid.alloc.per_symbol_indices))
+    active = np.flatnonzero(grid.alloc.column_counts())
     z = collapsed[active]
     values = np.concatenate(
-        [np.abs(block @ z) for block in _steering_block(q_bins, active)]
+        [np.abs(block @ z) for block in _steering_blocks(q_bins, active.tobytes())]
     )
     best = int(np.argmax(values))
     pos = _refine_bin(values, best) if refine else float(best)
@@ -329,10 +323,20 @@ def build_virtual_signal(
     Difference set of the (symbol-constant) allocation, per-symbol lag
     products, then coherent accumulation across the CPI.  Returns the
     accumulated virtual signal together with its aperture.
+
+    The CPI mean is linear, so it moves inside the inverse transform:
+    (1/M) sum_m IFFT(|FFT_2N(Y_m)|^2) = IFFT((1/M) sum_m |FFT_2N(Y_m)|^2),
+    one inverse FFT per grid instead of M.  The per-symbol reference path
+    is accumulate_cpi([autocorrelate_symbol(grid, m, aperture) ...]),
+    which agrees up to float round-off.
     """
     alloc = grid.alloc if alloc is None else alloc
     aperture = difference_set(alloc)
-    vals = _lag_products(grid.samples, aperture).mean(axis=0)
+    length = 2 * aperture.n_subcarriers
+    f = np.fft.fft(grid.samples, n=length, axis=-1).view(np.float64)
+    sq = np.einsum("mk,mk->k", f, f)  # per-bin sums of re^2 and im^2, interleaved
+    acf = np.fft.ifft((sq[0::2] + sq[1::2]) / grid.n_symbols)
+    vals = acf[np.mod(aperture.lags, length)] / aperture.pair_counts
     vs = VirtualSignal(
         values=vals, aperture=aperture, accumulated=True, n_symbols=grid.n_symbols
     )
@@ -343,7 +347,6 @@ def virtual_periodogram(
     vs: VirtualSignal,
     params: OfdmParams,
     oversample: int = 4,
-    n_subcarriers: int | None = None,
 ) -> Periodogram:
     """Delay periodogram of a virtual signal.
 
@@ -355,8 +358,7 @@ def virtual_periodogram(
     if int(oversample) != oversample or oversample < 1:
         raise ValueError("oversample must be a positive integer")
     oversample = int(oversample)
-    n = n_subcarriers if n_subcarriers is not None else vs.aperture.n_subcarriers
-    span = 2 * n - 1
+    span = 2 * vs.aperture.n_subcarriers - 1
     q_bins = oversample * span
     taps = np.zeros(q_bins, dtype=np.complex128)
     taps[np.mod(vs.aperture.lags, q_bins)] = vs.values
@@ -453,7 +455,7 @@ def doppler_periodogram(
     slices = grid.samples @ unwrap  # per-symbol matched sum over subcarriers
     m = params.n_symbols
     u_bins = oversample * m
-    k = _active_cardinality(grid.alloc)
+    k = grid.alloc.cardinalities().mean()  # active subcarriers per symbol
     spectrum = np.fft.fft(slices, n=u_bins)
     values = np.abs(np.fft.fftshift(spectrum)) / (m * k)
     axis = (np.arange(u_bins) - u_bins // 2) / (u_bins * params.symbol_dur_s)

@@ -53,10 +53,9 @@ class FreqGrid:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["m", "n", "re", "im"])
-            for m, idx in enumerate(self.alloc.per_symbol_indices):
-                for n in idx:
-                    v = self.samples[m, n]
-                    w.writerow([m, int(n), f"{v.real:.12g}", f"{v.imag:.12g}"])
+            for m, n in zip(*np.nonzero(self.alloc.mask())):
+                v = self.samples[m, n]
+                w.writerow([int(m), int(n), f"{v.real:.12g}", f"{v.imag:.12g}"])
 
 
 def _resolve_phases(scene: Scene, phase_rng: np.random.Generator) -> np.ndarray:

@@ -120,6 +120,79 @@ class TestMakeAllocation:
         assert (inner + 1) * outer - 1 <= 255
 
 
+def brute_force_mask(per_symbol, n):
+    """Oracle: per-symbol loop over the index sets."""
+    out = np.zeros((len(per_symbol), n), dtype=bool)
+    for m, idx in enumerate(per_symbol):
+        for i in idx:
+            out[m, int(i)] = True
+    return out
+
+
+class TestResourceAllocation:
+    @pytest.mark.parametrize(
+        "per_symbol",
+        [
+            [[1, 4, 9]] * 5,  # equal content, distinct objects
+            [[1, 4, 9], [0, 15], [1, 4, 9], [2, 3, 5, 7], [15]],
+            [[9, 1, 4, 4], [4, 9, 1]],  # unsorted and duplicated, same set
+        ],
+    )
+    def test_derived_views_match_per_symbol_loops(self, per_symbol):
+        n = 16
+        alloc = si.ResourceAllocation(
+            per_symbol_indices=tuple(np.array(s) for s in per_symbol), n_subcarriers=n
+        )
+        sets = [sorted(set(s)) for s in per_symbol]
+        expect_mask = brute_force_mask(sets, n)
+        assert np.array_equal(alloc.mask(), expect_mask)
+        assert np.array_equal(alloc.cardinalities(), [len(s) for s in sets])
+        assert np.array_equal(alloc.column_counts(), expect_mask.sum(axis=0))
+        assert alloc.is_constant == all(s == sets[0] for s in sets)
+        for stored, s in zip(alloc.per_symbol_indices, sets):
+            assert stored.tolist() == s
+        if alloc.is_constant:
+            assert alloc.indices.tolist() == sets[0]
+            assert alloc.n_active == len(sets[0])
+
+    def test_constant_shares_one_array(self):
+        alloc = si.ResourceAllocation.constant([7, 2, 7, 0], 6, 8)
+        assert alloc.is_constant
+        assert all(idx is alloc.indices for idx in alloc.per_symbol_indices)
+        assert np.array_equal(alloc.mask(), brute_force_mask([[0, 2, 7]] * 6, 8))
+        assert np.array_equal(alloc.cardinalities(), [3] * 6)
+        assert np.array_equal(alloc.column_counts(), [6, 0, 6, 0, 0, 0, 0, 6])
+
+    @pytest.mark.parametrize("bad", [[0, 8], [-1, 3], []])
+    def test_bad_index_in_any_symbol_raises(self, bad):
+        good = np.array([0, 3])
+        for pos in range(3):
+            per_symbol = [good, good, good]  # other symbols share one object
+            per_symbol[pos] = np.array(bad, dtype=np.int64)
+            with pytest.raises(ValueError):
+                si.ResourceAllocation(per_symbol_indices=tuple(per_symbol), n_subcarriers=8)
+        with pytest.raises(ValueError):
+            si.ResourceAllocation.constant(bad, 4, 8)
+
+    def test_mask_is_cached_and_read_only(self):
+        alloc = si.ResourceAllocation(
+            per_symbol_indices=(np.array([0, 1]), np.array([2])), n_subcarriers=4
+        )
+        mask = alloc.mask()
+        assert alloc.mask() is mask
+        with pytest.raises(ValueError):
+            mask[0, 3] = True
+
+    def test_input_mutation_does_not_leak(self):
+        src = np.array([1, 5, 6])
+        const = si.ResourceAllocation.constant(src, 3, 8)
+        varying = si.ResourceAllocation(per_symbol_indices=(src, np.array([2])), n_subcarriers=8)
+        src[0] = 7
+        assert const.indices.tolist() == [1, 5, 6]
+        assert varying.per_symbol_indices[0].tolist() == [1, 5, 6]
+        assert not const.indices.flags.writeable
+
+
 class TestDifferenceSet:
     def test_perfect_four_element_set(self):
         alloc = si.ResourceAllocation.constant([0, 1, 4, 6], 1, 7)

@@ -57,6 +57,40 @@ class TestFim:
         assert np.allclose(f2, 8.0 * f1, rtol=1e-14)
 
 
+def brute_force_fim_terms(alloc, params):
+    """Oracle: per-symbol loop, (sum (w i)^2, sum w i, count)."""
+    w = 2.0 * math.pi * params.subcarrier_spacing_hz
+    a = b = c = 0.0
+    for idx in alloc.per_symbol_indices:
+        for i in idx:
+            a += (w * float(i)) ** 2
+            b += w * float(i)
+            c += 1.0
+    return a, b, c
+
+
+class TestFimCrlbAgainstPerSymbolLoop:
+    @pytest.mark.parametrize("varying", [False, True])
+    def test_matches_brute_force(self, rng, varying):
+        params = make_params(n=64, m=6)
+        for _ in range(10):
+            if varying:
+                per_symbol = tuple(
+                    rng.choice(64, size=int(rng.integers(2, 40)), replace=False)
+                    for _ in range(6)
+                )
+                alloc = si.ResourceAllocation(per_symbol_indices=per_symbol, n_subcarriers=64)
+            else:
+                idx = rng.choice(64, size=int(rng.integers(2, 40)), replace=False)
+                alloc = const_alloc(idx, params)
+            a, b, c = brute_force_fim_terms(alloc, params)
+            fim = si.fim_single_target(alloc, params, 1.5, 0.5)
+            expect = (2.0 * 1.5**2 / 0.5) * np.array([[a, b], [b, c]])
+            assert np.allclose(fim, expect, rtol=1e-12, atol=0.0)
+            crlb = si.crlb_delay(alloc, params, 1.5, 0.5)
+            assert crlb == pytest.approx((0.5 / (2.0 * 1.5**2)) * c / (c * a - b**2), rel=1e-9)
+
+
 class TestCrlbDelay:
     def test_two_subcarrier_hand_value(self):
         params = make_params(n=8, m=1)

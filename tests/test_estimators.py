@@ -126,6 +126,34 @@ class TestMlSingleTarget:
             est = si.ml_single_target(grid, oversample=4, refine=False)
             assert est.bin_index == p.argmax_bin
 
+    def test_varying_allocation_matches_zero_fill(self):
+        # the active set is the union over symbols
+        params = make_params(n=64, m=4)
+        alloc = si.make_allocation(
+            params, "custom", indices=[[0, 5, 9], [0, 20, 63], [5, 33], [9, 40, 41]]
+        )
+        t = si.Target(distance_m=75.0, amplitude=1.0)
+        grid = si.synthesize(si.Scene(targets=(t,), snr_db=5.0), alloc, params, seed=3)
+        p = si.zero_fill_periodogram(grid, oversample=4)
+        est = si.ml_single_target(grid, oversample=4, refine=False)
+        assert est.bin_index == p.argmax_bin
+
+    def test_repeated_allocation_stays_cached_among_fresh_ones(self):
+        from sparse_isac.estimators import _steering_blocks
+
+        params = make_params(n=32, m=2)
+        fixed = si.make_allocation(params, "nested", inner=3, outer=4)
+        t = si.Target(distance_m=40.0, amplitude=1.0)
+        scene = si.Scene(targets=(t,), snr_db=10.0)
+        _steering_blocks.cache_clear()
+        for k in range(20):  # alternate fresh draws with the repeated allocation
+            fresh = si.make_allocation(params, "random", n_active=8, seed=k)
+            si.ml_single_target(si.synthesize(scene, fresh, params, seed=k))
+            si.ml_single_target(si.synthesize(scene, fixed, params, seed=k))
+        info = _steering_blocks.cache_info()
+        assert info.hits >= 19
+        assert info.currsize <= 8
+
     def test_refinement_beats_grid_quantization(self):
         params = make_params(n=128, m=8)
         alloc = si.make_allocation(params, "full")
@@ -280,6 +308,33 @@ class TestBuildVirtualSignal:
         assert vs.accumulated
 
 
+    @pytest.mark.parametrize("pattern", ["random", "nested", "custom"])
+    @pytest.mark.parametrize("scenario", ["noisy", "two_target", "moving"])
+    def test_single_ifft_matches_per_symbol_reference(self, pattern, scenario):
+        params = make_params(n=64, m=7)
+        if pattern == "random":
+            alloc = si.make_allocation(params, "random", n_active=14, seed=11)
+        elif pattern == "nested":
+            alloc = si.make_allocation(params, "nested", inner=5, outer=6)
+        else:
+            alloc = si.make_allocation(params, "custom", indices=[0, 2, 3, 17, 40, 41, 63])
+        targets = {
+            "noisy": (si.Target(distance_m=90.0, amplitude=1.0),),
+            "two_target": (
+                si.Target(distance_m=60.0, amplitude=1.0),
+                si.Target(distance_m=150.0, amplitude=0.6),
+            ),
+            "moving": (si.Target(distance_m=120.0, velocity_mps=12.0, amplitude=1.0),),
+        }[scenario]
+        scene = si.Scene(targets=targets, snr_db=-3.0 if scenario == "noisy" else 10.0)
+        grid = si.synthesize(scene, alloc, params, seed=5)
+        vs, ap = si.build_virtual_signal(grid)
+        ref = accumulate_cpi([autocorrelate_symbol(grid, m, ap) for m in range(7)])
+        rel = np.max(np.abs(vs.values - ref.values)) / np.max(np.abs(ref.values))
+        assert rel <= 1e-12
+        assert vs.n_symbols == ref.n_symbols == 7
+
+
 class TestVirtualPeriodogram:
     def test_single_target_argmax(self):
         params = make_params(n=64, m=8)
@@ -393,6 +448,20 @@ class TestDetectPeaks:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "rank,delay_s,range_m,magnitude"
         assert len(lines) == 3
+
+    def test_csv_export_doppler_domain(self, tmp_path):
+        params = make_params(n=32, m=16)
+        alloc = si.make_allocation(params, "full")
+        t = si.Target(distance_m=100.0, velocity_mps=10.0, amplitude=1.0)
+        p = si.doppler_periodogram(noiseless_grid(params, alloc, (t,)))
+        peaks = si.detect_peaks(p, k=1)
+        path = tmp_path / "doppler_peaks.csv"
+        peaks.to_csv(path)
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "rank,doppler_hz,magnitude"
+        rank, doppler, _ = lines[1].split(",")
+        assert rank == "1"
+        assert float(doppler) == pytest.approx(peaks.peaks[0].refined_axis_value)
 
 
 class TestDopplerPeriodogram:
