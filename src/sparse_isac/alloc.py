@@ -108,14 +108,13 @@ class ResourceAllocation:
     at construction.  Patterns produced by make_allocation are identical
     for every OFDM symbol; custom allocations may vary per symbol (the CRLB
     machinery supports that, the autocorrelation estimator does not).
-    `mask()` is built on first use, cached and read-only.
+    `mask()` builds a fresh boolean array on each call.
     """
 
     per_symbol_indices: tuple[np.ndarray, ...]
     n_subcarriers: int
     pattern_label: str = "custom"
     is_constant: bool = field(init=False, repr=False, compare=False)
-    _mask: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.per_symbol_indices) < 1:
@@ -154,26 +153,19 @@ class ResourceAllocation:
 
     def column_counts(self) -> np.ndarray:
         """Number of symbols in which each subcarrier is active, shape (N,)."""
-        if self.is_constant:
-            counts = np.zeros(self.n_subcarriers, dtype=np.int64)
-            counts[self.indices] = self.n_symbols
-            return counts
         return np.bincount(
             np.concatenate(self.per_symbol_indices), minlength=self.n_subcarriers
         )
 
     def mask(self) -> np.ndarray:
-        """Boolean (n_symbols, n_subcarriers) activity mask, cached and read-only."""
-        if self._mask is None:
-            out = np.zeros((self.n_symbols, self.n_subcarriers), dtype=bool)
-            if self.is_constant:
-                out[:, self.indices] = True
-            else:
-                for m, idx in enumerate(self.per_symbol_indices):
-                    out[m, idx] = True
-            out.setflags(write=False)
-            object.__setattr__(self, "_mask", out)
-        return self._mask
+        """Boolean (n_symbols, n_subcarriers) activity mask."""
+        out = np.zeros((self.n_symbols, self.n_subcarriers), dtype=bool)
+        if self.is_constant:
+            out[:, self.indices] = True
+        else:
+            for m, idx in enumerate(self.per_symbol_indices):
+                out[m, idx] = True
+        return out
 
     @classmethod
     def constant(cls, indices, n_symbols: int, n_subcarriers: int, label: str = "custom"):

@@ -272,15 +272,19 @@ def ml_single_target(
     )
 
 
+def _lags_from_power(power: np.ndarray, aperture: VirtualAperture) -> np.ndarray:
+    """Aperture lag values from |FFT_2N(Y)|^2 along the last axis: the inverse
+    FFT is the circular autocorrelation, gathered at the lags and normalized
+    by the pair counts."""
+    acf = np.fft.ifft(power, axis=-1)
+    return acf[..., np.mod(aperture.lags, power.shape[-1])] / aperture.pair_counts
+
+
 def _lag_products(rows: np.ndarray, aperture: VirtualAperture) -> np.ndarray:
     """Per-row lag sums R[s] = sum_{i-j=s} Y[i] * conj(Y[j]) on the aperture
     lags, normalized by the pair counts.  rows: (m, N) complex."""
-    n = aperture.n_subcarriers
-    length = 2 * n
-    f = np.fft.fft(rows, n=length, axis=-1)
-    acf = np.fft.ifft(f * np.conj(f), axis=-1)
-    vals = acf[..., np.mod(aperture.lags, length)]
-    return vals / aperture.pair_counts
+    f = np.fft.fft(rows, n=2 * aperture.n_subcarriers, axis=-1)
+    return _lags_from_power(f * np.conj(f), aperture)
 
 
 def autocorrelate_symbol(
@@ -332,11 +336,10 @@ def build_virtual_signal(
     """
     alloc = grid.alloc if alloc is None else alloc
     aperture = difference_set(alloc)
-    length = 2 * aperture.n_subcarriers
-    f = np.fft.fft(grid.samples, n=length, axis=-1).view(np.float64)
-    sq = np.einsum("mk,mk->k", f, f)  # per-bin sums of re^2 and im^2, interleaved
-    acf = np.fft.ifft((sq[0::2] + sq[1::2]) / grid.n_symbols)
-    vals = acf[np.mod(aperture.lags, length)] / aperture.pair_counts
+    f = np.fft.fft(grid.samples, n=2 * aperture.n_subcarriers, axis=-1)
+    # sum over symbols of re^2 + im^2 per bin, without (M, 2N) temporaries
+    power = np.einsum("mk,mk->k", f.real, f.real) + np.einsum("mk,mk->k", f.imag, f.imag)
+    vals = _lags_from_power(power / grid.n_symbols, aperture)
     vs = VirtualSignal(
         values=vals, aperture=aperture, accumulated=True, n_symbols=grid.n_symbols
     )

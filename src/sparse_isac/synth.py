@@ -53,9 +53,10 @@ class FreqGrid:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["m", "n", "re", "im"])
-            for m, n in zip(*np.nonzero(self.alloc.mask())):
-                v = self.samples[m, n]
-                w.writerow([int(m), int(n), f"{v.real:.12g}", f"{v.imag:.12g}"])
+            for m, idx in enumerate(self.alloc.per_symbol_indices):
+                for n in idx:
+                    v = self.samples[m, n]
+                    w.writerow([m, int(n), f"{v.real:.12g}", f"{v.imag:.12g}"])
 
 
 def _resolve_phases(scene: Scene, phase_rng: np.random.Generator) -> np.ndarray:
@@ -68,7 +69,7 @@ def _resolve_phases(scene: Scene, phase_rng: np.random.Generator) -> np.ndarray:
     return phases
 
 
-def _signal_grid(scene: Scene, alloc, params, phases) -> np.ndarray:
+def _signal_grid(scene: Scene, params, phases) -> np.ndarray:
     m_idx = np.arange(params.n_symbols)
     n_idx = np.arange(params.n_subcarriers)
     grid = np.zeros((params.n_symbols, params.n_subcarriers), dtype=np.complex128)
@@ -90,7 +91,6 @@ def _signal_grid(scene: Scene, alloc, params, phases) -> np.ndarray:
         sym_phase = np.exp(2j * np.pi * f_d * params.symbol_dur_s * m_idx)
         sub_phase = np.exp(-2j * np.pi * params.subcarrier_spacing_hz * tau * n_idx)
         grid += amp * np.exp(1j * phi) * np.outer(sym_phase, sub_phase)
-    grid[~alloc.mask()] = 0.0
     return grid
 
 
@@ -115,11 +115,12 @@ def synthesize(
     phase_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (0,))
     noise_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (1,))
     phases = _resolve_phases(scene, np.random.default_rng(phase_ss))
-    grid = _signal_grid(scene, alloc, params, phases)
+    grid = _signal_grid(scene, params, phases)
+    mask = alloc.mask()
+    grid[~mask] = 0.0
 
     var = scene.noise_variance()
     if var > 0.0:
-        mask = alloc.mask()
         rng = np.random.default_rng(noise_ss)
         shape = grid.shape
         sigma = math.sqrt(var / 2.0)

@@ -174,14 +174,16 @@ class TestResourceAllocation:
         with pytest.raises(ValueError):
             si.ResourceAllocation.constant(bad, 4, 8)
 
-    def test_mask_is_cached_and_read_only(self):
-        alloc = si.ResourceAllocation(
-            per_symbol_indices=(np.array([0, 1]), np.array([2])), n_subcarriers=4
-        )
-        mask = alloc.mask()
-        assert alloc.mask() is mask
-        with pytest.raises(ValueError):
+    def test_mask_mutation_does_not_leak(self):
+        for alloc in (
+            si.ResourceAllocation(
+                per_symbol_indices=(np.array([0, 1]), np.array([2])), n_subcarriers=4
+            ),
+            si.ResourceAllocation.constant([0, 1], 2, 4),
+        ):
+            mask = alloc.mask()
             mask[0, 3] = True
+            assert not alloc.mask()[0, 3]
 
     def test_input_mutation_does_not_leak(self):
         src = np.array([1, 5, 6])
