@@ -28,6 +28,46 @@ __all__ = [
 ]
 
 
+def _check_number(
+    name: str,
+    value,
+    *,
+    integer: bool = False,
+    positive: bool = False,
+    minimum=None,
+    maximum=None,
+    allow_inf: bool = False,
+):
+    """Reject a bool, a non-number, NaN, -inf and (unless allow_inf) +inf,
+    then apply the range checks.  Every message starts with `name`.
+    Returns `value`."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if integer else "a number"
+        raise TypeError(f"{name}: expected {kind}, got {type(value).__name__}")
+    if math.isnan(value) or (math.isinf(value) and not (allow_inf and value > 0)):
+        raise ValueError(f"{name}: must be finite, got {value}")
+    if positive and value <= 0:
+        raise ValueError(f"{name}: must be positive, got {value}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name}: must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name}: must be <= {maximum}, got {value}")
+    return value
+
+
+def _as_tuple(name: str, value, length: int | None = None) -> tuple:
+    """A list-like value as a tuple: non-empty, or of exactly `length` entries."""
+    if isinstance(value, (str, bytes, dict)) or not hasattr(value, "__iter__"):
+        raise TypeError(f"{name}: expected a list, got {type(value).__name__}")
+    out = tuple(value)
+    if not out:
+        raise ValueError(f"{name}: expected at least one entry")
+    if length is not None and len(out) != length:
+        raise ValueError(f"{name}: expected {length} entries, got {len(out)}")
+    return out
+
+
 @dataclass(frozen=True)
 class OfdmParams:
     """Static OFDM waveform constants.
@@ -46,16 +86,11 @@ class OfdmParams:
     cp_len_s: float = 0.0
 
     def __post_init__(self):
-        if self.n_subcarriers < 2:
-            raise ValueError(f"n_subcarriers must be >= 2, got {self.n_subcarriers}")
-        if self.n_symbols < 1:
-            raise ValueError(f"n_symbols must be >= 1, got {self.n_symbols}")
-        if self.subcarrier_spacing_hz <= 0:
-            raise ValueError("subcarrier_spacing_hz must be positive")
-        if self.carrier_freq_hz <= 0:
-            raise ValueError("carrier_freq_hz must be positive")
-        if self.cp_len_s < 0:
-            raise ValueError("cp_len_s must be >= 0")
+        _check_number("n_subcarriers", self.n_subcarriers, integer=True, minimum=2)
+        _check_number("n_symbols", self.n_symbols, integer=True, minimum=1)
+        _check_number("subcarrier_spacing_hz", self.subcarrier_spacing_hz, positive=True)
+        _check_number("carrier_freq_hz", self.carrier_freq_hz, positive=True)
+        _check_number("cp_len_s", self.cp_len_s, minimum=0)
 
     @property
     def symbol_core_s(self) -> float:
@@ -85,15 +120,17 @@ class OfdmParams:
 
 
 def _as_index_array(indices, n_subcarriers: int) -> np.ndarray:
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = np.asarray(indices)
     if idx.ndim != 1 or idx.size == 0:
-        raise ValueError("index set must be a non-empty 1-D sequence")
+        raise ValueError("indices: expected a non-empty 1-D sequence")
+    if idx.dtype.kind not in "iu":
+        raise TypeError(f"indices: expected integers, got {idx.dtype}")
     if idx.min() < 0 or idx.max() > n_subcarriers - 1:
         raise ValueError(
-            f"indices must lie in [0, {n_subcarriers - 1}], got range "
+            f"indices: must lie in [0, {n_subcarriers - 1}], got range "
             f"[{idx.min()}, {idx.max()}]"
         )
-    idx = np.unique(idx)  # dedup + ascending
+    idx = np.unique(idx).astype(np.int64, copy=False)  # dedup + ascending
     idx.setflags(write=False)
     return idx
 
@@ -245,8 +282,8 @@ def nested_params_for(n_active: int, n_subcarriers: int) -> tuple[int, int]:
 
 
 def _nested_indices(inner: int, outer: int, n_subcarriers: int) -> np.ndarray:
-    if inner < 1 or outer < 1:
-        raise ValueError("nested pattern needs inner >= 1 and outer >= 1")
+    _check_number("inner", inner, integer=True, minimum=1)
+    _check_number("outer", outer, integer=True, minimum=1)
     max_index = (inner + 1) * outer - 1
     if max_index > n_subcarriers - 1:
         raise ValueError(
@@ -259,8 +296,8 @@ def _nested_indices(inner: int, outer: int, n_subcarriers: int) -> np.ndarray:
 
 
 def _coprime_indices(p: int, q: int, n_subcarriers: int) -> np.ndarray:
-    if p < 1 or q < 1:
-        raise ValueError("co-prime strides must be >= 1")
+    _check_number("p", p, integer=True, minimum=1)
+    _check_number("q", q, integer=True, minimum=1)
     if math.gcd(p, q) != 1:
         raise ValueError(f"strides ({p}, {q}) are not co-prime")
     if min(p, q) > n_subcarriers - 1:
@@ -305,24 +342,16 @@ def make_allocation(
     if pattern == "full":
         idx = np.arange(n)
     elif pattern == "comb":
-        if stride is None or stride < 1:
-            raise ValueError("comb pattern needs stride >= 1")
+        _check_number("stride", stride, integer=True, minimum=1)
         idx = np.arange(0, n, stride)
     elif pattern == "random":
-        if n_active is None:
-            raise ValueError("random pattern needs n_active")
-        if not 2 <= n_active <= n:
-            raise ValueError(f"n_active must be in [2, {n}], got {n_active}")
+        _check_number("n_active", n_active, integer=True, minimum=2, maximum=n)
         rng = np.random.default_rng(seed)
         middle = rng.choice(np.arange(1, n - 1), size=n_active - 2, replace=False)
         idx = np.union1d([0, n - 1], middle)
     elif pattern == "coprime":
-        if p is None or q is None:
-            raise ValueError("coprime pattern needs strides p and q")
         idx = _coprime_indices(p, q, n)
     elif pattern == "nested":
-        if inner is None or outer is None:
-            raise ValueError("nested pattern needs inner and outer block sizes")
         idx = _nested_indices(inner, outer, n)
     elif pattern == "custom":
         if indices is None:
@@ -417,12 +446,9 @@ def hole_fill_probability(
     (estimate, 95% binomial half-width).
     """
     n = n_subcarriers
-    if not 2 <= n_active <= n:
-        raise ValueError(f"n_active must be in [2, {n}], got {n_active}")
-    if not 1 <= lag <= n - 1:
-        raise ValueError(f"lag must be in [1, {n - 1}], got {lag}")
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    _check_number("n_active", n_active, integer=True, minimum=2, maximum=n)
+    _check_number("lag", lag, integer=True, minimum=1, maximum=n - 1)
+    _check_number("n_trials", n_trials, integer=True, minimum=1)
     if n_active == n:
         return 1.0, 0.0
     trial_seeds = np.random.SeedSequence(seed).spawn(n_trials)
@@ -462,8 +488,7 @@ def hole_fill_curve(
     so both are reported.
     """
     n = n_subcarriers
-    if not 2 <= n_active <= n:
-        raise ValueError(f"n_active must be in [2, {n}], got {n_active}")
+    _check_number("n_active", n_active, integer=True, minimum=2, maximum=n)
     lags = np.arange(1, n)
     if n_active == n:
         ones = np.ones(n - 1)

@@ -10,13 +10,15 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .alloc import (
     OfdmParams,
     ResourceAllocation,
+    _as_tuple,
+    _check_number,
     difference_set,
     make_allocation,
     nested_params_for,
@@ -79,8 +81,8 @@ def fim_single_target(
     Entrywise (2 A^2 / N0) * sum_m [[sum (2 pi df i)^2, sum 2 pi df i],
     [sum 2 pi df i, |set_m|]] over the active indices of each symbol.
     """
-    if amplitude <= 0 or noise_var <= 0:
-        raise ValueError("amplitude and noise_var must be positive")
+    _check_number("amplitude", amplitude, positive=True)
+    _check_number("noise_var", noise_var, positive=True)
     a, b, c = _fim_sums(alloc, params)
     return (2.0 * amplitude**2 / noise_var) * np.array([[a, b], [b, c]])
 
@@ -96,8 +98,8 @@ def crlb_delay(
     distinct subcarriers are active (a single tone carries no delay
     information).
     """
-    if amplitude <= 0 or noise_var <= 0:
-        raise ValueError("amplitude and noise_var must be positive")
+    _check_number("amplitude", amplitude, positive=True)
+    _check_number("noise_var", noise_var, positive=True)
     g1, lin, total = _fim_sums(alloc, params)
     denom = total * g1 - lin**2
     if denom <= 0.0:
@@ -281,7 +283,7 @@ class SweepConfig:
     snr_db entries are per-active-RE SNRs; +inf means noiseless.  The
     sparse allocation is redrawn every trial (seeded); direct_sparse and
     autocorrelation share the draw and the synthesized grid so the method
-    comparison is paired.
+    comparison is paired.  `scenes` holds the Scene of each SNR point.
     """
 
     params: OfdmParams
@@ -299,20 +301,31 @@ class SweepConfig:
     oversample: int = 4
     master_seed: int = 0
     miss_threshold_bins: float = 10.0
+    scenes: tuple[Scene, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for m in self.methods:
+        methods = _as_tuple("methods", self.methods)
+        for m in methods:
             if m not in SWEEP_METHODS:
-                raise ValueError(f"unknown sweep method {m!r}; valid: {SWEEP_METHODS}")
-        if not 2 <= self.n_active <= self.params.n_subcarriers:
-            raise ValueError("n_active out of range")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        object.__setattr__(self, "snr_db_axis", tuple(float(s) for s in self.snr_db_axis))
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "targets", tuple(self.targets))
-        if any(t.rcs_m2 is not None for t in self.targets) and self.link is None:
-            raise ValueError("targets specified by RCS need a link budget")
+                raise ValueError(f"methods: unknown sweep method {m!r}; valid: {SWEEP_METHODS}")
+        n = self.params.n_subcarriers
+        _check_number("n_active", self.n_active, integer=True, minimum=2, maximum=n)
+        _check_number("n_trials", self.n_trials, integer=True, minimum=1)
+        _check_number("oversample", self.oversample, integer=True, minimum=1)
+        _check_number("master_seed", self.master_seed, integer=True, minimum=0)
+        _check_number("miss_threshold_bins", self.miss_threshold_bins, positive=True)
+        targets = _as_tuple("targets", self.targets)
+        base = Scene(targets=targets, link=self.link)
+        scenes = []
+        for i, snr in enumerate(_as_tuple("snr_db_axis", self.snr_db_axis)):
+            try:
+                scenes.append(replace(base, snr_db=_check_number("snr_db", snr, allow_inf=True)))
+            except (ValueError, TypeError) as exc:
+                raise type(exc)(f"snr_db_axis[{i}]: {exc}") from None
+        object.__setattr__(self, "snr_db_axis", tuple(float(s.snr_db) for s in scenes))
+        object.__setattr__(self, "methods", methods)
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "scenes", tuple(scenes))
 
 
 @dataclass(frozen=True)
@@ -400,9 +413,8 @@ def _match_errors(
     return errors, misses
 
 
-def _sweep_point(cfg: SweepConfig, snr_db: float, point_ss) -> dict:
+def _sweep_point(cfg: SweepConfig, scene: Scene, point_ss) -> dict:
     params = cfg.params
-    scene = Scene(targets=cfg.targets, snr_db=snr_db, link=cfg.link)
     true_ranges = np.array([t.distance_m for t in cfg.targets])
     miss_tol_m = cfg.miss_threshold_bins * params.range_bin_m
 
@@ -485,12 +497,10 @@ def monte_carlo_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             points = list(
-                pool.map(lambda args: _sweep_point(cfg, *args), zip(cfg.snr_db_axis, point_seeds))
+                pool.map(lambda args: _sweep_point(cfg, *args), zip(cfg.scenes, point_seeds))
             )
     else:
-        points = [
-            _sweep_point(cfg, snr, pss) for snr, pss in zip(cfg.snr_db_axis, point_seeds)
-        ]
+        points = [_sweep_point(cfg, scene, pss) for scene, pss in zip(cfg.scenes, point_seeds)]
 
     def collect(key):
         return {
@@ -520,6 +530,7 @@ class TwoTargetDemoConfig:
     The velocities matter: the direct periodogram sums symbols coherently
     and decoheres over the CPI, while the per-symbol autocorrelation
     cancels the symbol phase and keeps the full integration gain.
+    `scene` holds the two targets, built once from the three pair fields.
     """
 
     params: OfdmParams
@@ -532,6 +543,24 @@ class TwoTargetDemoConfig:
     velocities_mps: tuple[float, float] = (12.0, -9.0)
     amplitudes: tuple[float, float] = (1.0, 0.8)
     match_tol_bins: float = 5.0
+    scene: Scene = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.params.n_subcarriers
+        _check_number("n_active", self.n_active, integer=True, minimum=2, maximum=n)
+        _check_number("oversample", self.oversample, integer=True, minimum=1)
+        _check_number("n_runs", self.n_runs, integer=True, minimum=1)
+        _check_number("master_seed", self.master_seed, integer=True, minimum=0)
+        pairs = ("distances_m", "velocities_mps", "amplitudes")
+        for name in pairs:
+            object.__setattr__(self, name, _as_tuple(name, getattr(self, name), 2))
+        targets = []
+        for i, (d, v, a) in enumerate(zip(self.distances_m, self.velocities_mps, self.amplitudes)):
+            try:
+                targets.append(Target(distance_m=d, velocity_mps=v, amplitude=a))
+            except (ValueError, TypeError) as exc:
+                raise type(exc)(f"{'/'.join(pairs)}[{i}]: {exc}") from None
+        object.__setattr__(self, "scene", Scene(targets=tuple(targets), snr_db=self.snr_db))
 
 
 @dataclass(frozen=True)
@@ -585,11 +614,7 @@ def two_target_demo(cfg: TwoTargetDemoConfig) -> TwoTargetDemoResult:
     virtual periodograms each show both targets above every sidelobe.
     """
     params = cfg.params
-    targets = tuple(
-        Target(distance_m=d, velocity_mps=v, amplitude=a)
-        for d, v, a in zip(cfg.distances_m, cfg.velocities_mps, cfg.amplitudes)
-    )
-    scene = Scene(targets=targets, snr_db=cfg.snr_db)
+    scene = cfg.scene
     true_ranges = np.array(cfg.distances_m)
     tol_m = cfg.match_tol_bins * params.range_bin_m
 

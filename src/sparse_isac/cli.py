@@ -1,11 +1,26 @@
 """Config-driven experiment runner.
 
-Reads a JSON config, validates it fully before any work starts, runs the
-named experiment, and writes plotting-tool-agnostic CSV artifacts plus a
-manifest.json that captures the resolved config (re-running from the
-manifest reproduces the outputs byte for byte).
+A config is a JSON object that holds the constructor arguments of the
+typed objects an experiment runs: `ofdm` holds the `OfdmParams` fields,
+`scene.targets[i]` the `Target` fields, `scene.link` the `LinkBudget`
+fields except the wavelength (taken from the carrier), `allocation` the
+`make_allocation` arguments, and the experiment's own keys map onto
+`SweepConfig`, `TwoTargetDemoConfig` or the experiment's runner (`trials`
+is n_trials, `runs` is n_runs, `seed` is master_seed).  A key left out
+takes the constructor's default.  Validating a config is building those
+objects, and a run builds them once and runs exactly them.  Every
+experiment reads `experiment`, `seed`, `output_dir` and `ofdm`; any other
+key that the experiment does not read is a config error.
 
-Exit codes: 0 success, 2 config/schema violation, 3 numeric failure.
+A run writes plotting-tool-agnostic CSV artifacts plus a manifest.json
+that captures the resolved config (re-running from the manifest
+reproduces the outputs byte for byte).  They are staged in a temporary
+directory next to the output directory and moved into it, manifest.json
+last, only when the run succeeds; a failed run leaves the output
+directory as it was.
+
+Exit codes: 0 success, 2 config error (one `config error:` line per bad
+field, starting with the field's path), 3 numeric failure.
 """
 from __future__ import annotations
 
@@ -15,6 +30,8 @@ import json
 import math
 import os
 import sys
+import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +40,8 @@ from . import __version__
 from .alloc import (
     OfdmParams,
     ResourceAllocation,
+    _as_tuple,
+    _check_number,
     hole_fill_curve,
     make_allocation,
     nested_params_for,
@@ -36,14 +55,6 @@ from .analysis import (
     crlb_report,
     monte_carlo_sweep,
     two_target_demo,
-)
-
-EXPERIMENTS = (
-    "crlb_table",
-    "hole_probability",
-    "ambiguity",
-    "two_target_demo",
-    "rmse_pslr_sweep",
 )
 
 OUTDIR_ENV = "SPARSE_ISAC_OUTDIR"
@@ -71,279 +82,191 @@ PROFILES = {
     },
 }
 
+COMMON_KEYS = ("experiment", "seed", "output_dir", "ofdm")
+
 
 class ConfigError(Exception):
-    """Invalid config; message lists every offending field."""
+    """A config that cannot be built or read.
+
+    `args` holds one message per bad field, each starting with the field's
+    path (for example `ofdm: n_symbols: ...` or `scene.targets[0]: ...`).
+    """
+
+
+class _Build:
+    """Collects the errors of one config build, one message per bad field."""
+
+    def __init__(self):
+        self.errors: list[str] = []
+
+    def __call__(self, path: str, make, *args, **kwargs):
+        """make(*args, **kwargs), or None after recording why it failed."""
+        try:
+            return make(*args, **kwargs)
+        except (ValueError, TypeError) as exc:
+            self.errors.append(f"{path}: {exc}" if path else str(exc))
+            return None
+
+    def fields(self, section, path: str, *keys: str, **renamed: str) -> dict:
+        """Arguments from the keys of one config section that are present:
+        each of `keys` keeps its name, `renamed` maps an argument to its key.
+        Any other key is an error, since the run would not read it."""
+        if not isinstance(section, dict):
+            self.errors.append(f"{path.rstrip('.')}: expected an object")
+            return {}
+        known = {*keys, *renamed.values(), *(() if path else COMMON_KEYS)}
+        self.errors.extend(
+            f"{path}{key}: not read by this experiment" for key in sorted(section.keys() - known)
+        )
+        args = {key: section[key] for key in keys if key in section}
+        args.update({arg: section[key] for arg, key in renamed.items() if key in section})
+        return args
 
 
 # ---------------------------------------------------------------------------
-# validation
+# builders: config section -> typed objects -> a runner writing into a directory
+#
+# `params` is None when `ofdm` or `seed` failed to build; objects that need
+# them are then skipped, since their error is already recorded.
 
 
-def _require(cfg: dict, key: str, kind, errors: list, prefix=""):
-    path = f"{prefix}{key}"
-    if key not in cfg:
-        errors.append(f"{path}: missing required field")
-        return None
-    val = cfg[key]
-    if kind is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
-    if not isinstance(val, kind) or isinstance(val, bool):
-        errors.append(f"{path}: expected {getattr(kind, '__name__', kind)}, got {type(val).__name__}")
-        return None
-    return val
+def _build_crlb_table(cfg: dict, build: _Build, params, seed):
+    args = build.fields(cfg, "", "n_active", "amplitude", "noise_variance_w")
+    n_active = args.pop("n_active", PROFILES["desk"]["n_active"])
+    for key, value in args.items():
+        build("", _check_number, key, value, positive=True)
+    allocs = params and build("", _crlb_allocations, params, n_active, seed)
+    return partial(_exp_crlb_table, allocs, params, **args)
 
 
-def _check_number(cfg: dict, key: str, errors: list, positive=False, integer=False):
-    """Optional numeric field; appends an error naming the field if bad."""
-    if key not in cfg:
-        return
-    val = cfg[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        errors.append(f"{key}: expected a number, got {type(val).__name__}")
-        return
-    if integer and not isinstance(val, int):
-        errors.append(f"{key}: expected an integer")
-        return
-    if positive and val <= 0:
-        errors.append(f"{key}: must be positive")
+def _crlb_allocations(params: OfdmParams, n_active: int, seed) -> dict:
+    random = make_allocation(params, "random", n_active=n_active, seed=seed)
+    inner, outer = nested_params_for(n_active, params.n_subcarriers)
+    return {
+        "full": make_allocation(params, "full"),
+        "random": random,
+        "nested": make_allocation(params, "nested", inner=inner, outer=outer),
+        "clustered": ResourceAllocation.constant(
+            np.arange(n_active), params.n_symbols, params.n_subcarriers, "clustered"
+        ),
+    }
 
 
-def _validate_ofdm(cfg: dict, errors: list) -> OfdmParams | None:
-    ofdm = _require(cfg, "ofdm", dict, errors)
-    if ofdm is None:
-        return None
-    n = _require(ofdm, "n_subcarriers", int, errors, "ofdm.")
-    m = _require(ofdm, "n_symbols", int, errors, "ofdm.")
-    df = _require(ofdm, "subcarrier_spacing_hz", float, errors, "ofdm.")
-    fc = _require(ofdm, "carrier_freq_hz", float, errors, "ofdm.")
-    cp = ofdm.get("cp_len_s", 0.0)
-    if errors:
-        return None
-    try:
-        return OfdmParams(
-            n_subcarriers=n,
-            n_symbols=m,
-            subcarrier_spacing_hz=df,
-            carrier_freq_hz=fc,
-            cp_len_s=float(cp),
+def _build_hole_probability(cfg: dict, build: _Build, params, seed):
+    args = build.fields(cfg, "", "n_active_axis", n_trials="trials")
+    axis = build("", _as_tuple, "n_active_axis", args.pop("n_active_axis", None)) or ()
+    for i, n_active in enumerate(axis):
+        build(
+            "", _check_number, f"n_active_axis[{i}]", n_active,
+            integer=True, minimum=2, maximum=params and params.n_subcarriers,
         )
-    except ValueError as exc:
-        errors.append(f"ofdm: {exc}")
-        return None
+    if "n_trials" in args:
+        build("", _check_number, "trials", args["n_trials"], integer=True, minimum=1)
+    return partial(_exp_hole_probability, params, axis, seed, **args)
 
 
-def _validate_allocation(cfg: dict, params: OfdmParams | None, errors: list):
-    spec = cfg.get("allocation", {"pattern": "random"})
-    if not isinstance(spec, dict):
-        errors.append("allocation: expected object")
-        return None
-    pattern = spec.get("pattern", "random")
-    if pattern not in ("full", "comb", "random", "coprime", "nested", "custom"):
-        errors.append(f"allocation.pattern: unknown pattern {pattern!r}")
-        return None
-    if params is None:
-        return spec
-    n = params.n_subcarriers
-    if pattern == "random":
-        n_active = spec.get("n_active", cfg.get("n_active"))
-        if n_active is None:
-            errors.append("allocation.n_active: missing for random pattern")
-        elif not isinstance(n_active, int) or not 2 <= n_active <= n:
-            errors.append(f"allocation.n_active: must be an int in [2, {n}]")
-    elif pattern == "comb":
-        stride = spec.get("stride")
-        if not isinstance(stride, int) or stride < 1:
-            errors.append("allocation.stride: must be an int >= 1")
-    elif pattern == "coprime":
-        p, q = spec.get("p"), spec.get("q")
-        if not isinstance(p, int) or not isinstance(q, int) or p < 1 or q < 1:
-            errors.append("allocation.p/q: must be ints >= 1")
-        elif math.gcd(p, q) != 1:
-            errors.append(f"allocation.p/q: ({p}, {q}) are not co-prime")
-        elif min(p, q) > n - 1:
-            errors.append(f"allocation.p/q: strides exceed N-1 = {n - 1}")
-    elif pattern == "nested":
-        inner, outer = spec.get("inner"), spec.get("outer")
-        if not isinstance(inner, int) or not isinstance(outer, int) or inner < 1 or outer < 1:
-            errors.append("allocation.inner/outer: must be ints >= 1")
-        elif (inner + 1) * outer - 1 > n - 1:
-            errors.append(
-                f"allocation.inner/outer: nested pattern reaches index "
-                f"{(inner + 1) * outer - 1} > N-1 = {n - 1}"
-            )
-    elif pattern == "custom":
-        if "indices" not in spec:
-            errors.append("allocation.indices: missing for custom pattern")
-    return spec
+_AMBIGUITY_AXES = {
+    "delay_points": dict(integer=True, minimum=3),
+    "doppler_points": dict(integer=True, minimum=3),
+    "delay_span_bins": dict(positive=True),
+    "doppler_span_bins": dict(positive=True),
+}
 
 
-def _validate_targets(scene: dict, errors: list) -> list[Target]:
-    targets = []
-    raw = scene.get("targets")
-    if not isinstance(raw, list) or not raw:
-        errors.append("scene.targets: expected a non-empty list")
-        return targets
-    for i, t in enumerate(raw):
-        prefix = f"scene.targets[{i}]."
-        if not isinstance(t, dict):
-            errors.append(f"scene.targets[{i}]: expected object")
-            continue
-        d = _require(t, "distance_m", float, errors, prefix)
-        v = t.get("velocity_mps", 0.0)
-        kwargs = {}
-        if "rcs_m2" in t:
-            kwargs["rcs_m2"] = t["rcs_m2"]
-        if "amplitude" in t:
-            kwargs["amplitude"] = t["amplitude"]
-        if t.get("phase_rad") is not None:
-            kwargs["phase_rad"] = t["phase_rad"]
-        if d is None:
-            continue
-        try:
-            targets.append(Target(distance_m=d, velocity_mps=float(v), **kwargs))
-        except (ValueError, TypeError) as exc:
-            errors.append(f"scene.targets[{i}]: {exc}")
-    return targets
+def _build_ambiguity(cfg: dict, build: _Build, params, seed):
+    args = build.fields(cfg, "", "allocation", "n_active", *_AMBIGUITY_AXES)
+    spec, n_active = args.pop("allocation", {}), args.pop("n_active", None)
+    for key, value in args.items():
+        build("", _check_number, key, value, **_AMBIGUITY_AXES[key])
+    alloc = params and build("allocation", _allocation, spec, params, n_active, seed)
+    return partial(_exp_ambiguity, alloc, params, **args)
 
 
-def _validate_link(scene: dict, cfg: dict, errors: list) -> LinkBudget | None:
-    raw = scene.get("link")
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        errors.append("scene.link: expected object")
-        return None
-    ok = True
-    for key in ("tx_power_w", "tx_gain", "rx_gain"):
-        v = raw.get(key)
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
-            errors.append(f"scene.link.{key}: must be a positive number")
-            ok = False
-    if not ok:
-        return None
-    fc = cfg.get("ofdm", {}).get("carrier_freq_hz", 0)
-    if not isinstance(fc, (int, float)) or fc <= 0:
-        return None
-    return LinkBudget.for_carrier(
-        fc, tx_power_w=raw["tx_power_w"], tx_gain=raw["tx_gain"], rx_gain=raw["rx_gain"]
+def _allocation(spec: dict, params: OfdmParams, n_active, seed) -> ResourceAllocation:
+    """make_allocation from an `allocation` block; the pattern defaults to
+    random, whose n_active may come from the top-level key."""
+    kwargs = dict(spec)
+    pattern = kwargs.pop("pattern", "random")
+    if pattern == "random" and n_active is not None:
+        kwargs.setdefault("n_active", n_active)
+    alloc = make_allocation(params, pattern, seed=seed, **kwargs)
+    if not alloc.is_constant:
+        raise ValueError("indices: the ambiguity surface needs one index set for every symbol")
+    return alloc
+
+
+def _build_two_target_demo(cfg: dict, build: _Build, params, seed):
+    args = build.fields(
+        cfg, "", "n_active", "snr_db", "oversample", "distances_m", "velocities_mps",
+        "amplitudes", n_runs="runs",
     )
+    demo = params and build("", TwoTargetDemoConfig, params, master_seed=seed, **args)
+    return partial(_exp_two_target_demo, demo)
 
 
-def _validate_scene(
-    cfg: dict, errors: list
-) -> tuple[list[Target], LinkBudget | None]:
-    scene = cfg.get("scene")
-    if scene is None:
-        return [], None
-    if not isinstance(scene, dict):
-        errors.append("scene: expected object")
-        return [], None
-    targets = _validate_targets(scene, errors)
-    link = _validate_link(scene, cfg, errors)
-    snr = scene.get("snr_db")
-    nv = scene.get("noise_variance_w")
-    if snr is not None and nv is not None:
-        errors.append("scene: snr_db and noise_variance_w are mutually exclusive")
-    if link is None and any(t.rcs_m2 is not None for t in targets):
-        errors.append("scene.link: required when targets are specified by RCS")
-    return targets, link
+def _build_rmse_pslr_sweep(cfg: dict, build: _Build, params, seed):
+    args = build.fields(
+        cfg, "", "n_active", "snr_db_axis", "methods", "oversample", "miss_threshold_bins",
+        "scene", n_trials="trials",
+    )
+    scene = build.fields(args.pop("scene", {}), "scene.", "targets", "link")
+    n_errors = len(build.errors)
+    if "targets" in scene:
+        raw = build("scene", _as_tuple, "targets", scene["targets"]) or ()
+        args["targets"] = [
+            build(f"scene.targets[{i}]", lambda t: Target(**t), t) for i, t in enumerate(raw)
+        ]
+    if "link" in scene and params:
+        args["link"] = build(
+            "scene.link", lambda raw: LinkBudget.for_carrier(params.carrier_freq_hz, **raw),
+            scene["link"],
+        )
+    if params and len(build.errors) == n_errors:  # the scene built
+        return partial(_exp_rmse_pslr_sweep, build("", SweepConfig, params, master_seed=seed, **args))
+    return None
+
+
+EXPERIMENTS = {
+    "crlb_table": _build_crlb_table,
+    "hole_probability": _build_hole_probability,
+    "ambiguity": _build_ambiguity,
+    "two_target_demo": _build_two_target_demo,
+    "rmse_pslr_sweep": _build_rmse_pslr_sweep,
+}
+
+
+def _build(cfg: dict):
+    """Build every object a config describes; returns `run(out, threads)`,
+    which runs exactly those objects and writes artifacts into `out`.
+    Raises ConfigError with one message per field that fails to build."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("config root must be a JSON object")
+    exp = cfg.get("experiment")
+    if not isinstance(exp, str) or exp not in EXPERIMENTS:
+        raise ConfigError(f"experiment: must be one of {', '.join(EXPERIMENTS)}; got {exp!r}")
+    build = _Build()
+    seed = build("", _check_number, "seed", cfg.get("seed", 0), integer=True, minimum=0)
+    if not isinstance(cfg.get("output_dir", ""), str):
+        build.errors.append("output_dir: expected a string")
+    params = build("ofdm", lambda: OfdmParams(**cfg.get("ofdm", {})))
+    run = EXPERIMENTS[exp](cfg, build, params if seed is not None else None, seed)
+    if build.errors:
+        raise ConfigError(*build.errors)
+    return run
 
 
 def validate_config(cfg: dict) -> list[str]:
-    """Full dry-run check; returns a list of error strings (empty if valid)."""
-    errors: list[str] = []
-    if not isinstance(cfg, dict):
-        return ["config root must be a JSON object"]
-    exp = cfg.get("experiment")
-    if exp not in EXPERIMENTS:
-        errors.append(
-            f"experiment: must be one of {', '.join(EXPERIMENTS)}; got {exp!r}"
-        )
-        return errors
-    params = _validate_ofdm(cfg, errors)
-    seed = cfg.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        errors.append("seed: must be a non-negative integer")
-
-    if exp == "crlb_table":
-        _validate_allocation(cfg, params, errors)
-        _check_number(cfg, "amplitude", errors, positive=True)
-        _check_number(cfg, "noise_variance_w", errors, positive=True)
-        n_active = cfg.get("n_active")
-        if n_active is not None and params is not None:
-            if not isinstance(n_active, int) or not 2 <= n_active <= params.n_subcarriers:
-                errors.append(f"n_active: must be an int in [2, {params.n_subcarriers}]")
-    elif exp == "hole_probability":
-        axis = cfg.get("n_active_axis")
-        if not isinstance(axis, list) or not axis:
-            errors.append("n_active_axis: expected a non-empty list of ints")
-        elif params is not None:
-            for v in axis:
-                if not isinstance(v, int) or not 2 <= v <= params.n_subcarriers:
-                    errors.append(
-                        f"n_active_axis: entries must be ints in [2, {params.n_subcarriers}]"
-                    )
-                    break
-        trials = cfg.get("trials", 1000)
-        if not isinstance(trials, int) or trials < 1:
-            errors.append("trials: must be a positive integer")
-    elif exp == "ambiguity":
-        _validate_allocation(cfg, params, errors)
-        for key in ("delay_points", "doppler_points"):
-            v = cfg.get(key, 101)
-            if not isinstance(v, int) or v < 3:
-                errors.append(f"{key}: must be an int >= 3")
-        _check_number(cfg, "delay_span_bins", errors, positive=True)
-        _check_number(cfg, "doppler_span_bins", errors, positive=True)
-    elif exp == "two_target_demo":
-        if params is not None and "n_active" in cfg:
-            if not isinstance(cfg["n_active"], int) or not 2 <= cfg["n_active"] <= params.n_subcarriers:
-                errors.append(f"n_active: must be an int in [2, {params.n_subcarriers}]")
-        for key in ("distances_m", "velocities_mps", "amplitudes"):
-            v = cfg.get(key)
-            if v is not None and (not isinstance(v, list) or len(v) != 2):
-                errors.append(f"{key}: expected a list of exactly 2 numbers")
-        _check_number(cfg, "snr_db", errors)
-        _check_number(cfg, "oversample", errors, positive=True, integer=True)
-        runs = cfg.get("runs", 100)
-        if not isinstance(runs, int) or runs < 1:
-            errors.append("runs: must be a positive integer")
-    elif exp == "rmse_pslr_sweep":
-        _validate_scene(cfg, errors)
-        methods = cfg.get("methods")
-        if methods is not None:
-            from .analysis import SWEEP_METHODS
-
-            if not isinstance(methods, list) or not methods:
-                errors.append("methods: expected a non-empty list")
-            else:
-                for m in methods:
-                    if m not in SWEEP_METHODS:
-                        errors.append(f"methods: unknown method {m!r}")
-        axis = cfg.get("snr_db_axis")
-        if not isinstance(axis, list) or not axis:
-            errors.append("snr_db_axis: expected a non-empty list of numbers")
-        trials = cfg.get("trials", 500)
-        if not isinstance(trials, int) or trials < 1:
-            errors.append("trials: must be a positive integer")
-        n_active = cfg.get("n_active")
-        if params is not None:
-            if not isinstance(n_active, int) or not 2 <= n_active <= params.n_subcarriers:
-                errors.append(f"n_active: must be an int in [2, {params.n_subcarriers}]")
-    return errors
+    """Build a config's objects without running them; returns one message
+    per bad field (empty if the config is valid)."""
+    try:
+        _build(cfg)
+    except ConfigError as exc:
+        return list(exc.args)
+    return []
 
 
 # ---------------------------------------------------------------------------
-# experiment runners (configs are pre-validated)
-
-
-def _build_allocation(cfg: dict, params: OfdmParams, seed) -> ResourceAllocation:
-    spec = dict(cfg.get("allocation", {"pattern": "random"}))
-    pattern = spec.pop("pattern", "random")
-    if pattern == "random" and "n_active" not in spec:
-        spec["n_active"] = cfg.get("n_active", PROFILES["desk"]["n_active"])
-    return make_allocation(params, pattern, seed=seed, **spec)
+# experiment runners: built objects in, artifact file names out
 
 
 def _write_csv(path: Path, header: list[str], rows, comment: str | None = None):
@@ -361,19 +284,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _exp_crlb_table(cfg: dict, params: OfdmParams, out: Path, seed: int) -> list[str]:
-    n_active = cfg.get("n_active", PROFILES["desk"]["n_active"])
-    amplitude = float(cfg.get("amplitude", 1.0))
-    noise_var = float(cfg.get("noise_variance_w", 1.0))
-    inner, outer = nested_params_for(n_active, params.n_subcarriers)
-    allocs = {
-        "full": make_allocation(params, "full"),
-        "random": make_allocation(params, "random", n_active=n_active, seed=seed),
-        "nested": make_allocation(params, "nested", inner=inner, outer=outer),
-        "clustered": ResourceAllocation.constant(
-            np.arange(n_active), params.n_symbols, params.n_subcarriers, "clustered"
-        ),
-    }
+def _exp_crlb_table(
+    allocs: dict, params: OfdmParams, out: Path, threads: int,
+    amplitude: float = 1.0, noise_variance_w: float = 1.0,
+) -> list[str]:
+    amplitude, noise_var = float(amplitude), float(noise_variance_w)
     rows = []
     for label, alloc in allocs.items():
         rep = crlb_report(alloc, params, amplitude, noise_var)
@@ -398,14 +313,14 @@ def _exp_crlb_table(cfg: dict, params: OfdmParams, out: Path, seed: int) -> list
     return ["crlb_table.csv", "crlb_random.json"]
 
 
-def _exp_hole_probability(cfg: dict, params: OfdmParams, out: Path, seed: int) -> list[str]:
-    axis = cfg["n_active_axis"]
-    trials = cfg.get("trials", 1000)
+def _exp_hole_probability(
+    params: OfdmParams, axis: tuple, seed: int, out: Path, threads: int, **curve_args
+) -> list[str]:
     seeds = np.random.SeedSequence(seed).spawn(len(axis))
     long_rows = []
     summary_rows = []
     for n_active, child in zip(axis, seeds):
-        curve = hole_fill_curve(params.n_subcarriers, n_active, n_trials=trials, seed=child)
+        curve = hole_fill_curve(params.n_subcarriers, n_active, seed=child, **curve_args)
         for lag, p, hw in zip(curve.lags, curve.fill_probability, curve.fill_halfwidth):
             long_rows.append([n_active, int(lag), _fmt(float(p)), _fmt(float(hw))])
         summary_rows.append(
@@ -414,7 +329,7 @@ def _exp_hole_probability(cfg: dict, params: OfdmParams, out: Path, seed: int) -
                 _fmt(curve.min_fill_probability),
                 _fmt(curve.all_filled_probability),
                 _fmt(curve.all_filled_halfwidth),
-                trials,
+                curve.n_trials,
             ]
         )
     _write_csv(
@@ -430,12 +345,11 @@ def _exp_hole_probability(cfg: dict, params: OfdmParams, out: Path, seed: int) -
     return ["hole_fill.csv", "hole_fill_summary.csv"]
 
 
-def _exp_ambiguity(cfg: dict, params: OfdmParams, out: Path, seed: int) -> list[str]:
-    alloc = _build_allocation(cfg, params, seed)
-    delay_points = cfg.get("delay_points", 401)
-    doppler_points = cfg.get("doppler_points", 101)
-    delay_span_bins = float(cfg.get("delay_span_bins", 16.0))
-    doppler_span_bins = float(cfg.get("doppler_span_bins", 4.0))
+def _exp_ambiguity(
+    alloc: ResourceAllocation, params: OfdmParams, out: Path, threads: int,
+    delay_points: int = 401, doppler_points: int = 101,
+    delay_span_bins: float = 16.0, doppler_span_bins: float = 4.0,
+) -> list[str]:
     delay_bin = 1.0 / (params.n_subcarriers * params.subcarrier_spacing_hz)
     doppler_bin = 1.0 / (params.n_symbols * params.symbol_dur_s)
     delays = np.linspace(-delay_span_bins, delay_span_bins, delay_points) * delay_bin
@@ -464,18 +378,7 @@ def _exp_ambiguity(cfg: dict, params: OfdmParams, out: Path, seed: int) -> list[
     return ["ambiguity.csv", "ambiguity_delay_cut.csv"]
 
 
-def _exp_two_target_demo(cfg: dict, params: OfdmParams, out: Path, seed: int) -> list[str]:
-    demo_cfg = TwoTargetDemoConfig(
-        params=params,
-        n_active=cfg.get("n_active", 64),
-        snr_db=float(cfg.get("snr_db", -10.0)),
-        n_runs=cfg.get("runs", 100),
-        master_seed=seed,
-        oversample=cfg.get("oversample", 4),
-        distances_m=tuple(cfg.get("distances_m", (200.0, 330.0))),
-        velocities_mps=tuple(cfg.get("velocities_mps", (12.0, -9.0))),
-        amplitudes=tuple(cfg.get("amplitudes", (1.0, 0.8))),
-    )
+def _exp_two_target_demo(demo_cfg: TwoTargetDemoConfig, out: Path, threads: int) -> list[str]:
     result = two_target_demo(demo_cfg)
     note = "snr_definition=per_active_re"
     result.example_direct.to_csv(out / "demo_direct_periodogram.csv", comment=note)
@@ -498,43 +401,42 @@ def _exp_two_target_demo(cfg: dict, params: OfdmParams, out: Path, seed: int) ->
     ]
 
 
-def _exp_rmse_pslr_sweep(cfg: dict, params: OfdmParams, out: Path, seed: int, threads: int) -> list[str]:
-    targets, link = _validate_scene(cfg, [])
-    if not targets:
-        targets = [Target(distance_m=200.0, amplitude=1.0)]
-    sweep_cfg = SweepConfig(
-        params=params,
-        n_active=cfg["n_active"],
-        snr_db_axis=tuple(float(s) for s in cfg["snr_db_axis"]),
-        methods=tuple(cfg.get("methods", ("full_bandwidth", "equivalent_bandwidth", "direct_sparse", "autocorrelation"))),
-        targets=tuple(targets),
-        link=link,
-        n_trials=cfg.get("trials", 500),
-        oversample=cfg.get("oversample", 4),
-        master_seed=seed,
-        miss_threshold_bins=float(cfg.get("miss_threshold_bins", 10.0)),
-    )
+def _exp_rmse_pslr_sweep(sweep_cfg: SweepConfig, out: Path, threads: int) -> list[str]:
     result = monte_carlo_sweep(sweep_cfg, threads=threads)
     result.to_csv(out / "sweep.csv")
     return ["sweep.csv"]
 
 
+def _write_manifest(cfg: dict, out: Path, outputs: list[str]) -> None:
+    manifest = {
+        "version": __version__,
+        "experiment": cfg["experiment"],
+        "snr_definition": "per_active_re",
+        "config": cfg,
+        "outputs": outputs,
+    }
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
 def run_experiment(cfg: dict, out: Path, threads: int = 1) -> list[str]:
-    """Dispatch a validated config; returns the artifact file names."""
-    params = _validate_ofdm(cfg, [])
-    seed = int(cfg.get("seed", 0))
-    exp = cfg["experiment"]
-    if exp == "crlb_table":
-        return _exp_crlb_table(cfg, params, out, seed)
-    if exp == "hole_probability":
-        return _exp_hole_probability(cfg, params, out, seed)
-    if exp == "ambiguity":
-        return _exp_ambiguity(cfg, params, out, seed)
-    if exp == "two_target_demo":
-        return _exp_two_target_demo(cfg, params, out, seed)
-    if exp == "rmse_pslr_sweep":
-        return _exp_rmse_pslr_sweep(cfg, params, out, seed, threads)
-    raise ConfigError(f"experiment: unknown kind {exp!r}")
+    """Build a config's objects once and run exactly those; returns the
+    artifact file names.
+
+    Raises ConfigError before anything is written.  The artifacts and
+    manifest.json are written to a staging directory next to `out` and
+    moved into `out` (created if needed), manifest.json last, only when
+    the run succeeds; the staging directory is removed on every exit path.
+    """
+    run = _build(cfg)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent) as tmp:
+        stage = Path(tmp)
+        outputs = run(stage, threads)
+        _write_manifest(cfg, stage, outputs)
+        out.mkdir(exist_ok=True)
+        for name in [*outputs, "manifest.json"]:
+            os.replace(stage / name, out / name)
+    return outputs
 
 
 PLOT_SCRIPT = '''#!/usr/bin/env python3
@@ -599,11 +501,9 @@ def _load_config(path: str) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    if (
-        isinstance(cfg, dict)
-        and isinstance(cfg.get("config"), dict)
-        and "experiment" in cfg.get("config", {})
-    ):
+    if not isinstance(cfg, dict):
+        raise ConfigError("config root must be a JSON object")
+    if isinstance(cfg.get("config"), dict) and "experiment" in cfg["config"]:
         cfg = cfg["config"]  # accept a manifest.json directly
     return cfg
 
@@ -614,65 +514,14 @@ def _out_dir(args, cfg: dict | None = None) -> Path:
     env = os.environ.get(OUTDIR_ENV)
     if env:
         return Path(env)
-    if cfg and cfg.get("output_dir"):
+    if cfg and isinstance(cfg.get("output_dir"), str) and cfg["output_dir"]:
         return Path(cfg["output_dir"])
     return Path("out")
 
 
-def _finalize(cfg: dict, out: Path, outputs: list[str]) -> None:
-    manifest = {
-        "version": __version__,
-        "experiment": cfg["experiment"],
-        "snr_definition": "per_active_re",
-        "config": cfg,
-        "outputs": outputs,
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _cmd_run(args) -> int:
-    cfg = _load_config(args.config)
-    errors = validate_config(cfg)
-    if errors:
-        for e in errors:
-            print(f"config error: {e}", file=sys.stderr)
-        return 2
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    cfg.setdefault("seed", 0)
-    out = _out_dir(args, cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        outputs = run_experiment(cfg, out, threads=_threads(args))
-    except SingularFimError as exc:
-        print(f"numeric failure in {cfg['experiment']}: {exc}", file=sys.stderr)
-        return 3
-    _finalize(cfg, out, outputs)
-    for name in outputs:
-        print(out / name)
-    return 0
-
-
-def _cmd_validate(args) -> int:
-    try:
-        cfg = _load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    errors = validate_config(cfg)
-    for e in errors:
-        print(f"config error: {e}", file=sys.stderr)
-    return 2 if errors else 0
-
-
-def _profile_config(args, experiment: str) -> dict:
-    profile = PROFILES[args.profile]
-    cfg = {
-        "experiment": experiment,
-        "seed": args.seed if args.seed is not None else 0,
-        "ofdm": dict(profile["ofdm"]),
-        "n_active": profile["n_active"],
-    }
+def _profile_config(profile_name: str, experiment: str) -> dict:
+    profile = PROFILES[profile_name]
+    cfg = {"ofdm": dict(profile["ofdm"]), "n_active": profile["n_active"]}
     if experiment == "two_target_demo":
         cfg["ofdm"]["n_symbols"] = max(cfg["ofdm"]["n_symbols"], 128)
         cfg["snr_db"] = -10.0
@@ -692,31 +541,31 @@ def _profile_config(args, experiment: str) -> dict:
     return cfg
 
 
-def _cmd_profile_experiment(args, experiment: str) -> int:
-    if args.config:
-        cfg = _load_config(args.config)
-    else:
-        cfg = _profile_config(args, experiment)
-    cfg["experiment"] = experiment
-    errors = validate_config(cfg)
-    if errors:
-        for e in errors:
-            print(f"config error: {e}", file=sys.stderr)
-        return 2
+def _cmd_run(args, experiment: str | None = None) -> int:
+    """`run`, or a profile subcommand, which names its experiment and builds
+    the profile's config when no --config is given."""
+    cfg = _load_config(args.config) if args.config else _profile_config(args.profile, experiment)
+    if experiment is not None:
+        cfg["experiment"] = experiment
     if args.seed is not None:
         cfg["seed"] = args.seed
     cfg.setdefault("seed", 0)
     out = _out_dir(args, cfg)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         outputs = run_experiment(cfg, out, threads=_threads(args))
     except SingularFimError as exc:
-        print(f"numeric failure in {experiment}: {exc}", file=sys.stderr)
+        print(f"numeric failure in {cfg['experiment']}: {exc}", file=sys.stderr)
         return 3
-    _finalize(cfg, out, outputs)
     for name in outputs:
         print(out / name)
     return 0
+
+
+def _cmd_validate(args) -> int:
+    errors = validate_config(_load_config(args.config))
+    for e in errors:
+        print(f"config error: {e}", file=sys.stderr)
+    return 2 if errors else 0
 
 
 def _cmd_plot_script(args) -> int:
@@ -729,10 +578,7 @@ def _cmd_plot_script(args) -> int:
 
 
 def _threads(args) -> int:
-    k = getattr(args, "threads", 1) or 0
-    if k == 0:
-        return os.cpu_count() or 1
-    return k
+    return args.threads or os.cpu_count() or 1  # 0 = one per CPU
 
 
 def _add_common(p: argparse.ArgumentParser, config_required: bool):
@@ -743,6 +589,13 @@ def _add_common(p: argparse.ArgumentParser, config_required: bool):
         "--profile", choices=sorted(PROFILES), default="desk", help="parameter profile"
     )
     p.add_argument("--threads", type=int, default=1, help="worker threads, 0 = auto")
+
+
+PROFILE_COMMANDS = {
+    "crlb": ("crlb_table", "CRLB table across allocation families"),
+    "sweep": ("rmse_pslr_sweep", "RMSE/PSLR vs SNR Monte-Carlo sweep"),
+    "demo": ("two_target_demo", "two-target sparse detection demo"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -758,11 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="check a config without running anything")
     p_val.add_argument("--config", required=True)
 
-    for name, helptext in (
-        ("crlb", "CRLB table across allocation families"),
-        ("sweep", "RMSE/PSLR vs SNR Monte-Carlo sweep"),
-        ("demo", "two-target sparse detection demo"),
-    ):
+    for name, (_, helptext) in PROFILE_COMMANDS.items():
         p_sub = sub.add_parser(name, help=helptext)
         _add_common(p_sub, config_required=False)
 
@@ -775,22 +624,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
         if args.command == "validate":
             return _cmd_validate(args)
-        if args.command == "crlb":
-            return _cmd_profile_experiment(args, "crlb_table")
-        if args.command == "sweep":
-            return _cmd_profile_experiment(args, "rmse_pslr_sweep")
-        if args.command == "demo":
-            return _cmd_profile_experiment(args, "two_target_demo")
         if args.command == "plot-script":
             return _cmd_plot_script(args)
+        experiment = PROFILE_COMMANDS[args.command][0] if args.command in PROFILE_COMMANDS else None
+        return _cmd_run(args, experiment)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        for e in exc.args:
+            print(f"config error: {e}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alloc import OfdmParams, ResourceAllocation, VirtualAperture, difference_set
+from .alloc import OfdmParams, ResourceAllocation, VirtualAperture, _check_number, difference_set
 from .scene import SPEED_OF_LIGHT
 from .synth import FreqGrid
 
@@ -169,9 +169,7 @@ def zero_fill_periodogram(grid: FreqGrid, oversample: int = 4) -> Periodogram:
     Q = oversample * N point grid, where K is the active cardinality.  The
     axis maps bin q to delay q / (Q * subcarrier_spacing).
     """
-    if int(oversample) != oversample or oversample < 1:
-        raise ValueError("oversample must be a positive integer")
-    oversample = int(oversample)
+    oversample = _check_number("oversample", oversample, integer=True, minimum=1)
     params = grid.params
     n = params.n_subcarriers
     q_bins = oversample * n
@@ -244,9 +242,7 @@ def ml_single_target(
     optionally refined by a parabolic fit on log-magnitude.  Documented
     single-target assumption; nothing is enforced.
     """
-    if int(oversample) != oversample or oversample < 1:
-        raise ValueError("oversample must be a positive integer")
-    oversample = int(oversample)
+    oversample = _check_number("oversample", oversample, integer=True, minimum=1)
     params = grid.params
     n = params.n_subcarriers
     q_bins = oversample * n
@@ -358,9 +354,7 @@ def virtual_periodogram(
     Q = oversample * (2N - 1) point grid; magnitudes are scaled by the
     number of available lags so a unit noiseless target peaks at A^2.
     """
-    if int(oversample) != oversample or oversample < 1:
-        raise ValueError("oversample must be a positive integer")
-    oversample = int(oversample)
+    oversample = _check_number("oversample", oversample, integer=True, minimum=1)
     span = 2 * vs.aperture.n_subcarriers - 1
     q_bins = oversample * span
     taps = np.zeros(q_bins, dtype=np.complex128)
@@ -447,9 +441,7 @@ def doppler_periodogram(
     sequence is transformed to Doppler on an oversampled axis centered
     on zero.
     """
-    if int(oversample) != oversample or oversample < 1:
-        raise ValueError("oversample must be a positive integer")
-    oversample = int(oversample)
+    oversample = _check_number("oversample", oversample, integer=True, minimum=1)
     params = grid.params
     if delay_s is None:
         delay_s = _noncoherent_delay(grid, oversample)

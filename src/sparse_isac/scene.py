@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .alloc import OfdmParams
+from .alloc import OfdmParams, _check_number
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
 
@@ -39,16 +39,18 @@ class Target:
     phase_rad: float | None = None
 
     def __post_init__(self):
-        if self.distance_m <= 0:
-            raise ValueError(f"target distance must be positive, got {self.distance_m}")
+        _check_number("distance_m", self.distance_m, positive=True)
+        _check_number("velocity_mps", self.velocity_mps)
         if (self.rcs_m2 is None) == (self.amplitude is None):
-            raise ValueError("specify exactly one of rcs_m2 or amplitude")
-        if self.amplitude is not None and self.amplitude <= 0:
-            raise ValueError("amplitude must be positive")
-        if self.rcs_m2 is not None and self.rcs_m2 < 0:
-            raise ValueError("rcs_m2 must be >= 0")
-        if self.phase_rad is not None and not 0.0 <= self.phase_rad < 2 * math.pi:
-            raise ValueError("phase_rad must lie in [0, 2*pi)")
+            raise ValueError("rcs_m2/amplitude: specify exactly one of them")
+        if self.amplitude is not None:
+            _check_number("amplitude", self.amplitude, positive=True)
+        if self.rcs_m2 is not None:
+            _check_number("rcs_m2", self.rcs_m2, minimum=0)
+        if self.phase_rad is not None:
+            _check_number("phase_rad", self.phase_rad, minimum=0)
+            if self.phase_rad >= 2 * math.pi:
+                raise ValueError(f"phase_rad: must lie in [0, 2*pi), got {self.phase_rad}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,7 @@ class LinkBudget:
 
     def __post_init__(self):
         for name in ("tx_power_w", "tx_gain", "rx_gain", "wavelength_m"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            _check_number(name, getattr(self, name), positive=True)
 
     @classmethod
     def for_carrier(
@@ -84,7 +85,8 @@ class Scene:
     Noise is given either as noise_variance_w (the per-active-RE complex
     noise variance, split N0/2 per real/imaginary part) or as snr_db, the
     per-active-RE SNR relative to the first target's amplitude.  snr_db of
-    +inf and noise_variance_w of 0 both mean noiseless.
+    +inf and noise_variance_w of 0 both mean noiseless; an snr_db whose
+    noise variance overflows or underflows a float is rejected.
     """
 
     targets: tuple[Target, ...]
@@ -96,14 +98,22 @@ class Scene:
         targets = tuple(self.targets)
         object.__setattr__(self, "targets", targets)
         if len(targets) < 1:
-            raise ValueError("scene needs at least one target")
+            raise ValueError("targets: scene needs at least one target")
         if (self.snr_db is not None) and (self.noise_variance_w is not None):
-            raise ValueError("snr_db and noise_variance_w are mutually exclusive")
-        if self.noise_variance_w is not None and self.noise_variance_w < 0:
-            raise ValueError("noise_variance_w must be >= 0")
+            raise ValueError("snr_db/noise_variance_w: mutually exclusive")
+        if self.noise_variance_w is not None:
+            _check_number("noise_variance_w", self.noise_variance_w, minimum=0)
         for t in targets:
             if t.rcs_m2 is not None and self.link is None:
-                raise ValueError("targets specified by RCS need a LinkBudget in the scene")
+                raise ValueError("link: targets specified by RCS need a LinkBudget")
+        if self.snr_db is not None:
+            _check_number("snr_db", self.snr_db, allow_inf=True)
+            try:
+                variance = self.noise_variance()
+            except (OverflowError, ZeroDivisionError):
+                variance = math.nan
+            if not 0.0 <= variance < math.inf:
+                raise ValueError(f"snr_db: {self.snr_db} dB is out of range")
 
     @property
     def n_targets(self) -> int:
@@ -118,9 +128,7 @@ class Scene:
         """Resolve the per-active-RE complex noise variance."""
         if self.noise_variance_w is not None:
             return float(self.noise_variance_w)
-        if self.snr_db is None:
-            return 0.0
-        if math.isinf(self.snr_db) and self.snr_db > 0:
+        if self.snr_db is None or self.snr_db == math.inf:
             return 0.0
         ref = self.amplitude_of(self.targets[0])
         return ref**2 / 10.0 ** (self.snr_db / 10.0)

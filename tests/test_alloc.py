@@ -40,6 +40,11 @@ class TestOfdmParams:
             dict(subcarrier_spacing_hz=0.0),
             dict(carrier_freq_hz=-1.0),
             dict(cp_len_s=-1e-9),
+            dict(subcarrier_spacing_hz=float("nan")),
+            dict(subcarrier_spacing_hz=float("inf")),
+            dict(carrier_freq_hz=float("-inf")),
+            dict(cp_len_s=float("nan")),
+            dict(cp_len_s=float("inf")),
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
@@ -48,6 +53,25 @@ class TestOfdmParams:
         )
         base.update(kwargs)
         with pytest.raises(ValueError):
+            si.OfdmParams(**base)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n_subcarriers=True),
+            dict(n_subcarriers=64.0),
+            dict(n_symbols="4"),
+            dict(subcarrier_spacing_hz="120e3"),
+            dict(carrier_freq_hz=None),
+            dict(cp_len_s=False),
+        ],
+    )
+    def test_wrong_type_rejected_naming_field(self, kwargs):
+        base = dict(
+            n_subcarriers=64, n_symbols=4, subcarrier_spacing_hz=120e3, carrier_freq_hz=24e9
+        )
+        base.update(kwargs)
+        with pytest.raises(TypeError, match=f"^{next(iter(kwargs))}: "):
             si.OfdmParams(**base)
 
 
@@ -104,6 +128,25 @@ class TestMakeAllocation:
     def test_nested_overflow_rejected(self):
         with pytest.raises(ValueError):
             si.make_allocation(make_params(12), "nested", inner=3, outer=4)
+
+    @pytest.mark.parametrize(
+        "pattern, kwargs, error",
+        [
+            ("random", dict(n_active=True), TypeError),
+            ("random", dict(n_active=8.0), TypeError),
+            ("random", dict(), TypeError),
+            ("comb", dict(stride=float("nan")), TypeError),
+            ("coprime", dict(p=None, q=3), TypeError),
+            ("nested", dict(inner=0, outer=3), ValueError),
+            ("custom", dict(indices=[1.5, 3.0]), TypeError),
+            ("custom", dict(indices="x"), ValueError),
+            ("custom", dict(indices=[0, 999]), ValueError),
+        ],
+    )
+    def test_bad_pattern_argument_named(self, pattern, kwargs, error):
+        field = next(iter(kwargs), "n_active")
+        with pytest.raises(error, match=f"^{field}: "):
+            si.make_allocation(make_params(16), pattern, seed=0, **kwargs)
 
     def test_custom_deduplicates_and_sorts(self):
         alloc = si.make_allocation(make_params(16), "custom", indices=[5, 1, 5, 9])

@@ -295,6 +295,38 @@ class TestMonteCarloSweep:
         with pytest.raises(ValueError, match="unknown sweep method"):
             self.tiny_config(methods=("direct_sparse", "music"))
 
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("oversample", 0, ValueError),
+            ("oversample", True, TypeError),
+            ("oversample", "4", TypeError),
+            ("miss_threshold_bins", math.nan, ValueError),
+            ("miss_threshold_bins", "x", TypeError),
+            ("snr_db_axis", ("a",), TypeError),
+            ("snr_db_axis", (-math.inf,), ValueError),
+            ("snr_db_axis", (math.nan,), ValueError),
+            ("snr_db_axis", (), ValueError),
+            ("snr_db_axis", 5.0, TypeError),
+            ("master_seed", -1, ValueError),
+            ("master_seed", 1.5, TypeError),
+            ("n_trials", 0, ValueError),
+            ("n_active", 100, ValueError),
+            ("n_active", math.inf, TypeError),
+            ("methods", (), ValueError),
+            ("targets", (), ValueError),
+        ],
+    )
+    def test_invalid_field_rejected_naming_it(self, field, value, error):
+        with pytest.raises(error, match=f"^{field}"):
+            self.tiny_config(**{field: value})
+
+    def test_scene_per_snr_point(self):
+        cfg = self.tiny_config(snr_db_axis=(math.inf, 0.0))
+        assert [s.snr_db for s in cfg.scenes] == [math.inf, 0.0]
+        assert cfg.scenes[0].noise_variance() == 0.0
+        assert cfg.scenes[1].targets == cfg.targets
+
     def test_csv_round_trip_shape(self, tmp_path):
         res = monte_carlo_sweep(self.tiny_config(snr_db_axis=(0.0, 5.0)))
         path = tmp_path / "sweep.csv"
@@ -326,6 +358,40 @@ class TestTwoTargetDemo:
         b = si.two_target_demo(cfg)
         assert np.array_equal(a.direct_success, b.direct_success)
         assert np.array_equal(a.virtual_success, b.virtual_success)
+
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("n_active", 1, ValueError),
+            ("n_active", 1000, ValueError),
+            ("n_active", True, TypeError),
+            ("oversample", 0, ValueError),
+            ("n_runs", 0, ValueError),
+            ("n_runs", 2.0, TypeError),
+            ("master_seed", -1, ValueError),
+            ("snr_db", math.nan, ValueError),
+            ("snr_db", -math.inf, ValueError),
+            ("snr_db", "x", TypeError),
+            ("distances_m", (-5.0, 10.0), ValueError),
+            ("distances_m", (100.0,), ValueError),
+            ("distances_m", "ab", TypeError),
+            ("velocities_mps", ("a", "b"), TypeError),
+            ("velocities_mps", (math.inf, 0.0), ValueError),
+            ("amplitudes", (0.0, 1.0), ValueError),
+            ("amplitudes", (math.nan, 1.0), ValueError),
+        ],
+    )
+    def test_invalid_field_rejected_naming_it(self, field, value, error):
+        params = si.OfdmParams(128, 16, 120e3, 24e9)
+        with pytest.raises(error, match=field):
+            si.TwoTargetDemoConfig(params=params, **{field: value})
+
+    def test_builds_its_scene_once(self):
+        cfg = si.TwoTargetDemoConfig(params=si.OfdmParams(128, 16, 120e3, 24e9), snr_db=math.inf)
+        assert [t.distance_m for t in cfg.scene.targets] == list(cfg.distances_m)
+        assert [t.amplitude for t in cfg.scene.targets] == list(cfg.amplitudes)
+        assert cfg.scene.noise_variance() == 0.0
 
 
 class TestCommonExclusion:

@@ -97,7 +97,70 @@ class TestTargetValidation:
         si.Target(distance_m=10.0, amplitude=1.0, phase_rad=3.1)  # ok
 
 
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            (dict(distance_m=math.nan), ValueError),
+            (dict(distance_m=math.inf), ValueError),
+            (dict(distance_m=True), TypeError),
+            (dict(distance_m="10"), TypeError),
+            (dict(velocity_mps=math.nan), ValueError),
+            (dict(velocity_mps=-math.inf), ValueError),
+            (dict(velocity_mps="a"), TypeError),
+            (dict(amplitude=math.nan), ValueError),
+            (dict(amplitude=math.inf), ValueError),
+            (dict(phase_rad=math.nan), ValueError),
+            (dict(amplitude=None, rcs_m2=math.inf), ValueError),
+            (dict(amplitude=None, rcs_m2=False), TypeError),
+        ],
+    )
+    def test_non_finite_or_wrong_type_rejected(self, kwargs, error):
+        base = dict(distance_m=10.0, amplitude=1.0)
+        base.update(kwargs)
+        field = next(k for k, v in kwargs.items() if v is not None)
+        with pytest.raises(error, match=f"^{field}: "):
+            si.Target(**base)
+
+
+class TestLinkBudget:
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            (dict(tx_power_w=math.nan), ValueError),
+            (dict(tx_power_w=math.inf), ValueError),
+            (dict(tx_gain=-math.inf), ValueError),
+            (dict(rx_gain=0.0), ValueError),
+            (dict(tx_gain=True), TypeError),
+            (dict(rx_gain="100"), TypeError),
+        ],
+    )
+    def test_invalid_link_rejected(self, kwargs, error):
+        base = dict(tx_power_w=0.1, tx_gain=100.0, rx_gain=100.0)
+        base.update(kwargs)
+        with pytest.raises(error, match=f"^{next(iter(kwargs))}: "):
+            si.LinkBudget.for_carrier(24e9, **base)
+
+
 class TestScene:
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            (dict(snr_db=math.nan), ValueError),
+            (dict(snr_db=-math.inf), ValueError),
+            (dict(snr_db=1e6), ValueError),  # 10**(snr/10) overflows a float
+            (dict(snr_db=-1e6), ValueError),  # noise variance overflows
+            (dict(snr_db=True), TypeError),
+            (dict(snr_db="0"), TypeError),
+            (dict(noise_variance_w=math.nan), ValueError),
+            (dict(noise_variance_w=math.inf), ValueError),
+            (dict(noise_variance_w="1"), TypeError),
+        ],
+    )
+    def test_invalid_noise_rejected(self, kwargs, error):
+        t = si.Target(distance_m=10.0, amplitude=1.0)
+        with pytest.raises(error, match=f"^{next(iter(kwargs))}: "):
+            si.Scene(targets=(t,), **kwargs)
+
     def test_noise_specs_mutually_exclusive(self):
         t = si.Target(distance_m=10.0, amplitude=1.0)
         with pytest.raises(ValueError):
