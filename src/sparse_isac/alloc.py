@@ -56,6 +56,17 @@ def _check_number(
     return value
 
 
+def _write_csv(path, header, rows, comment: str | None = None) -> None:
+    """The one artifact format: an optional `# comment` line, a header row,
+    then the rows, with every float at .12g and any other cell as str()."""
+    with open(path, "w", newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([f"{x:.12g}" if isinstance(x, float) else x for x in row] for row in rows)
+
+
 def _as_tuple(name: str, value, length: int | None = None) -> tuple:
     """A list-like value as a tuple: non-empty, or of exactly `length` entries."""
     if isinstance(value, (str, bytes, dict)) or not hasattr(value, "__iter__"):
@@ -150,7 +161,6 @@ class ResourceAllocation:
 
     per_symbol_indices: tuple[np.ndarray, ...]
     n_subcarriers: int
-    pattern_label: str = "custom"
     is_constant: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -205,12 +215,8 @@ class ResourceAllocation:
         return out
 
     @classmethod
-    def constant(cls, indices, n_symbols: int, n_subcarriers: int, label: str = "custom"):
-        return cls(
-            per_symbol_indices=(indices,) * n_symbols,
-            n_subcarriers=n_subcarriers,
-            pattern_label=label,
-        )
+    def constant(cls, indices, n_symbols: int, n_subcarriers: int):
+        return cls(per_symbol_indices=(indices,) * n_symbols, n_subcarriers=n_subcarriers)
 
 
 @dataclass(frozen=True)
@@ -252,11 +258,7 @@ class VirtualAperture:
         return int(self.pair_counts[pos])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lag", "pair_count"])
-            for lag, cnt in zip(self.lags, self.pair_counts):
-                w.writerow([int(lag), int(cnt)])
+        _write_csv(path, ["lag", "pair_count"], zip(self.lags.tolist(), self.pair_counts.tolist()))
 
 
 def nested_params_for(n_active: int, n_subcarriers: int) -> tuple[int, int]:
@@ -338,7 +340,6 @@ def make_allocation(
     Deterministic for a fixed seed.
     """
     n = params.n_subcarriers
-    label = pattern
     if pattern == "full":
         idx = np.arange(n)
     elif pattern == "comb":
@@ -364,12 +365,12 @@ def make_allocation(
                     f"custom per-symbol allocation needs {params.n_symbols} index "
                     f"sets, got {len(indices)}"
                 )
-            return ResourceAllocation(tuple(indices), n, label)
+            return ResourceAllocation(tuple(indices), n)
         idx = indices
     else:
         raise ValueError(f"unknown pattern {pattern!r}")
 
-    alloc = ResourceAllocation.constant(idx, params.n_symbols, n, label)
+    alloc = ResourceAllocation.constant(idx, params.n_symbols, n)
     if alloc.n_active < 2:
         raise ValueError(f"pattern {pattern!r} produced fewer than 2 active subcarriers")
     return alloc

@@ -7,7 +7,6 @@ sweeps comparing allocation strategies.
 """
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -19,6 +18,7 @@ from .alloc import (
     ResourceAllocation,
     _as_tuple,
     _check_number,
+    _write_csv,
     difference_set,
     make_allocation,
     nested_params_for,
@@ -52,13 +52,23 @@ __all__ = [
     "SWEEP_METHODS",
 ]
 
-SWEEP_METHODS = (
-    "full_bandwidth",
-    "equivalent_bandwidth",
-    "direct_sparse",
-    "autocorrelation",
-    "nested",
-)
+# Each sweep method maps to (trial-seed slot of its grid, read through the
+# virtual aperture?).  A trial spawns one seed per slot in a fixed layout,
+# whatever the method subset, so each method's stream does not depend on
+# which others were requested.  Slot 0 draws the random allocation that
+# slot 1's grid uses; methods sharing a slot share the grid, which pairs
+# the direct_sparse/autocorrelation comparison.
+_SWEEP_TABLE = {
+    "full_bandwidth": (2, False),
+    "equivalent_bandwidth": (3, False),
+    "direct_sparse": (1, False),
+    "autocorrelation": (1, True),
+    "nested": (4, True),
+}
+SWEEP_METHODS = tuple(_SWEEP_TABLE)
+
+# the comment line of every artifact whose numbers depend on the SNR
+_SNR_NOTE = "snr_definition=per_active_re"
 
 
 class SingularFimError(ValueError):
@@ -283,7 +293,8 @@ class SweepConfig:
     snr_db entries are per-active-RE SNRs; +inf means noiseless.  The
     sparse allocation is redrawn every trial (seeded); direct_sparse and
     autocorrelation share the draw and the synthesized grid so the method
-    comparison is paired.  `scenes` holds the Scene of each SNR point.
+    comparison is paired.  `scenes` holds the Scene of each SNR point;
+    the seed-independent allocations are built once, by sweep method.
     """
 
     params: OfdmParams
@@ -302,6 +313,7 @@ class SweepConfig:
     master_seed: int = 0
     miss_threshold_bins: float = 10.0
     scenes: tuple[Scene, ...] = field(init=False, repr=False, compare=False)
+    _allocations: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         methods = _as_tuple("methods", self.methods)
@@ -326,6 +338,21 @@ class SweepConfig:
         object.__setattr__(self, "methods", methods)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "scenes", tuple(scenes))
+        object.__setattr__(self, "_allocations", _fixed_allocations(self.params, self.n_active))
+
+
+def _fixed_allocations(params: OfdmParams, n_active: int) -> dict[str, ResourceAllocation]:
+    """The seed-independent allocations compared with a random draw of
+    n_active subcarriers, keyed by sweep method: the full band, the
+    contiguous band of the same cardinality and the nested pattern."""
+    inner, outer = nested_params_for(n_active, params.n_subcarriers)
+    return {
+        "full_bandwidth": make_allocation(params, "full"),
+        "equivalent_bandwidth": ResourceAllocation.constant(
+            np.arange(n_active), params.n_symbols, params.n_subcarriers
+        ),
+        "nested": make_allocation(params, "nested", inner=inner, outer=outer),
+    }
 
 
 @dataclass(frozen=True)
@@ -347,49 +374,25 @@ class SweepResult:
     error_samples: dict[str, list[np.ndarray]]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("# snr_definition=per_active_re\n")
-            w = csv.writer(fh)
-            w.writerow(
-                ["snr_db", "method", "rmse_m", "rmse_ci", "pslr_db", "pslr_ci", "miss_rate", "trials"]
-            )
-            for i, snr in enumerate(self.config.snr_db_axis):
-                for method in sorted(self.config.methods):
-                    w.writerow(
-                        [
-                            f"{snr:.12g}",
-                            method,
-                            f"{self.rmse_m[method][i]:.12g}",
-                            f"{self.rmse_ci_m[method][i]:.12g}",
-                            f"{self.pslr_db[method][i]:.12g}",
-                            f"{self.pslr_ci_db[method][i]:.12g}",
-                            f"{self.miss_rate[method][i]:.12g}",
-                            self.config.n_trials,
-                        ]
-                    )
-
-
-def _allocation_for(method: str, cfg: SweepConfig, alloc_seed) -> ResourceAllocation:
-    params = cfg.params
-    if method == "full_bandwidth":
-        return make_allocation(params, "full")
-    if method == "equivalent_bandwidth":
-        return ResourceAllocation.constant(
-            np.arange(cfg.n_active), params.n_symbols, params.n_subcarriers, "equivalent"
+        cfg = self.config
+        metrics = (self.rmse_m, self.rmse_ci_m, self.pslr_db, self.pslr_ci_db, self.miss_rate)
+        rows = (
+            [snr, method, *(metric[method][i] for metric in metrics), cfg.n_trials]
+            for i, snr in enumerate(cfg.snr_db_axis)
+            for method in sorted(cfg.methods)
         )
-    if method in ("direct_sparse", "autocorrelation"):
-        return make_allocation(params, "random", n_active=cfg.n_active, seed=alloc_seed)
-    if method == "nested":
-        inner, outer = nested_params_for(cfg.n_active, params.n_subcarriers)
-        return make_allocation(params, "nested", inner=inner, outer=outer)
-    raise ValueError(f"unknown method {method!r}")
+        header = [
+            "snr_db", "method", "rmse_m", "rmse_ci", "pslr_db", "pslr_ci", "miss_rate", "trials"
+        ]
+        _write_csv(path, header, rows, _SNR_NOTE)
 
 
-def _periodogram_for(method: str, grid, cfg: SweepConfig) -> Periodogram:
-    if method in ("autocorrelation", "nested"):
+def _delay_periodogram(grid, virtual: bool, oversample: int) -> Periodogram:
+    """Delay periodogram of a grid, read through its virtual aperture or zero-filled."""
+    if virtual:
         vs, _ = build_virtual_signal(grid)
-        return virtual_periodogram(vs, cfg.params, oversample=cfg.oversample)
-    return zero_fill_periodogram(grid, oversample=cfg.oversample)
+        return virtual_periodogram(vs, grid.params, oversample=oversample)
+    return zero_fill_periodogram(grid, oversample=oversample)
 
 
 def _match_errors(
@@ -422,27 +425,17 @@ def _sweep_point(cfg: SweepConfig, scene: Scene, point_ss) -> dict:
     per_method_pslr = {m: [] for m in cfg.methods}
     per_method_miss = {m: 0 for m in cfg.methods}
 
-    trial_seeds = point_ss.spawn(cfg.n_trials)
-    for trial_ss in trial_seeds:
-        # fixed spawn layout regardless of the method subset, so each
-        # method's stream does not depend on which others were requested
-        alloc_ss, sparse_ss, full_ss, equiv_ss, nested_ss = trial_ss.spawn(5)
-        own_seed = {
-            "full_bandwidth": full_ss,
-            "equivalent_bandwidth": equiv_ss,
-            "nested": nested_ss,
-        }
-        sparse_grid = None  # direct_sparse and autocorrelation are paired
+    for trial_ss in point_ss.spawn(cfg.n_trials):
+        seeds = trial_ss.spawn(5)  # one per _SWEEP_TABLE slot
+        grids = {}
         for method in cfg.methods:
-            if method in ("direct_sparse", "autocorrelation"):
-                if sparse_grid is None:
-                    alloc = _allocation_for(method, cfg, alloc_ss)
-                    sparse_grid = synthesize(scene, alloc, params, seed=sparse_ss)
-                grid = sparse_grid
-            else:
-                alloc = _allocation_for(method, cfg, alloc_ss)
-                grid = synthesize(scene, alloc, params, seed=own_seed[method])
-            p = _periodogram_for(method, grid, cfg)
+            slot, virtual = _SWEEP_TABLE[method]
+            if slot not in grids:
+                alloc = cfg._allocations.get(method) or make_allocation(
+                    params, "random", n_active=cfg.n_active, seed=seeds[0]
+                )
+                grids[slot] = synthesize(scene, alloc, params, seed=seeds[slot])
+            p = _delay_periodogram(grids[slot], virtual, cfg.oversample)
             halfwidth = common_exclusion_halfwidth(p)
             peaks = detect_peaks(p, k=len(cfg.targets), min_separation=2 * halfwidth)
             errors, misses = _match_errors(peaks, true_ranges, miss_tol_m)
@@ -580,20 +573,17 @@ class TwoTargetDemoResult:
         return float(self.virtual_success.mean())
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("# snr_definition=per_active_re\n")
-            w = csv.writer(fh)
-            w.writerow(["run", "direct_both_detected", "virtual_both_detected"])
-            for i, (d, v) in enumerate(zip(self.direct_success, self.virtual_success)):
-                w.writerow([i, int(d), int(v)])
+        rows = (
+            [i, int(d), int(v)]
+            for i, (d, v) in enumerate(zip(self.direct_success, self.virtual_success))
+        )
+        _write_csv(path, ["run", "direct_both_detected", "virtual_both_detected"], rows, _SNR_NOTE)
 
 
-def _both_targets_detected(
-    p: Periodogram, true_ranges: np.ndarray, halfwidth: int, tol_m: float
-) -> bool:
+def _both_targets_detected(p: Periodogram, true_ranges: np.ndarray, tol_m: float) -> bool:
     """True when the two largest separated maxima sit on the two targets,
     i.e. every sidelobe is below both target peaks."""
-    peaks = detect_peaks(p, k=2, min_separation=2 * halfwidth)
+    peaks = detect_peaks(p, k=2, min_separation=2 * common_exclusion_halfwidth(p))
     if len(peaks.peaks) < 2:
         return False
     est = np.array([pk.refined_axis_value * SPEED_OF_LIGHT / 2.0 for pk in peaks.peaks])
@@ -626,13 +616,9 @@ def two_target_demo(cfg: TwoTargetDemoConfig) -> TwoTargetDemoResult:
         alloc_ss, grid_ss = run_ss.spawn(2)
         alloc = make_allocation(params, "random", n_active=cfg.n_active, seed=alloc_ss)
         grid = synthesize(scene, alloc, params, seed=grid_ss)
-        p_direct = zero_fill_periodogram(grid, oversample=cfg.oversample)
-        vs, _ = build_virtual_signal(grid)
-        p_virtual = virtual_periodogram(vs, params, oversample=cfg.oversample)
-        hw_d = common_exclusion_halfwidth(p_direct)
-        hw_v = common_exclusion_halfwidth(p_virtual)
-        direct_ok[i] = _both_targets_detected(p_direct, true_ranges, hw_d, tol_m)
-        virtual_ok[i] = _both_targets_detected(p_virtual, true_ranges, hw_v, tol_m)
+        p_direct, p_virtual = (_delay_periodogram(grid, v, cfg.oversample) for v in (False, True))
+        direct_ok[i] = _both_targets_detected(p_direct, true_ranges, tol_m)
+        virtual_ok[i] = _both_targets_detected(p_virtual, true_ranges, tol_m)
         if example_direct is None:
             example_direct, example_virtual = p_direct, p_virtual
     return TwoTargetDemoResult(

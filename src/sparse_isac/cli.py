@@ -19,13 +19,17 @@ directory next to the output directory and moved into it, manifest.json
 last, only when the run succeeds; a failed run leaves the output
 directory as it was.
 
+`run` takes a config file.  `crlb`, `sweep` and `demo` name their
+experiment and take either a config file or `--profile` (desk or paper
+sizes, desk by default); `--profile` belongs to these three only.
+
 Exit codes: 0 success, 2 config error (one `config error:` line per bad
-field, starting with the field's path), 3 numeric failure.
+field, starting with the field's path, also for an output directory that
+cannot be created) or command-line error, 3 numeric failure.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -42,15 +46,17 @@ from .alloc import (
     ResourceAllocation,
     _as_tuple,
     _check_number,
+    _write_csv,
     hole_fill_curve,
     make_allocation,
-    nested_params_for,
 )
 from .scene import LinkBudget, Target
 from .analysis import (
+    _SNR_NOTE,
     SingularFimError,
     SweepConfig,
     TwoTargetDemoConfig,
+    _fixed_allocations,
     ambiguity_function,
     crlb_report,
     monte_carlo_sweep,
@@ -135,21 +141,9 @@ def _build_crlb_table(cfg: dict, build: _Build, params, seed):
     n_active = args.pop("n_active", PROFILES["desk"]["n_active"])
     for key, value in args.items():
         build("", _check_number, key, value, positive=True)
-    allocs = params and build("", _crlb_allocations, params, n_active, seed)
-    return partial(_exp_crlb_table, allocs, params, **args)
-
-
-def _crlb_allocations(params: OfdmParams, n_active: int, seed) -> dict:
-    random = make_allocation(params, "random", n_active=n_active, seed=seed)
-    inner, outer = nested_params_for(n_active, params.n_subcarriers)
-    return {
-        "full": make_allocation(params, "full"),
-        "random": random,
-        "nested": make_allocation(params, "nested", inner=inner, outer=outer),
-        "clustered": ResourceAllocation.constant(
-            np.arange(n_active), params.n_symbols, params.n_subcarriers, "clustered"
-        ),
-    }
+    random = params and build("", make_allocation, params, "random", n_active=n_active, seed=seed)
+    fixed = random and _fixed_allocations(params, n_active)
+    return partial(_exp_crlb_table, random, fixed, params, **args)
 
 
 def _build_hole_probability(cfg: dict, build: _Build, params, seed):
@@ -269,46 +263,31 @@ def validate_config(cfg: dict) -> list[str]:
 # experiment runners: built objects in, artifact file names out
 
 
-def _write_csv(path: Path, header: list[str], rows, comment: str | None = None):
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
-
-
 def _exp_crlb_table(
-    allocs: dict, params: OfdmParams, out: Path, threads: int,
+    random: ResourceAllocation, fixed: dict, params: OfdmParams, out: Path, threads: int,
     amplitude: float = 1.0, noise_variance_w: float = 1.0,
 ) -> list[str]:
+    """One row per allocation family: the seeded random draw next to the
+    sweep's seed-independent allocations of the same cardinality."""
     amplitude, noise_var = float(amplitude), float(noise_variance_w)
+    allocs = {
+        "full": fixed["full_bandwidth"],
+        "random": random,
+        "nested": fixed["nested"],
+        "clustered": fixed["equivalent_bandwidth"],
+    }
     rows = []
     for label, alloc in allocs.items():
         rep = crlb_report(alloc, params, amplitude, noise_var)
-        idx = alloc.indices
-        rows.append(
-            [
-                label,
-                rep.n_active,
-                int(idx.max() - idx.min()),
-                _fmt(rep.crlb_delay_s2),
-                _fmt(rep.crlb_range_m2),
-                _fmt(math.sqrt(rep.crlb_range_m2)),
-            ]
-        )
+        extent = int(alloc.indices.max() - alloc.indices.min())
+        floor_m = math.sqrt(rep.crlb_range_m2)
+        rows.append([label, rep.n_active, extent, rep.crlb_delay_s2, rep.crlb_range_m2, floor_m])
     _write_csv(
         out / "crlb_table.csv",
         ["allocation", "n_active", "extent", "crlb_delay_s2", "crlb_range_m2", "range_rmse_floor_m"],
         rows,
     )
-    report = crlb_report(allocs["random"], params, amplitude, noise_var)
+    report = crlb_report(random, params, amplitude, noise_var)
     (out / "crlb_random.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     return ["crlb_table.csv", "crlb_random.json"]
 
@@ -321,14 +300,14 @@ def _exp_hole_probability(
     summary_rows = []
     for n_active, child in zip(axis, seeds):
         curve = hole_fill_curve(params.n_subcarriers, n_active, seed=child, **curve_args)
-        for lag, p, hw in zip(curve.lags, curve.fill_probability, curve.fill_halfwidth):
-            long_rows.append([n_active, int(lag), _fmt(float(p)), _fmt(float(hw))])
+        columns = (curve.lags, curve.fill_probability, curve.fill_halfwidth)
+        long_rows.extend([n_active, *row] for row in zip(*(c.tolist() for c in columns)))
         summary_rows.append(
             [
                 n_active,
-                _fmt(curve.min_fill_probability),
-                _fmt(curve.all_filled_probability),
-                _fmt(curve.all_filled_halfwidth),
+                curve.min_fill_probability,
+                curve.all_filled_probability,
+                curve.all_filled_halfwidth,
                 curve.n_trials,
             ]
         )
@@ -355,43 +334,38 @@ def _exp_ambiguity(
     delays = np.linspace(-delay_span_bins, delay_span_bins, delay_points) * delay_bin
     dopplers = np.linspace(-doppler_span_bins, doppler_span_bins, doppler_points) * doppler_bin
     surf = ambiguity_function(alloc, params, delays, dopplers)
-    rows = []
-    for i, fd in enumerate(dopplers):
-        for j, tau in enumerate(delays):
-            rows.append(
-                [_fmt(float(tau)), _fmt(float(fd)), _fmt(float(surf.direct[i, j])), _fmt(float(surf.virtual[i, j]))]
-            )
+    # one row per (Doppler, delay) cell, Doppler-major like the surface
+    cells = (
+        np.tile(delays, doppler_points), np.repeat(dopplers, delay_points),
+        surf.direct.ravel(), surf.virtual.ravel(),
+    )
     _write_csv(
         out / "ambiguity.csv",
         ["delay_s", "doppler_hz", "direct_magnitude", "virtual_magnitude"],
-        rows,
+        zip(*(column.tolist() for column in cells)),
     )
-    cut_rows = [
-        [_fmt(float(tau)), _fmt(float(d)), _fmt(float(v))]
-        for tau, d, v in zip(delays, surf.direct_delay_cut(), surf.virtual_delay_cut())
-    ]
+    cut = (delays, surf.direct_delay_cut(), surf.virtual_delay_cut())
     _write_csv(
         out / "ambiguity_delay_cut.csv",
         ["delay_s", "direct_magnitude", "virtual_magnitude"],
-        cut_rows,
+        zip(*(column.tolist() for column in cut)),
     )
     return ["ambiguity.csv", "ambiguity_delay_cut.csv"]
 
 
 def _exp_two_target_demo(demo_cfg: TwoTargetDemoConfig, out: Path, threads: int) -> list[str]:
     result = two_target_demo(demo_cfg)
-    note = "snr_definition=per_active_re"
-    result.example_direct.to_csv(out / "demo_direct_periodogram.csv", comment=note)
-    result.example_virtual.to_csv(out / "demo_virtual_periodogram.csv", comment=note)
+    result.example_direct.to_csv(out / "demo_direct_periodogram.csv", comment=_SNR_NOTE)
+    result.example_virtual.to_csv(out / "demo_virtual_periodogram.csv", comment=_SNR_NOTE)
     result.to_csv(out / "demo_runs.csv")
     _write_csv(
         out / "demo_summary.csv",
         ["method", "both_detected_rate", "runs"],
         [
-            ["direct_sparse", _fmt(result.direct_success_rate), demo_cfg.n_runs],
-            ["autocorrelation", _fmt(result.virtual_success_rate), demo_cfg.n_runs],
+            ["direct_sparse", result.direct_success_rate, demo_cfg.n_runs],
+            ["autocorrelation", result.virtual_success_rate, demo_cfg.n_runs],
         ],
-        comment="snr_definition=per_active_re",
+        comment=_SNR_NOTE,
     )
     return [
         "demo_direct_periodogram.csv",
@@ -411,7 +385,7 @@ def _write_manifest(cfg: dict, out: Path, outputs: list[str]) -> None:
     manifest = {
         "version": __version__,
         "experiment": cfg["experiment"],
-        "snr_definition": "per_active_re",
+        "snr_definition": _SNR_NOTE.partition("=")[2],
         "config": cfg,
         "outputs": outputs,
     }
@@ -422,12 +396,18 @@ def run_experiment(cfg: dict, out: Path, threads: int = 1) -> list[str]:
     """Build a config's objects once and run exactly those; returns the
     artifact file names.
 
-    Raises ConfigError before anything is written.  The artifacts and
-    manifest.json are written to a staging directory next to `out` and
-    moved into `out` (created if needed), manifest.json last, only when
-    the run succeeds; the staging directory is removed on every exit path.
+    Raises ConfigError before anything is written, also when `out` cannot
+    be a directory.  The artifacts and manifest.json are written to a
+    staging directory next to `out` and moved into `out` (created if
+    needed), manifest.json last, only when the run succeeds; the staging
+    directory is removed on every exit path.
     """
     run = _build(cfg)
+    for path in (out, *out.parents):  # the nearest existing one must be a directory
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"output_dir: cannot use {out}: {path} is not a directory")
+            break
     out.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent) as tmp:
         stage = Path(tmp)
@@ -519,8 +499,8 @@ def _out_dir(args, cfg: dict | None = None) -> Path:
     return Path("out")
 
 
-def _profile_config(profile_name: str, experiment: str) -> dict:
-    profile = PROFILES[profile_name]
+def _profile_config(profile_name: str | None, experiment: str) -> dict:
+    profile = PROFILES[profile_name or "desk"]
     cfg = {"ofdm": dict(profile["ofdm"]), "n_active": profile["n_active"]}
     if experiment == "two_target_demo":
         cfg["ofdm"]["n_symbols"] = max(cfg["ofdm"]["n_symbols"], 128)
@@ -581,13 +561,9 @@ def _threads(args) -> int:
     return args.threads or os.cpu_count() or 1  # 0 = one per CPU
 
 
-def _add_common(p: argparse.ArgumentParser, config_required: bool):
-    p.add_argument("--config", required=config_required, help="JSON config path")
+def _add_run_options(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None, help="master seed override")
     p.add_argument("--out", default=None, help=f"output directory (or ${OUTDIR_ENV})")
-    p.add_argument(
-        "--profile", choices=sorted(PROFILES), default="desk", help="parameter profile"
-    )
     p.add_argument("--threads", type=int, default=1, help="worker threads, 0 = auto")
 
 
@@ -606,14 +582,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run the experiment named in a config file")
-    _add_common(p_run, config_required=True)
+    p_run.add_argument("--config", required=True, help="JSON config path")
+    _add_run_options(p_run)
 
     p_val = sub.add_parser("validate", help="check a config without running anything")
     p_val.add_argument("--config", required=True)
 
     for name, (_, helptext) in PROFILE_COMMANDS.items():
         p_sub = sub.add_parser(name, help=helptext)
-        _add_common(p_sub, config_required=False)
+        source = p_sub.add_mutually_exclusive_group()
+        source.add_argument("--config", help="JSON config path")
+        source.add_argument(
+            "--profile", choices=sorted(PROFILES), help="parameter profile (default desk)"
+        )
+        _add_run_options(p_sub)
 
     p_plot = sub.add_parser("plot-script", help="emit a matplotlib script for the CSVs")
     p_plot.add_argument("--out", default=None)

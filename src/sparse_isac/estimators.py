@@ -14,14 +14,13 @@ Three estimators work off the same received grid:
 """
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .alloc import OfdmParams, ResourceAllocation, VirtualAperture, _check_number, difference_set
+from .alloc import OfdmParams, VirtualAperture, _check_number, _write_csv, difference_set
 from .scene import SPEED_OF_LIGHT
 from .synth import FreqGrid
 
@@ -81,13 +80,8 @@ class Periodogram:
         return self.axis * SPEED_OF_LIGHT / 2.0
 
     def to_csv(self, path, comment: str | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            if comment:
-                fh.write(f"# {comment}\n")
-            w = csv.writer(fh)
-            w.writerow(["axis_value", "magnitude"])
-            for a, v in zip(self.axis, self.values):
-                w.writerow([f"{a:.12g}", f"{v:.12g}"])
+        rows = zip(self.axis.tolist(), self.values.tolist())
+        _write_csv(path, ["axis_value", "magnitude"], rows, comment)
 
 
 @dataclass(frozen=True)
@@ -147,19 +141,16 @@ class PeakList:
         return len(self.peaks) >= self.requested
 
     def to_csv(self, path) -> None:
-        doppler = self.domain == "doppler"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                ["rank", "doppler_hz", "magnitude"]
-                if doppler
-                else ["rank", "delay_s", "range_m", "magnitude"]
-            )
-            for rank, p in enumerate(self.peaks, start=1):
-                cols = [p.refined_axis_value]
-                if not doppler:
-                    cols.append(p.refined_axis_value * SPEED_OF_LIGHT / 2.0)
-                w.writerow([rank, *(f"{x:.12g}" for x in cols + [p.magnitude])])
+        if self.domain == "doppler":
+            header = ["rank", "doppler_hz", "magnitude"]
+            rows = [[p.refined_axis_value, p.magnitude] for p in self.peaks]
+        else:
+            header = ["rank", "delay_s", "range_m", "magnitude"]
+            rows = [
+                [p.refined_axis_value, p.refined_axis_value * SPEED_OF_LIGHT / 2.0, p.magnitude]
+                for p in self.peaks
+            ]
+        _write_csv(path, header, ([rank, *row] for rank, row in enumerate(rows, start=1)))
 
 
 def zero_fill_periodogram(grid: FreqGrid, oversample: int = 4) -> Periodogram:
@@ -315,9 +306,7 @@ def accumulate_cpi(signals: list[VirtualSignal] | tuple[VirtualSignal, ...]) -> 
     )
 
 
-def build_virtual_signal(
-    grid: FreqGrid, alloc: ResourceAllocation | None = None
-) -> tuple[VirtualSignal, VirtualAperture]:
+def build_virtual_signal(grid: FreqGrid) -> tuple[VirtualSignal, VirtualAperture]:
     """Full virtual-resource pipeline for one grid.
 
     Difference set of the (symbol-constant) allocation, per-symbol lag
@@ -330,8 +319,7 @@ def build_virtual_signal(
     is accumulate_cpi([autocorrelate_symbol(grid, m, aperture) ...]),
     which agrees up to float round-off.
     """
-    alloc = grid.alloc if alloc is None else alloc
-    aperture = difference_set(alloc)
+    aperture = difference_set(grid.alloc)
     f = np.fft.fft(grid.samples, n=2 * aperture.n_subcarriers, axis=-1)
     # sum over symbols of re^2 + im^2 per bin, without (M, 2N) temporaries
     power = np.einsum("mk,mk->k", f.real, f.real) + np.einsum("mk,mk->k", f.imag, f.imag)

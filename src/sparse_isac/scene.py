@@ -86,7 +86,8 @@ class Scene:
     noise variance, split N0/2 per real/imaginary part) or as snr_db, the
     per-active-RE SNR relative to the first target's amplitude.  snr_db of
     +inf and noise_variance_w of 0 both mean noiseless; an snr_db whose
-    noise variance overflows or underflows a float is rejected.
+    noise variance overflows or underflows a float is rejected, and so is
+    an RCS target whose radar-equation amplitude overflows one.
     """
 
     targets: tuple[Target, ...]
@@ -103,9 +104,20 @@ class Scene:
             raise ValueError("snr_db/noise_variance_w: mutually exclusive")
         if self.noise_variance_w is not None:
             _check_number("noise_variance_w", self.noise_variance_w, minimum=0)
-        for t in targets:
-            if t.rcs_m2 is not None and self.link is None:
+        for i, t in enumerate(targets):
+            if t.rcs_m2 is None:
+                continue
+            if self.link is None:
                 raise ValueError("link: targets specified by RCS need a LinkBudget")
+            try:
+                amplitude = amplitude_from_radar_equation(t, self.link)
+            except (OverflowError, ZeroDivisionError):  # d**4 overflows or underflows
+                amplitude = math.inf
+            if amplitude == math.inf:
+                raise ValueError(
+                    f"targets[{i}]: distance_m: the radar-equation amplitude at "
+                    f"{t.distance_m} m with rcs_m2 {t.rcs_m2} overflows a float"
+                )
         if self.snr_db is not None:
             _check_number("snr_db", self.snr_db, allow_inf=True)
             try:

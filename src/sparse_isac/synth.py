@@ -8,14 +8,13 @@ was actually observed.
 """
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .alloc import OfdmParams, ResourceAllocation
+from .alloc import OfdmParams, ResourceAllocation, _write_csv
 from .scene import Scene, delay_doppler
 
 __all__ = ["FreqGrid", "synthesize", "measure_snr"]
@@ -50,13 +49,12 @@ class FreqGrid:
 
     def dump_csv(self, path) -> None:
         """Active resource elements only, columns m, n, re, im."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["m", "n", "re", "im"])
-            for m, idx in enumerate(self.alloc.per_symbol_indices):
-                for n in idx:
-                    v = self.samples[m, n]
-                    w.writerow([m, int(n), f"{v.real:.12g}", f"{v.imag:.12g}"])
+        rows = (
+            (m, n, v.real, v.imag)
+            for m, idx in enumerate(self.alloc.per_symbol_indices)
+            for n, v in zip(idx.tolist(), self.samples[m, idx].tolist())
+        )
+        _write_csv(path, ["m", "n", "re", "im"], rows)
 
 
 def _resolve_phases(scene: Scene, phase_rng: np.random.Generator) -> np.ndarray:

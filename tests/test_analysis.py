@@ -291,6 +291,34 @@ class TestMonteCarloSweep:
             full.pslr_db["autocorrelation"], solo.pslr_db["autocorrelation"]
         )
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_shared_slot_pairs_the_grid_in_any_subset(self, threads):
+        # direct_sparse and autocorrelation read one grid per trial, and
+        # each method's numbers do not depend on the rest of the subset
+        cfg = self.tiny_config(snr_db_axis=(0.0, 10.0), methods=si.analysis.SWEEP_METHODS)
+        every = monte_carlo_sweep(cfg, threads=threads)
+        for methods in (("direct_sparse", "autocorrelation"), ("autocorrelation",), ("nested",)):
+            part = monte_carlo_sweep(self.tiny_config(snr_db_axis=(0.0, 10.0), methods=methods), threads)
+            for m in methods:
+                for key in ("rmse_m", "pslr_db", "pslr_ci_db", "miss_rate"):
+                    assert np.array_equal(getattr(part, key)[m], getattr(every, key)[m], equal_nan=True)
+
+    def test_fixed_allocations_built_once_per_config(self, monkeypatch):
+        cfg = self.tiny_config(snr_db_axis=(0.0, 10.0), methods=si.analysis.SWEEP_METHODS)
+        built = cfg._allocations
+        assert sorted(built) == ["equivalent_bandwidth", "full_bandwidth", "nested"]
+        assert np.array_equal(built["equivalent_bandwidth"].indices, np.arange(cfg.n_active))
+        assert built["nested"].n_active == built["equivalent_bandwidth"].n_active == cfg.n_active
+        calls = []
+        real = si.analysis.make_allocation
+        monkeypatch.setattr(
+            si.analysis, "make_allocation",
+            lambda params, pattern, **kw: calls.append(pattern) or real(params, pattern, **kw),
+        )
+        monte_carlo_sweep(cfg)
+        # only the random draw is redrawn, once per trial and SNR point
+        assert calls == ["random"] * (cfg.n_trials * len(cfg.snr_db_axis))
+
     def test_invalid_method_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep method"):
             self.tiny_config(methods=("direct_sparse", "music"))

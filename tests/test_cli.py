@@ -388,6 +388,47 @@ class TestContract:
         for name in names:
             assert (tmp_path / "run" / name).read_bytes() == (tmp_path / command / name).read_bytes()
 
+    @pytest.mark.parametrize("below", [False, True])
+    def test_unusable_output_path_is_a_config_error(self, tmp_path, below):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep")
+        out = blocker / "x" if below else blocker
+        path = write_config(tmp_path, TINY["crlb_table"])
+        code, _, err = main_in_process("run", "--config", path, "--out", out)
+        assert code == 2
+        assert err == f"config error: output_dir: cannot use {out}: {blocker} is not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "cfg.json"]
+        assert blocker.read_text() == "keep"
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_overflowing_rcs_target_is_a_config_error(self, tmp_path, position):
+        cfg = mutated("rmse_pslr_sweep", ["methods"], ["direct_sparse"])
+        cfg["scene"]["targets"].insert(position, {"distance_m": 1e100, "rcs_m2": 1.0})
+        path, out = write_config(tmp_path, cfg), tmp_path / "out"
+        for args in (["validate", "--config", path], ["run", "--config", path, "--out", out]):
+            code, _, err = main_in_process(*args)
+            assert code == 2
+            assert err.startswith(f"config error: targets[{position}]: distance_m: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["run", "--config", "CFG", "--profile", "paper"],
+            *([command, "--config", "CFG", "--profile", profile]
+              for command in ("crlb", "sweep", "demo") for profile in ("paper", "desk")),
+        ],
+    )
+    def test_profile_with_a_config_is_a_usage_error(self, tmp_path, args):
+        path = write_config(tmp_path, TINY["crlb_table"])
+        argv = [str(path) if a == "CFG" else a for a in args] + ["--out", str(tmp_path / "out")]
+        err = io.StringIO()
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "--profile" in err.getvalue()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     @pytest.mark.xfail(
         strict=True,
         raises=TypeError,

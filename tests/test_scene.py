@@ -186,3 +186,16 @@ class TestScene:
         lb = si.LinkBudget.for_carrier(24e9, 0.1, 100.0, 100.0)
         scene = si.Scene(targets=(t,), link=lb)
         assert scene.amplitude_of(t) > 0
+
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize(
+        "distance_m, rcs_m2",
+        [(1e100, 1.0), (1e-100, 1.0)],  # d**4 overflows, or underflows to 0
+    )
+    def test_rcs_amplitude_overflow_rejected_naming_the_target(self, position, distance_m, rcs_m2):
+        lb = si.LinkBudget.for_carrier(24e9, 0.1, 100.0, 100.0)
+        targets = [si.Target(distance_m=10.0, amplitude=1.0)]
+        targets.insert(position, si.Target(distance_m=distance_m, rcs_m2=rcs_m2))
+        for noise in (dict(snr_db=0.0), dict(noise_variance_w=1.0), {}):
+            with pytest.raises(ValueError, match=rf"^targets\[{position}\]: distance_m: "):
+                si.Scene(targets=tuple(targets), link=lb, **noise)
