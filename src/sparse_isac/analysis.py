@@ -430,7 +430,7 @@ def _sweep_point(cfg: SweepConfig, scene: Scene, point_ss) -> dict:
         grids = {}
         for method in cfg.methods:
             slot, virtual = _SWEEP_TABLE[method]
-            if slot not in grids:
+            if slot not in grids:  # a seed-independent allocation, or this trial's draw
                 alloc = cfg._allocations.get(method) or make_allocation(
                     params, "random", n_active=cfg.n_active, seed=seeds[0]
                 )

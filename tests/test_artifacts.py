@@ -23,15 +23,15 @@ PARAMS = si.OfdmParams(
     n_subcarriers=8, n_symbols=2, subcarrier_spacing_hz=120e3, carrier_freq_hz=24e9
 )
 
-# Edge cases of the number format: thirds, tiny and huge magnitudes,
-# negative zero, more digits than .12g keeps.
+# Edge cases of the number format: zero, thirds, tiny and huge magnitudes,
+# more digits than .12g keeps.
 AXIS = np.array([0.0, 2.5e-9, 1.0 / 3.0, 1e3])
 VALUES = np.array([0.0, 1.0 / 7.0, 12345678.9012345678, 1e-300])
 
 
-def periodogram(domain="delay"):
+def periodogram():
     return si.Periodogram(
-        axis=AXIS.copy(), values=VALUES.copy(), domain=domain, method="zero_fill",
+        axis=AXIS.copy(), values=VALUES.copy(), domain="delay", method="zero_fill",
         oversample=1, params=PARAMS,
     )
 
