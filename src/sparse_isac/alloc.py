@@ -180,6 +180,17 @@ class ResourceAllocation:
             all(idx is head or np.array_equal(idx, head) for idx in cleaned),
         )
 
+    def __eq__(self, other):
+        """By value: the same N and, symbol by symbol, the same index set.
+        Hashing stays the dataclass field hash, which arrays refuse."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.n_subcarriers == other.n_subcarriers
+            and self.n_symbols == other.n_symbols
+            and all(map(np.array_equal, self.per_symbol_indices, other.per_symbol_indices))
+        )
+
     @property
     def n_symbols(self) -> int:
         return len(self.per_symbol_indices)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .alloc import OfdmParams, VirtualAperture, _check_number, _write_csv, difference_set
 from .scene import SPEED_OF_LIGHT
-from .synth import FreqGrid
+from .synth import _ROW_BLOCK, FreqGrid
 
 __all__ = [
     "Periodogram",
@@ -315,14 +315,19 @@ def build_virtual_signal(grid: FreqGrid) -> tuple[VirtualSignal, VirtualAperture
 
     The CPI mean is linear, so it moves inside the inverse transform:
     (1/M) sum_m IFFT(|FFT_2N(Y_m)|^2) = IFFT((1/M) sum_m |FFT_2N(Y_m)|^2),
-    one inverse FFT per grid instead of M.  The per-symbol reference path
-    is accumulate_cpi([autocorrelate_symbol(grid, m, aperture) ...]),
-    which agrees up to float round-off.
+    one inverse FFT per grid instead of M.  The power sum runs over blocks
+    of _ROW_BLOCK symbols, each transformed and summed into one (2N,)
+    vector, so no (M, 2N) transform is held at once.  The per-symbol
+    reference path is accumulate_cpi([autocorrelate_symbol(grid, m,
+    aperture) ...]), which agrees up to float round-off.
     """
     aperture = difference_set(grid.alloc)
-    f = np.fft.fft(grid.samples, n=2 * aperture.n_subcarriers, axis=-1)
-    # sum over symbols of re^2 + im^2 per bin, without (M, 2N) temporaries
-    power = np.einsum("mk,mk->k", f.real, f.real) + np.einsum("mk,mk->k", f.imag, f.imag)
+    n_fft = 2 * aperture.n_subcarriers
+    power = np.zeros(n_fft)
+    for r0 in range(0, grid.n_symbols, _ROW_BLOCK):
+        f = np.fft.fft(grid.samples[r0 : r0 + _ROW_BLOCK], n=n_fft, axis=-1)
+        # re^2 + im^2 summed over the block's symbols, per bin
+        power += np.einsum("mk,mk->k", f.real, f.real) + np.einsum("mk,mk->k", f.imag, f.imag)
     vals = _lags_from_power(power / grid.n_symbols, aperture)
     vs = VirtualSignal(
         values=vals, aperture=aperture, accumulated=True, n_symbols=grid.n_symbols

@@ -87,7 +87,7 @@ class Scene:
     per-active-RE SNR relative to the first target's amplitude.  snr_db of
     +inf and noise_variance_w of 0 both mean noiseless; an snr_db whose
     noise variance overflows or underflows a float is rejected, and so is
-    an RCS target whose radar-equation amplitude overflows one.
+    an RCS target whose radar-equation amplitude overflows one or is zero.
     """
 
     targets: tuple[Target, ...]
@@ -117,6 +117,11 @@ class Scene:
                 raise ValueError(
                     f"targets[{i}]: distance_m: the radar-equation amplitude at "
                     f"{t.distance_m} m with rcs_m2 {t.rcs_m2} overflows a float"
+                )
+            if amplitude == 0.0:  # rcs_m2 = 0, or the power underflows
+                raise ValueError(
+                    f"targets[{i}]: rcs_m2: the radar-equation amplitude at "
+                    f"{t.distance_m} m with rcs_m2 {t.rcs_m2} is zero"
                 )
         if self.snr_db is not None:
             _check_number("snr_db", self.snr_db, allow_inf=True)

@@ -19,6 +19,11 @@ from .scene import Scene, delay_doppler
 
 __all__ = ["FreqGrid", "synthesize", "measure_snr"]
 
+# Rows (OFDM symbols) per block when a grid is processed in row blocks: at
+# N = 1000 a block of noise draws is 512 KB and a block of 2N-point
+# transforms 2 MB, so either stays in a core's L2 cache.
+_ROW_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class FreqGrid:
@@ -67,10 +72,19 @@ def _resolve_phases(scene: Scene, phase_rng: np.random.Generator) -> np.ndarray:
     return phases
 
 
-def _signal_grid(scene: Scene, params, phases) -> np.ndarray:
+def _active_signal(scene: Scene, params, phases, rows, cols) -> np.ndarray:
+    """Sum of the target phasors on the active cells (rows[i], cols[i]),
+    flattened in row-major order.
+
+    Each cell gets the same floats as a whole-grid sum started from zeros:
+    the sum starts from 0.0 (so a -0.0 part becomes +0.0, as on a zero
+    grid), and the in-place product keeps the amplitude as the first
+    operand, because a complex product can round differently with its
+    operands swapped.
+    """
     m_idx = np.arange(params.n_symbols)
     n_idx = np.arange(params.n_subcarriers)
-    grid = np.zeros((params.n_symbols, params.n_subcarriers), dtype=np.complex128)
+    signal = 0.0
     for t, phi in zip(scene.targets, phases):
         tau, f_d = delay_doppler(t, params)
         if tau > params.symbol_core_s:
@@ -88,8 +102,10 @@ def _signal_grid(scene: Scene, params, phases) -> np.ndarray:
         amp = scene.amplitude_of(t)
         sym_phase = np.exp(2j * np.pi * f_d * params.symbol_dur_s * m_idx)
         sub_phase = np.exp(-2j * np.pi * params.subcarrier_spacing_hz * tau * n_idx)
-        grid += amp * np.exp(1j * phi) * np.outer(sym_phase, sub_phase)
-    return grid
+        term = sym_phase[rows] * sub_phase[cols]
+        np.multiply(amp * np.exp(1j * phi), term, out=term)
+        signal = np.add(signal, term, out=term)
+    return signal.ravel()
 
 
 def synthesize(
@@ -104,6 +120,14 @@ def synthesize(
     variance from the scene's noise spec, half in each quadrature.  The
     seed feeds two independent substreams (target phases, then noise), so
     the noiseless twin of a grid shares its phase draws.
+
+    Noise stream layout: the noise substream gives one standard normal z
+    per cell of the full (M, N) grid, in row-major order, for the real
+    parts, then one per cell for the imaginary parts, and cell (m, n) adds
+    sigma * z from each.  That is the stream of two full-grid
+    normal(0, sigma, (M, N)) draws.  Inactive cells consume their draws and
+    keep none.  The draws go _ROW_BLOCK rows at a time into one reused
+    buffer, and the signal is evaluated on the active cells only.
     """
     if alloc.n_symbols != params.n_symbols or alloc.n_subcarriers != params.n_subcarriers:
         raise ValueError("allocation dimensions do not match params")
@@ -113,17 +137,30 @@ def synthesize(
     phase_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (0,))
     noise_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (1,))
     phases = _resolve_phases(scene, np.random.default_rng(phase_ss))
-    grid = _signal_grid(scene, params, phases)
-    mask = alloc.mask()
-    grid[~mask] = 0.0
+    n_sym, n_sub = params.n_symbols, params.n_subcarriers
+    if alloc.is_constant:
+        rows, cols = np.arange(n_sym)[:, None], alloc.indices
+    else:
+        rows, cols = np.nonzero(alloc.mask())
+    flat = (rows * n_sub + cols).ravel()  # ascending: row-major cell order
+    values = _active_signal(scene, params, phases, rows, cols)
 
     var = scene.noise_variance()
     if var > 0.0:
         rng = np.random.default_rng(noise_ss)
-        shape = grid.shape
         sigma = math.sqrt(var / 2.0)
-        noise = rng.normal(0.0, sigma, shape) + 1j * rng.normal(0.0, sigma, shape)
-        grid[mask] += noise[mask]
+        block = min(_ROW_BLOCK, n_sym)
+        buf = np.empty((block, n_sub))
+        offset = ((rows % block) * n_sub + cols).ravel()  # position in its block
+        edges = np.searchsorted(flat, np.arange(0, n_sym + block, block) * n_sub)
+        for part in (values.real, values.imag):
+            for r0, lo, hi in zip(range(0, n_sym, block), edges[:-1], edges[1:]):
+                rng.standard_normal(out=buf[: min(block, n_sym - r0)])
+                z = buf.take(offset[lo:hi])
+                z *= sigma
+                part[lo:hi] += z
+    grid = np.zeros((n_sym, n_sub), dtype=np.complex128)
+    grid.put(flat, values)
     return FreqGrid(
         samples=grid,
         alloc=alloc,

@@ -237,6 +237,34 @@ class TestResourceAllocation:
         assert varying.per_symbol_indices[0].tolist() == [1, 5, 6]
         assert not const.indices.flags.writeable
 
+    def test_equality_compares_values(self):
+        params = make_params(16, m=3)
+        full = si.make_allocation(params, "full")
+        assert full == si.make_allocation(params, "full")  # distinct arrays, same values
+        assert full == si.ResourceAllocation(
+            per_symbol_indices=tuple(np.arange(16) for _ in range(3)), n_subcarriers=16
+        )
+        assert si.make_allocation(params, "random", n_active=5, seed=2) == si.make_allocation(
+            params, "random", n_active=5, seed=2
+        )
+        per_symbol = (np.array([0, 3]), np.array([1]), np.array([0, 3]))
+        assert si.ResourceAllocation(per_symbol, 16) == si.ResourceAllocation(
+            tuple(a.copy() for a in per_symbol), 16
+        )
+        # unequal: one symbol differs, N differs, M differs, another type
+        assert si.ResourceAllocation(per_symbol, 16) != si.ResourceAllocation(
+            (np.array([0, 3]), np.array([2]), np.array([0, 3])), 16
+        )
+        assert si.ResourceAllocation.constant([1, 2], 3, 16) != si.ResourceAllocation.constant(
+            [1, 2], 3, 17
+        )
+        assert si.ResourceAllocation.constant([1, 2], 3, 16) != si.ResourceAllocation.constant(
+            [1, 2], 4, 16
+        )
+        assert full != "full"
+        with pytest.raises(TypeError):
+            hash(full)
+
 
 class TestDifferenceSet:
     def test_perfect_four_element_set(self):

@@ -411,6 +411,18 @@ class TestContract:
             assert err.startswith(f"config error: targets[{position}]: distance_m: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_zero_amplitude_rcs_target_is_a_config_error(self, tmp_path, position):
+        cfg = mutated("rmse_pslr_sweep", ["scene", "targets", 0], {"distance_m": 100.0, "rcs_m2": 0})
+        if position == 1:
+            cfg["scene"]["targets"].insert(0, TINY["rmse_pslr_sweep"]["scene"]["targets"][0])
+        path, out = write_config(tmp_path, cfg), tmp_path / "out"
+        for args in (["validate", "--config", path], ["run", "--config", path, "--out", out]):
+            code, _, err = main_in_process(*args)
+            assert code == 2
+            assert err.startswith(f"config error: targets[{position}]: rcs_m2: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     @pytest.mark.parametrize(
         "args",
         [

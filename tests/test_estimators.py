@@ -5,6 +5,7 @@ import pytest
 
 import sparse_isac as si
 from sparse_isac.estimators import accumulate_cpi, autocorrelate_symbol
+from sparse_isac.synth import _ROW_BLOCK
 
 C = si.SPEED_OF_LIGHT
 
@@ -333,6 +334,25 @@ class TestBuildVirtualSignal:
         rel = np.max(np.abs(vs.values - ref.values)) / np.max(np.abs(ref.values))
         assert rel <= 1e-12
         assert vs.n_symbols == ref.n_symbols == 7
+
+    @pytest.mark.parametrize("pattern", ["random", "nested"])
+    def test_row_blocks_match_per_symbol_reference(self, pattern):
+        m = 2 * _ROW_BLOCK + 3  # two full row blocks and a partial one
+        params = make_params(n=64, m=m)
+        if pattern == "random":
+            alloc = si.make_allocation(params, "random", n_active=14, seed=11)
+        else:
+            alloc = si.make_allocation(params, "nested", inner=5, outer=6)
+        targets = (
+            si.Target(distance_m=60.0, velocity_mps=20.0, amplitude=1.0),
+            si.Target(distance_m=150.0, amplitude=0.6),
+        )
+        grid = si.synthesize(si.Scene(targets=targets, snr_db=-3.0), alloc, params, seed=5)
+        vs, ap = si.build_virtual_signal(grid)
+        ref = accumulate_cpi([autocorrelate_symbol(grid, k, ap) for k in range(m)])
+        rel = np.max(np.abs(vs.values - ref.values)) / np.max(np.abs(ref.values))
+        assert rel <= 1e-12
+        assert vs.n_symbols == ref.n_symbols == m
 
 
 class TestVirtualPeriodogram:

@@ -199,3 +199,18 @@ class TestScene:
         for noise in (dict(snr_db=0.0), dict(noise_variance_w=1.0), {}):
             with pytest.raises(ValueError, match=rf"^targets\[{position}\]: distance_m: "):
                 si.Scene(targets=tuple(targets), link=lb, **noise)
+
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize(
+        "distance_m, rcs_m2",
+        [(10.0, 0.0), (1e10, 1e-300)],  # zero RCS, or the echo power underflows to 0
+    )
+    def test_zero_rcs_amplitude_rejected_naming_the_target(self, position, distance_m, rcs_m2):
+        lb = si.LinkBudget.for_carrier(24e9, 0.1, 100.0, 100.0)
+        target = si.Target(distance_m=distance_m, rcs_m2=rcs_m2)
+        assert si.amplitude_from_radar_equation(target, lb) == 0.0
+        targets = [si.Target(distance_m=10.0, amplitude=1.0)]
+        targets.insert(position, target)
+        for noise in (dict(snr_db=0.0), dict(noise_variance_w=1.0), {}):
+            with pytest.raises(ValueError, match=rf"^targets\[{position}\]: rcs_m2: .* is zero$"):
+                si.Scene(targets=tuple(targets), link=lb, **noise)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sparse_isac as si
+from sparse_isac.synth import _ROW_BLOCK
 
 C = si.SPEED_OF_LIGHT
 
@@ -143,6 +144,73 @@ class TestSynthesize:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "m,n,re,im"
         assert len(lines) == 1 + 2 * 3
+
+
+def dense_reference(scene, alloc, params, seed):
+    """Whole-grid synthesis: every target phasor on all M x N cells, the
+    inactive cells zeroed, and the noise from two full-grid normal draws
+    (real parts, then imaginary parts) of which only the active cells are
+    kept."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    phase_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (0,))
+    noise_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (1,))
+    phase_rng = np.random.default_rng(phase_ss)
+    m_idx = np.arange(params.n_symbols)
+    n_idx = np.arange(params.n_subcarriers)
+    grid = np.zeros((params.n_symbols, params.n_subcarriers), dtype=np.complex128)
+    for t in scene.targets:
+        draw = phase_rng.uniform(0.0, 2.0 * math.pi)
+        phi = t.phase_rad if t.phase_rad is not None else draw
+        tau, f_d = si.delay_doppler(t, params)
+        sym_phase = np.exp(2j * np.pi * f_d * params.symbol_dur_s * m_idx)
+        sub_phase = np.exp(-2j * np.pi * params.subcarrier_spacing_hz * tau * n_idx)
+        grid += scene.amplitude_of(t) * np.exp(1j * phi) * np.outer(sym_phase, sub_phase)
+    mask = alloc.mask()
+    grid[~mask] = 0.0
+    var = scene.noise_variance()
+    if var > 0.0:
+        rng = np.random.default_rng(noise_ss)
+        sigma = math.sqrt(var / 2.0)
+        noise = rng.normal(0.0, sigma, grid.shape) + 1j * rng.normal(0.0, sigma, grid.shape)
+        grid[mask] += noise[mask]
+    return grid
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize("m", [_ROW_BLOCK - 5, _ROW_BLOCK, 2 * _ROW_BLOCK + 3])
+    @pytest.mark.parametrize("pattern", ["full", "random", "per_symbol"])
+    @pytest.mark.parametrize("n_targets", [1, 2])
+    @pytest.mark.parametrize("noise", ["snr_db", "snr_inf", "variance_0"])
+    @pytest.mark.parametrize("seed", ["int", "spawned"])
+    def test_bit_identical_to_dense_reference(self, m, pattern, n_targets, noise, seed):
+        params = make_params(n=40, m=m)
+        if pattern == "per_symbol":
+            rng = np.random.default_rng(m)
+            alloc = si.ResourceAllocation(
+                per_symbol_indices=tuple(
+                    rng.choice(40, size=rng.integers(1, 12), replace=False) for _ in range(m)
+                ),
+                n_subcarriers=40,
+            )
+            assert not alloc.is_constant
+        else:
+            alloc = si.make_allocation(params, pattern, n_active=9, seed=3)
+        targets = (
+            si.Target(distance_m=120.0, velocity_mps=30.0, amplitude=1.0),  # drawn phase
+            si.Target(distance_m=310.0, velocity_mps=-12.0, amplitude=0.4, phase_rad=2.5),
+        )[:n_targets]
+        scene = si.Scene(
+            targets=targets,
+            **{
+                "snr_db": dict(snr_db=-3.0),
+                "snr_inf": dict(snr_db=math.inf),
+                "variance_0": dict(noise_variance_w=0.0),
+            }[noise],
+        )
+        seed = 17 if seed == "int" else np.random.SeedSequence(17).spawn(3)[2]
+        got = si.synthesize(scene, alloc, params, seed=seed).samples
+        want = dense_reference(scene, alloc, params, seed)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestNoiseCalibration:
