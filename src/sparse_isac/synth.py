@@ -21,7 +21,7 @@ __all__ = ["FreqGrid", "synthesize", "measure_snr"]
 
 # Rows (OFDM symbols) per block when a grid is processed in row blocks: at
 # N = 1000 a block of noise draws is 512 KB and a block of 2N-point
-# transforms 2 MB, so either stays in a core's L2 cache.
+# transforms 2 MB, so either fits a 2 MB per-core L2 cache.
 _ROW_BLOCK = 64
 
 
