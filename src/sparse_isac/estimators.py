@@ -153,6 +153,26 @@ class PeakList:
         _write_csv(path, header, ([rank, *row] for rank, row in enumerate(rows, start=1)))
 
 
+def _active_block(grid: FreqGrid) -> np.ndarray:
+    """The (M, K) active values of a grid; raises if its allocation varies
+    per symbol."""
+    return grid.active.reshape(grid.n_symbols, grid.alloc.n_active)
+
+
+def _symbol_sum(grid: FreqGrid) -> np.ndarray:
+    """sum_m Y_m[n] for every subcarrier n, zeros where none is active.
+
+    Each column adds its active values in symbol order, the same additions
+    as a symbol sum of the dense grid, whose inactive cells add +0.0.
+    """
+    out = np.zeros(grid.n_subcarriers, dtype=np.complex128)
+    if grid.alloc.is_constant:
+        out[grid.alloc.indices] = _active_block(grid).sum(axis=0)
+    else:
+        np.add.at(out, np.concatenate(grid.alloc.per_symbol_indices), grid.active)
+    return out
+
+
 def zero_fill_periodogram(grid: FreqGrid, oversample: int = 4) -> Periodogram:
     """Delay periodogram of the zero-filled grid.
 
@@ -165,7 +185,7 @@ def zero_fill_periodogram(grid: FreqGrid, oversample: int = 4) -> Periodogram:
     n = params.n_subcarriers
     q_bins = oversample * n
     k = grid.alloc.cardinalities().mean()  # active subcarriers per symbol
-    collapsed = grid.samples.sum(axis=0)  # symbols combine coherently
+    collapsed = _symbol_sum(grid)  # symbols combine coherently
     spectrum = np.fft.ifft(collapsed, n=q_bins) * q_bins
     values = np.abs(spectrum) / (grid.n_symbols * k)
     axis = np.arange(q_bins) / (q_bins * params.subcarrier_spacing_hz)
@@ -237,11 +257,10 @@ def ml_single_target(
     params = grid.params
     n = params.n_subcarriers
     q_bins = oversample * n
-    if not np.any(grid.samples):
+    if not np.any(grid.active):
         raise ValueError("grid is empty (all-zero samples)")
-    collapsed = grid.samples.sum(axis=0)
     active = np.flatnonzero(grid.alloc.column_counts())
-    z = collapsed[active]
+    z = _symbol_sum(grid)[active]
     values = np.concatenate(
         [np.abs(block @ z) for block in _steering_blocks(q_bins, active.tobytes())]
     )
@@ -284,7 +303,8 @@ def autocorrelate_symbol(
     target of amplitude A yields exactly A^2 e^{-j 2 pi df s tau} at every
     lag, symbol by symbol (the Doppler phase cancels within a symbol).
     """
-    row = grid.samples[symbol]
+    row = np.zeros(grid.n_subcarriers, dtype=np.complex128)
+    row[grid.alloc.indices] = _active_block(grid)[symbol]
     vals = _lag_products(row[None, :], aperture)[0]
     return VirtualSignal(values=vals, aperture=aperture, accumulated=False, n_symbols=1)
 
@@ -316,16 +336,25 @@ def build_virtual_signal(grid: FreqGrid) -> tuple[VirtualSignal, VirtualAperture
     The CPI mean is linear, so it moves inside the inverse transform:
     (1/M) sum_m IFFT(|FFT_2N(Y_m)|^2) = IFFT((1/M) sum_m |FFT_2N(Y_m)|^2),
     one inverse FFT per grid instead of M.  The power sum runs over blocks
-    of _ROW_BLOCK symbols, each transformed and summed into one (2N,)
-    vector, so no (M, 2N) transform is held at once.  The per-symbol
+    of _ROW_BLOCK symbols: each block of the active values is scattered
+    into the active columns of one reused zero (B, N) buffer, transformed
+    at length 2N and summed into one (2N,) vector, so neither the dense
+    grid nor an (M, 2N) transform is held at once.  (A (B, 2N) input
+    buffer transforms faster at N = 1000, but at N = 256 the two (B, 2N)
+    arrays freed together make the allocator return their pages, and every
+    call pays the page faults again.)  The per-symbol
     reference path is accumulate_cpi([autocorrelate_symbol(grid, m,
     aperture) ...]), which agrees up to float round-off.
     """
     aperture = difference_set(grid.alloc)
     n_fft = 2 * aperture.n_subcarriers
+    block = _active_block(grid)
+    rows = np.zeros((min(_ROW_BLOCK, grid.n_symbols), grid.n_subcarriers), dtype=np.complex128)
     power = np.zeros(n_fft)
     for r0 in range(0, grid.n_symbols, _ROW_BLOCK):
-        f = np.fft.fft(grid.samples[r0 : r0 + _ROW_BLOCK], n=n_fft, axis=-1)
+        part = block[r0 : r0 + _ROW_BLOCK]
+        rows[: len(part), grid.alloc.indices] = part
+        f = np.fft.fft(rows[: len(part)], n=n_fft, axis=-1)
         # re^2 + im^2 summed over the block's symbols, per bin
         power += np.einsum("mk,mk->k", f.real, f.real) + np.einsum("mk,mk->k", f.imag, f.imag)
     vals = _lags_from_power(power / grid.n_symbols, aperture)
@@ -440,10 +469,13 @@ def doppler_periodogram(
         delay_s = _noncoherent_delay(grid, oversample)
     n_idx = np.arange(params.n_subcarriers)
     unwrap = np.exp(2j * np.pi * params.subcarrier_spacing_hz * delay_s * n_idx)
-    slices = grid.samples @ unwrap  # per-symbol matched sum over subcarriers
+    # per-symbol matched sum over the active subcarriers
+    cards = grid.alloc.cardinalities()
+    matched = grid.active * unwrap[np.concatenate(grid.alloc.per_symbol_indices)]
+    slices = np.add.reduceat(matched, np.cumsum(cards) - cards)
     m = params.n_symbols
     u_bins = oversample * m
-    k = grid.alloc.cardinalities().mean()  # active subcarriers per symbol
+    k = cards.mean()  # active subcarriers per symbol
     spectrum = np.fft.fft(slices, n=u_bins)
     values = np.abs(np.fft.fftshift(spectrum)) / (m * k)
     axis = (np.arange(u_bins) - u_bins // 2) / (u_bins * params.symbol_dur_s)

@@ -129,7 +129,8 @@ class Scene:
                 variance = self.noise_variance()
             except (OverflowError, ZeroDivisionError):
                 variance = math.nan
-            if not 0.0 <= variance < math.inf:
+            # only +inf means noiseless, not a variance that underflows to 0
+            if self.snr_db != math.inf and not 0.0 < variance < math.inf:
                 raise ValueError(f"snr_db: {self.snr_db} dB is out of range")
 
     @property

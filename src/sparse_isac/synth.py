@@ -4,7 +4,8 @@ Works directly at the post-FFT per-resource-element level: each active
 cell (m, n) receives the coherent sum of target phasors plus circularly
 symmetric complex Gaussian noise.  Inactive cells are structural zeros,
 never noisy measurements, so estimators see noise only where something
-was actually observed.
+was actually observed.  A grid stores only its active cells; the dense
+(M, N) array is built on request.
 """
 from __future__ import annotations
 
@@ -27,39 +28,61 @@ _ROW_BLOCK = 64
 
 @dataclass(frozen=True)
 class FreqGrid:
-    """Received samples on the time-frequency grid, zeros off the allocation."""
+    """Received samples on the active cells of the time-frequency grid.
 
-    samples: np.ndarray  # complex (n_symbols, n_subcarriers)
+    `active` holds one complex value per active cell, in row-major order:
+    the order of `samples[alloc.mask()]`.  For a constant allocation
+    `active.reshape(M, K)` is the active block.  Inactive cells are zeros
+    by construction and are not stored.
+    """
+
+    active: np.ndarray  # complex (alloc.cardinalities().sum(),)
     alloc: ResourceAllocation
     params: OfdmParams
     noise_variance: float
     seed_ss: np.random.SeedSequence | None = None
 
     def __post_init__(self):
-        m, n = self.samples.shape
-        if m != self.params.n_symbols or n != self.params.n_subcarriers:
+        shape = (self.alloc.n_symbols, self.alloc.n_subcarriers)
+        if shape != (self.params.n_symbols, self.params.n_subcarriers):
             raise ValueError(
-                f"grid shape {self.samples.shape} does not match params "
+                f"allocation shape {shape} does not match params "
                 f"({self.params.n_symbols}, {self.params.n_subcarriers})"
             )
-        self.samples.setflags(write=False)
+        n_active = int(self.alloc.cardinalities().sum())
+        if self.active.shape != (n_active,):
+            raise ValueError(
+                f"active values of shape {self.active.shape} do not match the "
+                f"allocation's {n_active} active cells"
+            )
+        self.active.setflags(write=False)
 
     @property
     def n_symbols(self) -> int:
-        return self.samples.shape[0]
+        return self.params.n_symbols
 
     @property
     def n_subcarriers(self) -> int:
-        return self.samples.shape[1]
+        return self.params.n_subcarriers
+
+    @property
+    def samples(self) -> np.ndarray:
+        """Dense read-only (M, N) grid, zeros off the allocation; built anew
+        on each access, so keep the result rather than reading it twice."""
+        out = np.zeros((self.n_symbols, self.n_subcarriers), dtype=self.active.dtype)
+        out[self.alloc.mask()] = self.active
+        out.setflags(write=False)
+        return out
 
     def dump_csv(self, path) -> None:
         """Active resource elements only, columns m, n, re, im."""
-        rows = (
-            (m, n, v.real, v.imag)
-            for m, idx in enumerate(self.alloc.per_symbol_indices)
-            for n, v in zip(idx.tolist(), self.samples[m, idx].tolist())
+        rows = np.repeat(np.arange(self.n_symbols), self.alloc.cardinalities())
+        cols = np.concatenate(self.alloc.per_symbol_indices)
+        _write_csv(
+            path,
+            ["m", "n", "re", "im"],
+            zip(rows.tolist(), cols.tolist(), self.active.real.tolist(), self.active.imag.tolist()),
         )
-        _write_csv(path, ["m", "n", "re", "im"], rows)
 
 
 def _resolve_phases(scene: Scene, phase_rng: np.random.Generator) -> np.ndarray:
@@ -127,7 +150,8 @@ def synthesize(
     sigma * z from each.  That is the stream of two full-grid
     normal(0, sigma, (M, N)) draws.  Inactive cells consume their draws and
     keep none.  The draws go _ROW_BLOCK rows at a time into one reused
-    buffer, and the signal is evaluated on the active cells only.
+    buffer.  The signal is evaluated, and the grid stored, on the active
+    cells only.
     """
     if alloc.n_symbols != params.n_symbols or alloc.n_subcarriers != params.n_subcarriers:
         raise ValueError("allocation dimensions do not match params")
@@ -142,11 +166,11 @@ def synthesize(
         rows, cols = np.arange(n_sym)[:, None], alloc.indices
     else:
         rows, cols = np.nonzero(alloc.mask())
-    flat = (rows * n_sub + cols).ravel()  # ascending: row-major cell order
     values = _active_signal(scene, params, phases, rows, cols)
 
     var = scene.noise_variance()
     if var > 0.0:
+        flat = (rows * n_sub + cols).ravel()  # ascending: row-major cell order
         rng = np.random.default_rng(noise_ss)
         sigma = math.sqrt(var / 2.0)
         block = min(_ROW_BLOCK, n_sym)
@@ -159,10 +183,8 @@ def synthesize(
                 z = buf.take(offset[lo:hi])
                 z *= sigma
                 part[lo:hi] += z
-    grid = np.zeros((n_sym, n_sub), dtype=np.complex128)
-    grid.put(flat, values)
     return FreqGrid(
-        samples=grid,
+        active=values,
         alloc=alloc,
         params=params,
         noise_variance=var,
@@ -181,6 +203,5 @@ def measure_snr(grid: FreqGrid, scene: Scene) -> float:
         return math.inf
     quiet = Scene(targets=scene.targets, noise_variance_w=0.0, link=scene.link)
     twin = synthesize(quiet, grid.alloc, grid.params, seed=grid.seed_ss)
-    mask = grid.alloc.mask()
-    sig_power = float(np.mean(np.abs(twin.samples[mask]) ** 2))
+    sig_power = float(np.mean(np.abs(twin.active) ** 2))
     return 10.0 * math.log10(sig_power / grid.noise_variance)

@@ -64,7 +64,7 @@ def test_freq_grid_csv(written):
     samples[0, 0] = 1.0 / 3.0 - 2.0j / 7.0
     samples[0, 5] = complex(-0.0, 1e20)
     samples[1, 7] = 1e-20 - 123456789.0123456j
-    grid = si.FreqGrid(samples=samples, alloc=alloc, params=PARAMS, noise_variance=0.0)
+    grid = si.FreqGrid(active=samples[alloc.mask()], alloc=alloc, params=PARAMS, noise_variance=0.0)
     assert written(grid.dump_csv) == (
         "m,n,re,im\r\n"
         "0,0,0.333333333333,-0.285714285714\r\n"

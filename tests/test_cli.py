@@ -424,6 +424,23 @@ class TestContract:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize(
+        "experiment, path",
+        [
+            ("rmse_pslr_sweep", ["scene", "targets", 0, "amplitude"]),
+            ("two_target_demo", ["amplitudes", 0]),
+        ],
+    )
+    def test_underflowing_snr_noise_is_a_config_error(self, tmp_path, experiment, path):
+        cfg = mutated(experiment, path, 1e-200)  # at 0 dB the noise variance is 1e-400
+        path, out = write_config(tmp_path, cfg), tmp_path / "out"
+        for args in (["validate", "--config", path], ["run", "--config", path, "--out", out]):
+            code, stdout, err = main_in_process(*args)
+            assert (code, stdout) == (2, "")
+            assert err.startswith("config error: ") and err.count("\n") == 1
+            assert "snr_db" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["run", "--config", "CFG", "--profile", "paper"],

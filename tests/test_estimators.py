@@ -69,7 +69,7 @@ class TestZeroFillPeriodogram:
         params = make_params(n=16, m=2)
         alloc = si.make_allocation(params, "full")
         grid = si.FreqGrid(
-            samples=np.zeros((2, 16), dtype=complex),
+            active=np.zeros((2, 16), dtype=complex)[alloc.mask()],
             alloc=alloc,
             params=params,
             noise_variance=0.0,
@@ -170,7 +170,7 @@ class TestMlSingleTarget:
         params = make_params(n=16, m=2)
         alloc = si.make_allocation(params, "full")
         grid = si.FreqGrid(
-            samples=np.zeros((2, 16), dtype=complex),
+            active=np.zeros((2, 16), dtype=complex)[alloc.mask()],
             alloc=alloc,
             params=params,
             noise_variance=0.0,
@@ -215,7 +215,7 @@ class TestAutocorrelation:
             row = rng.normal(size=48) + 1j * rng.normal(size=48)
             row[~alloc.mask()[0]] = 0.0
             grid = si.FreqGrid(
-                samples=row[None, :].copy(), alloc=alloc, params=make_params(48, 1),
+                active=row[None, :][alloc.mask()], alloc=alloc, params=make_params(48, 1),
                 noise_variance=0.0,
             )
             ap = si.difference_set(alloc)

@@ -179,6 +179,16 @@ class TestScene:
         t = si.Target(distance_m=10.0, amplitude=1.0)
         assert si.Scene(targets=(t,), snr_db=math.inf).noise_variance() == 0.0
 
+    @pytest.mark.parametrize(
+        "amplitude, snr_db",
+        [(1e-200, 0.0), (1e-100, 1500.0), (1e-160, 50.0)],  # the variance underflows to 0
+    )
+    def test_finite_snr_with_underflowing_variance_rejected(self, amplitude, snr_db):
+        t = si.Target(distance_m=100.0, amplitude=amplitude)
+        with pytest.raises(ValueError, match="^snr_db: .* out of range$"):
+            si.Scene(targets=(t,), snr_db=snr_db)
+        assert si.Scene(targets=(t,), snr_db=math.inf).noise_variance() == 0.0
+
     def test_rcs_target_needs_link(self):
         t = si.Target(distance_m=10.0, rcs_m2=1.0)
         with pytest.raises(ValueError):
