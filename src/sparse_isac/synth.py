@@ -78,11 +78,9 @@ class FreqGrid:
         """Active resource elements only, columns m, n, re, im."""
         rows = np.repeat(np.arange(self.n_symbols), self.alloc.cardinalities())
         cols = np.concatenate(self.alloc.per_symbol_indices)
-        _write_csv(
-            path,
-            ["m", "n", "re", "im"],
-            zip(rows.tolist(), cols.tolist(), self.active.real.tolist(), self.active.imag.tolist()),
-        )
+        values = self.active
+        cells = zip(rows.tolist(), cols.tolist(), values.real.tolist(), values.imag.tolist())
+        _write_csv(path, ["m", "n", "re", "im"], cells)
 
 
 def _resolve_phases(scene: Scene, phase_rng: np.random.Generator) -> np.ndarray:

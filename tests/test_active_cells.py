@@ -84,7 +84,8 @@ def dense_ml(grid, oversample):
     )
     best = int(np.argmax(values))
     pos = _refine_bin(values, best)
-    return best, values[best], (pos % q_bins) * (1.0 / (q_bins * grid.params.subcarrier_spacing_hz))
+    bin_width = 1.0 / (q_bins * grid.params.subcarrier_spacing_hz)
+    return best, values[best], (pos % q_bins) * bin_width
 
 
 def dense_virtual(grid, aperture):
