@@ -153,12 +153,6 @@ class PeakList:
         _write_csv(path, header, ([rank, *row] for rank, row in enumerate(rows, start=1)))
 
 
-def _active_block(grid: FreqGrid) -> np.ndarray:
-    """The (M, K) active values of a grid; raises if its allocation varies
-    per symbol."""
-    return grid.active.reshape(grid.n_symbols, grid.alloc.n_active)
-
-
 def _symbol_sum(grid: FreqGrid) -> np.ndarray:
     """sum_m Y_m[n] for every subcarrier n, zeros where none is active.
 
@@ -167,9 +161,9 @@ def _symbol_sum(grid: FreqGrid) -> np.ndarray:
     """
     out = np.zeros(grid.n_subcarriers, dtype=np.complex128)
     if grid.alloc.is_constant:
-        out[grid.alloc.indices] = _active_block(grid).sum(axis=0)
+        out[grid.alloc.indices] = grid.block.sum(axis=0)
     else:
-        np.add.at(out, np.concatenate(grid.alloc.per_symbol_indices), grid.active)
+        np.add.at(out, grid.cols, grid.active)
     return out
 
 
@@ -303,9 +297,7 @@ def autocorrelate_symbol(
     target of amplitude A yields exactly A^2 e^{-j 2 pi df s tau} at every
     lag, symbol by symbol (the Doppler phase cancels within a symbol).
     """
-    row = np.zeros(grid.n_subcarriers, dtype=np.complex128)
-    row[grid.alloc.indices] = _active_block(grid)[symbol]
-    vals = _lag_products(row[None, :], aperture)[0]
+    vals = _lag_products(grid.row(symbol)[None, :], aperture)[0]
     return VirtualSignal(values=vals, aperture=aperture, accumulated=False, n_symbols=1)
 
 
@@ -348,7 +340,7 @@ def build_virtual_signal(grid: FreqGrid) -> tuple[VirtualSignal, VirtualAperture
     """
     aperture = difference_set(grid.alloc)
     n_fft = 2 * aperture.n_subcarriers
-    block = _active_block(grid)
+    block = grid.block
     rows = np.zeros((min(_ROW_BLOCK, grid.n_symbols), grid.n_subcarriers), dtype=np.complex128)
     power = np.zeros(n_fft)
     for r0 in range(0, grid.n_symbols, _ROW_BLOCK):
@@ -470,15 +462,10 @@ def doppler_periodogram(
     n_idx = np.arange(params.n_subcarriers)
     unwrap = np.exp(2j * np.pi * params.subcarrier_spacing_hz * delay_s * n_idx)
     # per-symbol matched sum over the active subcarriers
-    cards = grid.alloc.cardinalities()
-    if grid.alloc.is_constant:  # an (M, K) product; reduceat takes 5x as long at desk size
-        slices = _active_block(grid) @ unwrap[grid.alloc.indices]
-    else:
-        matched = grid.active * unwrap[np.concatenate(grid.alloc.per_symbol_indices)]
-        slices = np.add.reduceat(matched, np.cumsum(cards) - cards)
+    slices = np.add.reduceat(grid.active * unwrap[grid.cols], grid.starts)
     m = params.n_symbols
     u_bins = oversample * m
-    k = cards.mean()  # active subcarriers per symbol
+    k = grid.alloc.cardinalities().mean()  # active subcarriers per symbol
     spectrum = np.fft.fft(slices, n=u_bins)
     values = np.abs(np.fft.fftshift(spectrum)) / (m * k)
     axis = (np.arange(u_bins) - u_bins // 2) / (u_bins * params.symbol_dur_s)

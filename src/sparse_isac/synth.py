@@ -31,9 +31,10 @@ class FreqGrid:
     """Received samples on the active cells of the time-frequency grid.
 
     `active` holds one complex value per active cell, in row-major order:
-    the order of `samples[alloc.mask()]`.  For a constant allocation
-    `active.reshape(M, K)` is the active block.  Inactive cells are zeros
-    by construction and are not stored.
+    the order of `samples[alloc.mask()]`; `cols` and `starts` give each
+    value's subcarrier and each symbol's offset.  For a constant allocation
+    `block` is the (M, K) active block.  Inactive cells are zeros by
+    construction and are not stored.
     """
 
     active: np.ndarray  # complex (alloc.cardinalities().sum(),)
@@ -66,6 +67,32 @@ class FreqGrid:
         return self.params.n_subcarriers
 
     @property
+    def block(self) -> np.ndarray:
+        """The (M, K) active block, a read-only view of `active`; raises if
+        the allocation varies per symbol."""
+        return self.active.reshape(self.n_symbols, self.alloc.n_active)
+
+    @property
+    def cols(self) -> np.ndarray:
+        """Subcarrier index of each entry of `active`."""
+        return np.concatenate(self.alloc.per_symbol_indices)
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Offset in `active` of each symbol's first value."""
+        cards = self.alloc.cardinalities()
+        return np.cumsum(cards) - cards
+
+    def row(self, m: int) -> np.ndarray:
+        """Dense row m of `samples`, a new (N,) array built from that
+        symbol's active values only."""
+        idx = self.alloc.per_symbol_indices[m]
+        start = self.starts[m]
+        out = np.zeros(self.n_subcarriers, dtype=self.active.dtype)
+        out[idx] = self.active[start : start + idx.size]
+        return out
+
+    @property
     def samples(self) -> np.ndarray:
         """Dense read-only (M, N) grid, zeros off the allocation; built anew
         on each access, so keep the result rather than reading it twice."""
@@ -77,9 +104,8 @@ class FreqGrid:
     def dump_csv(self, path) -> None:
         """Active resource elements only, columns m, n, re, im."""
         rows = np.repeat(np.arange(self.n_symbols), self.alloc.cardinalities())
-        cols = np.concatenate(self.alloc.per_symbol_indices)
         values = self.active
-        cells = zip(rows.tolist(), cols.tolist(), values.real.tolist(), values.imag.tolist())
+        cells = zip(rows.tolist(), self.cols.tolist(), values.real.tolist(), values.imag.tolist())
         _write_csv(path, ["m", "n", "re", "im"], cells)
 
 

@@ -12,7 +12,12 @@ import pytest
 
 import sparse_isac as si
 from sparse_isac.alloc import _write_csv
-from sparse_isac.estimators import _noncoherent_delay, _refine_bin, _steering_blocks
+from sparse_isac.estimators import (
+    _lag_products,
+    _noncoherent_delay,
+    _refine_bin,
+    _steering_blocks,
+)
 from sparse_isac.synth import _ROW_BLOCK
 
 N = 40
@@ -141,6 +146,32 @@ class TestAgainstDenseGrid:
         samples = grid.samples
         assert np.array_equal(bits(grid.active), bits(samples[grid.alloc.mask()]))
         assert np.all(samples[~grid.alloc.mask()] == 0.0)
+
+    def test_layout_accessors(self, case):
+        _, grid = case
+        samples = grid.samples
+        rows, cols = np.nonzero(grid.alloc.mask())
+        assert np.array_equal(grid.cols, cols)
+        assert np.array_equal(grid.starts, np.searchsorted(rows, np.arange(grid.n_symbols)))
+        for m in (0, 1, grid.n_symbols // 2, grid.n_symbols - 1, -1, -grid.n_symbols):
+            assert np.array_equal(bits(grid.row(m)), bits(samples[m]))
+        with pytest.raises(IndexError):
+            grid.row(grid.n_symbols)
+        if grid.alloc.is_constant:
+            assert np.array_equal(bits(grid.block), bits(samples[:, grid.alloc.indices]))
+        else:
+            with pytest.raises(ValueError, match="varies across symbols"):
+                grid.block
+
+    def test_autocorrelate_symbol(self, case):
+        _, grid = case
+        # every lag of the N subcarriers, so any allocation fits it
+        aperture = si.difference_set(si.ResourceAllocation.constant(np.arange(N), 1, N))
+        samples = grid.samples
+        for m in (0, grid.n_symbols - 1, -1):
+            got = si.autocorrelate_symbol(grid, m, aperture).values
+            want = _lag_products(samples[m][None, :], aperture)[0]
+            assert np.array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("oversample", [1, 4])
     def test_zero_fill(self, case, oversample):
