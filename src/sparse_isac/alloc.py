@@ -211,6 +211,10 @@ class ResourceAllocation:
 
     def column_counts(self) -> np.ndarray:
         """Number of symbols in which each subcarrier is active, shape (N,)."""
+        if self.is_constant:
+            out = np.zeros(self.n_subcarriers, dtype=np.intp)
+            out[self.indices] = self.n_symbols
+            return out
         return np.bincount(
             np.concatenate(self.per_symbol_indices), minlength=self.n_subcarriers
         )

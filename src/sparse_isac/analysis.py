@@ -65,6 +65,10 @@ _SWEEP_TABLE = {
     "autocorrelation": (1, True),
     "nested": (4, True),
 }
+# Slots no virtual method reads hold only the symbol sum that zero-fill reads
+# (slots 2 and 3).  The rule reads the table, not the requested subset, so no
+# method's noise stream depends on which others were requested.
+_SUMMED_SLOTS = {s for s, _ in _SWEEP_TABLE.values()} - {s for s, v in _SWEEP_TABLE.values() if v}
 SWEEP_METHODS = tuple(_SWEEP_TABLE)
 
 # the comment line of every artifact whose numbers depend on the SNR
@@ -434,7 +438,9 @@ def _sweep_point(cfg: SweepConfig, scene: Scene, point_ss) -> dict:
                 alloc = cfg._allocations.get(method) or make_allocation(
                     params, "random", n_active=cfg.n_active, seed=seeds[0]
                 )
-                grids[slot] = synthesize(scene, alloc, params, seed=seeds[slot])
+                grids[slot] = synthesize(
+                    scene, alloc, params, seed=seeds[slot], symbol_sum=slot in _SUMMED_SLOTS
+                )
             p = _delay_periodogram(grids[slot], virtual, cfg.oversample)
             halfwidth = common_exclusion_halfwidth(p)
             peaks = detect_peaks(p, k=len(cfg.targets), min_separation=2 * halfwidth)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .alloc import OfdmParams, VirtualAperture, _check_number, _write_csv, difference_set
 from .scene import SPEED_OF_LIGHT
-from .synth import _ROW_BLOCK, FreqGrid
+from .synth import FreqGrid
 
 __all__ = [
     "Periodogram",
@@ -39,6 +39,11 @@ __all__ = [
     "detect_peaks",
     "doppler_periodogram",
 ]
+
+# Symbols per block when build_virtual_signal sums the CPI power: at
+# N = 1000 a block of 2N-point transforms is 2 MB, which fits a 2 MB
+# per-core L2 cache.
+_ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -156,9 +161,12 @@ class PeakList:
 def _symbol_sum(grid: FreqGrid) -> np.ndarray:
     """sum_m Y_m[n] for every subcarrier n, zeros where none is active.
 
-    Each column adds its active values in symbol order, the same additions
-    as a symbol sum of the dense grid, whose inactive cells add +0.0.
+    A summed grid stores this row.  On a per-cell grid each column adds its
+    active values in symbol order, the same additions as a symbol sum of
+    the dense grid, whose inactive cells add +0.0.
     """
+    if grid.symbol_sum:
+        return grid.samples[0]
     out = np.zeros(grid.n_subcarriers, dtype=np.complex128)
     if grid.alloc.is_constant:
         out[grid.alloc.indices] = grid.block.sum(axis=0)
@@ -296,6 +304,7 @@ def autocorrelate_symbol(
     Y[i] conj(Y[j]) over index pairs with i - j = s; a noiseless single
     target of amplitude A yields exactly A^2 e^{-j 2 pi df s tau} at every
     lag, symbol by symbol (the Doppler phase cancels within a symbol).
+    Raises ValueError on a summed grid.
     """
     vals = _lag_products(grid.row(symbol)[None, :], aperture)[0]
     return VirtualSignal(values=vals, aperture=aperture, accumulated=False, n_symbols=1)
@@ -323,7 +332,8 @@ def build_virtual_signal(grid: FreqGrid) -> tuple[VirtualSignal, VirtualAperture
 
     Difference set of the (symbol-constant) allocation, per-symbol lag
     products, then coherent accumulation across the CPI.  Returns the
-    accumulated virtual signal together with its aperture.
+    accumulated virtual signal together with its aperture.  Raises
+    ValueError on a summed grid, which has no per-symbol values.
 
     The CPI mean is linear, so it moves inside the inverse transform:
     (1/M) sum_m IFFT(|FFT_2N(Y_m)|^2) = IFFT((1/M) sum_m |FFT_2N(Y_m)|^2),
@@ -338,9 +348,9 @@ def build_virtual_signal(grid: FreqGrid) -> tuple[VirtualSignal, VirtualAperture
     reference path is accumulate_cpi([autocorrelate_symbol(grid, m,
     aperture) ...]), which agrees up to float round-off.
     """
+    block = grid.block
     aperture = difference_set(grid.alloc)
     n_fft = 2 * aperture.n_subcarriers
-    block = grid.block
     rows = np.zeros((min(_ROW_BLOCK, grid.n_symbols), grid.n_subcarriers), dtype=np.complex128)
     power = np.zeros(n_fft)
     for r0 in range(0, grid.n_symbols, _ROW_BLOCK):
@@ -453,16 +463,17 @@ def doppler_periodogram(
     Each symbol is compressed at the given delay (estimated from the
     symbol-incoherent power profile when omitted), then the symbol
     sequence is transformed to Doppler on an oversampled axis centered
-    on zero.
+    on zero.  Raises ValueError on a summed grid.
     """
     oversample = _check_number("oversample", oversample, integer=True, minimum=1)
     params = grid.params
+    cols, starts = grid.cols, grid.starts
     if delay_s is None:
         delay_s = _noncoherent_delay(grid, oversample)
     n_idx = np.arange(params.n_subcarriers)
     unwrap = np.exp(2j * np.pi * params.subcarrier_spacing_hz * delay_s * n_idx)
     # per-symbol matched sum over the active subcarriers
-    slices = np.add.reduceat(grid.active * unwrap[grid.cols], grid.starts)
+    slices = np.add.reduceat(grid.active * unwrap[cols], starts)
     m = params.n_symbols
     u_bins = oversample * m
     k = grid.alloc.cardinalities().mean()  # active subcarriers per symbol

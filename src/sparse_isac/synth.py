@@ -6,6 +6,12 @@ symmetric complex Gaussian noise.  Inactive cells are structural zeros,
 never noisy measurements, so estimators see noise only where something
 was actually observed.  A grid stores only its active cells; the dense
 (M, N) array is built on request.
+
+A grid read only through its symbol sum sum_m Y_m[n] (the zero-fill
+periodogram and the ML search) can be synthesized as that sum directly:
+one value per active subcarrier, with the signal summed in closed form
+and the noise drawn with the summed variance.  Such a summed grid has no
+per-symbol values, and every per-symbol reader refuses it.
 """
 from __future__ import annotations
 
@@ -20,28 +26,30 @@ from .scene import Scene, delay_doppler
 
 __all__ = ["FreqGrid", "synthesize", "measure_snr"]
 
-# Rows (OFDM symbols) per block when a grid is processed in row blocks: at
-# N = 1000 a block of noise draws is 512 KB and a block of 2N-point
-# transforms 2 MB, so either fits a 2 MB per-core L2 cache.
-_ROW_BLOCK = 64
-
 
 @dataclass(frozen=True)
 class FreqGrid:
     """Received samples on the active cells of the time-frequency grid.
 
-    `active` holds one complex value per active cell, in row-major order:
-    the order of `samples[alloc.mask()]`; `cols` and `starts` give each
-    value's subcarrier and each symbol's offset.  For a constant allocation
-    `block` is the (M, K) active block.  Inactive cells are zeros by
-    construction and are not stored.
+    A per-cell grid holds in `active` one complex value per active cell,
+    in row-major order: the order of `samples[alloc.mask()]`; `cols` and
+    `starts` give each value's subcarrier and each symbol's offset.  For a
+    constant allocation `block` is the (M, K) active block.  Inactive cells
+    are zeros by construction and are not stored.
+
+    A summed grid (`symbol_sum=True`) holds in `active` the symbol sum
+    sum_m Y_m[n] of each active column n, in ascending subcarrier order
+    (`np.flatnonzero(alloc.column_counts())`).  It has no per-cell layout:
+    `block`, `cols`, `starts` and `row` raise ValueError, and `samples` is
+    the (1, N) zero-filled symbol sum.
     """
 
-    active: np.ndarray  # complex (alloc.cardinalities().sum(),)
+    active: np.ndarray  # complex, one value per active cell (or active column)
     alloc: ResourceAllocation
     params: OfdmParams
     noise_variance: float
     seed_ss: np.random.SeedSequence | None = None
+    symbol_sum: bool = False
 
     def __post_init__(self):
         shape = (self.alloc.n_symbols, self.alloc.n_subcarriers)
@@ -50,13 +58,21 @@ class FreqGrid:
                 f"allocation shape {shape} does not match params "
                 f"({self.params.n_symbols}, {self.params.n_subcarriers})"
             )
-        n_active = int(self.alloc.cardinalities().sum())
-        if self.active.shape != (n_active,):
+        if self.symbol_sum:
+            n_values, what = int(np.count_nonzero(self.alloc.column_counts())), "columns"
+        else:
+            n_values, what = int(self.alloc.cardinalities().sum()), "cells"
+        if self.active.shape != (n_values,):
             raise ValueError(
                 f"active values of shape {self.active.shape} do not match the "
-                f"allocation's {n_active} active cells"
+                f"allocation's {n_values} active {what}"
             )
         self.active.setflags(write=False)
+
+    def _per_cell(self) -> None:
+        """Raise ValueError if the grid holds only its symbol sum."""
+        if self.symbol_sum:
+            raise ValueError("grid holds only its symbol sum, not per-symbol values")
 
     @property
     def n_symbols(self) -> int:
@@ -70,16 +86,19 @@ class FreqGrid:
     def block(self) -> np.ndarray:
         """The (M, K) active block, a read-only view of `active`; raises if
         the allocation varies per symbol."""
+        self._per_cell()
         return self.active.reshape(self.n_symbols, self.alloc.n_active)
 
     @property
     def cols(self) -> np.ndarray:
         """Subcarrier index of each entry of `active`."""
+        self._per_cell()
         return np.concatenate(self.alloc.per_symbol_indices)
 
     @property
     def starts(self) -> np.ndarray:
         """Offset in `active` of each symbol's first value."""
+        self._per_cell()
         cards = self.alloc.cardinalities()
         return np.cumsum(cards) - cards
 
@@ -94,10 +113,15 @@ class FreqGrid:
 
     @property
     def samples(self) -> np.ndarray:
-        """Dense read-only (M, N) grid, zeros off the allocation; built anew
-        on each access, so keep the result rather than reading it twice."""
-        out = np.zeros((self.n_symbols, self.n_subcarriers), dtype=self.active.dtype)
-        out[self.alloc.mask()] = self.active
+        """Dense read-only grid, zeros off the allocation: (M, N), or (1, N)
+        for a summed grid.  Built anew on each access, so keep the result
+        rather than reading it twice."""
+        if self.symbol_sum:
+            out = np.zeros((1, self.n_subcarriers), dtype=self.active.dtype)
+            out[0, np.flatnonzero(self.alloc.column_counts())] = self.active
+        else:
+            out = np.zeros((self.n_symbols, self.n_subcarriers), dtype=self.active.dtype)
+            out[self.alloc.mask()] = self.active
         out.setflags(write=False)
         return out
 
@@ -109,30 +133,24 @@ class FreqGrid:
         _write_csv(path, ["m", "n", "re", "im"], cells)
 
 
-def _resolve_phases(scene: Scene, phase_rng: np.random.Generator) -> np.ndarray:
-    """Per-target phases; draws happen in target order regardless of which
-    targets carry explicit phases, so draws are stable under edits."""
-    phases = np.empty(scene.n_targets)
-    for i, t in enumerate(scene.targets):
-        draw = phase_rng.uniform(0.0, 2.0 * math.pi)
-        phases[i] = t.phase_rad if t.phase_rad is not None else draw
-    return phases
+def _resolve_targets(scene: Scene, params: OfdmParams, seed):
+    """Split the seed, draw the phases and warn about aliasing targets.
 
-
-def _active_signal(scene: Scene, params, phases, rows, cols) -> np.ndarray:
-    """Sum of the target phasors on the active cells (rows[i], cols[i]),
-    flattened in row-major order.
-
-    Each cell gets the same floats as a whole-grid sum started from zeros:
-    the sum starts from 0.0 (so a -0.0 part becomes +0.0, as on a zero
-    grid), and the in-place product keeps the amplitude as the first
-    operand, because a complex product can round differently with its
-    operands swapped.
+    Returns the grid's SeedSequence, the noise substream's SeedSequence
+    and, per target, (A e^{j phi}, tau, f_D).  Phases are drawn in target
+    order regardless of which targets carry explicit phases, so draws are
+    stable under edits.
     """
-    m_idx = np.arange(params.n_symbols)
-    n_idx = np.arange(params.n_subcarriers)
-    signal = 0.0
-    for t, phi in zip(scene.targets, phases):
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    # children derived by key, not by spawn(), so resynthesizing from the
+    # stored SeedSequence (noiseless twin) reproduces the phase draws
+    phase_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (0,))
+    noise_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (1,))
+    phase_rng = np.random.default_rng(phase_ss)
+    terms = []
+    for t in scene.targets:
+        draw = phase_rng.uniform(0.0, 2.0 * math.pi)
+        phi = t.phase_rad if t.phase_rad is not None else draw
         tau, f_d = delay_doppler(t, params)
         if tau > params.symbol_core_s:
             warnings.warn(
@@ -146,13 +164,8 @@ def _active_signal(scene: Scene, params, phases, rows, cols) -> np.ndarray:
                 f"+/-{0.5 / params.symbol_dur_s:.3e} Hz; it will alias",
                 stacklevel=3,
             )
-        amp = scene.amplitude_of(t)
-        sym_phase = np.exp(2j * np.pi * f_d * params.symbol_dur_s * m_idx)
-        sub_phase = np.exp(-2j * np.pi * params.subcarrier_spacing_hz * tau * n_idx)
-        term = sym_phase[rows] * sub_phase[cols]
-        np.multiply(amp * np.exp(1j * phi), term, out=term)
-        signal = np.add(signal, term, out=term)
-    return signal.ravel()
+        terms.append((scene.amplitude_of(t) * np.exp(1j * phi), tau, f_d))
+    return ss, noise_ss, terms
 
 
 def synthesize(
@@ -160,6 +173,8 @@ def synthesize(
     alloc: ResourceAllocation,
     params: OfdmParams,
     seed=None,
+    *,
+    symbol_sum: bool = False,
 ) -> FreqGrid:
     """Generate the received frequency-domain grid for a scene.
 
@@ -168,61 +183,75 @@ def synthesize(
     seed feeds two independent substreams (target phases, then noise), so
     the noiseless twin of a grid shares its phase draws.
 
+    With `symbol_sum=True` the grid holds only sum_m Y_m[n] per active
+    column n (see FreqGrid).  Per target, the signal there is
+    A e^{j phi} S_n e^{-j 2 pi df tau n}, where S_n sums e^{j 2 pi f_D T m}
+    over the symbols m in which n is active, and the noise is the sum of
+    the column's c_n = column_counts()[n] cell noises, CN(0, c_n * var).
+
     Noise stream layout: the noise substream gives one standard normal z
-    per cell of the full (M, N) grid, in row-major order, for the real
-    parts, then one per cell for the imaginary parts, and cell (m, n) adds
-    sigma * z from each.  That is the stream of two full-grid
-    normal(0, sigma, (M, N)) draws.  Inactive cells consume their draws and
-    keep none.  The draws go _ROW_BLOCK rows at a time into one reused
-    buffer.  The signal is evaluated, and the grid stored, on the active
-    cells only.
+    per stored value, in the order of `active`, for the real parts, then
+    one per stored value for the imaginary parts.  A cell adds sigma * z
+    from each draw, sigma = sqrt(var / 2); a summed column adds
+    sqrt(c_n) * sigma * z.  So a per-cell grid takes one normal per active
+    cell and quadrature, and a summed grid one per active column.
     """
     if alloc.n_symbols != params.n_symbols or alloc.n_subcarriers != params.n_subcarriers:
         raise ValueError("allocation dimensions do not match params")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    # children derived by key, not by spawn(), so resynthesizing from the
-    # stored SeedSequence (noiseless twin) reproduces the phase draws
-    phase_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (0,))
-    noise_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (1,))
-    phases = _resolve_phases(scene, np.random.default_rng(phase_ss))
-    n_sym, n_sub = params.n_symbols, params.n_subcarriers
-    if alloc.is_constant:
-        rows, cols = np.arange(n_sym)[:, None], alloc.indices
+    ss, noise_ss, terms = _resolve_targets(scene, params, seed)
+    m_idx = np.arange(params.n_symbols)
+    n_idx = np.arange(params.n_subcarriers)
+    if symbol_sum:
+        counts = alloc.column_counts()
+        cols = np.flatnonzero(counts)
+    elif alloc.is_constant:
+        rows, cols = m_idx[:, None], alloc.indices
     else:
         rows, cols = np.nonzero(alloc.mask())
-    values = _active_signal(scene, params, phases, rows, cols)
+    # The in-place product keeps the amplitude as the first operand, because
+    # a complex product can round differently with its operands swapped, and
+    # the sum starts from 0.0, so a per-cell grid has the floats of a
+    # whole-grid sum started from zeros (a -0.0 part becomes +0.0).
+    values = 0.0
+    for coef, tau, f_d in terms:
+        sym_phase = np.exp(2j * np.pi * f_d * params.symbol_dur_s * m_idx)
+        sub_phase = np.exp(-2j * np.pi * params.subcarrier_spacing_hz * tau * n_idx)
+        if not symbol_sum:
+            term = sym_phase[rows] * sub_phase[cols]
+        elif alloc.is_constant:  # S_n is one sum over all symbols
+            term = sym_phase.sum() * sub_phase[cols]
+        else:
+            term = (alloc.mask() * sym_phase[:, None]).sum(axis=0)[cols] * sub_phase[cols]
+        np.multiply(coef, term, out=term)
+        values = np.add(values, term, out=term)
+    values = values.ravel()
 
     var = scene.noise_variance()
     if var > 0.0:
-        flat = (rows * n_sub + cols).ravel()  # ascending: row-major cell order
+        scale = np.sqrt(counts[cols] * (var / 2.0)) if symbol_sum else math.sqrt(var / 2.0)
         rng = np.random.default_rng(noise_ss)
-        sigma = math.sqrt(var / 2.0)
-        block = min(_ROW_BLOCK, n_sym)
-        buf = np.empty((block, n_sub))
-        offset = ((rows % block) * n_sub + cols).ravel()  # position in its block
-        edges = np.searchsorted(flat, np.arange(0, n_sym + block, block) * n_sub)
         for part in (values.real, values.imag):
-            for r0, lo, hi in zip(range(0, n_sym, block), edges[:-1], edges[1:]):
-                rng.standard_normal(out=buf[: min(block, n_sym - r0)])
-                z = buf.take(offset[lo:hi])
-                z *= sigma
-                part[lo:hi] += z
+            z = rng.standard_normal(values.size)
+            z *= scale
+            part += z
     return FreqGrid(
         active=values,
         alloc=alloc,
         params=params,
         noise_variance=var,
         seed_ss=ss,
+        symbol_sum=symbol_sum,
     )
 
 
 def measure_snr(grid: FreqGrid, scene: Scene) -> float:
-    """Empirical per-active-RE SNR of a synthesized grid, in dB.
+    """Empirical per-active-RE SNR of a synthesized per-cell grid, in dB.
 
     Signal power is measured from the noiseless twin (same seed, so the
     same phase draws), divided by the injected noise variance.  Returns
-    +inf for a noiseless grid.
+    +inf for a noiseless grid.  Raises ValueError on a summed grid.
     """
+    grid._per_cell()
     if grid.noise_variance == 0.0:
         return math.inf
     quiet = Scene(targets=scene.targets, noise_variance_w=0.0, link=scene.link)

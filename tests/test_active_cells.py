@@ -13,12 +13,12 @@ import pytest
 import sparse_isac as si
 from sparse_isac.alloc import _write_csv
 from sparse_isac.estimators import (
+    _ROW_BLOCK,
     _lag_products,
     _noncoherent_delay,
     _refine_bin,
     _steering_blocks,
 )
-from sparse_isac.synth import _ROW_BLOCK
 
 N = 40
 

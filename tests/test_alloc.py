@@ -206,7 +206,26 @@ class TestResourceAllocation:
         assert np.array_equal(alloc.cardinalities(), [3] * 6)
         assert np.array_equal(alloc.column_counts(), [6, 0, 6, 0, 0, 0, 0, 6])
 
-    @pytest.mark.parametrize("bad", [[0, 8], [-1, 3], []])
+    @pytest.mark.parametrize("pattern", ["full", "random", "nested", "per_symbol"])
+    def test_column_counts_match_bincount(self, pattern):
+        params = make_params(64, m=7)
+        if pattern == "per_symbol":
+            rng = np.random.default_rng(4)
+            alloc = si.ResourceAllocation(
+                per_symbol_indices=tuple(rng.choice(64, size=9, replace=False) for _ in range(7)),
+                n_subcarriers=64,
+            )
+            assert not alloc.is_constant
+        else:
+            kwargs = {"full": {}, "random": dict(n_active=12, seed=2), "nested": dict(inner=3, outer=4)}
+            alloc = si.make_allocation(params, pattern, **kwargs[pattern])
+            assert alloc.is_constant
+        want = np.bincount(np.concatenate(alloc.per_symbol_indices), minlength=64)
+        got = alloc.column_counts()
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bad",[[0, 8], [-1, 3], []])
     def test_bad_index_in_any_symbol_raises(self, bad):
         good = np.array([0, 3])
         for pos in range(3):

@@ -297,7 +297,8 @@ class TestMonteCarloSweep:
         # each method's numbers do not depend on the rest of the subset
         cfg = self.tiny_config(snr_db_axis=(0.0, 10.0), methods=si.analysis.SWEEP_METHODS)
         every = monte_carlo_sweep(cfg, threads=threads)
-        for methods in (("direct_sparse", "autocorrelation"), ("autocorrelation",), ("nested",)):
+        subsets = [("direct_sparse", "autocorrelation")] + [(m,) for m in si.analysis.SWEEP_METHODS]
+        for methods in subsets:
             part = monte_carlo_sweep(self.tiny_config(snr_db_axis=(0.0, 10.0), methods=methods), threads)
             for m in methods:
                 for key in ("rmse_m", "pslr_db", "pslr_ci_db", "miss_rate"):
@@ -318,6 +319,28 @@ class TestMonteCarloSweep:
         monte_carlo_sweep(cfg)
         # only the random draw is redrawn, once per trial and SNR point
         assert calls == ["random"] * (cfg.n_trials * len(cfg.snr_db_axis))
+
+    def test_only_zero_fill_slots_are_summed(self, monkeypatch):
+        # slots 2 and 3 (full and equivalent band) are read through zero-fill
+        # only; slot 1 (the random draw) and slot 4 (nested) stay per-cell
+        cfg = self.tiny_config(snr_db_axis=(0.0,), methods=si.analysis.SWEEP_METHODS)
+        fixed = {id(a): m for m, a in cfg._allocations.items()}
+        calls = []
+        real = si.analysis.synthesize
+
+        def spy(scene, alloc, params, seed=None, *, symbol_sum=False):
+            calls.append((fixed.get(id(alloc), "random"), symbol_sum))
+            return real(scene, alloc, params, seed=seed, symbol_sum=symbol_sum)
+
+        monkeypatch.setattr(si.analysis, "synthesize", spy)
+        monte_carlo_sweep(cfg)
+        assert len(calls) == 4 * cfg.n_trials
+        assert set(calls) == {
+            ("full_bandwidth", True),
+            ("equivalent_bandwidth", True),
+            ("random", False),
+            ("nested", False),
+        }
 
     def test_invalid_method_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep method"):

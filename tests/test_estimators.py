@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import sparse_isac as si
-from sparse_isac.estimators import accumulate_cpi, autocorrelate_symbol
-from sparse_isac.synth import _ROW_BLOCK
+from sparse_isac.estimators import _ROW_BLOCK, accumulate_cpi, autocorrelate_symbol
 
 C = si.SPEED_OF_LIGHT
 
