@@ -40,9 +40,10 @@ __all__ = [
     "doppler_periodogram",
 ]
 
-# Symbols per block when build_virtual_signal sums the CPI power: at
-# N = 1000 a block of 2N-point transforms is 2 MB, which fits a 2 MB
-# per-core L2 cache.
+# Symbols per block B when _row_transforms walks the CPI.  Its workspace
+# holds 2 * B * n_fft complex values: at N = 1000, 4 MB for the 2N-point
+# transforms of build_virtual_signal and 8 MB for the 4N-point ones of
+# the Doppler delay pre-step.
 _ROW_BLOCK = 64
 
 
@@ -327,6 +328,36 @@ def accumulate_cpi(signals: list[VirtualSignal] | tuple[VirtualSignal, ...]) -> 
     )
 
 
+def _row_transforms(grid: FreqGrid, n_fft: int, transform):
+    """Yield transform(Y, n=n_fft) along the rows Y of the dense grid, one
+    (k, n_fft) array per block of k <= _ROW_BLOCK symbols.
+
+    Each block is scattered from the active values into the zero-padded
+    front half of one (2, B, n_fft) workspace and transformed into its
+    back half with `out=`, so no block allocates.  A per-symbol
+    allocation zeroes the block first; a constant one rewrites the same
+    columns.  The next block overwrites the yielded array.  Raises
+    ValueError on a summed grid.
+    """
+    n_symbols, n = grid.n_symbols, grid.n_subcarriers
+    if grid.alloc.is_constant:
+        block, cols = grid.block, grid.alloc.indices
+    else:
+        cols, starts = grid.cols, np.append(grid.starts, grid.active.size)
+        # row of each active value within its block
+        block_row = np.repeat(np.arange(n_symbols) % _ROW_BLOCK, grid.alloc.cardinalities())
+    rows, out = np.zeros((2, min(_ROW_BLOCK, n_symbols), n_fft), dtype=np.complex128)
+    for r0 in range(0, n_symbols, _ROW_BLOCK):
+        k = min(_ROW_BLOCK, n_symbols - r0)
+        if grid.alloc.is_constant:
+            rows[:k, cols] = block[r0 : r0 + k]
+        else:
+            lo, hi = starts[r0], starts[r0 + k]
+            rows[:k, :n] = 0.0
+            rows[block_row[lo:hi], cols[lo:hi]] = grid.active[lo:hi]
+        yield transform(rows[:k], axis=-1, out=out[:k])
+
+
 def build_virtual_signal(grid: FreqGrid) -> tuple[VirtualSignal, VirtualAperture]:
     """Full virtual-resource pipeline for one grid.
 
@@ -337,26 +368,18 @@ def build_virtual_signal(grid: FreqGrid) -> tuple[VirtualSignal, VirtualAperture
 
     The CPI mean is linear, so it moves inside the inverse transform:
     (1/M) sum_m IFFT(|FFT_2N(Y_m)|^2) = IFFT((1/M) sum_m |FFT_2N(Y_m)|^2),
-    one inverse FFT per grid instead of M.  The power sum runs over blocks
-    of _ROW_BLOCK symbols: each block of the active values is scattered
-    into the active columns of one reused zero (B, N) buffer, transformed
-    at length 2N and summed into one (2N,) vector, so neither the dense
-    grid nor an (M, 2N) transform is held at once.  (A (B, 2N) input
-    buffer transforms faster at N = 1000, but at N = 256 the two (B, 2N)
-    arrays freed together make the allocator return their pages, and every
-    call pays the page faults again.)  The per-symbol
-    reference path is accumulate_cpi([autocorrelate_symbol(grid, m,
-    aperture) ...]), which agrees up to float round-off.
+    one inverse FFT per grid instead of M.  The power sum runs over the
+    row blocks of _row_transforms, so neither the dense grid nor an
+    (M, 2N) transform is held at once.  Its padded rows and their
+    transform share one (2, B, 2N) allocation: as two (B, 2N) arrays
+    freed together at N = 256, the allocator returned their pages and
+    later calls page-faulted them in again.  The per-symbol reference
+    path is accumulate_cpi([autocorrelate_symbol(grid, m, aperture) ...]),
+    which agrees up to float round-off.
     """
-    block = grid.block
     aperture = difference_set(grid.alloc)
-    n_fft = 2 * aperture.n_subcarriers
-    rows = np.zeros((min(_ROW_BLOCK, grid.n_symbols), grid.n_subcarriers), dtype=np.complex128)
-    power = np.zeros(n_fft)
-    for r0 in range(0, grid.n_symbols, _ROW_BLOCK):
-        part = block[r0 : r0 + _ROW_BLOCK]
-        rows[: len(part), grid.alloc.indices] = part
-        f = np.fft.fft(rows[: len(part)], n=n_fft, axis=-1)
+    power = np.zeros(2 * aperture.n_subcarriers)
+    for f in _row_transforms(grid, power.size, np.fft.fft):
         # re^2 + im^2 summed over the block's symbols, per bin
         power += np.einsum("mk,mk->k", f.real, f.real) + np.einsum("mk,mk->k", f.imag, f.imag)
     vals = _lags_from_power(power / grid.n_symbols, aperture)
@@ -449,8 +472,12 @@ def _noncoherent_delay(grid: FreqGrid, oversample: int) -> float:
     """
     params = grid.params
     q_bins = oversample * params.n_subcarriers
-    spectra = np.abs(np.fft.ifft(grid.samples, n=q_bins, axis=1)) ** 2
-    profile = spectra.sum(axis=0)
+    profile = np.zeros(q_bins)
+    for f in _row_transforms(grid, q_bins, np.fft.ifft):
+        # the rows add in symbol order, as in a sum over the whole CPI
+        s = np.abs(f) ** 2
+        s[0] += profile
+        profile = s.sum(axis=0)
     pos = _refine_bin(profile, int(np.argmax(profile)))
     return (pos % q_bins) / (q_bins * params.subcarrier_spacing_hz)
 
@@ -466,6 +493,8 @@ def doppler_periodogram(
     on zero.  Raises ValueError on a summed grid.
     """
     oversample = _check_number("oversample", oversample, integer=True, minimum=1)
+    if delay_s is not None:
+        _check_number("delay_s", delay_s)
     params = grid.params
     cols, starts = grid.cols, grid.starts
     if delay_s is None:

@@ -219,6 +219,25 @@ class TestAgainstDenseGrid:
         assert bits(si.measure_snr(grid, scene)) == bits(dense_measure_snr(grid, scene))
 
 
+def test_calls_share_no_workspace():
+    """Back-to-back calls on grids of other N and M give each call's own bits."""
+    scene = si.Scene(targets=(si.Target(distance_m=120.0, velocity_mps=30.0, amplitude=1.0),), snr_db=0.0)
+    shapes = (
+        (make_params(2 * _ROW_BLOCK + 3), "random"),
+        (si.OfdmParams(64, 7, 120e3, 24e9), "full"),
+        (make_params(_ROW_BLOCK - 5), "per_symbol"),
+    )
+    grids = [si.synthesize(scene, make_alloc(pattern, p), p, seed=5) for p, pattern in shapes]
+    calls = [(g, lambda g: si.doppler_periodogram(g).values) for g in grids] + [
+        (g, lambda g: si.build_virtual_signal(g)[0].values) for g in grids if g.alloc.is_constant
+    ]
+    alone = [bits(call(g)) for g, call in calls]
+    for order in (range(len(calls)), reversed(range(len(calls)))):
+        for i in order:
+            g, call = calls[i]
+            assert np.array_equal(bits(call(g)), alone[i])
+
+
 def test_synthesize_builds_no_dense_grid():
     params = si.OfdmParams(1000, 720, 120e3, 24e9)  # a dense grid is 11.5 MB
     alloc = si.make_allocation(params, "random", n_active=200, seed=1)

@@ -9,6 +9,7 @@ from sparse_isac.analysis import (
     common_exclusion_halfwidth,
     monte_carlo_sweep,
 )
+from sparse_isac.estimators import _ROW_BLOCK
 
 C = si.SPEED_OF_LIGHT
 
@@ -281,6 +282,21 @@ class TestMonteCarloSweep:
         for m in cfg.methods:
             assert np.array_equal(seq.rmse_m[m], par.rmse_m[m])
             assert np.array_equal(seq.pslr_db[m], par.pslr_db[m])
+
+    def test_threaded_bitwise_across_row_blocks(self):
+        # two full row blocks and a partial one: each call transforms the
+        # CPI in its own workspace, so concurrent SNR points share none
+        cfg = self.tiny_config(
+            params=make_params(n=64, m=2 * _ROW_BLOCK + 3),
+            snr_db_axis=(0.0, 10.0),
+            methods=("autocorrelation", "nested"),
+            n_trials=3,
+        )
+        seq = monte_carlo_sweep(cfg, threads=1)
+        par = monte_carlo_sweep(cfg, threads=2)
+        for m in cfg.methods:
+            for key in ("rmse_m", "rmse_ci_m", "pslr_db", "pslr_ci_db", "miss_rate"):
+                assert getattr(par, key)[m].tobytes() == getattr(seq, key)[m].tobytes()
 
     def test_method_results_independent_of_subset(self):
         full = monte_carlo_sweep(self.tiny_config(snr_db_axis=(0.0,)))

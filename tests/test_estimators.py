@@ -516,6 +516,17 @@ class TestDopplerPeriodogram:
         peaks = si.detect_peaks(p, k=1)
         assert peaks.peaks[0].refined_axis_value == pytest.approx(expect, abs=p.bin_width / 4)
 
+    @pytest.mark.parametrize(
+        "delay_s, error",
+        [(math.nan, ValueError), (math.inf, ValueError), (-math.inf, ValueError),
+         (True, TypeError), ("1e-6", TypeError)],
+    )
+    def test_delay_validation(self, delay_s, error):
+        params = make_params(n=16, m=4)
+        grid = noiseless_grid(params, si.make_allocation(params, "full"), (on_grid_target(params, 3),))
+        with pytest.raises(error, match="delay_s"):
+            si.doppler_periodogram(grid, delay_s=delay_s)
+
     def test_negative_velocity_lands_on_negative_axis(self):
         params = make_params(n=32, m=32)
         alloc = si.make_allocation(params, "full")
