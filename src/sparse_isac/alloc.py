@@ -8,9 +8,9 @@ the full range -(N-1)..N-1.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -56,15 +56,43 @@ def _check_number(
     return value
 
 
-def _write_csv(path, header, rows, comment: str | None = None) -> None:
+_CSV_SPECIAL = (",", '"', "\r", "\n")
+
+
+def _csv_cells(column) -> list[str]:
+    """One column of `_write_csv` as text."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return list(map(format, column.tolist(), repeat(".12g")))
+        column = column.tolist()
+    cells = [f"{x:.12g}" if isinstance(x, float) else str(x) for x in column]
+    if any(ch in "".join(cells) for ch in _CSV_SPECIAL):
+        cells = [_csv_quote(c) for c in cells]
+    return cells
+
+
+def _csv_quote(cell: str) -> str:
+    if any(ch in cell for ch in _CSV_SPECIAL):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _write_csv(path, header, columns, comment: str | None = None) -> None:
     """The one artifact format: an optional `# comment` line, a header row,
-    then the rows, with every float at .12g and any other cell as str()."""
+    then row i holds cell i of each of the equally long `columns`.
+
+    A float ndarray column is written in one pass of .12g over its
+    tolist().  In any other column a float cell (np.float64 included) is
+    .12g and any other cell is str(); an ndarray's cells are read as Python
+    scalars first.  A cell that holds a comma, a double quote or a line
+    break is quoted as csv.writer's QUOTE_MINIMAL quotes it; .12g text
+    never is.  Rows end in CR LF, as csv.writer ends them."""
+    lines = [",".join(_csv_cells(header))]
+    lines += map(",".join, zip(*map(_csv_cells, columns), strict=True))
     with open(path, "w", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([f"{x:.12g}" if isinstance(x, float) else x for x in row] for row in rows)
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _as_tuple(name: str, value, length: int | None = None) -> tuple:
@@ -273,7 +301,7 @@ class VirtualAperture:
         return int(self.pair_counts[pos])
 
     def to_csv(self, path) -> None:
-        _write_csv(path, ["lag", "pair_count"], zip(self.lags.tolist(), self.pair_counts.tolist()))
+        _write_csv(path, ["lag", "pair_count"], [self.lags, self.pair_counts])
 
 
 def nested_params_for(n_active: int, n_subcarriers: int) -> tuple[int, int]:

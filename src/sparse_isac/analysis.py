@@ -380,15 +380,18 @@ class SweepResult:
     def to_csv(self, path) -> None:
         cfg = self.config
         metrics = (self.rmse_m, self.rmse_ci_m, self.pslr_db, self.pslr_ci_db, self.miss_rate)
-        rows = (
-            [snr, method, *(metric[method][i] for metric in metrics), cfg.n_trials]
-            for i, snr in enumerate(cfg.snr_db_axis)
-            for method in sorted(cfg.methods)
-        )
+        methods = sorted(cfg.methods)
+        # SNR-major rows: each metric column stacks the methods per SNR point
+        columns = [
+            np.repeat(cfg.snr_db_axis, len(methods)),
+            methods * len(cfg.snr_db_axis),
+            *(np.column_stack([metric[m] for m in methods]).ravel() for metric in metrics),
+            [cfg.n_trials] * (len(methods) * len(cfg.snr_db_axis)),
+        ]
         header = [
             "snr_db", "method", "rmse_m", "rmse_ci", "pslr_db", "pslr_ci", "miss_rate", "trials"
         ]
-        _write_csv(path, header, rows, _SNR_NOTE)
+        _write_csv(path, header, columns, _SNR_NOTE)
 
 
 def _delay_periodogram(grid, virtual: bool, oversample: int) -> Periodogram:
@@ -579,11 +582,12 @@ class TwoTargetDemoResult:
         return float(self.virtual_success.mean())
 
     def to_csv(self, path) -> None:
-        rows = (
-            [i, int(d), int(v)]
-            for i, (d, v) in enumerate(zip(self.direct_success, self.virtual_success))
-        )
-        _write_csv(path, ["run", "direct_both_detected", "virtual_both_detected"], rows, _SNR_NOTE)
+        columns = [
+            range(self.direct_success.size),
+            self.direct_success.astype(int),
+            self.virtual_success.astype(int),
+        ]
+        _write_csv(path, ["run", "direct_both_detected", "virtual_both_detected"], columns, _SNR_NOTE)
 
 
 def _both_targets_detected(p: Periodogram, true_ranges: np.ndarray, tol_m: float) -> bool:

@@ -25,7 +25,9 @@ sizes, desk by default); `--profile` belongs to these three only.
 
 Exit codes: 0 success, 2 config error (one `config error:` line per bad
 field, starting with the field's path, also for an output directory that
-cannot be created) or command-line error, 3 numeric failure.
+cannot be created) or command-line error, 3 numeric failure (one
+`numeric failure in <experiment>:` line, also for a valid config whose
+arrays are too large to allocate).
 """
 from __future__ import annotations
 
@@ -46,6 +48,7 @@ from .alloc import (
     ResourceAllocation,
     _as_tuple,
     _check_number,
+    _csv_cells,
     _write_csv,
     hole_fill_curve,
     make_allocation,
@@ -276,16 +279,18 @@ def _exp_crlb_table(
         "nested": fixed["nested"],
         "clustered": fixed["equivalent_bandwidth"],
     }
-    rows = []
-    for label, alloc in allocs.items():
-        rep = crlb_report(alloc, params, amplitude, noise_var)
-        extent = int(alloc.indices.max() - alloc.indices.min())
-        floor_m = math.sqrt(rep.crlb_range_m2)
-        rows.append([label, rep.n_active, extent, rep.crlb_delay_s2, rep.crlb_range_m2, floor_m])
+    reports = [crlb_report(alloc, params, amplitude, noise_var) for alloc in allocs.values()]
     _write_csv(
         out / "crlb_table.csv",
         ["allocation", "n_active", "extent", "crlb_delay_s2", "crlb_range_m2", "range_rmse_floor_m"],
-        rows,
+        [
+            list(allocs),
+            [rep.n_active for rep in reports],
+            [int(alloc.indices.max() - alloc.indices.min()) for alloc in allocs.values()],
+            [rep.crlb_delay_s2 for rep in reports],
+            [rep.crlb_range_m2 for rep in reports],
+            [math.sqrt(rep.crlb_range_m2) for rep in reports],
+        ],
     )
     report = crlb_report(random, params, amplitude, noise_var)
     (out / "crlb_random.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
@@ -296,30 +301,30 @@ def _exp_hole_probability(
     params: OfdmParams, axis: tuple, seed: int, out: Path, threads: int, **curve_args
 ) -> list[str]:
     seeds = np.random.SeedSequence(seed).spawn(len(axis))
-    long_rows = []
-    summary_rows = []
-    for n_active, child in zip(axis, seeds):
-        curve = hole_fill_curve(params.n_subcarriers, n_active, seed=child, **curve_args)
-        columns = (curve.lags, curve.fill_probability, curve.fill_halfwidth)
-        long_rows.extend([n_active, *row] for row in zip(*(c.tolist() for c in columns)))
-        summary_rows.append(
-            [
-                n_active,
-                curve.min_fill_probability,
-                curve.all_filled_probability,
-                curve.all_filled_halfwidth,
-                curve.n_trials,
-            ]
-        )
+    curves = [
+        hole_fill_curve(params.n_subcarriers, n_active, seed=child, **curve_args)
+        for n_active, child in zip(axis, seeds)
+    ]
     _write_csv(
         out / "hole_fill.csv",
         ["n_active", "lag", "fill_probability", "ci_halfwidth"],
-        long_rows,
+        [
+            [c.n_active for c in curves for _ in range(c.lags.size)],
+            np.concatenate([c.lags for c in curves]),
+            np.concatenate([c.fill_probability for c in curves]),
+            np.concatenate([c.fill_halfwidth for c in curves]),
+        ],
     )
     _write_csv(
         out / "hole_fill_summary.csv",
         ["n_active", "min_fill_probability", "all_filled_probability", "all_filled_ci", "trials"],
-        summary_rows,
+        [
+            [c.n_active for c in curves],
+            [c.min_fill_probability for c in curves],
+            [c.all_filled_probability for c in curves],
+            [c.all_filled_halfwidth for c in curves],
+            [c.n_trials for c in curves],
+        ],
     )
     return ["hole_fill.csv", "hole_fill_summary.csv"]
 
@@ -334,21 +339,23 @@ def _exp_ambiguity(
     delays = np.linspace(-delay_span_bins, delay_span_bins, delay_points) * delay_bin
     dopplers = np.linspace(-doppler_span_bins, doppler_span_bins, doppler_points) * doppler_bin
     surf = ambiguity_function(alloc, params, delays, dopplers)
-    # one row per (Doppler, delay) cell, Doppler-major like the surface
-    cells = (
-        np.tile(delays, doppler_points), np.repeat(dopplers, delay_points),
-        surf.direct.ravel(), surf.virtual.ravel(),
-    )
+    # one row per (Doppler, delay) cell, Doppler-major like the surface; each
+    # axis value is formatted once and its text repeated
+    delay_text = _csv_cells(delays)
     _write_csv(
         out / "ambiguity.csv",
         ["delay_s", "doppler_hz", "direct_magnitude", "virtual_magnitude"],
-        zip(*(column.tolist() for column in cells)),
+        [
+            delay_text * doppler_points,
+            [d for d in _csv_cells(dopplers) for _ in range(delay_points)],
+            surf.direct.ravel(),
+            surf.virtual.ravel(),
+        ],
     )
-    cut = (delays, surf.direct_delay_cut(), surf.virtual_delay_cut())
     _write_csv(
         out / "ambiguity_delay_cut.csv",
         ["delay_s", "direct_magnitude", "virtual_magnitude"],
-        zip(*(column.tolist() for column in cut)),
+        [delay_text, surf.direct_delay_cut(), surf.virtual_delay_cut()],
     )
     return ["ambiguity.csv", "ambiguity_delay_cut.csv"]
 
@@ -362,8 +369,9 @@ def _exp_two_target_demo(demo_cfg: TwoTargetDemoConfig, out: Path, threads: int)
         out / "demo_summary.csv",
         ["method", "both_detected_rate", "runs"],
         [
-            ["direct_sparse", result.direct_success_rate, demo_cfg.n_runs],
-            ["autocorrelation", result.virtual_success_rate, demo_cfg.n_runs],
+            ["direct_sparse", "autocorrelation"],
+            [result.direct_success_rate, result.virtual_success_rate],
+            [demo_cfg.n_runs] * 2,
         ],
         comment=_SNR_NOTE,
     )
@@ -533,8 +541,8 @@ def _cmd_run(args, experiment: str | None = None) -> int:
     out = _out_dir(args, cfg)
     try:
         outputs = run_experiment(cfg, out, threads=_threads(args))
-    except SingularFimError as exc:
-        print(f"numeric failure in {cfg['experiment']}: {exc}", file=sys.stderr)
+    except (SingularFimError, MemoryError) as exc:  # MemoryError: too large to allocate
+        print(f"numeric failure in {cfg['experiment']}: {exc or 'out of memory'}", file=sys.stderr)
         return 3
     for name in outputs:
         print(out / name)

@@ -86,8 +86,7 @@ class Periodogram:
         return self.axis * SPEED_OF_LIGHT / 2.0
 
     def to_csv(self, path, comment: str | None = None) -> None:
-        rows = zip(self.axis.tolist(), self.values.tolist())
-        _write_csv(path, ["axis_value", "magnitude"], rows, comment)
+        _write_csv(path, ["axis_value", "magnitude"], [self.axis, self.values], comment)
 
 
 @dataclass(frozen=True)
@@ -147,16 +146,16 @@ class PeakList:
         return len(self.peaks) >= self.requested
 
     def to_csv(self, path) -> None:
+        ranks = range(1, len(self.peaks) + 1)
+        values = [p.refined_axis_value for p in self.peaks]
+        magnitudes = [p.magnitude for p in self.peaks]
         if self.domain == "doppler":
             header = ["rank", "doppler_hz", "magnitude"]
-            rows = [[p.refined_axis_value, p.magnitude] for p in self.peaks]
+            columns = [ranks, values, magnitudes]
         else:
             header = ["rank", "delay_s", "range_m", "magnitude"]
-            rows = [
-                [p.refined_axis_value, p.refined_axis_value * SPEED_OF_LIGHT / 2.0, p.magnitude]
-                for p in self.peaks
-            ]
-        _write_csv(path, header, ([rank, *row] for rank, row in enumerate(rows, start=1)))
+            columns = [ranks, values, [v * SPEED_OF_LIGHT / 2.0 for v in values], magnitudes]
+        _write_csv(path, header, columns)
 
 
 def _symbol_sum(grid: FreqGrid) -> np.ndarray:

@@ -129,8 +129,7 @@ class FreqGrid:
         """Active resource elements only, columns m, n, re, im."""
         rows = np.repeat(np.arange(self.n_symbols), self.alloc.cardinalities())
         values = self.active
-        cells = zip(rows.tolist(), self.cols.tolist(), values.real.tolist(), values.imag.tolist())
-        _write_csv(path, ["m", "n", "re", "im"], cells)
+        _write_csv(path, ["m", "n", "re", "im"], [rows, self.cols, values.real, values.imag])
 
 
 def _resolve_targets(scene: Scene, params: OfdmParams, seed):

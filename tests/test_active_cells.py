@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import sparse_isac as si
-from sparse_isac.alloc import _write_csv
+from csv_reference import write_csv_rows
 from sparse_isac.estimators import (
     _ROW_BLOCK,
     _lag_products,
@@ -128,7 +128,7 @@ def dense_csv(grid, path):
         for m, idx in enumerate(grid.alloc.per_symbol_indices)
         for n, v in zip(idx.tolist(), samples[m, idx].tolist())
     )
-    _write_csv(path, ["m", "n", "re", "im"], rows)
+    write_csv_rows(path, ["m", "n", "re", "im"], rows)
 
 
 def dense_measure_snr(grid, scene):

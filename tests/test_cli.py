@@ -358,6 +358,18 @@ class TestContract:
                 main_in_process("run", "--config", path, "--out", out)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    def test_surface_too_large_to_allocate_is_a_numeric_failure(self, tmp_path):
+        # 10**15 delay points need 7 PiB, more than any address space holds, so
+        # the first allocation fails at once under every overcommit policy
+        cfg = mutated("ambiguity", ["delay_points"], 10**15)
+        path, out = write_config(tmp_path, cfg), tmp_path / "out"
+        assert main_in_process("validate", "--config", path)[0] == 0
+        code, stdout, err = main_in_process("run", "--config", path, "--out", out)
+        assert (code, stdout) == (3, "")
+        assert err.startswith("numeric failure in ambiguity: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_existing_output_dir_keeps_unrelated_files(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
         out.mkdir()
