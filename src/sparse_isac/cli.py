@@ -162,9 +162,13 @@ def _build_hole_probability(cfg: dict, build: _Build, params, seed):
     return partial(_exp_hole_probability, params, axis, seed, **args)
 
 
+# Near 2**60 points a float64 axis's byte count overflows: NumPy then raises
+# ValueError, not the MemoryError (exit 3) of an axis merely too large.
+_AXIS_MAX_POINTS = 2**53
+
 _AMBIGUITY_AXES = {
-    "delay_points": dict(integer=True, minimum=3),
-    "doppler_points": dict(integer=True, minimum=3),
+    "delay_points": dict(integer=True, minimum=3, maximum=_AXIS_MAX_POINTS),
+    "doppler_points": dict(integer=True, minimum=3, maximum=_AXIS_MAX_POINTS),
     "delay_span_bins": dict(positive=True),
     "doppler_span_bins": dict(positive=True),
 }

@@ -6,7 +6,8 @@ Three estimators work off the same received grid:
   oversampled inverse transform maps subcarriers to delay;
 * single-target ML: direct maximization of the matched-phasor objective
   on the same delay grid (argmax provably coincides with the zero-fill
-  periodogram, but the code path is an independent direct evaluation);
+  periodogram; the check is a direct evaluation, no FFT, from one table of
+  roots of unity per call, with no cache and no BLAS call);
 * autocorrelation on the virtual aperture: per-symbol lag products build
   a signal on the difference set, coherent accumulation over the CPI
   suppresses the cross terms, and an inverse transform of the zero-filled
@@ -14,7 +15,6 @@ Three estimators work off the same received grid:
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -221,28 +221,23 @@ def _refine_bin(values: np.ndarray, idx: int) -> float:
     return idx + _parabolic_offset(math.log(vm1), math.log(v0), math.log(vp1))
 
 
-@functools.lru_cache(maxsize=8)
-def _steering_blocks(q_bins: int, active_key: bytes) -> tuple[np.ndarray, ...]:
-    """Chunked e^{j 2 pi q n / Q} blocks over the active subcarriers.
+_ML_SPLIT = 32  # B of the delay-bin split q = a B + b in _ml_objective
 
-    Building the exponentials dominates the direct ML search, so blocks
-    are cached per (grid size, active set bytes); Monte-Carlo loops reuse
-    them.  The blocks are shared between callers and read-only.
+
+def _ml_objective(z: np.ndarray, active: np.ndarray, q_bins: int) -> np.ndarray:
+    """|sum_k z_k e^{j 2 pi q n_k / Q}| at every q in 0..Q-1, evaluated
+    directly (no FFT).
+
+    Each phasor is read from one table of the Q roots of unity at the exact
+    integer (q n_k) mod Q, not computed by exp of an argument up to 2 pi n_k.
+    With q = a B + b (B = _ML_SPLIT) it is the product of the entries at
+    a B n_k and b n_k, so the Q x K sum is one contraction over k of an
+    A x K and a B x K table, which einsum runs in C, without BLAS.
     """
-    active = np.frombuffer(active_key, dtype=np.intp)
-    chunk = 4096
-    blocks = tuple(
-        np.exp(
-            2j
-            * np.pi
-            * np.outer(np.arange(q0, min(q0 + chunk, q_bins)), active)
-            / q_bins
-        )
-        for q0 in range(0, q_bins, chunk)
-    )
-    for block in blocks:
-        block.setflags(write=False)
-    return blocks
+    roots = np.exp(2j * np.pi * np.arange(q_bins) / q_bins)
+    outer = roots[np.outer(np.arange(0, q_bins, _ML_SPLIT), active) % q_bins] * z
+    inner = roots[np.outer(np.arange(_ML_SPLIT), active) % q_bins]
+    return np.abs(np.einsum("ak,bk->ab", outer, inner).ravel()[:q_bins])
 
 
 def ml_single_target(
@@ -251,9 +246,13 @@ def ml_single_target(
     """Single-target ML delay estimate.
 
     Maximizes |sum_m sum_{n active} Y_m[n] e^{j 2 pi n df tau}| over the
-    oversampled delay grid by direct evaluation of the objective (no FFT),
-    optionally refined by a parabolic fit on log-magnitude.  Documented
-    single-target assumption; nothing is enforced.
+    oversampled delay grid, optionally refined by a parabolic fit on
+    log-magnitude.  Documented single-target assumption; nothing is
+    enforced.  The objective is evaluated directly at every bin (no FFT),
+    an independent check on the zero-fill periodogram, from one table of
+    roots of unity per call (_ml_objective): cheap enough to need no cache
+    on a fresh allocation, and free of BLAS, whose worker threads spin
+    after each call and doubled the CPU time of an estimate.
     """
     oversample = _check_number("oversample", oversample, integer=True, minimum=1)
     params = grid.params
@@ -262,10 +261,7 @@ def ml_single_target(
     if not np.any(grid.active):
         raise ValueError("grid is empty (all-zero samples)")
     active = np.flatnonzero(grid.alloc.column_counts())
-    z = _symbol_sum(grid)[active]
-    values = np.concatenate(
-        [np.abs(block @ z) for block in _steering_blocks(q_bins, active.tobytes())]
-    )
+    values = _ml_objective(_symbol_sum(grid)[active], active, q_bins)
     best = int(np.argmax(values))
     pos = _refine_bin(values, best) if refine else float(best)
     bin_width = 1.0 / (q_bins * params.subcarrier_spacing_hz)

@@ -15,9 +15,9 @@ from csv_reference import write_csv_rows
 from sparse_isac.estimators import (
     _ROW_BLOCK,
     _lag_products,
+    _ml_objective,
     _noncoherent_delay,
     _refine_bin,
-    _steering_blocks,
 )
 
 N = 40
@@ -83,10 +83,7 @@ def dense_ml(grid, oversample):
     """(bin, peak value, refined delay) of the direct ML search."""
     q_bins = oversample * N
     active = np.flatnonzero(grid.alloc.column_counts())
-    z = grid.samples.sum(axis=0)[active]
-    values = np.concatenate(
-        [np.abs(block @ z) for block in _steering_blocks(q_bins, active.tobytes())]
-    )
+    values = _ml_objective(grid.samples.sum(axis=0)[active], active, q_bins)
     best = int(np.argmax(values))
     pos = _refine_bin(values, best)
     bin_width = 1.0 / (q_bins * grid.params.subcarrier_spacing_hz)

@@ -304,6 +304,10 @@ PROBES = [
     ("subcarrier_spacing_hz", mutated("crlb_table", ["ofdm", "subcarrier_spacing_hz"], math.nan)),
     ("distance_m", mutated("rmse_pslr_sweep", ["scene", "targets", 0, "distance_m"], math.nan)),
     ("snr_db", mutated("two_target_demo", ["snr_db"], math.nan)),
+    # 8 bytes a point overflow a 64-bit byte count: NumPy would raise
+    # ValueError, not the MemoryError of a merely too large axis
+    ("delay_points", mutated("ambiguity", ["delay_points"], 2**62)),
+    ("doppler_points", mutated("ambiguity", ["doppler_points"], 10**20)),
 ]
 
 
@@ -315,7 +319,7 @@ class TestContract:
             code, _, err = main_in_process(*args)
             assert code == 2, err
             assert field in err
-            assert err.startswith("config error: ")
+            assert err.startswith("config error: ") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize(

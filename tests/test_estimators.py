@@ -1,10 +1,11 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import sparse_isac as si
-from sparse_isac.estimators import _ROW_BLOCK, accumulate_cpi, autocorrelate_symbol
+from sparse_isac.estimators import _ROW_BLOCK, _ml_objective, accumulate_cpi, autocorrelate_symbol
 
 C = si.SPEED_OF_LIGHT
 
@@ -22,6 +23,18 @@ def on_grid_target(params, bin_index, amplitude=1.0, velocity=0.0, phase=0.0):
 
 def noiseless_grid(params, alloc, targets, seed=0):
     return si.synthesize(si.Scene(targets=targets, noise_variance_w=0.0), alloc, params, seed=seed)
+
+
+def bits(a):
+    """The raw bits of values as float64, so -0.0 != +0.0."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def exp_gemv_ml(z, active, q_bins):
+    """Reference ML objective: exp of every 2 pi q n_k / Q, then one
+    matrix-vector product with the active symbol sums z."""
+    steering = np.exp(2j * np.pi * np.outer(np.arange(q_bins), active) / q_bins)
+    return np.abs(steering @ z)
 
 
 def brute_force_lag_products(row, indices):
@@ -138,21 +151,20 @@ class TestMlSingleTarget:
         est = si.ml_single_target(grid, oversample=4, refine=False)
         assert est.bin_index == p.argmax_bin
 
-    def test_repeated_allocation_stays_cached_among_fresh_ones(self):
-        from sparse_isac.estimators import _steering_blocks
-
+    def test_interleaved_allocations_match_isolated_calls(self):
+        # fresh draws alternate with one repeated allocation; no call leaves
+        # state behind, so each grid gives the bits of its call on its own
         params = make_params(n=32, m=2)
         fixed = si.make_allocation(params, "nested", inner=3, outer=4)
-        t = si.Target(distance_m=40.0, amplitude=1.0)
-        scene = si.Scene(targets=(t,), snr_db=10.0)
-        _steering_blocks.cache_clear()
-        for k in range(20):  # alternate fresh draws with the repeated allocation
+        scene = si.Scene(targets=(si.Target(distance_m=40.0, amplitude=1.0),), snr_db=10.0)
+        grids = []
+        for k in range(20):
             fresh = si.make_allocation(params, "random", n_active=8, seed=k)
-            si.ml_single_target(si.synthesize(scene, fresh, params, seed=k))
-            si.ml_single_target(si.synthesize(scene, fixed, params, seed=k))
-        info = _steering_blocks.cache_info()
-        assert info.hits >= 19
-        assert info.currsize <= 8
+            grids += [si.synthesize(scene, a, params, seed=k) for a in (fresh, fixed)]
+        interleaved = [si.ml_single_target(g) for g in grids]
+        for grid, got in reversed(list(zip(grids, interleaved))):
+            alone = si.ml_single_target(grid)
+            assert np.array_equal(bits(astuple(got)), bits(astuple(alone)))
 
     def test_refinement_beats_grid_quantization(self):
         params = make_params(n=128, m=8)
@@ -176,6 +188,69 @@ class TestMlSingleTarget:
         )
         with pytest.raises(ValueError):
             si.ml_single_target(grid)
+
+
+def ml_case_grid(pattern, n):
+    """A desk-like grid (M = 32, one off-grid target at 0 dB) on one
+    allocation shape the ML kernel must handle."""
+    params = make_params(n=n, m=32)
+    if pattern == "full":
+        alloc = si.make_allocation(params, "full")
+    elif pattern == "nested":
+        inner, outer = si.nested_params_for(64, n)
+        alloc = si.make_allocation(params, "nested", inner=inner, outer=outer)
+    elif pattern == "per_symbol":  # the active columns are the union over symbols
+        rng = np.random.default_rng(4)
+        indices = [rng.choice(n, size=20, replace=False) for _ in range(params.n_symbols)]
+        alloc = si.make_allocation(params, "custom", indices=indices)
+    else:  # "random", "summed" or "k2"
+        n_active = 2 if pattern == "k2" else min(64, n)
+        alloc = si.make_allocation(params, "random", n_active=n_active, seed=1)
+    target = si.Target(distance_m=0.37 * n * params.range_bin_m, amplitude=1.0)
+    scene = si.Scene(targets=(target,), snr_db=0.0)
+    return si.synthesize(scene, alloc, params, seed=9, symbol_sum=pattern == "summed")
+
+
+class TestMlKernel:
+    """The root-of-unity kernel against the exp + matrix-vector reference."""
+
+    @pytest.mark.parametrize(
+        "pattern, n, oversample",
+        [
+            ("random", 256, 4),
+            ("full", 256, 4),
+            ("nested", 256, 4),
+            ("per_symbol", 256, 4),
+            ("summed", 256, 4),
+            ("random", 256, 1),
+            ("random", 256, 3),
+            ("random", 256, 8),
+            ("random", 37, 3),  # Q = 111 is no multiple of the split
+            ("k2", 256, 4),
+            ("k2", 2, 4),  # N = 2
+        ],
+    )
+    def test_matches_exp_gemv_reference(self, pattern, n, oversample):
+        grid = ml_case_grid(pattern, n)
+        q_bins = oversample * n
+        active = np.flatnonzero(grid.alloc.column_counts())
+        z = grid.samples.sum(axis=0)[active]
+        want = exp_gemv_ml(z, active, q_bins)
+        got = _ml_objective(z, active, q_bins)
+        assert got.shape == (q_bins,)
+        assert np.abs(got - want).max() <= 1e-12 * want.max()
+        est = si.ml_single_target(grid, oversample=oversample)
+        assert est.n_bins == q_bins
+        assert est.bin_index == int(np.argmax(want))
+        assert est.peak_value == pytest.approx(want.max(), rel=1e-12)
+
+    def test_closed_form_phasor_sum(self):
+        # exact sums: all-ones weights on the full band are N at q = 0 and
+        # vanish wherever q is a nonzero multiple of the oversample factor
+        n, oversample = 16, 3
+        got = _ml_objective(np.ones(n, dtype=complex), np.arange(n), oversample * n)
+        assert got[0] == pytest.approx(n, rel=1e-14)
+        assert np.all(got[oversample::oversample] < 1e-12 * n)
 
 
 class TestAutocorrelation:
