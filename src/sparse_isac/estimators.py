@@ -40,10 +40,8 @@ __all__ = [
     "doppler_periodogram",
 ]
 
-# Symbols per block B when _row_transforms walks the CPI.  Its workspace
-# holds 2 * B * n_fft complex values: at N = 1000, 4 MB for the 2N-point
-# transforms of build_virtual_signal and 8 MB for the 4N-point ones of
-# the Doppler delay pre-step.
+# Symbols per block B when _cpi_power walks the CPI.  Its one workspace
+# holds 2 * B * 2N complex values: 4 MB at N = 1000.
 _ROW_BLOCK = 64
 
 
@@ -323,16 +321,16 @@ def accumulate_cpi(signals: list[VirtualSignal] | tuple[VirtualSignal, ...]) -> 
     )
 
 
-def _row_transforms(grid: FreqGrid, n_fft: int, transform):
-    """Yield transform(Y, n=n_fft) along the rows Y of the dense grid, one
-    (k, n_fft) array per block of k <= _ROW_BLOCK symbols.
+def _cpi_power(grid: FreqGrid) -> np.ndarray:
+    """sum_m |FFT_2N(Y_m)|^2 over the rows Y_m of the dense grid: the
+    transform of the CPI lag sums R[s] = sum_m sum_{i-j=s} Y_m[i] conj(Y_m[j]).
 
-    Each block is scattered from the active values into the zero-padded
-    front half of one (2, B, n_fft) workspace and transformed into its
-    back half with `out=`, so no block allocates.  A per-symbol
-    allocation zeroes the block first; a constant one rewrites the same
-    columns.  The next block overwrites the yielded array.  Raises
-    ValueError on a summed grid.
+    Each block of B <= _ROW_BLOCK rows is scattered from the active values
+    into the zero-padded front half of one (2, B, 2N) workspace (a
+    per-symbol allocation zeroes it first; a constant one rewrites the same
+    columns) and forward-transformed into its back half with `out=`.  Two
+    (B, 2N) arrays freed together at N = 256 had their pages returned and
+    faulted in again by the next call.  Raises ValueError on a summed grid.
     """
     n_symbols, n = grid.n_symbols, grid.n_subcarriers
     if grid.alloc.is_constant:
@@ -341,7 +339,8 @@ def _row_transforms(grid: FreqGrid, n_fft: int, transform):
         cols, starts = grid.cols, np.append(grid.starts, grid.active.size)
         # row of each active value within its block
         block_row = np.repeat(np.arange(n_symbols) % _ROW_BLOCK, grid.alloc.cardinalities())
-    rows, out = np.zeros((2, min(_ROW_BLOCK, n_symbols), n_fft), dtype=np.complex128)
+    rows, out = np.zeros((2, min(_ROW_BLOCK, n_symbols), 2 * n), dtype=np.complex128)
+    power = np.zeros(2 * n)
     for r0 in range(0, n_symbols, _ROW_BLOCK):
         k = min(_ROW_BLOCK, n_symbols - r0)
         if grid.alloc.is_constant:
@@ -350,7 +349,11 @@ def _row_transforms(grid: FreqGrid, n_fft: int, transform):
             lo, hi = starts[r0], starts[r0 + k]
             rows[:k, :n] = 0.0
             rows[block_row[lo:hi], cols[lo:hi]] = grid.active[lo:hi]
-        yield transform(rows[:k], axis=-1, out=out[:k])
+        # re^2 and im^2 summed over the block's symbols, interleaved by bin
+        v = np.fft.fft(rows[:k], axis=-1, out=out[:k]).view(np.float64)
+        s = np.einsum("mk,mk->k", v, v)
+        power += s[0::2] + s[1::2]
+    return power
 
 
 def build_virtual_signal(grid: FreqGrid) -> tuple[VirtualSignal, VirtualAperture]:
@@ -362,22 +365,13 @@ def build_virtual_signal(grid: FreqGrid) -> tuple[VirtualSignal, VirtualAperture
     ValueError on a summed grid, which has no per-symbol values.
 
     The CPI mean is linear, so it moves inside the inverse transform:
-    (1/M) sum_m IFFT(|FFT_2N(Y_m)|^2) = IFFT((1/M) sum_m |FFT_2N(Y_m)|^2),
-    one inverse FFT per grid instead of M.  The power sum runs over the
-    row blocks of _row_transforms, so neither the dense grid nor an
-    (M, 2N) transform is held at once.  Its padded rows and their
-    transform share one (2, B, 2N) allocation: as two (B, 2N) arrays
-    freed together at N = 256, the allocator returned their pages and
-    later calls page-faulted them in again.  The per-symbol reference
-    path is accumulate_cpi([autocorrelate_symbol(grid, m, aperture) ...]),
-    which agrees up to float round-off.
+    (1/M) sum_m IFFT(|FFT_2N(Y_m)|^2) = IFFT(_cpi_power / M), one inverse
+    FFT per grid instead of M.  The per-symbol reference path is
+    accumulate_cpi([autocorrelate_symbol(grid, m, aperture) ...]), which
+    agrees up to float round-off.
     """
     aperture = difference_set(grid.alloc)
-    power = np.zeros(2 * aperture.n_subcarriers)
-    for f in _row_transforms(grid, power.size, np.fft.fft):
-        # re^2 + im^2 summed over the block's symbols, per bin
-        power += np.einsum("mk,mk->k", f.real, f.real) + np.einsum("mk,mk->k", f.imag, f.imag)
-    vals = _lags_from_power(power / grid.n_symbols, aperture)
+    vals = _lags_from_power(_cpi_power(grid) / grid.n_symbols, aperture)
     vs = VirtualSignal(
         values=vals, aperture=aperture, accumulated=True, n_symbols=grid.n_symbols
     )
@@ -457,24 +451,29 @@ def detect_peaks(p: Periodogram, k: int = 1, min_separation: int = 1) -> PeakLis
     return PeakList(peaks=tuple(peaks), requested=k, domain=p.domain)
 
 
-def _noncoherent_delay(grid: FreqGrid, oversample: int) -> float:
-    """Delay from the symbol-incoherent power profile.
+def _noncoherent_profile(grid: FreqGrid, q_bins: int) -> np.ndarray:
+    """Q sum_m |IFFT_Q(Y_m)|^2 on the Q = q_bins point delay grid.
 
-    Summing per-symbol spectral power keeps moving targets visible (a
+    This symbol-incoherent power keeps moving targets visible, where a
     coherent symbol sum nulls out whenever the Doppler phase wraps whole
-    cycles over the CPI), which makes this the right pre-step for
-    picking the Doppler slice.
+    cycles over the CPI.  It equals IFFT_Q(R), R the CPI lag sums of
+    _cpi_power on Q taps; when Q < 2N - 1 (oversample 1) the lags
+    -(N-1)..N-1 fold mod Q, and the rows, transformed at 2N, are twice Q
+    long.  Real up to round-off: an exact null can come out negative.
     """
-    params = grid.params
-    q_bins = oversample * params.n_subcarriers
-    profile = np.zeros(q_bins)
-    for f in _row_transforms(grid, q_bins, np.fft.ifft):
-        # the rows add in symbol order, as in a sum over the whole CPI
-        s = np.abs(f) ** 2
-        s[0] += profile
-        profile = s.sum(axis=0)
+    n = grid.n_subcarriers
+    lags = np.fft.ifft(_cpi_power(grid))  # R[s] at s mod 2N
+    taps = np.zeros(q_bins, dtype=np.complex128)
+    taps[:n] = lags[:n]
+    taps[q_bins - n + 1 :] += lags[n + 1 :]  # negative lags, onto 1..N-1 if Q = N
+    return np.fft.ifft(taps).real
+
+
+def _noncoherent_delay(grid: FreqGrid, oversample: int) -> float:
+    """Delay at the refined peak of _noncoherent_profile: the Doppler pre-step."""
+    profile = _noncoherent_profile(grid, oversample * grid.n_subcarriers)
     pos = _refine_bin(profile, int(np.argmax(profile)))
-    return (pos % q_bins) / (q_bins * params.subcarrier_spacing_hz)
+    return (pos % profile.size) / (profile.size * grid.params.subcarrier_spacing_hz)
 
 
 def doppler_periodogram(

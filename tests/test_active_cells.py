@@ -2,7 +2,8 @@
 
 Each reference below is the whole-grid formula, run on the dense view
 `grid.samples`.  The active-cell code must give the same bits, except
-the Doppler matched sum, whose additions run in a different order.
+the Doppler matched sum and the Doppler delay pre-step, whose additions
+run in a different order.
 """
 import math
 import tracemalloc
@@ -17,6 +18,7 @@ from sparse_isac.estimators import (
     _lag_products,
     _ml_objective,
     _noncoherent_delay,
+    _noncoherent_profile,
     _refine_bin,
 )
 
@@ -101,11 +103,18 @@ def dense_virtual(grid, aperture):
     return acf[np.mod(aperture.lags, n_fft)] / aperture.pair_counts
 
 
+def dense_noncoherent_profile(grid, q_bins):
+    """sum_m |IFFT_Q(Y_m)|^2, one Q-point transform per row."""
+    return (np.abs(np.fft.ifft(grid.samples, n=q_bins, axis=1)) ** 2).sum(axis=0)
+
+
 def dense_noncoherent_delay(grid, oversample):
-    q_bins = oversample * N
-    profile = (np.abs(np.fft.ifft(grid.samples, n=q_bins, axis=1)) ** 2).sum(axis=0)
-    pos = _refine_bin(profile, int(np.argmax(profile)))
-    return (pos % q_bins) / (q_bins * grid.params.subcarrier_spacing_hz)
+    """(bin, refined delay) of the symbol-incoherent power profile."""
+    q_bins = oversample * grid.n_subcarriers
+    profile = dense_noncoherent_profile(grid, q_bins)
+    best = int(np.argmax(profile))
+    pos = _refine_bin(profile, best)
+    return best, (pos % q_bins) / (q_bins * grid.params.subcarrier_spacing_hz)
 
 
 def dense_doppler(grid, oversample, delay_s):
@@ -194,8 +203,13 @@ class TestAgainstDenseGrid:
         assert np.array_equal(bits(vs.values), bits(want))
 
     def test_noncoherent_delay(self, case):
+        """The lag-sum profile adds in another order than the per-row one, so
+        the refined delay may move in its last bits; the peak bin may not."""
         _, grid = case
-        assert bits(_noncoherent_delay(grid, 4)) == bits(dense_noncoherent_delay(grid, 4))
+        best, delay = dense_noncoherent_delay(grid, 4)
+        assert int(np.argmax(_noncoherent_profile(grid, 4 * N))) == best
+        bin_width = 1.0 / (4 * N * grid.params.subcarrier_spacing_hz)
+        assert abs(_noncoherent_delay(grid, 4) - delay) <= 1e-9 * bin_width
 
     @pytest.mark.parametrize("delay_s", [None, 1.3e-6])
     def test_doppler_to_round_off(self, case, delay_s):
@@ -214,6 +228,41 @@ class TestAgainstDenseGrid:
     def test_measure_snr(self, case):
         scene, grid = case
         assert bits(si.measure_snr(grid, scene)) == bits(dense_measure_snr(grid, scene))
+
+
+@pytest.mark.parametrize("oversample", [1, 2, 8])  # Q < 2N - 1 folds; Q = 2N
+@pytest.mark.parametrize("m", [_ROW_BLOCK - 5, 2 * _ROW_BLOCK + 3])
+@pytest.mark.parametrize(
+    "n, pattern",
+    [(N, "full"), (N, "random"), (N, "per_symbol"), (2, "full"), (2, "per_symbol")],
+)
+@pytest.mark.parametrize("on_grid", [False, True], ids=["noisy", "noiseless-on-grid"])
+def test_noncoherent_profile(n, pattern, m, oversample, on_grid):
+    """The lag-sum profile against the per-row sum of |IFFT_Q|^2.  A
+    noiseless target on a delay bin gives exact nulls (every one on a full
+    allocation), which the lag-sum route may put a round-off below zero."""
+    params = si.OfdmParams(n, m, 120e3, 24e9)
+    if n == N:
+        alloc = make_alloc(pattern, params)
+    elif pattern == "full":
+        alloc = si.ResourceAllocation.constant(np.arange(n), m, n)
+    else:
+        rng = np.random.default_rng(m)
+        rows = tuple(rng.choice(n, size=rng.integers(1, n + 1), replace=False) for _ in range(m))
+        alloc = si.ResourceAllocation(per_symbol_indices=rows, n_subcarriers=n)
+    if on_grid:
+        delay = (n // 3 + 1) / (n * params.subcarrier_spacing_hz)  # a bin at oversample 1
+        target = si.Target(distance_m=delay * si.SPEED_OF_LIGHT / 2.0, amplitude=1.0)
+        scene = si.Scene(targets=(target,), noise_variance_w=0.0)
+    else:
+        target = si.Target(distance_m=310.0, velocity_mps=15.0, amplitude=1.0)
+        scene = si.Scene(targets=(target,), snr_db=0.0)
+    grid = si.synthesize(scene, alloc, params, seed=7)
+    q_bins = oversample * n
+    got = _noncoherent_profile(grid, q_bins)
+    want = dense_noncoherent_profile(grid, q_bins) * q_bins
+    assert np.abs(got - want).max() <= 1e-13 * want.max()
+    assert np.argmax(got) == np.argmax(want)
 
 
 def test_calls_share_no_workspace():
