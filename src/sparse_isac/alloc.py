@@ -9,7 +9,7 @@ the full range -(N-1)..N-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -174,92 +174,117 @@ def _as_index_array(indices, n_subcarriers: int) -> np.ndarray:
     return idx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ResourceAllocation:
-    """Per-symbol active subcarrier index sets.
+    """Active subcarrier index sets, one per OFDM symbol, and the one layout
+    of the active cells: row-major, ascending within each symbol.
 
-    Stored index sets are ascending, duplicate-free, read-only copies of the
-    input.  Each distinct input array is validated once, so all symbols of
-    a constant allocation share one stored array; `is_constant` is decided
-    at construction.  Patterns produced by make_allocation are identical
-    for every OFDM symbol; custom allocations may vary per symbol (the CRLB
-    machinery supports that, the autocorrelation estimator does not).
-    `mask()` builds a fresh boolean array on each call.
+    Each input array is validated into an ascending, duplicate-free,
+    read-only copy.  A constant allocation stores that one set in `_cols`
+    (O(K) whatever M; `_starts` is None); any other stores CSR: `_cols`
+    holds the subcarrier of every active cell and `_starts` the M+1 symbol
+    offsets into it.  Every other view derives from these.  Only a
+    constant allocation has a difference set (virtual aperture).
     """
 
-    per_symbol_indices: tuple[np.ndarray, ...]
+    _cols: np.ndarray
+    n_symbols: int
     n_subcarriers: int
-    is_constant: bool = field(init=False, repr=False, compare=False)
+    _starts: np.ndarray | None = None
 
-    def __post_init__(self):
-        if len(self.per_symbol_indices) < 1:
-            raise ValueError("allocation needs at least one symbol")
-        # constant() passes one array object for every symbol
-        by_id: dict[int, np.ndarray] = {}
-        for idx in self.per_symbol_indices:
-            if id(idx) not in by_id:
-                by_id[id(idx)] = _as_index_array(idx, self.n_subcarriers)
-        cleaned = tuple(by_id[id(idx)] for idx in self.per_symbol_indices)
-        head = cleaned[0]
-        object.__setattr__(self, "per_symbol_indices", cleaned)
-        object.__setattr__(
-            self,
-            "is_constant",
-            all(idx is head or np.array_equal(idx, head) for idx in cleaned),
+    def __init__(self, per_symbol_indices, n_subcarriers: int):
+        _check_number("n_subcarriers", n_subcarriers, integer=True, minimum=1)
+        sets = tuple(per_symbol_indices)
+        _check_number("n_symbols", len(sets), integer=True, minimum=1)
+        cleaned = [_as_index_array(idx, n_subcarriers) for idx in sets]
+        head, starts = cleaned[0], None
+        if not all(np.array_equal(idx, head) for idx in cleaned[1:]):
+            head, starts = np.concatenate(cleaned), np.cumsum([0] + [i.size for i in cleaned])
+            head.setflags(write=False)
+            starts.setflags(write=False)
+        # frozen: the fields are set through __dict__, here and in constant()
+        vars(self).update(
+            _cols=head, _starts=starts, n_symbols=len(sets), n_subcarriers=n_subcarriers
         )
 
+    @classmethod
+    def constant(cls, indices, n_symbols: int, n_subcarriers: int):
+        """The same index set in every symbol, validated once: O(K) work."""
+        _check_number("n_subcarriers", n_subcarriers, integer=True, minimum=1)
+        _check_number("n_symbols", n_symbols, integer=True, minimum=1)
+        cols, alloc = _as_index_array(indices, n_subcarriers), cls.__new__(cls)
+        vars(alloc).update(_cols=cols, n_symbols=n_symbols, n_subcarriers=n_subcarriers)
+        return alloc
+
     def __eq__(self, other):
-        """By value: the same N and, symbol by symbol, the same index set.
-        Hashing stays the dataclass field hash, which arrays refuse."""
+        """By value: the same M, N and layout.  Hashing stays the dataclass
+        field hash, which arrays refuse."""
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (
-            self.n_subcarriers == other.n_subcarriers
-            and self.n_symbols == other.n_symbols
-            and all(map(np.array_equal, self.per_symbol_indices, other.per_symbol_indices))
+            (self.n_symbols, self.n_subcarriers) == (other.n_symbols, other.n_subcarriers)
+            and np.array_equal(self._cols, other._cols)
+            and np.array_equal(self.starts, other.starts)
         )
 
     @property
-    def n_symbols(self) -> int:
-        return len(self.per_symbol_indices)
+    def is_constant(self) -> bool:
+        return self._starts is None
 
     @property
     def indices(self) -> np.ndarray:
         """The common index set; raises if the allocation varies per symbol."""
         if not self.is_constant:
             raise ValueError("allocation varies across symbols; no single index set")
-        return self.per_symbol_indices[0]
+        return self._cols
 
     @property
     def n_active(self) -> int:
         return int(self.indices.size)
 
+    @property
+    def cols(self) -> np.ndarray:
+        """Subcarrier of every active cell, row-major."""
+        if self.is_constant:  # np.tile, without its Python overhead at desk size
+            return self._cols[None].repeat(self.n_symbols, axis=0).ravel()
+        return self._cols
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Offset in `cols` of each symbol's first cell, then the cell count: M+1."""
+        if self.is_constant:
+            return np.arange(0, (self.n_symbols + 1) * self._cols.size, self._cols.size)
+        return self._starts
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Symbol of every active cell, row-major."""
+        return np.repeat(np.arange(self.n_symbols), self.cardinalities())
+
+    @property
+    def per_symbol_indices(self) -> tuple[np.ndarray, ...]:
+        """Each symbol's read-only index set; one shared array if constant."""
+        if self.is_constant:
+            return (self._cols,) * self.n_symbols
+        return tuple(np.split(self._cols, self._starts[1:-1]))
+
     def cardinalities(self) -> np.ndarray:
-        return np.array([idx.size for idx in self.per_symbol_indices], dtype=np.int64)
+        starts = self.starts
+        return starts[1:] - starts[:-1]  # np.diff, without its overhead
 
     def column_counts(self) -> np.ndarray:
         """Number of symbols in which each subcarrier is active, shape (N,)."""
         if self.is_constant:
             out = np.zeros(self.n_subcarriers, dtype=np.intp)
-            out[self.indices] = self.n_symbols
+            out[self._cols] = self.n_symbols
             return out
-        return np.bincount(
-            np.concatenate(self.per_symbol_indices), minlength=self.n_subcarriers
-        )
+        return np.bincount(self._cols, minlength=self.n_subcarriers)
 
     def mask(self) -> np.ndarray:
-        """Boolean (n_symbols, n_subcarriers) activity mask."""
+        """Boolean (n_symbols, n_subcarriers) activity mask, built anew on each call."""
         out = np.zeros((self.n_symbols, self.n_subcarriers), dtype=bool)
-        if self.is_constant:
-            out[:, self.indices] = True
-        else:
-            for m, idx in enumerate(self.per_symbol_indices):
-                out[m, idx] = True
+        out[slice(None) if self.is_constant else self.rows, self._cols] = True
         return out
-
-    @classmethod
-    def constant(cls, indices, n_symbols: int, n_subcarriers: int):
-        return cls(per_symbol_indices=(indices,) * n_symbols, n_subcarriers=n_subcarriers)
 
 
 @dataclass(frozen=True)
@@ -451,31 +476,6 @@ def _binomial_halfwidth(p_hat: float, n: int) -> float:
     return 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
 
 
-def _random_subsets_with_endpoints(n, n_active, trial_seeds) -> np.ndarray:
-    """Boolean (trials, n) membership matrix; indices 0 and n-1 always active.
-
-    One child seed per trial so any partitioning over workers reproduces
-    the sequential result.
-    """
-    out = np.zeros((len(trial_seeds), n), dtype=bool)
-    out[:, 0] = True
-    out[:, n - 1] = True
-    interior = np.arange(1, n - 1)
-    for t, child in enumerate(trial_seeds):
-        rng = np.random.default_rng(child)
-        picked = rng.choice(interior, size=n_active - 2, replace=False)
-        out[t, picked] = True
-    return out
-
-
-def _fill_counts(membership: np.ndarray) -> np.ndarray:
-    """Per-trial lag pair counts for lags 0..n-1 via FFT correlation."""
-    n = membership.shape[1]
-    f = np.fft.rfft(membership.astype(np.float64), n=2 * n, axis=1)
-    acf = np.fft.irfft(f * np.conj(f), n=2 * n, axis=1)[:, :n]
-    return np.rint(acf)
-
-
 def hole_fill_probability(
     n_subcarriers: int,
     n_active: int,
@@ -489,16 +489,9 @@ def hole_fill_probability(
     n_active-2 indices are drawn uniformly without replacement.  Returns
     (estimate, 95% binomial half-width).
     """
-    n = n_subcarriers
-    _check_number("n_active", n_active, integer=True, minimum=2, maximum=n)
-    _check_number("lag", lag, integer=True, minimum=1, maximum=n - 1)
-    _check_number("n_trials", n_trials, integer=True, minimum=1)
-    if n_active == n:
-        return 1.0, 0.0
-    trial_seeds = np.random.SeedSequence(seed).spawn(n_trials)
-    member = _random_subsets_with_endpoints(n, n_active, trial_seeds)
-    filled = np.any(member[:, : n - lag] & member[:, lag:], axis=1)
-    p_hat = float(filled.mean())
+    _check_number("lag", lag, integer=True, minimum=1, maximum=n_subcarriers - 1)
+    curve = hole_fill_curve(n_subcarriers, n_active, n_trials, seed)
+    p_hat = float(curve.fill_probability[lag - 1])
     return p_hat, _binomial_halfwidth(p_hat, n_trials)
 
 
@@ -533,24 +526,21 @@ def hole_fill_curve(
     """
     n = n_subcarriers
     _check_number("n_active", n_active, integer=True, minimum=2, maximum=n)
-    lags = np.arange(1, n)
-    if n_active == n:
-        ones = np.ones(n - 1)
-        return HoleFillCurve(n, n_active, n_trials, lags, ones, np.zeros(n - 1), 1.0, 0.0)
+    _check_number("n_trials", n_trials, integer=True, minimum=1)
+    # membership per trial, 0 and n-1 always in; one child seed per trial,
+    # so any partitioning of the trials reproduces the sequential result
     trial_seeds = np.random.SeedSequence(seed).spawn(n_trials)
-    member = _random_subsets_with_endpoints(n, n_active, trial_seeds)
-    counts = _fill_counts(member)[:, 1:]  # drop lag 0
-    filled = counts > 0.5
+    member = np.zeros((n_trials, n))
+    member[:, [0, n - 1]] = 1.0
+    interior = np.arange(1, n - 1)
+    for t, child in enumerate(trial_seeds):
+        member[t, np.random.default_rng(child).choice(interior, n_active - 2, replace=False)] = 1.0
+    # per-trial pair counts of lags 1..n-1 by FFT correlation
+    f = np.fft.rfft(member, n=2 * n, axis=1)
+    filled = np.rint(np.fft.irfft(f * np.conj(f), n=2 * n, axis=1)[:, 1:n]) > 0.5
     p = filled.mean(axis=0)
     hw = 1.96 * np.sqrt(np.maximum(p * (1 - p), 0.0) / n_trials)
     p_all = float(filled.all(axis=1).mean())
     return HoleFillCurve(
-        n_subcarriers=n,
-        n_active=n_active,
-        n_trials=n_trials,
-        lags=lags,
-        fill_probability=p,
-        fill_halfwidth=hw,
-        all_filled_probability=p_all,
-        all_filled_halfwidth=_binomial_halfwidth(p_all, n_trials),
+        n, n_active, n_trials, np.arange(1, n), p, hw, p_all, _binomial_halfwidth(p_all, n_trials)
     )

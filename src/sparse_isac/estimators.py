@@ -336,9 +336,8 @@ def _cpi_power(grid: FreqGrid) -> np.ndarray:
     if grid.alloc.is_constant:
         block, cols = grid.block, grid.alloc.indices
     else:
-        cols, starts = grid.cols, np.append(grid.starts, grid.active.size)
-        # row of each active value within its block
-        block_row = np.repeat(np.arange(n_symbols) % _ROW_BLOCK, grid.alloc.cardinalities())
+        cols, starts = grid.cols, grid.alloc.starts
+        block_row = grid.alloc.rows % _ROW_BLOCK  # row of each active value within its block
     rows, out = np.zeros((2, min(_ROW_BLOCK, n_symbols), 2 * n), dtype=np.complex128)
     power = np.zeros(2 * n)
     for r0 in range(0, n_symbols, _ROW_BLOCK):

@@ -4,8 +4,8 @@ Works directly at the post-FFT per-resource-element level: each active
 cell (m, n) receives the coherent sum of target phasors plus circularly
 symmetric complex Gaussian noise.  Inactive cells are structural zeros,
 never noisy measurements, so estimators see noise only where something
-was actually observed.  A grid stores only its active cells; the dense
-(M, N) array is built on request.
+was actually observed.  A grid stores only its active cells, laid out
+by its allocation; the dense (M, N) array is built on request.
 
 A grid read only through its symbol sum sum_m Y_m[n] (the zero-fill
 periodogram and the ML search) can be synthesized as that sum directly:
@@ -32,10 +32,9 @@ class FreqGrid:
     """Received samples on the active cells of the time-frequency grid.
 
     A per-cell grid holds in `active` one complex value per active cell,
-    in row-major order: the order of `samples[alloc.mask()]`; `cols` and
-    `starts` give each value's subcarrier and each symbol's offset.  For a
-    constant allocation `block` is the (M, K) active block.  Inactive cells
-    are zeros by construction and are not stored.
+    in the cell layout of `alloc`, whose `cols` and `starts` it reads.  For
+    a constant allocation `block` is the (M, K) active block.  Inactive
+    cells are zeros by construction and are not stored.
 
     A summed grid (`symbol_sum=True`) holds in `active` the symbol sum
     sum_m Y_m[n] of each active column n, in ascending subcarrier order
@@ -61,7 +60,7 @@ class FreqGrid:
         if self.symbol_sum:
             n_values, what = int(np.count_nonzero(self.alloc.column_counts())), "columns"
         else:
-            n_values, what = int(self.alloc.cardinalities().sum()), "cells"
+            n_values, what = int(self.alloc.starts[-1]), "cells"
         if self.active.shape != (n_values,):
             raise ValueError(
                 f"active values of shape {self.active.shape} do not match the "
@@ -93,22 +92,21 @@ class FreqGrid:
     def cols(self) -> np.ndarray:
         """Subcarrier index of each entry of `active`."""
         self._per_cell()
-        return np.concatenate(self.alloc.per_symbol_indices)
+        return self.alloc.cols
 
     @property
     def starts(self) -> np.ndarray:
         """Offset in `active` of each symbol's first value."""
         self._per_cell()
-        cards = self.alloc.cardinalities()
-        return np.cumsum(cards) - cards
+        return self.alloc.starts[:-1]
 
     def row(self, m: int) -> np.ndarray:
         """Dense row m of `samples`, a new (N,) array built from that
         symbol's active values only."""
-        idx = self.alloc.per_symbol_indices[m]
-        start = self.starts[m]
+        m = range(self.n_symbols)[m]  # negative m counts from the end
+        lo, hi = self.alloc.starts[m : m + 2]
         out = np.zeros(self.n_subcarriers, dtype=self.active.dtype)
-        out[idx] = self.active[start : start + idx.size]
+        out[self.cols[lo:hi]] = self.active[lo:hi]
         return out
 
     @property
@@ -127,9 +125,8 @@ class FreqGrid:
 
     def dump_csv(self, path) -> None:
         """Active resource elements only, columns m, n, re, im."""
-        rows = np.repeat(np.arange(self.n_symbols), self.alloc.cardinalities())
-        values = self.active
-        _write_csv(path, ["m", "n", "re", "im"], [rows, self.cols, values.real, values.imag])
+        cols, values = self.cols, self.active
+        _write_csv(path, ["m", "n", "re", "im"], [self.alloc.rows, cols, values.real, values.imag])
 
 
 def _resolve_targets(scene: Scene, params: OfdmParams, seed):
@@ -206,7 +203,7 @@ def synthesize(
     elif alloc.is_constant:
         rows, cols = m_idx[:, None], alloc.indices
     else:
-        rows, cols = np.nonzero(alloc.mask())
+        rows, cols = alloc.rows, alloc.cols
     # The in-place product keeps the amplitude as the first operand, because
     # a complex product can round differently with its operands swapped, and
     # the sum starts from 0.0, so a per-cell grid has the floats of a
@@ -219,8 +216,10 @@ def synthesize(
             term = sym_phase[rows] * sub_phase[cols]
         elif alloc.is_constant:  # S_n is one sum over all symbols
             term = sym_phase.sum() * sub_phase[cols]
-        else:
-            term = (alloc.mask() * sym_phase[:, None]).sum(axis=0)[cols] * sub_phase[cols]
+        else:  # S_n adds the phasors of the symbols in which n is active
+            term = np.zeros(params.n_subcarriers, dtype=np.complex128)
+            np.add.at(term, alloc.cols, sym_phase[alloc.rows])
+            term = term[cols] * sub_phase[cols]
         np.multiply(coef, term, out=term)
         values = np.add(values, term, out=term)
     values = values.ravel()

@@ -284,6 +284,28 @@ def test_calls_share_no_workspace():
             assert np.array_equal(bits(call(g)), alone[i])
 
 
+@pytest.mark.parametrize("pattern", ["random", "per_symbol"])
+def test_readers_take_the_layout_from_the_allocation(pattern, monkeypatch, tmp_path):
+    """Synthesis and every estimator read `cols`/`starts`/`rows` of the
+    allocation; only the dense `samples` view builds the (M, N) mask."""
+    params = make_params(_ROW_BLOCK + 3)
+    alloc = make_alloc(pattern, params)
+    target = si.Target(distance_m=120.0, velocity_mps=30.0, amplitude=1.0)
+    scene = si.Scene(targets=(target,), snr_db=0.0)
+    monkeypatch.setattr(si.ResourceAllocation, "mask", lambda self: pytest.fail("mask() called"))
+    grid = si.synthesize(scene, alloc, params, seed=3)
+    summed = si.synthesize(scene, alloc, params, seed=3, symbol_sum=True)
+    for g in (grid, summed):
+        si.zero_fill_periodogram(g)
+        si.ml_single_target(g)
+    si.doppler_periodogram(grid)
+    every_lag = si.difference_set(si.ResourceAllocation.constant(np.arange(N), 1, N))
+    si.autocorrelate_symbol(grid, -1, every_lag)
+    grid.dump_csv(tmp_path / "grid.csv")
+    if alloc.is_constant:
+        si.build_virtual_signal(grid)
+
+
 def test_synthesize_builds_no_dense_grid():
     params = si.OfdmParams(1000, 720, 120e3, 24e9)  # a dense grid is 11.5 MB
     alloc = si.make_allocation(params, "random", n_active=200, seed=1)

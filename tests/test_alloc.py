@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -172,6 +173,53 @@ def brute_force_mask(per_symbol, n):
     return out
 
 
+@st.composite
+def per_symbol_sets(draw):
+    """(index lists, N): M from 1 to 70 (past one _ROW_BLOCK of symbols) and
+    N from 1 to 40, as equal sets in distinct objects, sets that differ in
+    one symbol only, the full band or independent sets."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 70))
+    one_set = st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)
+    kind = draw(st.sampled_from(["equal", "one_differs", "full", "independent"]))
+    if kind == "independent":
+        return draw(st.lists(one_set, min_size=m, max_size=m)), n
+    base = list(range(n)) if kind == "full" else draw(one_set)
+    sets = [list(base) for _ in range(m)]  # distinct objects
+    if kind == "one_differs":
+        sets[draw(st.integers(0, m - 1))] = draw(one_set)
+    return sets, n
+
+
+def check_views_against_loops(per_symbol, n):
+    alloc = si.ResourceAllocation(
+        per_symbol_indices=tuple(np.array(s) for s in per_symbol), n_subcarriers=n
+    )
+    sets = [sorted(set(s)) for s in per_symbol]
+    expect_mask = brute_force_mask(sets, n)
+    expect_cols = np.concatenate([np.array(s, dtype=np.int64) for s in sets])
+    cards = [len(s) for s in sets]
+    assert np.array_equal(alloc.mask(), expect_mask)
+    assert np.array_equal(alloc.cols, expect_cols)
+    assert np.array_equal(alloc.cols, np.nonzero(expect_mask)[1])
+    assert np.array_equal(alloc.rows, np.nonzero(expect_mask)[0])
+    assert np.array_equal(alloc.starts, np.concatenate([[0], np.cumsum(cards)]))
+    assert np.array_equal(alloc.cardinalities(), cards)
+    assert np.array_equal(alloc.column_counts(), expect_mask.sum(axis=0))
+    assert alloc.n_symbols == len(sets)
+    assert alloc.is_constant == all(s == sets[0] for s in sets)
+    assert len(alloc.per_symbol_indices) == len(sets)
+    for stored, s in zip(alloc.per_symbol_indices, sets):
+        assert stored.tolist() == s
+        assert not stored.flags.writeable
+    if alloc.is_constant:
+        assert alloc.indices.tolist() == sets[0]
+        assert alloc.n_active == len(sets[0])
+    # equal to itself rebuilt from copies, and to the constant form of one set
+    assert alloc == si.ResourceAllocation(tuple(np.array(s) for s in sets), n)
+    assert (alloc == si.ResourceAllocation.constant(sets[0], len(sets), n)) == alloc.is_constant
+
+
 class TestResourceAllocation:
     @pytest.mark.parametrize(
         "per_symbol",
@@ -179,24 +227,31 @@ class TestResourceAllocation:
             [[1, 4, 9]] * 5,  # equal content, distinct objects
             [[1, 4, 9], [0, 15], [1, 4, 9], [2, 3, 5, 7], [15]],
             [[9, 1, 4, 4], [4, 9, 1]],  # unsorted and duplicated, same set
+            [[1, 4, 9]] * 3 + [[1, 4]] + [[1, 4, 9]] * 3,  # one symbol differs
+            [list(range(16))] * 3,  # full band
         ],
     )
     def test_derived_views_match_per_symbol_loops(self, per_symbol):
-        n = 16
-        alloc = si.ResourceAllocation(
-            per_symbol_indices=tuple(np.array(s) for s in per_symbol), n_subcarriers=n
-        )
-        sets = [sorted(set(s)) for s in per_symbol]
-        expect_mask = brute_force_mask(sets, n)
-        assert np.array_equal(alloc.mask(), expect_mask)
-        assert np.array_equal(alloc.cardinalities(), [len(s) for s in sets])
-        assert np.array_equal(alloc.column_counts(), expect_mask.sum(axis=0))
-        assert alloc.is_constant == all(s == sets[0] for s in sets)
-        for stored, s in zip(alloc.per_symbol_indices, sets):
-            assert stored.tolist() == s
-        if alloc.is_constant:
-            assert alloc.indices.tolist() == sets[0]
-            assert alloc.n_active == len(sets[0])
+        check_views_against_loops(per_symbol, 16)
+
+    @given(per_symbol_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_derived_views_match_per_symbol_loops_generated(self, case):
+        check_views_against_loops(*case)
+
+    def test_constant_costs_no_work_per_symbol(self):
+        idx = np.arange(0, 64, 3)
+        si.ResourceAllocation.constant(idx, 4, 64)  # warm up
+        tracemalloc.start()
+        try:
+            alloc = si.ResourceAllocation.constant(idx, 10**6, 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert alloc.n_symbols == 10**6 and alloc.is_constant
+        assert alloc == si.ResourceAllocation.constant(idx.tolist(), 10**6, 64)
+        assert alloc != si.ResourceAllocation.constant(idx, 10**6 - 1, 64)
 
     def test_constant_shares_one_array(self):
         alloc = si.ResourceAllocation.constant([7, 2, 7, 0], 6, 8)
@@ -235,6 +290,32 @@ class TestResourceAllocation:
                 si.ResourceAllocation(per_symbol_indices=tuple(per_symbol), n_subcarriers=8)
         with pytest.raises(ValueError):
             si.ResourceAllocation.constant(bad, 4, 8)
+
+    @pytest.mark.parametrize(
+        "name, n_symbols, n_subcarriers, error",
+        [
+            ("n_subcarriers", 2, 2.5, TypeError),
+            ("n_subcarriers", 2, float("nan"), TypeError),
+            ("n_subcarriers", 2, True, TypeError),
+            ("n_subcarriers", 2, 0, ValueError),
+            ("n_subcarriers", 2, "8", TypeError),
+            ("n_symbols", True, 8, TypeError),
+            ("n_symbols", 2.5, 8, TypeError),
+            ("n_symbols", float("nan"), 8, TypeError),
+            ("n_symbols", 0, 8, ValueError),
+            ("n_symbols", -1, 8, ValueError),
+        ],
+    )
+    def test_bad_dimensions_raise_naming_them(self, name, n_symbols, n_subcarriers, error):
+        with pytest.raises(error, match=f"^{name}: "):
+            si.ResourceAllocation.constant([0, 1], n_symbols, n_subcarriers)
+        if name == "n_subcarriers":
+            with pytest.raises(error, match=f"^{name}: "):
+                si.ResourceAllocation(per_symbol_indices=([0, 1], [1]), n_subcarriers=n_subcarriers)
+
+    def test_no_symbols_raises(self):
+        with pytest.raises(ValueError, match="^n_symbols: "):
+            si.ResourceAllocation(per_symbol_indices=(), n_subcarriers=8)
 
     def test_mask_mutation_does_not_leak(self):
         for alloc in (
@@ -407,6 +488,24 @@ class TestHoleFillProbability:
             si.hole_fill_probability(16, 4, 16)
         with pytest.raises(ValueError):
             si.hole_fill_probability(16, 4, 0)
+
+    @pytest.mark.parametrize(
+        "n_trials, error", [(0, ValueError), (-1, ValueError), (2.0, TypeError)]
+    )
+    def test_curve_rejects_bad_trial_count(self, n_trials, error):
+        for n_active in (16, 64):  # a random subset, and the full band
+            with pytest.raises(error, match="^n_trials: "):
+                si.hole_fill_curve(64, n_active, n_trials=n_trials, seed=0)
+            with pytest.raises(error, match="^n_trials: "):
+                si.hole_fill_probability(64, n_active, 5, n_trials=n_trials, seed=0)
+
+    def test_single_lag_is_the_curve_at_that_lag(self):
+        cases = ((64, 12, 17, 200, 9), (16, 2, 15, 30, 1), (16, 16, 3, 5, 2))
+        for n, k, lag, trials, seed in cases:
+            curve = si.hole_fill_curve(n, k, n_trials=trials, seed=seed)
+            p, hw = si.hole_fill_probability(n, k, lag, n_trials=trials, seed=seed)
+            assert p == curve.fill_probability[lag - 1]
+            assert hw == pytest.approx(curve.fill_halfwidth[lag - 1], rel=1e-15, abs=0.0)
 
     def test_curve_consistent_with_single_lag(self):
         curve = si.hole_fill_curve(64, 16, n_trials=300, seed=21)
