@@ -471,9 +471,9 @@ def coverage_fraction(aperture: VirtualAperture, n_subcarriers: int) -> float:
     return aperture.n_lags / (2 * n_subcarriers - 1)
 
 
-def _binomial_halfwidth(p_hat: float, n: int) -> float:
-    # normal-approximation 95% half width
-    return 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
+def _binomial_halfwidth(p_hat, n: int):
+    # normal-approximation 95% half width, elementwise
+    return 1.96 * np.sqrt(np.maximum(p_hat * (1.0 - p_hat), 0.0) / n)
 
 
 def hole_fill_probability(
@@ -483,16 +483,12 @@ def hole_fill_probability(
     n_trials: int = 1000,
     seed=None,
 ) -> tuple[float, float]:
-    """Monte-Carlo probability that `lag` appears in a random difference set.
-
-    Random subsets always contain indices 0 and N-1; the remaining
-    n_active-2 indices are drawn uniformly without replacement.  Returns
-    (estimate, 95% binomial half-width).
-    """
+    """Monte-Carlo probability that `lag` appears in a random difference set,
+    and its 95% binomial half-width: `hole_fill_curve` read at `lag`."""
+    _check_number("n_subcarriers", n_subcarriers, integer=True, minimum=2)
     _check_number("lag", lag, integer=True, minimum=1, maximum=n_subcarriers - 1)
     curve = hole_fill_curve(n_subcarriers, n_active, n_trials, seed)
-    p_hat = float(curve.fill_probability[lag - 1])
-    return p_hat, _binomial_halfwidth(p_hat, n_trials)
+    return float(curve.fill_probability[lag - 1]), float(curve.fill_halfwidth[lag - 1])
 
 
 @dataclass(frozen=True)
@@ -513,6 +509,17 @@ class HoleFillCurve:
         return float(self.fill_probability.min())
 
 
+def _hole_fill_trials(n: int, n_active: int, n_trials: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """(member, filled): subcarrier i is in trial t's subset when member[i, t],
+    and lag s is in that subset's difference set when filled[s - 1, t]."""
+    keys = np.random.default_rng(seed).random((n, n_trials))
+    keys[[0, n - 1]] = -1.0  # below every uniform key: the endpoints are always in
+    member = keys <= np.partition(keys, n_active - 1, axis=0)[n_active - 1]
+    bits = np.packbits(member, axis=1)  # 8 trials per byte
+    lag_bits = [np.bitwise_or.reduce(bits[:-s] & bits[s:], axis=0) for s in range(1, n)]
+    return member, np.unpackbits(np.array(lag_bits), axis=1, count=n_trials).astype(bool)
+
+
 def hole_fill_curve(
     n_subcarriers: int,
     n_active: int,
@@ -521,26 +528,18 @@ def hole_fill_curve(
 ) -> HoleFillCurve:
     """Per-lag fill probabilities plus the hole-free (all lags filled) rate.
 
-    The per-lag curve and the aggregated curve answer different questions,
-    so both are reported.
+    Trial t's subset is indices 0 and N-1 plus the n_active-2 interior
+    indices with the smallest keys in column t of one (N, n_trials) matrix
+    of uniform keys from `np.random.default_rng(seed)`, so `seed` is an
+    int, a SeedSequence or None.  The per-lag curve and the aggregated
+    curve answer different questions, so both are reported.
     """
-    n = n_subcarriers
+    n = _check_number("n_subcarriers", n_subcarriers, integer=True, minimum=2)
     _check_number("n_active", n_active, integer=True, minimum=2, maximum=n)
     _check_number("n_trials", n_trials, integer=True, minimum=1)
-    # membership per trial, 0 and n-1 always in; one child seed per trial,
-    # so any partitioning of the trials reproduces the sequential result
-    trial_seeds = np.random.SeedSequence(seed).spawn(n_trials)
-    member = np.zeros((n_trials, n))
-    member[:, [0, n - 1]] = 1.0
-    interior = np.arange(1, n - 1)
-    for t, child in enumerate(trial_seeds):
-        member[t, np.random.default_rng(child).choice(interior, n_active - 2, replace=False)] = 1.0
-    # per-trial pair counts of lags 1..n-1 by FFT correlation
-    f = np.fft.rfft(member, n=2 * n, axis=1)
-    filled = np.rint(np.fft.irfft(f * np.conj(f), n=2 * n, axis=1)[:, 1:n]) > 0.5
-    p = filled.mean(axis=0)
-    hw = 1.96 * np.sqrt(np.maximum(p * (1 - p), 0.0) / n_trials)
-    p_all = float(filled.all(axis=1).mean())
+    filled = _hole_fill_trials(n, n_active, n_trials, seed)[1]
+    p, p_all = filled.mean(axis=1), float(filled.all(axis=0).mean())
     return HoleFillCurve(
-        n, n_active, n_trials, np.arange(1, n), p, hw, p_all, _binomial_halfwidth(p_all, n_trials)
+        n, n_active, n_trials, np.arange(1, n), p, _binomial_halfwidth(p, n_trials),
+        p_all, float(_binomial_halfwidth(p_all, n_trials)),
     )

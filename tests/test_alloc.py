@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from collections import Counter
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparse_isac as si
-from sparse_isac.alloc import nested_params_for
+from sparse_isac.alloc import _hole_fill_trials, nested_params_for
 
 
 def brute_force_differences(indices):
@@ -499,13 +500,27 @@ class TestHoleFillProbability:
             with pytest.raises(error, match="^n_trials: "):
                 si.hole_fill_probability(64, n_active, 5, n_trials=n_trials, seed=0)
 
+    @pytest.mark.parametrize(
+        "n, error", [(2.5, TypeError), (math.nan, TypeError), (True, TypeError), (1, ValueError)]
+    )
+    def test_rejects_bad_subcarrier_count(self, n, error):
+        with pytest.raises(error, match="^n_subcarriers: "):
+            si.hole_fill_curve(n, 2)
+        with pytest.raises(error, match="^n_subcarriers: "):
+            si.hole_fill_probability(n, 2, 1)
+
+    def test_seed_sequence_seeds_like_its_int(self):
+        a = si.hole_fill_curve(32, 6, n_trials=50, seed=7)
+        b = si.hole_fill_curve(32, 6, n_trials=50, seed=np.random.SeedSequence(7))
+        assert np.array_equal(a.fill_probability, b.fill_probability)
+        assert a.all_filled_probability == b.all_filled_probability
+
     def test_single_lag_is_the_curve_at_that_lag(self):
         cases = ((64, 12, 17, 200, 9), (16, 2, 15, 30, 1), (16, 16, 3, 5, 2))
         for n, k, lag, trials, seed in cases:
             curve = si.hole_fill_curve(n, k, n_trials=trials, seed=seed)
             p, hw = si.hole_fill_probability(n, k, lag, n_trials=trials, seed=seed)
-            assert p == curve.fill_probability[lag - 1]
-            assert hw == pytest.approx(curve.fill_halfwidth[lag - 1], rel=1e-15, abs=0.0)
+            assert (p, hw) == (curve.fill_probability[lag - 1], curve.fill_halfwidth[lag - 1])
 
     def test_curve_consistent_with_single_lag(self):
         curve = si.hole_fill_curve(64, 16, n_trials=300, seed=21)
@@ -513,6 +528,67 @@ class TestHoleFillProbability:
         # pinned endpoints make the extreme lag always available
         assert curve.fill_probability[-1] == 1.0
         assert 0.0 <= curve.all_filled_probability <= curve.min_fill_probability
+
+
+def per_trial_member(n, n_active, n_trials, seed):
+    """Reference draw: one child seed per trial, and `choice` of the
+    n_active-2 interior indices next to the pinned 0 and N-1."""
+    member = np.zeros((n, n_trials), dtype=bool)
+    member[[0, n - 1]] = True
+    interior = np.arange(1, n - 1)
+    for t, child in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
+        member[np.random.default_rng(child).choice(interior, n_active - 2, replace=False), t] = True
+    return member
+
+
+def fft_filled(member):
+    """Reference fill test: lag s of column t is filled when its pair count,
+    an FFT autocorrelation of the column, is nonzero."""
+    n = member.shape[0]
+    f = np.fft.rfft(member.astype(float), n=2 * n, axis=0)
+    return np.rint(np.fft.irfft(f * np.conj(f), n=2 * n, axis=0)[1:n]) > 0.5
+
+
+def two_sample_z(p, q, n_trials):
+    """z of p - q for two proportions from n_trials each; 0 where both are
+    0 or both are 1."""
+    se = np.sqrt((p + q) * (2 - p - q) / (2 * n_trials))
+    return np.divide(p - q, se, out=np.zeros_like(se), where=se > 0)
+
+
+SUBSET_CASES = [
+    (n, k, trials, seed)
+    for n, trials, seed in ((2, 5, 0), (3, 8, 1), (16, 13, 2), (37, 64, 3), (256, 9, 4))
+    for k in sorted({2, 3, n - 1, n} & set(range(2, n + 1)))
+]
+
+
+class TestHoleFillDraw:
+    @pytest.mark.parametrize("n, n_active, n_trials, seed", SUBSET_CASES)
+    def test_every_subset_has_n_active_members_and_both_endpoints(self, n, n_active, n_trials, seed):
+        member, _ = _hole_fill_trials(n, n_active, n_trials, seed)
+        assert member.shape == (n, n_trials)
+        assert np.all(member.sum(axis=0) == n_active)
+        assert member[0].all() and member[-1].all()
+
+    @pytest.mark.parametrize(
+        "n, n_active, n_trials, seed",
+        SUBSET_CASES + [(64, 12, 1, 5), (64, 12, 100, 6), (100, 30, 17, 7), (257, 40, 33, 8)],
+    )
+    def test_bit_test_matches_fft_pair_count(self, n, n_active, n_trials, seed):
+        member, filled = _hole_fill_trials(n, n_active, n_trials, seed)
+        assert filled.shape == (n - 1, n_trials)
+        assert np.array_equal(filled, fft_filled(member))
+
+    @pytest.mark.parametrize("n, n_active", [(256, 32), (32, 12)])
+    def test_fill_probabilities_match_per_trial_reference(self, n, n_active):
+        n_trials = 4000
+        curve = si.hole_fill_curve(n, n_active, n_trials=n_trials, seed=13)
+        ref = fft_filled(per_trial_member(n, n_active, n_trials, 13))
+        z = two_sample_z(curve.fill_probability, ref.mean(axis=1), n_trials)
+        assert np.abs(z).max() < 4.5
+        z_all = two_sample_z(curve.all_filled_probability, ref.all(axis=0).mean(), n_trials)
+        assert abs(z_all) < 4.5
 
 
 class TestVirtualApertureSize:

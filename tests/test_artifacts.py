@@ -3,7 +3,7 @@
 The writers' inputs are built from hand-picked floats (no FFT, no BLAS),
 so the expected text pins the artifact format itself: the optional
 `# comment` line, the header, the `.12g` floats, integer columns and the
-row order.  The CLI artifacts come from two toy runs: their CSV text is
+row order.  The CLI artifacts come from three toy runs: their CSV text is
 pinned exactly and manifest.json by SHA-256.  crlb_random.json prints
 full-precision floats, whose last digits follow the BLAS summation order,
 so only its .12g rendering is pinned.
@@ -209,19 +209,67 @@ CLI_RUNS = {
         },
         "e736a505aad5be03178db6d29c0a7f1032f02d7531a285bbd13c0c152327d74b",
     ),
+    # endpoints only, a random subset, the full band
+    "hole_probability": (
+        {
+            "experiment": "hole_probability", "seed": 1, "ofdm": TOY_OFDM,
+            "n_active_axis": [2, 4, 16], "trials": 10,
+        },
+        {
+            "hole_fill.csv": (
+                "n_active,lag,fill_probability,ci_halfwidth\r\n"
+                "2,1,0,0\r\n2,2,0,0\r\n2,3,0,0\r\n2,4,0,0\r\n2,5,0,0\r\n2,6,0,0\r\n"
+                "2,7,0,0\r\n2,8,0,0\r\n2,9,0,0\r\n2,10,0,0\r\n2,11,0,0\r\n2,12,0,0\r\n"
+                "2,13,0,0\r\n2,14,0,0\r\n2,15,1,0\r\n"
+                "4,1,0.5,0.309903210697\r\n4,2,0.4,0.303641894343\r\n"
+                "4,3,0.5,0.309903210697\r\n4,4,0.3,0.284030984225\r\n"
+                "4,5,0.6,0.303641894343\r\n4,6,0.3,0.284030984225\r\n"
+                "4,7,0.3,0.284030984225\r\n4,8,0.3,0.284030984225\r\n"
+                "4,9,0.2,0.247922568557\r\n4,10,0.6,0.303641894343\r\n"
+                "4,11,0.1,0.185941926418\r\n4,12,0.4,0.303641894343\r\n"
+                "4,13,0.3,0.284030984225\r\n4,14,0.2,0.247922568557\r\n4,15,1,0\r\n"
+                "16,1,1,0\r\n16,2,1,0\r\n16,3,1,0\r\n16,4,1,0\r\n16,5,1,0\r\n16,6,1,0\r\n"
+                "16,7,1,0\r\n16,8,1,0\r\n16,9,1,0\r\n16,10,1,0\r\n16,11,1,0\r\n"
+                "16,12,1,0\r\n16,13,1,0\r\n16,14,1,0\r\n16,15,1,0\r\n"
+            ),
+            "hole_fill_summary.csv": (
+                "n_active,min_fill_probability,all_filled_probability,all_filled_ci,trials\r\n"
+                "2,0,0,0,10\r\n"
+                "4,0.1,0,0,10\r\n"
+                "16,1,1,0,10\r\n"
+            ),
+        },
+        "494dbe3d93058f0d4260a9392e7f0fa5305098524461a92a598e5f046023c71c",
+    ),
 }
+
+
+def run_toy(cfg, directory):
+    """Run one toy config through `cli.main` into directory/out."""
+    directory.mkdir(exist_ok=True)
+    path, out = directory / "cfg.json", directory / "out"
+    path.write_text(json.dumps(cfg))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    return out
 
 
 @pytest.mark.parametrize("experiment", sorted(CLI_RUNS))
 def test_cli_artifacts(tmp_path, experiment):
     cfg, expected, manifest_sha256 = CLI_RUNS[experiment]
-    path, out = tmp_path / "cfg.json", tmp_path / "out"
-    path.write_text(json.dumps(cfg))
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    out = run_toy(cfg, tmp_path)
     for name, text in expected.items():
         assert (out / name).read_bytes().decode() == text
     if experiment == "crlb_table":
         report = json.loads((out / "crlb_random.json").read_text())
         assert f"{report['crlb_range_m2']:.12g}" == "43.7210673023"
     assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == manifest_sha256
+
+
+def test_hole_probability_rerun_is_byte_identical(tmp_path):
+    cfg = CLI_RUNS["hole_probability"][0]
+    first, second = (run_toy(cfg, tmp_path / name) for name in ("first", "second"))
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()

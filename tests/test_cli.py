@@ -474,11 +474,6 @@ class TestContract:
         assert "--profile" in err.getvalue()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=TypeError,
-        reason="the CLI passes a spawned SeedSequence as hole_fill_curve's seed",
-    )
     def test_hole_probability_runs(self, tmp_path):
         path = write_config(tmp_path, TINY["hole_probability"])
         assert main_in_process("run", "--config", path, "--out", tmp_path / "out")[0] == 0
@@ -505,11 +500,10 @@ def test_any_single_field_mutation_keeps_the_exit_code_contract(field, value):
         value = "x"  # list entries cannot be dropped without renumbering the rest
     cfg = mutated(experiment, list(path), value)
     named = next(key for key in reversed(path) if isinstance(key, str))
-    commands = ["validate"] if experiment == "hole_probability" else ["validate", "run"]
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path, out = write_config(Path(tmp), cfg), Path(tmp) / "out"
         codes = set()
-        for command in commands:
+        for command in ("validate", "run"):
             extra = ["--out", out] if command == "run" else []
             code, _, err = main_in_process(command, "--config", cfg_path, *extra)
             assert code in (0, 2, 3)
