@@ -491,8 +491,11 @@ def monte_carlo_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
     """Run the seeded sweep over the SNR axis.
 
     Per-point and per-trial seeds derive from the master seed through a
-    fixed SeedSequence tree, so any thread count gives identical results;
-    threads only distribute whole SNR points.
+    fixed SeedSequence tree, so any thread count gives identical results.
+    `threads` distributes whole SNR points; within a point, the CPI lag-sum
+    kernel (FreqGrid.cpi_power) splits a large grid's symbol blocks over
+    the usable CPUs, W of them, and adds them in a fixed order.  So a sweep
+    can run up to threads * W threads, with the same outputs at any count.
     """
     ss = np.random.SeedSequence(cfg.master_seed)
     point_seeds = ss.spawn(len(cfg.snr_db_axis))

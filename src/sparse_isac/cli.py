@@ -54,6 +54,7 @@ from .alloc import (
     make_allocation,
 )
 from .scene import LinkBudget, Target
+from .synth import _usable_cpus
 from .analysis import (
     _SNR_NOTE,
     SingularFimError,
@@ -570,13 +571,20 @@ def _cmd_plot_script(args) -> int:
 
 
 def _threads(args) -> int:
-    return args.threads or os.cpu_count() or 1  # 0 = one per CPU
+    return args.threads or _usable_cpus()  # 0 = one per CPU this process may use
 
 
 def _add_run_options(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None, help="master seed override")
     p.add_argument("--out", default=None, help=f"output directory (or ${OUTDIR_ENV})")
-    p.add_argument("--threads", type=int, default=1, help="worker threads, 0 = auto")
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="threads over a sweep's SNR points, 0 = one per usable CPU; the lag-sum "
+        "kernel also splits large grids over the usable CPUs, so up to THREADS times "
+        "that many threads run, with the same outputs at any count",
+    )
 
 
 PROFILE_COMMANDS = {

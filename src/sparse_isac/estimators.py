@@ -40,11 +40,6 @@ __all__ = [
     "doppler_periodogram",
 ]
 
-# Symbols per block B when _cpi_power walks the CPI.  Its one workspace
-# holds 2 * B * 2N complex values: 4 MB at N = 1000.
-_ROW_BLOCK = 64
-
-
 @dataclass(frozen=True)
 class Periodogram:
     """Magnitude spectrum on a delay (s) or Doppler (Hz) axis."""
@@ -321,40 +316,6 @@ def accumulate_cpi(signals: list[VirtualSignal] | tuple[VirtualSignal, ...]) -> 
     )
 
 
-def _cpi_power(grid: FreqGrid) -> np.ndarray:
-    """sum_m |FFT_2N(Y_m)|^2 over the rows Y_m of the dense grid: the
-    transform of the CPI lag sums R[s] = sum_m sum_{i-j=s} Y_m[i] conj(Y_m[j]).
-
-    Each block of B <= _ROW_BLOCK rows is scattered from the active values
-    into the zero-padded front half of one (2, B, 2N) workspace (a
-    per-symbol allocation zeroes it first; a constant one rewrites the same
-    columns) and forward-transformed into its back half with `out=`.  Two
-    (B, 2N) arrays freed together at N = 256 had their pages returned and
-    faulted in again by the next call.  Raises ValueError on a summed grid.
-    """
-    n_symbols, n = grid.n_symbols, grid.n_subcarriers
-    if grid.alloc.is_constant:
-        block, cols = grid.block, grid.alloc.indices
-    else:
-        cols, starts = grid.cols, grid.alloc.starts
-        block_row = grid.alloc.rows % _ROW_BLOCK  # row of each active value within its block
-    rows, out = np.zeros((2, min(_ROW_BLOCK, n_symbols), 2 * n), dtype=np.complex128)
-    power = np.zeros(2 * n)
-    for r0 in range(0, n_symbols, _ROW_BLOCK):
-        k = min(_ROW_BLOCK, n_symbols - r0)
-        if grid.alloc.is_constant:
-            rows[:k, cols] = block[r0 : r0 + k]
-        else:
-            lo, hi = starts[r0], starts[r0 + k]
-            rows[:k, :n] = 0.0
-            rows[block_row[lo:hi], cols[lo:hi]] = grid.active[lo:hi]
-        # re^2 and im^2 summed over the block's symbols, interleaved by bin
-        v = np.fft.fft(rows[:k], axis=-1, out=out[:k]).view(np.float64)
-        s = np.einsum("mk,mk->k", v, v)
-        power += s[0::2] + s[1::2]
-    return power
-
-
 def build_virtual_signal(grid: FreqGrid) -> tuple[VirtualSignal, VirtualAperture]:
     """Full virtual-resource pipeline for one grid.
 
@@ -364,13 +325,13 @@ def build_virtual_signal(grid: FreqGrid) -> tuple[VirtualSignal, VirtualAperture
     ValueError on a summed grid, which has no per-symbol values.
 
     The CPI mean is linear, so it moves inside the inverse transform:
-    (1/M) sum_m IFFT(|FFT_2N(Y_m)|^2) = IFFT(_cpi_power / M), one inverse
-    FFT per grid instead of M.  The per-symbol reference path is
+    (1/M) sum_m IFFT(|FFT_2N(Y_m)|^2) = IFFT(grid.cpi_power / M), one
+    inverse FFT per grid instead of M.  The per-symbol reference path is
     accumulate_cpi([autocorrelate_symbol(grid, m, aperture) ...]), which
     agrees up to float round-off.
     """
     aperture = difference_set(grid.alloc)
-    vals = _lags_from_power(_cpi_power(grid) / grid.n_symbols, aperture)
+    vals = _lags_from_power(grid.cpi_power / grid.n_symbols, aperture)
     vs = VirtualSignal(
         values=vals, aperture=aperture, accumulated=True, n_symbols=grid.n_symbols
     )
@@ -456,12 +417,12 @@ def _noncoherent_profile(grid: FreqGrid, q_bins: int) -> np.ndarray:
     This symbol-incoherent power keeps moving targets visible, where a
     coherent symbol sum nulls out whenever the Doppler phase wraps whole
     cycles over the CPI.  It equals IFFT_Q(R), R the CPI lag sums of
-    _cpi_power on Q taps; when Q < 2N - 1 (oversample 1) the lags
+    grid.cpi_power on Q taps; when Q < 2N - 1 (oversample 1) the lags
     -(N-1)..N-1 fold mod Q, and the rows, transformed at 2N, are twice Q
     long.  Real up to round-off: an exact null can come out negative.
     """
     n = grid.n_subcarriers
-    lags = np.fft.ifft(_cpi_power(grid))  # R[s] at s mod 2N
+    lags = np.fft.ifft(grid.cpi_power)  # R[s] at s mod 2N
     taps = np.zeros(q_bins, dtype=np.complex128)
     taps[:n] = lags[:n]
     taps[q_bins - n + 1 :] += lags[n + 1 :]  # negative lags, onto 1..N-1 if Q = N

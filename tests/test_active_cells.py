@@ -14,13 +14,13 @@ import pytest
 import sparse_isac as si
 from csv_reference import write_csv_rows
 from sparse_isac.estimators import (
-    _ROW_BLOCK,
     _lag_products,
     _ml_objective,
     _noncoherent_delay,
     _noncoherent_profile,
     _refine_bin,
 )
+from sparse_isac.synth import _ROW_BLOCK
 
 N = 40
 

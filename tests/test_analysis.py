@@ -9,7 +9,7 @@ from sparse_isac.analysis import (
     common_exclusion_halfwidth,
     monte_carlo_sweep,
 )
-from sparse_isac.estimators import _ROW_BLOCK
+from sparse_isac.synth import _ROW_BLOCK
 
 C = si.SPEED_OF_LIGHT
 

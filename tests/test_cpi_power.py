@@ -1,0 +1,247 @@
+"""The CPI lag-sum kernel: its threaded block split against the serial loop,
+and the per-grid memo that both per-symbol estimators read."""
+import argparse
+import os
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+import sparse_isac as si
+from sparse_isac import cli, synth
+from sparse_isac.analysis import SweepConfig, monte_carlo_sweep
+from sparse_isac.synth import _ROW_BLOCK, _cpi_power, _cpi_threads
+
+
+def serial_cpi_power(grid):
+    """The one-thread block loop: each block of _ROW_BLOCK rows is scattered
+    into one zeroed (2, B, 2N) workspace, transformed, squared and added to
+    the running sum in symbol order."""
+    n_symbols, n = grid.n_symbols, grid.n_subcarriers
+    if grid.alloc.is_constant:
+        block, cols = grid.block, grid.alloc.indices
+    else:
+        cols, starts = grid.cols, grid.alloc.starts
+        block_row = grid.alloc.rows % _ROW_BLOCK
+    rows, out = np.zeros((2, min(_ROW_BLOCK, n_symbols), 2 * n), dtype=np.complex128)
+    power = np.zeros(2 * n)
+    for r0 in range(0, n_symbols, _ROW_BLOCK):
+        k = min(_ROW_BLOCK, n_symbols - r0)
+        if grid.alloc.is_constant:
+            rows[:k, cols] = block[r0 : r0 + k]
+        else:
+            lo, hi = starts[r0], starts[r0 + k]
+            rows[:k, :n] = 0.0
+            rows[block_row[lo:hi], cols[lo:hi]] = grid.active[lo:hi]
+        v = np.fft.fft(rows[:k], axis=-1, out=out[:k]).view(np.float64)
+        s = np.einsum("mk,mk->k", v, v)
+        power += s[0::2] + s[1::2]
+    return power
+
+
+def make_params(n, m):
+    return si.OfdmParams(
+        n_subcarriers=n, n_symbols=m, subcarrier_spacing_hz=120e3, carrier_freq_hz=24e9
+    )
+
+
+def make_grid(n, m, pattern, seed=5, snr_db=0.0):
+    params = make_params(n, m)
+    if pattern == "constant":
+        alloc = si.make_allocation(params, "random", n_active=max(2, n // 4), seed=seed)
+    else:  # a different index set, of a different size, in every symbol
+        rng = np.random.default_rng(seed)
+        sets = [np.sort(rng.choice(n, rng.integers(1, n // 2 + 1), replace=False)) for _ in range(m)]
+        alloc = si.ResourceAllocation(per_symbol_indices=sets, n_subcarriers=n)
+    target = si.Target(distance_m=n // 3 * params.range_bin_m, velocity_mps=15.0, amplitude=1.0)
+    return si.synthesize(si.Scene(targets=(target,), snr_db=snr_db), alloc, params, seed=seed)
+
+
+@pytest.fixture
+def threads_from(monkeypatch):
+    """Patch the usable CPU count to `cpus` and the minimum work to 0, so the
+    kernel runs one thread per CPU up to one per block."""
+
+    def patch(cpus):
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(synth, "_MIN_POINTS_PER_THREAD", 0)
+
+    return patch
+
+
+class TestBlockSplit:
+    @pytest.mark.parametrize("pattern", ["constant", "per_symbol"])
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 2 * _ROW_BLOCK + 3, 720])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    def test_bitwise_equal_to_serial_loop(self, threads_from, cpus, m, pattern):
+        grid = make_grid(24, m, pattern)
+        threads_from(cpus)
+        assert _cpi_threads(-(-m // _ROW_BLOCK), m * 48) == min(cpus, -(-m // _ROW_BLOCK))
+        assert _cpi_power(grid).tobytes() == serial_cpi_power(grid).tobytes()
+
+    @pytest.mark.parametrize("pattern", ["constant", "per_symbol"])
+    def test_paper_size_at_the_real_threshold(self, pattern):
+        grid = make_grid(1000, 720, pattern)
+        assert _cpi_power(grid).tobytes() == serial_cpi_power(grid).tobytes()
+
+    @pytest.mark.parametrize(
+        "n, m, cpus, threads",
+        [
+            (1000, 720, 2, 2),  # paper size: 1.44 M points
+            (1000, 720, 8, 2),  # at least 2**19 points per thread
+            (1000, 720, 1, 1),
+            (1000, 128, 2, 1),  # two-target demo
+            (256, 128, 2, 1),
+            (256, 1000, 2, 1),
+            (256, 32, 8, 1),  # desk
+            (2000, 720, 8, 5),
+            (2000, 720, 3, 3),
+            (2000, 64, 8, 1),  # one block
+        ],
+    )
+    def test_threads_need_enough_points(self, monkeypatch, n, m, cpus, threads):
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: cpus)
+        assert _cpi_threads(-(-m // _ROW_BLOCK), m * 2 * n) == threads
+
+    def test_helper_exception_reaches_the_caller(self, threads_from, monkeypatch):
+        grid = make_grid(24, 8 * _ROW_BLOCK, "constant")
+        threads_from(3)
+        fft = np.fft.fft
+        ran_in = []
+
+        def failing_in_helpers(*args, **kwargs):
+            ran_in.append(threading.current_thread())
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("helper block failed")
+            time.sleep(0.02)  # leaves blocks for the helpers to claim
+            return fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", failing_in_helpers)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper block failed"):
+            _cpi_power(grid)
+        assert threading.active_count() == before
+        assert threading.main_thread() in ran_in and len(set(ran_in)) >= 2
+
+    def test_caller_exception_still_joins_the_helpers(self, threads_from, monkeypatch):
+        grid = make_grid(24, 8 * _ROW_BLOCK, "per_symbol")
+        threads_from(3)
+        fft = np.fft.fft
+
+        def failing_in_caller(*args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                raise RuntimeError("caller block failed")
+            time.sleep(0.02)  # leaves blocks for the caller to claim
+            return fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", failing_in_caller)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="caller block failed"):
+            _cpi_power(grid)
+        assert threading.active_count() == before
+
+    def test_threaded_sweep_bitwise_with_kernel_threads(self, monkeypatch):
+        # 4 sweep threads, each splitting its grids over 3 kernel threads,
+        # more threads than cores, switching every few microseconds
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(synth, "_MIN_POINTS_PER_THREAD", 4096)
+        params = make_params(64, 2 * _ROW_BLOCK + 3)  # 16,768 points: 3 threads
+        cfg = SweepConfig(
+            params=params,
+            n_active=16,
+            snr_db_axis=(-5.0, 0.0, 5.0, 10.0),
+            methods=("autocorrelation", "nested"),
+            targets=(si.Target(distance_m=10 * params.range_bin_m, amplitude=1.0),),
+            n_trials=3,
+            oversample=4,
+            master_seed=3,
+        )
+        block_calls = []
+        block_powers = synth._block_powers
+
+        def counted(*args):
+            block_calls.append(threading.get_ident())
+            return block_powers(*args)
+
+        monkeypatch.setattr(synth, "_block_powers", counted)
+        seq = monte_carlo_sweep(cfg, threads=1)
+        n_kernel_calls = len(cfg.snr_db_axis) * cfg.n_trials * len(cfg.methods)
+        assert len(block_calls) == 3 * n_kernel_calls
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            par = monte_carlo_sweep(cfg, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(block_calls) == 6 * n_kernel_calls
+        for m in cfg.methods:
+            for key in ("rmse_m", "rmse_ci_m", "pslr_db", "pslr_ci_db", "miss_rate"):
+                assert getattr(par, key)[m].tobytes() == getattr(seq, key)[m].tobytes()
+            for key in ("error_samples", "pslr_samples"):
+                for a, b in zip(getattr(par, key)[m], getattr(seq, key)[m]):
+                    assert a.tobytes() == b.tobytes()
+
+
+class TestMemo:
+    def test_second_read_is_the_same_read_only_array(self, monkeypatch):
+        grid = make_grid(40, 70, "constant")
+        calls = []
+        kernel = synth._cpi_power
+        monkeypatch.setattr(synth, "_cpi_power", lambda g: calls.append(g) or kernel(g))
+        first = grid.cpi_power
+        assert grid.cpi_power is first
+        assert not first.flags.writeable
+        assert len(calls) == 1
+        assert first.tobytes() == serial_cpi_power(grid).tobytes()
+
+    def test_memo_is_per_grid_and_not_compared(self):
+        a = make_grid(40, 70, "constant")
+        b = make_grid(40, 70, "constant")
+        a.cpi_power
+        assert "_cpi_power" not in b.__dict__
+        assert b.cpi_power is not a.cpi_power
+        assert b.cpi_power.tobytes() == a.cpi_power.tobytes()
+        assert "_cpi_power" not in repr(a)
+
+    def test_summed_grid_raises(self):
+        params = make_params(40, 70)
+        alloc = si.make_allocation(params, "random", n_active=10, seed=5)
+        scene = si.Scene(targets=(si.Target(distance_m=100.0, amplitude=1.0),), snr_db=0.0)
+        grid = si.synthesize(scene, alloc, params, seed=5, symbol_sum=True)
+        with pytest.raises(ValueError, match="symbol sum"):
+            grid.cpi_power
+        with pytest.raises(ValueError, match="symbol sum"):
+            grid.cpi_power  # nothing was stored
+
+    @pytest.mark.parametrize("pattern", ["constant", "per_symbol"])
+    @pytest.mark.parametrize("m", [32, 2 * _ROW_BLOCK + 3])
+    def test_one_pass_feeds_both_readers(self, monkeypatch, pattern, m):
+        calls = []
+        kernel = synth._cpi_power
+        monkeypatch.setattr(synth, "_cpi_power", lambda g: calls.append(g) or kernel(g))
+        shared = make_grid(64, m, pattern)
+        doppler = si.doppler_periodogram(shared)
+        if pattern == "constant":
+            vs, _ = si.build_virtual_signal(shared)
+        assert len(calls) == 1
+        # separate passes, each on a fresh grid of the same draw
+        assert doppler.values.tobytes() == si.doppler_periodogram(make_grid(64, m, pattern)).values.tobytes()
+        if pattern == "constant":
+            alone, _ = si.build_virtual_signal(make_grid(64, m, pattern))
+            assert vs.values.tobytes() == alone.values.tobytes()
+        assert len(calls) == 2 + (pattern == "constant")
+
+
+class TestUsableCpus:
+    def test_counts_the_cpus_this_process_may_use(self):
+        cpus = synth._usable_cpus()
+        assert 1 <= cpus <= (os.cpu_count() or 1)
+        if hasattr(os, "sched_getaffinity"):
+            assert cpus == len(os.sched_getaffinity(0))
+
+    def test_cli_threads_zero_means_one_per_usable_cpu(self, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        assert cli._threads(argparse.Namespace(threads=0)) == 3
+        assert cli._threads(argparse.Namespace(threads=2)) == 2

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import sparse_isac as si
-from sparse_isac.estimators import _ROW_BLOCK, _ml_objective, accumulate_cpi, autocorrelate_symbol
+from sparse_isac.estimators import _ml_objective, accumulate_cpi, autocorrelate_symbol
+from sparse_isac.synth import _ROW_BLOCK
 
 C = si.SPEED_OF_LIGHT
 
