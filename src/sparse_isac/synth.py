@@ -221,9 +221,10 @@ def _cpi_power(grid: FreqGrid) -> np.ndarray:
     (_cpi_threads) claim one at a time: the caller and W - 1 helpers of a
     pool made for this call.  Claiming, not a fixed share per thread, lets
     the caller take over the blocks of a helper whose CPU is busy with
-    another process.  The caller allocates every thread's workspace up front
-    (workspaces allocated in the helpers were page-faulted in on every
-    call), each block's power goes into its own row, and the caller adds the
+    another process.  The caller allocates one (2, B, 2N) workspace per
+    thread up front: two (B, 2N) arrays freed together at N = 256, and
+    workspaces allocated in the helpers, were page-faulted in again on every
+    call.  Each block's power goes into its own row, and the caller adds the
     rows in block order, so the sum has the same bits at any W.  Raises
     ValueError on a summed grid.
     """
