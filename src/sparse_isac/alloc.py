@@ -56,6 +56,11 @@ def _check_number(
     return value
 
 
+# Most points of an axis or spectrum a config may ask for.  Near 2**60 points
+# a float64 array's byte count overflows, and NumPy then raises ValueError,
+# not the MemoryError (a numeric failure) of an array merely too large.
+_AXIS_MAX_POINTS = 2**53
+
 _CSV_SPECIAL = (",", '"', "\r", "\n")
 
 
@@ -425,16 +430,18 @@ def make_allocation(
     elif pattern == "custom":
         if indices is None:
             raise ValueError("custom pattern needs explicit indices")
-        first = indices[0] if len(indices) else None
-        if first is not None and np.ndim(first) >= 1:
-            # per-symbol list of lists
-            if len(indices) != params.n_symbols:
+        sets = _as_tuple("indices", indices)
+        idx = indices
+        if np.ndim(sets[0]) >= 1:  # per-symbol list of lists
+            if len(sets) != params.n_symbols:
                 raise ValueError(
                     f"custom per-symbol allocation needs {params.n_symbols} index "
-                    f"sets, got {len(indices)}"
+                    f"sets, got {len(sets)}"
                 )
-            return ResourceAllocation(tuple(indices), n)
-        idx = indices
+            alloc = ResourceAllocation(sets, n)
+            if not alloc.is_constant:
+                return alloc
+            idx = alloc.indices  # one set after all: checked as a constant one
     else:
         raise ValueError(f"unknown pattern {pattern!r}")
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .alloc import (
+    _AXIS_MAX_POINTS,
     OfdmParams,
     ResourceAllocation,
     _as_tuple,
@@ -24,9 +25,10 @@ from .alloc import (
     nested_params_for,
 )
 from .scene import SPEED_OF_LIGHT, LinkBudget, Scene, Target
-from .synth import synthesize
+from .synth import _symbol_sum_row, synthesize
 from .estimators import (
     Periodogram,
+    _zero_fill,
     build_virtual_signal,
     detect_peaks,
     virtual_periodogram,
@@ -65,9 +67,10 @@ _SWEEP_TABLE = {
     "autocorrelation": (1, True),
     "nested": (4, True),
 }
-# Slots no virtual method reads hold only the symbol sum that zero-fill reads
-# (slots 2 and 3).  The rule reads the table, not the requested subset, so no
-# method's noise stream depends on which others were requested.
+# Slots no virtual method reads (2 and 3, constant allocations) go through
+# zero-fill only, which reads only their symbol sum: _symbol_sum_row draws
+# that row directly.  The rule reads the table, not the requested subset, so
+# no method's noise stream depends on which others were requested.
 _SUMMED_SLOTS = {s for s, _ in _SWEEP_TABLE.values()} - {s for s, v in _SWEEP_TABLE.values() if v}
 SWEEP_METHODS = tuple(_SWEEP_TABLE)
 
@@ -327,7 +330,8 @@ class SweepConfig:
         n = self.params.n_subcarriers
         _check_number("n_active", self.n_active, integer=True, minimum=2, maximum=n)
         _check_number("n_trials", self.n_trials, integer=True, minimum=1)
-        _check_number("oversample", self.oversample, integer=True, minimum=1)
+        most = _AXIS_MAX_POINTS // (2 * n - 1)  # the virtual periodogram's oversample * (2N - 1)
+        _check_number("oversample", self.oversample, integer=True, minimum=1, maximum=most)
         _check_number("master_seed", self.master_seed, integer=True, minimum=0)
         _check_number("miss_threshold_bins", self.miss_threshold_bins, positive=True)
         targets = _as_tuple("targets", self.targets)
@@ -441,10 +445,13 @@ def _sweep_point(cfg: SweepConfig, scene: Scene, point_ss) -> dict:
                 alloc = cfg._allocations.get(method) or make_allocation(
                     params, "random", n_active=cfg.n_active, seed=seeds[0]
                 )
-                grids[slot] = synthesize(
-                    scene, alloc, params, seed=seeds[slot], symbol_sum=slot in _SUMMED_SLOTS
-                )
-            p = _delay_periodogram(grids[slot], virtual, cfg.oversample)
+                # one call site: an aliasing target warns once per sweep, not per draw
+                draw = _symbol_sum_row if slot in _SUMMED_SLOTS else synthesize
+                grids[slot] = draw(scene, alloc, params, seeds[slot])
+            if slot in _SUMMED_SLOTS:  # grids[slot] holds the symbol-sum row
+                p = _zero_fill(grids[slot], cfg._allocations[method], params, cfg.oversample)
+            else:
+                p = _delay_periodogram(grids[slot], virtual, cfg.oversample)
             halfwidth = common_exclusion_halfwidth(p)
             peaks = detect_peaks(p, k=len(cfg.targets), min_separation=2 * halfwidth)
             errors, misses = _match_errors(peaks, true_ranges, miss_tol_m)
@@ -553,7 +560,8 @@ class TwoTargetDemoConfig:
     def __post_init__(self):
         n = self.params.n_subcarriers
         _check_number("n_active", self.n_active, integer=True, minimum=2, maximum=n)
-        _check_number("oversample", self.oversample, integer=True, minimum=1)
+        most = _AXIS_MAX_POINTS // (2 * n - 1)  # the virtual periodogram's oversample * (2N - 1)
+        _check_number("oversample", self.oversample, integer=True, minimum=1, maximum=most)
         _check_number("n_runs", self.n_runs, integer=True, minimum=1)
         _check_number("master_seed", self.master_seed, integer=True, minimum=0)
         pairs = ("distances_m", "velocities_mps", "amplitudes")

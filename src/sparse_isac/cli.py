@@ -27,7 +27,8 @@ Exit codes: 0 success, 2 config error (one `config error:` line per bad
 field, starting with the field's path, also for an output directory that
 cannot be created) or command-line error, 3 numeric failure (one
 `numeric failure in <experiment>:` line, also for a valid config whose
-arrays are too large to allocate).
+arrays are too large to allocate or whose arithmetic overflows or divides
+by zero).
 """
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ import numpy as np
 
 from . import __version__
 from .alloc import (
+    _AXIS_MAX_POINTS,
     OfdmParams,
     ResourceAllocation,
     _as_tuple,
@@ -162,10 +164,6 @@ def _build_hole_probability(cfg: dict, build: _Build, params, seed):
         build("", _check_number, "trials", args["n_trials"], integer=True, minimum=1)
     return partial(_exp_hole_probability, params, axis, seed, **args)
 
-
-# Near 2**60 points a float64 axis's byte count overflows: NumPy then raises
-# ValueError, not the MemoryError (exit 3) of an axis merely too large.
-_AXIS_MAX_POINTS = 2**53
 
 _AMBIGUITY_AXES = {
     "delay_points": dict(integer=True, minimum=3, maximum=_AXIS_MAX_POINTS),
@@ -546,7 +544,9 @@ def _cmd_run(args, experiment: str | None = None) -> int:
     out = _out_dir(args, cfg)
     try:
         outputs = run_experiment(cfg, out, threads=_threads(args))
-    except (SingularFimError, MemoryError) as exc:  # MemoryError: too large to allocate
+    # MemoryError: too large to allocate; ArithmeticError: float overflow or
+    # division by zero in a valid config's numbers
+    except (SingularFimError, MemoryError, ArithmeticError) as exc:
         print(f"numeric failure in {cfg['experiment']}: {exc or 'out of memory'}", file=sys.stderr)
         return 3
     for name in outputs:

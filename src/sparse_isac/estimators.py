@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alloc import OfdmParams, VirtualAperture, _check_number, _write_csv, difference_set
+from .alloc import (
+    OfdmParams, ResourceAllocation, VirtualAperture, _check_number, _write_csv, difference_set
+)
 from .scene import SPEED_OF_LIGHT
 from .synth import FreqGrid
 
@@ -154,17 +156,14 @@ class PeakList:
 def _symbol_sum(grid: FreqGrid) -> np.ndarray:
     """sum_m Y_m[n] for every subcarrier n, zeros where none is active.
 
-    A summed grid stores this row.  On a per-cell grid each column adds its
-    active values in symbol order, the same additions as a symbol sum of
-    the dense grid, whose inactive cells add +0.0.
+    Each column adds its active values in symbol order, the same additions
+    as a symbol sum of the dense grid, whose inactive cells add +0.0.
     """
-    if grid.symbol_sum:
-        return grid.samples[0]
     out = np.zeros(grid.n_subcarriers, dtype=np.complex128)
     if grid.alloc.is_constant:
         out[grid.alloc.indices] = grid.block.sum(axis=0)
     else:
-        np.add.at(out, grid.cols, grid.active)
+        np.add.at(out, grid.alloc.cols, grid.active)
     return out
 
 
@@ -176,13 +175,18 @@ def zero_fill_periodogram(grid: FreqGrid, oversample: int = 4) -> Periodogram:
     axis maps bin q to delay q / (Q * subcarrier_spacing).
     """
     oversample = _check_number("oversample", oversample, integer=True, minimum=1)
-    params = grid.params
-    n = params.n_subcarriers
-    q_bins = oversample * n
-    k = grid.alloc.cardinalities().mean()  # active subcarriers per symbol
-    collapsed = _symbol_sum(grid)  # symbols combine coherently
+    return _zero_fill(_symbol_sum(grid), grid.alloc, grid.params, oversample)
+
+
+def _zero_fill(
+    collapsed: np.ndarray, alloc: ResourceAllocation, params: OfdmParams, oversample: int
+) -> Periodogram:
+    """zero_fill_periodogram of the grid whose symbol sum is `collapsed`,
+    an (N,) row; the symbols combine coherently."""
+    q_bins = oversample * params.n_subcarriers
+    k = alloc.cardinalities().mean()  # active subcarriers per symbol
     spectrum = np.fft.ifft(collapsed, n=q_bins) * q_bins
-    values = np.abs(spectrum) / (grid.n_symbols * k)
+    values = np.abs(spectrum) / (alloc.n_symbols * k)
     axis = np.arange(q_bins) / (q_bins * params.subcarrier_spacing_hz)
     return Periodogram(
         axis=axis,
@@ -293,7 +297,6 @@ def autocorrelate_symbol(
     Y[i] conj(Y[j]) over index pairs with i - j = s; a noiseless single
     target of amplitude A yields exactly A^2 e^{-j 2 pi df s tau} at every
     lag, symbol by symbol (the Doppler phase cancels within a symbol).
-    Raises ValueError on a summed grid.
     """
     vals = _lag_products(grid.row(symbol)[None, :], aperture)[0]
     return VirtualSignal(values=vals, aperture=aperture, accumulated=False, n_symbols=1)
@@ -321,8 +324,7 @@ def build_virtual_signal(grid: FreqGrid) -> tuple[VirtualSignal, VirtualAperture
 
     Difference set of the (symbol-constant) allocation, per-symbol lag
     products, then coherent accumulation across the CPI.  Returns the
-    accumulated virtual signal together with its aperture.  Raises
-    ValueError on a summed grid, which has no per-symbol values.
+    accumulated virtual signal together with its aperture.
 
     The CPI mean is linear, so it moves inside the inverse transform:
     (1/M) sum_m IFFT(|FFT_2N(Y_m)|^2) = IFFT(grid.cpi_power / M), one
@@ -444,13 +446,13 @@ def doppler_periodogram(
     Each symbol is compressed at the given delay (estimated from the
     symbol-incoherent power profile when omitted), then the symbol
     sequence is transformed to Doppler on an oversampled axis centered
-    on zero.  Raises ValueError on a summed grid.
+    on zero.
     """
     oversample = _check_number("oversample", oversample, integer=True, minimum=1)
     if delay_s is not None:
         _check_number("delay_s", delay_s)
     params = grid.params
-    cols, starts = grid.cols, grid.starts
+    cols, starts = grid.alloc.cols, grid.alloc.starts[:-1]
     if delay_s is None:
         delay_s = _noncoherent_delay(grid, oversample)
     n_idx = np.arange(params.n_subcarriers)

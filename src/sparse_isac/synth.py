@@ -7,13 +7,7 @@ never noisy measurements, so estimators see noise only where something
 was actually observed.  A grid stores only its active cells, laid out
 by its allocation; the dense (M, N) array is built on request.
 
-A grid read only through its symbol sum sum_m Y_m[n] (the zero-fill
-periodogram and the ML search) can be synthesized as that sum directly:
-one value per active subcarrier, with the signal summed in closed form
-and the noise drawn with the summed variance.  Such a summed grid has no
-per-symbol values, and every per-symbol reader refuses it.
-
-A per-cell grid also carries its CPI power sum_m |FFT_2N(Y_m)|^2
+A grid also carries its CPI power sum_m |FFT_2N(Y_m)|^2
 (`FreqGrid.cpi_power`), which both per-symbol estimators read: computed
 on first read, over blocks of symbols split across the usable CPUs.
 """
@@ -59,24 +53,17 @@ def _usable_cpus() -> int:
 class FreqGrid:
     """Received samples on the active cells of the time-frequency grid.
 
-    A per-cell grid holds in `active` one complex value per active cell,
-    in the cell layout of `alloc`, whose `cols` and `starts` it reads.  For
-    a constant allocation `block` is the (M, K) active block.  Inactive
-    cells are zeros by construction and are not stored.
-
-    A summed grid (`symbol_sum=True`) holds in `active` the symbol sum
-    sum_m Y_m[n] of each active column n, in ascending subcarrier order
-    (`np.flatnonzero(alloc.column_counts())`).  It has no per-cell layout:
-    `block`, `cols`, `starts` and `row` raise ValueError, and `samples` is
-    the (1, N) zero-filled symbol sum.
+    `active` holds one complex value per active cell, in the cell layout of
+    `alloc` (`alloc.cols`, `alloc.starts`).  For a constant allocation
+    `block` is the (M, K) active block.  Inactive cells are zeros by
+    construction and are not stored.
     """
 
-    active: np.ndarray  # complex, one value per active cell (or active column)
+    active: np.ndarray  # complex, one value per active cell
     alloc: ResourceAllocation
     params: OfdmParams
     noise_variance: float
     seed_ss: np.random.SeedSequence | None = None
-    symbol_sum: bool = False
 
     def __post_init__(self):
         shape = (self.alloc.n_symbols, self.alloc.n_subcarriers)
@@ -85,21 +72,13 @@ class FreqGrid:
                 f"allocation shape {shape} does not match params "
                 f"({self.params.n_symbols}, {self.params.n_subcarriers})"
             )
-        if self.symbol_sum:
-            n_values, what = int(np.count_nonzero(self.alloc.column_counts())), "columns"
-        else:
-            n_values, what = int(self.alloc.starts[-1]), "cells"
-        if self.active.shape != (n_values,):
+        n_cells = int(self.alloc.starts[-1])
+        if self.active.shape != (n_cells,):
             raise ValueError(
                 f"active values of shape {self.active.shape} do not match the "
-                f"allocation's {n_values} active {what}"
+                f"allocation's {n_cells} active cells"
             )
         self.active.setflags(write=False)
-
-    def _per_cell(self) -> None:
-        """Raise ValueError if the grid holds only its symbol sum."""
-        if self.symbol_sum:
-            raise ValueError("grid holds only its symbol sum, not per-symbol values")
 
     @property
     def n_symbols(self) -> int:
@@ -113,20 +92,7 @@ class FreqGrid:
     def block(self) -> np.ndarray:
         """The (M, K) active block, a read-only view of `active`; raises if
         the allocation varies per symbol."""
-        self._per_cell()
         return self.active.reshape(self.n_symbols, self.alloc.n_active)
-
-    @property
-    def cols(self) -> np.ndarray:
-        """Subcarrier index of each entry of `active`."""
-        self._per_cell()
-        return self.alloc.cols
-
-    @property
-    def starts(self) -> np.ndarray:
-        """Offset in `active` of each symbol's first value."""
-        self._per_cell()
-        return self.alloc.starts[:-1]
 
     def row(self, m: int) -> np.ndarray:
         """Dense row m of `samples`, a new (N,) array built from that
@@ -134,28 +100,22 @@ class FreqGrid:
         m = range(self.n_symbols)[m]  # negative m counts from the end
         lo, hi = self.alloc.starts[m : m + 2]
         out = np.zeros(self.n_subcarriers, dtype=self.active.dtype)
-        out[self.cols[lo:hi]] = self.active[lo:hi]
+        out[self.alloc.cols[lo:hi]] = self.active[lo:hi]
         return out
 
     @property
     def samples(self) -> np.ndarray:
-        """Dense read-only grid, zeros off the allocation: (M, N), or (1, N)
-        for a summed grid.  Built anew on each access, so keep the result
-        rather than reading it twice."""
-        if self.symbol_sum:
-            out = np.zeros((1, self.n_subcarriers), dtype=self.active.dtype)
-            out[0, np.flatnonzero(self.alloc.column_counts())] = self.active
-        else:
-            out = np.zeros((self.n_symbols, self.n_subcarriers), dtype=self.active.dtype)
-            out[self.alloc.mask()] = self.active
+        """Dense read-only (M, N) grid, zeros off the allocation.  Built anew
+        on each access, so keep the result rather than reading it twice."""
+        out = np.zeros((self.n_symbols, self.n_subcarriers), dtype=self.active.dtype)
+        out[self.alloc.mask()] = self.active
         out.setflags(write=False)
         return out
 
     @property
     def cpi_power(self) -> np.ndarray:
         """sum_m |FFT_2N(Y_m)|^2, read-only, computed by _cpi_power on the
-        first read and kept for the life of the grid.  Raises ValueError on
-        a summed grid.
+        first read and kept for the life of the grid.
 
         Not functools.cached_property: before Python 3.12 its lock is one
         for all instances, so sweep threads would wait on each other's
@@ -171,14 +131,14 @@ class FreqGrid:
 
     def dump_csv(self, path) -> None:
         """Active resource elements only, columns m, n, re, im."""
-        cols, values = self.cols, self.active
-        _write_csv(path, ["m", "n", "re", "im"], [self.alloc.rows, cols, values.real, values.imag])
+        alloc, values = self.alloc, self.active
+        _write_csv(path, ["m", "n", "re", "im"], [alloc.rows, alloc.cols, values.real, values.imag])
 
 
 def _cpi_threads(n_blocks: int, points: int) -> int:
     """Threads for _cpi_power: at most one per usable CPU and per block,
     each with at least _MIN_POINTS_PER_THREAD of the `points` to transform."""
-    threads = min(n_blocks, points // _MIN_POINTS_PER_THREAD) if _MIN_POINTS_PER_THREAD else n_blocks
+    threads = min(n_blocks, points // _MIN_POINTS_PER_THREAD)
     return min(threads, _usable_cpus()) if threads > 1 else 1
 
 
@@ -197,7 +157,7 @@ def _block_powers(grid: FreqGrid, claim, work: np.ndarray, power: np.ndarray) ->
     if grid.alloc.is_constant:
         block, cols = grid.block, grid.alloc.indices
     else:
-        cols, starts, cell_rows = grid.cols, grid.alloc.starts, grid.alloc.rows
+        cols, starts, cell_rows = grid.alloc.cols, grid.alloc.starts, grid.alloc.rows
     while (b := claim()) is not None:
         r0 = b * _ROW_BLOCK
         k = min(_ROW_BLOCK, n_symbols - r0)
@@ -225,10 +185,8 @@ def _cpi_power(grid: FreqGrid) -> np.ndarray:
     thread up front: two (B, 2N) arrays freed together at N = 256, and
     workspaces allocated in the helpers, were page-faulted in again on every
     call.  Each block's power goes into its own row, and the caller adds the
-    rows in block order, so the sum has the same bits at any W.  Raises
-    ValueError on a summed grid.
+    rows in block order, so the sum has the same bits at any W.
     """
-    grid._per_cell()
     n_symbols, n = grid.n_symbols, grid.n_subcarriers
     n_blocks = -(-n_symbols // _ROW_BLOCK)
     threads = _cpi_threads(n_blocks, n_symbols * 2 * n)
@@ -277,104 +235,106 @@ def _resolve_targets(scene: Scene, params: OfdmParams, seed):
             warnings.warn(
                 f"target at {t.distance_m} m has delay {tau:.3e} s beyond the "
                 f"unambiguous span {params.symbol_core_s:.3e} s; it will alias",
-                stacklevel=3,
+                stacklevel=4,
             )
         if abs(f_d) > 0.5 / params.symbol_dur_s:
             warnings.warn(
                 f"target Doppler {f_d:.3e} Hz beyond the unambiguous span "
                 f"+/-{0.5 / params.symbol_dur_s:.3e} Hz; it will alias",
-                stacklevel=3,
+                stacklevel=4,
             )
         terms.append((scene.amplitude_of(t) * np.exp(1j * phi), tau, f_d))
     return ss, noise_ss, terms
 
 
-def synthesize(
-    scene: Scene,
-    alloc: ResourceAllocation,
-    params: OfdmParams,
-    seed=None,
-    *,
-    symbol_sum: bool = False,
-) -> FreqGrid:
-    """Generate the received frequency-domain grid for a scene.
+def _signal_plus_noise(scene: Scene, params: OfdmParams, seed, phasors, n_sum: int = 1):
+    """Values of a grid: returns the grid's SeedSequence, the noise variance
+    and a new complex array of the values.
 
-    Noise is drawn i.i.d. per active resource element with total complex
-    variance from the scene's noise spec, half in each quadrature.  The
-    seed feeds two independent substreams (target phases, then noise), so
-    the noiseless twin of a grid shares its phase draws.
-
-    With `symbol_sum=True` the grid holds only sum_m Y_m[n] per active
-    column n (see FreqGrid).  Per target, the signal there is
-    A e^{j phi} S_n e^{-j 2 pi df tau n}, where S_n sums e^{j 2 pi f_D T m}
-    over the symbols m in which n is active, and the noise is the sum of
-    the column's c_n = column_counts()[n] cell noises, CN(0, c_n * var).
-
-    Noise stream layout: the noise substream gives one standard normal z
-    per stored value, in the order of `active`, for the real parts, then
-    one per stored value for the imaginary parts.  A cell adds sigma * z
-    from each draw, sigma = sqrt(var / 2); a summed column adds
-    sqrt(c_n) * sigma * z.  So a per-cell grid takes one normal per active
-    cell and quadrature, and a summed grid one per active column.
+    phasors(sym_phase, sub_phase), with sym_phase[m] = e^{j 2 pi f_D T m}
+    and sub_phase[n] = e^{-j 2 pi df tau n} of one target, returns that
+    target's unit signal as a new array; each is scaled by A e^{j phi}.
+    Noise: the noise substream gives one standard normal z per value, in
+    order, for the real parts, then one per value for the imaginary parts;
+    a value adds sqrt(n_sum * var / 2) * z from each.
     """
-    if alloc.n_symbols != params.n_symbols or alloc.n_subcarriers != params.n_subcarriers:
-        raise ValueError("allocation dimensions do not match params")
     ss, noise_ss, terms = _resolve_targets(scene, params, seed)
     m_idx = np.arange(params.n_symbols)
     n_idx = np.arange(params.n_subcarriers)
-    if symbol_sum:
-        counts = alloc.column_counts()
-        cols = np.flatnonzero(counts)
-    elif alloc.is_constant:
-        rows, cols = m_idx[:, None], alloc.indices
-    else:
-        rows, cols = alloc.rows, alloc.cols
     # The in-place product keeps the amplitude as the first operand, because
     # a complex product can round differently with its operands swapped, and
-    # the sum starts from 0.0, so a per-cell grid has the floats of a
-    # whole-grid sum started from zeros (a -0.0 part becomes +0.0).
+    # the sum starts from 0.0, so a grid has the floats of a whole-grid sum
+    # started from zeros (a -0.0 part becomes +0.0).
     values = 0.0
     for coef, tau, f_d in terms:
         sym_phase = np.exp(2j * np.pi * f_d * params.symbol_dur_s * m_idx)
         sub_phase = np.exp(-2j * np.pi * params.subcarrier_spacing_hz * tau * n_idx)
-        if not symbol_sum:
-            term = sym_phase[rows] * sub_phase[cols]
-        elif alloc.is_constant:  # S_n is one sum over all symbols
-            term = sym_phase.sum() * sub_phase[cols]
-        else:  # S_n adds the phasors of the symbols in which n is active
-            term = np.zeros(params.n_subcarriers, dtype=np.complex128)
-            np.add.at(term, alloc.cols, sym_phase[alloc.rows])
-            term = term[cols] * sub_phase[cols]
+        term = phasors(sym_phase, sub_phase)
         np.multiply(coef, term, out=term)
         values = np.add(values, term, out=term)
     values = values.ravel()
 
     var = scene.noise_variance()
     if var > 0.0:
-        scale = np.sqrt(counts[cols] * (var / 2.0)) if symbol_sum else math.sqrt(var / 2.0)
+        sigma = math.sqrt(n_sum * (var / 2.0))
         rng = np.random.default_rng(noise_ss)
         for part in (values.real, values.imag):
             z = rng.standard_normal(values.size)
-            z *= scale
+            z *= sigma
             part += z
-    return FreqGrid(
-        active=values,
-        alloc=alloc,
-        params=params,
-        noise_variance=var,
-        seed_ss=ss,
-        symbol_sum=symbol_sum,
+    return ss, var, values
+
+
+def synthesize(scene: Scene, alloc: ResourceAllocation, params: OfdmParams, seed=None) -> FreqGrid:
+    """Generate the received frequency-domain grid for a scene.
+
+    Noise is drawn i.i.d. per active resource element with total complex
+    variance from the scene's noise spec, half in each quadrature: one
+    standard normal per active cell and quadrature, real parts first, in
+    the order of `active`.  The seed feeds two independent substreams
+    (target phases, then noise), so the noiseless twin of a grid shares its
+    phase draws.
+    """
+    if alloc.n_symbols != params.n_symbols or alloc.n_subcarriers != params.n_subcarriers:
+        raise ValueError("allocation dimensions do not match params")
+    if alloc.is_constant:
+        rows, cols = np.arange(params.n_symbols)[:, None], alloc.indices
+    else:
+        rows, cols = alloc.rows, alloc.cols
+    ss, var, values = _signal_plus_noise(
+        scene, params, seed, lambda sym_phase, sub_phase: sym_phase[rows] * sub_phase[cols]
     )
+    return FreqGrid(active=values, alloc=alloc, params=params, noise_variance=var, seed_ss=ss)
+
+
+def _symbol_sum_row(scene: Scene, alloc: ResourceAllocation, params: OfdmParams, seed) -> np.ndarray:
+    """sum_m Y_m[n] of a grid of a constant allocation, drawn directly as a
+    dense (N,) row, zeros off the allocation.
+
+    For a reader of the symbol sum only (the zero-fill periodogram).  Per
+    target, an active column n holds A e^{j phi} S e^{-j 2 pi df tau n},
+    S = sum_m e^{j 2 pi f_D T m}, plus the sum of its M cell noises,
+    CN(0, M var): one standard normal per active column and quadrature
+    (_signal_plus_noise with n_sum = M).  Same phases as
+    synthesize(scene, alloc, params, seed), other noise draws.
+    """
+    cols = alloc.indices  # raises if the allocation varies per symbol
+    _, _, values = _signal_plus_noise(
+        scene, params, seed, lambda sym_phase, sub_phase: sym_phase.sum() * sub_phase[cols],
+        n_sum=alloc.n_symbols,
+    )
+    row = np.zeros(params.n_subcarriers, dtype=np.complex128)
+    row[cols] = values
+    return row
 
 
 def measure_snr(grid: FreqGrid, scene: Scene) -> float:
-    """Empirical per-active-RE SNR of a synthesized per-cell grid, in dB.
+    """Empirical per-active-RE SNR of a synthesized grid, in dB.
 
     Signal power is measured from the noiseless twin (same seed, so the
     same phase draws), divided by the injected noise variance.  Returns
-    +inf for a noiseless grid.  Raises ValueError on a summed grid.
+    +inf for a noiseless grid.
     """
-    grid._per_cell()
     if grid.noise_variance == 0.0:
         return math.inf
     quiet = Scene(targets=scene.targets, noise_variance_w=0.0, link=scene.link)

@@ -20,7 +20,7 @@ from sparse_isac.estimators import (
     _noncoherent_profile,
     _refine_bin,
 )
-from sparse_isac.synth import _ROW_BLOCK
+from sparse_isac.synth import _ROW_BLOCK, _symbol_sum_row
 
 N = 40
 
@@ -157,8 +157,8 @@ class TestAgainstDenseGrid:
         _, grid = case
         samples = grid.samples
         rows, cols = np.nonzero(grid.alloc.mask())
-        assert np.array_equal(grid.cols, cols)
-        assert np.array_equal(grid.starts, np.searchsorted(rows, np.arange(grid.n_symbols)))
+        assert np.array_equal(grid.alloc.cols, cols)
+        assert np.array_equal(grid.alloc.starts, np.searchsorted(rows, np.arange(grid.n_symbols + 1)))
         for m in (0, 1, grid.n_symbols // 2, grid.n_symbols - 1, -1, -grid.n_symbols):
             assert np.array_equal(bits(grid.row(m)), bits(samples[m]))
         with pytest.raises(IndexError):
@@ -286,24 +286,24 @@ def test_calls_share_no_workspace():
 
 @pytest.mark.parametrize("pattern", ["random", "per_symbol"])
 def test_readers_take_the_layout_from_the_allocation(pattern, monkeypatch, tmp_path):
-    """Synthesis and every estimator read `cols`/`starts`/`rows` of the
-    allocation; only the dense `samples` view builds the (M, N) mask."""
+    """Synthesis, the sweep's symbol-sum draw and every estimator read
+    `cols`/`starts`/`rows` of the allocation; only the dense `samples` view
+    builds the (M, N) mask."""
     params = make_params(_ROW_BLOCK + 3)
     alloc = make_alloc(pattern, params)
     target = si.Target(distance_m=120.0, velocity_mps=30.0, amplitude=1.0)
     scene = si.Scene(targets=(target,), snr_db=0.0)
     monkeypatch.setattr(si.ResourceAllocation, "mask", lambda self: pytest.fail("mask() called"))
     grid = si.synthesize(scene, alloc, params, seed=3)
-    summed = si.synthesize(scene, alloc, params, seed=3, symbol_sum=True)
-    for g in (grid, summed):
-        si.zero_fill_periodogram(g)
-        si.ml_single_target(g)
+    si.zero_fill_periodogram(grid)
+    si.ml_single_target(grid)
     si.doppler_periodogram(grid)
     every_lag = si.difference_set(si.ResourceAllocation.constant(np.arange(N), 1, N))
     si.autocorrelate_symbol(grid, -1, every_lag)
     grid.dump_csv(tmp_path / "grid.csv")
     if alloc.is_constant:
         si.build_virtual_signal(grid)
+        _symbol_sum_row(scene, alloc, params, seed=3)
 
 
 def test_synthesize_builds_no_dense_grid():

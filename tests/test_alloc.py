@@ -141,7 +141,8 @@ class TestMakeAllocation:
             ("coprime", dict(p=None, q=3), TypeError),
             ("nested", dict(inner=0, outer=3), ValueError),
             ("custom", dict(indices=[1.5, 3.0]), TypeError),
-            ("custom", dict(indices="x"), ValueError),
+            ("custom", dict(indices="x"), TypeError),
+            ("custom", dict(indices={"a": 1}), TypeError),
             ("custom", dict(indices=[0, 999]), ValueError),
         ],
     )
@@ -149,6 +150,14 @@ class TestMakeAllocation:
         field = next(iter(kwargs), "n_active")
         with pytest.raises(error, match=f"^{field}: "):
             si.make_allocation(make_params(16), pattern, seed=0, **kwargs)
+
+    def test_custom_per_symbol_sets_that_agree_need_two_subcarriers(self):
+        params = make_params(16, m=3)
+        with pytest.raises(ValueError, match="fewer than 2 active subcarriers"):
+            si.make_allocation(params, "custom", indices=[[5], [5], [5]])
+        alloc = si.make_allocation(params, "custom", indices=[[5, 1]] * 3)
+        assert alloc.is_constant and np.array_equal(alloc.indices, [1, 5])
+        assert not si.make_allocation(params, "custom", indices=[[5], [5], [6]]).is_constant
 
     def test_custom_deduplicates_and_sorts(self):
         alloc = si.make_allocation(make_params(16), "custom", indices=[5, 1, 5, 9])

@@ -338,17 +338,20 @@ class TestMonteCarloSweep:
 
     def test_only_zero_fill_slots_are_summed(self, monkeypatch):
         # slots 2 and 3 (full and equivalent band) are read through zero-fill
-        # only; slot 1 (the random draw) and slot 4 (nested) stay per-cell
+        # only, so only their symbol sum is drawn; slot 1 (the random draw)
+        # and slot 4 (nested) are synthesized per cell
         cfg = self.tiny_config(snr_db_axis=(0.0,), methods=si.analysis.SWEEP_METHODS)
         fixed = {id(a): m for m, a in cfg._allocations.items()}
         calls = []
-        real = si.analysis.synthesize
 
-        def spy(scene, alloc, params, seed=None, *, symbol_sum=False):
-            calls.append((fixed.get(id(alloc), "random"), symbol_sum))
-            return real(scene, alloc, params, seed=seed, symbol_sum=symbol_sum)
+        def spy(real, summed):
+            def draw(scene, alloc, params, seed):
+                calls.append((fixed.get(id(alloc), "random"), summed))
+                return real(scene, alloc, params, seed)
+            return draw
 
-        monkeypatch.setattr(si.analysis, "synthesize", spy)
+        monkeypatch.setattr(si.analysis, "synthesize", spy(si.analysis.synthesize, False))
+        monkeypatch.setattr(si.analysis, "_symbol_sum_row", spy(si.analysis._symbol_sum_row, True))
         monte_carlo_sweep(cfg)
         assert len(calls) == 4 * cfg.n_trials
         assert set(calls) == {

@@ -308,6 +308,12 @@ PROBES = [
     # ValueError, not the MemoryError of a merely too large axis
     ("delay_points", mutated("ambiguity", ["delay_points"], 2**62)),
     ("doppler_points", mutated("ambiguity", ["doppler_points"], 10**20)),
+    # one subcarrier in every symbol: a constant set too small for a surface
+    ("allocation", mutated("ambiguity", ["allocation"], {"pattern": "custom", "indices": [[5], [5]]})),
+    ("indices", mutated("ambiguity", ["allocation"], {"pattern": "custom", "indices": {"a": 1}})),
+    # a virtual periodogram of oversample * (2N - 1) > 2**53 points
+    ("oversample", mutated("rmse_pslr_sweep", ["oversample"], 10**17)),
+    ("oversample", mutated("two_target_demo", ["oversample"], 10**17)),
 ]
 
 
@@ -371,6 +377,23 @@ class TestContract:
         code, stdout, err = main_in_process("run", "--config", path, "--out", out)
         assert (code, stdout) == (3, "")
         assert err.startswith("numeric failure in ambiguity: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            (["amplitude"], 1e-200),  # amplitude**2 underflows: ZeroDivisionError
+            (["amplitude"], 1e200),  # amplitude**2 overflows: OverflowError
+            (["ofdm", "subcarrier_spacing_hz"], 1e300),
+        ],
+    )
+    def test_arithmetic_failure_is_a_numeric_failure(self, tmp_path, key, value):
+        path, out = write_config(tmp_path, mutated("crlb_table", key, value)), tmp_path / "out"
+        assert main_in_process("validate", "--config", path)[0] == 0
+        code, stdout, err = main_in_process("run", "--config", path, "--out", out)
+        assert (code, stdout) == (3, "")
+        assert err.startswith("numeric failure in crlb_table: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 

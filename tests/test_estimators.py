@@ -204,12 +204,12 @@ def ml_case_grid(pattern, n):
         rng = np.random.default_rng(4)
         indices = [rng.choice(n, size=20, replace=False) for _ in range(params.n_symbols)]
         alloc = si.make_allocation(params, "custom", indices=indices)
-    else:  # "random", "summed" or "k2"
+    else:  # "random" or "k2"
         n_active = 2 if pattern == "k2" else min(64, n)
         alloc = si.make_allocation(params, "random", n_active=n_active, seed=1)
     target = si.Target(distance_m=0.37 * n * params.range_bin_m, amplitude=1.0)
     scene = si.Scene(targets=(target,), snr_db=0.0)
-    return si.synthesize(scene, alloc, params, seed=9, symbol_sum=pattern == "summed")
+    return si.synthesize(scene, alloc, params, seed=9)
 
 
 class TestMlKernel:
@@ -222,7 +222,6 @@ class TestMlKernel:
             ("full", 256, 4),
             ("nested", 256, 4),
             ("per_symbol", 256, 4),
-            ("summed", 256, 4),
             ("random", 256, 1),
             ("random", 256, 3),
             ("random", 256, 8),

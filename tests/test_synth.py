@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import sparse_isac as si
-from sparse_isac.synth import _ROW_BLOCK
+from sparse_isac.estimators import _zero_fill
+from sparse_isac.synth import _ROW_BLOCK, _symbol_sum_row
 
 C = si.SPEED_OF_LIGHT
 
@@ -269,22 +270,13 @@ class TestNoiseCalibration:
 
 
 def alloc_for(pattern, params):
-    n, m = params.n_subcarriers, params.n_symbols
-    if pattern == "per_symbol":
-        rng = np.random.default_rng(m)
-        return si.ResourceAllocation(
-            per_symbol_indices=tuple(
-                rng.choice(n, size=rng.integers(1, 12), replace=False) for _ in range(m)
-            ),
-            n_subcarriers=n,
-        )
     if pattern == "nested":
         return si.make_allocation(params, "nested", inner=4, outer=7)
     return si.make_allocation(params, pattern, n_active=9, seed=3)
 
 
 def summed_pair(pattern, n_targets=1, moving=True, **noise):
-    """(per-cell grid, summed grid) of one scene, allocation and seed."""
+    """(per-cell grid, symbol-sum row) of one scene, constant allocation and seed."""
     params = make_params(n=40, m=13)
     alloc = alloc_for(pattern, params)
     targets = (
@@ -294,43 +286,37 @@ def summed_pair(pattern, n_targets=1, moving=True, **noise):
     )[:n_targets]
     scene = si.Scene(targets=targets, **(noise or dict(noise_variance_w=0.0)))
     cells = si.synthesize(scene, alloc, params, seed=17)
-    summed = si.synthesize(scene, alloc, params, seed=17, symbol_sum=True)
-    return cells, summed
+    return cells, _symbol_sum_row(scene, alloc, params, seed=17)
 
 
 class TestSymbolSum:
-    @pytest.mark.parametrize("pattern", ["full", "random", "nested", "per_symbol"])
+    """_symbol_sum_row: the sweep's direct draw of a grid's symbol sum."""
+
+    @pytest.mark.parametrize("pattern", ["full", "random", "nested"])
     @pytest.mark.parametrize("n_targets", [1, 2])
     @pytest.mark.parametrize("moving", [False, True])
     def test_noiseless_equals_per_cell_symbol_sum(self, pattern, n_targets, moving):
-        cells, summed = summed_pair(pattern, n_targets, moving)
-        cols = np.flatnonzero(cells.alloc.column_counts())
-        assert summed.symbol_sum and summed.active.shape == cols.shape
-        want = cells.samples.sum(axis=0)[cols]
-        assert np.max(np.abs(summed.active - want)) <= 1e-13 * np.max(np.abs(want))
-        # the dense view of a summed grid is its zero-filled symbol sum
-        dense = np.zeros((1, 40), dtype=complex)
-        dense[0, cols] = summed.active
-        assert np.array_equal(summed.samples, dense)
+        cells, row = summed_pair(pattern, n_targets, moving)
+        want = cells.samples.sum(axis=0)
+        assert row.shape == (40,)
+        assert np.all(row[cells.alloc.column_counts() == 0] == 0.0)
+        assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_noise_variance_per_column(self):
-        # per-symbol allocation, so the column counts c_n run from 0 to M
         params = make_params(n=40, m=13)
-        alloc = alloc_for("per_symbol", params)
-        counts = alloc.column_counts()
-        cols = np.flatnonzero(counts)
-        assert len(set(counts[cols].tolist())) > 3
+        alloc = alloc_for("random", params)
+        cols = alloc.indices
         t = si.Target(distance_m=77.0, amplitude=1.0, phase_rad=0.0)
         scene = si.Scene(targets=(t,), noise_variance_w=2.0)
-        quiet = si.synthesize(
-            si.Scene(targets=(t,), noise_variance_w=0.0), alloc, params, symbol_sum=True
-        )
+        quiet = _symbol_sum_row(si.Scene(targets=(t,), noise_variance_w=0.0), alloc, params, None)
         trials = 4000
         noise = np.array([
-            si.synthesize(scene, alloc, params, seed=s, symbol_sum=True).active - quiet.active
+            _symbol_sum_row(scene, alloc, params, s) - quiet
             for s in np.random.SeedSequence(23).spawn(trials)
         ])
-        want = 2.0 * counts[cols]
+        assert np.all(np.delete(noise, cols, axis=1) == 0.0)
+        noise = noise[:, cols]
+        want = 2.0 * params.n_symbols  # the sum of the column's M cell noises
         # |CN|^2 is exponential: the relative std of a mean of T is 1/sqrt(T)
         var = np.mean(np.abs(noise) ** 2, axis=0)
         assert np.all(np.abs(var / want - 1.0) < 4.0 / math.sqrt(trials))
@@ -338,46 +324,26 @@ class TestSymbolSum:
             half = np.mean(part**2, axis=0) / (want / 2.0)
             assert np.all(np.abs(half - 1.0) < 4.0 * math.sqrt(2.0 / trials))
 
-    def test_per_symbol_readers_refuse(self, tmp_path):
-        _, summed = summed_pair("random", snr_db=0.0)
-        scene = si.Scene(targets=(si.Target(distance_m=120.0, amplitude=1.0),), snr_db=0.0)
-        ap = si.difference_set(summed.alloc)
-        refusals = [
-            lambda: summed.block,
-            lambda: summed.cols,
-            lambda: summed.starts,
-            lambda: summed.row(0),
-            lambda: summed.dump_csv(tmp_path / "grid.csv"),
-            lambda: si.measure_snr(summed, scene),
-            lambda: si.build_virtual_signal(summed),
-            lambda: si.autocorrelate_symbol(summed, 0, ap),
-            lambda: si.doppler_periodogram(summed),
-            lambda: si.doppler_periodogram(summed, delay_s=1e-6),
-        ]
-        for call in refusals:
-            with pytest.raises(ValueError, match="symbol sum"):
-                call()
-        assert not (tmp_path / "grid.csv").exists()
+    def test_per_symbol_allocation_rejected(self):
+        params = make_params(n=40, m=2)
+        alloc = si.make_allocation(params, "custom", indices=[[0, 5], [1, 7, 9]])
+        scene = si.Scene(targets=(si.Target(distance_m=50.0, amplitude=1.0),), snr_db=0.0)
+        with pytest.raises(ValueError, match="varies across symbols"):
+            _symbol_sum_row(scene, alloc, params, 0)
 
     def test_constructor_checks_length(self):
-        cells, summed = summed_pair("random")
-        with pytest.raises(ValueError, match="active columns"):
-            si.FreqGrid(active=cells.active, alloc=cells.alloc, params=cells.params,
-                        noise_variance=0.0, symbol_sum=True)
+        cells, row = summed_pair("random")
         with pytest.raises(ValueError, match="active cells"):
-            si.FreqGrid(active=summed.active, alloc=cells.alloc, params=cells.params,
+            si.FreqGrid(active=row[cells.alloc.indices], alloc=cells.alloc, params=cells.params,
                         noise_variance=0.0)
 
-    @pytest.mark.parametrize("pattern", ["full", "random", "nested", "per_symbol"])
-    def test_zero_fill_and_ml_match_per_cell_grid(self, pattern):
-        cells, summed = summed_pair(pattern, n_targets=2)
-        a, b = si.zero_fill_periodogram(cells), si.zero_fill_periodogram(summed)
+    @pytest.mark.parametrize("pattern", ["full", "random", "nested"])
+    def test_zero_fill_matches_per_cell_grid(self, pattern):
+        cells, row = summed_pair(pattern, n_targets=2)
+        a = si.zero_fill_periodogram(cells)
+        b = _zero_fill(row, cells.alloc, cells.params, a.oversample)
         assert np.array_equal(a.axis, b.axis)
         assert np.max(np.abs(a.values - b.values)) <= 1e-13 * np.max(a.values)
-        ea, eb = si.ml_single_target(cells), si.ml_single_target(summed)
-        assert ea.bin_index == eb.bin_index
-        assert eb.delay_s == pytest.approx(ea.delay_s, rel=1e-9)
-        assert eb.peak_value == pytest.approx(ea.peak_value, rel=1e-12)
 
     def test_alias_warnings(self):
         params = make_params()
@@ -389,5 +355,7 @@ class TestSymbolSum:
             si.Target(distance_m=100.0, velocity_mps=v_alias, amplitude=1.0),
         ):
             scene = si.Scene(targets=(t,), noise_variance_w=0.0)
-            with pytest.warns(UserWarning, match="alias"):
-                si.synthesize(scene, alloc, params, seed=0, symbol_sum=True)
+            for draw in (si.synthesize, _symbol_sum_row):
+                with pytest.warns(UserWarning, match="alias") as record:
+                    draw(scene, alloc, params, 0)
+                assert record[0].filename == __file__  # blamed on the caller
