@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -65,15 +64,17 @@ _CSV_SPECIAL = (",", '"', "\r", "\n")
 
 
 def _csv_cells(column) -> list[str]:
-    """One column of `_write_csv` as text."""
+    """One column of `_write_csv` as text; str cells are kept as they are."""
     if isinstance(column, np.ndarray):
-        if column.dtype.kind == "f":
-            return list(map(format, column.tolist(), repeat(".12g")))
         column = column.tolist()
-    cells = [f"{x:.12g}" if isinstance(x, float) else str(x) for x in column]
-    if any(ch in "".join(cells) for ch in _CSV_SPECIAL):
-        cells = [_csv_quote(c) for c in cells]
-    return cells
+    try:
+        text = "".join(column)  # TypeError unless every cell is a str
+    except TypeError:
+        column = [f"{x:.12g}" if isinstance(x, float) else str(x) for x in column]
+        text = "".join(column)
+    if any(ch in text for ch in _CSV_SPECIAL):
+        column = [_csv_quote(c) for c in column]
+    return column
 
 
 def _csv_quote(cell: str) -> str:
@@ -86,18 +87,26 @@ def _write_csv(path, header, columns, comment: str | None = None) -> None:
     """The one artifact format: an optional `# comment` line, a header row,
     then row i holds cell i of each of the equally long `columns`.
 
-    A float ndarray column is written in one pass of .12g over its
-    tolist().  In any other column a float cell (np.float64 included) is
-    .12g and any other cell is str(); an ndarray's cells are read as Python
-    scalars first.  A cell that holds a comma, a double quote or a line
-    break is quoted as csv.writer's QUOTE_MINIMAL quotes it; .12g text
-    never is.  Rows end in CR LF, as csv.writer ends them."""
-    lines = [",".join(_csv_cells(header))]
-    lines += map(",".join, zip(*map(_csv_cells, columns), strict=True))
+    The rows are one `%` pass of a row format, `%.12g` for a float ndarray
+    column (fed its tolist()) and `%s` for any other (fed its `_csv_cells`
+    text: a float cell, np.float64 included, at .12g, a str cell as it is,
+    any other cell str()), over the row-major tuple of every cell.  A cell
+    holding a comma, a double quote or a line break is quoted as
+    csv.writer's QUOTE_MINIMAL quotes it; .12g text never is.  Rows end in
+    CR LF, as csv.writer ends them."""
+    n_rows = len(columns[0])
+    if any(len(column) != n_rows for column in columns):
+        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+    floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
+    row = ",".join("%.12g" if f else "%s" for f in floats) + "\r\n"
+    flat = [None] * (len(columns) * n_rows)  # cell j of row i at i * len(columns) + j
+    for j, (column, f) in enumerate(zip(columns, floats)):
+        flat[j :: len(columns)] = column.tolist() if f else _csv_cells(column)
     with open(path, "w", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(",".join(_csv_cells(header)) + "\r\n")
+        fh.write((row * n_rows) % tuple(flat))
 
 
 def _as_tuple(name: str, value, length: int | None = None) -> tuple:

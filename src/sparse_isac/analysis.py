@@ -20,7 +20,6 @@ from .alloc import (
     _as_tuple,
     _check_number,
     _write_csv,
-    difference_set,
     make_allocation,
     nested_params_for,
 )
@@ -222,7 +221,10 @@ def pslr(p: Periodogram, mainlobe_halfwidth: int) -> float:
 def common_exclusion_halfwidth(p: Periodogram) -> int:
     """Exclusion halfwidth (bins) from the first null of a contiguous
     aperture with the full-band virtual extent 2N-1.  Using one physical
-    width for every method keeps PSLR comparisons on an equal footing."""
+    width for every method keeps PSLR comparisons on an equal footing.
+    For the zero-fill methods (at most N subcarriers) that is half their
+    main lobe or less: at oversample 4 its 2 bins sit inside the lobe, so
+    their PSLR reads the lobe's shoulder, not their first sidelobe."""
     n = p.params.n_subcarriers
     first_null_s = 1.0 / ((2 * n - 1) * p.params.subcarrier_spacing_hz)
     return max(1, round(first_null_s / p.bin_width))
@@ -233,8 +235,8 @@ class AmbiguitySurface:
     """Normalized delay-Doppler ambiguity magnitudes for one allocation.
 
     direct uses the active subcarriers as unit taps; virtual uses the
-    difference-set lags weighted by their pair counts.  Both normalized
-    to 1 at (0, 0).
+    difference-set lags weighted by their pair counts, a delay term equal to
+    the direct one's squared magnitude over K**2.  Both are 1 at (0, 0).
     """
 
     delay_axis_s: np.ndarray
@@ -258,35 +260,22 @@ def ambiguity_function(
     """Ambiguity magnitude over a delay x Doppler grid.
 
     The double sum over symbols and subcarriers factors into a Doppler
-    term (common to both apertures) and a delay term evaluated either on
-    the active indices or on the difference-set lags with pair-count taps.
+    term (common to both apertures) and a delay term D(tau), the sum of
+    exp(-2j pi df tau n) over the K active indices n.  The virtual delay
+    term, the sum over difference-set lags weighted by their pair counts,
+    is the same sum over ordered pairs (n_a, n_b), so it equals |D(tau)|**2
+    and its pair counts sum to K**2.
     """
     delay_grid_s = np.asarray(delay_grid_s, dtype=np.float64)
     doppler_grid_hz = np.asarray(doppler_grid_hz, dtype=np.float64)
-    idx = alloc.indices.astype(np.float64)
-    ap = difference_set(alloc)
-    m_idx = np.arange(params.n_symbols)
-
-    dop = np.exp(
-        2j * np.pi * np.outer(doppler_grid_hz, m_idx) * params.symbol_dur_s
-    ).sum(axis=1)
+    m, k = params.n_symbols, alloc.n_active
+    dop_phase = 2j * np.pi * np.outer(doppler_grid_hz, np.arange(m)) * params.symbol_dur_s
+    dop = np.exp(dop_phase).sum(axis=1)
     phase = -2j * np.pi * params.subcarrier_spacing_hz
-    direct_delay = np.exp(phase * np.outer(delay_grid_s, idx)).sum(axis=1)
-    virt_delay = (
-        np.exp(phase * np.outer(delay_grid_s, ap.lags.astype(np.float64)))
-        * ap.pair_counts
-    ).sum(axis=1)
-
-    direct = np.abs(np.outer(dop, direct_delay))
-    virtual = np.abs(np.outer(dop, virt_delay))
-    direct /= params.n_symbols * idx.size
-    virtual /= params.n_symbols * float(ap.pair_counts.sum())
-    return AmbiguitySurface(
-        delay_axis_s=delay_grid_s,
-        doppler_axis_hz=doppler_grid_hz,
-        direct=direct,
-        virtual=virtual,
-    )
+    delay = np.exp(phase * np.outer(delay_grid_s, alloc.indices)).sum(axis=1)
+    direct = np.abs(np.outer(dop, delay)) / (m * k)
+    virtual = np.outer(np.abs(dop), delay.real**2 + delay.imag**2) / (m * k**2)
+    return AmbiguitySurface(delay_grid_s, doppler_grid_hz, direct, virtual)
 
 
 # ---------------------------------------------------------------------------
@@ -412,19 +401,9 @@ def _match_errors(
     """Nearest-peak assignment per true target; a target with no peak
     within the tolerance counts as a miss and stays out of the RMSE."""
     est = np.array([p.refined_axis_value * SPEED_OF_LIGHT / 2.0 for p in peaks.peaks])
-    errors: list[float] = []
-    misses = 0
-    for true_r in true_ranges_m:
-        if est.size == 0:
-            misses += 1
-            continue
-        j = int(np.argmin(np.abs(est - true_r)))
-        err = est[j] - true_r
-        if abs(err) <= miss_tol_m:
-            errors.append(float(err))
-        else:
-            misses += 1
-    return errors, misses
+    nearest = [est[np.argmin(np.abs(est - r))] - r for r in true_ranges_m] if est.size else []
+    errors = [float(err) for err in nearest if abs(err) <= miss_tol_m]
+    return errors, len(true_ranges_m) - len(errors)
 
 
 def _sweep_point(cfg: SweepConfig, scene: Scene, point_ss) -> dict:

@@ -168,8 +168,9 @@ def _build_hole_probability(cfg: dict, build: _Build, params, seed):
 _AMBIGUITY_AXES = {
     "delay_points": dict(integer=True, minimum=3, maximum=_AXIS_MAX_POINTS),
     "doppler_points": dict(integer=True, minimum=3, maximum=_AXIS_MAX_POINTS),
-    "delay_span_bins": dict(positive=True),
-    "doppler_span_bins": dict(positive=True),
+    # a span of at most 2**53 bins keeps each axis and its phases finite
+    "delay_span_bins": dict(positive=True, maximum=_AXIS_MAX_POINTS),
+    "doppler_span_bins": dict(positive=True, maximum=_AXIS_MAX_POINTS),
 }
 
 
@@ -574,12 +575,20 @@ def _threads(args) -> int:
     return args.threads or _usable_cpus()  # 0 = one per CPU this process may use
 
 
+def _thread_count(text: str) -> int:
+    """--threads: an integer >= 0, else a usage error (exit 2)."""
+    count = int(text)  # argparse reports a ValueError as an invalid value
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {count}")
+    return count
+
+
 def _add_run_options(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None, help="master seed override")
     p.add_argument("--out", default=None, help=f"output directory (or ${OUTDIR_ENV})")
     p.add_argument(
         "--threads",
-        type=int,
+        type=_thread_count,
         default=1,
         help="threads over a sweep's SNR points, 0 = one per usable CPU; the lag-sum "
         "kernel also splits large grids over the usable CPUs, so up to THREADS times "

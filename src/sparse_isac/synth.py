@@ -98,9 +98,12 @@ class FreqGrid:
         """Dense row m of `samples`, a new (N,) array built from that
         symbol's active values only."""
         m = range(self.n_symbols)[m]  # negative m counts from the end
-        lo, hi = self.alloc.starts[m : m + 2]
         out = np.zeros(self.n_subcarriers, dtype=self.active.dtype)
-        out[self.alloc.cols[lo:hi]] = self.active[lo:hi]
+        if self.alloc.is_constant:  # the one index set, not the (M*K,) `cols`
+            out[self.alloc.indices] = self.block[m]
+        else:
+            lo, hi = self.alloc.starts[m : m + 2]
+            out[self.alloc.cols[lo:hi]] = self.active[lo:hi]
         return out
 
     @property

@@ -306,6 +306,22 @@ def test_readers_take_the_layout_from_the_allocation(pattern, monkeypatch, tmp_p
         _symbol_sum_row(scene, alloc, params, seed=3)
 
 
+@pytest.mark.parametrize("pattern", ["full", "random", "nested", "per_symbol"])
+def test_every_row_is_the_dense_row(pattern, monkeypatch):
+    """row(m) for every m, negative m included; a constant allocation's row
+    reads its one index set, never the whole (M*K,) `cols`."""
+    params = make_params(_ROW_BLOCK + 3)
+    alloc = make_alloc(pattern, params)
+    target = si.Target(distance_m=120.0, velocity_mps=30.0, amplitude=1.0)
+    grid = si.synthesize(si.Scene(targets=(target,), snr_db=0.0), alloc, params, seed=5)
+    samples = grid.samples
+    if alloc.is_constant:
+        no_cols = property(lambda self: pytest.fail("cols read"))
+        monkeypatch.setattr(si.ResourceAllocation, "cols", no_cols)
+    for m in range(-grid.n_symbols, grid.n_symbols):
+        assert np.array_equal(bits(grid.row(m)), bits(samples[m]))
+
+
 def test_synthesize_builds_no_dense_grid():
     params = si.OfdmParams(1000, 720, 120e3, 24e9)  # a dense grid is 11.5 MB
     alloc = si.make_allocation(params, "random", n_active=200, seed=1)

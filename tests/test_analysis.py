@@ -203,7 +203,47 @@ class TestPslr:
             si.pslr(self.spectrum(vals), mainlobe_halfwidth=8)
 
 
+def lag_sum_ambiguity(alloc, params, delays, dopplers):
+    """Reference surface: the virtual delay term summed over the
+    difference-set lags with pair-count taps, normalised by their sum."""
+    ap = si.difference_set(alloc)
+    dop = np.exp(
+        2j * np.pi * np.outer(dopplers, np.arange(params.n_symbols)) * params.symbol_dur_s
+    ).sum(axis=1)
+    phase = -2j * np.pi * params.subcarrier_spacing_hz
+    direct_delay = np.exp(phase * np.outer(delays, alloc.indices)).sum(axis=1)
+    virt_delay = (np.exp(phase * np.outer(delays, ap.lags)) * ap.pair_counts).sum(axis=1)
+    direct = np.abs(np.outer(dop, direct_delay)) / (params.n_symbols * alloc.n_active)
+    virtual = np.abs(np.outer(dop, virt_delay)) / (params.n_symbols * ap.pair_counts.sum())
+    return direct, virtual
+
+
 class TestAmbiguityFunction:
+    @pytest.mark.parametrize("n", [31, 32])
+    @pytest.mark.parametrize("pattern", ["random", "nested", "custom"])
+    @pytest.mark.parametrize("axes", ["symmetric", "asymmetric"])
+    def test_factored_surface_matches_lag_sum(self, n, pattern, axes):
+        params = make_params(n=n, m=7)
+        if pattern == "random":
+            alloc = si.make_allocation(params, "random", n_active=9, seed=n)
+        elif pattern == "nested":
+            alloc = si.make_allocation(params, "nested", inner=3, outer=5)
+        else:
+            alloc = const_alloc([0, 2, 3, 11, n - 1], params)
+        delay_bin = 1.0 / (n * params.subcarrier_spacing_hz)
+        doppler_bin = 1.0 / (params.n_symbols * params.symbol_dur_s)
+        if axes == "symmetric":
+            delays = np.linspace(-12.0, 12.0, 97) * delay_bin
+            dopplers = np.linspace(-3.0, 3.0, 25) * doppler_bin
+        else:
+            delays = np.linspace(-5.3, 40.1, 120) * delay_bin
+            dopplers = np.linspace(-0.7, 6.2, 18) * doppler_bin
+        surf = si.ambiguity_function(alloc, params, delays, dopplers)
+        direct, virtual = lag_sum_ambiguity(alloc, params, delays, dopplers)
+        assert surf.direct.shape == surf.virtual.shape == (dopplers.size, delays.size)
+        np.testing.assert_allclose(surf.direct, direct, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(surf.virtual, virtual, rtol=0, atol=1e-13)
+
     def test_unit_peak_at_origin(self):
         params = make_params(n=32, m=4)
         alloc = si.make_allocation(params, "random", n_active=12, seed=2)

@@ -7,6 +7,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -496,6 +497,35 @@ class TestContract:
         assert exc.value.code == 2
         assert "--profile" in err.getvalue()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("threads", ["-1", "-3", "1.5", "x"])
+    def test_threads_not_a_count_is_a_usage_error(self, tmp_path, threads):
+        path, out = write_config(tmp_path, TINY["crlb_table"]), tmp_path / "out"
+        err = io.StringIO()
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+            cli.main(["run", "--config", str(path), "--out", str(out), "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in err.getvalue()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_threads_zero_runs(self, tmp_path):
+        path, out = write_config(tmp_path, TINY["crlb_table"]), tmp_path / "out"
+        assert main_in_process("run", "--config", path, "--out", out, "--threads", 0)[0] == 0
+
+    @pytest.mark.parametrize("field", ["delay_span_bins", "doppler_span_bins"])
+    @pytest.mark.parametrize("value", [1e308, -1e308, 5e-324, 2.0**53])
+    def test_extreme_span_is_refused_or_finite(self, tmp_path, field, value):
+        path, out = write_config(tmp_path, mutated("ambiguity", [field], value)), tmp_path / "out"
+        code, _, err = main_in_process("run", "--config", path, "--out", out)
+        if code == 2:
+            assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+            return
+        assert code == 0, err
+        for name in ("ambiguity.csv", "ambiguity_delay_cut.csv"):
+            rows = (out / name).read_text().splitlines()[1:]
+            cells = np.array([[float(c) for c in row.split(",")] for row in rows])
+            assert cells.size and np.isfinite(cells).all(), name
 
     def test_hole_probability_runs(self, tmp_path):
         path = write_config(tmp_path, TINY["hole_probability"])
