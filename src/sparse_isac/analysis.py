@@ -320,7 +320,8 @@ class SweepConfig:
         _check_number("n_active", self.n_active, integer=True, minimum=2, maximum=n)
         _check_number("n_trials", self.n_trials, integer=True, minimum=1)
         most = _AXIS_MAX_POINTS // (2 * n - 1)  # the virtual periodogram's oversample * (2N - 1)
-        _check_number("oversample", self.oversample, integer=True, minimum=1, maximum=most)
+        # pslr excludes 3 bins or more around the peak: oversample * N >= 4 leaves a sidelobe
+        _check_number("oversample", self.oversample, integer=True, minimum=-(-4 // n), maximum=most)
         _check_number("master_seed", self.master_seed, integer=True, minimum=0)
         _check_number("miss_threshold_bins", self.miss_threshold_bins, positive=True)
         targets = _as_tuple("targets", self.targets)

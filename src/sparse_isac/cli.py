@@ -19,9 +19,10 @@ directory next to the output directory and moved into it, manifest.json
 last, only when the run succeeds; a failed run leaves the output
 directory as it was.
 
-`run` takes a config file.  `crlb`, `sweep` and `demo` name their
-experiment and take either a config file or `--profile` (desk or paper
-sizes, desk by default); `--profile` belongs to these three only.
+`run` and `validate` take a config file, and they are the only commands
+that read one.  `crlb`, `sweep` and `demo` name their experiment and take
+`--profile` only (desk or paper sizes, desk by default); to run one of
+them from a file, pass the file, or the manifest.json it wrote, to `run`.
 
 Exit codes: 0 success, 2 config error (one `config error:` line per bad
 field, starting with the field's path, also for an output directory that
@@ -168,9 +169,11 @@ def _build_hole_probability(cfg: dict, build: _Build, params, seed):
 _AMBIGUITY_AXES = {
     "delay_points": dict(integer=True, minimum=3, maximum=_AXIS_MAX_POINTS),
     "doppler_points": dict(integer=True, minimum=3, maximum=_AXIS_MAX_POINTS),
-    # a span of at most 2**53 bins keeps each axis and its phases finite
-    "delay_span_bins": dict(positive=True, maximum=_AXIS_MAX_POINTS),
-    "doppler_span_bins": dict(positive=True, maximum=_AXIS_MAX_POINTS),
+    # the surface is periodic in both spans, but its phases carry a round-off
+    # that grows with them: on a desk allocation a point shifted by whole
+    # periods reads about 1e-11 off at 2**20 bins, 1e-6 at 2**40, 1e-3 at 2**48
+    "delay_span_bins": dict(positive=True, maximum=2**20),
+    "doppler_span_bins": dict(positive=True, maximum=2**20),
 }
 
 
@@ -296,8 +299,7 @@ def _exp_crlb_table(
             [math.sqrt(rep.crlb_range_m2) for rep in reports],
         ],
     )
-    report = crlb_report(random, params, amplitude, noise_var)
-    (out / "crlb_random.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    (out / "crlb_random.json").write_text(json.dumps(reports[1].to_dict(), indent=2) + "\n")
     return ["crlb_table.csv", "crlb_random.json"]
 
 
@@ -431,55 +433,6 @@ def run_experiment(cfg: dict, out: Path, threads: int = 1) -> list[str]:
     return outputs
 
 
-PLOT_SCRIPT = '''#!/usr/bin/env python3
-"""Render the CSV artifacts written by sparse-isac (matplotlib required)."""
-import sys
-from pathlib import Path
-
-import matplotlib.pyplot as plt
-import numpy as np
-
-out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(".")
-
-
-def read_csv(path):
-    import csv
-
-    with open(path) as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    header, data = rows[0], rows[1:]
-    return header, data
-
-
-for name in sorted(out.glob("*periodogram*.csv")):
-    header, data = read_csv(name)
-    axis = np.array([float(r[0]) for r in data])
-    mag = np.array([float(r[1]) for r in data])
-    plt.figure()
-    plt.plot(axis * 299792458.0 / 2.0, 20 * np.log10(np.maximum(mag, 1e-12) / mag.max()))
-    plt.xlabel("range [m]")
-    plt.ylabel("magnitude [dB]")
-    plt.title(name.name)
-    plt.grid(True, alpha=0.3)
-
-sweep = out / "sweep.csv"
-if sweep.exists():
-    header, data = read_csv(sweep)
-    methods = sorted({r[1] for r in data})
-    plt.figure()
-    for m in methods:
-        pts = [(float(r[0]), float(r[2])) for r in data if r[1] == m]
-        pts.sort()
-        plt.semilogy([p[0] for p in pts], [p[1] for p in pts], marker="o", label=m)
-    plt.xlabel("per-RE SNR [dB]")
-    plt.ylabel("range RMSE [m]")
-    plt.legend()
-    plt.grid(True, alpha=0.3)
-
-plt.show()
-'''
-
-
 # ---------------------------------------------------------------------------
 # command-line front end
 
@@ -500,20 +453,15 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _out_dir(args, cfg: dict | None = None) -> Path:
-    if args.out:
-        return Path(args.out)
-    env = os.environ.get(OUTDIR_ENV)
-    if env:
-        return Path(env)
-    if cfg and isinstance(cfg.get("output_dir"), str) and cfg["output_dir"]:
-        return Path(cfg["output_dir"])
-    return Path("out")
+def _out_dir(args, cfg: dict) -> Path:
+    """--out, else $SPARSE_ISAC_OUTDIR, else the config's output_dir, else out."""
+    configured = cfg.get("output_dir") if isinstance(cfg.get("output_dir"), str) else None
+    return Path(args.out or os.environ.get(OUTDIR_ENV) or configured or "out")
 
 
-def _profile_config(profile_name: str | None, experiment: str) -> dict:
-    profile = PROFILES[profile_name or "desk"]
-    cfg = {"ofdm": dict(profile["ofdm"]), "n_active": profile["n_active"]}
+def _profile_config(profile_name: str, experiment: str) -> dict:
+    profile = PROFILES[profile_name]
+    cfg = {"experiment": experiment, "ofdm": dict(profile["ofdm"]), "n_active": profile["n_active"]}
     if experiment == "two_target_demo":
         cfg["ofdm"]["n_symbols"] = max(cfg["ofdm"]["n_symbols"], 128)
         cfg["snr_db"] = -10.0
@@ -533,12 +481,13 @@ def _profile_config(profile_name: str | None, experiment: str) -> dict:
     return cfg
 
 
-def _cmd_run(args, experiment: str | None = None) -> int:
-    """`run`, or a profile subcommand, which names its experiment and builds
-    the profile's config when no --config is given."""
-    cfg = _load_config(args.config) if args.config else _profile_config(args.profile, experiment)
-    if experiment is not None:
-        cfg["experiment"] = experiment
+def _cmd_run(args) -> int:
+    """`run` takes a config file; `crlb`, `sweep` and `demo` take `--profile`
+    only and build their experiment's config at the profile's sizes."""
+    if args.command == "run":
+        cfg = _load_config(args.config)
+    else:
+        cfg = _profile_config(args.profile, PROFILE_COMMANDS[args.command][0])
     if args.seed is not None:
         cfg["seed"] = args.seed
     cfg.setdefault("seed", 0)
@@ -560,15 +509,6 @@ def _cmd_validate(args) -> int:
     for e in errors:
         print(f"config error: {e}", file=sys.stderr)
     return 2 if errors else 0
-
-
-def _cmd_plot_script(args) -> int:
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "plot_results.py"
-    path.write_text(PLOT_SCRIPT)
-    print(path)
-    return 0
 
 
 def _threads(args) -> int:
@@ -619,15 +559,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, (_, helptext) in PROFILE_COMMANDS.items():
         p_sub = sub.add_parser(name, help=helptext)
-        source = p_sub.add_mutually_exclusive_group()
-        source.add_argument("--config", help="JSON config path")
-        source.add_argument(
-            "--profile", choices=sorted(PROFILES), help="parameter profile (default desk)"
+        p_sub.add_argument(
+            "--profile", choices=sorted(PROFILES), default="desk",
+            help="parameter profile (default desk)",
         )
         _add_run_options(p_sub)
-
-    p_plot = sub.add_parser("plot-script", help="emit a matplotlib script for the CSVs")
-    p_plot.add_argument("--out", default=None)
 
     return parser
 
@@ -637,10 +573,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             return _cmd_validate(args)
-        if args.command == "plot-script":
-            return _cmd_plot_script(args)
-        experiment = PROFILE_COMMANDS[args.command][0] if args.command in PROFILE_COMMANDS else None
-        return _cmd_run(args, experiment)
+        return _cmd_run(args)
     except ConfigError as exc:
         for e in exc.args:
             print(f"config error: {e}", file=sys.stderr)

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -513,3 +514,31 @@ class TestCommonExclusion:
         p4 = si.zero_fill_periodogram(grid, oversample=4)
         p8 = si.zero_fill_periodogram(grid, oversample=8)
         assert common_exclusion_halfwidth(p8) == 2 * common_exclusion_halfwidth(p4)
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_sweep_refuses_the_grids_whose_spectra_pslr_refuses(self, n):
+        """A sweep scores the zero-fill spectrum (Q = oversample * N) and the
+        virtual one (Q = oversample * (2N - 1)) at the common exclusion zone;
+        SweepConfig must reject exactly the oversamples where pslr would refuse."""
+        params = make_params(n=n, m=1)
+
+        def pslr_refuses(q, oversample):
+            axis = np.arange(q) / (q * params.subcarrier_spacing_hz)
+            p = si.Periodogram(
+                axis=axis, values=np.ones(q), domain="delay", method="x",
+                oversample=oversample, params=params,
+            )
+            try:
+                si.pslr(p, common_exclusion_halfwidth(p))
+            except ValueError as exc:
+                assert "exclusion zone" in str(exc)
+                return True
+            return False
+
+        for oversample in range(1, 6):
+            config = partial(SweepConfig, params, 2, (0.0,), oversample=oversample)
+            if any(pslr_refuses(q, oversample) for q in (oversample * n, oversample * (2 * n - 1))):
+                with pytest.raises(ValueError, match="^oversample: "):
+                    config()
+            else:
+                config()

@@ -201,16 +201,6 @@ class TestDemoSubcommand:
         assert lines[1] == "axis_value,magnitude"
 
 
-class TestPlotScript:
-    def test_emits_runnable_text(self, tmp_path):
-        out = tmp_path / "out"
-        proc = run_cli("plot-script", "--out", str(out))
-        assert proc.returncode == 0
-        script = out / "plot_results.py"
-        assert script.exists()
-        compile(script.read_text(), str(script), "exec")  # syntactically valid
-
-
 # ---------------------------------------------------------------------------
 # in-process contract tests: exit codes, field names, staging
 
@@ -315,6 +305,12 @@ PROBES = [
     # a virtual periodogram of oversample * (2N - 1) > 2**53 points
     ("oversample", mutated("rmse_pslr_sweep", ["oversample"], 10**17)),
     ("oversample", mutated("two_target_demo", ["oversample"], 10**17)),
+    # a spectrum of oversample * N < 4 bins, all inside pslr's exclusion zone
+    *(
+        ("oversample", dict(mutated("rmse_pslr_sweep", ["ofdm", "n_subcarriers"], n),
+                            n_active=2, oversample=1))
+        for n in (2, 3)
+    ),
 ]
 
 
@@ -416,17 +412,14 @@ class TestContract:
         ]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
 
-    @pytest.mark.parametrize("command, cfg", [("sweep", "rmse_pslr_sweep"), ("demo", "two_target_demo")])
-    def test_profile_subcommand_with_config_matches_run(self, tmp_path, command, cfg):
-        path = write_config(tmp_path, TINY[cfg])
-        for name in ("run", command):
-            code, _, err = main_in_process(name, "--config", path, "--out", tmp_path / name)
-            assert code == 0, err
-        names = sorted(p.name for p in (tmp_path / "run").iterdir())
-        assert names == sorted(p.name for p in (tmp_path / command).iterdir())
-        assert "manifest.json" in names
+    def test_profile_run_reruns_from_its_manifest(self, tmp_path):
+        first, again = tmp_path / "crlb", tmp_path / "run"
+        assert main_in_process("crlb", "--profile", "desk", "--seed", 5, "--out", first)[0] == 0
+        assert main_in_process("run", "--config", first / "manifest.json", "--out", again)[0] == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in again.iterdir())
         for name in names:
-            assert (tmp_path / "run" / name).read_bytes() == (tmp_path / command / name).read_bytes()
+            assert (first / name).read_bytes() == (again / name).read_bytes()
 
     @pytest.mark.parametrize("below", [False, True])
     def test_unusable_output_path_is_a_config_error(self, tmp_path, below):
@@ -489,13 +482,15 @@ class TestContract:
         ],
     )
     def test_profile_with_a_config_is_a_usage_error(self, tmp_path, args):
+        """`run` reads a config file only, and the profile commands a profile only."""
         path = write_config(tmp_path, TINY["crlb_table"])
         argv = [str(path) if a == "CFG" else a for a in args] + ["--out", str(tmp_path / "out")]
         err = io.StringIO()
         with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
             cli.main(argv)
         assert exc.value.code == 2
-        assert "--profile" in err.getvalue()
+        rejected = "--profile" if args[0] == "run" else "--config"
+        assert f"unrecognized arguments: {rejected}" in err.getvalue()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("threads", ["-1", "-3", "1.5", "x"])
@@ -526,6 +521,16 @@ class TestContract:
             rows = (out / name).read_text().splitlines()[1:]
             cells = np.array([[float(c) for c in row.split(",")] for row in rows])
             assert cells.size and np.isfinite(cells).all(), name
+
+    @pytest.mark.parametrize("field", ["delay_span_bins", "doppler_span_bins"])
+    def test_span_bound(self, tmp_path, field):
+        path, out = write_config(tmp_path, mutated("ambiguity", [field], 2**20)), tmp_path / "out"
+        assert main_in_process("run", "--config", path, "--out", out)[0] == 0
+        path = write_config(tmp_path, mutated("ambiguity", [field], 2**20 + 1))
+        code, _, err = main_in_process("run", "--config", path, "--out", tmp_path / "refused")
+        assert code == 2
+        assert err == f"config error: {field}: must be <= {2**20}, got {2**20 + 1}\n"
+        assert not (tmp_path / "refused").exists()
 
     def test_hole_probability_runs(self, tmp_path):
         path = write_config(tmp_path, TINY["hole_probability"])
