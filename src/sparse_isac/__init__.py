@@ -3,110 +3,19 @@
 Simulates the post-FFT received grid for point targets, estimates delay
 (and Doppler) with zero-fill periodogram, single-target ML, and the
 autocorrelation virtual-aperture method, and benchmarks everything
-against the closed-form delay CRLB.
+against the closed-form delay CRLB.  The package exports the `__all__`
+names of its modules.
 """
 
 __version__ = "0.1.0"
 
-from .alloc import (
-    OfdmParams,
-    ResourceAllocation,
-    VirtualAperture,
-    coverage_fraction,
-    difference_set,
-    hole_fill_curve,
-    hole_fill_probability,
-    make_allocation,
-    nested_params_for,
-)
-from .scene import (
-    SPEED_OF_LIGHT,
-    LinkBudget,
-    Scene,
-    Target,
-    amplitude_from_radar_equation,
-    delay_doppler,
-)
-from .synth import FreqGrid, measure_snr, synthesize
-from .estimators import (
-    DelayEstimate,
-    Peak,
-    PeakList,
-    Periodogram,
-    VirtualSignal,
-    accumulate_cpi,
-    autocorrelate_symbol,
-    build_virtual_signal,
-    detect_peaks,
-    doppler_periodogram,
-    ml_single_target,
-    virtual_periodogram,
-    zero_fill_periodogram,
-)
-from .analysis import (
-    AmbiguitySurface,
-    CrlbReport,
-    SingularFimError,
-    SweepConfig,
-    SweepResult,
-    TwoTargetDemoConfig,
-    TwoTargetDemoResult,
-    ambiguity_function,
-    crlb_delay,
-    crlb_report,
-    crlb_vs_inverse_fim_check,
-    fim_single_target,
-    monte_carlo_sweep,
-    pslr,
-    two_target_demo,
-)
+from . import alloc, scene, synth, estimators, analysis
+from .alloc import *  # noqa: F403
+from .scene import *  # noqa: F403
+from .synth import *  # noqa: F403
+from .estimators import *  # noqa: F403
+from .analysis import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    "OfdmParams",
-    "ResourceAllocation",
-    "VirtualAperture",
-    "coverage_fraction",
-    "difference_set",
-    "hole_fill_curve",
-    "hole_fill_probability",
-    "make_allocation",
-    "nested_params_for",
-    "SPEED_OF_LIGHT",
-    "LinkBudget",
-    "Scene",
-    "Target",
-    "amplitude_from_radar_equation",
-    "delay_doppler",
-    "FreqGrid",
-    "measure_snr",
-    "synthesize",
-    "DelayEstimate",
-    "Peak",
-    "PeakList",
-    "Periodogram",
-    "VirtualSignal",
-    "accumulate_cpi",
-    "autocorrelate_symbol",
-    "build_virtual_signal",
-    "detect_peaks",
-    "doppler_periodogram",
-    "ml_single_target",
-    "virtual_periodogram",
-    "zero_fill_periodogram",
-    "AmbiguitySurface",
-    "CrlbReport",
-    "SingularFimError",
-    "SweepConfig",
-    "SweepResult",
-    "TwoTargetDemoConfig",
-    "TwoTargetDemoResult",
-    "ambiguity_function",
-    "crlb_delay",
-    "crlb_report",
-    "crlb_vs_inverse_fim_check",
-    "fim_single_target",
-    "monte_carlo_sweep",
-    "pslr",
-    "two_target_demo",
+__all__ = ["__version__"] + [
+    name for module in (alloc, scene, synth, estimators, analysis) for name in module.__all__
 ]

@@ -329,10 +329,6 @@ class VirtualAperture:
     def n_lags(self) -> int:
         return int(self.lags.size)
 
-    @property
-    def max_lag(self) -> int:
-        return int(self.lags.max())
-
     def count(self, lag: int) -> int:
         pos = np.searchsorted(self.lags, lag)
         if pos >= self.lags.size or self.lags[pos] != lag:

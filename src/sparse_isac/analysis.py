@@ -23,6 +23,7 @@ from .alloc import (
     make_allocation,
     nested_params_for,
 )
+from . import synth
 from .scene import SPEED_OF_LIGHT, LinkBudget, Scene, Target
 from .synth import _symbol_sum_row, synthesize
 from .estimators import (
@@ -319,9 +320,8 @@ class SweepConfig:
         n = self.params.n_subcarriers
         _check_number("n_active", self.n_active, integer=True, minimum=2, maximum=n)
         _check_number("n_trials", self.n_trials, integer=True, minimum=1)
-        most = _AXIS_MAX_POINTS // (2 * n - 1)  # the virtual periodogram's oversample * (2N - 1)
         # pslr excludes 3 bins or more around the peak: oversample * N >= 4 leaves a sidelobe
-        _check_number("oversample", self.oversample, integer=True, minimum=-(-4 // n), maximum=most)
+        _check_delay_axes(self.params, self.oversample, minimum=-(-4 // n))
         _check_number("master_seed", self.master_seed, integer=True, minimum=0)
         _check_number("miss_threshold_bins", self.miss_threshold_bins, positive=True)
         targets = _as_tuple("targets", self.targets)
@@ -337,6 +337,24 @@ class SweepConfig:
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "scenes", tuple(scenes))
         object.__setattr__(self, "_allocations", _fixed_allocations(self.params, self.n_active))
+
+
+def _check_delay_axes(params: OfdmParams, oversample, minimum: int) -> None:
+    """Bound `oversample` and the subcarrier spacing by the largest delay
+    spectrum, the virtual periodogram: Q = oversample * (2N - 1) bins, at
+    most _AXIS_MAX_POINTS, on an axis spanning 1 / spacing s in steps of
+    1 / (Q * spacing) s.  An infinite span or Q * spacing leaves that axis
+    without increasing values."""
+    lags = 2 * params.n_subcarriers - 1
+    _check_number(
+        "oversample", oversample, integer=True, minimum=minimum, maximum=_AXIS_MAX_POINTS // lags
+    )
+    spacing = params.subcarrier_spacing_hz
+    if math.isinf(oversample * lags * spacing) or math.isinf(1.0 / spacing):
+        raise ValueError(
+            f"subcarrier_spacing_hz: {spacing} Hz overflows the delay axis of "
+            f"{oversample * lags} bins at oversample {oversample}"
+        )
 
 
 def _fixed_allocations(params: OfdmParams, n_active: int) -> dict[str, ResourceAllocation]:
@@ -474,16 +492,24 @@ def _sweep_point(cfg: SweepConfig, scene: Scene, point_ss) -> dict:
     return out
 
 
-def monte_carlo_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
+def monte_carlo_sweep(cfg: SweepConfig, threads: int | None = None) -> SweepResult:
     """Run the seeded sweep over the SNR axis.
 
     Per-point and per-trial seeds derive from the master seed through a
     fixed SeedSequence tree, so any thread count gives identical results.
-    `threads` distributes whole SNR points; within a point, the CPI lag-sum
-    kernel (FreqGrid.cpi_power) splits a large grid's symbol blocks over
+    `threads` distributes whole SNR points.  None picks the count from the
+    grid size, as the CPI lag-sum kernel (FreqGrid.cpi_power) does: one per
+    SNR point, up to the usable CPUs, on a grid of at least
+    synth._MIN_POINTS_PER_THREAD transform points (symbols x 2N), else
+    one.  Within a point, the kernel splits such a grid's symbol blocks over
     the usable CPUs, W of them, and adds them in a fixed order.  So a sweep
-    can run up to threads * W threads, with the same outputs at any count.
+    can run up to threads * W threads, with the same outputs at any count;
+    the process's CPU affinity bounds both.
     """
+    if threads is None:
+        points = cfg.params.n_symbols * 2 * cfg.params.n_subcarriers
+        big = points >= synth._MIN_POINTS_PER_THREAD
+        threads = min(len(cfg.scenes), synth._usable_cpus()) if big else 1
     ss = np.random.SeedSequence(cfg.master_seed)
     point_seeds = ss.spawn(len(cfg.snr_db_axis))
     if threads and threads > 1:
@@ -540,8 +566,7 @@ class TwoTargetDemoConfig:
     def __post_init__(self):
         n = self.params.n_subcarriers
         _check_number("n_active", self.n_active, integer=True, minimum=2, maximum=n)
-        most = _AXIS_MAX_POINTS // (2 * n - 1)  # the virtual periodogram's oversample * (2N - 1)
-        _check_number("oversample", self.oversample, integer=True, minimum=1, maximum=most)
+        _check_delay_axes(self.params, self.oversample, minimum=1)
         _check_number("n_runs", self.n_runs, integer=True, minimum=1)
         _check_number("master_seed", self.master_seed, integer=True, minimum=0)
         pairs = ("distances_m", "velocities_mps", "amplitudes")

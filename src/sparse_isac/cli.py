@@ -24,6 +24,12 @@ that read one.  `crlb`, `sweep` and `demo` name their experiment and take
 `--profile` only (desk or paper sizes, desk by default); to run one of
 them from a file, pass the file, or the manifest.json it wrote, to `run`.
 
+No option sets a thread count.  A sweep picks its own from the grid size
+(see `monte_carlo_sweep`), as the CPI lag-sum kernel does for each grid;
+both count only the CPUs in the process's affinity mask (`taskset`), so
+that mask bounds every thread of a run.  The outputs are the same at any
+count.
+
 Exit codes: 0 success, 2 config error (one `config error:` line per bad
 field, starting with the field's path, also for an output directory that
 cannot be created) or command-line error, 3 numeric failure (one
@@ -57,7 +63,6 @@ from .alloc import (
     make_allocation,
 )
 from .scene import LinkBudget, Target
-from .synth import _usable_cpus
 from .analysis import (
     _SNR_NOTE,
     SingularFimError,
@@ -240,8 +245,8 @@ EXPERIMENTS = {
 
 
 def _build(cfg: dict):
-    """Build every object a config describes; returns `run(out, threads)`,
-    which runs exactly those objects and writes artifacts into `out`.
+    """Build every object a config describes; returns `run(out)`, which
+    runs exactly those objects and writes artifacts into `out`.
     Raises ConfigError with one message per field that fails to build."""
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -274,7 +279,7 @@ def validate_config(cfg: dict) -> list[str]:
 
 
 def _exp_crlb_table(
-    random: ResourceAllocation, fixed: dict, params: OfdmParams, out: Path, threads: int,
+    random: ResourceAllocation, fixed: dict, params: OfdmParams, out: Path,
     amplitude: float = 1.0, noise_variance_w: float = 1.0,
 ) -> list[str]:
     """One row per allocation family: the seeded random draw next to the
@@ -304,7 +309,7 @@ def _exp_crlb_table(
 
 
 def _exp_hole_probability(
-    params: OfdmParams, axis: tuple, seed: int, out: Path, threads: int, **curve_args
+    params: OfdmParams, axis: tuple, seed: int, out: Path, **curve_args
 ) -> list[str]:
     seeds = np.random.SeedSequence(seed).spawn(len(axis))
     curves = [
@@ -336,7 +341,7 @@ def _exp_hole_probability(
 
 
 def _exp_ambiguity(
-    alloc: ResourceAllocation, params: OfdmParams, out: Path, threads: int,
+    alloc: ResourceAllocation, params: OfdmParams, out: Path,
     delay_points: int = 401, doppler_points: int = 101,
     delay_span_bins: float = 16.0, doppler_span_bins: float = 4.0,
 ) -> list[str]:
@@ -366,7 +371,7 @@ def _exp_ambiguity(
     return ["ambiguity.csv", "ambiguity_delay_cut.csv"]
 
 
-def _exp_two_target_demo(demo_cfg: TwoTargetDemoConfig, out: Path, threads: int) -> list[str]:
+def _exp_two_target_demo(demo_cfg: TwoTargetDemoConfig, out: Path) -> list[str]:
     result = two_target_demo(demo_cfg)
     result.example_direct.to_csv(out / "demo_direct_periodogram.csv", comment=_SNR_NOTE)
     result.example_virtual.to_csv(out / "demo_virtual_periodogram.csv", comment=_SNR_NOTE)
@@ -389,8 +394,8 @@ def _exp_two_target_demo(demo_cfg: TwoTargetDemoConfig, out: Path, threads: int)
     ]
 
 
-def _exp_rmse_pslr_sweep(sweep_cfg: SweepConfig, out: Path, threads: int) -> list[str]:
-    result = monte_carlo_sweep(sweep_cfg, threads=threads)
+def _exp_rmse_pslr_sweep(sweep_cfg: SweepConfig, out: Path) -> list[str]:
+    result = monte_carlo_sweep(sweep_cfg)
     result.to_csv(out / "sweep.csv")
     return ["sweep.csv"]
 
@@ -406,7 +411,7 @@ def _write_manifest(cfg: dict, out: Path, outputs: list[str]) -> None:
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def run_experiment(cfg: dict, out: Path, threads: int = 1) -> list[str]:
+def run_experiment(cfg: dict, out: Path) -> list[str]:
     """Build a config's objects once and run exactly those; returns the
     artifact file names.
 
@@ -425,7 +430,7 @@ def run_experiment(cfg: dict, out: Path, threads: int = 1) -> list[str]:
     out.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent) as tmp:
         stage = Path(tmp)
-        outputs = run(stage, threads)
+        outputs = run(stage)
         _write_manifest(cfg, stage, outputs)
         out.mkdir(exist_ok=True)
         for name in [*outputs, "manifest.json"]:
@@ -493,7 +498,7 @@ def _cmd_run(args) -> int:
     cfg.setdefault("seed", 0)
     out = _out_dir(args, cfg)
     try:
-        outputs = run_experiment(cfg, out, threads=_threads(args))
+        outputs = run_experiment(cfg, out)
     # MemoryError: too large to allocate; ArithmeticError: float overflow or
     # division by zero in a valid config's numbers
     except (SingularFimError, MemoryError, ArithmeticError) as exc:
@@ -511,29 +516,9 @@ def _cmd_validate(args) -> int:
     return 2 if errors else 0
 
 
-def _threads(args) -> int:
-    return args.threads or _usable_cpus()  # 0 = one per CPU this process may use
-
-
-def _thread_count(text: str) -> int:
-    """--threads: an integer >= 0, else a usage error (exit 2)."""
-    count = int(text)  # argparse reports a ValueError as an invalid value
-    if count < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {count}")
-    return count
-
-
 def _add_run_options(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None, help="master seed override")
     p.add_argument("--out", default=None, help=f"output directory (or ${OUTDIR_ENV})")
-    p.add_argument(
-        "--threads",
-        type=_thread_count,
-        default=1,
-        help="threads over a sweep's SNR points, 0 = one per usable CPU; the lag-sum "
-        "kernel also splits large grids over the usable CPUs, so up to THREADS times "
-        "that many threads run, with the same outputs at any count",
-    )
 
 
 PROFILE_COMMANDS = {

@@ -70,11 +70,14 @@ class LinkBudget:
     def for_carrier(
         cls, carrier_freq_hz: float, tx_power_w: float, tx_gain: float, rx_gain: float
     ) -> "LinkBudget":
+        wavelength_m = SPEED_OF_LIGHT / carrier_freq_hz
+        if math.isinf(wavelength_m):
+            raise ValueError(f"carrier_freq_hz: {carrier_freq_hz} Hz has no finite wavelength")
         return cls(
             tx_power_w=tx_power_w,
             tx_gain=tx_gain,
             rx_gain=rx_gain,
-            wavelength_m=SPEED_OF_LIGHT / carrier_freq_hz,
+            wavelength_m=wavelength_m,
         )
 
 
@@ -131,7 +134,11 @@ class Scene:
                 variance = math.nan
             # only +inf means noiseless, not a variance that underflows to 0
             if self.snr_db != math.inf and not 0.0 < variance < math.inf:
-                raise ValueError(f"snr_db: {self.snr_db} dB is out of range")
+                ref = self.amplitude_of(targets[0])
+                raise ValueError(
+                    f"snr_db: {self.snr_db} dB relative to the first of the target "
+                    f"amplitudes, {ref}, is out of range"
+                )
 
     @property
     def n_targets(self) -> int:

@@ -311,6 +311,21 @@ PROBES = [
                             n_active=2, oversample=1))
         for n in (2, 3)
     ),
+    # a spacing whose delay axis overflows: Q * spacing (1e308) or 1 / spacing
+    # (5e-324) is inf; the bound moves with Q = oversample * (2N - 1)
+    *(
+        ("subcarrier_spacing_hz", mutated(exp, ["ofdm", "subcarrier_spacing_hz"], spacing))
+        for exp in ("rmse_pslr_sweep", "two_target_demo") for spacing in (1e308, 5e-324)
+    ),
+    ("subcarrier_spacing_hz",
+     dict(mutated("rmse_pslr_sweep", ["ofdm", "subcarrier_spacing_hz"], 1e305), oversample=1000)),
+    ("subcarrier_spacing_hz",
+     dict(mutated("two_target_demo", ["ofdm", "subcarrier_spacing_hz"], 1e305), oversample=1000)),
+    # the noise variance of an snr_db scales with the first amplitude squared
+    ("amplitudes", mutated("two_target_demo", ["amplitudes", 0], 1e308)),
+    ("amplitude", mutated("rmse_pslr_sweep", ["scene", "targets", 0, "amplitude"], 5e-324)),
+    # the link budget's wavelength c / carrier overflows
+    ("carrier_freq_hz", mutated("rmse_pslr_sweep", ["ofdm", "carrier_freq_hz"], 5e-324)),
 ]
 
 
@@ -479,33 +494,22 @@ class TestContract:
             ["run", "--config", "CFG", "--profile", "paper"],
             *([command, "--config", "CFG", "--profile", profile]
               for command in ("crlb", "sweep", "demo") for profile in ("paper", "desk")),
+            ["run", "--config", "CFG", "--threads", "2"],
         ],
     )
     def test_profile_with_a_config_is_a_usage_error(self, tmp_path, args):
-        """`run` reads a config file only, and the profile commands a profile only."""
+        """`run` reads a config file only, and the profile commands a profile
+        only.  No command takes a thread count: the affinity mask bounds the
+        threads of a run."""
         path = write_config(tmp_path, TINY["crlb_table"])
         argv = [str(path) if a == "CFG" else a for a in args] + ["--out", str(tmp_path / "out")]
         err = io.StringIO()
         with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
             cli.main(argv)
         assert exc.value.code == 2
-        rejected = "--profile" if args[0] == "run" else "--config"
+        rejected = args[3] if args[0] == "run" else "--config"
         assert f"unrecognized arguments: {rejected}" in err.getvalue()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
-
-    @pytest.mark.parametrize("threads", ["-1", "-3", "1.5", "x"])
-    def test_threads_not_a_count_is_a_usage_error(self, tmp_path, threads):
-        path, out = write_config(tmp_path, TINY["crlb_table"]), tmp_path / "out"
-        err = io.StringIO()
-        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
-            cli.main(["run", "--config", str(path), "--out", str(out), "--threads", threads])
-        assert exc.value.code == 2
-        assert "--threads" in err.getvalue()
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
-
-    def test_threads_zero_runs(self, tmp_path):
-        path, out = write_config(tmp_path, TINY["crlb_table"]), tmp_path / "out"
-        assert main_in_process("run", "--config", path, "--out", out, "--threads", 0)[0] == 0
 
     @pytest.mark.parametrize("field", ["delay_span_bins", "doppler_span_bins"])
     @pytest.mark.parametrize("value", [1e308, -1e308, 5e-324, 2.0**53])
@@ -546,7 +550,10 @@ def leaf_paths(node, prefix=()):
             yield from leaf_paths(value, prefix + (key,))
 
 
-MUTATIONS = [DROP, "x", None, True, [], {}, math.nan, math.inf, -math.inf, 0, -1, 0.5, 1e9]
+MUTATIONS = [
+    DROP, "x", None, True, [], {}, math.nan, math.inf, -math.inf, 0, -1, 0.5, 1e9,
+    1e308, -1e308, 5e-324,
+]
 FIELDS = [(exp, path) for exp in TINY for path in leaf_paths(TINY[exp])]
 
 

@@ -1,6 +1,6 @@
 """The CPI lag-sum kernel: its threaded block split against the serial loop,
-and the per-grid memo that both per-symbol estimators read."""
-import argparse
+the per-grid memo that both per-symbol estimators read, and the sweep's
+SNR-point thread count, which follows the kernel's grid-size rule."""
 import os
 import sys
 import threading
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sparse_isac as si
-from sparse_isac import cli, synth
+from sparse_isac import analysis, synth
 from sparse_isac.analysis import SweepConfig, monte_carlo_sweep
 from sparse_isac.synth import _ROW_BLOCK, _cpi_power, _cpi_threads
 
@@ -57,6 +57,16 @@ def make_grid(n, m, pattern, seed=5, snr_db=0.0):
         alloc = si.ResourceAllocation(per_symbol_indices=sets, n_subcarriers=n)
     target = si.Target(distance_m=n // 3 * params.range_bin_m, velocity_mps=15.0, amplitude=1.0)
     return si.synthesize(si.Scene(targets=(target,), snr_db=snr_db), alloc, params, seed=seed)
+
+
+def assert_same_sweep(a, b):
+    """Every aggregate and per-trial sample of two sweeps, bit for bit."""
+    for m in a.config.methods:
+        for key in ("rmse_m", "rmse_ci_m", "pslr_db", "pslr_ci_db", "miss_rate"):
+            assert getattr(a, key)[m].tobytes() == getattr(b, key)[m].tobytes()
+        for key in ("error_samples", "pslr_samples"):
+            for x, y in zip(getattr(a, key)[m], getattr(b, key)[m], strict=True):
+                assert x.tobytes() == y.tobytes()
 
 
 @pytest.fixture
@@ -176,12 +186,7 @@ class TestBlockSplit:
         finally:
             sys.setswitchinterval(interval)
         assert len(block_calls) == 6 * n_kernel_calls
-        for m in cfg.methods:
-            for key in ("rmse_m", "rmse_ci_m", "pslr_db", "pslr_ci_db", "miss_rate"):
-                assert getattr(par, key)[m].tobytes() == getattr(seq, key)[m].tobytes()
-            for key in ("error_samples", "pslr_samples"):
-                for a, b in zip(getattr(par, key)[m], getattr(seq, key)[m]):
-                    assert a.tobytes() == b.tobytes()
+        assert_same_sweep(par, seq)
 
 
 class TestMemo:
@@ -231,7 +236,51 @@ class TestUsableCpus:
         if hasattr(os, "sched_getaffinity"):
             assert cpus == len(os.sched_getaffinity(0))
 
-    def test_cli_threads_zero_means_one_per_usable_cpu(self, monkeypatch):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-        assert cli._threads(argparse.Namespace(threads=0)) == 3
-        assert cli._threads(argparse.Namespace(threads=2)) == 2
+
+class TestSweepThreads:
+    """monte_carlo_sweep(cfg) with threads=None: one thread per SNR point, up
+    to the usable CPUs, on a grid the lag-sum kernel would split, else one."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """max_workers of each pool the sweep opens, with 3 usable CPUs."""
+        opened = []
+        executor = analysis.ThreadPoolExecutor
+
+        def recording(max_workers):
+            opened.append(max_workers)
+            return executor(max_workers=max_workers)
+
+        monkeypatch.setattr(analysis, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: 3)
+        return opened
+
+    @staticmethod
+    def config():
+        params = make_params(64, 8)  # 8 symbols x 128 points
+        return SweepConfig(
+            params=params,
+            n_active=16,
+            snr_db_axis=(-5.0, 0.0, 5.0, 10.0, 15.0),
+            methods=("direct_sparse", "autocorrelation"),
+            targets=(si.Target(distance_m=10 * params.range_bin_m, amplitude=1.0),),
+            n_trials=2,
+            master_seed=3,
+        )
+
+    def test_small_grid_runs_in_the_caller(self, pools, monkeypatch):
+        monkeypatch.setattr(synth, "_MIN_POINTS_PER_THREAD", 8 * 128 + 1)
+        monte_carlo_sweep(self.config())
+        assert pools == []
+
+    def test_large_grid_runs_one_thread_per_point_up_to_the_cpus(self, pools, monkeypatch):
+        monkeypatch.setattr(synth, "_MIN_POINTS_PER_THREAD", 8 * 128)
+        cfg = self.config()
+        par = monte_carlo_sweep(cfg)
+        assert pools == [3]
+        assert_same_sweep(par, monte_carlo_sweep(cfg, threads=1))
+
+    def test_explicit_count_is_kept(self, pools, monkeypatch):
+        monkeypatch.setattr(synth, "_MIN_POINTS_PER_THREAD", 1)
+        monte_carlo_sweep(self.config(), threads=1)
+        assert pools == []

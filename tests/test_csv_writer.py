@@ -90,7 +90,7 @@ def test_desk_ambiguity_matches_row_reference(tmp_path):
     alloc = si.make_allocation(params, "random", n_active=64, seed=5)
     got = tmp_path / "got"
     got.mkdir()
-    assert cli._exp_ambiguity(alloc, params, got, threads=1) == [
+    assert cli._exp_ambiguity(alloc, params, got) == [
         "ambiguity.csv", "ambiguity_delay_cut.csv"
     ]
 
