@@ -9,6 +9,7 @@ the full range -(N-1)..N-1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +40,18 @@ def _check_number(
 ):
     """Reject a bool, a non-number, NaN, -inf and (unless allow_inf) +inf,
     then apply the range checks.  Every message starts with `name`.
-    Returns `value`."""
+    Returns `value`.
+
+    An int is compared as it is, never converted to float, so it may have
+    any size; a float field rejects one beyond float range."""
     kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
     if isinstance(value, bool) or not isinstance(value, kinds):
         kind = "an integer" if integer else "a number"
         raise TypeError(f"{name}: expected {kind}, got {type(value).__name__}")
-    if math.isnan(value) or (math.isinf(value) and not (allow_inf and value > 0)):
+    if isinstance(value, (int, np.integer)):
+        if not integer and abs(value) > sys.float_info.max:
+            raise ValueError(f"{name}: must be finite, got an integer beyond float range")
+    elif math.isnan(value) or (math.isinf(value) and not (allow_inf and value > 0)):
         raise ValueError(f"{name}: must be finite, got {value}")
     if positive and value <= 0:
         raise ValueError(f"{name}: must be positive, got {value}")

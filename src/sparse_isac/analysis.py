@@ -501,10 +501,12 @@ def monte_carlo_sweep(cfg: SweepConfig, threads: int | None = None) -> SweepResu
     grid size, as the CPI lag-sum kernel (FreqGrid.cpi_power) does: one per
     SNR point, up to the usable CPUs, on a grid of at least
     synth._MIN_POINTS_PER_THREAD transform points (symbols x 2N), else
-    one.  Within a point, the kernel splits such a grid's symbol blocks over
-    the usable CPUs, W of them, and adds them in a fixed order.  So a sweep
-    can run up to threads * W threads, with the same outputs at any count;
-    the process's CPU affinity bounds both.
+    one.  Within a point, the kernel's FFT route splits such a grid's
+    symbol blocks over the usable CPUs, W of them, and adds them in a fixed
+    order; its Gram route (a constant allocation with few active
+    subcarriers) runs zgemm calls at the BLAS thread count instead.  So a
+    sweep can run up to threads * W threads, with the same outputs at any
+    count; the process's CPU affinity bounds both.
     """
     if threads is None:
         points = cfg.params.n_symbols * 2 * cfg.params.n_subcarriers

@@ -34,8 +34,8 @@ Exit codes: 0 success, 2 config error (one `config error:` line per bad
 field, starting with the field's path, also for an output directory that
 cannot be created) or command-line error, 3 numeric failure (one
 `numeric failure in <experiment>:` line, also for a valid config whose
-arrays are too large to allocate or whose arithmetic overflows or divides
-by zero).
+arrays are too large to allocate, whose arithmetic overflows or divides
+by zero, or whose JSON artifact would hold a non-finite number).
 """
 from __future__ import annotations
 
@@ -304,7 +304,7 @@ def _exp_crlb_table(
             [math.sqrt(rep.crlb_range_m2) for rep in reports],
         ],
     )
-    (out / "crlb_random.json").write_text(json.dumps(reports[1].to_dict(), indent=2) + "\n")
+    _write_json(out / "crlb_random.json", reports[1].to_dict())
     return ["crlb_table.csv", "crlb_random.json"]
 
 
@@ -408,7 +408,18 @@ def _write_manifest(cfg: dict, out: Path, outputs: list[str]) -> None:
         "config": cfg,
         "outputs": outputs,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "manifest.json", manifest, sort_keys=True)
+
+
+def _write_json(path: Path, obj, sort_keys: bool = False) -> None:
+    """obj as indented JSON.  JSON has no NaN or infinity, so a non-finite
+    float is a numeric failure (FloatingPointError), not a `NaN` or
+    `Infinity` token that JSON readers reject."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=sort_keys, allow_nan=False)
+    except ValueError as exc:
+        raise FloatingPointError(f"{path.name}: {exc}") from exc
+    path.write_text(text + "\n")
 
 
 def run_experiment(cfg: dict, out: Path) -> list[str]:
@@ -451,6 +462,8 @@ def _load_config(path: str) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer longer than int() may read
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     if isinstance(cfg.get("config"), dict) and "experiment" in cfg["config"]:
@@ -499,8 +512,8 @@ def _cmd_run(args) -> int:
     out = _out_dir(args, cfg)
     try:
         outputs = run_experiment(cfg, out)
-    # MemoryError: too large to allocate; ArithmeticError: float overflow or
-    # division by zero in a valid config's numbers
+    # MemoryError: too large to allocate; ArithmeticError: float overflow,
+    # division by zero or a non-finite JSON value from a valid config's numbers
     except (SingularFimError, MemoryError, ArithmeticError) as exc:
         print(f"numeric failure in {cfg['experiment']}: {exc or 'out of memory'}", file=sys.stderr)
         return 3

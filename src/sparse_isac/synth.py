@@ -8,8 +8,22 @@ was actually observed.  A grid stores only its active cells, laid out
 by its allocation; the dense (M, N) array is built on request.
 
 A grid also carries its CPI power sum_m |FFT_2N(Y_m)|^2
-(`FreqGrid.cpi_power`), which both per-symbol estimators read: computed
-on first read, over blocks of symbols split across the usable CPUs.
+(`FreqGrid.cpi_power`), which both per-symbol estimators read, computed
+on first read by one of two routes:
+
+- the Gram route, for a constant allocation on a large grid
+  (_GRAM_MIN_POINTS transform points, symbols x 2N) with few active
+  subcarriers (K^2 at most _GRAM_MAX_COST_RATIO x 2N log2 2N): the lag sums
+  of the K x K Gram matrix of the active block, added up in zgemm calls of
+  _ROW_BLOCK = 64 symbols so that its bits do not depend on the BLAS
+  thread count, then one transform;
+- the FFT route, for every other grid and as the reference: one transform
+  of length 2N per symbol, over blocks of 64 symbols split across the
+  usable CPUs.
+
+The size gate keeps small grids off BLAS, whose worker threads spin after
+each call; the K gate keeps the route where M K^2 costs less than M 2N
+log2 2N.
 """
 from __future__ import annotations
 
@@ -27,8 +41,12 @@ from .scene import Scene, delay_doppler
 
 __all__ = ["FreqGrid", "synthesize", "measure_snr"]
 
-# Symbols per block B when _cpi_power walks the CPI.  Each of its threads
-# has one workspace of 2 * B * 2N complex values: 4 MB at N = 1000.
+# Symbols per block B when _cpi_power walks the CPI.  On the FFT route each
+# thread has one workspace of 2 * B * 2N complex values: 4 MB at N = 1000.
+# On the Gram route B is the inner size of each zgemm: OpenBLAS 0.3.31 gave
+# the same bits at 1 and 2 threads for every inner size up to 128, but above
+# it split the inner dimension by thread count (bits differed for sizes not
+# 0 or 7 mod 8), and 64-symbol chunks gave the same bits at 1 to 4 threads.
 _ROW_BLOCK = 64
 
 # Fewest transform points (symbols x 2N) per _cpi_power thread.  Two threads
@@ -38,6 +56,23 @@ _ROW_BLOCK = 64
 # 2.6e5 up it saved 11-36% for 13-41% more.  The minimum sits one doubling
 # above that crossover, since the ratios moved by up to 0.16 between rounds.
 _MIN_POINTS_PER_THREAD = 1 << 19
+
+# Fewest transform points (symbols x 2N) of a grid on the Gram route.  Its
+# zgemm calls wake OpenBLAS's worker threads from about 32 x 32 x 64 up, and
+# they spin after each call: ungated, the route took the bench's desk-size
+# estimate (N=256, M=32, K=64) from 1.5 to 2.8-3.0 ms of CPU per unit at
+# the same speed.  The value is the thread split's, in a name of its own so
+# that either can move alone.
+_GRAM_MIN_POINTS = 1 << 19
+
+# Largest K^2 / (2N log2 2N) on the Gram route, whose cost grows as M K^2
+# where the FFT route's grows as M 2N log2 2N.  CPU time of the two on the
+# same 2-core guest (OpenBLAS 0.3.31 at its default thread count), each
+# route in its own process, median of 15 calls: the Gram route cost more
+# from K of about 140 at N=256 (M=1024), 175 at N=500, 300 at N=1000 and
+# 450 at N=2000 (M=720), and 500 at N=4000 (M=131), a ratio of 2.4 to 4.3.
+# The bound is the smallest of them: K up to 229 at N=1000.
+_GRAM_MAX_COST_RATIO = 2.4
 
 
 def _usable_cpus() -> int:
@@ -120,6 +155,13 @@ class FreqGrid:
         """sum_m |FFT_2N(Y_m)|^2, read-only, computed by _cpi_power on the
         first read and kept for the life of the grid.
 
+        On the FFT route it is that sum of squares.  On the Gram route (a
+        constant allocation past both gates, see the module docstring) it
+        is the real part of FFT_2N of the lag sums, which is real only up
+        to round-off: it agrees with the FFT route to about 1e-15 of its
+        peak and may dip below zero at an exact null.  Either route gives
+        the same bits at any BLAS thread count and CPU count.
+
         Not functools.cached_property: before Python 3.12 its lock is one
         for all instances, so sweep threads would wait on each other's
         grids.  Two threads reading a new grid at once both compute the same
@@ -176,9 +218,45 @@ def _block_powers(grid: FreqGrid, claim, work: np.ndarray, power: np.ndarray) ->
         np.add(s[0::2], s[1::2], out=power[b])
 
 
-def _cpi_power(grid: FreqGrid) -> np.ndarray:
-    """sum_m |FFT_2N(Y_m)|^2 over the rows Y_m of the dense grid: the
-    transform of the CPI lag sums R[s] = sum_m sum_{i-j=s} Y_m[i] conj(Y_m[j]).
+def _gram_route(grid: FreqGrid) -> bool:
+    """Whether _cpi_power takes the Gram route: a constant allocation on at
+    least _GRAM_MIN_POINTS transform points whose K active subcarriers keep
+    K^2 at most _GRAM_MAX_COST_RATIO x 2N log2 2N."""
+    size = 2 * grid.n_subcarriers
+    return (
+        grid.alloc.is_constant
+        and grid.n_symbols * size >= _GRAM_MIN_POINTS
+        and grid.alloc.n_active**2 <= _GRAM_MAX_COST_RATIO * size * math.log2(size)
+    )
+
+
+def _gram_power(grid: FreqGrid) -> np.ndarray:
+    """FFT_2N(R).real, with the CPI lag sums R of a constant allocation
+    gathered from the K x K Gram matrix G = sum_m y_m y_m^H of its (M, K)
+    block: R[s] is the sum of the G[a, b] with n_a - n_b = s.
+
+    G is added up one zgemm of at most _ROW_BLOCK symbols at a time, in
+    symbol order, in one (2, K, K) workspace.  OpenBLAS's threaded driver
+    splits a longer inner dimension differently at different thread
+    counts, which changes the bits; chunks of 64 symbols gave the same bits
+    at 1 to 4 threads over 128 shapes (N 300 and 1000, M 1 to 720, K 2 to
+    300), where one unchunked zgemm per grid did not.  A fresh
+    K x K array per chunk was page-faulted in again on every call: at
+    N=4000, M=131, K=400 it took 11-13 ms against 4-5 ms.
+    """
+    block, cols = grid.block, grid.alloc.indices
+    gram, product = np.zeros((2, cols.size, cols.size), dtype=np.complex128)
+    for r0 in range(0, grid.n_symbols, _ROW_BLOCK):
+        rows = block[r0 : r0 + _ROW_BLOCK]
+        gram += np.matmul(rows.T, rows.conj(), out=product)
+    size = 2 * grid.n_subcarriers
+    lag = ((cols[:, None] - cols) % size).ravel()  # n_a - n_b of G[a, b], mod 2N
+    lags = np.bincount(lag, gram.real.ravel(), size) + 1j * np.bincount(lag, gram.imag.ravel(), size)
+    return np.fft.fft(lags).real
+
+
+def _fft_power(grid: FreqGrid) -> np.ndarray:
+    """sum_m |FFT_2N(Y_m)|^2, one transform of length 2N per symbol.
 
     The symbols fall into blocks of _ROW_BLOCK, which W threads
     (_cpi_threads) claim one at a time: the caller and W - 1 helpers of a
@@ -213,6 +291,17 @@ def _cpi_power(grid: FreqGrid) -> np.ndarray:
     for row in block_power:
         power += row
     return power
+
+
+def _cpi_power(grid: FreqGrid) -> np.ndarray:
+    """sum_m |FFT_2N(Y_m)|^2 over the rows Y_m of the dense grid: the
+    transform of the CPI lag sums R[s] = sum_m sum_{i-j=s} Y_m[i] conj(Y_m[j]).
+
+    By the Gram route (_gram_power) where _gram_route allows it, else by
+    the FFT route (_fft_power).  Either way the result depends only on the
+    grid, not on the BLAS thread count or the usable CPUs.
+    """
+    return _gram_power(grid) if _gram_route(grid) else _fft_power(grid)
 
 
 def _resolve_targets(scene: Scene, params: OfdmParams, seed):

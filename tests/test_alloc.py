@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparse_isac as si
-from sparse_isac.alloc import _hole_fill_trials, nested_params_for
+from sparse_isac.alloc import _check_number, _hole_fill_trials, nested_params_for
 
 
 def brute_force_differences(indices):
@@ -75,6 +75,19 @@ class TestOfdmParams:
         base.update(kwargs)
         with pytest.raises(TypeError, match=f"^{next(iter(kwargs))}: "):
             si.OfdmParams(**base)
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400), 2**1024])
+    def test_float_field_rejects_an_integer_beyond_float_range(self, value):
+        with pytest.raises(ValueError, match="^cp_len_s: must be finite, got an integer beyond"):
+            si.OfdmParams(64, 4, 120e3, 24e9, cp_len_s=value)
+
+    def test_integers_are_compared_exactly(self):
+        # never converted to float: 2**53 + 1 would round down to 2**53
+        p = si.OfdmParams(64, 10**400, 120e3, 24e9, cp_len_s=10**300)
+        assert p.n_symbols == 10**400 and p.cp_len_s == 10**300
+        assert _check_number("x", 2**53 + 1, integer=True, maximum=2**53 + 1) == 2**53 + 1
+        with pytest.raises(ValueError, match=r"^x: must be <= 9007199254740992"):
+            _check_number("x", 2**53 + 1, integer=True, maximum=2**53)
 
 
 class TestMakeAllocation:

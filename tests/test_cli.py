@@ -326,6 +326,13 @@ PROBES = [
     ("amplitude", mutated("rmse_pslr_sweep", ["scene", "targets", 0, "amplitude"], 5e-324)),
     # the link budget's wavelength c / carrier overflows
     ("carrier_freq_hz", mutated("rmse_pslr_sweep", ["ofdm", "carrier_freq_hz"], 5e-324)),
+    # a float field given an integer beyond float range
+    ("amplitude", mutated("crlb_table", ["amplitude"], 10**400)),
+    ("noise_variance_w", mutated("crlb_table", ["noise_variance_w"], -(10**400))),
+    ("subcarrier_spacing_hz", mutated("crlb_table", ["ofdm", "subcarrier_spacing_hz"], 10**400)),
+    ("snr_db", mutated("two_target_demo", ["snr_db"], 10**400)),
+    ("amplitudes", mutated("two_target_demo", ["amplitudes", 0], -(10**400))),
+    ("distance_m", mutated("rmse_pslr_sweep", ["scene", "targets", 0, "distance_m"], 10**400)),
 ]
 
 
@@ -398,6 +405,8 @@ class TestContract:
             (["amplitude"], 1e-200),  # amplitude**2 underflows: ZeroDivisionError
             (["amplitude"], 1e200),  # amplitude**2 overflows: OverflowError
             (["ofdm", "subcarrier_spacing_hz"], 1e300),
+            # an infinite FIM, which crlb_random.json cannot hold as JSON
+            (["noise_variance_w"], 5e-324),
         ],
     )
     def test_arithmetic_failure_is_a_numeric_failure(self, tmp_path, key, value):
@@ -408,6 +417,29 @@ class TestContract:
         assert err.startswith("numeric failure in crlb_table: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_integer_beyond_float_range_is_exact_where_an_integer_is_read(self, tmp_path):
+        path, out = write_config(tmp_path, mutated("crlb_table", ["seed"], 10**400)), tmp_path / "out"
+        assert main_in_process("validate", "--config", path) == (0, "", "")
+        assert main_in_process("run", "--config", path, "--out", out)[0] == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 10**400
+
+    def test_integer_too_long_to_read_is_a_config_error(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(TINY["crlb_table"]).replace('"seed": 1', '"seed": ' + "7" * 5000))
+        for args in (["validate", "--config", path], ["run", "--config", path, "--out", tmp_path / "out"]):
+            code, _, err = main_in_process(*args)
+            # below the interpreter's integer-string limit the seed is valid
+            limited = hasattr(sys, "get_int_max_str_digits") and sys.get_int_max_str_digits()
+            assert code == (2 if limited else 0), err
+            assert "Traceback" not in err
+            if limited:
+                assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_json_artifacts_hold_no_nan(self, tmp_path):
+        with pytest.raises(FloatingPointError, match="x.json: "):
+            cli._write_json(tmp_path / "x.json", {"fim": [[math.inf]]})
+        assert list(tmp_path.iterdir()) == []
 
     def test_existing_output_dir_keeps_unrelated_files(self, tmp_path, monkeypatch):
         out = tmp_path / "out"

@@ -1,10 +1,13 @@
-"""The CPI lag-sum kernel: its threaded block split against the serial loop,
-the per-grid memo that both per-symbol estimators read, and the sweep's
-SNR-point thread count, which follows the kernel's grid-size rule."""
+"""The CPI lag-sum kernel: its threaded block split and its Gram route
+against the serial loop, the per-grid memo that both per-symbol estimators
+read, and the sweep's SNR-point thread count, which follows the kernel's
+grid-size rule."""
 import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,8 @@ import pytest
 import sparse_isac as si
 from sparse_isac import analysis, synth
 from sparse_isac.analysis import SweepConfig, monte_carlo_sweep
-from sparse_isac.synth import _ROW_BLOCK, _cpi_power, _cpi_threads
+from sparse_isac.alloc import nested_params_for
+from sparse_isac.synth import _ROW_BLOCK, _cpi_power, _cpi_threads, _gram_route
 
 
 def serial_cpi_power(grid):
@@ -47,10 +51,16 @@ def make_params(n, m):
     )
 
 
-def make_grid(n, m, pattern, seed=5, snr_db=0.0):
+def make_grid(n, m, pattern, seed=5, snr_db=0.0, n_active=None):
+    """A one-target grid: `constant` draws n_active (default N / 4) random
+    subcarriers, `nested` is the sweep's nested pattern of n_active."""
     params = make_params(n, m)
+    n_active = n_active or max(2, n // 4)
     if pattern == "constant":
-        alloc = si.make_allocation(params, "random", n_active=max(2, n // 4), seed=seed)
+        alloc = si.make_allocation(params, "random", n_active=n_active, seed=seed)
+    elif pattern == "nested":
+        inner, outer = nested_params_for(n_active, n)
+        alloc = si.make_allocation(params, "nested", inner=inner, outer=outer)
     else:  # a different index set, of a different size, in every symbol
         rng = np.random.default_rng(seed)
         sets = [np.sort(rng.choice(n, rng.integers(1, n // 2 + 1), replace=False)) for _ in range(m)]
@@ -93,7 +103,8 @@ class TestBlockSplit:
 
     @pytest.mark.parametrize("pattern", ["constant", "per_symbol"])
     def test_paper_size_at_the_real_threshold(self, pattern):
-        grid = make_grid(1000, 720, pattern)
+        grid = make_grid(1000, 720, pattern)  # K = 250: past the Gram route's K bound
+        assert not _gram_route(grid)
         assert _cpi_power(grid).tobytes() == serial_cpi_power(grid).tobytes()
 
     @pytest.mark.parametrize(
@@ -187,6 +198,90 @@ class TestBlockSplit:
             sys.setswitchinterval(interval)
         assert len(block_calls) == 6 * n_kernel_calls
         assert_same_sweep(par, seq)
+
+
+# The largest K on the Gram route at N=1000: K^2 <= 2.4 x 2000 log2 2000
+K_BOUND_1000 = 229
+
+# _cpi_power's bits of a gated grid, printed by a fresh interpreter: M = 333
+# ends in a chunk of 13 symbols, and 720 is the paper's CPI
+GRAM_BITS = """
+import hashlib, sys
+sys.path[:0] = sys.argv[1:]
+from test_cpi_power import make_grid
+from sparse_isac.synth import _cpi_power, _gram_route
+for m, k in ((333, 200), (720, 200), (263, 229)):
+    grid = make_grid(1000, m, "constant", n_active=k)
+    assert _gram_route(grid)
+    print(m, k, hashlib.sha256(_cpi_power(grid).tobytes()).hexdigest())
+"""
+
+
+class TestGramRoute:
+    """A constant allocation on a large grid with few active subcarriers
+    takes its lag sums from the Gram matrix of its active block."""
+
+    @pytest.mark.parametrize(
+        "n, m, pattern, k, gram",
+        [
+            (1000, 262, "constant", 200, False),  # 524,000 points: below the size gate
+            (1000, 263, "constant", 200, True),  # 526,000 points
+            (1000, 720, "constant", K_BOUND_1000, True),
+            (1000, 720, "constant", K_BOUND_1000 + 1, False),
+            (1000, 720, "nested", 200, True),
+            (1000, 720, "per_symbol", None, False),
+            (256, 32, "constant", 64, False),  # desk
+            (256, 2048, "constant", 64, True),
+            (4000, 131, "constant", 498, True),  # 498^2 <= 2.4 x 8000 log2 8000 < 499^2
+            (4000, 131, "constant", 499, False),
+        ],
+    )
+    def test_gates(self, n, m, pattern, k, gram):
+        assert _gram_route(make_grid(n, m, pattern, n_active=k)) is gram
+
+    @pytest.mark.parametrize(
+        "m, pattern, k",
+        [
+            (262, "constant", 200),
+            (263, "constant", 200),
+            (333, "constant", 200),
+            (333, "constant", K_BOUND_1000),
+            (333, "constant", K_BOUND_1000 + 1),
+            (720, "constant", 200),
+            (720, "constant", 300),
+            (720, "nested", 200),
+        ],
+    )
+    def test_close_to_serial_loop(self, m, pattern, k):
+        grid = make_grid(1000, m, pattern, n_active=k)
+        ref = serial_cpi_power(grid)
+        power = _cpi_power(grid)
+        if _gram_route(grid):
+            assert np.max(np.abs(power - ref)) <= 1e-13 * np.max(ref)
+        else:
+            assert power.tobytes() == ref.tobytes()
+
+    def test_same_bits_at_any_blas_thread_count(self):
+        # OpenBLAS reads its thread count once, when NumPy loads it
+        digests = set()
+        for threads in ("1", "2", "4"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            run = subprocess.run(
+                [sys.executable, "-c", GRAM_BITS, str(Path(__file__).parent),
+                 str(Path(si.__file__).parents[1])],
+                env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            assert run.stdout.count("\n") == 3, run.stderr
+            digests.add(run.stdout)
+        assert len(digests) == 1
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_bits_do_not_depend_on_the_usable_cpus(self, monkeypatch, cpus):
+        grid = make_grid(1000, 333, "constant", n_active=200)
+        assert _gram_route(grid)
+        before = _cpi_power(grid)
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: cpus)
+        assert _cpi_power(grid).tobytes() == before.tobytes()
 
 
 class TestMemo:
