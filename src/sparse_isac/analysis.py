@@ -492,25 +492,37 @@ def _sweep_point(cfg: SweepConfig, scene: Scene, point_ss) -> dict:
     return out
 
 
+def _reads_gram_route(cfg: SweepConfig) -> bool:
+    """Whether a grid the sweep reads through its virtual aperture takes the
+    Gram route of FreqGrid.cpi_power.  A random draw is constant with
+    n_active subcarriers, so it routes as the equivalent band does."""
+    allocs = cfg._allocations
+    return any(
+        synth._gram_route(allocs.get(m) or allocs["equivalent_bandwidth"])
+        for m in cfg.methods
+        if _SWEEP_TABLE[m][1]
+    )
+
+
 def monte_carlo_sweep(cfg: SweepConfig, threads: int | None = None) -> SweepResult:
     """Run the seeded sweep over the SNR axis.
 
     Per-point and per-trial seeds derive from the master seed through a
     fixed SeedSequence tree, so any thread count gives identical results.
     `threads` distributes whole SNR points.  None picks the count from the
-    grid size, as the CPI lag-sum kernel (FreqGrid.cpi_power) does: one per
-    SNR point, up to the usable CPUs, on a grid of at least
-    synth._MIN_POINTS_PER_THREAD transform points (symbols x 2N), else
-    one.  Within a point, the kernel's FFT route splits such a grid's
-    symbol blocks over the usable CPUs, W of them, and adds them in a fixed
-    order; its Gram route (a constant allocation with few active
-    subcarriers) runs zgemm calls at the BLAS thread count instead.  So a
-    sweep can run up to threads * W threads, with the same outputs at any
-    count; the process's CPU affinity bounds both.
+    grid, as the CPI lag-sum kernel (FreqGrid.cpi_power) does: one per SNR
+    point, up to the usable CPUs, on a grid of at least
+    synth._MIN_POINTS_PER_THREAD transform points (symbols x 2N) that the
+    kernel splits over the usable CPUs, W of them; else one.  So a sweep can
+    run up to threads * W threads, with the same outputs at any count; the
+    process's CPU affinity bounds both.  A sweep with a grid on the
+    kernel's Gram route (_reads_gram_route) runs in one thread: that route
+    runs zgemm calls at the BLAS thread count, whose spinning workers
+    contend with SNR-point threads.
     """
     if threads is None:
         points = cfg.params.n_symbols * 2 * cfg.params.n_subcarriers
-        big = points >= synth._MIN_POINTS_PER_THREAD
+        big = points >= synth._MIN_POINTS_PER_THREAD and not _reads_gram_route(cfg)
         threads = min(len(cfg.scenes), synth._usable_cpus()) if big else 1
     ss = np.random.SeedSequence(cfg.master_seed)
     point_seeds = ss.spawn(len(cfg.snr_db_axis))

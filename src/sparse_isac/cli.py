@@ -24,7 +24,7 @@ that read one.  `crlb`, `sweep` and `demo` name their experiment and take
 `--profile` only (desk or paper sizes, desk by default); to run one of
 them from a file, pass the file, or the manifest.json it wrote, to `run`.
 
-No option sets a thread count.  A sweep picks its own from the grid size
+No option sets a thread count.  A sweep picks its own from its grids
 (see `monte_carlo_sweep`), as the CPI lag-sum kernel does for each grid;
 both count only the CPUs in the process's affinity mask (`taskset`), so
 that mask bounds every thread of a run.  The outputs are the same at any
@@ -35,7 +35,7 @@ field, starting with the field's path, also for an output directory that
 cannot be created) or command-line error, 3 numeric failure (one
 `numeric failure in <experiment>:` line, also for a valid config whose
 arrays are too large to allocate, whose arithmetic overflows or divides
-by zero, or whose JSON artifact would hold a non-finite number).
+by zero, or whose JSON artifact would hold a non-finite result).
 """
 from __future__ import annotations
 
@@ -408,15 +408,18 @@ def _write_manifest(cfg: dict, out: Path, outputs: list[str]) -> None:
         "config": cfg,
         "outputs": outputs,
     }
-    _write_json(out / "manifest.json", manifest, sort_keys=True)
+    # The config may hold a non-finite number that _load_config read as an
+    # `Infinity` token (snr_db of a noise-free run), so the manifest writes
+    # it back the same way and re-runs through `run --config`.
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _write_json(path: Path, obj, sort_keys: bool = False) -> None:
-    """obj as indented JSON.  JSON has no NaN or infinity, so a non-finite
-    float is a numeric failure (FloatingPointError), not a `NaN` or
-    `Infinity` token that JSON readers reject."""
+def _write_json(path: Path, obj) -> None:
+    """obj as an indented JSON artifact.  JSON has no NaN or infinity, so a
+    non-finite computed float is a numeric failure (FloatingPointError),
+    not a `NaN` or `Infinity` token that JSON readers reject."""
     try:
-        text = json.dumps(obj, indent=2, sort_keys=sort_keys, allow_nan=False)
+        text = json.dumps(obj, indent=2, allow_nan=False)
     except ValueError as exc:
         raise FloatingPointError(f"{path.name}: {exc}") from exc
     path.write_text(text + "\n")

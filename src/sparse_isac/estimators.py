@@ -332,10 +332,10 @@ def build_virtual_signal(grid: FreqGrid) -> tuple[VirtualSignal, VirtualAperture
     two routes (see sparse_isac.synth): on a large grid with few active
     subcarriers (synth._GRAM_MIN_POINTS and synth._GRAM_MAX_COST_RATIO),
     the lag sums of the K x K Gram matrix of the active block, added up in
-    zgemm calls of 64 symbols so that the bits do not depend on the BLAS
-    thread count; else M transforms of length 2N.  The per-symbol
-    reference path is accumulate_cpi([autocorrelate_symbol(grid, m,
-    aperture) ...]), which agrees with either up to float round-off.
+    zgemm calls of 64 symbols, whose bits did not depend on the BLAS
+    thread count on OpenBLAS 0.3.31; else M transforms of length 2N.  The
+    per-symbol reference path is accumulate_cpi([autocorrelate_symbol(grid,
+    m, aperture) ...]), which agrees with either up to float round-off.
     """
     aperture = difference_set(grid.alloc)
     vals = _lags_from_power(grid.cpi_power / grid.n_symbols, aperture)

@@ -15,8 +15,8 @@ on first read by one of two routes:
   (_GRAM_MIN_POINTS transform points, symbols x 2N) with few active
   subcarriers (K^2 at most _GRAM_MAX_COST_RATIO x 2N log2 2N): the lag sums
   of the K x K Gram matrix of the active block, added up in zgemm calls of
-  _ROW_BLOCK = 64 symbols so that its bits do not depend on the BLAS
-  thread count, then one transform;
+  _ROW_BLOCK = 64 symbols, which on OpenBLAS 0.3.31 gave the same bits at
+  any BLAS thread count, then one transform;
 - the FFT route, for every other grid and as the reference: one transform
   of length 2N per symbol, over blocks of 64 symbols split across the
   usable CPUs.
@@ -59,10 +59,17 @@ _MIN_POINTS_PER_THREAD = 1 << 19
 
 # Fewest transform points (symbols x 2N) of a grid on the Gram route.  Its
 # zgemm calls wake OpenBLAS's worker threads from about 32 x 32 x 64 up, and
-# they spin after each call: ungated, the route took the bench's desk-size
-# estimate (N=256, M=32, K=64) from 1.5 to 2.8-3.0 ms of CPU per unit at
-# the same speed.  The value is the thread split's, in a name of its own so
-# that either can move alone.
+# they spin after each call, so on the 2-core guest above the route costs
+# about twice its wall time in CPU.  Per call of synthesize,
+# build_virtual_signal and both delay periodograms at N=1000, K=200 (median
+# of 5 rounds of 40 calls, against the FFT route): M = 64, 128 and 200
+# (1.3e5 to 4e5 points) saved 22-31% wall for 38-53% more CPU, M = 263
+# (5.3e5) 28-34% for 32-43% more, and M = 720 (1.4e6, where the FFT route
+# runs two threads) 27-30% at the same CPU.  Ungated, the bench's desk-size
+# estimate (N=256, M=32, K=64) went from 1.5 to 2.8-3.0 ms of CPU per unit
+# at the same speed.  So no size in between is a CPU crossover; the gate is
+# the thread split's minimum, in a name of its own so that either can move
+# alone.
 _GRAM_MIN_POINTS = 1 << 19
 
 # Largest K^2 / (2N log2 2N) on the Gram route, whose cost grows as M K^2
@@ -159,8 +166,11 @@ class FreqGrid:
         constant allocation past both gates, see the module docstring) it
         is the real part of FFT_2N of the lag sums, which is real only up
         to round-off: it agrees with the FFT route to about 1e-15 of its
-        peak and may dip below zero at an exact null.  Either route gives
-        the same bits at any BLAS thread count and CPU count.
+        peak and may dip below zero at an exact null.  Neither route's bits
+        depend on the usable CPUs.  Nor, on OpenBLAS 0.3.31, did they
+        depend on the BLAS thread count (tests/test_cpi_power.py,
+        test_same_bits_at_any_blas_thread_count); that is a measured
+        property of that BLAS build, not a guarantee of every BLAS.
 
         Not functools.cached_property: before Python 3.12 its lock is one
         for all instances, so sweep threads would wait on each other's
@@ -218,15 +228,15 @@ def _block_powers(grid: FreqGrid, claim, work: np.ndarray, power: np.ndarray) ->
         np.add(s[0::2], s[1::2], out=power[b])
 
 
-def _gram_route(grid: FreqGrid) -> bool:
-    """Whether _cpi_power takes the Gram route: a constant allocation on at
-    least _GRAM_MIN_POINTS transform points whose K active subcarriers keep
-    K^2 at most _GRAM_MAX_COST_RATIO x 2N log2 2N."""
-    size = 2 * grid.n_subcarriers
+def _gram_route(alloc: ResourceAllocation) -> bool:
+    """Whether _cpi_power takes the Gram route for a grid on `alloc`: a
+    constant allocation on at least _GRAM_MIN_POINTS transform points whose
+    K active subcarriers keep K^2 at most _GRAM_MAX_COST_RATIO x 2N log2 2N."""
+    size = 2 * alloc.n_subcarriers
     return (
-        grid.alloc.is_constant
-        and grid.n_symbols * size >= _GRAM_MIN_POINTS
-        and grid.alloc.n_active**2 <= _GRAM_MAX_COST_RATIO * size * math.log2(size)
+        alloc.is_constant
+        and alloc.n_symbols * size >= _GRAM_MIN_POINTS
+        and alloc.n_active**2 <= _GRAM_MAX_COST_RATIO * size * math.log2(size)
     )
 
 
@@ -298,10 +308,11 @@ def _cpi_power(grid: FreqGrid) -> np.ndarray:
     transform of the CPI lag sums R[s] = sum_m sum_{i-j=s} Y_m[i] conj(Y_m[j]).
 
     By the Gram route (_gram_power) where _gram_route allows it, else by
-    the FFT route (_fft_power).  Either way the result depends only on the
-    grid, not on the BLAS thread count or the usable CPUs.
+    the FFT route (_fft_power).  Either way the result does not depend on
+    the usable CPUs, and on OpenBLAS 0.3.31 it did not depend on the BLAS
+    thread count (measured, and checked by a test, not promised by BLAS).
     """
-    return _gram_power(grid) if _gram_route(grid) else _fft_power(grid)
+    return _gram_power(grid) if _gram_route(grid.alloc) else _fft_power(grid)
 
 
 def _resolve_targets(scene: Scene, params: OfdmParams, seed):

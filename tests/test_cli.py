@@ -468,6 +468,23 @@ class TestContract:
         for name in names:
             assert (first / name).read_bytes() == (again / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "experiment, key, value",
+        [("rmse_pslr_sweep", ["snr_db_axis"], [math.inf, 0.0]), ("two_target_demo", ["snr_db"], math.inf)],
+    )
+    def test_noise_free_run_reruns_from_its_manifest(self, tmp_path, experiment, key, value):
+        # a noise-free SNR is read from an `Infinity` token and written back as one
+        path = write_config(tmp_path, mutated(experiment, key, value))
+        assert "Infinity" in path.read_text()
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main_in_process("validate", "--config", path) == (0, "", "")
+        assert main_in_process("run", "--config", path, "--out", first)[::2] == (0, "")
+        assert main_in_process("run", "--config", first / "manifest.json", "--out", again)[::2] == (0, "")
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in again.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (again / name).read_bytes()
+
     @pytest.mark.parametrize("below", [False, True])
     def test_unusable_output_path_is_a_config_error(self, tmp_path, below):
         blocker = tmp_path / "blocker"

@@ -104,7 +104,7 @@ class TestBlockSplit:
     @pytest.mark.parametrize("pattern", ["constant", "per_symbol"])
     def test_paper_size_at_the_real_threshold(self, pattern):
         grid = make_grid(1000, 720, pattern)  # K = 250: past the Gram route's K bound
-        assert not _gram_route(grid)
+        assert not _gram_route(grid.alloc)
         assert _cpi_power(grid).tobytes() == serial_cpi_power(grid).tobytes()
 
     @pytest.mark.parametrize(
@@ -212,7 +212,7 @@ from test_cpi_power import make_grid
 from sparse_isac.synth import _cpi_power, _gram_route
 for m, k in ((333, 200), (720, 200), (263, 229)):
     grid = make_grid(1000, m, "constant", n_active=k)
-    assert _gram_route(grid)
+    assert _gram_route(grid.alloc)
     print(m, k, hashlib.sha256(_cpi_power(grid).tobytes()).hexdigest())
 """
 
@@ -237,7 +237,7 @@ class TestGramRoute:
         ],
     )
     def test_gates(self, n, m, pattern, k, gram):
-        assert _gram_route(make_grid(n, m, pattern, n_active=k)) is gram
+        assert _gram_route(make_grid(n, m, pattern, n_active=k).alloc) is gram
 
     @pytest.mark.parametrize(
         "m, pattern, k",
@@ -256,7 +256,7 @@ class TestGramRoute:
         grid = make_grid(1000, m, pattern, n_active=k)
         ref = serial_cpi_power(grid)
         power = _cpi_power(grid)
-        if _gram_route(grid):
+        if _gram_route(grid.alloc):
             assert np.max(np.abs(power - ref)) <= 1e-13 * np.max(ref)
         else:
             assert power.tobytes() == ref.tobytes()
@@ -278,7 +278,7 @@ class TestGramRoute:
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_bits_do_not_depend_on_the_usable_cpus(self, monkeypatch, cpus):
         grid = make_grid(1000, 333, "constant", n_active=200)
-        assert _gram_route(grid)
+        assert _gram_route(grid.alloc)
         before = _cpi_power(grid)
         monkeypatch.setattr(synth, "_usable_cpus", lambda: cpus)
         assert _cpi_power(grid).tobytes() == before.tobytes()
@@ -334,7 +334,8 @@ class TestUsableCpus:
 
 class TestSweepThreads:
     """monte_carlo_sweep(cfg) with threads=None: one thread per SNR point, up
-    to the usable CPUs, on a grid the lag-sum kernel would split, else one."""
+    to the usable CPUs, on a grid the lag-sum kernel would split and no grid
+    on its Gram route, else one."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -351,13 +352,13 @@ class TestSweepThreads:
         return opened
 
     @staticmethod
-    def config():
+    def config(methods=("direct_sparse", "autocorrelation")):
         params = make_params(64, 8)  # 8 symbols x 128 points
         return SweepConfig(
             params=params,
             n_active=16,
             snr_db_axis=(-5.0, 0.0, 5.0, 10.0, 15.0),
-            methods=("direct_sparse", "autocorrelation"),
+            methods=methods,
             targets=(si.Target(distance_m=10 * params.range_bin_m, amplitude=1.0),),
             n_trials=2,
             master_seed=3,
@@ -374,6 +375,22 @@ class TestSweepThreads:
         par = monte_carlo_sweep(cfg)
         assert pools == [3]
         assert_same_sweep(par, monte_carlo_sweep(cfg, threads=1))
+
+    @pytest.mark.parametrize(
+        "methods, opened",
+        [
+            (("direct_sparse", "autocorrelation"), []),  # the random draw's grid
+            (("nested",), []),
+            (("full_bandwidth", "direct_sparse"), [3]),  # no virtual aperture read
+        ],
+    )
+    def test_gram_route_grid_runs_in_the_caller(self, pools, monkeypatch, methods, opened):
+        monkeypatch.setattr(synth, "_MIN_POINTS_PER_THREAD", 8 * 128)
+        monkeypatch.setattr(synth, "_GRAM_MIN_POINTS", 8 * 128)
+        cfg = self.config(methods)
+        result = monte_carlo_sweep(cfg)
+        assert pools == opened
+        assert_same_sweep(result, monte_carlo_sweep(cfg, threads=3))
 
     def test_explicit_count_is_kept(self, pools, monkeypatch):
         monkeypatch.setattr(synth, "_MIN_POINTS_PER_THREAD", 1)
