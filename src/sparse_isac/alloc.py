@@ -62,9 +62,10 @@ def _check_number(
     return value
 
 
-# Most points of an axis or spectrum a config may ask for.  Near 2**60 points
-# a float64 array's byte count overflows, and NumPy then raises ValueError,
-# not the MemoryError (a numeric failure) of an array merely too large.
+# Most points of an axis, a spectrum or a grid (symbols x subcarriers, or
+# subcarriers x trials) a config may ask for.  Near 2**60 points a float64
+# array's byte count overflows, and NumPy then raises ValueError, not the
+# MemoryError (a numeric failure) of an array merely too large.
 _AXIS_MAX_POINTS = 2**53
 
 _CSV_SPECIAL = (",", '"', "\r", "\n")
@@ -146,8 +147,10 @@ class OfdmParams:
     cp_len_s: float = 0.0
 
     def __post_init__(self):
-        _check_number("n_subcarriers", self.n_subcarriers, integer=True, minimum=2)
-        _check_number("n_symbols", self.n_symbols, integer=True, minimum=1)
+        most = _AXIS_MAX_POINTS
+        n = _check_number("n_subcarriers", self.n_subcarriers, integer=True, minimum=2, maximum=most)
+        m = _check_number("n_symbols", self.n_symbols, integer=True, minimum=1, maximum=most)
+        _check_number("n_symbols x n_subcarriers", int(m) * int(n), maximum=most)  # the dense grid
         _check_number("subcarrier_spacing_hz", self.subcarrier_spacing_hz, positive=True)
         _check_number("carrier_freq_hz", self.carrier_freq_hz, positive=True)
         _check_number("cp_len_s", self.cp_len_s, minimum=0)
@@ -555,7 +558,7 @@ def hole_fill_curve(
     """
     n = _check_number("n_subcarriers", n_subcarriers, integer=True, minimum=2)
     _check_number("n_active", n_active, integer=True, minimum=2, maximum=n)
-    _check_number("n_trials", n_trials, integer=True, minimum=1)
+    _check_number("n_trials", n_trials, integer=True, minimum=1, maximum=_AXIS_MAX_POINTS // n)
     filled = _hole_fill_trials(n, n_active, n_trials, seed)[1]
     p, p_all = filled.mean(axis=1), float(filled.all(axis=0).mean())
     return HoleFillCurve(

@@ -8,6 +8,7 @@ sweeps comparing allocation strategies.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -23,9 +24,8 @@ from .alloc import (
     make_allocation,
     nested_params_for,
 )
-from . import synth
 from .scene import SPEED_OF_LIGHT, LinkBudget, Scene, Target
-from .synth import _symbol_sum_row, synthesize
+from .synth import _gram_route, _symbol_sum_row, synthesize
 from .estimators import (
     Periodogram,
     _zero_fill,
@@ -492,13 +492,30 @@ def _sweep_point(cfg: SweepConfig, scene: Scene, point_ss) -> dict:
     return out
 
 
+# Fewest transform points (symbols x 2N) of a grid whose sweep runs its SNR
+# points in threads.  Measured for a former split of the CPI lag-sum kernel's
+# symbol blocks, not again for SNR points: on a 2-core x86-64 KVM guest two
+# threads saved no wall time up to 1.9e5 points per thread and 11-36% from
+# 2.6e5 up, and the minimum sits one doubling above that crossover.
+_SWEEP_THREAD_MIN_POINTS = 1 << 19
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "process_cpu_count"):  # Python 3.13+
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _reads_gram_route(cfg: SweepConfig) -> bool:
     """Whether a grid the sweep reads through its virtual aperture takes the
     Gram route of FreqGrid.cpi_power.  A random draw is constant with
     n_active subcarriers, so it routes as the equivalent band does."""
     allocs = cfg._allocations
     return any(
-        synth._gram_route(allocs.get(m) or allocs["equivalent_bandwidth"])
+        _gram_route(allocs.get(m) or allocs["equivalent_bandwidth"])
         for m in cfg.methods
         if _SWEEP_TABLE[m][1]
     )
@@ -509,21 +526,19 @@ def monte_carlo_sweep(cfg: SweepConfig, threads: int | None = None) -> SweepResu
 
     Per-point and per-trial seeds derive from the master seed through a
     fixed SeedSequence tree, so any thread count gives identical results.
-    `threads` distributes whole SNR points.  None picks the count from the
-    grid, as the CPI lag-sum kernel (FreqGrid.cpi_power) does: one per SNR
-    point, up to the usable CPUs, on a grid of at least
-    synth._MIN_POINTS_PER_THREAD transform points (symbols x 2N) that the
-    kernel splits over the usable CPUs, W of them; else one.  So a sweep can
-    run up to threads * W threads, with the same outputs at any count; the
-    process's CPU affinity bounds both.  A sweep with a grid on the
-    kernel's Gram route (_reads_gram_route) runs in one thread: that route
+    `threads` distributes whole SNR points; these threads are the only ones
+    the package starts.  None picks one per SNR point, up to the usable CPUs
+    (the process's affinity mask), on a grid of at least
+    _SWEEP_THREAD_MIN_POINTS transform points (symbols x 2N), else one.  A
+    sweep with a grid on the Gram route of the CPI lag-sum kernel
+    (FreqGrid.cpi_power, _reads_gram_route) runs in one thread: that route
     runs zgemm calls at the BLAS thread count, whose spinning workers
     contend with SNR-point threads.
     """
     if threads is None:
         points = cfg.params.n_symbols * 2 * cfg.params.n_subcarriers
-        big = points >= synth._MIN_POINTS_PER_THREAD and not _reads_gram_route(cfg)
-        threads = min(len(cfg.scenes), synth._usable_cpus()) if big else 1
+        big = points >= _SWEEP_THREAD_MIN_POINTS and not _reads_gram_route(cfg)
+        threads = min(len(cfg.scenes), _usable_cpus()) if big else 1
     ss = np.random.SeedSequence(cfg.master_seed)
     point_seeds = ss.spawn(len(cfg.snr_db_axis))
     if threads and threads > 1:
@@ -581,7 +596,7 @@ class TwoTargetDemoConfig:
         n = self.params.n_subcarriers
         _check_number("n_active", self.n_active, integer=True, minimum=2, maximum=n)
         _check_delay_axes(self.params, self.oversample, minimum=1)
-        _check_number("n_runs", self.n_runs, integer=True, minimum=1)
+        _check_number("n_runs", self.n_runs, integer=True, minimum=1, maximum=_AXIS_MAX_POINTS)
         _check_number("master_seed", self.master_seed, integer=True, minimum=0)
         pairs = ("distances_m", "velocities_mps", "amplitudes")
         for name in pairs:

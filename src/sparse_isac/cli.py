@@ -24,11 +24,11 @@ that read one.  `crlb`, `sweep` and `demo` name their experiment and take
 `--profile` only (desk or paper sizes, desk by default); to run one of
 them from a file, pass the file, or the manifest.json it wrote, to `run`.
 
-No option sets a thread count.  A sweep picks its own from its grids
-(see `monte_carlo_sweep`), as the CPI lag-sum kernel does for each grid;
-both count only the CPUs in the process's affinity mask (`taskset`), so
-that mask bounds every thread of a run.  The outputs are the same at any
-count.
+No option sets a thread count.  A sweep picks its own from its grids, one
+per SNR point on a large grid (see `monte_carlo_sweep`), counting only the
+CPUs in the process's affinity mask (`taskset`); everything else runs in
+the calling thread, apart from the BLAS library's own workers.  The
+outputs are the same at any count.
 
 Exit codes: 0 success, 2 config error (one `config error:` line per bad
 field, starting with the field's path, also for an output directory that
@@ -166,8 +166,9 @@ def _build_hole_probability(cfg: dict, build: _Build, params, seed):
             "", _check_number, f"n_active_axis[{i}]", n_active,
             integer=True, minimum=2, maximum=params and params.n_subcarriers,
         )
-    if "n_trials" in args:
-        build("", _check_number, "trials", args["n_trials"], integer=True, minimum=1)
+    if "n_trials" in args:  # the bound of hole_fill_curve's (N, trials) keys
+        most = params and _AXIS_MAX_POINTS // params.n_subcarriers
+        build("", _check_number, "trials", args["n_trials"], integer=True, minimum=1, maximum=most)
     return partial(_exp_hole_probability, params, axis, seed, **args)
 
 

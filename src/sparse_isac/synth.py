@@ -18,8 +18,8 @@ on first read by one of two routes:
   _ROW_BLOCK = 64 symbols, which on OpenBLAS 0.3.31 gave the same bits at
   any BLAS thread count, then one transform;
 - the FFT route, for every other grid and as the reference: one transform
-  of length 2N per symbol, over blocks of 64 symbols split across the
-  usable CPUs.
+  of length 2N per symbol, over blocks of 64 symbols, in the caller's
+  thread.
 
 The size gate keeps small grids off BLAS, whose worker threads spin after
 each call; the K gate keeps the route where M K^2 costs less than M 2N
@@ -28,10 +28,7 @@ log2 2N.
 from __future__ import annotations
 
 import math
-import os
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,21 +38,13 @@ from .scene import Scene, delay_doppler
 
 __all__ = ["FreqGrid", "synthesize", "measure_snr"]
 
-# Symbols per block B when _cpi_power walks the CPI.  On the FFT route each
-# thread has one workspace of 2 * B * 2N complex values: 4 MB at N = 1000.
+# Symbols per block B when _cpi_power walks the CPI.  On the FFT route the
+# one workspace holds 2 * B * 2N complex values: 4 MB at N = 1000.
 # On the Gram route B is the inner size of each zgemm: OpenBLAS 0.3.31 gave
 # the same bits at 1 and 2 threads for every inner size up to 128, but above
 # it split the inner dimension by thread count (bits differed for sizes not
 # 0 or 7 mod 8), and 64-symbol chunks gave the same bits at 1 to 4 threads.
 _ROW_BLOCK = 64
-
-# Fewest transform points (symbols x 2N) per _cpi_power thread.  Two threads
-# against one on a 2-core x86-64 KVM guest (NumPy 2.4.6, median of 41
-# alternating calls, three rounds): at up to 1.9e5 points per thread the
-# second saved no wall time (ratio 0.92-1.07) for 29-61% more CPU; from
-# 2.6e5 up it saved 11-36% for 13-41% more.  The minimum sits one doubling
-# above that crossover, since the ratios moved by up to 0.16 between rounds.
-_MIN_POINTS_PER_THREAD = 1 << 19
 
 # Fewest transform points (symbols x 2N) of a grid on the Gram route.  Its
 # zgemm calls wake OpenBLAS's worker threads from about 32 x 32 x 64 up, and
@@ -64,12 +53,11 @@ _MIN_POINTS_PER_THREAD = 1 << 19
 # build_virtual_signal and both delay periodograms at N=1000, K=200 (median
 # of 5 rounds of 40 calls, against the FFT route): M = 64, 128 and 200
 # (1.3e5 to 4e5 points) saved 22-31% wall for 38-53% more CPU, M = 263
-# (5.3e5) 28-34% for 32-43% more, and M = 720 (1.4e6, where the FFT route
-# runs two threads) 27-30% at the same CPU.  Ungated, the bench's desk-size
-# estimate (N=256, M=32, K=64) went from 1.5 to 2.8-3.0 ms of CPU per unit
-# at the same speed.  So no size in between is a CPU crossover; the gate is
-# the thread split's minimum, in a name of its own so that either can move
-# alone.
+# (5.3e5) 28-34% for 32-43% more, and M = 720 (1.4e6, against an FFT route
+# then on two threads) 27-30% at the same CPU.  Ungated, the bench's
+# desk-size estimate (N=256, M=32, K=64) went from 1.5 to 2.8-3.0 ms of CPU
+# per unit at the same speed.  So no size in between is a CPU crossover;
+# the gate keeps 2**19 points, from which the FFT route then ran two threads.
 _GRAM_MIN_POINTS = 1 << 19
 
 # Largest K^2 / (2N log2 2N) on the Gram route, whose cost grows as M K^2
@@ -80,15 +68,6 @@ _GRAM_MIN_POINTS = 1 << 19
 # 450 at N=2000 (M=720), and 500 at N=4000 (M=131), a ratio of 2.4 to 4.3.
 # The bound is the smallest of them: K up to 229 at N=1000.
 _GRAM_MAX_COST_RATIO = 2.4
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "process_cpu_count"):  # Python 3.13+
-        return os.process_cpu_count() or 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -166,11 +145,11 @@ class FreqGrid:
         constant allocation past both gates, see the module docstring) it
         is the real part of FFT_2N of the lag sums, which is real only up
         to round-off: it agrees with the FFT route to about 1e-15 of its
-        peak and may dip below zero at an exact null.  Neither route's bits
-        depend on the usable CPUs.  Nor, on OpenBLAS 0.3.31, did they
-        depend on the BLAS thread count (tests/test_cpi_power.py,
-        test_same_bits_at_any_blas_thread_count); that is a measured
-        property of that BLAS build, not a guarantee of every BLAS.
+        peak and may dip below zero at an exact null.  On OpenBLAS 0.3.31
+        the Gram route's bits did not depend on the BLAS thread count
+        (tests/test_cpi_power.py, test_same_bits_at_any_blas_thread_count);
+        that is a measured property of that BLAS build, not a guarantee of
+        every BLAS.
 
         Not functools.cached_property: before Python 3.12 its lock is one
         for all instances, so sweep threads would wait on each other's
@@ -188,44 +167,6 @@ class FreqGrid:
         """Active resource elements only, columns m, n, re, im."""
         alloc, values = self.alloc, self.active
         _write_csv(path, ["m", "n", "re", "im"], [alloc.rows, alloc.cols, values.real, values.imag])
-
-
-def _cpi_threads(n_blocks: int, points: int) -> int:
-    """Threads for _cpi_power: at most one per usable CPU and per block,
-    each with at least _MIN_POINTS_PER_THREAD of the `points` to transform."""
-    threads = min(n_blocks, points // _MIN_POINTS_PER_THREAD)
-    return min(threads, _usable_cpus()) if threads > 1 else 1
-
-
-def _block_powers(grid: FreqGrid, claim, work: np.ndarray, power: np.ndarray) -> None:
-    """Until claim() returns None, write sum_{m in block b} |FFT_2N(Y_m)|^2
-    into power[b] for the block b = claim(), in the (2, B, 2N) workspace
-    `work`.
-
-    Each block's rows are scattered from the active values into the
-    zero-padded front half of `work` (a per-symbol allocation zeroes them
-    first; a constant one rewrites the same columns) and forward-transformed
-    into its back half with `out=`.
-    """
-    n_symbols, n = grid.n_symbols, grid.n_subcarriers
-    rows, out = work
-    if grid.alloc.is_constant:
-        block, cols = grid.block, grid.alloc.indices
-    else:
-        cols, starts, cell_rows = grid.alloc.cols, grid.alloc.starts, grid.alloc.rows
-    while (b := claim()) is not None:
-        r0 = b * _ROW_BLOCK
-        k = min(_ROW_BLOCK, n_symbols - r0)
-        if grid.alloc.is_constant:
-            rows[:k, cols] = block[r0 : r0 + k]
-        else:
-            lo, hi = starts[r0], starts[r0 + k]
-            rows[:k, :n] = 0.0
-            rows[cell_rows[lo:hi] - r0, cols[lo:hi]] = grid.active[lo:hi]
-        # re^2 and im^2 summed over the block's symbols, interleaved by bin
-        v = np.fft.fft(rows[:k], axis=-1, out=out[:k]).view(np.float64)
-        s = np.einsum("mk,mk->k", v, v)
-        np.add(s[0::2], s[1::2], out=power[b])
 
 
 def _gram_route(alloc: ResourceAllocation) -> bool:
@@ -268,38 +209,32 @@ def _gram_power(grid: FreqGrid) -> np.ndarray:
 def _fft_power(grid: FreqGrid) -> np.ndarray:
     """sum_m |FFT_2N(Y_m)|^2, one transform of length 2N per symbol.
 
-    The symbols fall into blocks of _ROW_BLOCK, which W threads
-    (_cpi_threads) claim one at a time: the caller and W - 1 helpers of a
-    pool made for this call.  Claiming, not a fixed share per thread, lets
-    the caller take over the blocks of a helper whose CPU is busy with
-    another process.  The caller allocates one (2, B, 2N) workspace per
-    thread up front: two (B, 2N) arrays freed together at N = 256, and
-    workspaces allocated in the helpers, were page-faulted in again on every
-    call.  Each block's power goes into its own row, and the caller adds the
-    rows in block order, so the sum has the same bits at any W.
+    The symbols go through in blocks of _ROW_BLOCK, in one (2, B, 2N)
+    workspace.  Each block's rows are scattered from the active values into
+    the zero-padded front half (a per-symbol allocation zeroes them first; a
+    constant one rewrites the same columns) and forward-transformed into the
+    back half with `out=`, and the block's power is added to one running sum
+    in symbol order.
     """
     n_symbols, n = grid.n_symbols, grid.n_subcarriers
-    n_blocks = -(-n_symbols // _ROW_BLOCK)
-    threads = _cpi_threads(n_blocks, n_symbols * 2 * n)
-    work = np.zeros((threads, 2, min(_ROW_BLOCK, n_symbols), 2 * n), dtype=np.complex128)
-    block_power = np.empty((n_blocks, 2 * n))
-    blocks, lock = iter(range(n_blocks)), threading.Lock()
-
-    def claim():
-        with lock:
-            return next(blocks, None)
-
-    if threads == 1:
-        _block_powers(grid, claim, work[0], block_power)
+    rows, out = np.zeros((2, min(_ROW_BLOCK, n_symbols), 2 * n), dtype=np.complex128)
+    if grid.alloc.is_constant:
+        block, cols = grid.block, grid.alloc.indices
     else:
-        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-            helpers = [pool.submit(_block_powers, grid, claim, w, block_power) for w in work[1:]]
-            _block_powers(grid, claim, work[0], block_power)
-            for helper in helpers:
-                helper.result()
+        cols, starts, cell_rows = grid.alloc.cols, grid.alloc.starts, grid.alloc.rows
     power = np.zeros(2 * n)
-    for row in block_power:
-        power += row
+    for r0 in range(0, n_symbols, _ROW_BLOCK):
+        k = min(_ROW_BLOCK, n_symbols - r0)
+        if grid.alloc.is_constant:
+            rows[:k, cols] = block[r0 : r0 + k]
+        else:
+            lo, hi = starts[r0], starts[r0 + k]
+            rows[:k, :n] = 0.0
+            rows[cell_rows[lo:hi] - r0, cols[lo:hi]] = grid.active[lo:hi]
+        # re^2 and im^2 summed over the block's symbols, interleaved by bin
+        v = np.fft.fft(rows[:k], axis=-1, out=out[:k]).view(np.float64)
+        s = np.einsum("mk,mk->k", v, v)
+        power += s[0::2] + s[1::2]
     return power
 
 
@@ -308,9 +243,7 @@ def _cpi_power(grid: FreqGrid) -> np.ndarray:
     transform of the CPI lag sums R[s] = sum_m sum_{i-j=s} Y_m[i] conj(Y_m[j]).
 
     By the Gram route (_gram_power) where _gram_route allows it, else by
-    the FFT route (_fft_power).  Either way the result does not depend on
-    the usable CPUs, and on OpenBLAS 0.3.31 it did not depend on the BLAS
-    thread count (measured, and checked by a test, not promised by BLAS).
+    the FFT route (_fft_power).
     """
     return _gram_power(grid) if _gram_route(grid.alloc) else _fft_power(grid)
 

@@ -83,11 +83,23 @@ class TestOfdmParams:
 
     def test_integers_are_compared_exactly(self):
         # never converted to float: 2**53 + 1 would round down to 2**53
-        p = si.OfdmParams(64, 10**400, 120e3, 24e9, cp_len_s=10**300)
-        assert p.n_symbols == 10**400 and p.cp_len_s == 10**300
+        p = si.OfdmParams(64, 2**53 // 64, 120e3, 24e9, cp_len_s=10**300)
+        assert p.n_symbols == 2**47 and p.cp_len_s == 10**300
+        with pytest.raises(ValueError, match=r"^n_symbols: must be <= 9007199254740992, got 9007199254740993$"):
+            si.OfdmParams(2, 2**53 + 1, 120e3, 24e9)
         assert _check_number("x", 2**53 + 1, integer=True, maximum=2**53 + 1) == 2**53 + 1
         with pytest.raises(ValueError, match=r"^x: must be <= 9007199254740992"):
             _check_number("x", 2**53 + 1, integer=True, maximum=2**53)
+
+    @pytest.mark.parametrize(
+        "n, m, field",
+        [(10**400, 4, "n_subcarriers"), (64, 2**63, "n_symbols"), (2**27, 2**27, "n_symbols x n_subcarriers")],
+    )
+    def test_sizes_are_bounded(self, n, m, field):
+        # the bound keeps a grid's byte count below NumPy's limit, so a larger
+        # size is refused here and not by a ValueError from NumPy later
+        with pytest.raises(ValueError, match=rf"^{field}: must be <= 9007199254740992, got "):
+            si.OfdmParams(n, m, 120e3, 24e9)
 
 
 class TestMakeAllocation:
@@ -513,7 +525,9 @@ class TestHoleFillProbability:
             si.hole_fill_probability(16, 4, 0)
 
     @pytest.mark.parametrize(
-        "n_trials, error", [(0, ValueError), (-1, ValueError), (2.0, TypeError)]
+        "n_trials, error",
+        # past 2**53 // 64, the (64, n_trials) keys would exceed 2**53 points
+        [(0, ValueError), (-1, ValueError), (2.0, TypeError), (2**53 // 64 + 1, ValueError)],
     )
     def test_curve_rejects_bad_trial_count(self, n_trials, error):
         for n_active in (16, 64):  # a random subset, and the full band

@@ -1,12 +1,11 @@
-"""The CPI lag-sum kernel: its threaded block split and its Gram route
-against the serial loop, the per-grid memo that both per-symbol estimators
-read, and the sweep's SNR-point thread count, which follows the kernel's
-grid-size rule."""
+"""The CPI lag-sum kernel: its FFT route against the serial loop, in the
+caller's thread, its Gram route, the per-grid memo that both per-symbol
+estimators read, and the sweep's SNR-point threads, the package's only
+thread pool."""
 import os
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,7 @@ import sparse_isac as si
 from sparse_isac import analysis, synth
 from sparse_isac.analysis import SweepConfig, monte_carlo_sweep
 from sparse_isac.alloc import nested_params_for
-from sparse_isac.synth import _ROW_BLOCK, _cpi_power, _cpi_threads, _gram_route
+from sparse_isac.synth import _ROW_BLOCK, _cpi_power, _gram_route
 
 
 def serial_cpi_power(grid):
@@ -79,96 +78,29 @@ def assert_same_sweep(a, b):
                 assert x.tobytes() == y.tobytes()
 
 
-@pytest.fixture
-def threads_from(monkeypatch):
-    """Patch the usable CPU count to `cpus` and the minimum work to 1 point,
-    so the kernel runs one thread per CPU up to one per block."""
-
-    def patch(cpus):
-        monkeypatch.setattr(synth, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(synth, "_MIN_POINTS_PER_THREAD", 1)
-
-    return patch
-
-
-class TestBlockSplit:
+class TestFftRoute:
     @pytest.mark.parametrize("pattern", ["constant", "per_symbol"])
     @pytest.mark.parametrize("m", [1, 63, 64, 65, 2 * _ROW_BLOCK + 3, 720])
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
-    def test_bitwise_equal_to_serial_loop(self, threads_from, cpus, m, pattern):
+    def test_bitwise_equal_to_serial_loop(self, m, pattern):
         grid = make_grid(24, m, pattern)
-        threads_from(cpus)
-        assert _cpi_threads(-(-m // _ROW_BLOCK), m * 48) == min(cpus, -(-m // _ROW_BLOCK))
         assert _cpi_power(grid).tobytes() == serial_cpi_power(grid).tobytes()
 
     @pytest.mark.parametrize("pattern", ["constant", "per_symbol"])
-    def test_paper_size_at_the_real_threshold(self, pattern):
+    def test_paper_size_in_the_calling_thread(self, monkeypatch, pattern):
         grid = make_grid(1000, 720, pattern)  # K = 250: past the Gram route's K bound
         assert not _gram_route(grid.alloc)
-        assert _cpi_power(grid).tobytes() == serial_cpi_power(grid).tobytes()
+        ref = serial_cpi_power(grid)
 
-    @pytest.mark.parametrize(
-        "n, m, cpus, threads",
-        [
-            (1000, 720, 2, 2),  # paper size: 1.44 M points
-            (1000, 720, 8, 2),  # at least 2**19 points per thread
-            (1000, 720, 1, 1),
-            (1000, 128, 2, 1),  # two-target demo
-            (256, 128, 2, 1),
-            (256, 1000, 2, 1),
-            (256, 32, 8, 1),  # desk
-            (2000, 720, 8, 5),
-            (2000, 720, 3, 3),
-            (2000, 64, 8, 1),  # one block
-        ],
-    )
-    def test_threads_need_enough_points(self, monkeypatch, n, m, cpus, threads):
-        monkeypatch.setattr(synth, "_usable_cpus", lambda: cpus)
-        assert _cpi_threads(-(-m // _ROW_BLOCK), m * 2 * n) == threads
+        def refuse(thread):
+            raise AssertionError(f"the kernel started thread {thread.name}")
 
-    def test_helper_exception_reaches_the_caller(self, threads_from, monkeypatch):
-        grid = make_grid(24, 8 * _ROW_BLOCK, "constant")
-        threads_from(3)
-        fft = np.fft.fft
-        ran_in = []
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert _cpi_power(grid).tobytes() == ref.tobytes()
 
-        def failing_in_helpers(*args, **kwargs):
-            ran_in.append(threading.current_thread())
-            if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError("helper block failed")
-            time.sleep(0.02)  # leaves blocks for the helpers to claim
-            return fft(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "fft", failing_in_helpers)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="helper block failed"):
-            _cpi_power(grid)
-        assert threading.active_count() == before
-        assert threading.main_thread() in ran_in and len(set(ran_in)) >= 2
-
-    def test_caller_exception_still_joins_the_helpers(self, threads_from, monkeypatch):
-        grid = make_grid(24, 8 * _ROW_BLOCK, "per_symbol")
-        threads_from(3)
-        fft = np.fft.fft
-
-        def failing_in_caller(*args, **kwargs):
-            if threading.current_thread() is threading.main_thread():
-                raise RuntimeError("caller block failed")
-            time.sleep(0.02)  # leaves blocks for the caller to claim
-            return fft(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "fft", failing_in_caller)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="caller block failed"):
-            _cpi_power(grid)
-        assert threading.active_count() == before
-
-    def test_threaded_sweep_bitwise_with_kernel_threads(self, monkeypatch):
-        # 4 sweep threads, each splitting its grids over 3 kernel threads,
-        # more threads than cores, switching every few microseconds
-        monkeypatch.setattr(synth, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(synth, "_MIN_POINTS_PER_THREAD", 4096)
-        params = make_params(64, 2 * _ROW_BLOCK + 3)  # 16,768 points: 3 threads
+    def test_threaded_sweep_bitwise_under_fast_switching(self, monkeypatch):
+        # 4 SNR-point threads, more than cores, switching every few
+        # microseconds, each reading the kernel on its own grids
+        params = make_params(64, 2 * _ROW_BLOCK + 3)
         cfg = SweepConfig(
             params=params,
             n_active=16,
@@ -179,24 +111,25 @@ class TestBlockSplit:
             oversample=4,
             master_seed=3,
         )
-        block_calls = []
-        block_powers = synth._block_powers
+        callers = []
+        kernel = synth._cpi_power
 
-        def counted(*args):
-            block_calls.append(threading.get_ident())
-            return block_powers(*args)
+        def counted(grid):
+            callers.append(threading.get_ident())
+            return kernel(grid)
 
-        monkeypatch.setattr(synth, "_block_powers", counted)
+        monkeypatch.setattr(synth, "_cpi_power", counted)
         seq = monte_carlo_sweep(cfg, threads=1)
         n_kernel_calls = len(cfg.snr_db_axis) * cfg.n_trials * len(cfg.methods)
-        assert len(block_calls) == 3 * n_kernel_calls
+        assert callers == [threading.get_ident()] * n_kernel_calls
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             par = monte_carlo_sweep(cfg, threads=4)
         finally:
             sys.setswitchinterval(interval)
-        assert len(block_calls) == 6 * n_kernel_calls
+        assert len(callers) == 2 * n_kernel_calls
+        assert threading.get_ident() not in callers[n_kernel_calls:]
         assert_same_sweep(par, seq)
 
 
@@ -275,14 +208,6 @@ class TestGramRoute:
             digests.add(run.stdout)
         assert len(digests) == 1
 
-    @pytest.mark.parametrize("cpus", [1, 3])
-    def test_bits_do_not_depend_on_the_usable_cpus(self, monkeypatch, cpus):
-        grid = make_grid(1000, 333, "constant", n_active=200)
-        assert _gram_route(grid.alloc)
-        before = _cpi_power(grid)
-        monkeypatch.setattr(synth, "_usable_cpus", lambda: cpus)
-        assert _cpi_power(grid).tobytes() == before.tobytes()
-
 
 class TestMemo:
     def test_second_read_is_the_same_read_only_array(self, monkeypatch):
@@ -326,7 +251,7 @@ class TestMemo:
 
 class TestUsableCpus:
     def test_counts_the_cpus_this_process_may_use(self):
-        cpus = synth._usable_cpus()
+        cpus = analysis._usable_cpus()
         assert 1 <= cpus <= (os.cpu_count() or 1)
         if hasattr(os, "sched_getaffinity"):
             assert cpus == len(os.sched_getaffinity(0))
@@ -334,8 +259,8 @@ class TestUsableCpus:
 
 class TestSweepThreads:
     """monte_carlo_sweep(cfg) with threads=None: one thread per SNR point, up
-    to the usable CPUs, on a grid the lag-sum kernel would split and no grid
-    on its Gram route, else one."""
+    to the usable CPUs, on a grid of at least _SWEEP_THREAD_MIN_POINTS and
+    no grid on the lag-sum kernel's Gram route, else one."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -348,7 +273,7 @@ class TestSweepThreads:
             return executor(max_workers=max_workers)
 
         monkeypatch.setattr(analysis, "ThreadPoolExecutor", recording)
-        monkeypatch.setattr(synth, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 3)
         return opened
 
     @staticmethod
@@ -365,12 +290,12 @@ class TestSweepThreads:
         )
 
     def test_small_grid_runs_in_the_caller(self, pools, monkeypatch):
-        monkeypatch.setattr(synth, "_MIN_POINTS_PER_THREAD", 8 * 128 + 1)
+        monkeypatch.setattr(analysis, "_SWEEP_THREAD_MIN_POINTS", 8 * 128 + 1)
         monte_carlo_sweep(self.config())
         assert pools == []
 
     def test_large_grid_runs_one_thread_per_point_up_to_the_cpus(self, pools, monkeypatch):
-        monkeypatch.setattr(synth, "_MIN_POINTS_PER_THREAD", 8 * 128)
+        monkeypatch.setattr(analysis, "_SWEEP_THREAD_MIN_POINTS", 8 * 128)
         cfg = self.config()
         par = monte_carlo_sweep(cfg)
         assert pools == [3]
@@ -385,7 +310,7 @@ class TestSweepThreads:
         ],
     )
     def test_gram_route_grid_runs_in_the_caller(self, pools, monkeypatch, methods, opened):
-        monkeypatch.setattr(synth, "_MIN_POINTS_PER_THREAD", 8 * 128)
+        monkeypatch.setattr(analysis, "_SWEEP_THREAD_MIN_POINTS", 8 * 128)
         monkeypatch.setattr(synth, "_GRAM_MIN_POINTS", 8 * 128)
         cfg = self.config(methods)
         result = monte_carlo_sweep(cfg)
@@ -393,6 +318,6 @@ class TestSweepThreads:
         assert_same_sweep(result, monte_carlo_sweep(cfg, threads=3))
 
     def test_explicit_count_is_kept(self, pools, monkeypatch):
-        monkeypatch.setattr(synth, "_MIN_POINTS_PER_THREAD", 1)
+        monkeypatch.setattr(analysis, "_SWEEP_THREAD_MIN_POINTS", 1)
         monte_carlo_sweep(self.config(), threads=1)
         assert pools == []
