@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -260,7 +261,8 @@ class TestUsableCpus:
 class TestSweepThreads:
     """monte_carlo_sweep(cfg) with threads=None: one thread per SNR point, up
     to the usable CPUs, on a grid of at least _SWEEP_THREAD_MIN_POINTS and
-    no grid on the lag-sum kernel's Gram route, else one."""
+    no grid on the lag-sum kernel's Gram route, else one.  The pool's bits
+    equal one thread's, and a failed point joins every pool thread."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -321,3 +323,106 @@ class TestSweepThreads:
         monkeypatch.setattr(analysis, "_SWEEP_THREAD_MIN_POINTS", 1)
         monte_carlo_sweep(self.config(), threads=1)
         assert pools == []
+
+    @pytest.mark.parametrize("methods", [("direct_sparse", "autocorrelation"), ("nested", "full_bandwidth")])
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 2 * _ROW_BLOCK + 3, 720])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    def test_bitwise_equal_at_any_cpu_count(self, pools, monkeypatch, cpus, m, methods):
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(analysis, "_SWEEP_THREAD_MIN_POINTS", 1)
+        params = make_params(24, m)
+        cfg = SweepConfig(
+            params=params,
+            n_active=6,
+            snr_db_axis=(-5.0, 0.0, 5.0, 10.0),
+            methods=methods,
+            targets=(si.Target(distance_m=5 * params.range_bin_m, amplitude=1.0),),
+            n_trials=2,
+            master_seed=3,
+        )
+        par = monte_carlo_sweep(cfg)
+        assert pools == ([min(cpus, 4)] if cpus > 1 else [])
+        assert_same_sweep(par, monte_carlo_sweep(cfg, threads=1))
+
+    @pytest.mark.parametrize(
+        "n, m, k, cpus, threads",
+        [
+            (1000, 720, 250, 2, 2),  # paper size, past the Gram route's K bound: 1.44 M points
+            (1000, 720, 250, 8, 5),  # one thread per SNR point
+            (1000, 720, 250, 1, 1),
+            (1000, 720, 200, 8, 1),  # paper size on the Gram route
+            (1000, 128, 250, 2, 1),  # two-target demo
+            (256, 32, 64, 8, 1),  # desk
+            (256, 1000, 200, 2, 1),  # 512,000 points
+            (256, 1023, 200, 3, 1),  # one symbol short of 2**19 points
+            (256, 1024, 200, 3, 3),  # 2**19 points
+            (256, 1024, 64, 3, 1),  # 2**19 points, on the Gram route
+            (2000, 64, 500, 8, 1),  # one block
+        ],
+    )
+    def test_threads_need_enough_points(self, pools, monkeypatch, n, m, k, cpus, threads):
+        # the rule at the real threshold; the points themselves are not run
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+        ran_in = []
+
+        def stub_point(cfg, scene, pss):
+            ran_in.append(threading.current_thread())
+            keys = ("rmse", "rmse_ci", "pslr", "pslr_ci", "miss_rate", "pslr_samples", "error_samples")
+            return {method: dict.fromkeys(keys, 0.0) for method in cfg.methods}
+
+        monkeypatch.setattr(analysis, "_sweep_point", stub_point)
+        params = make_params(n, m)
+        cfg = SweepConfig(
+            params=params,
+            n_active=k,
+            snr_db_axis=(-5.0, 0.0, 5.0, 10.0, 15.0),
+            methods=("direct_sparse", "autocorrelation"),
+            targets=(si.Target(distance_m=10 * params.range_bin_m, amplitude=1.0),),
+            n_trials=2,
+            master_seed=3,
+        )
+        monte_carlo_sweep(cfg)
+        assert pools == ([threads] if threads > 1 else [])
+        assert len(ran_in) == 5
+        assert (threading.main_thread() in ran_in) is (threads == 1)
+
+    def test_point_exception_reaches_the_caller(self, pools, monkeypatch):
+        sweep_point = analysis._sweep_point
+        ran_in = []
+
+        def failing_at_5_db(cfg, scene, pss):
+            ran_in.append(threading.current_thread())
+            if scene.snr_db == 5.0:
+                raise RuntimeError("SNR point failed")
+            return sweep_point(cfg, scene, pss)
+
+        monkeypatch.setattr(analysis, "_sweep_point", failing_at_5_db)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="SNR point failed"):
+            monte_carlo_sweep(self.config(), threads=3)
+        assert pools == [3]
+        assert threading.active_count() == before
+        assert ran_in and threading.main_thread() not in ran_in
+
+    def test_failed_point_still_joins_the_running_ones(self, pools, monkeypatch):
+        sweep_point = analysis._sweep_point
+        other_started = threading.Event()
+        started, finished = [], []
+
+        def failing_first(cfg, scene, pss):
+            if scene.snr_db == cfg.snr_db_axis[0]:
+                assert other_started.wait(timeout=60)
+                raise RuntimeError("first SNR point failed")
+            started.append(scene.snr_db)
+            other_started.set()
+            time.sleep(0.02)  # still running when the first point fails
+            out = sweep_point(cfg, scene, pss)
+            finished.append(scene.snr_db)
+            return out
+
+        monkeypatch.setattr(analysis, "_sweep_point", failing_first)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="first SNR point failed"):
+            monte_carlo_sweep(self.config(), threads=3)
+        assert threading.active_count() == before
+        assert started and sorted(finished) == sorted(started)
