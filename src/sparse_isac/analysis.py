@@ -319,7 +319,7 @@ class SweepConfig:
                 raise ValueError(f"methods: unknown sweep method {m!r}; valid: {SWEEP_METHODS}")
         n = self.params.n_subcarriers
         _check_number("n_active", self.n_active, integer=True, minimum=2, maximum=n)
-        _check_number("n_trials", self.n_trials, integer=True, minimum=1)
+        _check_number("n_trials", self.n_trials, integer=True, minimum=1, maximum=_AXIS_MAX_POINTS)
         # pslr excludes 3 bins or more around the peak: oversample * N >= 4 leaves a sidelobe
         _check_delay_axes(self.params, self.oversample, minimum=-(-4 // n))
         _check_number("master_seed", self.master_seed, integer=True, minimum=0)
@@ -434,8 +434,8 @@ def _sweep_point(cfg: SweepConfig, scene: Scene, point_ss) -> dict:
     per_method_pslr = {m: [] for m in cfg.methods}
     per_method_miss = {m: 0 for m in cfg.methods}
 
-    for trial_ss in point_ss.spawn(cfg.n_trials):
-        seeds = trial_ss.spawn(5)  # one per _SWEEP_TABLE slot
+    for _ in range(cfg.n_trials):  # one child at a time: the same seeds as spawn(n_trials)
+        seeds = point_ss.spawn(1)[0].spawn(5)  # one per _SWEEP_TABLE slot
         grids = {}
         for method in cfg.methods:
             slot, virtual = _SWEEP_TABLE[method]
@@ -666,9 +666,9 @@ def two_target_demo(cfg: TwoTargetDemoConfig) -> TwoTargetDemoResult:
     direct_ok = np.zeros(cfg.n_runs, dtype=bool)
     virtual_ok = np.zeros(cfg.n_runs, dtype=bool)
     example_direct = example_virtual = None
-    run_seeds = np.random.SeedSequence(cfg.master_seed).spawn(cfg.n_runs)
-    for i, run_ss in enumerate(run_seeds):
-        alloc_ss, grid_ss = run_ss.spawn(2)
+    master_ss = np.random.SeedSequence(cfg.master_seed)
+    for i in range(cfg.n_runs):  # one child at a time, as in _sweep_point
+        alloc_ss, grid_ss = master_ss.spawn(1)[0].spawn(2)
         alloc = make_allocation(params, "random", n_active=cfg.n_active, seed=alloc_ss)
         grid = synthesize(scene, alloc, params, seed=grid_ss)
         p_direct, p_virtual = (_delay_periodogram(grid, v, cfg.oversample) for v in (False, True))

@@ -4,10 +4,9 @@ Three estimators work off the same received grid:
 
 * zero-fill periodogram: unused resource elements stay zero and a plain
   oversampled inverse transform maps subcarriers to delay;
-* single-target ML: direct maximization of the matched-phasor objective
-  on the same delay grid (argmax provably coincides with the zero-fill
-  periodogram; the check is a direct evaluation, no FFT, from one table of
-  roots of unity per call, with no cache and no BLAS call);
+* single-target ML: maximization of the matched-phasor objective on the
+  same delay grid, which is the zero-fill periodogram scaled by the
+  active-cell count, so the ML estimate is its refined peak;
 * autocorrelation on the virtual aperture: per-symbol lag products build
   a signal on the difference set, coherent accumulation over the CPI
   suppresses the cross terms, and an inverse transform of the zero-filled
@@ -86,6 +85,15 @@ class Periodogram:
 
 @dataclass(frozen=True)
 class DelayEstimate:
+    """A single-target delay estimate on the Q = oversample * N bin grid.
+
+    `bin_index` is the raw argmax among the `n_bins` = Q bins, and
+    `delay_s` its (optionally refined) position in seconds.  `peak_value`
+    is the unnormalised objective |sum_k z_k e^{j 2 pi q n_k / Q}| at that
+    bin, z_k the symbol sum of active subcarrier n_k: M * K times the
+    zero-fill periodogram's magnitude.
+    """
+
     delay_s: float
     range_m: float
     bin_index: int
@@ -218,25 +226,6 @@ def _refine_bin(values: np.ndarray, idx: int) -> float:
     return idx + _parabolic_offset(math.log(vm1), math.log(v0), math.log(vp1))
 
 
-_ML_SPLIT = 32  # B of the delay-bin split q = a B + b in _ml_objective
-
-
-def _ml_objective(z: np.ndarray, active: np.ndarray, q_bins: int) -> np.ndarray:
-    """|sum_k z_k e^{j 2 pi q n_k / Q}| at every q in 0..Q-1, evaluated
-    directly (no FFT).
-
-    Each phasor is read from one table of the Q roots of unity at the exact
-    integer (q n_k) mod Q, not computed by exp of an argument up to 2 pi n_k.
-    With q = a B + b (B = _ML_SPLIT) it is the product of the entries at
-    a B n_k and b n_k, so the Q x K sum is one contraction over k of an
-    A x K and a B x K table, which einsum runs in C, without BLAS.
-    """
-    roots = np.exp(2j * np.pi * np.arange(q_bins) / q_bins)
-    outer = roots[np.outer(np.arange(0, q_bins, _ML_SPLIT), active) % q_bins] * z
-    inner = roots[np.outer(np.arange(_ML_SPLIT), active) % q_bins]
-    return np.abs(np.einsum("ak,bk->ab", outer, inner).ravel()[:q_bins])
-
-
 def ml_single_target(
     grid: FreqGrid, oversample: int = 4, refine: bool = True
 ) -> DelayEstimate:
@@ -245,30 +234,23 @@ def ml_single_target(
     Maximizes |sum_m sum_{n active} Y_m[n] e^{j 2 pi n df tau}| over the
     oversampled delay grid, optionally refined by a parabolic fit on
     log-magnitude.  Documented single-target assumption; nothing is
-    enforced.  The objective is evaluated directly at every bin (no FFT),
-    an independent check on the zero-fill periodogram, from one table of
-    roots of unity per call (_ml_objective): cheap enough to need no cache
-    on a fresh allocation, and free of BLAS, whose worker threads spin
-    after each call and doubled the CPU time of an estimate.
+    enforced.  With the unused cells zero-filled this objective is the
+    zero-fill periodogram times the active-cell count M * K, so the search
+    is the argmax of zero_fill_periodogram(grid, oversample).
     """
-    oversample = _check_number("oversample", oversample, integer=True, minimum=1)
-    params = grid.params
-    n = params.n_subcarriers
-    q_bins = oversample * n
+    p = zero_fill_periodogram(grid, oversample)
     if not np.any(grid.active):
         raise ValueError("grid is empty (all-zero samples)")
-    active = np.flatnonzero(grid.alloc.column_counts())
-    values = _ml_objective(_symbol_sum(grid)[active], active, q_bins)
-    best = int(np.argmax(values))
-    pos = _refine_bin(values, best) if refine else float(best)
-    bin_width = 1.0 / (q_bins * params.subcarrier_spacing_hz)
-    delay = (pos % q_bins) * bin_width
+    best = p.argmax_bin
+    pos = _refine_bin(p.values, best) if refine else float(best)
+    delay = (pos % p.n_bins) * p.bin_width
+    cells = grid.alloc.n_symbols * grid.alloc.cardinalities().mean()  # the normaliser of _zero_fill
     return DelayEstimate(
         delay_s=delay,
         range_m=delay * SPEED_OF_LIGHT / 2.0,
         bin_index=best,
-        n_bins=q_bins,
-        peak_value=float(values[best]),
+        n_bins=p.n_bins,
+        peak_value=float(p.values[best] * cells),
         refined=refine,
     )
 

@@ -15,7 +15,6 @@ import sparse_isac as si
 from csv_reference import write_csv_rows
 from sparse_isac.estimators import (
     _lag_products,
-    _ml_objective,
     _noncoherent_delay,
     _noncoherent_profile,
     _refine_bin,
@@ -82,14 +81,15 @@ def dense_zero_fill(grid, oversample):
 
 
 def dense_ml(grid, oversample):
-    """(bin, peak value, refined delay) of the direct ML search."""
+    """(bin, peak value, refined delay) of the ML search: the refined peak
+    of the dense zero-fill spectrum, whose peak scales back by M * K."""
     q_bins = oversample * N
-    active = np.flatnonzero(grid.alloc.column_counts())
-    values = _ml_objective(grid.samples.sum(axis=0)[active], active, q_bins)
+    values = dense_zero_fill(grid, oversample)
     best = int(np.argmax(values))
     pos = _refine_bin(values, best)
     bin_width = 1.0 / (q_bins * grid.params.subcarrier_spacing_hz)
-    return best, values[best], (pos % q_bins) * bin_width
+    cells = grid.n_symbols * grid.alloc.cardinalities().mean()
+    return best, values[best] * cells, (pos % q_bins) * bin_width
 
 
 def dense_virtual(grid, aperture):

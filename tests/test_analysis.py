@@ -422,6 +422,7 @@ class TestMonteCarloSweep:
             ("master_seed", -1, ValueError),
             ("master_seed", 1.5, TypeError),
             ("n_trials", 0, ValueError),
+            ("n_trials", 2**53 + 1, ValueError),
             ("n_active", 100, ValueError),
             ("n_active", math.inf, TypeError),
             ("methods", (), ValueError),

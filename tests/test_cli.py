@@ -601,7 +601,7 @@ def leaf_paths(node, prefix=()):
 
 MUTATIONS = [
     DROP, "x", None, True, [], {}, math.nan, math.inf, -math.inf, 0, -1, 0.5, 1e9,
-    1e308, -1e308, 5e-324, 10**400, 2**63,
+    1e308, -1e308, 5e-324, 10**400, 2**63, 2**53 + 1,
 ]
 FIELDS = [(exp, path) for exp in TINY for path in leaf_paths(TINY[exp])]
 

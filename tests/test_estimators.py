@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import sparse_isac as si
-from sparse_isac.estimators import _ml_objective, accumulate_cpi, autocorrelate_symbol
+from sparse_isac.estimators import accumulate_cpi, autocorrelate_symbol
 from sparse_isac.synth import _ROW_BLOCK
 
 C = si.SPEED_OF_LIGHT
@@ -191,9 +191,9 @@ class TestMlSingleTarget:
             si.ml_single_target(grid)
 
 
-def ml_case_grid(pattern, n):
-    """A desk-like grid (M = 32, one off-grid target at 0 dB) on one
-    allocation shape the ML kernel must handle."""
+def ml_case_grid(pattern, n, snr_db):
+    """A desk-like grid (M = 32, one off-grid target) on one allocation
+    shape the ML search must handle."""
     params = make_params(n=n, m=32)
     if pattern == "full":
         alloc = si.make_allocation(params, "full")
@@ -205,52 +205,63 @@ def ml_case_grid(pattern, n):
         indices = [rng.choice(n, size=20, replace=False) for _ in range(params.n_symbols)]
         alloc = si.make_allocation(params, "custom", indices=indices)
     else:  # "random" or "k2"
-        n_active = 2 if pattern == "k2" else min(64, n)
+        n_active = 2 if pattern == "k2" else min(64, n // 2)
         alloc = si.make_allocation(params, "random", n_active=n_active, seed=1)
     target = si.Target(distance_m=0.37 * n * params.range_bin_m, amplitude=1.0)
-    scene = si.Scene(targets=(target,), snr_db=0.0)
+    scene = si.Scene(targets=(target,), snr_db=snr_db)
     return si.synthesize(scene, alloc, params, seed=9)
 
 
-class TestMlKernel:
-    """The root-of-unity kernel against the exp + matrix-vector reference."""
+class TestMlIsZeroFillPeak:
+    """The paper's claim: the zero-fill periodogram, scaled by the
+    active-cell count M * K, is the ML objective, so its peak is the ML
+    estimate.  Objectives are compared, not bins, since a bin can flip
+    between near-equal neighbours."""
 
+    @pytest.mark.parametrize("snr_db", [-5.0, 15.0, math.inf])
+    @pytest.mark.parametrize("oversample", [1, 3, 4, 8])
     @pytest.mark.parametrize(
-        "pattern, n, oversample",
+        "pattern, n",
         [
-            ("random", 256, 4),
-            ("full", 256, 4),
-            ("nested", 256, 4),
-            ("per_symbol", 256, 4),
-            ("random", 256, 1),
-            ("random", 256, 3),
-            ("random", 256, 8),
-            ("random", 37, 3),  # Q = 111 is no multiple of the split
-            ("k2", 256, 4),
-            ("k2", 2, 4),  # N = 2
+            ("full", 256),
+            ("random", 256),
+            ("nested", 256),
+            ("per_symbol", 256),
+            ("k2", 256),
+            ("k2", 2),  # N = 2
+            ("random", 37),  # Q = 37 * oversample is no power of two
         ],
     )
-    def test_matches_exp_gemv_reference(self, pattern, n, oversample):
-        grid = ml_case_grid(pattern, n)
+    def test_matches_exp_gemv_reference(self, pattern, n, oversample, snr_db):
+        grid = ml_case_grid(pattern, n, snr_db)
         q_bins = oversample * n
         active = np.flatnonzero(grid.alloc.column_counts())
-        z = grid.samples.sum(axis=0)[active]
-        want = exp_gemv_ml(z, active, q_bins)
-        got = _ml_objective(z, active, q_bins)
-        assert got.shape == (q_bins,)
-        assert np.abs(got - want).max() <= 1e-12 * want.max()
+        want = exp_gemv_ml(grid.samples.sum(axis=0)[active], active, q_bins)
+        zero_fill = si.zero_fill_periodogram(grid, oversample=oversample).values
+        assert zero_fill.shape == (q_bins,)
+        assert np.abs(zero_fill * grid.active.size - want).max() <= 1e-12 * want.max()
         est = si.ml_single_target(grid, oversample=oversample)
         assert est.n_bins == q_bins
-        assert est.bin_index == int(np.argmax(want))
         assert est.peak_value == pytest.approx(want.max(), rel=1e-12)
+        assert want[est.bin_index] >= (1.0 - 1e-12) * want.max()
 
     def test_closed_form_phasor_sum(self):
-        # exact sums: all-ones weights on the full band are N at q = 0 and
-        # vanish wherever q is a nonzero multiple of the oversample factor
-        n, oversample = 16, 3
-        got = _ml_objective(np.ones(n, dtype=complex), np.arange(n), oversample * n)
-        assert got[0] == pytest.approx(n, rel=1e-14)
-        assert np.all(got[oversample::oversample] < 1e-12 * n)
+        # exact sums: all-ones cells on the full band sum to M * N at q = 0
+        # and vanish wherever q is a nonzero multiple of the oversample factor
+        n, m, oversample = 16, 2, 3
+        params = make_params(n=n, m=m)
+        alloc = si.make_allocation(params, "full")
+        grid = si.FreqGrid(
+            active=np.ones((m, n), dtype=complex)[alloc.mask()],
+            alloc=alloc,
+            params=params,
+            noise_variance=0.0,
+        )
+        est = si.ml_single_target(grid, oversample=oversample, refine=False)
+        assert est.bin_index == 0 and est.delay_s == 0.0
+        assert est.peak_value == pytest.approx(m * n, rel=1e-14)
+        values = si.zero_fill_periodogram(grid, oversample=oversample).values
+        assert np.all(values[oversample::oversample] < 1e-12)
 
 
 class TestAutocorrelation:
