@@ -511,7 +511,7 @@ def _usable_cpus() -> int:
 
 def _reads_gram_route(cfg: SweepConfig) -> bool:
     """Whether a grid the sweep reads through its virtual aperture takes the
-    Gram route of FreqGrid.cpi_power.  A random draw is constant with
+    Gram route of FreqGrid.cpi_lags.  A random draw is constant with
     n_active subcarriers, so it routes as the equivalent band does."""
     allocs = cfg._allocations
     return any(
@@ -531,7 +531,7 @@ def monte_carlo_sweep(cfg: SweepConfig, threads: int | None = None) -> SweepResu
     (the process's affinity mask), on a grid of at least
     _SWEEP_THREAD_MIN_POINTS transform points (symbols x 2N), else one.  A
     sweep with a grid on the Gram route of the CPI lag-sum kernel
-    (FreqGrid.cpi_power, _reads_gram_route) runs in one thread: that route
+    (FreqGrid.cpi_lags, _reads_gram_route) runs in one thread: that route
     runs zgemm calls at the BLAS thread count, whose spinning workers
     contend with SNR-point threads.
     """
@@ -607,7 +607,11 @@ class TwoTargetDemoConfig:
                 targets.append(Target(distance_m=d, velocity_mps=v, amplitude=a))
             except (ValueError, TypeError) as exc:
                 raise type(exc)(f"{'/'.join(pairs)}[{i}]: {exc}") from None
-        object.__setattr__(self, "scene", Scene(targets=tuple(targets), snr_db=self.snr_db))
+        try:
+            scene = Scene(targets=tuple(targets), snr_db=self.snr_db)
+        except ValueError as exc:  # the SNR's reference is the first pair's amplitude
+            raise ValueError(str(exc).replace("the amplitude of targets[0]", "amplitudes[0]")) from None
+        object.__setattr__(self, "scene", scene)
 
 
 @dataclass(frozen=True)

@@ -116,13 +116,17 @@ class _Build:
 
     def __init__(self):
         self.errors: list[str] = []
+        self.keys: dict[str, str] = {}  # a renamed argument -> its config key
 
     def __call__(self, path: str, make, *args, **kwargs):
-        """make(*args, **kwargs), or None after recording why it failed."""
+        """make(*args, **kwargs), or None after recording why it failed.  A
+        message that starts with a renamed argument names its key instead."""
         try:
             return make(*args, **kwargs)
         except (ValueError, TypeError) as exc:
-            self.errors.append(f"{path}: {exc}" if path else str(exc))
+            field, sep, rest = str(exc).partition(": ")
+            msg = f"{self.keys.get(field, field)}{sep}{rest}"
+            self.errors.append(f"{path}: {msg}" if path else msg)
             return None
 
     def fields(self, section, path: str, *keys: str, **renamed: str) -> dict:
@@ -138,6 +142,7 @@ class _Build:
         )
         args = {key: section[key] for key in keys if key in section}
         args.update({arg: section[key] for arg, key in renamed.items() if key in section})
+        self.keys.update(renamed)
         return args
 
 

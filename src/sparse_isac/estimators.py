@@ -255,19 +255,12 @@ def ml_single_target(
     )
 
 
-def _lags_from_power(power: np.ndarray, aperture: VirtualAperture) -> np.ndarray:
-    """Aperture lag values from |FFT_2N(Y)|^2 along the last axis: the inverse
-    FFT is the circular autocorrelation, gathered at the lags and normalized
-    by the pair counts."""
-    acf = np.fft.ifft(power, axis=-1)
-    return acf[..., np.mod(aperture.lags, power.shape[-1])] / aperture.pair_counts
-
-
 def _lag_products(rows: np.ndarray, aperture: VirtualAperture) -> np.ndarray:
     """Per-row lag sums R[s] = sum_{i-j=s} Y[i] * conj(Y[j]) on the aperture
     lags, normalized by the pair counts.  rows: (m, N) complex."""
     f = np.fft.fft(rows, n=2 * aperture.n_subcarriers, axis=-1)
-    return _lags_from_power(f * np.conj(f), aperture)
+    acf = np.fft.ifft(f * np.conj(f), axis=-1)  # the circular autocorrelation
+    return acf[..., np.mod(aperture.lags, acf.shape[-1])] / aperture.pair_counts
 
 
 def autocorrelate_symbol(
@@ -308,19 +301,14 @@ def build_virtual_signal(grid: FreqGrid) -> tuple[VirtualSignal, VirtualAperture
     products, then coherent accumulation across the CPI.  Returns the
     accumulated virtual signal together with its aperture.
 
-    The CPI mean is linear, so it moves inside the inverse transform:
-    (1/M) sum_m IFFT(|FFT_2N(Y_m)|^2) = IFFT(grid.cpi_power / M), one
-    inverse FFT per grid instead of M.  grid.cpi_power comes from one of
-    two routes (see sparse_isac.synth): on a large grid with few active
-    subcarriers (synth._GRAM_MIN_POINTS and synth._GRAM_MAX_COST_RATIO),
-    the lag sums of the K x K Gram matrix of the active block, added up in
-    zgemm calls of 64 symbols, whose bits did not depend on the BLAS
-    thread count on OpenBLAS 0.3.31; else M transforms of length 2N.  The
-    per-symbol reference path is accumulate_cpi([autocorrelate_symbol(grid,
-    m, aperture) ...]), which agrees with either up to float round-off.
+    The CPI mean of the lag sums is kept on the grid (FreqGrid.cpi_lags,
+    whose route sparse_isac.synth picks), so this gathers it at the
+    aperture lags.  The per-symbol reference path is
+    accumulate_cpi([autocorrelate_symbol(grid, m, aperture) ...]), which
+    agrees with it up to float round-off.
     """
     aperture = difference_set(grid.alloc)
-    vals = _lags_from_power(grid.cpi_power / grid.n_symbols, aperture)
+    vals = grid.cpi_lags[np.mod(aperture.lags, 2 * grid.n_subcarriers)] / aperture.pair_counts
     vs = VirtualSignal(
         values=vals, aperture=aperture, accumulated=True, n_symbols=grid.n_symbols
     )
@@ -401,17 +389,17 @@ def detect_peaks(p: Periodogram, k: int = 1, min_separation: int = 1) -> PeakLis
 
 
 def _noncoherent_profile(grid: FreqGrid, q_bins: int) -> np.ndarray:
-    """Q sum_m |IFFT_Q(Y_m)|^2 on the Q = q_bins point delay grid.
+    """(Q/M) sum_m |IFFT_Q(Y_m)|^2 on the Q = q_bins point delay grid.
 
     This symbol-incoherent power keeps moving targets visible, where a
     coherent symbol sum nulls out whenever the Doppler phase wraps whole
-    cycles over the CPI.  It equals IFFT_Q(R), R the CPI lag sums of
-    grid.cpi_power on Q taps; when Q < 2N - 1 (oversample 1) the lags
-    -(N-1)..N-1 fold mod Q, and the rows, transformed at 2N, are twice Q
-    long.  Real up to round-off: an exact null can come out negative.
+    cycles over the CPI.  It equals IFFT_Q(R / M), R / M the CPI mean of
+    the lag sums (grid.cpi_lags) on Q taps; when Q < 2N - 1 (oversample 1)
+    the lags -(N-1)..N-1 fold mod Q.  An exact null can come out a
+    round-off below zero.
     """
     n = grid.n_subcarriers
-    lags = np.fft.ifft(grid.cpi_power)  # R[s] at s mod 2N
+    lags = grid.cpi_lags  # R[s] / M at s mod 2N
     taps = np.zeros(q_bins, dtype=np.complex128)
     taps[:n] = lags[:n]
     taps[q_bins - n + 1 :] += lags[n + 1 :]  # negative lags, onto 1..N-1 if Q = N

@@ -136,8 +136,8 @@ class Scene:
             if self.snr_db != math.inf and not 0.0 < variance < math.inf:
                 ref = self.amplitude_of(targets[0])
                 raise ValueError(
-                    f"snr_db: {self.snr_db} dB relative to the first of the target "
-                    f"amplitudes, {ref}, is out of range"
+                    f"snr_db: {self.snr_db} dB relative to the amplitude of "
+                    f"targets[0], {ref}, is out of range"
                 )
 
     @property

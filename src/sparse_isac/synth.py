@@ -7,19 +7,19 @@ never noisy measurements, so estimators see noise only where something
 was actually observed.  A grid stores only its active cells, laid out
 by its allocation; the dense (M, N) array is built on request.
 
-A grid also carries its CPI power sum_m |FFT_2N(Y_m)|^2
-(`FreqGrid.cpi_power`), which both per-symbol estimators read, computed
-on first read by one of two routes:
+A grid also carries the CPI mean of its lag sums (`FreqGrid.cpi_lags`),
+which both per-symbol estimators read, computed on first read by one of
+two routes:
 
 - the Gram route, for a constant allocation on a large grid
   (_GRAM_MIN_POINTS transform points, symbols x 2N) with few active
   subcarriers (K^2 at most _GRAM_MAX_COST_RATIO x 2N log2 2N): the lag sums
   of the K x K Gram matrix of the active block, added up in zgemm calls of
   _ROW_BLOCK = 64 symbols, which on OpenBLAS 0.3.31 gave the same bits at
-  any BLAS thread count, then one transform;
+  any BLAS thread count;
 - the FFT route, for every other grid and as the reference: one transform
   of length 2N per symbol, over blocks of 64 symbols, in the caller's
-  thread.
+  thread, and one inverse transform of the power sum.
 
 The size gate keeps small grids off BLAS, whose worker threads spin after
 each call; the K gate keeps the route where M K^2 costs less than M 2N
@@ -38,7 +38,7 @@ from .scene import Scene, delay_doppler
 
 __all__ = ["FreqGrid", "synthesize", "measure_snr"]
 
-# Symbols per block B when _cpi_power walks the CPI.  On the FFT route the
+# Symbols per block B when _cpi_lags walks the CPI.  On the FFT route the
 # one workspace holds 2 * B * 2N complex values: 4 MB at N = 1000.
 # On the Gram route B is the inner size of each zgemm: OpenBLAS 0.3.31 gave
 # the same bits at 1 and 2 threads for every inner size up to 128, but above
@@ -137,17 +137,15 @@ class FreqGrid:
         return out
 
     @property
-    def cpi_power(self) -> np.ndarray:
-        """sum_m |FFT_2N(Y_m)|^2, read-only, computed by _cpi_power on the
-        first read and kept for the life of the grid.
+    def cpi_lags(self) -> np.ndarray:
+        """The complex (2N,) CPI mean of the lag sums at s mod 2N, read-only,
+        computed by _cpi_lags on the first read and kept for the life of
+        the grid.
 
-        On the FFT route it is that sum of squares.  On the Gram route (a
-        constant allocation past both gates, see the module docstring) it
-        is the real part of FFT_2N of the lag sums, which is real only up
-        to round-off: it agrees with the FFT route to about 1e-15 of its
-        peak and may dip below zero at an exact null.  On OpenBLAS 0.3.31
-        the Gram route's bits did not depend on the BLAS thread count
-        (tests/test_cpi_power.py, test_same_bits_at_any_blas_thread_count);
+        On the Gram route (a constant allocation past both gates, see the
+        module docstring) it agrees with the FFT route to about 5e-16 of
+        its peak.  On OpenBLAS 0.3.31 the Gram route's bits did not depend
+        on the BLAS thread count (test_same_bits_at_any_blas_thread_count);
         that is a measured property of that BLAS build, not a guarantee of
         every BLAS.
 
@@ -156,12 +154,12 @@ class FreqGrid:
         grids.  Two threads reading a new grid at once both compute the same
         value.
         """
-        power = self.__dict__.get("_cpi_power")
-        if power is None:
-            power = _cpi_power(self)
-            power.setflags(write=False)
-            object.__setattr__(self, "_cpi_power", power)  # frozen: no field, not compared
-        return power
+        lags = self.__dict__.get("_cpi_lags")
+        if lags is None:
+            lags = _cpi_lags(self)
+            lags.setflags(write=False)
+            object.__setattr__(self, "_cpi_lags", lags)  # frozen: no field, not compared
+        return lags
 
     def dump_csv(self, path) -> None:
         """Active resource elements only, columns m, n, re, im."""
@@ -170,7 +168,7 @@ class FreqGrid:
 
 
 def _gram_route(alloc: ResourceAllocation) -> bool:
-    """Whether _cpi_power takes the Gram route for a grid on `alloc`: a
+    """Whether _cpi_lags takes the Gram route for a grid on `alloc`: a
     constant allocation on at least _GRAM_MIN_POINTS transform points whose
     K active subcarriers keep K^2 at most _GRAM_MAX_COST_RATIO x 2N log2 2N."""
     size = 2 * alloc.n_subcarriers
@@ -181,8 +179,8 @@ def _gram_route(alloc: ResourceAllocation) -> bool:
     )
 
 
-def _gram_power(grid: FreqGrid) -> np.ndarray:
-    """FFT_2N(R).real, with the CPI lag sums R of a constant allocation
+def _gram_lags(grid: FreqGrid) -> np.ndarray:
+    """The CPI mean of the lag sums of a constant allocation, R / M, with R
     gathered from the K x K Gram matrix G = sum_m y_m y_m^H of its (M, K)
     block: R[s] is the sum of the G[a, b] with n_a - n_b = s.
 
@@ -203,11 +201,11 @@ def _gram_power(grid: FreqGrid) -> np.ndarray:
     size = 2 * grid.n_subcarriers
     lag = ((cols[:, None] - cols) % size).ravel()  # n_a - n_b of G[a, b], mod 2N
     lags = np.bincount(lag, gram.real.ravel(), size) + 1j * np.bincount(lag, gram.imag.ravel(), size)
-    return np.fft.fft(lags).real
+    return lags / grid.n_symbols
 
 
-def _fft_power(grid: FreqGrid) -> np.ndarray:
-    """sum_m |FFT_2N(Y_m)|^2, one transform of length 2N per symbol.
+def _fft_lags(grid: FreqGrid) -> np.ndarray:
+    """IFFT_2N((1/M) sum_m |FFT_2N(Y_m)|^2), one transform of length 2N per symbol.
 
     The symbols go through in blocks of _ROW_BLOCK, in one (2, B, 2N)
     workspace.  Each block's rows are scattered from the active values into
@@ -235,17 +233,17 @@ def _fft_power(grid: FreqGrid) -> np.ndarray:
         v = np.fft.fft(rows[:k], axis=-1, out=out[:k]).view(np.float64)
         s = np.einsum("mk,mk->k", v, v)
         power += s[0::2] + s[1::2]
-    return power
+    return np.fft.ifft(power / n_symbols)
 
 
-def _cpi_power(grid: FreqGrid) -> np.ndarray:
-    """sum_m |FFT_2N(Y_m)|^2 over the rows Y_m of the dense grid: the
-    transform of the CPI lag sums R[s] = sum_m sum_{i-j=s} Y_m[i] conj(Y_m[j]).
+def _cpi_lags(grid: FreqGrid) -> np.ndarray:
+    """The CPI lag sums R[s] = sum_m sum_{i-j=s} Y_m[i] conj(Y_m[j]) over
+    the rows Y_m of the dense grid, divided by M, at s mod 2N.
 
-    By the Gram route (_gram_power) where _gram_route allows it, else by
-    the FFT route (_fft_power).
+    By the Gram route (_gram_lags) where _gram_route allows it, else by
+    the FFT route (_fft_lags).
     """
-    return _gram_power(grid) if _gram_route(grid.alloc) else _fft_power(grid)
+    return _gram_lags(grid) if _gram_route(grid.alloc) else _fft_lags(grid)
 
 
 def _resolve_targets(scene: Scene, params: OfdmParams, seed):

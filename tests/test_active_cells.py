@@ -260,7 +260,7 @@ def test_noncoherent_profile(n, pattern, m, oversample, on_grid):
     grid = si.synthesize(scene, alloc, params, seed=7)
     q_bins = oversample * n
     got = _noncoherent_profile(grid, q_bins)
-    want = dense_noncoherent_profile(grid, q_bins) * q_bins
+    want = dense_noncoherent_profile(grid, q_bins) * q_bins / m
     assert np.abs(got - want).max() <= 1e-13 * want.max()
     assert np.argmax(got) == np.argmax(want)
 

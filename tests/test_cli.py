@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -273,6 +274,12 @@ def mutated(experiment, path, value):
     return cfg
 
 
+def names(key: str, err: str) -> bool:
+    """Whether an error names the config key as a whole word, so that
+    `n_trials` does not count as naming `trials`."""
+    return re.search(rf"(?<!\w){re.escape(key)}(?!\w)", err) is not None
+
+
 def write_config(directory: Path, cfg) -> Path:
     path = directory / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -343,7 +350,7 @@ class TestContract:
         for args in (["validate", "--config", path], ["run", "--config", path, "--out", out]):
             code, _, err = main_in_process(*args)
             assert code == 2, err
-            assert field in err
+            assert names(field, err), err
             assert err.startswith("config error: ") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
@@ -585,6 +592,18 @@ class TestContract:
         assert err == f"config error: {field}: must be <= {2**20}, got {2**20 + 1}\n"
         assert not (tmp_path / "refused").exists()
 
+    @pytest.mark.parametrize("experiment, key", [("rmse_pslr_sweep", "trials"), ("two_target_demo", "runs")])
+    @pytest.mark.parametrize("value", [0, 2**53 + 1])
+    def test_renamed_key_is_reported_under_its_key(self, tmp_path, experiment, key, value):
+        """`trials` and `runs` build n_trials and n_runs; an error names the
+        key the config holds."""
+        path = write_config(tmp_path, mutated(experiment, [key], value))
+        for command, extra in (("validate", []), ("run", ["--out", tmp_path / "out"])):
+            code, _, err = main_in_process(command, "--config", path, *extra)
+            assert code == 2
+            assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_hole_probability_runs(self, tmp_path):
         path = write_config(tmp_path, TINY["hole_probability"])
         assert main_in_process("run", "--config", path, "--out", tmp_path / "out")[0] == 0
@@ -623,7 +642,7 @@ def test_any_single_field_mutation_keeps_the_exit_code_contract(field, value):
             assert code in (0, 2, 3)
             assert "Traceback" not in err
             if code == 2:
-                assert named in err
+                assert names(named, err), err
                 assert not out.exists()
             codes.add(code)
         assert len(codes) == 1 or codes == {0, 3}  # validate and run agree on the config

@@ -16,13 +16,14 @@ import sparse_isac as si
 from sparse_isac import analysis, synth
 from sparse_isac.analysis import SweepConfig, monte_carlo_sweep
 from sparse_isac.alloc import nested_params_for
-from sparse_isac.synth import _ROW_BLOCK, _cpi_power, _gram_route
+from sparse_isac.synth import _ROW_BLOCK, _cpi_lags, _gram_route
 
 
-def serial_cpi_power(grid):
+def serial_cpi_lags(grid):
     """The one-thread block loop: each block of _ROW_BLOCK rows is scattered
     into one zeroed (2, B, 2N) workspace, transformed, squared and added to
-    the running sum in symbol order."""
+    the running sum in symbol order; the inverse transform of the sum over
+    M is the CPI mean of the lag sums."""
     n_symbols, n = grid.n_symbols, grid.n_subcarriers
     if grid.alloc.is_constant:
         block, cols = grid.block, grid.alloc.indices
@@ -42,7 +43,7 @@ def serial_cpi_power(grid):
         v = np.fft.fft(rows[:k], axis=-1, out=out[:k]).view(np.float64)
         s = np.einsum("mk,mk->k", v, v)
         power += s[0::2] + s[1::2]
-    return power
+    return np.fft.ifft(power / n_symbols)
 
 
 def make_params(n, m):
@@ -84,19 +85,19 @@ class TestFftRoute:
     @pytest.mark.parametrize("m", [1, 63, 64, 65, 2 * _ROW_BLOCK + 3, 720])
     def test_bitwise_equal_to_serial_loop(self, m, pattern):
         grid = make_grid(24, m, pattern)
-        assert _cpi_power(grid).tobytes() == serial_cpi_power(grid).tobytes()
+        assert _cpi_lags(grid).tobytes() == serial_cpi_lags(grid).tobytes()
 
     @pytest.mark.parametrize("pattern", ["constant", "per_symbol"])
     def test_paper_size_in_the_calling_thread(self, monkeypatch, pattern):
         grid = make_grid(1000, 720, pattern)  # K = 250: past the Gram route's K bound
         assert not _gram_route(grid.alloc)
-        ref = serial_cpi_power(grid)
+        ref = serial_cpi_lags(grid)
 
         def refuse(thread):
             raise AssertionError(f"the kernel started thread {thread.name}")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        assert _cpi_power(grid).tobytes() == ref.tobytes()
+        assert _cpi_lags(grid).tobytes() == ref.tobytes()
 
     def test_threaded_sweep_bitwise_under_fast_switching(self, monkeypatch):
         # 4 SNR-point threads, more than cores, switching every few
@@ -113,13 +114,13 @@ class TestFftRoute:
             master_seed=3,
         )
         callers = []
-        kernel = synth._cpi_power
+        kernel = synth._cpi_lags
 
         def counted(grid):
             callers.append(threading.get_ident())
             return kernel(grid)
 
-        monkeypatch.setattr(synth, "_cpi_power", counted)
+        monkeypatch.setattr(synth, "_cpi_lags", counted)
         seq = monte_carlo_sweep(cfg, threads=1)
         n_kernel_calls = len(cfg.snr_db_axis) * cfg.n_trials * len(cfg.methods)
         assert callers == [threading.get_ident()] * n_kernel_calls
@@ -137,17 +138,17 @@ class TestFftRoute:
 # The largest K on the Gram route at N=1000: K^2 <= 2.4 x 2000 log2 2000
 K_BOUND_1000 = 229
 
-# _cpi_power's bits of a gated grid, printed by a fresh interpreter: M = 333
+# _cpi_lags's bits of a gated grid, printed by a fresh interpreter: M = 333
 # ends in a chunk of 13 symbols, and 720 is the paper's CPI
 GRAM_BITS = """
 import hashlib, sys
 sys.path[:0] = sys.argv[1:]
 from test_cpi_power import make_grid
-from sparse_isac.synth import _cpi_power, _gram_route
+from sparse_isac.synth import _cpi_lags, _gram_route
 for m, k in ((333, 200), (720, 200), (263, 229)):
     grid = make_grid(1000, m, "constant", n_active=k)
     assert _gram_route(grid.alloc)
-    print(m, k, hashlib.sha256(_cpi_power(grid).tobytes()).hexdigest())
+    print(m, k, hashlib.sha256(_cpi_lags(grid).tobytes()).hexdigest())
 """
 
 
@@ -188,12 +189,12 @@ class TestGramRoute:
     )
     def test_close_to_serial_loop(self, m, pattern, k):
         grid = make_grid(1000, m, pattern, n_active=k)
-        ref = serial_cpi_power(grid)
-        power = _cpi_power(grid)
+        ref = serial_cpi_lags(grid)
+        lags = _cpi_lags(grid)
         if _gram_route(grid.alloc):
-            assert np.max(np.abs(power - ref)) <= 1e-13 * np.max(ref)
+            assert np.max(np.abs(lags - ref)) <= 1e-13 * np.max(np.abs(ref))
         else:
-            assert power.tobytes() == ref.tobytes()
+            assert lags.tobytes() == ref.tobytes()
 
     def test_same_bits_at_any_blas_thread_count(self):
         # OpenBLAS reads its thread count once, when NumPy loads it
@@ -214,29 +215,29 @@ class TestMemo:
     def test_second_read_is_the_same_read_only_array(self, monkeypatch):
         grid = make_grid(40, 70, "constant")
         calls = []
-        kernel = synth._cpi_power
-        monkeypatch.setattr(synth, "_cpi_power", lambda g: calls.append(g) or kernel(g))
-        first = grid.cpi_power
-        assert grid.cpi_power is first
+        kernel = synth._cpi_lags
+        monkeypatch.setattr(synth, "_cpi_lags", lambda g: calls.append(g) or kernel(g))
+        first = grid.cpi_lags
+        assert grid.cpi_lags is first
         assert not first.flags.writeable
         assert len(calls) == 1
-        assert first.tobytes() == serial_cpi_power(grid).tobytes()
+        assert first.tobytes() == serial_cpi_lags(grid).tobytes()
 
     def test_memo_is_per_grid_and_not_compared(self):
         a = make_grid(40, 70, "constant")
         b = make_grid(40, 70, "constant")
-        a.cpi_power
-        assert "_cpi_power" not in b.__dict__
-        assert b.cpi_power is not a.cpi_power
-        assert b.cpi_power.tobytes() == a.cpi_power.tobytes()
-        assert "_cpi_power" not in repr(a)
+        a.cpi_lags
+        assert "_cpi_lags" not in b.__dict__
+        assert b.cpi_lags is not a.cpi_lags
+        assert b.cpi_lags.tobytes() == a.cpi_lags.tobytes()
+        assert "_cpi_lags" not in repr(a)
 
     @pytest.mark.parametrize("pattern", ["constant", "per_symbol"])
     @pytest.mark.parametrize("m", [32, 2 * _ROW_BLOCK + 3])
     def test_one_pass_feeds_both_readers(self, monkeypatch, pattern, m):
         calls = []
-        kernel = synth._cpi_power
-        monkeypatch.setattr(synth, "_cpi_power", lambda g: calls.append(g) or kernel(g))
+        kernel = synth._cpi_lags
+        monkeypatch.setattr(synth, "_cpi_lags", lambda g: calls.append(g) or kernel(g))
         shared = make_grid(64, m, pattern)
         doppler = si.doppler_periodogram(shared)
         if pattern == "constant":
