@@ -25,7 +25,7 @@ from .alloc import (
     nested_params_for,
 )
 from .scene import SPEED_OF_LIGHT, LinkBudget, Scene, Target
-from .synth import _gram_route, _symbol_sum_row, synthesize
+from .synth import _symbol_sum_row, synthesize
 from .estimators import (
     Periodogram,
     _zero_fill,
@@ -493,10 +493,13 @@ def _sweep_point(cfg: SweepConfig, scene: Scene, point_ss) -> dict:
 
 
 # Fewest transform points (symbols x 2N) of a grid whose sweep runs its SNR
-# points in threads.  Measured for a former split of the CPI lag-sum kernel's
-# symbol blocks, not again for SNR points: on a 2-core x86-64 KVM guest two
-# threads saved no wall time up to 1.9e5 points per thread and 11-36% from
-# 2.6e5 up, and the minimum sits one doubling above that crossover.
+# points in threads.  Two SNR-point threads against one, 2 SNR points of the
+# 4 default methods, median of 5 alternating calls each on a 2-core x86-64
+# KVM guest: at N=256, K=64 they saved no wall time up to 2.6e5 points and
+# 28-38% at 2**19 (on the Gram route); at N=1000, K=200, 9-44% from 1.3e5
+# points and 17-34% from 5.3e5 (on the Gram route).  They cost up to 2.7x
+# the CPU time of one thread at desk size, and -1% to +37% from 2**19, the
+# smallest size at which every shape tried saved wall time.
 _SWEEP_THREAD_MIN_POINTS = 1 << 19
 
 
@@ -509,18 +512,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _reads_gram_route(cfg: SweepConfig) -> bool:
-    """Whether a grid the sweep reads through its virtual aperture takes the
-    Gram route of FreqGrid.cpi_lags.  A random draw is constant with
-    n_active subcarriers, so it routes as the equivalent band does."""
-    allocs = cfg._allocations
-    return any(
-        _gram_route(allocs.get(m) or allocs["equivalent_bandwidth"])
-        for m in cfg.methods
-        if _SWEEP_TABLE[m][1]
-    )
-
-
 def monte_carlo_sweep(cfg: SweepConfig, threads: int | None = None) -> SweepResult:
     """Run the seeded sweep over the SNR axis.
 
@@ -530,15 +521,16 @@ def monte_carlo_sweep(cfg: SweepConfig, threads: int | None = None) -> SweepResu
     the package starts.  None picks one per SNR point, up to the usable CPUs
     (the process's affinity mask), on a grid of at least
     _SWEEP_THREAD_MIN_POINTS transform points (symbols x 2N), else one.  A
-    sweep with a grid on the Gram route of the CPI lag-sum kernel
-    (FreqGrid.cpi_lags, _reads_gram_route) runs in one thread: that route
-    runs zgemm calls at the BLAS thread count, whose spinning workers
-    contend with SNR-point threads.
+    grid on the Gram route of the CPI lag-sum kernel (FreqGrid.cpi_lags)
+    runs its one BLAS product at one BLAS thread, so no BLAS workers
+    contend with SNR-point threads.  That BLAS count is process-wide: while
+    a point's product runs, a caller's own BLAS work in another thread
+    also runs at one thread, and the caller's count is back when the sweep
+    returns or raises.
     """
     if threads is None:
         points = cfg.params.n_symbols * 2 * cfg.params.n_subcarriers
-        big = points >= _SWEEP_THREAD_MIN_POINTS and not _reads_gram_route(cfg)
-        threads = min(len(cfg.scenes), _usable_cpus()) if big else 1
+        threads = min(len(cfg.scenes), _usable_cpus()) if points >= _SWEEP_THREAD_MIN_POINTS else 1
     ss = np.random.SeedSequence(cfg.master_seed)
     point_seeds = ss.spawn(len(cfg.snr_db_axis))
     if threads and threads > 1:

@@ -35,7 +35,8 @@ field, starting with the field's path, also for an output directory that
 cannot be created) or command-line error, 3 numeric failure (one
 `numeric failure in <experiment>:` line, also for a valid config whose
 arrays are too large to allocate, whose arithmetic overflows or divides
-by zero, or whose JSON artifact would hold a non-finite result).
+by zero, or whose JSON artifact, ambiguity surface or ambiguity axis would
+hold a non-finite value).
 """
 from __future__ import annotations
 
@@ -353,9 +354,12 @@ def _exp_ambiguity(
 ) -> list[str]:
     delay_bin = 1.0 / (params.n_subcarriers * params.subcarrier_spacing_hz)
     doppler_bin = 1.0 / (params.n_symbols * params.symbol_dur_s)
-    delays = np.linspace(-delay_span_bins, delay_span_bins, delay_points) * delay_bin
-    dopplers = np.linspace(-doppler_span_bins, doppler_span_bins, doppler_points) * doppler_bin
-    surf = ambiguity_function(alloc, params, delays, dopplers)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite cell fails the run below
+        delays = np.linspace(-delay_span_bins, delay_span_bins, delay_points) * delay_bin
+        dopplers = np.linspace(-doppler_span_bins, doppler_span_bins, doppler_points) * doppler_bin
+        surf = ambiguity_function(alloc, params, delays, dopplers)
+    if not all(np.isfinite(x).all() for x in (delays, dopplers, surf.direct, surf.virtual)):
+        raise FloatingPointError("the ambiguity surface or an axis holds a non-finite value")
     # one row per (Doppler, delay) cell, Doppler-major like the surface; each
     # axis value is formatted once and its text repeated
     delay_text = _csv_cells(delays)

@@ -14,22 +14,28 @@ two routes:
 - the Gram route, for a constant allocation on a large grid
   (_GRAM_MIN_POINTS transform points, symbols x 2N) with few active
   subcarriers (K^2 at most _GRAM_MAX_COST_RATIO x 2N log2 2N): the lag sums
-  of the K x K Gram matrix of the active block, added up in zgemm calls of
-  _ROW_BLOCK = 64 symbols, which on OpenBLAS 0.3.31 gave the same bits at
-  any BLAS thread count;
+  of the K x K Gram matrix of the active block, read from one real rank-2K
+  update (dsyrk) of its interleaved re/im parts, run at one BLAS thread;
 - the FFT route, for every other grid and as the reference: one transform
   of length 2N per symbol, over blocks of 64 symbols, in the caller's
   thread, and one inverse transform of the power sum.
 
-The size gate keeps small grids off BLAS, whose worker threads spin after
-each call; the K gate keeps the route where M K^2 costs less than M 2N
-log2 2N.
+The size gate keeps the bits of the desk-size outputs; the K gate keeps the
+route where M K^2 costs less than M 2N log2 2N.
+
+While a Gram-route product runs, the BLAS thread count is held at 1
+(_one_blas_thread).  That count is process-wide: a caller's own BLAS work
+in another thread also runs at one thread meanwhile.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -38,35 +44,25 @@ from .scene import Scene, delay_doppler
 
 __all__ = ["FreqGrid", "synthesize", "measure_snr"]
 
-# Symbols per block B when _cpi_lags walks the CPI.  On the FFT route the
-# one workspace holds 2 * B * 2N complex values: 4 MB at N = 1000.
-# On the Gram route B is the inner size of each zgemm: OpenBLAS 0.3.31 gave
-# the same bits at 1 and 2 threads for every inner size up to 128, but above
-# it split the inner dimension by thread count (bits differed for sizes not
-# 0 or 7 mod 8), and 64-symbol chunks gave the same bits at 1 to 4 threads.
+# Symbols per block B when _fft_lags walks the CPI: its one workspace holds
+# 2 * B * 2N complex values, 4 MB at N = 1000.
 _ROW_BLOCK = 64
 
-# Fewest transform points (symbols x 2N) of a grid on the Gram route.  Its
-# zgemm calls wake OpenBLAS's worker threads from about 32 x 32 x 64 up, and
-# they spin after each call, so on the 2-core guest above the route costs
-# about twice its wall time in CPU.  Per call of synthesize,
-# build_virtual_signal and both delay periodograms at N=1000, K=200 (median
-# of 5 rounds of 40 calls, against the FFT route): M = 64, 128 and 200
-# (1.3e5 to 4e5 points) saved 22-31% wall for 38-53% more CPU, M = 263
-# (5.3e5) 28-34% for 32-43% more, and M = 720 (1.4e6, against an FFT route
-# then on two threads) 27-30% at the same CPU.  Ungated, the bench's
-# desk-size estimate (N=256, M=32, K=64) went from 1.5 to 2.8-3.0 ms of CPU
-# per unit at the same speed.  So no size in between is a CPU crossover;
-# the gate keeps 2**19 points, from which the FFT route then ran two threads.
+# Fewest transform points (symbols x 2N) of a grid on the Gram route.  Below
+# it every grid takes the FFT route, so the gate keeps the bits of the
+# desk-size outputs (N=256, M=32: 16,384 points), which the Gram route
+# would move by round-off.  Dropping it, so that small constant grids take
+# the cheaper Gram route too, is a change that moves the desk outputs.
 _GRAM_MIN_POINTS = 1 << 19
 
 # Largest K^2 / (2N log2 2N) on the Gram route, whose cost grows as M K^2
-# where the FFT route's grows as M 2N log2 2N.  CPU time of the two on the
-# same 2-core guest (OpenBLAS 0.3.31 at its default thread count), each
-# route in its own process, median of 15 calls: the Gram route cost more
-# from K of about 140 at N=256 (M=1024), 175 at N=500, 300 at N=1000 and
-# 450 at N=2000 (M=720), and 500 at N=4000 (M=131), a ratio of 2.4 to 4.3.
-# The bound is the smallest of them: K up to 229 at N=1000.
+# where the FFT route's grows as M 2N log2 2N.  CPU time of the two on a
+# 2-core x86-64 guest, with the former zgemm form of the Gram route at
+# OpenBLAS 0.3.31's default thread count, each route in its own process,
+# median of 15 calls: the Gram route cost more from K of about 140 at N=256
+# (M=1024), 175 at N=500, 300 at N=1000 and 450 at N=2000 (M=720), and 500
+# at N=4000 (M=131), a ratio of 2.4 to 4.3.  The bound is the smallest of
+# them: K up to 229 at N=1000.
 _GRAM_MAX_COST_RATIO = 2.4
 
 
@@ -144,10 +140,13 @@ class FreqGrid:
 
         On the Gram route (a constant allocation past both gates, see the
         module docstring) it agrees with the FFT route to about 5e-16 of
-        its peak.  On OpenBLAS 0.3.31 the Gram route's bits did not depend
-        on the BLAS thread count (test_same_bits_at_any_blas_thread_count);
-        that is a measured property of that BLAS build, not a guarantee of
-        every BLAS.
+        its peak.  Its one BLAS product runs at one BLAS thread, so its bits
+        do not depend on the caller's BLAS thread count; that count is
+        process-wide, so while the product runs a caller's own BLAS work in
+        another thread also runs at one thread.  Where no OpenBLAS thread
+        control is found (_openblas), the product runs at the caller's
+        count, and OpenBLAS 0.3.31's dsyrk gave other bits at 2 to 4
+        threads for some K (test_same_bits_at_any_blas_thread_count).
 
         Not functools.cached_property: before Python 3.12 its lock is one
         for all instances, so sweep threads would wait on each other's
@@ -179,28 +178,91 @@ def _gram_route(alloc: ResourceAllocation) -> bool:
     )
 
 
+@functools.cache
+def _openblas():
+    """NumPy's bundled OpenBLAS (scipy-openblas, in the wheel's numpy.libs
+    or .dylibs folder) as a ctypes library whose thread-count functions
+    scipy_openblas_get_num_threads64_ and scipy_openblas_set_num_threads64_
+    are typed, or None where no such library has both.
+
+    The library is already loaded, so this opens the same copy NumPy calls.
+    Finding the BLAS library and calling its own thread-count symbols is
+    threadpoolctl's technique (https://github.com/joblib/threadpoolctl).
+    """
+    here = Path(np.__file__).parent
+    bundled = [*here.parent.glob("numpy.libs/*scipy_openblas*"), *here.glob(".dylibs/*scipy_openblas*")]
+    for path in sorted(bundled):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        set_.argtypes, set_.restype = (ctypes.c_int,), None
+        return lib
+    return None
+
+
+class _OneBlasThread:
+    """Context that holds the BLAS thread count at 1 while any thread is
+    inside it.
+
+    The first of its concurrent users saves the caller's count and sets 1;
+    the last to leave restores the saved count, also on an exception, so
+    SNR-point threads that enter and leave in any order cannot leave it at
+    1.  The count is process-wide: meanwhile every thread's BLAS calls run
+    at one thread.  Where _openblas finds no library, it does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._users = 0
+        self._saved = 1
+
+    def __enter__(self):
+        lib = _openblas()
+        if lib is not None:
+            with self._lock:
+                if self._users == 0:
+                    self._saved = lib.scipy_openblas_get_num_threads64_()
+                    lib.scipy_openblas_set_num_threads64_(1)
+                self._users += 1
+
+    def __exit__(self, *exc_info):
+        lib = _openblas()
+        if lib is not None:
+            with self._lock:
+                self._users -= 1
+                if self._users == 0:
+                    lib.scipy_openblas_set_num_threads64_(self._saved)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
 def _gram_lags(grid: FreqGrid) -> np.ndarray:
     """The CPI mean of the lag sums of a constant allocation, R / M, with R
     gathered from the K x K Gram matrix G = sum_m y_m y_m^H of its (M, K)
     block: R[s] is the sum of the G[a, b] with n_a - n_b = s.
 
-    G is added up one zgemm of at most _ROW_BLOCK symbols at a time, in
-    symbol order, in one (2, K, K) workspace.  OpenBLAS's threaded driver
-    splits a longer inner dimension differently at different thread
-    counts, which changes the bits; chunks of 64 symbols gave the same bits
-    at 1 to 4 threads over 128 shapes (N 300 and 1000, M 1 to 720, K 2 to
-    300), where one unchunked zgemm per grid did not.  A fresh
-    K x K array per chunk was page-faulted in again on every call: at
-    N=4000, M=131, K=400 it took 11-13 ms against 4-5 ms.
+    G is read from one real product S = W^T W of the (M, 2K) float view W of
+    the block, re and im interleaved, which NumPy hands to dsyrk: 4 K^2 M
+    flops against 8 K^2 M for a zgemm.  With y = x + i z, Re G[a, b] =
+    x_a.x_b + z_a.z_b and Im G[a, b] = z_a.x_b - x_a.z_b.  The product runs
+    at one BLAS thread (_one_blas_thread): OpenBLAS's workers would spin
+    after each call, and OpenBLAS 0.3.31's threaded dsyrk gave other bits at
+    2 to 4 threads for K of 50, 150, 229 or 250.
     """
-    block, cols = grid.block, grid.alloc.indices
-    gram, product = np.zeros((2, cols.size, cols.size), dtype=np.complex128)
-    for r0 in range(0, grid.n_symbols, _ROW_BLOCK):
-        rows = block[r0 : r0 + _ROW_BLOCK]
-        gram += np.matmul(rows.T, rows.conj(), out=product)
+    cols = grid.alloc.indices
+    # a copy only where `active` is not C-ordered complex128
+    w = np.asanyarray(grid.block, dtype=np.complex128, order="C").view(np.float64)
+    with _one_blas_thread:
+        s = w.T @ w
     size = 2 * grid.n_subcarriers
     lag = ((cols[:, None] - cols) % size).ravel()  # n_a - n_b of G[a, b], mod 2N
-    lags = np.bincount(lag, gram.real.ravel(), size) + 1j * np.bincount(lag, gram.imag.ravel(), size)
+    re = s[0::2, 0::2] + s[1::2, 1::2]
+    im = s[1::2, 0::2] - s[0::2, 1::2]
+    lags = np.bincount(lag, re.ravel(), size) + 1j * np.bincount(lag, im.ravel(), size)
     return lags / grid.n_symbols
 
 

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -423,6 +424,21 @@ class TestContract:
         assert (code, stdout) == (3, "")
         assert err.startswith("numeric failure in crlb_table: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("spacing", [1e308, 5e-324])
+    def test_non_finite_ambiguity_is_a_numeric_failure(self, tmp_path, spacing):
+        # 1e308 overflows the Doppler phases, 5e-324 the delay bin
+        cfg = mutated("ambiguity", ["ofdm", "subcarrier_spacing_hz"], spacing)
+        path, out = write_config(tmp_path, cfg), tmp_path / "out"
+        assert main_in_process("validate", "--config", path)[0] == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the one stderr line is the failure's
+            code, stdout, err = main_in_process("run", "--config", path, "--out", out)
+        assert (code, stdout) == (3, "")
+        assert err == (
+            "numeric failure in ambiguity: the ambiguity surface or an axis holds a non-finite value\n"
+        )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_integer_beyond_float_range_is_exact_where_an_integer_is_read(self, tmp_path):

@@ -1,7 +1,7 @@
 """The CPI lag-sum kernel: its FFT route against the serial loop, in the
-caller's thread, its Gram route, the per-grid memo that both per-symbol
-estimators read, and the sweep's SNR-point threads, the package's only
-thread pool."""
+caller's thread, its Gram route and the guard that runs its BLAS product at
+one BLAS thread, the per-grid memo that both per-symbol estimators read,
+and the sweep's SNR-point threads, the package's only thread pool."""
 import os
 import subprocess
 import sys
@@ -138,14 +138,24 @@ class TestFftRoute:
 # The largest K on the Gram route at N=1000: K^2 <= 2.4 x 2000 log2 2000
 K_BOUND_1000 = 229
 
-# _cpi_lags's bits of a gated grid, printed by a fresh interpreter: M = 333
-# ends in a chunk of 13 symbols, and 720 is the paper's CPI
+# _cpi_lags's bits of gated grids, printed by a fresh interpreter whose
+# caller's BLAS count is argv[1], with the guard holding the product at one
+# thread ("held") or disabled ("free").  720 is the paper's CPI; unheld,
+# OpenBLAS 0.3.31's dsyrk gave other bits at K = 150 from 2 threads and at
+# K = 229 from 3.
 GRAM_BITS = """
-import hashlib, sys
-sys.path[:0] = sys.argv[1:]
+import contextlib, hashlib, sys
+threads, guard = int(sys.argv[1]), sys.argv[2]
+sys.path[:0] = sys.argv[3:]
 from test_cpi_power import make_grid
+from sparse_isac import synth
 from sparse_isac.synth import _cpi_lags, _gram_route
-for m, k in ((333, 200), (720, 200), (263, 229)):
+lib = synth._openblas()
+if lib is not None:  # OpenBLAS caps OPENBLAS_NUM_THREADS at the core count
+    lib.scipy_openblas_set_num_threads64_(threads)
+if guard == "free":
+    synth._one_blas_thread = contextlib.nullcontext()
+for m, k in ((333, 150), (720, 200), (263, 229)):
     grid = make_grid(1000, m, "constant", n_active=k)
     assert _gram_route(grid.alloc)
     print(m, k, hashlib.sha256(_cpi_lags(grid).tobytes()).hexdigest())
@@ -197,18 +207,109 @@ class TestGramRoute:
             assert lags.tobytes() == ref.tobytes()
 
     def test_same_bits_at_any_blas_thread_count(self):
-        # OpenBLAS reads its thread count once, when NumPy loads it
+        # held at one thread, the product gives one set of bits at any
+        # caller's count, and they are dsyrk's own bits at one thread
+        runs = [("held", "1"), ("held", "2"), ("held", "4"), ("free", "1")]
         digests = set()
-        for threads in ("1", "2", "4"):
+        for guard, threads in runs:
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
             run = subprocess.run(
-                [sys.executable, "-c", GRAM_BITS, str(Path(__file__).parent),
+                [sys.executable, "-c", GRAM_BITS, threads, guard, str(Path(__file__).parent),
                  str(Path(si.__file__).parents[1])],
                 env=env, capture_output=True, text=True, timeout=300, check=True,
             )
             assert run.stdout.count("\n") == 3, run.stderr
             digests.add(run.stdout)
         assert len(digests) == 1
+
+
+def blas_threads():
+    return synth._openblas().scipy_openblas_get_num_threads64_()
+
+
+@pytest.fixture
+def caller_blas_threads():
+    """The caller's BLAS thread count, set to 3 for the test and put back
+    after it; skips where no OpenBLAS thread control is found."""
+    lib = synth._openblas()
+    if lib is None:
+        pytest.skip("no OpenBLAS thread control found")
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(3)
+    yield 3
+    lib.scipy_openblas_set_num_threads64_(before)
+
+
+def probed(grid, on_product):
+    """The same grid, whose active values call on_product() before each
+    matrix product of the Gram route."""
+
+    class Probe(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                on_product()
+            inputs = [x.view(np.ndarray) if isinstance(x, np.ndarray) else x for x in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    return si.FreqGrid(
+        active=grid.active.view(Probe), alloc=grid.alloc, params=grid.params,
+        noise_variance=grid.noise_variance,
+    )
+
+
+class TestBlasGuard:
+    """The Gram route's product runs at one BLAS thread, and the caller's
+    count is back after it, however the product ends."""
+
+    @pytest.fixture(autouse=True)
+    def small_gram_grids(self, monkeypatch):
+        monkeypatch.setattr(synth, "_GRAM_MIN_POINTS", 1)
+
+    def test_product_runs_at_one_thread(self, caller_blas_threads):
+        grid = make_grid(64, 8, "constant", n_active=16)
+        assert _gram_route(grid.alloc)
+        seen = []
+        lags = probed(grid, lambda: seen.append(blas_threads())).cpi_lags
+        assert seen == [1]
+        assert blas_threads() == caller_blas_threads
+        assert lags.tobytes() == grid.cpi_lags.tobytes()
+
+    def test_count_is_back_when_the_product_raises(self, caller_blas_threads):
+        def fail():
+            raise RuntimeError("product failed")
+
+        grid = probed(make_grid(64, 8, "constant", n_active=16), fail)
+        with pytest.raises(RuntimeError, match="product failed"):
+            grid.cpi_lags
+        assert blas_threads() == caller_blas_threads
+
+    def test_threads_entering_and_leaving_in_any_order(self, caller_blas_threads):
+        # more threads than cores, switching every few microseconds: the
+        # count reads 1 inside whoever else is inside, and the caller's after
+        inside, errors = [], []
+
+        def enter_and_leave():
+            try:
+                for _ in range(200):
+                    with synth._one_blas_thread:
+                        inside.append(blas_threads())
+            except BaseException as exc:
+                errors.append(exc)
+                raise
+
+        workers = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers) and not errors
+        assert inside == [1] * 1600
+        assert blas_threads() == caller_blas_threads
 
 
 class TestMemo:
@@ -261,9 +362,9 @@ class TestUsableCpus:
 
 class TestSweepThreads:
     """monte_carlo_sweep(cfg) with threads=None: one thread per SNR point, up
-    to the usable CPUs, on a grid of at least _SWEEP_THREAD_MIN_POINTS and
-    no grid on the lag-sum kernel's Gram route, else one.  The pool's bits
-    equal one thread's, and a failed point joins every pool thread."""
+    to the usable CPUs, on a grid of at least _SWEEP_THREAD_MIN_POINTS, else
+    one, on either route of the lag-sum kernel.  The pool's bits equal one
+    thread's, and a failed point joins every pool thread."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -305,20 +406,29 @@ class TestSweepThreads:
         assert_same_sweep(par, monte_carlo_sweep(cfg, threads=1))
 
     @pytest.mark.parametrize(
-        "methods, opened",
+        "methods",
         [
-            (("direct_sparse", "autocorrelation"), []),  # the random draw's grid
-            (("nested",), []),
-            (("full_bandwidth", "direct_sparse"), [3]),  # no virtual aperture read
+            ("direct_sparse", "autocorrelation"),  # the random draw's grid
+            ("nested",),
+            ("full_bandwidth", "direct_sparse"),  # no virtual aperture read
         ],
     )
-    def test_gram_route_grid_runs_in_the_caller(self, pools, monkeypatch, methods, opened):
+    def test_gram_route_grid_opens_the_pool(self, pools, monkeypatch, methods):
         monkeypatch.setattr(analysis, "_SWEEP_THREAD_MIN_POINTS", 8 * 128)
         monkeypatch.setattr(synth, "_GRAM_MIN_POINTS", 8 * 128)
         cfg = self.config(methods)
+        assert _gram_route(cfg._allocations.get(methods[-1]) or cfg._allocations["equivalent_bandwidth"])
         result = monte_carlo_sweep(cfg)
-        assert pools == opened
-        assert_same_sweep(result, monte_carlo_sweep(cfg, threads=3))
+        assert pools == [3]
+        assert_same_sweep(result, monte_carlo_sweep(cfg, threads=1))
+
+    def test_gram_route_sweep_gives_back_the_callers_blas_count(
+        self, pools, monkeypatch, caller_blas_threads
+    ):
+        monkeypatch.setattr(synth, "_GRAM_MIN_POINTS", 8 * 128)
+        monte_carlo_sweep(self.config(), threads=3)
+        assert pools == [3]
+        assert blas_threads() == caller_blas_threads
 
     def test_explicit_count_is_kept(self, pools, monkeypatch):
         monkeypatch.setattr(analysis, "_SWEEP_THREAD_MIN_POINTS", 1)
@@ -351,13 +461,13 @@ class TestSweepThreads:
             (1000, 720, 250, 2, 2),  # paper size, past the Gram route's K bound: 1.44 M points
             (1000, 720, 250, 8, 5),  # one thread per SNR point
             (1000, 720, 250, 1, 1),
-            (1000, 720, 200, 8, 1),  # paper size on the Gram route
+            (1000, 720, 200, 8, 5),  # paper size on the Gram route
             (1000, 128, 250, 2, 1),  # two-target demo
             (256, 32, 64, 8, 1),  # desk
             (256, 1000, 200, 2, 1),  # 512,000 points
             (256, 1023, 200, 3, 1),  # one symbol short of 2**19 points
             (256, 1024, 200, 3, 3),  # 2**19 points
-            (256, 1024, 64, 3, 1),  # 2**19 points, on the Gram route
+            (256, 1024, 64, 3, 3),  # 2**19 points, on the Gram route
             (2000, 64, 500, 8, 1),  # one block
         ],
     )
