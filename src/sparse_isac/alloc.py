@@ -170,11 +170,6 @@ class OfdmParams:
         return self.n_subcarriers * self.subcarrier_spacing_hz
 
     @property
-    def total_dur_s(self) -> float:
-        """CPI duration covered by all n_symbols."""
-        return self.n_symbols * self.symbol_dur_s
-
-    @property
     def range_bin_m(self) -> float:
         """Fundamental (non-oversampled) range resolution c/(2*B)."""
         from .scene import SPEED_OF_LIGHT
@@ -338,12 +333,6 @@ class VirtualAperture:
     @property
     def n_lags(self) -> int:
         return int(self.lags.size)
-
-    def count(self, lag: int) -> int:
-        pos = np.searchsorted(self.lags, lag)
-        if pos >= self.lags.size or self.lags[pos] != lag:
-            return 0
-        return int(self.pair_counts[pos])
 
     def to_csv(self, path) -> None:
         _write_csv(path, ["lag", "pair_count"], [self.lags, self.pair_counts])

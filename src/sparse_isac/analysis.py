@@ -126,15 +126,6 @@ def crlb_delay(
     return (noise_var / (2.0 * amplitude**2)) * total / denom
 
 
-def crlb_delay_constant(
-    indices, params: OfdmParams, n_symbols: int, amplitude: float, noise_var: float
-) -> float:
-    """Symbol-constant special case: the one-symbol CRLB of the index set,
-    divided by the number of symbols."""
-    one = ResourceAllocation.constant(indices, 1, params.n_subcarriers)
-    return crlb_delay(one, params, amplitude, noise_var) / n_symbols
-
-
 @dataclass(frozen=True)
 class CrlbReport:
     fim: np.ndarray
@@ -562,6 +553,9 @@ def monte_carlo_sweep(cfg: SweepConfig, threads: int | None = None) -> SweepResu
 # Two-target detection demo
 
 
+_DEMO_MATCH_TOL_BINS = 5.0  # a peak this many range bins from a target detects it
+
+
 @dataclass(frozen=True)
 class TwoTargetDemoConfig:
     """Two moving targets at low per-RE SNR on a sparse allocation.
@@ -581,7 +575,6 @@ class TwoTargetDemoConfig:
     distances_m: tuple[float, float] = (200.0, 330.0)
     velocities_mps: tuple[float, float] = (12.0, -9.0)
     amplitudes: tuple[float, float] = (1.0, 0.8)
-    match_tol_bins: float = 5.0
     scene: Scene = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -657,7 +650,7 @@ def two_target_demo(cfg: TwoTargetDemoConfig) -> TwoTargetDemoResult:
     params = cfg.params
     scene = cfg.scene
     true_ranges = np.array(cfg.distances_m)
-    tol_m = cfg.match_tol_bins * params.range_bin_m
+    tol_m = _DEMO_MATCH_TOL_BINS * params.range_bin_m
 
     direct_ok = np.zeros(cfg.n_runs, dtype=bool)
     virtual_ok = np.zeros(cfg.n_runs, dtype=bool)

@@ -35,8 +35,12 @@ field, starting with the field's path, also for an output directory that
 cannot be created) or command-line error, 3 numeric failure (one
 `numeric failure in <experiment>:` line, also for a valid config whose
 arrays are too large to allocate, whose arithmetic overflows or divides
-by zero, or whose JSON artifact, ambiguity surface or ambiguity axis would
-hold a non-finite value).
+by zero, or whose JSON artifact, periodogram, ambiguity surface or
+ambiguity axis would hold a non-finite value).  On exit 0 every numeric
+CSV cell is finite, except these:
+  - `rmse_m` and `rmse_ci` are NaN when every trial of an SNR point missed;
+  - `snr_db` is +inf for a noise-free point;
+  - `pslr_db` is +inf for a spectrum with no sidelobe.
 """
 from __future__ import annotations
 
@@ -500,12 +504,7 @@ def _profile_config(profile_name: str, experiment: str) -> dict:
     elif experiment == "rmse_pslr_sweep":
         cfg["snr_db_axis"] = [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0]
         cfg["trials"] = 200
-        cfg["methods"] = [
-            "full_bandwidth",
-            "equivalent_bandwidth",
-            "direct_sparse",
-            "autocorrelation",
-        ]
+        cfg["methods"] = list(SweepConfig.methods)  # the default four
         cfg["scene"] = {
             "targets": [{"distance_m": 200.0, "velocity_mps": 0.0, "amplitude": 1.0}]
         }

@@ -57,6 +57,8 @@ class Periodogram:
             raise ValueError("axis and values must align")
         if np.any(np.diff(self.axis) <= 0):
             raise ValueError("axis must be strictly increasing")
+        if not np.isfinite(self.values).all():
+            raise FloatingPointError(f"{self.method} {self.domain} magnitudes must be finite")
         if np.any(self.values < 0):
             raise ValueError("magnitudes must be non-negative")
         self.axis.setflags(write=False)
@@ -73,11 +75,6 @@ class Periodogram:
     @property
     def argmax_bin(self) -> int:
         return int(np.argmax(self.values))
-
-    def range_axis_m(self) -> np.ndarray:
-        if self.domain != "delay":
-            raise ValueError("range axis only exists for delay periodograms")
-        return self.axis * SPEED_OF_LIGHT / 2.0
 
     def to_csv(self, path, comment: str | None = None) -> None:
         _write_csv(path, ["axis_value", "magnitude"], [self.axis, self.values], comment)
@@ -120,12 +117,6 @@ class VirtualSignal:
         if self.values.shape != self.aperture.lags.shape:
             raise ValueError("values must align with the aperture lag set")
         self.values.setflags(write=False)
-
-    def value_at(self, lag: int) -> complex:
-        pos = np.searchsorted(self.aperture.lags, lag)
-        if pos >= self.aperture.lags.size or self.aperture.lags[pos] != lag:
-            raise KeyError(f"lag {lag} is a hole of this aperture")
-        return complex(self.values[pos])
 
 
 @dataclass(frozen=True)

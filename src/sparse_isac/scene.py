@@ -140,10 +140,6 @@ class Scene:
                     f"targets[0], {ref}, is out of range"
                 )
 
-    @property
-    def n_targets(self) -> int:
-        return len(self.targets)
-
     def amplitude_of(self, target: Target) -> float:
         if target.amplitude is not None:
             return target.amplitude

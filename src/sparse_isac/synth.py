@@ -20,8 +20,8 @@ two routes:
   of length 2N per symbol, over blocks of 64 symbols, in the caller's
   thread, and one inverse transform of the power sum.
 
-The size gate keeps the bits of the desk-size outputs; the K gate keeps the
-route where M K^2 costs less than M 2N log2 2N.
+The size gate keeps grids of few symbols, and the desk-size grids, on the FFT
+route; the K gate keeps the route where M K^2 costs less than M 2N log2 2N.
 
 While a Gram-route product runs, the BLAS thread count is held at 1
 (_one_blas_thread).  That count is process-wide: a caller's own BLAS work
@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alloc import OfdmParams, ResourceAllocation, _write_csv
+from .alloc import OfdmParams, ResourceAllocation
 from .scene import Scene, delay_doppler
 
 __all__ = ["FreqGrid", "synthesize", "measure_snr"]
@@ -48,11 +48,13 @@ __all__ = ["FreqGrid", "synthesize", "measure_snr"]
 # 2 * B * 2N complex values, 4 MB at N = 1000.
 _ROW_BLOCK = 64
 
-# Fewest transform points (symbols x 2N) of a grid on the Gram route.  Below
-# it every grid takes the FFT route, so the gate keeps the bits of the
-# desk-size outputs (N=256, M=32: 16,384 points), which the Gram route
-# would move by round-off.  Dropping it, so that small constant grids take
-# the cheaper Gram route too, is a change that moves the desk outputs.
+# Fewest transform points (symbols x 2N) of a grid on the Gram route; below
+# it every grid takes the FFT route.  It keeps the desk outputs' bits, which
+# the Gram route would move by round-off, and grids of few symbols off the
+# Gram route, slower there: Gram over FFT wall time (median of 31 calls,
+# 2-core x86-64 guest) was 2.54, 1.06, 0.72 at M=1, 16, 32 (N=256, K=64) and
+# 9.3, 1.86, 0.58 at M=1, 16, 64 (N=1000, K=200).  So it also keeps the desk
+# grids (N=256, M=32: 16,384 points) off the Gram route where it is faster.
 _GRAM_MIN_POINTS = 1 << 19
 
 # Largest K^2 / (2N log2 2N) on the Gram route, whose cost grows as M K^2
@@ -159,11 +161,6 @@ class FreqGrid:
             lags.setflags(write=False)
             object.__setattr__(self, "_cpi_lags", lags)  # frozen: no field, not compared
         return lags
-
-    def dump_csv(self, path) -> None:
-        """Active resource elements only, columns m, n, re, im."""
-        alloc, values = self.alloc, self.active
-        _write_csv(path, ["m", "n", "re", "im"], [alloc.rows, alloc.cols, values.real, values.imag])
 
 
 def _gram_route(alloc: ResourceAllocation) -> bool:

@@ -1,0 +1,292 @@
+"""Slow reference paths of the package; no test defines one anywhere else.
+
+Each function computes the plain way something that `sparse_isac`
+computes fast: a dense (M, N) view of a grid built from its allocation's
+index sets, whole-grid synthesis and every estimator's whole-grid formula
+on that view, brute-force enumerations of difference sets, lag products
+and Fisher sums, the per-trial hole-fill draw, the row-at-a-time CSV
+writer and the symbol-constant CRLB.  The tests compare the package with
+them: bit for bit (`bits`) where the fast path does the same float
+operations in the same order, to round-off where it does not.
+"""
+import cmath
+import csv
+import math
+from collections import Counter
+
+import numpy as np
+
+import sparse_isac as si
+from sparse_isac.estimators import _refine_bin
+from sparse_isac.synth import _ROW_BLOCK
+
+C = si.SPEED_OF_LIGHT
+
+
+def bits(a):
+    """The raw bits of float64 (other real values are cast) or complex128
+    values, so -0.0 != +0.0."""
+    a = np.asarray(a)
+    return np.ascontiguousarray(a if a.dtype.kind in "fc" else a.astype(np.float64)).view(np.uint64)
+
+
+# ---------------------------------------------------------------------------
+# dense grids
+
+
+def dense_mask(per_symbol, n_subcarriers):
+    """(M, N) activity mask: a loop over each symbol's index set."""
+    out = np.zeros((len(per_symbol), n_subcarriers), dtype=bool)
+    for m, idx in enumerate(per_symbol):
+        for i in idx:
+            out[m, int(i)] = True
+    return out
+
+
+def alloc_mask(alloc):
+    """dense_mask of an allocation's per-symbol index sets."""
+    return dense_mask(alloc.per_symbol_indices, alloc.n_subcarriers)
+
+
+def dense(grid):
+    """The dense (M, N) grid: its active values, in row-major order, at
+    the cells of alloc_mask, zeros elsewhere."""
+    out = np.zeros((grid.n_symbols, grid.n_subcarriers), dtype=grid.active.dtype)
+    out[alloc_mask(grid.alloc)] = grid.active
+    return out
+
+
+def from_dense(values, alloc, params, noise_variance=0.0):
+    """The FreqGrid whose dense view is `values` on the allocation's cells."""
+    return si.FreqGrid(
+        active=np.asarray(values)[alloc_mask(alloc)], alloc=alloc, params=params,
+        noise_variance=noise_variance,
+    )
+
+
+def eval_two_term_model(targets_with_phase, params, m, n):
+    """The received-sample model at one cell (m, n), target by target:
+    (amplitude, phase, distance, velocity) each."""
+    total = 0j
+    for amp, phase, dist, vel in targets_with_phase:
+        tau = 2 * dist / C
+        fd = 2 * vel * params.carrier_freq_hz / C
+        total += (
+            amp
+            * cmath.exp(1j * phase)
+            * cmath.exp(2j * math.pi * fd * m * params.symbol_dur_s)
+            * cmath.exp(-2j * math.pi * n * params.subcarrier_spacing_hz * tau)
+        )
+    return total
+
+
+def dense_synthesize(scene, alloc, params, seed):
+    """Whole-grid synthesis: every target phasor on all M x N cells, the
+    inactive cells zeroed, and the noise from two draws of one normal per
+    active cell (real parts, then imaginary parts), added at the active
+    cells in row-major order."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    phase_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (0,))
+    noise_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (1,))
+    phase_rng = np.random.default_rng(phase_ss)
+    m_idx = np.arange(params.n_symbols)
+    n_idx = np.arange(params.n_subcarriers)
+    grid = np.zeros((params.n_symbols, params.n_subcarriers), dtype=np.complex128)
+    for t in scene.targets:
+        draw = phase_rng.uniform(0.0, 2.0 * math.pi)
+        phi = t.phase_rad if t.phase_rad is not None else draw
+        tau, f_d = si.delay_doppler(t, params)
+        sym_phase = np.exp(2j * np.pi * f_d * params.symbol_dur_s * m_idx)
+        sub_phase = np.exp(-2j * np.pi * params.subcarrier_spacing_hz * tau * n_idx)
+        grid += scene.amplitude_of(t) * np.exp(1j * phi) * np.outer(sym_phase, sub_phase)
+    mask = alloc_mask(alloc)
+    grid[~mask] = 0.0
+    var = scene.noise_variance()
+    if var > 0.0:
+        rng = np.random.default_rng(noise_ss)
+        sigma = math.sqrt(var / 2.0)
+        n_act = int(mask.sum())
+        grid[mask] += rng.normal(0.0, sigma, n_act) + 1j * rng.normal(0.0, sigma, n_act)
+    return grid
+
+
+def dense_measure_snr(grid, scene):
+    """Per-active-RE SNR in dB: the noiseless twin's mean active-cell power
+    over the grid's noise variance."""
+    if grid.noise_variance == 0.0:
+        return math.inf
+    quiet = si.Scene(targets=scene.targets, noise_variance_w=0.0)
+    twin = si.synthesize(quiet, grid.alloc, grid.params, seed=grid.seed_ss)
+    sig_power = float(np.mean(np.abs(dense(twin)[alloc_mask(grid.alloc)]) ** 2))
+    return 10.0 * math.log10(sig_power / grid.noise_variance)
+
+
+# ---------------------------------------------------------------------------
+# delay and Doppler estimators on the dense grid
+
+
+def exp_gemv_ml(z, active, q_bins):
+    """|sum_k z_k e^{j 2 pi q n_k / Q}| for every bin q: exp of every phase,
+    then one matrix-vector product.  With the active symbol sums z it is
+    the ML objective; with virtual lag values on their lags, the unscaled
+    virtual periodogram."""
+    steering = np.exp(2j * np.pi * np.outer(np.arange(q_bins), active) / q_bins)
+    return np.abs(steering @ z)
+
+
+def dense_zero_fill(grid, oversample):
+    """|IFFT_Q of the dense symbol sum| * Q / (M K)."""
+    q_bins = oversample * grid.n_subcarriers
+    spectrum = np.fft.ifft(dense(grid).sum(axis=0), n=q_bins) * q_bins
+    return np.abs(spectrum) / (grid.n_symbols * grid.alloc.cardinalities().mean())
+
+
+def dense_ml(grid, oversample):
+    """(bin, peak value, refined delay) of the ML search: the refined peak
+    of the dense zero-fill spectrum, whose peak scales back by M * K."""
+    q_bins = oversample * grid.n_subcarriers
+    values = dense_zero_fill(grid, oversample)
+    best = int(np.argmax(values))
+    pos = _refine_bin(values, best)
+    bin_width = 1.0 / (q_bins * grid.params.subcarrier_spacing_hz)
+    cells = grid.n_symbols * grid.alloc.cardinalities().mean()
+    return best, values[best] * cells, (pos % q_bins) * bin_width
+
+
+def serial_cpi_lags(grid):
+    """The CPI mean of the lag sums, R[s] / M at s mod 2N: |FFT_2N|^2 of the
+    dense rows summed over blocks of _ROW_BLOCK rows in symbol order (re^2
+    and im^2 interleaved by bin), then one inverse transform."""
+    rows, n_fft = dense(grid), 2 * grid.n_subcarriers
+    power = np.zeros(n_fft)
+    for r0 in range(0, grid.n_symbols, _ROW_BLOCK):
+        v = np.fft.fft(rows[r0 : r0 + _ROW_BLOCK], n=n_fft, axis=-1).view(np.float64)
+        s = np.einsum("mk,mk->k", v, v)
+        power += s[0::2] + s[1::2]
+    return np.fft.ifft(power / grid.n_symbols)
+
+
+def dense_virtual(grid, aperture):
+    """The accumulated virtual signal: serial_cpi_lags at the aperture lags
+    over their pair counts."""
+    return serial_cpi_lags(grid)[np.mod(aperture.lags, 2 * grid.n_subcarriers)] / aperture.pair_counts
+
+
+def dense_noncoherent_profile(grid, q_bins):
+    """sum_m |IFFT_Q(Y_m)|^2, one Q-point transform per dense row."""
+    return (np.abs(np.fft.ifft(dense(grid), n=q_bins, axis=1)) ** 2).sum(axis=0)
+
+
+def dense_noncoherent_delay(grid, oversample):
+    """(bin, refined delay) of the symbol-incoherent power profile."""
+    q_bins = oversample * grid.n_subcarriers
+    profile = dense_noncoherent_profile(grid, q_bins)
+    best = int(np.argmax(profile))
+    pos = _refine_bin(profile, best)
+    return best, (pos % q_bins) / (q_bins * grid.params.subcarrier_spacing_hz)
+
+
+def dense_doppler(grid, oversample, delay_s):
+    """Doppler magnitudes: each dense row matched at delay_s, the symbol
+    sequence transformed at U = oversample * M, centred, over M * K."""
+    params = grid.params
+    n_idx = np.arange(grid.n_subcarriers)
+    unwrap = np.exp(2j * np.pi * params.subcarrier_spacing_hz * delay_s * n_idx)
+    u_bins = oversample * grid.n_symbols
+    spectrum = np.fft.fft(dense(grid) @ unwrap, n=u_bins)
+    k = grid.alloc.cardinalities().mean()
+    return np.abs(np.fft.fftshift(spectrum)) / (grid.n_symbols * k)
+
+
+# ---------------------------------------------------------------------------
+# difference sets, lag products and Fisher sums by enumeration
+
+
+def brute_force_differences(indices):
+    """Pair count of every lag: every ordered pair enumerated."""
+    return Counter(int(a) - int(b) for a in indices for b in indices)
+
+
+def brute_force_lag_products(row, indices):
+    """Mean pair product Y[i] conj(Y[j]) of every lag i - j, by enumeration."""
+    sums, counts = {}, {}
+    for i in indices:
+        for j in indices:
+            s = int(i) - int(j)
+            sums[s] = sums.get(s, 0j) + row[i] * np.conj(row[j])
+            counts[s] = counts.get(s, 0) + 1
+    return {s: sums[s] / counts[s] for s in sums}
+
+
+def brute_force_fim_terms(alloc, params):
+    """(sum (w i)^2, sum w i, count) over every active cell, w = 2 pi df:
+    a loop over each symbol's index set."""
+    w = 2.0 * math.pi * params.subcarrier_spacing_hz
+    a = b = c = 0.0
+    for idx in alloc.per_symbol_indices:
+        for i in idx:
+            a += (w * float(i)) ** 2
+            b += w * float(i)
+            c += 1.0
+    return a, b, c
+
+
+def crlb_delay_constant(indices, params, n_symbols, amplitude, noise_var):
+    """Symbol-constant special case: the one-symbol CRLB of the index set,
+    divided by the number of symbols."""
+    one = si.ResourceAllocation.constant(indices, 1, params.n_subcarriers)
+    return si.crlb_delay(one, params, amplitude, noise_var) / n_symbols
+
+
+def lag_sum_ambiguity(alloc, params, delays, dopplers):
+    """(direct, virtual) surface: the virtual delay term summed over the
+    difference-set lags with pair-count taps, normalised by their sum."""
+    ap = si.difference_set(alloc)
+    dop = np.exp(
+        2j * np.pi * np.outer(dopplers, np.arange(params.n_symbols)) * params.symbol_dur_s
+    ).sum(axis=1)
+    phase = -2j * np.pi * params.subcarrier_spacing_hz
+    direct_delay = np.exp(phase * np.outer(delays, alloc.indices)).sum(axis=1)
+    virt_delay = (np.exp(phase * np.outer(delays, ap.lags)) * ap.pair_counts).sum(axis=1)
+    direct = np.abs(np.outer(dop, direct_delay)) / (params.n_symbols * alloc.n_active)
+    virtual = np.abs(np.outer(dop, virt_delay)) / (params.n_symbols * ap.pair_counts.sum())
+    return direct, virtual
+
+
+# ---------------------------------------------------------------------------
+# hole filling
+
+
+def per_trial_member(n, n_active, n_trials, seed):
+    """Per-trial draw: one child seed per trial, and `choice` of the
+    n_active-2 interior indices next to the pinned 0 and N-1."""
+    member = np.zeros((n, n_trials), dtype=bool)
+    member[[0, n - 1]] = True
+    interior = np.arange(1, n - 1)
+    for t, child in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
+        member[np.random.default_rng(child).choice(interior, n_active - 2, replace=False), t] = True
+    return member
+
+
+def fft_filled(member):
+    """Fill test: lag s of column t is filled when its pair count, an FFT
+    autocorrelation of the column, is nonzero."""
+    n = member.shape[0]
+    f = np.fft.rfft(member.astype(float), n=2 * n, axis=0)
+    return np.rint(np.fft.irfft(f * np.conj(f), n=2 * n, axis=0)[1:n]) > 0.5
+
+
+# ---------------------------------------------------------------------------
+# artifacts
+
+
+def write_csv_rows(path, header, rows, comment=None) -> None:
+    """The row-at-a-time csv.writer format that `_write_csv` reproduces
+    column by column: an optional `# comment` line, a header row, then the
+    rows, with every float at .12g and any other cell left to csv.writer."""
+    with open(path, "w", newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([f"{x:.12g}" if isinstance(x, float) else x for x in row] for row in rows)

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import sparse_isac as si
-from sparse_isac.analysis import SweepConfig, monte_carlo_sweep, crlb_delay_constant
+from reference import crlb_delay_constant
+from sparse_isac.analysis import SweepConfig, monte_carlo_sweep
 
 C = si.SPEED_OF_LIGHT
 

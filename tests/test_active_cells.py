@@ -1,9 +1,9 @@
 """A grid stores its active cells only; every consumer against the dense grid.
 
-Each reference below is the whole-grid formula, run on the dense view
-`grid.samples`.  The active-cell code must give the same bits, except
-the Doppler matched sum and the Doppler delay pre-step, whose additions
-run in a different order.
+Each reference (tests/reference.py) is the whole-grid formula, run on the
+dense view built from the allocation's index sets.  The active-cell code
+must give the same bits, except the Doppler matched sum and the Doppler
+delay pre-step, whose additions run in a different order.
 """
 import math
 import tracemalloc
@@ -12,13 +12,19 @@ import numpy as np
 import pytest
 
 import sparse_isac as si
-from csv_reference import write_csv_rows
-from sparse_isac.estimators import (
-    _lag_products,
-    _noncoherent_delay,
-    _noncoherent_profile,
-    _refine_bin,
+from reference import (
+    alloc_mask,
+    bits,
+    dense,
+    dense_doppler,
+    dense_measure_snr,
+    dense_ml,
+    dense_noncoherent_delay,
+    dense_noncoherent_profile,
+    dense_virtual,
+    dense_zero_fill,
 )
+from sparse_isac.estimators import _lag_products, _noncoherent_delay, _noncoherent_profile
 from sparse_isac.synth import _ROW_BLOCK, _symbol_sum_row
 
 N = 40
@@ -45,11 +51,6 @@ def make_alloc(pattern, params):
     return si.make_allocation(params, pattern, n_active=9, seed=3)
 
 
-def bits(a):
-    """The raw bits of float64 or complex128 values, so -0.0 != +0.0."""
-    return np.ascontiguousarray(a).view(np.uint64)
-
-
 @pytest.fixture(
     params=[
         (pattern, m, snr_db)
@@ -73,90 +74,22 @@ def case(request):
     return scene, si.synthesize(scene, make_alloc(pattern, params), params, seed=11)
 
 
-def dense_zero_fill(grid, oversample):
-    samples = grid.samples
-    q_bins = oversample * N
-    spectrum = np.fft.ifft(samples.sum(axis=0), n=q_bins) * q_bins
-    return np.abs(spectrum) / (grid.n_symbols * grid.alloc.cardinalities().mean())
-
-
-def dense_ml(grid, oversample):
-    """(bin, peak value, refined delay) of the ML search: the refined peak
-    of the dense zero-fill spectrum, whose peak scales back by M * K."""
-    q_bins = oversample * N
-    values = dense_zero_fill(grid, oversample)
-    best = int(np.argmax(values))
-    pos = _refine_bin(values, best)
-    bin_width = 1.0 / (q_bins * grid.params.subcarrier_spacing_hz)
-    cells = grid.n_symbols * grid.alloc.cardinalities().mean()
-    return best, values[best] * cells, (pos % q_bins) * bin_width
-
-
-def dense_virtual(grid, aperture):
-    samples = grid.samples
-    n_fft = 2 * N
-    power = np.zeros(n_fft)
-    for r0 in range(0, grid.n_symbols, _ROW_BLOCK):
-        f = np.fft.fft(samples[r0 : r0 + _ROW_BLOCK], n=n_fft, axis=-1)
-        power += np.einsum("mk,mk->k", f.real, f.real) + np.einsum("mk,mk->k", f.imag, f.imag)
-    acf = np.fft.ifft(power / grid.n_symbols)
-    return acf[np.mod(aperture.lags, n_fft)] / aperture.pair_counts
-
-
-def dense_noncoherent_profile(grid, q_bins):
-    """sum_m |IFFT_Q(Y_m)|^2, one Q-point transform per row."""
-    return (np.abs(np.fft.ifft(grid.samples, n=q_bins, axis=1)) ** 2).sum(axis=0)
-
-
-def dense_noncoherent_delay(grid, oversample):
-    """(bin, refined delay) of the symbol-incoherent power profile."""
-    q_bins = oversample * grid.n_subcarriers
-    profile = dense_noncoherent_profile(grid, q_bins)
-    best = int(np.argmax(profile))
-    pos = _refine_bin(profile, best)
-    return best, (pos % q_bins) / (q_bins * grid.params.subcarrier_spacing_hz)
-
-
-def dense_doppler(grid, oversample, delay_s):
-    params = grid.params
-    unwrap = np.exp(2j * np.pi * params.subcarrier_spacing_hz * delay_s * np.arange(N))
-    slices = grid.samples @ unwrap
-    u_bins = oversample * grid.n_symbols
-    spectrum = np.fft.fft(slices, n=u_bins)
-    k = grid.alloc.cardinalities().mean()
-    return np.abs(np.fft.fftshift(spectrum)) / (grid.n_symbols * k)
-
-
-def dense_csv(grid, path):
-    samples = grid.samples
-    rows = (
-        (m, n, v.real, v.imag)
-        for m, idx in enumerate(grid.alloc.per_symbol_indices)
-        for n, v in zip(idx.tolist(), samples[m, idx].tolist())
-    )
-    write_csv_rows(path, ["m", "n", "re", "im"], rows)
-
-
-def dense_measure_snr(grid, scene):
-    if grid.noise_variance == 0.0:
-        return math.inf
-    quiet = si.Scene(targets=scene.targets, noise_variance_w=0.0)
-    twin = si.synthesize(quiet, grid.alloc, grid.params, seed=grid.seed_ss)
-    sig_power = float(np.mean(np.abs(twin.samples[grid.alloc.mask()]) ** 2))
-    return 10.0 * math.log10(sig_power / grid.noise_variance)
-
-
 class TestAgainstDenseGrid:
-    def test_active_is_the_masked_dense_grid(self, case):
+    def test_samples_is_the_dense_view(self, case):
+        """The one test of the dense `samples` view: the reference view, read
+        only, and built anew on each access."""
         _, grid = case
         samples = grid.samples
-        assert np.array_equal(bits(grid.active), bits(samples[grid.alloc.mask()]))
-        assert np.all(samples[~grid.alloc.mask()] == 0.0)
+        assert np.array_equal(bits(samples), bits(dense(grid)))
+        assert not samples.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            samples[0, 0] = 1.0
+        assert grid.samples is not samples
 
     def test_layout_accessors(self, case):
         _, grid = case
-        samples = grid.samples
-        rows, cols = np.nonzero(grid.alloc.mask())
+        samples = dense(grid)
+        rows, cols = np.nonzero(alloc_mask(grid.alloc))
         assert np.array_equal(grid.alloc.cols, cols)
         assert np.array_equal(grid.alloc.starts, np.searchsorted(rows, np.arange(grid.n_symbols + 1)))
         for m in (0, 1, grid.n_symbols // 2, grid.n_symbols - 1, -1, -grid.n_symbols):
@@ -173,7 +106,7 @@ class TestAgainstDenseGrid:
         _, grid = case
         # every lag of the N subcarriers, so any allocation fits it
         aperture = si.difference_set(si.ResourceAllocation.constant(np.arange(N), 1, N))
-        samples = grid.samples
+        samples = dense(grid)
         for m in (0, grid.n_symbols - 1, -1):
             got = si.autocorrelate_symbol(grid, m, aperture).values
             want = _lag_products(samples[m][None, :], aperture)[0]
@@ -218,12 +151,6 @@ class TestAgainstDenseGrid:
         delay = _noncoherent_delay(grid, 4) if delay_s is None else delay_s
         want = dense_doppler(grid, 4, delay)
         assert np.abs(got - want).max() <= 1e-12 * want.max()
-
-    def test_dump_csv(self, case, tmp_path):
-        _, grid = case
-        grid.dump_csv(tmp_path / "got.csv")
-        dense_csv(grid, tmp_path / "want.csv")
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_measure_snr(self, case):
         scene, grid = case
@@ -285,7 +212,7 @@ def test_calls_share_no_workspace():
 
 
 @pytest.mark.parametrize("pattern", ["random", "per_symbol"])
-def test_readers_take_the_layout_from_the_allocation(pattern, monkeypatch, tmp_path):
+def test_readers_take_the_layout_from_the_allocation(pattern, monkeypatch):
     """Synthesis, the sweep's symbol-sum draw and every estimator read
     `cols`/`starts`/`rows` of the allocation; only the dense `samples` view
     builds the (M, N) mask."""
@@ -300,7 +227,6 @@ def test_readers_take_the_layout_from_the_allocation(pattern, monkeypatch, tmp_p
     si.doppler_periodogram(grid)
     every_lag = si.difference_set(si.ResourceAllocation.constant(np.arange(N), 1, N))
     si.autocorrelate_symbol(grid, -1, every_lag)
-    grid.dump_csv(tmp_path / "grid.csv")
     if alloc.is_constant:
         si.build_virtual_signal(grid)
         _symbol_sum_row(scene, alloc, params, seed=3)
@@ -314,7 +240,7 @@ def test_every_row_is_the_dense_row(pattern, monkeypatch):
     alloc = make_alloc(pattern, params)
     target = si.Target(distance_m=120.0, velocity_mps=30.0, amplitude=1.0)
     grid = si.synthesize(si.Scene(targets=(target,), snr_db=0.0), alloc, params, seed=5)
-    samples = grid.samples
+    samples = dense(grid)
     if alloc.is_constant:
         no_cols = property(lambda self: pytest.fail("cols read"))
         monkeypatch.setattr(si.ResourceAllocation, "cols", no_cols)
@@ -355,12 +281,10 @@ class TestConstructor:
         with pytest.raises(ValueError, match="does not match params"):
             si.FreqGrid(np.zeros(9 * m, complex), alloc, self.params, noise_variance=0.0)
 
-    def test_active_and_samples_read_only(self):
+    def test_active_read_only(self):
         alloc = si.make_allocation(self.params, "random", n_active=9, seed=3)
         scene = si.Scene(targets=(si.Target(distance_m=50.0, amplitude=1.0),), snr_db=0.0)
         grid = si.synthesize(scene, alloc, self.params, seed=1)
-        for arr in (grid.active, grid.samples):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 1.0
-        assert grid.samples is not grid.samples  # built on each access, not cached
+        assert not grid.active.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            grid.active[0] = 1.0

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,12 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparse_isac as si
+from reference import brute_force_differences, dense_mask, fft_filled, per_trial_member
 from sparse_isac.alloc import _check_number, _hole_fill_trials, nested_params_for
-
-
-def brute_force_differences(indices):
-    """Independent oracle: enumerate every ordered pair."""
-    return Counter(int(a) - int(b) for a in indices for b in indices)
 
 
 def make_params(n, m=4):
@@ -28,7 +23,6 @@ class TestOfdmParams:
         assert p.symbol_core_s == 1.0 / 120e3
         assert p.symbol_dur_s == p.symbol_core_s  # no CP
         assert p.bandwidth_hz == 256 * 120e3
-        assert p.total_dur_s == 32 * p.symbol_dur_s
 
     def test_cp_adds_to_duration(self):
         p = si.OfdmParams(64, 4, 120e3, 24e9, cp_len_s=1e-6)
@@ -199,15 +193,6 @@ class TestMakeAllocation:
         assert (inner + 1) * outer - 1 <= 255
 
 
-def brute_force_mask(per_symbol, n):
-    """Oracle: per-symbol loop over the index sets."""
-    out = np.zeros((len(per_symbol), n), dtype=bool)
-    for m, idx in enumerate(per_symbol):
-        for i in idx:
-            out[m, int(i)] = True
-    return out
-
-
 @st.composite
 def per_symbol_sets(draw):
     """(index lists, N): M from 1 to 70 (past one _ROW_BLOCK of symbols) and
@@ -231,10 +216,9 @@ def check_views_against_loops(per_symbol, n):
         per_symbol_indices=tuple(np.array(s) for s in per_symbol), n_subcarriers=n
     )
     sets = [sorted(set(s)) for s in per_symbol]
-    expect_mask = brute_force_mask(sets, n)
+    expect_mask = dense_mask(sets, n)
     expect_cols = np.concatenate([np.array(s, dtype=np.int64) for s in sets])
     cards = [len(s) for s in sets]
-    assert np.array_equal(alloc.mask(), expect_mask)
     assert np.array_equal(alloc.cols, expect_cols)
     assert np.array_equal(alloc.cols, np.nonzero(expect_mask)[1])
     assert np.array_equal(alloc.rows, np.nonzero(expect_mask)[0])
@@ -255,17 +239,17 @@ def check_views_against_loops(per_symbol, n):
     assert (alloc == si.ResourceAllocation.constant(sets[0], len(sets), n)) == alloc.is_constant
 
 
+PER_SYMBOL_CASES = [
+    [[1, 4, 9]] * 5,  # equal content, distinct objects
+    [[1, 4, 9], [0, 15], [1, 4, 9], [2, 3, 5, 7], [15]],
+    [[9, 1, 4, 4], [4, 9, 1]],  # unsorted and duplicated, same set
+    [[1, 4, 9]] * 3 + [[1, 4]] + [[1, 4, 9]] * 3,  # one symbol differs
+    [list(range(16))] * 3,  # full band
+]
+
+
 class TestResourceAllocation:
-    @pytest.mark.parametrize(
-        "per_symbol",
-        [
-            [[1, 4, 9]] * 5,  # equal content, distinct objects
-            [[1, 4, 9], [0, 15], [1, 4, 9], [2, 3, 5, 7], [15]],
-            [[9, 1, 4, 4], [4, 9, 1]],  # unsorted and duplicated, same set
-            [[1, 4, 9]] * 3 + [[1, 4]] + [[1, 4, 9]] * 3,  # one symbol differs
-            [list(range(16))] * 3,  # full band
-        ],
-    )
+    @pytest.mark.parametrize("per_symbol", PER_SYMBOL_CASES)
     def test_derived_views_match_per_symbol_loops(self, per_symbol):
         check_views_against_loops(per_symbol, 16)
 
@@ -288,11 +272,24 @@ class TestResourceAllocation:
         assert alloc == si.ResourceAllocation.constant(idx.tolist(), 10**6, 64)
         assert alloc != si.ResourceAllocation.constant(idx, 10**6 - 1, 64)
 
+    @pytest.mark.parametrize("per_symbol", [*PER_SYMBOL_CASES, "constant"])
+    def test_mask_is_the_dense_mask(self, per_symbol):
+        """The one test of `mask()`: the reference mask of the index sets,
+        a new array on each call, so writing to one leaks nowhere."""
+        if per_symbol == "constant":
+            alloc, per_symbol = si.ResourceAllocation.constant([7, 2, 7, 0], 6, 16), [[0, 2, 7]] * 6
+        else:
+            alloc = si.ResourceAllocation(tuple(np.array(s) for s in per_symbol), 16)
+        want = dense_mask(per_symbol, 16)
+        mask = alloc.mask()
+        assert mask.dtype == bool and np.array_equal(mask, want)
+        mask[0] = ~mask[0]
+        assert np.array_equal(alloc.mask(), want)
+
     def test_constant_shares_one_array(self):
         alloc = si.ResourceAllocation.constant([7, 2, 7, 0], 6, 8)
         assert alloc.is_constant
         assert all(idx is alloc.indices for idx in alloc.per_symbol_indices)
-        assert np.array_equal(alloc.mask(), brute_force_mask([[0, 2, 7]] * 6, 8))
         assert np.array_equal(alloc.cardinalities(), [3] * 6)
         assert np.array_equal(alloc.column_counts(), [6, 0, 6, 0, 0, 0, 0, 6])
 
@@ -352,17 +349,6 @@ class TestResourceAllocation:
         with pytest.raises(ValueError, match="^n_symbols: "):
             si.ResourceAllocation(per_symbol_indices=(), n_subcarriers=8)
 
-    def test_mask_mutation_does_not_leak(self):
-        for alloc in (
-            si.ResourceAllocation(
-                per_symbol_indices=(np.array([0, 1]), np.array([2])), n_subcarriers=4
-            ),
-            si.ResourceAllocation.constant([0, 1], 2, 4),
-        ):
-            mask = alloc.mask()
-            mask[0, 3] = True
-            assert not alloc.mask()[0, 3]
-
     def test_input_mutation_does_not_leak(self):
         src = np.array([1, 5, 6])
         const = si.ResourceAllocation.constant(src, 3, 8)
@@ -406,10 +392,7 @@ class TestDifferenceSet:
         alloc = si.ResourceAllocation.constant([0, 1, 4, 6], 1, 7)
         ap = si.difference_set(alloc)
         assert np.array_equal(ap.lags, np.arange(-6, 7))
-        assert ap.count(0) == 4
-        for s in range(1, 7):
-            assert ap.count(s) == 1
-            assert ap.count(-s) == 1
+        assert np.array_equal(ap.pair_counts, [1] * 6 + [4] + [1] * 6)
         assert ap.holes.size == 0
 
     def test_two_element_set(self):
@@ -458,9 +441,10 @@ class TestDifferenceSet:
         ap = si.difference_set(alloc)
         k = len(set(idx))
         assert int(ap.pair_counts.sum()) == k * k
-        assert ap.count(0) == k
-        for lag, cnt in zip(ap.lags, ap.pair_counts):
-            assert ap.count(int(-lag)) == int(cnt)
+        assert ap.pair_counts[ap.lags == 0].tolist() == [k]
+        # symmetric: the lags and their counts read the same reversed, negated
+        assert np.array_equal(ap.lags[::-1], -ap.lags)
+        assert np.array_equal(ap.pair_counts[::-1], ap.pair_counts)
 
     def test_csv_export(self, tmp_path):
         alloc = si.ResourceAllocation.constant([0, 1, 4, 6], 1, 7)
@@ -564,25 +548,6 @@ class TestHoleFillProbability:
         # pinned endpoints make the extreme lag always available
         assert curve.fill_probability[-1] == 1.0
         assert 0.0 <= curve.all_filled_probability <= curve.min_fill_probability
-
-
-def per_trial_member(n, n_active, n_trials, seed):
-    """Reference draw: one child seed per trial, and `choice` of the
-    n_active-2 interior indices next to the pinned 0 and N-1."""
-    member = np.zeros((n, n_trials), dtype=bool)
-    member[[0, n - 1]] = True
-    interior = np.arange(1, n - 1)
-    for t, child in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
-        member[np.random.default_rng(child).choice(interior, n_active - 2, replace=False), t] = True
-    return member
-
-
-def fft_filled(member):
-    """Reference fill test: lag s of column t is filled when its pair count,
-    an FFT autocorrelation of the column, is nonzero."""
-    n = member.shape[0]
-    f = np.fft.rfft(member.astype(float), n=2 * n, axis=0)
-    return np.rint(np.fft.irfft(f * np.conj(f), n=2 * n, axis=0)[1:n]) > 0.5
 
 
 def two_sample_z(p, q, n_trials):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sparse_isac as si
+from reference import brute_force_fim_terms, crlb_delay_constant, lag_sum_ambiguity
 from sparse_isac.analysis import (
     SweepConfig,
     common_exclusion_halfwidth,
@@ -57,18 +58,6 @@ class TestFim:
         f1 = si.fim_single_target(alloc, params, 1.0, 1.0)
         f2 = si.fim_single_target(alloc, params, 2.0, 0.5)
         assert np.allclose(f2, 8.0 * f1, rtol=1e-14)
-
-
-def brute_force_fim_terms(alloc, params):
-    """Oracle: per-symbol loop, (sum (w i)^2, sum w i, count)."""
-    w = 2.0 * math.pi * params.subcarrier_spacing_hz
-    a = b = c = 0.0
-    for idx in alloc.per_symbol_indices:
-        for i in idx:
-            a += (w * float(i)) ** 2
-            b += w * float(i)
-            c += 1.0
-    return a, b, c
 
 
 class TestFimCrlbAgainstPerSymbolLoop:
@@ -125,8 +114,6 @@ class TestCrlbDelay:
             idx = np.sort(rng.choice(128, size=k, replace=False))
             alloc = const_alloc(idx, params)
             general = si.crlb_delay(alloc, params, 1.3, 0.7)
-            from sparse_isac.analysis import crlb_delay_constant
-
             special = crlb_delay_constant(idx, params, 16, 1.3, 0.7)
             assert abs(general - special) / special <= 1e-12
 
@@ -202,21 +189,6 @@ class TestPslr:
         vals = np.ones(16)
         with pytest.raises(ValueError):
             si.pslr(self.spectrum(vals), mainlobe_halfwidth=8)
-
-
-def lag_sum_ambiguity(alloc, params, delays, dopplers):
-    """Reference surface: the virtual delay term summed over the
-    difference-set lags with pair-count taps, normalised by their sum."""
-    ap = si.difference_set(alloc)
-    dop = np.exp(
-        2j * np.pi * np.outer(dopplers, np.arange(params.n_symbols)) * params.symbol_dur_s
-    ).sum(axis=1)
-    phase = -2j * np.pi * params.subcarrier_spacing_hz
-    direct_delay = np.exp(phase * np.outer(delays, alloc.indices)).sum(axis=1)
-    virt_delay = (np.exp(phase * np.outer(delays, ap.lags)) * ap.pair_counts).sum(axis=1)
-    direct = np.abs(np.outer(dop, direct_delay)) / (params.n_symbols * alloc.n_active)
-    virtual = np.abs(np.outer(dop, virt_delay)) / (params.n_symbols * ap.pair_counts.sum())
-    return direct, virtual
 
 
 class TestAmbiguityFunction:

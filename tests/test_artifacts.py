@@ -58,21 +58,6 @@ def test_virtual_aperture_csv(written):
     )
 
 
-def test_freq_grid_csv(written):
-    alloc = si.make_allocation(PARAMS, "custom", indices=[[0, 5], [7]])
-    samples = np.zeros((2, 8), dtype=np.complex128)
-    samples[0, 0] = 1.0 / 3.0 - 2.0j / 7.0
-    samples[0, 5] = complex(-0.0, 1e20)
-    samples[1, 7] = 1e-20 - 123456789.0123456j
-    grid = si.FreqGrid(active=samples[alloc.mask()], alloc=alloc, params=PARAMS, noise_variance=0.0)
-    assert written(grid.dump_csv) == (
-        "m,n,re,im\r\n"
-        "0,0,0.333333333333,-0.285714285714\r\n"
-        "0,5,-0,1e+20\r\n"
-        "1,7,1e-20,-123456789.012\r\n"
-    )
-
-
 @pytest.mark.parametrize("comment", [None, "snr_definition=per_active_re"])
 def test_periodogram_csv(written, comment):
     text = written(lambda path: periodogram().to_csv(path, comment=comment))

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -263,8 +264,8 @@ def failing(exc_type):
     return fail
 
 
-def mutated(experiment, path, value):
-    cfg = json.loads(json.dumps(TINY[experiment]))
+def mutated(experiment, path, value, configs=TINY):
+    cfg = json.loads(json.dumps(configs[experiment]))
     node = cfg
     for key in path[:-1]:
         node = node[key]
@@ -625,6 +626,82 @@ class TestContract:
         assert main_in_process("run", "--config", path, "--out", tmp_path / "out")[0] == 0
 
 
+# Toy runs (N=64, M=8, K=16) whose spectra a huge number turns non-finite
+TOY_OFDM = dict(TINY_OFDM, n_subcarriers=64, n_symbols=8)
+TOY = {
+    "two_target_demo": {
+        "experiment": "two_target_demo", "seed": 1, "ofdm": TOY_OFDM, "n_active": 16, "runs": 2,
+    },
+    "rmse_pslr_sweep": {
+        "experiment": "rmse_pslr_sweep", "seed": 1, "ofdm": TOY_OFDM, "n_active": 16,
+        "snr_db_axis": [0.0], "trials": 2,
+        "scene": {"targets": [{"distance_m": 100.0, "velocity_mps": 10.0, "amplitude": 1.0}]},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "experiment, path, value",
+    [
+        ("two_target_demo", ["ofdm", "carrier_freq_hz"], 1e308),
+        ("two_target_demo", ["ofdm", "cp_len_s"], 1e308),
+        ("two_target_demo", ["velocities_mps"], [1e308, 0]),
+        ("two_target_demo", ["distances_m"], [1e308, 330]),
+        ("two_target_demo", ["amplitudes"], [1, 1e308]),
+        ("rmse_pslr_sweep", ["ofdm", "carrier_freq_hz"], 1e308),  # on a moving target
+        ("rmse_pslr_sweep", ["scene", "targets", 0, "distance_m"], 1e308),
+    ],
+)
+def test_non_finite_spectrum_is_a_numeric_failure(tmp_path, experiment, path, value):
+    """A valid config whose numbers overflow into a NaN or infinite
+    periodogram exits 3 and writes nothing, not a run of NaN cells."""
+    path, out = write_config(tmp_path, mutated(experiment, path, value, TOY)), tmp_path / "out"
+    assert main_in_process("validate", "--config", path) == (0, "", "")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # alias and overflow warnings: the one stderr line is the failure's
+        code, stdout, err = main_in_process("run", "--config", path, "--out", out)
+    assert (code, stdout) == (3, "")
+    assert err.startswith(f"numeric failure in {experiment}: ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def documented_non_finite_cells() -> dict[str, str]:
+    """{CSV column: "NaN" or "+inf"}: the cells that the exit-code paragraph
+    of the cli docstring lets a successful run leave non-finite."""
+    allowed = {}
+    for line in cli.__doc__.splitlines():
+        item = re.match(r"\s*- (.+?) (?:is|are) (NaN|\+inf)\b", line)
+        if item:
+            allowed.update(dict.fromkeys(re.findall(r"`(\w+)`", item.group(1)), item.group(2)))
+    return allowed
+
+
+NON_FINITE_ALLOWED = documented_non_finite_cells()
+
+
+def undocumented_non_finite_cells(out: Path) -> list[str]:
+    """`file:column=cell` of every numeric CSV cell in `out` that is NaN or
+    infinite where the cli docstring does not allow it."""
+    found = []
+    for path in sorted(out.glob("*.csv")):
+        rows = [row for row in csv.reader(path.read_text().splitlines()) if not row[0].startswith("#")]
+        for row in rows[1:]:
+            for column, cell in zip(rows[0], row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue  # a label, not a number
+                allowed = NON_FINITE_ALLOWED.get(column)
+                if not (math.isfinite(value) or (allowed == "NaN" and math.isnan(value))
+                        or (allowed == "+inf" and value == math.inf)):
+                    found.append(f"{path.name}:{column}={cell}")
+    return found
+
+
+def test_documented_non_finite_cells_are_read():
+    assert NON_FINITE_ALLOWED and set(NON_FINITE_ALLOWED.values()) <= {"NaN", "+inf"}
+
+
 def leaf_paths(node, prefix=()):
     """Every key path in a config, containers included."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
@@ -662,3 +739,5 @@ def test_any_single_field_mutation_keeps_the_exit_code_contract(field, value):
                 assert not out.exists()
             codes.add(code)
         assert len(codes) == 1 or codes == {0, 3}  # validate and run agree on the config
+        if code == 0:  # run succeeded: only the documented cells may be non-finite
+            assert undocumented_non_finite_cells(out) == []

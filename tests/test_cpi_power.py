@@ -13,37 +13,11 @@ import numpy as np
 import pytest
 
 import sparse_isac as si
+from reference import serial_cpi_lags
 from sparse_isac import analysis, synth
 from sparse_isac.analysis import SweepConfig, monte_carlo_sweep
 from sparse_isac.alloc import nested_params_for
 from sparse_isac.synth import _ROW_BLOCK, _cpi_lags, _gram_route
-
-
-def serial_cpi_lags(grid):
-    """The one-thread block loop: each block of _ROW_BLOCK rows is scattered
-    into one zeroed (2, B, 2N) workspace, transformed, squared and added to
-    the running sum in symbol order; the inverse transform of the sum over
-    M is the CPI mean of the lag sums."""
-    n_symbols, n = grid.n_symbols, grid.n_subcarriers
-    if grid.alloc.is_constant:
-        block, cols = grid.block, grid.alloc.indices
-    else:
-        cols, starts = grid.alloc.cols, grid.alloc.starts
-        block_row = grid.alloc.rows % _ROW_BLOCK
-    rows, out = np.zeros((2, min(_ROW_BLOCK, n_symbols), 2 * n), dtype=np.complex128)
-    power = np.zeros(2 * n)
-    for r0 in range(0, n_symbols, _ROW_BLOCK):
-        k = min(_ROW_BLOCK, n_symbols - r0)
-        if grid.alloc.is_constant:
-            rows[:k, cols] = block[r0 : r0 + k]
-        else:
-            lo, hi = starts[r0], starts[r0 + k]
-            rows[:k, :n] = 0.0
-            rows[block_row[lo:hi], cols[lo:hi]] = grid.active[lo:hi]
-        v = np.fft.fft(rows[:k], axis=-1, out=out[:k]).view(np.float64)
-        s = np.einsum("mk,mk->k", v, v)
-        power += s[0::2] + s[1::2]
-    return np.fft.ifft(power / n_symbols)
 
 
 def make_params(n, m):

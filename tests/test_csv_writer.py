@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import sparse_isac as si
-from csv_reference import write_csv_rows
+from reference import write_csv_rows
 from sparse_isac import cli
 from sparse_isac.alloc import _write_csv
 

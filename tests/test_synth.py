@@ -1,10 +1,10 @@
-import cmath
 import math
 
 import numpy as np
 import pytest
 
 import sparse_isac as si
+from reference import alloc_mask, dense, dense_synthesize, eval_two_term_model
 from sparse_isac.estimators import _zero_fill
 from sparse_isac.synth import _ROW_BLOCK, _symbol_sum_row
 
@@ -17,21 +17,6 @@ def make_params(n=64, m=8):
     )
 
 
-def eval_two_term_model(targets_with_phase, params, m, n):
-    """Independent per-RE evaluation of the received-sample model."""
-    total = 0j
-    for amp, phase, dist, vel in targets_with_phase:
-        tau = 2 * dist / C
-        fd = 2 * vel * params.carrier_freq_hz / C
-        total += (
-            amp
-            * cmath.exp(1j * phase)
-            * cmath.exp(2j * math.pi * fd * m * params.symbol_dur_s)
-            * cmath.exp(-2j * math.pi * n * params.subcarrier_spacing_hz * tau)
-        )
-    return total
-
-
 class TestSynthesize:
     def test_degenerate_target_gives_ones(self):
         # zero delay cannot happen (distance > 0), so use a tiny distance and
@@ -40,23 +25,22 @@ class TestSynthesize:
         alloc = si.make_allocation(params, "random", n_active=16, seed=0)
         t = si.Target(distance_m=1e-9, amplitude=1.0, phase_rad=0.0)
         grid = si.synthesize(si.Scene(targets=(t,), noise_variance_w=0.0), alloc, params, seed=0)
-        mask = alloc.mask()
-        assert np.allclose(grid.samples[mask], 1.0, atol=1e-9)
+        assert np.allclose(grid.active, 1.0, atol=1e-9)
 
     def test_unit_modulus_on_active_cells(self):
         params = make_params()
         alloc = si.make_allocation(params, "random", n_active=20, seed=1)
         t = si.Target(distance_m=137.0, velocity_mps=7.0, amplitude=0.8)
         grid = si.synthesize(si.Scene(targets=(t,), noise_variance_w=0.0), alloc, params, seed=3)
-        mask = alloc.mask()
-        assert np.allclose(np.abs(grid.samples[mask]), 0.8, atol=1e-12)
+        assert np.allclose(np.abs(grid.active), 0.8, atol=1e-12)
 
     def test_zero_support_off_mask_exact(self):
         params = make_params()
         alloc = si.make_allocation(params, "random", n_active=12, seed=2)
         t = si.Target(distance_m=90.0, amplitude=1.0)
         grid = si.synthesize(si.Scene(targets=(t,), snr_db=0.0), alloc, params, seed=4)
-        assert np.all(grid.samples[~alloc.mask()] == 0.0)
+        # one value per active cell: no cell off the mask is stored, noise included
+        assert grid.active.shape == (int(alloc_mask(alloc).sum()),)
 
     def test_matches_direct_model_evaluation(self):
         params = make_params(n=16, m=3)
@@ -69,10 +53,11 @@ class TestSynthesize:
         grid = si.synthesize(
             si.Scene(targets=targets, noise_variance_w=0.0), alloc, params, seed=0
         )
+        samples = dense(grid)
         for m in range(3):
             for n in range(16):
                 expect = eval_two_term_model(specs, params, m, n)
-                assert grid.samples[m, n] == pytest.approx(expect, rel=1e-12)
+                assert samples[m, n] == pytest.approx(expect, rel=1e-12)
 
     def test_opposite_phases_cancel(self):
         # two equal-amplitude targets half a delay-phase cycle apart at n=1
@@ -91,7 +76,7 @@ class TestSynthesize:
         )
         expect = eval_two_term_model(specs, params, 0, 1)
         assert abs(expect) < 1e-9  # destructive by construction
-        assert grid.samples[0, 1] == pytest.approx(expect, abs=1e-9)
+        assert dense(grid)[0, 1] == pytest.approx(expect, abs=1e-9)
 
     def test_linearity_noise_added_once(self):
         params = make_params()
@@ -99,14 +84,14 @@ class TestSynthesize:
         t1 = si.Target(distance_m=80.0, amplitude=1.0, phase_rad=0.5)
         t2 = si.Target(distance_m=150.0, amplitude=0.6, phase_rad=1.5)
         quiet = dict(alloc=alloc, params=params, seed=7)
-        g1 = si.synthesize(si.Scene(targets=(t1,), noise_variance_w=0.0), **quiet)
-        g2 = si.synthesize(si.Scene(targets=(t2,), noise_variance_w=0.0), **quiet)
-        g12 = si.synthesize(si.Scene(targets=(t1, t2), noise_variance_w=0.0), **quiet)
-        assert np.allclose(g12.samples, g1.samples + g2.samples, atol=1e-12)
-        noisy = si.synthesize(si.Scene(targets=(t1, t2), snr_db=0.0), **quiet)
-        noise = noisy.samples - g12.samples
-        rebuilt = g1.samples + g2.samples + noise
-        assert np.allclose(noisy.samples, rebuilt, atol=1e-12)
+        g1 = dense(si.synthesize(si.Scene(targets=(t1,), noise_variance_w=0.0), **quiet))
+        g2 = dense(si.synthesize(si.Scene(targets=(t2,), noise_variance_w=0.0), **quiet))
+        g12 = dense(si.synthesize(si.Scene(targets=(t1, t2), noise_variance_w=0.0), **quiet))
+        assert np.allclose(g12, g1 + g2, atol=1e-12)
+        noisy = dense(si.synthesize(si.Scene(targets=(t1, t2), snr_db=0.0), **quiet))
+        noise = noisy - g12
+        rebuilt = g1 + g2 + noise
+        assert np.allclose(noisy, rebuilt, atol=1e-12)
 
     def test_deterministic_per_seed(self):
         params = make_params()
@@ -116,8 +101,8 @@ class TestSynthesize:
         a = si.synthesize(scene, alloc, params, seed=11)
         b = si.synthesize(scene, alloc, params, seed=11)
         c = si.synthesize(scene, alloc, params, seed=12)
-        assert np.array_equal(a.samples, b.samples)
-        assert not np.array_equal(a.samples, c.samples)
+        assert np.array_equal(a.active, b.active)
+        assert not np.array_equal(a.active, c.active)
 
     def test_delay_alias_warning(self):
         params = make_params()
@@ -134,47 +119,6 @@ class TestSynthesize:
         t = si.Target(distance_m=100.0, velocity_mps=v_alias, amplitude=1.0)
         with pytest.warns(UserWarning, match="alias"):
             si.synthesize(si.Scene(targets=(t,), noise_variance_w=0.0), alloc, params, seed=0)
-
-    def test_csv_dump_active_cells_only(self, tmp_path):
-        params = make_params(n=8, m=2)
-        alloc = si.make_allocation(params, "custom", indices=[0, 3, 7])
-        t = si.Target(distance_m=50.0, amplitude=1.0, phase_rad=0.1)
-        grid = si.synthesize(si.Scene(targets=(t,), noise_variance_w=0.0), alloc, params, seed=0)
-        path = tmp_path / "grid.csv"
-        grid.dump_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "m,n,re,im"
-        assert len(lines) == 1 + 2 * 3
-
-
-def dense_reference(scene, alloc, params, seed):
-    """Whole-grid synthesis: every target phasor on all M x N cells, the
-    inactive cells zeroed, and the noise from two draws of one normal per
-    active cell (real parts, then imaginary parts), added at the active
-    cells in row-major order."""
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    phase_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (0,))
-    noise_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (1,))
-    phase_rng = np.random.default_rng(phase_ss)
-    m_idx = np.arange(params.n_symbols)
-    n_idx = np.arange(params.n_subcarriers)
-    grid = np.zeros((params.n_symbols, params.n_subcarriers), dtype=np.complex128)
-    for t in scene.targets:
-        draw = phase_rng.uniform(0.0, 2.0 * math.pi)
-        phi = t.phase_rad if t.phase_rad is not None else draw
-        tau, f_d = si.delay_doppler(t, params)
-        sym_phase = np.exp(2j * np.pi * f_d * params.symbol_dur_s * m_idx)
-        sub_phase = np.exp(-2j * np.pi * params.subcarrier_spacing_hz * tau * n_idx)
-        grid += scene.amplitude_of(t) * np.exp(1j * phi) * np.outer(sym_phase, sub_phase)
-    mask = alloc.mask()
-    grid[~mask] = 0.0
-    var = scene.noise_variance()
-    if var > 0.0:
-        rng = np.random.default_rng(noise_ss)
-        sigma = math.sqrt(var / 2.0)
-        n_act = int(mask.sum())
-        grid[mask] += rng.normal(0.0, sigma, n_act) + 1j * rng.normal(0.0, sigma, n_act)
-    return grid
 
 
 class TestDenseReference:
@@ -209,8 +153,8 @@ class TestDenseReference:
             }[noise],
         )
         seed = 17 if seed == "int" else np.random.SeedSequence(17).spawn(3)[2]
-        got = si.synthesize(scene, alloc, params, seed=seed).samples
-        want = dense_reference(scene, alloc, params, seed)
+        got = dense(si.synthesize(scene, alloc, params, seed=seed))
+        want = dense_synthesize(scene, alloc, params, seed)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -235,7 +179,7 @@ class TestNoiseCalibration:
         # empirical noise power agrees with the injected variance
         quiet = si.Scene(targets=(t,), noise_variance_w=0.0)
         twin = si.synthesize(quiet, alloc, params, seed=grid.seed_ss)
-        emp = float(np.mean(np.abs(grid.samples - twin.samples) ** 2))
+        emp = float(np.mean(np.abs(grid.active - twin.active) ** 2))
         assert 10 * math.log10(emp / grid.noise_variance) == pytest.approx(0.0, abs=0.2)
 
     def test_noise_variance_and_whiteness(self):
@@ -249,7 +193,7 @@ class TestNoiseCalibration:
         for i, s in enumerate(np.random.SeedSequence(5).spawn(trials)):
             g = si.synthesize(scene, alloc, params, seed=s)
             q = si.synthesize(quiet, alloc, params, seed=s)
-            noises[i] = (g.samples - q.samples).ravel()
+            noises[i] = g.active - q.active
         var = np.mean(np.abs(noises) ** 2, axis=0)
         # per-RE variance within 3 sigma of the spec (relative std ~ 1/sqrt(trials))
         assert np.all(np.abs(var - 2.0) < 3 * 2.0 / math.sqrt(trials))
@@ -264,7 +208,7 @@ class TestNoiseCalibration:
         scene = si.Scene(targets=(t,), noise_variance_w=4.0)
         g = si.synthesize(scene, alloc, params, seed=8)
         q = si.synthesize(si.Scene(targets=(t,), noise_variance_w=0.0), alloc, params, seed=8)
-        noise = (g.samples - q.samples).ravel()
+        noise = g.active - q.active
         assert np.var(noise.real) == pytest.approx(2.0, rel=0.05)
         assert np.var(noise.imag) == pytest.approx(2.0, rel=0.05)
 
@@ -297,7 +241,7 @@ class TestSymbolSum:
     @pytest.mark.parametrize("moving", [False, True])
     def test_noiseless_equals_per_cell_symbol_sum(self, pattern, n_targets, moving):
         cells, row = summed_pair(pattern, n_targets, moving)
-        want = cells.samples.sum(axis=0)
+        want = dense(cells).sum(axis=0)
         assert row.shape == (40,)
         assert np.all(row[cells.alloc.column_counts() == 0] == 0.0)
         assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want))
