@@ -21,6 +21,7 @@ from reference import (
     dense_ml,
     dense_noncoherent_delay,
     dense_noncoherent_profile,
+    dense_synthesize,
     dense_virtual,
     dense_zero_fill,
 )
@@ -28,6 +29,7 @@ from sparse_isac.estimators import _lag_products, _noncoherent_delay, _noncohere
 from sparse_isac.synth import _ROW_BLOCK, _symbol_sum_row
 
 N = 40
+SEED = 11
 
 
 def make_params(m):
@@ -71,7 +73,7 @@ def case(request):
         ),
         snr_db=snr_db,
     )
-    return scene, si.synthesize(scene, make_alloc(pattern, params), params, seed=11)
+    return scene, si.synthesize(scene, make_alloc(pattern, params), params, seed=SEED)
 
 
 class TestAgainstDenseGrid:
@@ -85,6 +87,13 @@ class TestAgainstDenseGrid:
         with pytest.raises(ValueError, match="read-only"):
             samples[0, 0] = 1.0
         assert grid.samples is not samples
+
+    def test_active_is_the_masked_dense_grid(self, case):
+        """The active cells, in row-major order, are the whole-grid
+        synthesis at the allocation's cells, bit for bit."""
+        scene, grid = case
+        want = dense_synthesize(scene, grid.alloc, grid.params, SEED)
+        assert np.array_equal(bits(grid.active), bits(want[alloc_mask(grid.alloc)]))
 
     def test_layout_accessors(self, case):
         _, grid = case
