@@ -68,54 +68,6 @@ def _check_number(
 # MemoryError (a numeric failure) of an array merely too large.
 _AXIS_MAX_POINTS = 2**53
 
-_CSV_SPECIAL = (",", '"', "\r", "\n")
-
-
-def _csv_cells(column) -> list[str]:
-    """One column of `_write_csv` as text; str cells are kept as they are."""
-    if isinstance(column, np.ndarray):
-        column = column.tolist()
-    try:
-        text = "".join(column)  # TypeError unless every cell is a str
-    except TypeError:
-        column = [f"{x:.12g}" if isinstance(x, float) else str(x) for x in column]
-        text = "".join(column)
-    if any(ch in text for ch in _CSV_SPECIAL):
-        column = [_csv_quote(c) for c in column]
-    return column
-
-
-def _csv_quote(cell: str) -> str:
-    if any(ch in cell for ch in _CSV_SPECIAL):
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
-
-
-def _write_csv(path, header, columns, comment: str | None = None) -> None:
-    """The one artifact format: an optional `# comment` line, a header row,
-    then row i holds cell i of each of the equally long `columns`.
-
-    The rows are one `%` pass of a row format, `%.12g` for a float ndarray
-    column (fed its tolist()) and `%s` for any other (fed its `_csv_cells`
-    text: a float cell, np.float64 included, at .12g, a str cell as it is,
-    any other cell str()), over the row-major tuple of every cell.  A cell
-    holding a comma, a double quote or a line break is quoted as
-    csv.writer's QUOTE_MINIMAL quotes it; .12g text never is.  Rows end in
-    CR LF, as csv.writer ends them."""
-    n_rows = len(columns[0])
-    if any(len(column) != n_rows for column in columns):
-        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
-    floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
-    row = ",".join("%.12g" if f else "%s" for f in floats) + "\r\n"
-    flat = [None] * (len(columns) * n_rows)  # cell j of row i at i * len(columns) + j
-    for j, (column, f) in enumerate(zip(columns, floats)):
-        flat[j :: len(columns)] = column.tolist() if f else _csv_cells(column)
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write(",".join(_csv_cells(header)) + "\r\n")
-        fh.write((row * n_rows) % tuple(flat))
-
 
 def _as_tuple(name: str, value, length: int | None = None) -> tuple:
     """A list-like value as a tuple: non-empty, or of exactly `length` entries."""
@@ -306,6 +258,16 @@ class ResourceAllocation:
         return out
 
 
+def _check_fits(alloc: ResourceAllocation, params: OfdmParams) -> None:
+    """Raise ValueError unless `alloc` spans the (symbols, subcarriers) grid of `params`."""
+    shape = (alloc.n_symbols, alloc.n_subcarriers)
+    if shape != (params.n_symbols, params.n_subcarriers):
+        raise ValueError(
+            f"allocation shape {shape} does not match params "
+            f"({params.n_symbols}, {params.n_subcarriers})"
+        )
+
+
 @dataclass(frozen=True)
 class VirtualAperture:
     """Lag support of an allocation's difference set.
@@ -333,9 +295,6 @@ class VirtualAperture:
     @property
     def n_lags(self) -> int:
         return int(self.lags.size)
-
-    def to_csv(self, path) -> None:
-        _write_csv(path, ["lag", "pair_count"], [self.lags, self.pair_counts])
 
 
 def nested_params_for(n_active: int, n_subcarriers: int) -> tuple[int, int]:

@@ -19,8 +19,8 @@ from .alloc import (
     OfdmParams,
     ResourceAllocation,
     _as_tuple,
+    _check_fits,
     _check_number,
-    _write_csv,
     make_allocation,
     nested_params_for,
 )
@@ -74,9 +74,6 @@ _SWEEP_TABLE = {
 _SUMMED_SLOTS = {s for s, _ in _SWEEP_TABLE.values()} - {s for s, v in _SWEEP_TABLE.values() if v}
 SWEEP_METHODS = tuple(_SWEEP_TABLE)
 
-# the comment line of every artifact whose numbers depend on the SNR
-_SNR_NOTE = "snr_definition=per_active_re"
-
 
 class SingularFimError(ValueError):
     """The Fisher information matrix is singular (no delay information)."""
@@ -85,6 +82,7 @@ class SingularFimError(ValueError):
 def _fim_sums(alloc: ResourceAllocation, params: OfdmParams) -> tuple[float, float, float]:
     """(sum (w i)^2, sum w i, count) over all active elements, w = 2 pi df,
     as O(N) sums over subcarriers weighted by their per-column activity counts."""
+    _check_fits(alloc, params)
     counts = alloc.column_counts().astype(np.float64)
     wi = 2.0 * math.pi * params.subcarrier_spacing_hz * np.arange(params.n_subcarriers)
     return float(counts @ (wi * wi)), float(counts @ wi), float(counts.sum())
@@ -258,6 +256,7 @@ def ambiguity_function(
     is the same sum over ordered pairs (n_a, n_b), so it equals |D(tau)|**2
     and its pair counts sum to K**2.
     """
+    _check_fits(alloc, params)
     delay_grid_s = np.asarray(delay_grid_s, dtype=np.float64)
     doppler_grid_hz = np.asarray(doppler_grid_hz, dtype=np.float64)
     m, k = params.n_symbols, alloc.n_active
@@ -379,22 +378,6 @@ class SweepResult:
     miss_rate: dict[str, np.ndarray]
     pslr_samples: dict[str, list[np.ndarray]]
     error_samples: dict[str, list[np.ndarray]]
-
-    def to_csv(self, path) -> None:
-        cfg = self.config
-        metrics = (self.rmse_m, self.rmse_ci_m, self.pslr_db, self.pslr_ci_db, self.miss_rate)
-        methods = sorted(cfg.methods)
-        # SNR-major rows: each metric column stacks the methods per SNR point
-        columns = [
-            np.repeat(cfg.snr_db_axis, len(methods)),
-            methods * len(cfg.snr_db_axis),
-            *(np.column_stack([metric[m] for m in methods]).ravel() for metric in metrics),
-            [cfg.n_trials] * (len(methods) * len(cfg.snr_db_axis)),
-        ]
-        header = [
-            "snr_db", "method", "rmse_m", "rmse_ci", "pslr_db", "pslr_ci", "miss_rate", "trials"
-        ]
-        _write_csv(path, header, columns, _SNR_NOTE)
 
 
 def _delay_periodogram(grid, virtual: bool, oversample: int) -> Periodogram:
@@ -614,14 +597,6 @@ class TwoTargetDemoResult:
     @property
     def virtual_success_rate(self) -> float:
         return float(self.virtual_success.mean())
-
-    def to_csv(self, path) -> None:
-        columns = [
-            range(self.direct_success.size),
-            self.direct_success.astype(int),
-            self.virtual_success.astype(int),
-        ]
-        _write_csv(path, ["run", "direct_both_detected", "virtual_both_detected"], columns, _SNR_NOTE)
 
 
 def _both_targets_detected(p: Periodogram, true_ranges: np.ndarray, tol_m: float) -> bool:

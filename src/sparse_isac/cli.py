@@ -14,10 +14,11 @@ key that the experiment does not read is a config error.
 
 A run writes plotting-tool-agnostic CSV artifacts plus a manifest.json
 that captures the resolved config (re-running from the manifest
-reproduces the outputs byte for byte).  They are staged in a temporary
-directory next to the output directory and moved into it, manifest.json
-last, only when the run succeeds; a failed run leaves the output
-directory as it was.
+reproduces the outputs byte for byte).  Only this module writes files:
+an experiment's runner returns its artifacts by file name, and
+`run_experiment` writes them.  They are staged in a temporary directory
+next to the output directory and moved into it, manifest.json last, only
+when the run succeeds; a failed run leaves the output directory as it was.
 
 `run` and `validate` take a config file, and they are the only commands
 that read one.  `crlb`, `sweep` and `demo` name their experiment and take
@@ -50,6 +51,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -62,14 +64,11 @@ from .alloc import (
     ResourceAllocation,
     _as_tuple,
     _check_number,
-    _csv_cells,
-    _write_csv,
     hole_fill_curve,
     make_allocation,
 )
 from .scene import LinkBudget, Target
 from .analysis import (
-    _SNR_NOTE,
     SingularFimError,
     SweepConfig,
     TwoTargetDemoConfig,
@@ -152,7 +151,7 @@ class _Build:
 
 
 # ---------------------------------------------------------------------------
-# builders: config section -> typed objects -> a runner writing into a directory
+# builders: config section -> typed objects -> a runner returning artifacts
 #
 # `params` is None when `ofdm` or `seed` failed to build; objects that need
 # them are then skipped, since their error is already recorded.
@@ -256,8 +255,8 @@ EXPERIMENTS = {
 
 
 def _build(cfg: dict):
-    """Build every object a config describes; returns `run(out)`, which
-    runs exactly those objects and writes artifacts into `out`.
+    """Build every object a config describes; returns `run()`, which runs
+    exactly those objects and returns their artifacts by file name.
     Raises ConfigError with one message per field that fails to build."""
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -286,13 +285,14 @@ def validate_config(cfg: dict) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: built objects in, artifact file names out
+# experiment runners: built objects in, artifacts by file name out, in the order
+# written and listed: a `(header, columns[, comment])` table or a JSON object
 
 
 def _exp_crlb_table(
-    random: ResourceAllocation, fixed: dict, params: OfdmParams, out: Path,
+    random: ResourceAllocation, fixed: dict, params: OfdmParams,
     amplitude: float = 1.0, noise_variance_w: float = 1.0,
-) -> list[str]:
+) -> dict:
     """One row per allocation family: the seeded random draw next to the
     sweep's seed-independent allocations of the same cardinality."""
     amplitude, noise_var = float(amplitude), float(noise_variance_w)
@@ -303,59 +303,56 @@ def _exp_crlb_table(
         "clustered": fixed["equivalent_bandwidth"],
     }
     reports = [crlb_report(alloc, params, amplitude, noise_var) for alloc in allocs.values()]
-    _write_csv(
-        out / "crlb_table.csv",
-        ["allocation", "n_active", "extent", "crlb_delay_s2", "crlb_range_m2", "range_rmse_floor_m"],
-        [
-            list(allocs),
-            [rep.n_active for rep in reports],
-            [int(alloc.indices.max() - alloc.indices.min()) for alloc in allocs.values()],
-            [rep.crlb_delay_s2 for rep in reports],
-            [rep.crlb_range_m2 for rep in reports],
-            [math.sqrt(rep.crlb_range_m2) for rep in reports],
-        ],
-    )
-    _write_json(out / "crlb_random.json", reports[1].to_dict())
-    return ["crlb_table.csv", "crlb_random.json"]
+    return {
+        "crlb_table.csv": (
+            ["allocation", "n_active", "extent", "crlb_delay_s2", "crlb_range_m2", "range_rmse_floor_m"],
+            [
+                list(allocs),
+                [rep.n_active for rep in reports],
+                [int(alloc.indices.max() - alloc.indices.min()) for alloc in allocs.values()],
+                [rep.crlb_delay_s2 for rep in reports],
+                [rep.crlb_range_m2 for rep in reports],
+                [math.sqrt(rep.crlb_range_m2) for rep in reports],
+            ],
+        ),
+        "crlb_random.json": reports[1].to_dict(),
+    }
 
 
-def _exp_hole_probability(
-    params: OfdmParams, axis: tuple, seed: int, out: Path, **curve_args
-) -> list[str]:
+def _exp_hole_probability(params: OfdmParams, axis: tuple, seed: int, **curve_args) -> dict:
     seeds = np.random.SeedSequence(seed).spawn(len(axis))
     curves = [
         hole_fill_curve(params.n_subcarriers, n_active, seed=child, **curve_args)
         for n_active, child in zip(axis, seeds)
     ]
-    _write_csv(
-        out / "hole_fill.csv",
-        ["n_active", "lag", "fill_probability", "ci_halfwidth"],
-        [
-            [c.n_active for c in curves for _ in range(c.lags.size)],
-            np.concatenate([c.lags for c in curves]),
-            np.concatenate([c.fill_probability for c in curves]),
-            np.concatenate([c.fill_halfwidth for c in curves]),
-        ],
-    )
-    _write_csv(
-        out / "hole_fill_summary.csv",
-        ["n_active", "min_fill_probability", "all_filled_probability", "all_filled_ci", "trials"],
-        [
-            [c.n_active for c in curves],
-            [c.min_fill_probability for c in curves],
-            [c.all_filled_probability for c in curves],
-            [c.all_filled_halfwidth for c in curves],
-            [c.n_trials for c in curves],
-        ],
-    )
-    return ["hole_fill.csv", "hole_fill_summary.csv"]
+    return {
+        "hole_fill.csv": (
+            ["n_active", "lag", "fill_probability", "ci_halfwidth"],
+            [
+                [c.n_active for c in curves for _ in range(c.lags.size)],
+                np.concatenate([c.lags for c in curves]),
+                np.concatenate([c.fill_probability for c in curves]),
+                np.concatenate([c.fill_halfwidth for c in curves]),
+            ],
+        ),
+        "hole_fill_summary.csv": (
+            ["n_active", "min_fill_probability", "all_filled_probability", "all_filled_ci", "trials"],
+            [
+                [c.n_active for c in curves],
+                [c.min_fill_probability for c in curves],
+                [c.all_filled_probability for c in curves],
+                [c.all_filled_halfwidth for c in curves],
+                [c.n_trials for c in curves],
+            ],
+        ),
+    }
 
 
 def _exp_ambiguity(
-    alloc: ResourceAllocation, params: OfdmParams, out: Path,
+    alloc: ResourceAllocation, params: OfdmParams,
     delay_points: int = 401, doppler_points: int = 101,
     delay_span_bins: float = 16.0, doppler_span_bins: float = 4.0,
-) -> list[str]:
+) -> dict:
     delay_bin = 1.0 / (params.n_subcarriers * params.subcarrier_spacing_hz)
     doppler_bin = 1.0 / (params.n_symbols * params.symbol_dur_s)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite cell fails the run below
@@ -367,65 +364,121 @@ def _exp_ambiguity(
     # one row per (Doppler, delay) cell, Doppler-major like the surface; each
     # axis value is formatted once and its text repeated
     delay_text = _csv_cells(delays)
-    _write_csv(
-        out / "ambiguity.csv",
-        ["delay_s", "doppler_hz", "direct_magnitude", "virtual_magnitude"],
-        [
-            delay_text * doppler_points,
-            [d for d in _csv_cells(dopplers) for _ in range(delay_points)],
-            surf.direct.ravel(),
-            surf.virtual.ravel(),
-        ],
-    )
-    _write_csv(
-        out / "ambiguity_delay_cut.csv",
-        ["delay_s", "direct_magnitude", "virtual_magnitude"],
-        [delay_text, surf.direct_delay_cut(), surf.virtual_delay_cut()],
-    )
-    return ["ambiguity.csv", "ambiguity_delay_cut.csv"]
-
-
-def _exp_two_target_demo(demo_cfg: TwoTargetDemoConfig, out: Path) -> list[str]:
-    result = two_target_demo(demo_cfg)
-    result.example_direct.to_csv(out / "demo_direct_periodogram.csv", comment=_SNR_NOTE)
-    result.example_virtual.to_csv(out / "demo_virtual_periodogram.csv", comment=_SNR_NOTE)
-    result.to_csv(out / "demo_runs.csv")
-    _write_csv(
-        out / "demo_summary.csv",
-        ["method", "both_detected_rate", "runs"],
-        [
-            ["direct_sparse", "autocorrelation"],
-            [result.direct_success_rate, result.virtual_success_rate],
-            [demo_cfg.n_runs] * 2,
-        ],
-        comment=_SNR_NOTE,
-    )
-    return [
-        "demo_direct_periodogram.csv",
-        "demo_virtual_periodogram.csv",
-        "demo_runs.csv",
-        "demo_summary.csv",
-    ]
-
-
-def _exp_rmse_pslr_sweep(sweep_cfg: SweepConfig, out: Path) -> list[str]:
-    result = monte_carlo_sweep(sweep_cfg)
-    result.to_csv(out / "sweep.csv")
-    return ["sweep.csv"]
-
-
-def _write_manifest(cfg: dict, out: Path, outputs: list[str]) -> None:
-    manifest = {
-        "version": __version__,
-        "experiment": cfg["experiment"],
-        "snr_definition": _SNR_NOTE.partition("=")[2],
-        "config": cfg,
-        "outputs": outputs,
+    return {
+        "ambiguity.csv": (
+            ["delay_s", "doppler_hz", "direct_magnitude", "virtual_magnitude"],
+            [
+                delay_text * doppler_points,
+                [d for d in _csv_cells(dopplers) for _ in range(delay_points)],
+                surf.direct.ravel(),
+                surf.virtual.ravel(),
+            ],
+        ),
+        "ambiguity_delay_cut.csv": (
+            ["delay_s", "direct_magnitude", "virtual_magnitude"],
+            [delay_text, surf.direct_delay_cut(), surf.virtual_delay_cut()],
+        ),
     }
-    # The config may hold a non-finite number that _load_config read as an
-    # `Infinity` token (snr_db of a noise-free run), so the manifest writes
-    # it back the same way and re-runs through `run --config`.
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _exp_two_target_demo(demo_cfg: TwoTargetDemoConfig) -> dict:
+    result = two_target_demo(demo_cfg)
+    spectrum = ["axis_value", "magnitude"]
+    p_direct, p_virtual = result.example_direct, result.example_virtual
+    direct, virtual = result.direct_success, result.virtual_success
+    return {
+        "demo_direct_periodogram.csv": (spectrum, [p_direct.axis, p_direct.values], _SNR_NOTE),
+        "demo_virtual_periodogram.csv": (spectrum, [p_virtual.axis, p_virtual.values], _SNR_NOTE),
+        "demo_runs.csv": (
+            ["run", "direct_both_detected", "virtual_both_detected"],
+            [range(direct.size), direct.astype(int), virtual.astype(int)],
+            _SNR_NOTE,
+        ),
+        "demo_summary.csv": (
+            ["method", "both_detected_rate", "runs"],
+            [
+                ["direct_sparse", "autocorrelation"],
+                [result.direct_success_rate, result.virtual_success_rate],
+                [demo_cfg.n_runs] * 2,
+            ],
+            _SNR_NOTE,
+        ),
+    }
+
+
+def _exp_rmse_pslr_sweep(sweep_cfg: SweepConfig) -> dict:
+    result = monte_carlo_sweep(sweep_cfg)
+    metrics = (result.rmse_m, result.rmse_ci_m, result.pslr_db, result.pslr_ci_db, result.miss_rate)
+    methods = sorted(sweep_cfg.methods)
+    snrs = sweep_cfg.snr_db_axis
+    # SNR-major rows: each metric column stacks the methods per SNR point
+    return {
+        "sweep.csv": (
+            ["snr_db", "method", "rmse_m", "rmse_ci", "pslr_db", "pslr_ci", "miss_rate", "trials"],
+            [
+                np.repeat(snrs, len(methods)),
+                methods * len(snrs),
+                *(np.column_stack([metric[m] for m in methods]).ravel() for metric in metrics),
+                [sweep_cfg.n_trials] * (len(methods) * len(snrs)),
+            ],
+            _SNR_NOTE,
+        ),
+    }
+
+
+# ---------------------------------------------------------------------------
+# artifact writers
+
+# the comment line of every artifact whose numbers depend on the SNR
+_SNR_NOTE = "snr_definition=per_active_re"
+
+_CSV_SPECIAL = (",", '"', "\r", "\n")
+
+
+def _csv_cells(column) -> list[str]:
+    """One column of `_write_csv` as text; str cells are kept as they are."""
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
+    try:
+        text = "".join(column)  # TypeError unless every cell is a str
+    except TypeError:
+        column = [f"{x:.12g}" if isinstance(x, float) else str(x) for x in column]
+        text = "".join(column)
+    if any(ch in text for ch in _CSV_SPECIAL):
+        column = [_csv_quote(c) for c in column]
+    return column
+
+
+def _csv_quote(cell: str) -> str:
+    if any(ch in cell for ch in _CSV_SPECIAL):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _write_csv(path, header, columns, comment: str | None = None) -> None:
+    """The one artifact format: an optional `# comment` line, a header row,
+    then row i holds cell i of each of the equally long `columns`.
+
+    The rows are one `%` pass of a row format, `%.12g` for a float ndarray
+    column (fed its tolist()) and `%s` for any other (fed its `_csv_cells`
+    text: a float cell, np.float64 included, at .12g, a str cell as it is,
+    any other cell str()), over the row-major tuple of every cell.  A cell
+    holding a comma, a double quote or a line break is quoted as
+    csv.writer's QUOTE_MINIMAL quotes it; .12g text never is.  Rows end in
+    CR LF, as csv.writer ends them."""
+    n_rows = len(columns[0])
+    if any(len(column) != n_rows for column in columns):
+        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+    floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
+    row = ",".join("%.12g" if f else "%s" for f in floats) + "\r\n"
+    flat = [None] * (len(columns) * n_rows)  # cell j of row i at i * len(columns) + j
+    for j, (column, f) in enumerate(zip(columns, floats)):
+        flat[j :: len(columns)] = column.tolist() if f else _csv_cells(column)
+    with open(path, "w", newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(_csv_cells(header)) + "\r\n")
+        fh.write((row * n_rows) % tuple(flat))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -458,8 +511,24 @@ def run_experiment(cfg: dict, out: Path) -> list[str]:
     out.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent) as tmp:
         stage = Path(tmp)
-        outputs = run(stage)
-        _write_manifest(cfg, stage, outputs)
+        artifacts = run()
+        for name, artifact in artifacts.items():
+            if name.endswith(".csv"):
+                _write_csv(stage / name, *artifact)
+            else:
+                _write_json(stage / name, artifact)
+        outputs = list(artifacts)
+        manifest = {
+            "version": __version__,
+            "experiment": cfg["experiment"],
+            "snr_definition": _SNR_NOTE.partition("=")[2],
+            "config": cfg,
+            "outputs": outputs,
+        }
+        # The config may hold a non-finite number that _load_config read as an
+        # `Infinity` token (snr_db of a noise-free run), so the manifest writes
+        # it back the same way and re-runs through `run --config`.
+        (stage / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         out.mkdir(exist_ok=True)
         for name in [*outputs, "manifest.json"]:
             os.replace(stage / name, out / name)
@@ -522,13 +591,17 @@ def _cmd_run(args) -> int:
         cfg["seed"] = args.seed
     cfg.setdefault("seed", 0)
     out = _out_dir(args, cfg)
-    try:
-        outputs = run_experiment(cfg, out)
-    # MemoryError: too large to allocate; ArithmeticError: float overflow,
-    # division by zero or a non-finite JSON value from a valid config's numbers
-    except (SingularFimError, MemoryError, ArithmeticError) as exc:
-        print(f"numeric failure in {cfg['experiment']}: {exc or 'out of memory'}", file=sys.stderr)
-        return 3
+    # a failed run's one stderr line is its failure; its warnings show only on success
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            outputs = run_experiment(cfg, out)
+        # MemoryError: too large to allocate; ArithmeticError: float overflow,
+        # division by zero or a non-finite JSON value from a valid config's numbers
+        except (SingularFimError, MemoryError, ArithmeticError) as exc:
+            print(f"numeric failure in {cfg['experiment']}: {exc or 'out of memory'}", file=sys.stderr)
+            return 3
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
     for name in outputs:
         print(out / name)
     return 0

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alloc import (
-    OfdmParams, ResourceAllocation, VirtualAperture, _check_number, _write_csv, difference_set
-)
+from .alloc import OfdmParams, ResourceAllocation, VirtualAperture, _check_number, difference_set
 from .scene import SPEED_OF_LIGHT
 from .synth import FreqGrid
 
@@ -75,9 +73,6 @@ class Periodogram:
     @property
     def argmax_bin(self) -> int:
         return int(np.argmax(self.values))
-
-    def to_csv(self, path, comment: str | None = None) -> None:
-        _write_csv(path, ["axis_value", "magnitude"], [self.axis, self.values], comment)
 
 
 @dataclass(frozen=True)
@@ -133,23 +128,10 @@ class PeakList:
 
     peaks: tuple[Peak, ...]
     requested: int
-    domain: str
 
     @property
     def complete(self) -> bool:
         return len(self.peaks) >= self.requested
-
-    def to_csv(self, path) -> None:
-        ranks = range(1, len(self.peaks) + 1)
-        values = [p.refined_axis_value for p in self.peaks]
-        magnitudes = [p.magnitude for p in self.peaks]
-        if self.domain == "doppler":
-            header = ["rank", "doppler_hz", "magnitude"]
-            columns = [ranks, values, magnitudes]
-        else:
-            header = ["rank", "delay_s", "range_m", "magnitude"]
-            columns = [ranks, values, [v * SPEED_OF_LIGHT / 2.0 for v in values], magnitudes]
-        _write_csv(path, header, columns)
 
 
 def _symbol_sum(grid: FreqGrid) -> np.ndarray:
@@ -376,7 +358,7 @@ def detect_peaks(p: Periodogram, k: int = 1, min_separation: int = 1) -> PeakLis
                 magnitude=float(v[idx]),
             )
         )
-    return PeakList(peaks=tuple(peaks), requested=k, domain=p.domain)
+    return PeakList(peaks=tuple(peaks), requested=k)
 
 
 def _noncoherent_profile(grid: FreqGrid, q_bins: int) -> np.ndarray:

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alloc import OfdmParams, ResourceAllocation
+from .alloc import OfdmParams, ResourceAllocation, _check_fits
 from .scene import Scene, delay_doppler
 
 __all__ = ["FreqGrid", "synthesize", "measure_snr"]
@@ -85,12 +85,7 @@ class FreqGrid:
     seed_ss: np.random.SeedSequence | None = None
 
     def __post_init__(self):
-        shape = (self.alloc.n_symbols, self.alloc.n_subcarriers)
-        if shape != (self.params.n_symbols, self.params.n_subcarriers):
-            raise ValueError(
-                f"allocation shape {shape} does not match params "
-                f"({self.params.n_symbols}, {self.params.n_subcarriers})"
-            )
+        _check_fits(self.alloc, self.params)
         n_cells = int(self.alloc.starts[-1])
         if self.active.shape != (n_cells,):
             raise ValueError(
@@ -388,8 +383,7 @@ def synthesize(scene: Scene, alloc: ResourceAllocation, params: OfdmParams, seed
     (target phases, then noise), so the noiseless twin of a grid shares its
     phase draws.
     """
-    if alloc.n_symbols != params.n_symbols or alloc.n_subcarriers != params.n_subcarriers:
-        raise ValueError("allocation dimensions do not match params")
+    _check_fits(alloc, params)
     if alloc.is_constant:
         rows, cols = np.arange(params.n_symbols)[:, None], alloc.indices
     else:

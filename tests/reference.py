@@ -11,6 +11,7 @@ operations in the same order, to round-off where it does not.
 """
 import cmath
 import csv
+import dataclasses
 import math
 from collections import Counter
 
@@ -234,8 +235,9 @@ def brute_force_fim_terms(alloc, params):
 def crlb_delay_constant(indices, params, n_symbols, amplitude, noise_var):
     """Symbol-constant special case: the one-symbol CRLB of the index set,
     divided by the number of symbols."""
+    one_params = dataclasses.replace(params, n_symbols=1)
     one = si.ResourceAllocation.constant(indices, 1, params.n_subcarriers)
-    return si.crlb_delay(one, params, amplitude, noise_var) / n_symbols
+    return si.crlb_delay(one, one_params, amplitude, noise_var) / n_symbols
 
 
 def lag_sum_ambiguity(alloc, params, delays, dopplers):

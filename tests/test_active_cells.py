@@ -286,9 +286,21 @@ class TestConstructor:
 
     @pytest.mark.parametrize("m, n", [(4, N), (2, N), (3, N + 1)])
     def test_rejects_allocation_params_mismatch(self, m, n):
+        """Every entry point that reads an allocation against params checks
+        that it spans the params' grid, with one message."""
         alloc = si.ResourceAllocation.constant(np.arange(9), m, n)
-        with pytest.raises(ValueError, match="does not match params"):
-            si.FreqGrid(np.zeros(9 * m, complex), alloc, self.params, noise_variance=0.0)
+        scene = si.Scene(targets=(si.Target(distance_m=50.0, amplitude=1.0),), snr_db=0.0)
+        axis = np.zeros(3)
+        message = rf"allocation shape \({m}, {n}\) does not match params \(3, {N}\)"
+        for call in (
+            lambda: si.FreqGrid(np.zeros(9 * m, complex), alloc, self.params, noise_variance=0.0),
+            lambda: si.synthesize(scene, alloc, self.params, seed=1),
+            lambda: si.fim_single_target(alloc, self.params, 1.0, 1.0),
+            lambda: si.crlb_delay(alloc, self.params, 1.0, 1.0),
+            lambda: si.ambiguity_function(alloc, self.params, axis, axis),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
 
     def test_active_read_only(self):
         alloc = si.make_allocation(self.params, "random", n_active=9, seed=3)

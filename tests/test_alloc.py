@@ -446,16 +446,6 @@ class TestDifferenceSet:
         assert np.array_equal(ap.lags[::-1], -ap.lags)
         assert np.array_equal(ap.pair_counts[::-1], ap.pair_counts)
 
-    def test_csv_export(self, tmp_path):
-        alloc = si.ResourceAllocation.constant([0, 1, 4, 6], 1, 7)
-        ap = si.difference_set(alloc)
-        path = tmp_path / "aperture.csv"
-        ap.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "lag,pair_count"
-        assert len(lines) == 1 + ap.n_lags
-        assert lines[1] == "-6,1"
-
 
 class TestCoverageFraction:
     def test_perfect_set_full_coverage(self):

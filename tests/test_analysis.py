@@ -11,6 +11,7 @@ from sparse_isac.analysis import (
     common_exclusion_halfwidth,
     monte_carlo_sweep,
 )
+from sparse_isac.cli import _exp_rmse_pslr_sweep, _write_csv
 from sparse_isac.synth import _ROW_BLOCK
 
 C = si.SPEED_OF_LIGHT
@@ -412,9 +413,9 @@ class TestMonteCarloSweep:
         assert cfg.scenes[1].targets == cfg.targets
 
     def test_csv_round_trip_shape(self, tmp_path):
-        res = monte_carlo_sweep(self.tiny_config(snr_db_axis=(0.0, 5.0)))
+        table = _exp_rmse_pslr_sweep(self.tiny_config(snr_db_axis=(0.0, 5.0)))["sweep.csv"]
         path = tmp_path / "sweep.csv"
-        res.to_csv(path)
+        _write_csv(path, *table)
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("#")
         assert lines[1] == "snr_db,method,rmse_m,rmse_ci,pslr_db,pslr_ci,miss_rate,trials"

@@ -1,12 +1,14 @@
-"""Exact bytes of every CSV artifact writer on tiny fixed inputs.
+"""Exact bytes of the CLI's CSV artifacts on tiny fixed inputs.
 
-The writers' inputs are built from hand-picked floats (no FFT, no BLAS),
-so the expected text pins the artifact format itself: the optional
-`# comment` line, the header, the `.12g` floats, integer columns and the
-row order.  The CLI artifacts come from three toy runs: their CSV text is
+The demo and sweep runners lay out results built from hand-picked floats
+(no FFT, no BLAS), so the expected text pins the artifact format itself:
+the `# comment` line, the header, the `.12g` floats, integer columns and
+the row order.  The other artifacts come from toy runs: their CSV text is
 pinned exactly and manifest.json by SHA-256.  crlb_random.json prints
 full-precision floats, whose last digits follow the BLAS summation order,
-so only its .12g rendering is pinned.
+so only its .12g rendering is pinned.  The demo and sweep toy runs pin
+only manifest.json, whose `outputs` list the artifacts in order, since
+their CSV cells follow FFT round-off.
 """
 import contextlib
 import hashlib
@@ -36,32 +38,38 @@ def periodogram():
     )
 
 
+def demo_result():
+    cfg = si.TwoTargetDemoConfig(params=PARAMS, n_active=4, n_runs=3)
+    return si.TwoTargetDemoResult(
+        config=cfg,
+        direct_success=np.array([True, False, False]),
+        virtual_success=np.array([True, True, False]),
+        example_direct=periodogram(),
+        example_virtual=periodogram(),
+    )
+
+
 @pytest.fixture
 def written(tmp_path):
-    """Text a writer produces: written(write) calls write(path) and reads the bytes back."""
+    """Text of one artifact a runner returns: written(artifacts, name)
+    writes artifacts[name] with the CLI's writer and reads the bytes back."""
 
-    def run(write) -> str:
-        path = tmp_path / "artifact.csv"
-        write(path)
+    def run(artifacts, name) -> str:
+        path = tmp_path / name
+        cli._write_csv(path, *artifacts[name])
         return path.read_bytes().decode()
 
     return run
 
 
-def test_virtual_aperture_csv(written):
-    alloc = si.make_allocation(PARAMS, "custom", indices=[0, 1, 4, 6])
-    text = written(si.difference_set(alloc).to_csv)
-    assert text == (
-        "lag,pair_count\r\n"
-        "-6,1\r\n-5,1\r\n-4,1\r\n-3,1\r\n-2,1\r\n-1,1\r\n0,4\r\n"
-        "1,1\r\n2,1\r\n3,1\r\n4,1\r\n5,1\r\n6,1\r\n"
-    )
-
-
-@pytest.mark.parametrize("comment", [None, "snr_definition=per_active_re"])
-def test_periodogram_csv(written, comment):
-    text = written(lambda path: periodogram().to_csv(path, comment=comment))
-    assert text == ("" if comment is None else f"# {comment}\n") + (
+@pytest.mark.parametrize("comment", ["snr_definition=per_active_re"])
+def test_periodogram_csv(written, monkeypatch, comment):
+    result = demo_result()
+    monkeypatch.setattr(cli, "two_target_demo", lambda cfg: result)
+    artifacts = cli._exp_two_target_demo(result.config)
+    text = written(artifacts, "demo_direct_periodogram.csv")
+    assert written(artifacts, "demo_virtual_periodogram.csv") == text
+    assert text == f"# {comment}\n" + (
         "axis_value,magnitude\r\n"
         "0,0\r\n"
         "2.5e-09,0.142857142857\r\n"
@@ -70,26 +78,7 @@ def test_periodogram_csv(written, comment):
     )
 
 
-def test_peak_list_csv(written):
-    peaks = (
-        si.Peak(bin_index=3, axis_value=1e-6, refined_axis_value=1.0 / 3.0 * 1e-6, magnitude=2.0 / 3.0),
-        si.Peak(bin_index=9, axis_value=2e-6, refined_axis_value=2e-6, magnitude=1e-12),
-    )
-    delay = si.PeakList(peaks=peaks, requested=3, domain="delay")
-    doppler = si.PeakList(peaks=peaks, requested=2, domain="doppler")
-    assert written(delay.to_csv) == (
-        "rank,delay_s,range_m,magnitude\r\n"
-        "1,3.33333333333e-07,49.9654096667,0.666666666667\r\n"
-        "2,2e-06,299.792458,1e-12\r\n"
-    )
-    assert written(doppler.to_csv) == (
-        "rank,doppler_hz,magnitude\r\n"
-        "1,3.33333333333e-07,0.666666666667\r\n"
-        "2,2e-06,1e-12\r\n"
-    )
-
-
-def test_sweep_result_csv(written):
+def test_sweep_result_csv(written, monkeypatch):
     cfg = si.SweepConfig(
         params=PARAMS, n_active=4, snr_db_axis=(0.0, 12.5, float("inf")),
         methods=("nested", "direct_sparse"), n_trials=3,
@@ -108,7 +97,8 @@ def test_sweep_result_csv(written):
         pslr_samples={},
         error_samples={},
     )
-    assert written(result.to_csv) == (
+    monkeypatch.setattr(cli, "monte_carlo_sweep", lambda cfg: result)
+    assert written(cli._exp_rmse_pslr_sweep(cfg), "sweep.csv") == (
         "# snr_definition=per_active_re\n"
         "snr_db,method,rmse_m,rmse_ci,pslr_db,pslr_ci,miss_rate,trials\r\n"
         "0,direct_sparse,nan,nan,3,0.5,1,3\r\n"
@@ -120,16 +110,10 @@ def test_sweep_result_csv(written):
     )
 
 
-def test_two_target_demo_csv(written):
-    cfg = si.TwoTargetDemoConfig(params=PARAMS, n_active=4, n_runs=3)
-    result = si.TwoTargetDemoResult(
-        config=cfg,
-        direct_success=np.array([True, False, False]),
-        virtual_success=np.array([True, True, False]),
-        example_direct=periodogram(),
-        example_virtual=periodogram(),
-    )
-    assert written(result.to_csv) == (
+def test_two_target_demo_csv(written, monkeypatch):
+    result = demo_result()
+    monkeypatch.setattr(cli, "two_target_demo", lambda cfg: result)
+    assert written(cli._exp_two_target_demo(result.config), "demo_runs.csv") == (
         "# snr_definition=per_active_re\n"
         "run,direct_both_detected,virtual_both_detected\r\n"
         "0,1,1\r\n1,0,1\r\n2,0,0\r\n"
@@ -141,7 +125,8 @@ TOY_OFDM = {
     "carrier_freq_hz": 24e9, "cp_len_s": 0.0,
 }
 
-# Toy runs: expected CSV text, and the SHA-256 of manifest.json.  Delays
+# Toy runs: expected CSV text (none for the demo and the sweep, whose cells
+# follow FFT round-off), and the SHA-256 of manifest.json.  Delays
 # and Dopplers sit between the bins, so no cell of the surface is an
 # analytic zero that round-off would print as noise digits.
 CLI_RUNS = {
@@ -226,16 +211,34 @@ CLI_RUNS = {
         },
         "494dbe3d93058f0d4260a9392e7f0fa5305098524461a92a598e5f046023c71c",
     ),
+    "two_target_demo": (
+        {"experiment": "two_target_demo", "seed": 1, "ofdm": TOY_OFDM, "n_active": 8, "runs": 2},
+        {},
+        "7f27fe8766d2b19b134777085d9b46c3d11479e3eb6bfc969bf276691307cf0b",
+    ),
+    "rmse_pslr_sweep": (
+        {
+            "experiment": "rmse_pslr_sweep", "seed": 1, "ofdm": TOY_OFDM, "n_active": 4,
+            "snr_db_axis": [0.0, 10.0], "trials": 2,
+            "methods": ["direct_sparse", "autocorrelation", "nested"],
+        },
+        {},
+        "166eec38525dcedbbf7ff5113451d3324d28592b5c7fca5d8c14904aab765ee2",
+    ),
 }
 
 
 def run_toy(cfg, directory):
-    """Run one toy config through `cli.main` into directory/out."""
+    """Run one toy config through `cli.main` into directory/out; stdout
+    must list the artifact paths in the order of manifest.json."""
     directory.mkdir(exist_ok=True)
     path, out = directory / "cfg.json", directory / "out"
     path.write_text(json.dumps(cfg))
-    with contextlib.redirect_stdout(io.StringIO()):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert stdout.getvalue().splitlines() == [str(out / name) for name in outputs]
     return out
 
 

@@ -654,15 +654,30 @@ TOY = {
 )
 def test_non_finite_spectrum_is_a_numeric_failure(tmp_path, experiment, path, value):
     """A valid config whose numbers overflow into a NaN or infinite
-    periodogram exits 3 and writes nothing, not a run of NaN cells."""
+    periodogram exits 3 and writes nothing, not a run of NaN cells.  Its
+    alias and overflow warnings are dropped: run as a subprocess, under
+    Python's default warning display, stderr holds the failure's one line."""
     path, out = write_config(tmp_path, mutated(experiment, path, value, TOY)), tmp_path / "out"
     assert main_in_process("validate", "--config", path) == (0, "", "")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # alias and overflow warnings: the one stderr line is the failure's
-        code, stdout, err = main_in_process("run", "--config", path, "--out", out)
-    assert (code, stdout) == (3, "")
+    proc = run_cli("run", "--config", str(path), "--out", str(out))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    err = proc.stderr
     assert err.startswith(f"numeric failure in {experiment}: ") and err.count("\n") == 1, err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_successful_run_shows_its_warnings(tmp_path):
+    """A run that succeeds shows the warnings it raised, as Python shows them."""
+    cfg = mutated("two_target_demo", ["distances_m"], [2000, 330], TOY)
+    path, out = write_config(tmp_path, cfg), tmp_path / "out"
+    proc = run_cli("run", "--config", str(path), "--out", str(out))
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == [
+        str(out / name) for name in json.loads((out / "manifest.json").read_text())["outputs"]
+    ]
+    warning, source = proc.stderr.splitlines()
+    assert re.search(r"analysis\.py:\d+: UserWarning: target at 2000(\.0)? m .* it will alias$", warning)
+    assert source.startswith("  grid = synthesize(")
 
 
 def documented_non_finite_cells() -> dict[str, str]:

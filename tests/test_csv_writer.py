@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 import sparse_isac as si
 from reference import write_csv_rows
 from sparse_isac import cli
-from sparse_isac.alloc import _write_csv
+from sparse_isac.cli import _write_csv
 
 EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-300, 1e300, -1e300, 1.0 / 3.0]
 
@@ -90,9 +90,10 @@ def test_desk_ambiguity_matches_row_reference(tmp_path):
     alloc = si.make_allocation(params, "random", n_active=64, seed=5)
     got = tmp_path / "got"
     got.mkdir()
-    assert cli._exp_ambiguity(alloc, params, got) == [
-        "ambiguity.csv", "ambiguity_delay_cut.csv"
-    ]
+    artifacts = cli._exp_ambiguity(alloc, params)
+    assert list(artifacts) == ["ambiguity.csv", "ambiguity_delay_cut.csv"]
+    for name, table in artifacts.items():
+        _write_csv(got / name, *table)
 
     delay_bin = 1.0 / (params.n_subcarriers * params.subcarrier_spacing_hz)
     doppler_bin = 1.0 / (params.n_symbols * params.symbol_dur_s)

@@ -505,29 +505,6 @@ class TestDetectPeaks:
         pk = peaks.peaks[0]
         assert abs(pk.refined_axis_value - pk.axis_value) <= p.bin_width
 
-    def test_csv_export(self, tmp_path):
-        p = self.delta_spectrum(64, [(10, 1.0), (40, 0.5)])
-        peaks = si.detect_peaks(p, k=2, min_separation=4)
-        path = tmp_path / "peaks.csv"
-        peaks.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "rank,delay_s,range_m,magnitude"
-        assert len(lines) == 3
-
-    def test_csv_export_doppler_domain(self, tmp_path):
-        params = make_params(n=32, m=16)
-        alloc = si.make_allocation(params, "full")
-        t = si.Target(distance_m=100.0, velocity_mps=10.0, amplitude=1.0)
-        p = si.doppler_periodogram(noiseless_grid(params, alloc, (t,)))
-        peaks = si.detect_peaks(p, k=1)
-        path = tmp_path / "doppler_peaks.csv"
-        peaks.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "rank,doppler_hz,magnitude"
-        rank, doppler, _ = lines[1].split(",")
-        assert rank == "1"
-        assert float(doppler) == pytest.approx(peaks.peaks[0].refined_axis_value)
-
 
 class TestDopplerPeriodogram:
     def test_static_target_peaks_at_zero(self):
