@@ -11,6 +11,7 @@ only manifest.json, whose `outputs` list the artifacts in order, since
 their CSV cells follow FFT round-off.
 """
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -75,6 +76,37 @@ def test_periodogram_csv(written, monkeypatch, comment):
         "2.5e-09,0.142857142857\r\n"
         "0.333333333333,12345678.9012\r\n"
         "1000,1e-300\r\n"
+    )
+
+
+def test_demo_periodograms_keep_their_sides(written, monkeypatch):
+    """Each example periodogram of the demo goes to its own method's file."""
+    virtual = si.Periodogram(
+        axis=AXIS.copy(), values=VALUES[::-1].copy(), domain="delay", method="autocorrelation",
+        oversample=1, params=PARAMS,
+    )
+    result = dataclasses.replace(demo_result(), example_virtual=virtual)
+    monkeypatch.setattr(cli, "two_target_demo", lambda cfg: result)
+    artifacts = cli._exp_two_target_demo(result.config)
+    assert written(artifacts, "demo_direct_periodogram.csv").endswith("\r\n1000,1e-300\r\n")
+    assert written(artifacts, "demo_virtual_periodogram.csv") == (
+        "# snr_definition=per_active_re\n"
+        "axis_value,magnitude\r\n"
+        "0,1e-300\r\n"
+        "2.5e-09,12345678.9012\r\n"
+        "0.333333333333,0.142857142857\r\n"
+        "1000,0\r\n"
+    )
+
+
+def test_two_target_demo_summary_csv(written, monkeypatch):
+    result = demo_result()
+    monkeypatch.setattr(cli, "two_target_demo", lambda cfg: result)
+    assert written(cli._exp_two_target_demo(result.config), "demo_summary.csv") == (
+        "# snr_definition=per_active_re\n"
+        "method,both_detected_rate,runs\r\n"
+        "direct_sparse,0.333333333333,3\r\n"
+        "autocorrelation,0.666666666667,3\r\n"
     )
 
 

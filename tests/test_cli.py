@@ -680,6 +680,39 @@ def test_successful_run_shows_its_warnings(tmp_path):
     assert source.startswith("  grid = synthesize(")
 
 
+def test_failed_run_raises_no_warning(tmp_path):
+    """In process too, a numeric failure's warnings stay inside `main`: a
+    caller that records every warning sees none, only the failure line."""
+    cfg = mutated("two_target_demo", ["ofdm", "carrier_freq_hz"], 1e308, TOY)
+    path = write_config(tmp_path, cfg)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, stdout, err = main_in_process("run", "--config", path, "--out", tmp_path / "out")
+    assert (code, stdout, seen) == (3, "", [])
+    assert err.startswith("numeric failure in two_target_demo: ") and err.count("\n") == 1, err
+
+
+def test_run_writes_the_runner_artifacts_in_order(tmp_path, monkeypatch):
+    """A runner's tables are written as CSV and its other artifacts as
+    JSON, each under its name, and manifest.json and stdout list them in
+    the runner's order."""
+    artifacts = {
+        "b.csv": (["x", "y"], [np.array([0.5, 2.0]), ["p", "q"]], "note=1"),
+        "a.json": {"value": 1.5},
+        "c.csv": (["n"], [[3]]),
+    }
+    monkeypatch.setattr(cli, "_build", lambda cfg: lambda: artifacts)
+    path, out = write_config(tmp_path, TINY["crlb_table"]), tmp_path / "out"
+    code, stdout, err = main_in_process("run", "--config", path, "--out", out)
+    assert (code, err) == (0, "")
+    assert stdout.splitlines() == [str(out / name) for name in artifacts]
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == list(artifacts)
+    assert sorted(p.name for p in out.iterdir()) == ["a.json", "b.csv", "c.csv", "manifest.json"]
+    assert (out / "b.csv").read_bytes() == b"# note=1\nx,y\r\n0.5,p\r\n2,q\r\n"
+    assert (out / "a.json").read_text() == '{\n  "value": 1.5\n}\n'
+    assert (out / "c.csv").read_bytes() == b"n\r\n3\r\n"
+
+
 def documented_non_finite_cells() -> dict[str, str]:
     """{CSV column: "NaN" or "+inf"}: the cells that the exit-code paragraph
     of the cli docstring lets a successful run leave non-finite."""
