@@ -21,8 +21,6 @@ __all__ = [
     "HoleFillCurve",
     "make_allocation",
     "difference_set",
-    "coverage_fraction",
-    "hole_fill_probability",
     "hole_fill_curve",
     "nested_params_for",
 ]
@@ -436,29 +434,9 @@ def difference_set(alloc: ResourceAllocation) -> VirtualAperture:
     )
 
 
-def coverage_fraction(aperture: VirtualAperture, n_subcarriers: int) -> float:
-    """Fraction of the full lag range -(N-1)..N-1 the aperture covers."""
-    return aperture.n_lags / (2 * n_subcarriers - 1)
-
-
 def _binomial_halfwidth(p_hat, n: int):
     # normal-approximation 95% half width, elementwise
     return 1.96 * np.sqrt(np.maximum(p_hat * (1.0 - p_hat), 0.0) / n)
-
-
-def hole_fill_probability(
-    n_subcarriers: int,
-    n_active: int,
-    lag: int,
-    n_trials: int = 1000,
-    seed=None,
-) -> tuple[float, float]:
-    """Monte-Carlo probability that `lag` appears in a random difference set,
-    and its 95% binomial half-width: `hole_fill_curve` read at `lag`."""
-    _check_number("n_subcarriers", n_subcarriers, integer=True, minimum=2)
-    _check_number("lag", lag, integer=True, minimum=1, maximum=n_subcarriers - 1)
-    curve = hole_fill_curve(n_subcarriers, n_active, n_trials, seed)
-    return float(curve.fill_probability[lag - 1]), float(curve.fill_halfwidth[lag - 1])
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,11 @@ from .scene import SPEED_OF_LIGHT, LinkBudget, Scene, Target
 from .synth import _symbol_sum_row, synthesize
 from .estimators import (
     Periodogram,
+    _symbol_sum,
     _zero_fill,
     build_virtual_signal,
     detect_peaks,
     virtual_periodogram,
-    zero_fill_periodogram,
 )
 
 __all__ = [
@@ -59,7 +59,9 @@ __all__ = [
 # whatever the method subset, so each method's stream does not depend on
 # which others were requested.  Slot 0 draws the random allocation that
 # slot 1's grid uses; methods sharing a slot share the grid, which pairs
-# the direct_sparse/autocorrelation comparison.
+# the direct_sparse/autocorrelation comparison.  Zero-fill reads a slot's
+# symbol sum and the virtual aperture its grid's CPI lag means
+# (FreqGrid.cpi_lags); the per-symbol lag products are the tests' reference.
 _SWEEP_TABLE = {
     "full_bandwidth": (2, False),
     "equivalent_bandwidth": (3, False),
@@ -67,11 +69,10 @@ _SWEEP_TABLE = {
     "autocorrelation": (1, True),
     "nested": (4, True),
 }
-# Slots no virtual method reads (2 and 3, constant allocations) go through
-# zero-fill only, which reads only their symbol sum: _symbol_sum_row draws
-# that row directly.  The rule reads the table, not the requested subset, so
-# no method's noise stream depends on which others were requested.
-_SUMMED_SLOTS = {s for s, _ in _SWEEP_TABLE.values()} - {s for s, v in _SWEEP_TABLE.values() if v}
+# Slots a virtual method reads (1 and 4): _draw synthesizes only their grids.
+# The rule reads the table, not the requested subset, so no method's noise
+# stream depends on which others were requested.
+_VIRTUAL_SLOTS = {s for s, v in _SWEEP_TABLE.values() if v}
 SWEEP_METHODS = tuple(_SWEEP_TABLE)
 
 
@@ -380,12 +381,26 @@ class SweepResult:
     error_samples: dict[str, list[np.ndarray]]
 
 
-def _delay_periodogram(grid, virtual: bool, oversample: int) -> Periodogram:
-    """Delay periodogram of a grid, read through its virtual aperture or zero-filled."""
+def _draw(scene: Scene, alloc: ResourceAllocation, params: OfdmParams, seed, virtual: bool):
+    """The statistics of one slot's grid: (alloc, symbol-sum row, grid).
+
+    A slot a virtual method reads is synthesized, and the row is its symbol
+    sum.  Zero-fill alone reads any other slot, so _symbol_sum_row draws its
+    row directly (same phases, other noise draws) and the grid is None.
+    """
+    # one call site: an aliasing target warns once per sweep or demo, not per draw
+    drawn = (synthesize if virtual else _symbol_sum_row)(scene, alloc, params, seed)
+    return (alloc, _symbol_sum(drawn), drawn) if virtual else (alloc, drawn, None)
+
+
+def _delay_periodogram(drawn, virtual: bool, params: OfdmParams, oversample: int) -> Periodogram:
+    """Delay periodogram of a _draw: its row zero-filled, or its grid's CPI
+    lag means read through the virtual aperture, computed on this first read."""
+    alloc, row, grid = drawn
     if virtual:
         vs, _ = build_virtual_signal(grid)
-        return virtual_periodogram(vs, grid.params, oversample=oversample)
-    return zero_fill_periodogram(grid, oversample=oversample)
+        return virtual_periodogram(vs, params, oversample=oversample)
+    return _zero_fill(row, alloc, params, oversample)
 
 
 def _match_errors(
@@ -410,20 +425,15 @@ def _sweep_point(cfg: SweepConfig, scene: Scene, point_ss) -> dict:
 
     for _ in range(cfg.n_trials):  # one child at a time: the same seeds as spawn(n_trials)
         seeds = point_ss.spawn(1)[0].spawn(5)  # one per _SWEEP_TABLE slot
-        grids = {}
+        drawn = {}
         for method in cfg.methods:
             slot, virtual = _SWEEP_TABLE[method]
-            if slot not in grids:  # a seed-independent allocation, or this trial's draw
+            if slot not in drawn:  # a seed-independent allocation, or this trial's draw
                 alloc = cfg._allocations.get(method) or make_allocation(
                     params, "random", n_active=cfg.n_active, seed=seeds[0]
                 )
-                # one call site: an aliasing target warns once per sweep, not per draw
-                draw = _symbol_sum_row if slot in _SUMMED_SLOTS else synthesize
-                grids[slot] = draw(scene, alloc, params, seeds[slot])
-            if slot in _SUMMED_SLOTS:  # grids[slot] holds the symbol-sum row
-                p = _zero_fill(grids[slot], cfg._allocations[method], params, cfg.oversample)
-            else:
-                p = _delay_periodogram(grids[slot], virtual, cfg.oversample)
+                drawn[slot] = _draw(scene, alloc, params, seeds[slot], slot in _VIRTUAL_SLOTS)
+            p = _delay_periodogram(drawn[slot], virtual, params, cfg.oversample)
             halfwidth = common_exclusion_halfwidth(p)
             peaks = detect_peaks(p, k=len(cfg.targets), min_separation=2 * halfwidth)
             errors, misses = _match_errors(peaks, true_ranges, miss_tol_m)
@@ -634,8 +644,8 @@ def two_target_demo(cfg: TwoTargetDemoConfig) -> TwoTargetDemoResult:
     for i in range(cfg.n_runs):  # one child at a time, as in _sweep_point
         alloc_ss, grid_ss = master_ss.spawn(1)[0].spawn(2)
         alloc = make_allocation(params, "random", n_active=cfg.n_active, seed=alloc_ss)
-        grid = synthesize(scene, alloc, params, seed=grid_ss)
-        p_direct, p_virtual = (_delay_periodogram(grid, v, cfg.oversample) for v in (False, True))
+        drawn = _draw(scene, alloc, params, grid_ss, virtual=True)
+        p_direct, p_virtual = (_delay_periodogram(drawn, v, params, cfg.oversample) for v in (False, True))
         direct_ok[i] = _both_targets_detected(p_direct, true_ranges, tol_m)
         virtual_ok[i] = _both_targets_detected(p_virtual, true_ranges, tol_m)
         if example_direct is None:

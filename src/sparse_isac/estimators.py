@@ -11,6 +11,9 @@ Three estimators work off the same received grid:
   a signal on the difference set, coherent accumulation over the CPI
   suppresses the cross terms, and an inverse transform of the zero-filled
   lag axis yields a periodogram with the virtual resolution.
+
+The library reads the accumulated lags only, as the grid's CPI lag means
+(FreqGrid.cpi_lags); the per-symbol lag products are the tests' reference.
 """
 from __future__ import annotations
 
@@ -31,8 +34,6 @@ __all__ = [
     "PeakList",
     "zero_fill_periodogram",
     "ml_single_target",
-    "autocorrelate_symbol",
-    "accumulate_cpi",
     "build_virtual_signal",
     "virtual_periodogram",
     "detect_peaks",
@@ -96,7 +97,9 @@ class DelayEstimate:
 
 @dataclass(frozen=True)
 class VirtualSignal:
-    """Complex per-lag values on a virtual aperture.
+    """Complex per-lag values on a virtual aperture: the CPI mean of the
+    per-symbol lag products, read from the grid's CPI lag means (the
+    per-symbol products are the tests' reference).
 
     Conjugate-symmetric by construction: the value at -s is the conjugate
     of the value at s, and the zero lag is real and non-negative up to
@@ -105,8 +108,6 @@ class VirtualSignal:
 
     values: np.ndarray  # complex, aligned with aperture.lags
     aperture: VirtualAperture
-    accumulated: bool = False
-    n_symbols: int = 1
 
     def __post_init__(self):
         if self.values.shape != self.aperture.lags.shape:
@@ -228,45 +229,6 @@ def ml_single_target(
     )
 
 
-def _lag_products(rows: np.ndarray, aperture: VirtualAperture) -> np.ndarray:
-    """Per-row lag sums R[s] = sum_{i-j=s} Y[i] * conj(Y[j]) on the aperture
-    lags, normalized by the pair counts.  rows: (m, N) complex."""
-    f = np.fft.fft(rows, n=2 * aperture.n_subcarriers, axis=-1)
-    acf = np.fft.ifft(f * np.conj(f), axis=-1)  # the circular autocorrelation
-    return acf[..., np.mod(aperture.lags, acf.shape[-1])] / aperture.pair_counts
-
-
-def autocorrelate_symbol(
-    grid: FreqGrid, symbol: int, aperture: VirtualAperture
-) -> VirtualSignal:
-    """Virtual signal of one OFDM symbol.
-
-    For every available lag s the normalized sum of pair products
-    Y[i] conj(Y[j]) over index pairs with i - j = s; a noiseless single
-    target of amplitude A yields exactly A^2 e^{-j 2 pi df s tau} at every
-    lag, symbol by symbol (the Doppler phase cancels within a symbol).
-    """
-    vals = _lag_products(grid.row(symbol)[None, :], aperture)[0]
-    return VirtualSignal(values=vals, aperture=aperture, accumulated=False, n_symbols=1)
-
-
-def accumulate_cpi(signals: list[VirtualSignal] | tuple[VirtualSignal, ...]) -> VirtualSignal:
-    """Lag-wise mean of per-symbol virtual signals over the CPI."""
-    if len(signals) < 1:
-        raise ValueError("need at least one symbol to accumulate")
-    ap = signals[0].aperture
-    for s in signals[1:]:
-        if not np.array_equal(s.aperture.lags, ap.lags):
-            raise ValueError("virtual signals live on mismatched apertures")
-    stack = np.stack([s.values for s in signals], axis=0)
-    return VirtualSignal(
-        values=stack.mean(axis=0),
-        aperture=ap,
-        accumulated=True,
-        n_symbols=len(signals),
-    )
-
-
 def build_virtual_signal(grid: FreqGrid) -> tuple[VirtualSignal, VirtualAperture]:
     """Full virtual-resource pipeline for one grid.
 
@@ -274,18 +236,15 @@ def build_virtual_signal(grid: FreqGrid) -> tuple[VirtualSignal, VirtualAperture
     products, then coherent accumulation across the CPI.  Returns the
     accumulated virtual signal together with its aperture.
 
-    The CPI mean of the lag sums is kept on the grid (FreqGrid.cpi_lags,
-    whose route sparse_isac.synth picks), so this gathers it at the
-    aperture lags.  The per-symbol reference path is
-    accumulate_cpi([autocorrelate_symbol(grid, m, aperture) ...]), which
-    agrees with it up to float round-off.
+    The library reads only the accumulated lags: the CPI mean of the lag
+    sums is kept on the grid (FreqGrid.cpi_lags, whose route
+    sparse_isac.synth picks), and this gathers it at the aperture lags
+    over their pair counts.  The per-symbol lag products, averaged over the
+    symbols, are the tests' reference; they agree up to float round-off.
     """
     aperture = difference_set(grid.alloc)
     vals = grid.cpi_lags[np.mod(aperture.lags, 2 * grid.n_subcarriers)] / aperture.pair_counts
-    vs = VirtualSignal(
-        values=vals, aperture=aperture, accumulated=True, n_symbols=grid.n_symbols
-    )
-    return vs, aperture
+    return VirtualSignal(values=vals, aperture=aperture), aperture
 
 
 def virtual_periodogram(

@@ -108,18 +108,6 @@ class FreqGrid:
         the allocation varies per symbol."""
         return self.active.reshape(self.n_symbols, self.alloc.n_active)
 
-    def row(self, m: int) -> np.ndarray:
-        """Dense row m of `samples`, a new (N,) array built from that
-        symbol's active values only."""
-        m = range(self.n_symbols)[m]  # negative m counts from the end
-        out = np.zeros(self.n_subcarriers, dtype=self.active.dtype)
-        if self.alloc.is_constant:  # the one index set, not the (M*K,) `cols`
-            out[self.alloc.indices] = self.block[m]
-        else:
-            lo, hi = self.alloc.starts[m : m + 2]
-            out[self.alloc.cols[lo:hi]] = self.active[lo:hi]
-        return out
-
     @property
     def samples(self) -> np.ndarray:
         """Dense read-only (M, N) grid, zeros off the allocation.  Built anew

@@ -3,7 +3,8 @@
 Each function computes the plain way something that `sparse_isac`
 computes fast: a dense (M, N) view of a grid built from its allocation's
 index sets, whole-grid synthesis and every estimator's whole-grid formula
-on that view, brute-force enumerations of difference sets, lag products
+on that view, the per-symbol lag products that the virtual signal
+accumulates, brute-force enumerations of difference sets, lag products
 and Fisher sums, the per-trial hole-fill draw, the row-at-a-time CSV
 writer and the symbol-constant CRLB.  The tests compare the package with
 them: bit for bit (`bits`) where the fast path does the same float
@@ -171,6 +172,34 @@ def dense_virtual(grid, aperture):
     """The accumulated virtual signal: serial_cpi_lags at the aperture lags
     over their pair counts."""
     return serial_cpi_lags(grid)[np.mod(aperture.lags, 2 * grid.n_subcarriers)] / aperture.pair_counts
+
+
+def lag_products(rows, aperture):
+    """Per-row lag sums R[s] = sum_{i-j=s} Y[i] * conj(Y[j]) on the aperture
+    lags, normalized by the pair counts.  rows: (m, N) complex."""
+    f = np.fft.fft(rows, n=2 * aperture.n_subcarriers, axis=-1)
+    acf = np.fft.ifft(f * np.conj(f), axis=-1)  # the circular autocorrelation
+    return acf[..., np.mod(aperture.lags, acf.shape[-1])] / aperture.pair_counts
+
+
+def autocorrelate_symbol(grid, symbol, aperture):
+    """Virtual signal values of one OFDM symbol, on the aperture lags.
+
+    For every available lag s the normalized sum of pair products
+    Y[i] conj(Y[j]) over index pairs with i - j = s of the dense row; a
+    noiseless single target of amplitude A yields exactly
+    A^2 e^{-j 2 pi df s tau} at every lag, symbol by symbol (the Doppler
+    phase cancels within a symbol).
+    """
+    return lag_products(dense(grid)[symbol][None, :], aperture)[0]
+
+
+def accumulate_cpi(signals):
+    """Lag-wise mean of per-symbol virtual signal values over the CPI: the
+    per-symbol reference of build_virtual_signal."""
+    if len(signals) < 1:
+        raise ValueError("need at least one symbol to accumulate")
+    return np.stack(signals, axis=0).mean(axis=0)
 
 
 def dense_noncoherent_profile(grid, q_bins):

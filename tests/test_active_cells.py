@@ -25,7 +25,7 @@ from reference import (
     dense_virtual,
     dense_zero_fill,
 )
-from sparse_isac.estimators import _lag_products, _noncoherent_delay, _noncoherent_profile
+from sparse_isac.estimators import _noncoherent_delay, _noncoherent_profile
 from sparse_isac.synth import _ROW_BLOCK, _symbol_sum_row
 
 N = 40
@@ -101,25 +101,11 @@ class TestAgainstDenseGrid:
         rows, cols = np.nonzero(alloc_mask(grid.alloc))
         assert np.array_equal(grid.alloc.cols, cols)
         assert np.array_equal(grid.alloc.starts, np.searchsorted(rows, np.arange(grid.n_symbols + 1)))
-        for m in (0, 1, grid.n_symbols // 2, grid.n_symbols - 1, -1, -grid.n_symbols):
-            assert np.array_equal(bits(grid.row(m)), bits(samples[m]))
-        with pytest.raises(IndexError):
-            grid.row(grid.n_symbols)
         if grid.alloc.is_constant:
             assert np.array_equal(bits(grid.block), bits(samples[:, grid.alloc.indices]))
         else:
             with pytest.raises(ValueError, match="varies across symbols"):
                 grid.block
-
-    def test_autocorrelate_symbol(self, case):
-        _, grid = case
-        # every lag of the N subcarriers, so any allocation fits it
-        aperture = si.difference_set(si.ResourceAllocation.constant(np.arange(N), 1, N))
-        samples = dense(grid)
-        for m in (0, grid.n_symbols - 1, -1):
-            got = si.autocorrelate_symbol(grid, m, aperture).values
-            want = _lag_products(samples[m][None, :], aperture)[0]
-            assert np.array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("oversample", [1, 4])
     def test_zero_fill(self, case, oversample):
@@ -234,27 +220,9 @@ def test_readers_take_the_layout_from_the_allocation(pattern, monkeypatch):
     si.zero_fill_periodogram(grid)
     si.ml_single_target(grid)
     si.doppler_periodogram(grid)
-    every_lag = si.difference_set(si.ResourceAllocation.constant(np.arange(N), 1, N))
-    si.autocorrelate_symbol(grid, -1, every_lag)
     if alloc.is_constant:
         si.build_virtual_signal(grid)
         _symbol_sum_row(scene, alloc, params, seed=3)
-
-
-@pytest.mark.parametrize("pattern", ["full", "random", "nested", "per_symbol"])
-def test_every_row_is_the_dense_row(pattern, monkeypatch):
-    """row(m) for every m, negative m included; a constant allocation's row
-    reads its one index set, never the whole (M*K,) `cols`."""
-    params = make_params(_ROW_BLOCK + 3)
-    alloc = make_alloc(pattern, params)
-    target = si.Target(distance_m=120.0, velocity_mps=30.0, amplitude=1.0)
-    grid = si.synthesize(si.Scene(targets=(target,), snr_db=0.0), alloc, params, seed=5)
-    samples = dense(grid)
-    if alloc.is_constant:
-        no_cols = property(lambda self: pytest.fail("cols read"))
-        monkeypatch.setattr(si.ResourceAllocation, "cols", no_cols)
-    for m in range(-grid.n_symbols, grid.n_symbols):
-        assert np.array_equal(bits(grid.row(m)), bits(samples[m]))
 
 
 def test_synthesize_builds_no_dense_grid():

@@ -448,55 +448,57 @@ class TestDifferenceSet:
 
 
 class TestCoverageFraction:
+    """A full lag cover has no holes; two endpoints cover three lags."""
+
     def test_perfect_set_full_coverage(self):
         alloc = si.ResourceAllocation.constant([0, 1, 4, 6], 1, 7)
-        assert si.coverage_fraction(si.difference_set(alloc), 7) == 1.0
+        assert si.difference_set(alloc).holes.size == 0
 
     def test_full_allocation(self):
         p = make_params(16)
         ap = si.difference_set(si.make_allocation(p, "full"))
-        assert si.coverage_fraction(ap, 16) == 1.0
+        assert ap.holes.size == 0
 
     def test_endpoints_only(self):
         n = 20
         alloc = si.ResourceAllocation.constant([0, n - 1], 1, n)
         ap = si.difference_set(alloc)
-        assert si.coverage_fraction(ap, n) == pytest.approx(3 / (2 * n - 1))
+        assert ap.n_lags == 3
+
+
+def fill_at(curve, lag):
+    """(fill probability, 95% half-width) of a hole-fill curve at one lag."""
+    return curve.fill_probability[lag - 1], curve.fill_halfwidth[lag - 1]
 
 
 class TestHoleFillProbability:
     def test_full_cardinality_always_fills(self):
+        curve = si.hole_fill_curve(16, 16, n_trials=10, seed=0)
         for lag in (1, 7, 15):
-            p, hw = si.hole_fill_probability(16, 16, lag, n_trials=10, seed=0)
-            assert p == 1.0 and hw == 0.0
+            assert fill_at(curve, lag) == (1.0, 0.0)
 
     def test_endpoints_only_cardinality(self):
         n = 16
-        p, _ = si.hole_fill_probability(n, 2, n - 1, n_trials=50, seed=0)
-        assert p == 1.0
-        p, _ = si.hole_fill_probability(n, 2, 5, n_trials=50, seed=0)
-        assert p == 0.0
+        curve = si.hole_fill_curve(n, 2, n_trials=50, seed=0)
+        assert fill_at(curve, n - 1)[0] == 1.0
+        assert fill_at(curve, 5)[0] == 0.0
 
     def test_monotone_in_cardinality_within_bands(self):
         lag = 40
         prev_p, prev_hw = 0.0, 0.0
         for n_active in (8, 16, 32, 64, 128):
-            p, hw = si.hole_fill_probability(128, n_active, lag, n_trials=400, seed=11)
+            p, hw = fill_at(si.hole_fill_curve(128, n_active, n_trials=400, seed=11), lag)
             assert p + hw >= prev_p - prev_hw
             prev_p, prev_hw = p, hw
 
     def test_deterministic_per_seed(self):
-        a = si.hole_fill_probability(64, 12, 17, n_trials=200, seed=9)
-        b = si.hole_fill_probability(64, 12, 17, n_trials=200, seed=9)
+        a = fill_at(si.hole_fill_curve(64, 12, n_trials=200, seed=9), 17)
+        b = fill_at(si.hole_fill_curve(64, 12, n_trials=200, seed=9), 17)
         assert a == b
 
     def test_invalid_ranges(self):
         with pytest.raises(ValueError):
-            si.hole_fill_probability(16, 1, 3)
-        with pytest.raises(ValueError):
-            si.hole_fill_probability(16, 4, 16)
-        with pytest.raises(ValueError):
-            si.hole_fill_probability(16, 4, 0)
+            si.hole_fill_curve(16, 1)
 
     @pytest.mark.parametrize(
         "n_trials, error",
@@ -507,8 +509,6 @@ class TestHoleFillProbability:
         for n_active in (16, 64):  # a random subset, and the full band
             with pytest.raises(error, match="^n_trials: "):
                 si.hole_fill_curve(64, n_active, n_trials=n_trials, seed=0)
-            with pytest.raises(error, match="^n_trials: "):
-                si.hole_fill_probability(64, n_active, 5, n_trials=n_trials, seed=0)
 
     @pytest.mark.parametrize(
         "n, error", [(2.5, TypeError), (math.nan, TypeError), (True, TypeError), (1, ValueError)]
@@ -516,21 +516,12 @@ class TestHoleFillProbability:
     def test_rejects_bad_subcarrier_count(self, n, error):
         with pytest.raises(error, match="^n_subcarriers: "):
             si.hole_fill_curve(n, 2)
-        with pytest.raises(error, match="^n_subcarriers: "):
-            si.hole_fill_probability(n, 2, 1)
 
     def test_seed_sequence_seeds_like_its_int(self):
         a = si.hole_fill_curve(32, 6, n_trials=50, seed=7)
         b = si.hole_fill_curve(32, 6, n_trials=50, seed=np.random.SeedSequence(7))
         assert np.array_equal(a.fill_probability, b.fill_probability)
         assert a.all_filled_probability == b.all_filled_probability
-
-    def test_single_lag_is_the_curve_at_that_lag(self):
-        cases = ((64, 12, 17, 200, 9), (16, 2, 15, 30, 1), (16, 16, 3, 5, 2))
-        for n, k, lag, trials, seed in cases:
-            curve = si.hole_fill_curve(n, k, n_trials=trials, seed=seed)
-            p, hw = si.hole_fill_probability(n, k, lag, n_trials=trials, seed=seed)
-            assert (p, hw) == (curve.fill_probability[lag - 1], curve.fill_halfwidth[lag - 1])
 
     def test_curve_consistent_with_single_lag(self):
         curve = si.hole_fill_curve(64, 16, n_trials=300, seed=21)

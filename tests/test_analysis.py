@@ -12,6 +12,7 @@ from sparse_isac.analysis import (
     monte_carlo_sweep,
 )
 from sparse_isac.cli import _exp_rmse_pslr_sweep, _write_csv
+from sparse_isac import synth
 from sparse_isac.synth import _ROW_BLOCK
 
 C = si.SPEED_OF_LIGHT
@@ -353,10 +354,11 @@ class TestMonteCarloSweep:
     def test_only_zero_fill_slots_are_summed(self, monkeypatch):
         # slots 2 and 3 (full and equivalent band) are read through zero-fill
         # only, so only their symbol sum is drawn; slot 1 (the random draw)
-        # and slot 4 (nested) are synthesized per cell
-        cfg = self.tiny_config(snr_db_axis=(0.0,), methods=si.analysis.SWEEP_METHODS)
+        # and slot 4 (nested) are synthesized per cell.  A grid computes its
+        # CPI lag sums only when a virtual method reads them.
+        cfg = self.tiny_config(snr_db_axis=(0.0, 10.0), methods=si.analysis.SWEEP_METHODS)
         fixed = {id(a): m for m, a in cfg._allocations.items()}
-        calls = []
+        calls, lag_sums = [], []
 
         def spy(real, summed):
             def draw(scene, alloc, params, seed):
@@ -364,16 +366,34 @@ class TestMonteCarloSweep:
                 return real(scene, alloc, params, seed)
             return draw
 
+        kernel = synth._cpi_lags
+
+        def counted(grid):
+            lag_sums.append(fixed.get(id(grid.alloc), "random"))
+            return kernel(grid)
+
         monkeypatch.setattr(si.analysis, "synthesize", spy(si.analysis.synthesize, False))
         monkeypatch.setattr(si.analysis, "_symbol_sum_row", spy(si.analysis._symbol_sum_row, True))
+        monkeypatch.setattr(synth, "_cpi_lags", counted)
         monte_carlo_sweep(cfg)
-        assert len(calls) == 4 * cfg.n_trials
+        draws = cfg.n_trials * len(cfg.snr_db_axis)
+        assert len(calls) == 4 * draws
         assert set(calls) == {
             ("full_bandwidth", True),
             ("equivalent_bandwidth", True),
             ("random", False),
             ("nested", False),
         }
+        # two per trial and SNR point: slots 1 and 4
+        assert sorted(lag_sums) == ["nested"] * draws + ["random"] * draws
+
+        # direct_sparse reads slot 1, a virtual method's slot, so its grid is
+        # synthesized as before, but nothing reads its lag sums
+        calls.clear()
+        lag_sums.clear()
+        monte_carlo_sweep(self.tiny_config(snr_db_axis=(0.0, 10.0), methods=("direct_sparse",)))
+        assert calls == [("random", False)] * draws
+        assert lag_sums == []
 
     def test_invalid_method_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep method"):

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -12,10 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from sparse_isac import cli
+from sparse_isac import analysis, cli
 from sparse_isac.analysis import SingularFimError
 
 CLI = [sys.executable, "-m", "sparse_isac.cli"]
@@ -666,18 +665,39 @@ def test_non_finite_spectrum_is_a_numeric_failure(tmp_path, experiment, path, va
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
-def test_successful_run_shows_its_warnings(tmp_path):
-    """A run that succeeds shows the warnings it raised, as Python shows them."""
-    cfg = mutated("two_target_demo", ["distances_m"], [2000, 330], TOY)
-    path, out = write_config(tmp_path, cfg), tmp_path / "out"
+def draw_site_lines() -> list[int]:
+    """Lines of analysis.py whose code names synthesize or _symbol_sum_row."""
+    tree = ast.parse(Path(analysis.__file__).read_text())
+    names = ("synthesize", "_symbol_sum_row")
+    return sorted({n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in names})
+
+
+ALIASING = {  # a target at 2,000 m, past the 1,249 m unambiguous span
+    "two_target_demo": mutated("two_target_demo", ["distances_m"], [2000, 330], TOY),
+    "rmse_pslr_sweep": dict(
+        mutated("rmse_pslr_sweep", ["scene", "targets", 0, "distance_m"], 2000, TOY),
+        methods=list(analysis.SWEEP_METHODS),
+    ),
+}
+
+
+@pytest.mark.parametrize("experiment", ALIASING)
+def test_successful_run_shows_its_warnings(tmp_path, experiment):
+    """A run that succeeds shows the warnings it raised, as Python shows
+    them.  The demo and the sweep draw every grid from one line of
+    analysis.py, so an aliasing target warns once, from that line."""
+    path, out = write_config(tmp_path, ALIASING[experiment]), tmp_path / "out"
     proc = run_cli("run", "--config", str(path), "--out", str(out))
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == [
         str(out / name) for name in json.loads((out / "manifest.json").read_text())["outputs"]
     ]
     warning, source = proc.stderr.splitlines()
-    assert re.search(r"analysis\.py:\d+: UserWarning: target at 2000(\.0)? m .* it will alias$", warning)
-    assert source.startswith("  grid = synthesize(")
+    found = re.search(r"analysis\.py:(\d+): UserWarning: target at 2000(\.0)? m .* it will alias$", warning)
+    assert found, warning
+    (line,) = draw_site_lines()
+    assert int(found.group(1)) == line
+    assert source.strip() == Path(analysis.__file__).read_text().splitlines()[line - 1].strip()
 
 
 def test_failed_run_raises_no_warning(tmp_path):
@@ -766,8 +786,9 @@ MUTATIONS = [
 FIELDS = [(exp, path) for exp in TINY for path in leaf_paths(TINY[exp])]
 
 
-@settings(max_examples=300, deadline=None)
-@given(field=st.sampled_from(FIELDS), value=st.sampled_from(MUTATIONS))
+# every (field, value) pair; a value's id stops at 24 characters (10**400 has 401)
+@pytest.mark.parametrize("value", MUTATIONS, ids=lambda v: "DROP" if v is DROP else repr(v)[:24])
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"{f[0]}:{'.'.join(map(str, f[1]))}")
 def test_any_single_field_mutation_keeps_the_exit_code_contract(field, value):
     experiment, path = field
     if value is DROP and isinstance(path[-1], int):
