@@ -55,12 +55,13 @@ __all__ = [
 ]
 
 # Each sweep method maps to (trial-seed slot of its grid, read through the
-# virtual aperture?).  A trial spawns one seed per slot in a fixed layout,
-# whatever the method subset, so each method's stream does not depend on
-# which others were requested.  Slot 0 draws the random allocation that
-# slot 1's grid uses; methods sharing a slot share the grid, which pairs
-# the direct_sparse/autocorrelation comparison.  Zero-fill reads a slot's
-# symbol sum and the virtual aperture its grid's CPI lag means
+# virtual aperture?).  A trial (_trials) spawns one seed per slot in a fixed
+# layout, whatever the method subset, so each method's stream does not
+# depend on which others were requested.  Slot 0 draws the random
+# allocation that slot 1's grid uses; methods sharing a slot share the
+# grid, which pairs the direct_sparse/autocorrelation comparison, and the
+# two-target demo walks the same trials with that pair.  Zero-fill reads a
+# slot's symbol sum and the virtual aperture its grid's CPI lag means
 # (FreqGrid.cpi_lags); the per-symbol lag products are the tests' reference.
 _SWEEP_TABLE = {
     "full_bandwidth": (2, False),
@@ -69,7 +70,8 @@ _SWEEP_TABLE = {
     "autocorrelation": (1, True),
     "nested": (4, True),
 }
-# Slots a virtual method reads (1 and 4): _draw synthesizes only their grids.
+# Slots a virtual method reads (1 and 4): _trials synthesizes only their
+# grids, and sums a grid's symbols only for a zero-fill reader (slot 1).
 # The rule reads the table, not the requested subset, so no method's noise
 # stream depends on which others were requested.
 _VIRTUAL_SLOTS = {s for s, v in _SWEEP_TABLE.values() if v}
@@ -188,7 +190,8 @@ def pslr(p: Periodogram, mainlobe_halfwidth: int) -> float:
 
     Main peak magnitude over the largest magnitude outside the circular
     exclusion zone of +/- mainlobe_halfwidth bins around it.  A spectrum
-    that is zero outside the exclusion zone returns +inf.
+    that is zero outside the exclusion zone returns +inf; one that is zero
+    everywhere (a signal underflowed to 0) raises FloatingPointError.
     """
     v = p.values
     n = v.size
@@ -199,7 +202,7 @@ def pslr(p: Periodogram, mainlobe_halfwidth: int) -> float:
     main_idx = int(np.argmax(v))
     main = v[main_idx]
     if main <= 0.0:
-        raise ValueError("spectrum has no peak")
+        raise FloatingPointError(f"{p.method} {p.domain} spectrum is zero everywhere")
     offsets = np.arange(n)
     dist = np.abs((offsets - main_idx + n // 2) % n - n // 2)
     outside = v[dist > mainlobe_halfwidth]
@@ -381,28 +384,6 @@ class SweepResult:
     error_samples: dict[str, list[np.ndarray]]
 
 
-def _draw(scene: Scene, alloc: ResourceAllocation, params: OfdmParams, seed, virtual: bool):
-    """The statistics of one slot's grid: (alloc, symbol-sum row, grid).
-
-    A slot a virtual method reads is synthesized, and the row is its symbol
-    sum.  Zero-fill alone reads any other slot, so _symbol_sum_row draws its
-    row directly (same phases, other noise draws) and the grid is None.
-    """
-    # one call site: an aliasing target warns once per sweep or demo, not per draw
-    drawn = (synthesize if virtual else _symbol_sum_row)(scene, alloc, params, seed)
-    return (alloc, _symbol_sum(drawn), drawn) if virtual else (alloc, drawn, None)
-
-
-def _delay_periodogram(drawn, virtual: bool, params: OfdmParams, oversample: int) -> Periodogram:
-    """Delay periodogram of a _draw: its row zero-filled, or its grid's CPI
-    lag means read through the virtual aperture, computed on this first read."""
-    alloc, row, grid = drawn
-    if virtual:
-        vs, _ = build_virtual_signal(grid)
-        return virtual_periodogram(vs, params, oversample=oversample)
-    return _zero_fill(row, alloc, params, oversample)
-
-
 def _match_errors(
     peaks, true_ranges_m: np.ndarray, miss_tol_m: float
 ) -> tuple[list[float], int]:
@@ -414,66 +395,78 @@ def _match_errors(
     return errors, len(true_ranges_m) - len(errors)
 
 
-def _sweep_point(cfg: SweepConfig, scene: Scene, point_ss) -> dict:
+def _trials(
+    cfg: SweepConfig | TwoTargetDemoConfig, scene: Scene, methods, fixed: dict, n_trials: int, ss
+):
+    """Yield each trial's {method: delay Periodogram}, one trial at a time.
+
+    Trial i reads child i of `ss`, which spawns one seed per _SWEEP_TABLE
+    slot; slot 0 draws the random allocation of each method `fixed` does
+    not map.  A slot a virtual method reads is synthesized; any other has
+    its symbol sum drawn directly (_symbol_sum_row: same phases, other
+    noise draws).  A grid's symbol sum and lag sums are computed only when read.
+    """
     params = cfg.params
+    readers = {}  # slot: the requested methods that read it
+    for method in methods:
+        readers.setdefault(_SWEEP_TABLE[method][0], []).append(method)
+    for _ in range(n_trials):  # one child at a time: the same seeds as spawn(n_trials)
+        seeds = ss.spawn(1)[0].spawn(5)  # one per _SWEEP_TABLE slot
+        out = {}
+        for slot, slot_methods in readers.items():
+            alloc = fixed.get(slot_methods[0]) or make_allocation(
+                params, "random", n_active=cfg.n_active, seed=seeds[0]
+            )
+            seed, virtual = seeds[slot], slot in _VIRTUAL_SLOTS
+            # one call site: an aliasing target warns once per sweep or demo, not per draw
+            drawn = (synthesize if virtual else _symbol_sum_row)(scene, alloc, params, seed)
+            for method in slot_methods:
+                if _SWEEP_TABLE[method][1]:
+                    vs, _ = build_virtual_signal(drawn)
+                    out[method] = virtual_periodogram(vs, params, oversample=cfg.oversample)
+                else:
+                    row = _symbol_sum(drawn) if virtual else drawn
+                    out[method] = _zero_fill(row, alloc, params, cfg.oversample)
+        yield out
+
+
+def _sweep_point(cfg: SweepConfig, scene: Scene, point_ss) -> dict:
+    """Per method, the samples of one SNR point: (range errors of the
+    detected targets, PSLR of every trial, missed targets)."""
     true_ranges = np.array([t.distance_m for t in cfg.targets])
-    miss_tol_m = cfg.miss_threshold_bins * params.range_bin_m
-
-    per_method_err = {m: [] for m in cfg.methods}
-    per_method_pslr = {m: [] for m in cfg.methods}
-    per_method_miss = {m: 0 for m in cfg.methods}
-
-    for _ in range(cfg.n_trials):  # one child at a time: the same seeds as spawn(n_trials)
-        seeds = point_ss.spawn(1)[0].spawn(5)  # one per _SWEEP_TABLE slot
-        drawn = {}
-        for method in cfg.methods:
-            slot, virtual = _SWEEP_TABLE[method]
-            if slot not in drawn:  # a seed-independent allocation, or this trial's draw
-                alloc = cfg._allocations.get(method) or make_allocation(
-                    params, "random", n_active=cfg.n_active, seed=seeds[0]
-                )
-                drawn[slot] = _draw(scene, alloc, params, seeds[slot], slot in _VIRTUAL_SLOTS)
-            p = _delay_periodogram(drawn[slot], virtual, params, cfg.oversample)
+    miss_tol_m = cfg.miss_threshold_bins * cfg.params.range_bin_m
+    errs = {m: [] for m in cfg.methods}
+    pslrs = {m: [] for m in cfg.methods}
+    misses = dict.fromkeys(cfg.methods, 0)
+    for trial in _trials(cfg, scene, cfg.methods, cfg._allocations, cfg.n_trials, point_ss):
+        for method, p in trial.items():
             halfwidth = common_exclusion_halfwidth(p)
             peaks = detect_peaks(p, k=len(cfg.targets), min_separation=2 * halfwidth)
-            errors, misses = _match_errors(peaks, true_ranges, miss_tol_m)
-            per_method_err[method].extend(errors)
-            per_method_miss[method] += misses
-            per_method_pslr[method].append(pslr(p, halfwidth))
+            errors, missed = _match_errors(peaks, true_ranges, miss_tol_m)
+            errs[method].extend(errors)
+            misses[method] += missed
+            pslrs[method].append(pslr(p, halfwidth))
+    return {m: (np.array(errs[m]), np.array(pslrs[m]), misses[m]) for m in cfg.methods}
 
-    out = {}
-    n_truth = cfg.n_trials * len(cfg.targets)
-    for method in cfg.methods:
-        errs = np.array(per_method_err[method])
-        ps = np.array(per_method_pslr[method])
-        finite = ps[np.isfinite(ps)]
-        if errs.size:
-            mse = float(np.mean(errs**2))
-            rmse = math.sqrt(mse)
-            if errs.size > 1 and rmse > 0:
-                hw_mse = 1.96 * float(np.std(errs**2, ddof=1)) / math.sqrt(errs.size)
-                rmse_ci = hw_mse / (2.0 * rmse)
-            else:
-                rmse_ci = 0.0
-        else:
-            rmse, rmse_ci = math.nan, math.nan
-        if finite.size > 1:
-            pslr_mean = float(np.mean(finite))
-            pslr_ci = 1.96 * float(np.std(finite, ddof=1)) / math.sqrt(finite.size)
-        elif finite.size == 1:
-            pslr_mean, pslr_ci = float(finite[0]), 0.0
-        else:
-            pslr_mean, pslr_ci = math.inf, 0.0
-        out[method] = {
-            "rmse": rmse,
-            "rmse_ci": rmse_ci,
-            "pslr": pslr_mean,
-            "pslr_ci": pslr_ci,
-            "miss_rate": per_method_miss[method] / n_truth,
-            "pslr_samples": ps,
-            "error_samples": errs,
-        }
-    return out
+
+def _mean_ci(x: np.ndarray) -> tuple[float, float]:
+    """Mean of the samples and the 95% half-width of its confidence
+    interval: 0 for one sample, NaN for none."""
+    if x.size == 0:
+        return math.nan, math.nan
+    hw = 1.96 * float(np.std(x, ddof=1)) / math.sqrt(x.size) if x.size > 1 else 0.0
+    return float(np.mean(x)), hw
+
+
+def _aggregates(errs: np.ndarray, ps: np.ndarray, misses: int, n_truth: int) -> tuple:
+    """(rmse, rmse_ci, pslr, pslr_ci, miss_rate) of one method at one SNR
+    point.  The RMSE half-width is the MSE's over 2 RMSE (delta method); a
+    point with no finite PSLR sample reads +inf."""
+    mse, hw_mse = _mean_ci(errs**2)
+    rmse = math.sqrt(mse)
+    finite = ps[np.isfinite(ps)]
+    pslr_mean, pslr_ci = _mean_ci(finite) if finite.size else (math.inf, 0.0)
+    return rmse, hw_mse / (2.0 * rmse) if rmse > 0 else hw_mse, pslr_mean, pslr_ci, misses / n_truth
 
 
 # Fewest transform points (symbols x 2N) of a grid whose sweep runs its SNR
@@ -525,20 +518,18 @@ def monte_carlo_sweep(cfg: SweepConfig, threads: int | None = None) -> SweepResu
     else:
         points = [_sweep_point(cfg, scene, pss) for scene, pss in zip(cfg.scenes, point_seeds)]
 
-    def collect(key):
-        return {
-            m: np.array([pt[m][key] for pt in points]) for m in cfg.methods
-        }
-
+    n_truth = cfg.n_trials * len(cfg.targets)
+    fields = ("rmse_m", "rmse_ci_m", "pslr_db", "pslr_ci_db", "miss_rate")
+    aggregates = {f: {} for f in fields}
+    for m in cfg.methods:
+        columns = zip(*(_aggregates(*pt[m], n_truth) for pt in points))
+        for f, column in zip(fields, columns):
+            aggregates[f][m] = np.array(column)
     return SweepResult(
         config=cfg,
-        rmse_m=collect("rmse"),
-        rmse_ci_m=collect("rmse_ci"),
-        pslr_db=collect("pslr"),
-        pslr_ci_db=collect("pslr_ci"),
-        miss_rate=collect("miss_rate"),
-        pslr_samples={m: [pt[m]["pslr_samples"] for pt in points] for m in cfg.methods},
-        error_samples={m: [pt[m]["error_samples"] for pt in points] for m in cfg.methods},
+        **aggregates,
+        error_samples={m: [pt[m][0] for pt in points] for m in cfg.methods},
+        pslr_samples={m: [pt[m][1] for pt in points] for m in cfg.methods},
     )
 
 
@@ -628,32 +619,26 @@ def _both_targets_detected(p: Periodogram, true_ranges: np.ndarray, tol_m: float
 def two_target_demo(cfg: TwoTargetDemoConfig) -> TwoTargetDemoResult:
     """Seeded repetitions of the sparse two-target scenario.
 
-    Each run draws a fresh pinned-endpoint random allocation, fresh
-    target phases, and fresh noise, then asks whether the direct and the
-    virtual periodograms each show both targets above every sidelobe.
+    Run i is trial i of the sweep's trial walk from the master seed with
+    the direct_sparse/autocorrelation pair: a fresh pinned-endpoint random
+    allocation, fresh target phases and fresh noise.  It asks whether the
+    direct (zero-fill) and the virtual periodograms each show both targets
+    above every sidelobe.
     """
-    params = cfg.params
-    scene = cfg.scene
     true_ranges = np.array(cfg.distances_m)
-    tol_m = _DEMO_MATCH_TOL_BINS * params.range_bin_m
-
-    direct_ok = np.zeros(cfg.n_runs, dtype=bool)
-    virtual_ok = np.zeros(cfg.n_runs, dtype=bool)
-    example_direct = example_virtual = None
-    master_ss = np.random.SeedSequence(cfg.master_seed)
-    for i in range(cfg.n_runs):  # one child at a time, as in _sweep_point
-        alloc_ss, grid_ss = master_ss.spawn(1)[0].spawn(2)
-        alloc = make_allocation(params, "random", n_active=cfg.n_active, seed=alloc_ss)
-        drawn = _draw(scene, alloc, params, grid_ss, virtual=True)
-        p_direct, p_virtual = (_delay_periodogram(drawn, v, params, cfg.oversample) for v in (False, True))
-        direct_ok[i] = _both_targets_detected(p_direct, true_ranges, tol_m)
-        virtual_ok[i] = _both_targets_detected(p_virtual, true_ranges, tol_m)
-        if example_direct is None:
-            example_direct, example_virtual = p_direct, p_virtual
+    tol_m = _DEMO_MATCH_TOL_BINS * cfg.params.range_bin_m
+    pair = ("direct_sparse", "autocorrelation")
+    ok = {m: np.zeros(cfg.n_runs, dtype=bool) for m in pair}
+    ss = np.random.SeedSequence(cfg.master_seed)
+    for i, trial in enumerate(_trials(cfg, cfg.scene, pair, {}, cfg.n_runs, ss)):
+        for m in pair:
+            ok[m][i] = _both_targets_detected(trial[m], true_ranges, tol_m)
+        if i == 0:
+            example = trial
     return TwoTargetDemoResult(
         config=cfg,
-        direct_success=direct_ok,
-        virtual_success=virtual_ok,
-        example_direct=example_direct,
-        example_virtual=example_virtual,
+        direct_success=ok["direct_sparse"],
+        virtual_success=ok["autocorrelation"],
+        example_direct=example["direct_sparse"],
+        example_virtual=example["autocorrelation"],
     )

@@ -173,6 +173,11 @@ class TestPslr:
         vals[4] = 1.0
         assert si.pslr(self.spectrum(vals), mainlobe_halfwidth=2) == math.inf
 
+    def test_all_zero_spectrum_is_a_numeric_failure(self):
+        # a signal that underflows to 0 leaves no peak: the CLI's exit 3
+        with pytest.raises(FloatingPointError, match="zero everywhere"):
+            si.pslr(self.spectrum(np.zeros(32)), mainlobe_halfwidth=2)
+
     def test_two_level_toy(self):
         vals = np.zeros(64)
         vals[10] = 1.0
@@ -355,10 +360,11 @@ class TestMonteCarloSweep:
         # slots 2 and 3 (full and equivalent band) are read through zero-fill
         # only, so only their symbol sum is drawn; slot 1 (the random draw)
         # and slot 4 (nested) are synthesized per cell.  A grid computes its
-        # CPI lag sums only when a virtual method reads them.
+        # CPI lag sums only when a virtual method reads them, and its symbol
+        # sum only when zero-fill reads it: slot 1 (direct_sparse), not slot 4.
         cfg = self.tiny_config(snr_db_axis=(0.0, 10.0), methods=si.analysis.SWEEP_METHODS)
         fixed = {id(a): m for m, a in cfg._allocations.items()}
-        calls, lag_sums = [], []
+        calls, lag_sums, symbol_sums = [], [], []
 
         def spy(real, summed):
             def draw(scene, alloc, params, seed):
@@ -375,6 +381,11 @@ class TestMonteCarloSweep:
         monkeypatch.setattr(si.analysis, "synthesize", spy(si.analysis.synthesize, False))
         monkeypatch.setattr(si.analysis, "_symbol_sum_row", spy(si.analysis._symbol_sum_row, True))
         monkeypatch.setattr(synth, "_cpi_lags", counted)
+        symbol_sum = si.analysis._symbol_sum
+        monkeypatch.setattr(
+            si.analysis, "_symbol_sum",
+            lambda grid: symbol_sums.append(fixed.get(id(grid.alloc), "random")) or symbol_sum(grid),
+        )
         monte_carlo_sweep(cfg)
         draws = cfg.n_trials * len(cfg.snr_db_axis)
         assert len(calls) == 4 * draws
@@ -386,14 +397,17 @@ class TestMonteCarloSweep:
         }
         # two per trial and SNR point: slots 1 and 4
         assert sorted(lag_sums) == ["nested"] * draws + ["random"] * draws
+        assert symbol_sums == ["random"] * draws
 
         # direct_sparse reads slot 1, a virtual method's slot, so its grid is
         # synthesized as before, but nothing reads its lag sums
         calls.clear()
         lag_sums.clear()
+        symbol_sums.clear()
         monte_carlo_sweep(self.tiny_config(snr_db_axis=(0.0, 10.0), methods=("direct_sparse",)))
         assert calls == [("random", False)] * draws
         assert lag_sums == []
+        assert symbol_sums == ["random"] * draws
 
     def test_invalid_method_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep method"):

@@ -7,10 +7,12 @@ the row order.  The other artifacts come from toy runs: their CSV text is
 pinned exactly and manifest.json by SHA-256.  crlb_random.json prints
 full-precision floats, whose last digits follow the BLAS summation order,
 so only its .12g rendering is pinned.  The demo and sweep toy runs pin
-only manifest.json, whose `outputs` list the artifacts in order, since
-their CSV cells follow FFT round-off.
+manifest.json, whose `outputs` list the artifacts in order, and their
+seeded numbers to a relative 1e-9, since their CSV cells follow FFT
+round-off.
 """
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -158,8 +160,8 @@ TOY_OFDM = {
 }
 
 # Toy runs: expected CSV text (none for the demo and the sweep, whose cells
-# follow FFT round-off), and the SHA-256 of manifest.json.  Delays
-# and Dopplers sit between the bins, so no cell of the surface is an
+# follow FFT round-off, see SEEDED), and the SHA-256 of manifest.json.
+# Delays and Dopplers sit between the bins, so no cell of the surface is an
 # analytic zero that round-off would print as noise digits.
 CLI_RUNS = {
     "crlb_table": (
@@ -260,6 +262,47 @@ CLI_RUNS = {
 }
 
 
+# The seeded numbers of the toy sweep and demo, to a relative 1e-9: a change
+# to the noise stream or to the map from trial to seed moves them.  Per CSV,
+# its rows below the header; per example periodogram, (row of the largest
+# magnitude, sum of the magnitudes).
+SEEDED = {
+    "rmse_pslr_sweep": {
+        "sweep.csv": [
+            [0, "autocorrelation", 2.36821994945, 0.199531035447, 1.97461635626, 2.03510496677, 0, 2],
+            [0, "direct_sparse", 2.55122275355, 2.38690493004, 0.675442303248, 0.423275870176, 0, 2],
+            [0, "nested", 66.2396369226, 54.0342474633, 1.44745556049, 0.644038288408, 0, 2],
+            [10, "autocorrelation", 1.85574493827, 0.322400005853, 3.62176991249, 0.0393131260781, 0, 2],
+            [10, "direct_sparse", 1.77564197737, 0.46324202795, 1.44990046213, 0.179675338549, 0, 2],
+            [10, "nested", 8.48185580572, 8.27743451422, 2.83165216489, 0.10452644456, 0, 2],
+        ],
+    },
+    "two_target_demo": {
+        "demo_runs.csv": [[0, 0, 0], [1, 0, 0]],
+        "demo_summary.csv": [["direct_sparse", 0, 2], ["autocorrelation", 0, 2]],
+        "demo_direct_periodogram.csv": (55, 54.74264373122462),
+        "demo_virtual_periodogram.csv": (107, 180.07619938321446),
+    },
+}
+
+
+def number_or_label(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def csv_rows(path):
+    """Rows of a CSV artifact below its header, numeric cells as floats."""
+    rows = [row for row in csv.reader(path.read_text().splitlines()) if not row[0].startswith("#")]
+    return [[number_or_label(cell) for cell in row] for row in rows[1:]]
+
+
+def close(value):
+    return value if isinstance(value, str) else pytest.approx(value, rel=1e-9)
+
+
 def run_toy(cfg, directory):
     """Run one toy config through `cli.main` into directory/out; stdout
     must list the artifact paths in the order of manifest.json."""
@@ -280,6 +323,13 @@ def test_cli_artifacts(tmp_path, experiment):
     out = run_toy(cfg, tmp_path)
     for name, text in expected.items():
         assert (out / name).read_bytes().decode() == text
+    for name, pinned in SEEDED.get(experiment, {}).items():
+        rows = csv_rows(out / name)
+        if isinstance(pinned, tuple):  # an example periodogram
+            magnitudes = [magnitude for _, magnitude in rows]
+            assert (int(np.argmax(magnitudes)), sum(magnitudes)) == (pinned[0], close(pinned[1]))
+        else:
+            assert rows == [[close(cell) for cell in row] for row in pinned]
     if experiment == "crlb_table":
         report = json.loads((out / "crlb_random.json").read_text())
         assert f"{report['crlb_range_m2']:.12g}" == "43.7210673023"

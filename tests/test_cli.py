@@ -783,17 +783,25 @@ MUTATIONS = [
     DROP, "x", None, True, [], {}, math.nan, math.inf, -math.inf, 0, -1, 0.5, 1e9,
     1e308, -1e308, 5e-324, 10**400, 2**63, 2**53 + 1,
 ]
-FIELDS = [(exp, path) for exp in TINY for path in leaf_paths(TINY[exp])]
+# Noise-free copies of the sweep and the demo, where no noise hides a
+# spectrum that underflows to zero
+NOISE_FREE = {
+    "rmse_pslr_sweep": mutated("rmse_pslr_sweep", ["snr_db_axis"], [math.inf]),
+    "two_target_demo": mutated("two_target_demo", ["snr_db"], math.inf),
+}
+FIELDS = [("", exp, path) for exp in TINY for path in leaf_paths(TINY[exp])] + [
+    ("noise_free:", exp, path) for exp in NOISE_FREE for path in leaf_paths(NOISE_FREE[exp])
+]
 
 
 # every (field, value) pair; a value's id stops at 24 characters (10**400 has 401)
 @pytest.mark.parametrize("value", MUTATIONS, ids=lambda v: "DROP" if v is DROP else repr(v)[:24])
-@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"{f[0]}:{'.'.join(map(str, f[1]))}")
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"{f[0]}{f[1]}:{'.'.join(map(str, f[2]))}")
 def test_any_single_field_mutation_keeps_the_exit_code_contract(field, value):
-    experiment, path = field
+    base, experiment, path = field
     if value is DROP and isinstance(path[-1], int):
         value = "x"  # list entries cannot be dropped without renumbering the rest
-    cfg = mutated(experiment, list(path), value)
+    cfg = mutated(experiment, list(path), value, NOISE_FREE if base else TINY)
     named = next(key for key in reversed(path) if isinstance(key, str))
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path, out = write_config(Path(tmp), cfg), Path(tmp) / "out"
@@ -810,3 +818,17 @@ def test_any_single_field_mutation_keeps_the_exit_code_contract(field, value):
         assert len(codes) == 1 or codes == {0, 3}  # validate and run agree on the config
         if code == 0:  # run succeeded: only the documented cells may be non-finite
             assert undocumented_non_finite_cells(out) == []
+
+
+def test_underflowing_spectrum_is_a_numeric_failure(tmp_path):
+    """A noise-free target so faint that the virtual aperture's |Y|**2
+    underflows to zero everywhere exits 3 with one line and writes nothing
+    (the fuzz covers 5e-324, where every spectrum underflows)."""
+    cfg = mutated("rmse_pslr_sweep", ["scene", "targets", 0, "amplitude"], 1e-170, NOISE_FREE)
+    cfg["methods"] = list(analysis.SWEEP_METHODS)
+    path = write_config(tmp_path, cfg)
+    assert main_in_process("validate", "--config", path) == (0, "", "")
+    code, stdout, err = main_in_process("run", "--config", path, "--out", tmp_path / "out")
+    assert (code, stdout) == (3, "")
+    assert err.startswith("numeric failure in rmse_pslr_sweep: ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]

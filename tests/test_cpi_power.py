@@ -452,8 +452,8 @@ class TestSweepThreads:
 
         def stub_point(cfg, scene, pss):
             ran_in.append(threading.current_thread())
-            keys = ("rmse", "rmse_ci", "pslr", "pslr_ci", "miss_rate", "pslr_samples", "error_samples")
-            return {method: dict.fromkeys(keys, 0.0) for method in cfg.methods}
+            # per method: (error samples, PSLR samples, misses)
+            return {method: (np.zeros(0), np.zeros(0), 0) for method in cfg.methods}
 
         monkeypatch.setattr(analysis, "_sweep_point", stub_point)
         params = make_params(n, m)
