@@ -25,7 +25,7 @@ from .alloc import (
     nested_params_for,
 )
 from .scene import SPEED_OF_LIGHT, LinkBudget, Scene, Target
-from .synth import _symbol_sum_row, synthesize
+from .synth import _gram_route, _gram_statistics, _symbol_sum_row, synthesize
 from .estimators import (
     Periodogram,
     _symbol_sum,
@@ -58,11 +58,12 @@ __all__ = [
 # virtual aperture?).  A trial (_trials) spawns one seed per slot in a fixed
 # layout, whatever the method subset, so each method's stream does not
 # depend on which others were requested.  Slot 0 draws the random
-# allocation that slot 1's grid uses; methods sharing a slot share the
-# grid, which pairs the direct_sparse/autocorrelation comparison, and the
-# two-target demo walks the same trials with that pair.  Zero-fill reads a
-# slot's symbol sum and the virtual aperture its grid's CPI lag means
-# (FreqGrid.cpi_lags); the per-symbol lag products are the tests' reference.
+# allocation that slot 1's grid uses; methods sharing a slot share the draw
+# of its grid (of the grid's statistics, on the Gram route), which pairs the
+# direct_sparse/autocorrelation comparison, and the two-target demo walks
+# the same trials with that pair.  Zero-fill reads a slot's symbol sum and
+# the virtual aperture its CPI lag means (FreqGrid.cpi_lags); the per-symbol
+# lag products are the tests' reference.
 _SWEEP_TABLE = {
     "full_bandwidth": (2, False),
     "equivalent_bandwidth": (3, False),
@@ -71,7 +72,8 @@ _SWEEP_TABLE = {
     "nested": (4, True),
 }
 # Slots a virtual method reads (1 and 4): _trials synthesizes only their
-# grids, and sums a grid's symbols only for a zero-fill reader (slot 1).
+# grids, or draws their statistics on the Gram route, and sums a grid's
+# symbols only for a zero-fill reader (slot 1).
 # The rule reads the table, not the requested subset, so no method's noise
 # stream depends on which others were requested.
 _VIRTUAL_SLOTS = {s for s, v in _SWEEP_TABLE.values() if v}
@@ -185,6 +187,15 @@ def crlb_vs_inverse_fim_check(
     return abs(closed - inv00) / closed
 
 
+def _main_peak(p: Periodogram) -> int:
+    """The bin of the largest magnitude of `p`; raises FloatingPointError
+    where `p` is zero everywhere (a signal underflowed to 0)."""
+    main_idx = int(np.argmax(p.values))
+    if p.values[main_idx] <= 0.0:
+        raise FloatingPointError(f"{p.method} {p.domain} spectrum is zero everywhere")
+    return main_idx
+
+
 def pslr(p: Periodogram, mainlobe_halfwidth: int) -> float:
     """Peak-to-sidelobe ratio in dB.
 
@@ -199,10 +210,8 @@ def pslr(p: Periodogram, mainlobe_halfwidth: int) -> float:
         raise ValueError("mainlobe_halfwidth must be >= 0")
     if 2 * mainlobe_halfwidth + 1 >= n:
         raise ValueError("exclusion zone swallows the whole spectrum")
-    main_idx = int(np.argmax(v))
+    main_idx = _main_peak(p)
     main = v[main_idx]
-    if main <= 0.0:
-        raise FloatingPointError(f"{p.method} {p.domain} spectrum is zero everywhere")
     offsets = np.arange(n)
     dist = np.abs((offsets - main_idx + n // 2) % n - n // 2)
     outside = v[dist > mainlobe_halfwidth]
@@ -283,9 +292,10 @@ class SweepConfig:
 
     snr_db entries are per-active-RE SNRs; +inf means noiseless.  The
     sparse allocation is redrawn every trial (seeded); direct_sparse and
-    autocorrelation share the draw and the synthesized grid so the method
-    comparison is paired.  `scenes` holds the Scene of each SNR point;
-    the seed-independent allocations are built once, by sweep method.
+    autocorrelation share the allocation and the grid drawn on it (its
+    symbol sum and Gram matrix alone, on the Gram route of the lag sums) so
+    the method comparison is paired.  `scenes` holds the Scene of each SNR
+    point; the seed-independent allocations are built once, by sweep method.
     """
 
     params: OfdmParams
@@ -402,9 +412,12 @@ def _trials(
 
     Trial i reads child i of `ss`, which spawns one seed per _SWEEP_TABLE
     slot; slot 0 draws the random allocation of each method `fixed` does
-    not map.  A slot a virtual method reads is synthesized; any other has
-    its symbol sum drawn directly (_symbol_sum_row: same phases, other
-    noise draws).  A grid's symbol sum and lag sums are computed only when read.
+    not map.  A slot a virtual method reads is synthesized, or, for an
+    allocation on the Gram route of the lag sums (_gram_route), has its
+    symbol sum and Gram matrix drawn without the grid (_gram_statistics);
+    any other has its symbol sum drawn directly (_symbol_sum_row).  Both
+    draws keep synthesize's phases, with other noise draws.  A grid's or
+    statistics' symbol sum and lag sums are computed only when read.
     """
     params = cfg.params
     readers = {}  # slot: the requested methods that read it
@@ -417,15 +430,17 @@ def _trials(
             alloc = fixed.get(slot_methods[0]) or make_allocation(
                 params, "random", n_active=cfg.n_active, seed=seeds[0]
             )
-            seed, virtual = seeds[slot], slot in _VIRTUAL_SLOTS
+            virtual = slot in _VIRTUAL_SLOTS
+            gram = virtual and _gram_route(alloc)
+            args = scene, alloc, params, seeds[slot]
             # one call site: an aliasing target warns once per sweep or demo, not per draw
-            drawn = (synthesize if virtual else _symbol_sum_row)(scene, alloc, params, seed)
+            drawn = (_gram_statistics if gram else synthesize if virtual else _symbol_sum_row)(*args)
             for method in slot_methods:
                 if _SWEEP_TABLE[method][1]:
                     vs, _ = build_virtual_signal(drawn)
                     out[method] = virtual_periodogram(vs, params, oversample=cfg.oversample)
                 else:
-                    row = _symbol_sum(drawn) if virtual else drawn
+                    row = drawn.symbol_sum if gram else _symbol_sum(drawn) if virtual else drawn
                     out[method] = _zero_fill(row, alloc, params, cfg.oversample)
         yield out
 
@@ -602,7 +617,9 @@ class TwoTargetDemoResult:
 
 def _both_targets_detected(p: Periodogram, true_ranges: np.ndarray, tol_m: float) -> bool:
     """True when the two largest separated maxima sit on the two targets,
-    i.e. every sidelobe is below both target peaks."""
+    i.e. every sidelobe is below both target peaks.  A spectrum that is zero
+    everywhere raises FloatingPointError, as in pslr."""
+    _main_peak(p)
     peaks = detect_peaks(p, k=2, min_separation=2 * common_exclusion_halfwidth(p))
     if len(peaks.peaks) < 2:
         return False
@@ -623,7 +640,8 @@ def two_target_demo(cfg: TwoTargetDemoConfig) -> TwoTargetDemoResult:
     the direct_sparse/autocorrelation pair: a fresh pinned-endpoint random
     allocation, fresh target phases and fresh noise.  It asks whether the
     direct (zero-fill) and the virtual periodograms each show both targets
-    above every sidelobe.
+    above every sidelobe; a periodogram that underflows to zero everywhere
+    raises FloatingPointError, as in the sweep.
     """
     true_ranges = np.array(cfg.distances_m)
     tol_m = _DEMO_MATCH_TOL_BINS * cfg.params.range_bin_m

@@ -37,9 +37,9 @@ cannot be created) or command-line error, 3 numeric failure (one
 `numeric failure in <experiment>:` line, also for a valid config whose
 arrays are too large to allocate, whose arithmetic overflows or divides
 by zero, whose JSON artifact, periodogram, ambiguity surface or
-ambiguity axis would hold a non-finite value, or whose sweep spectrum
-underflows to zero everywhere, e.g. a noise-free target of amplitude
-1e-170).  On exit 0 every numeric
+ambiguity axis would hold a non-finite value, or whose sweep or demo
+spectrum underflows to zero everywhere, e.g. a noise-free target of
+amplitude 1e-170).  On exit 0 every numeric
 CSV cell is finite, except these:
   - `rmse_m` and `rmse_ci` are NaN when every trial of an SNR point missed;
   - `snr_db` is +inf for a noise-free point;

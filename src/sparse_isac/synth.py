@@ -26,6 +26,14 @@ route; the K gate keeps the route where M K^2 costs less than M 2N log2 2N.
 While a Gram-route product runs, the BLAS thread count is held at 1
 (_one_blas_thread).  That count is process-wide: a caller's own BLAS work
 in another thread also runs at one thread meanwhile.
+
+A sweep or demo trial reads two statistics of a grid only: its symbol sum
+and the Gram matrix of its rows.  On the Gram route it draws them without
+the grid (_gram_statistics, the Bartlett decomposition): d + min(M - d, K)
+rows of K values, d the dimension of the targets' symbol-phase profiles
+with the all-ones vector, in place of M rows, read by the same product.
+synthesize is the reference; the draw keeps its phases, with other noise
+draws.
 """
 from __future__ import annotations
 
@@ -66,6 +74,12 @@ _GRAM_MIN_POINTS = 1 << 19
 # at N=4000 (M=131), a ratio of 2.4 to 4.3.  The bound is the smallest of
 # them: K up to 229 at N=1000.
 _GRAM_MAX_COST_RATIO = 2.4
+
+# A target's symbol-phase profile adds a dimension to the basis of
+# _symbol_basis where the part of it outside the span of the vectors before
+# it has a norm above this share of its own norm, sqrt(M).  Gram-Schmidt
+# leaves a profile inside that span a residual of a few float64 epsilons.
+_SPAN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -220,30 +234,28 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
-def _gram_lags(grid: FreqGrid) -> np.ndarray:
-    """The CPI mean of the lag sums of a constant allocation, R / M, with R
-    gathered from the K x K Gram matrix G = sum_m y_m y_m^H of its (M, K)
-    block: R[s] is the sum of the G[a, b] with n_a - n_b = s.
+def _gram_lags(block: np.ndarray, cols: np.ndarray, n_subcarriers: int) -> np.ndarray:
+    """The lag sums R of the K x K Gram matrix G = sum_i z_i z_i^H of the
+    rows z_i of a (rows, K) block on the active subcarriers `cols`: R[s] is
+    the sum of the G[a, b] with n_a - n_b = s mod 2N.
 
-    G is read from one real product S = W^T W of the (M, 2K) float view W of
-    the block, re and im interleaved, which NumPy hands to dsyrk: 4 K^2 M
-    flops against 8 K^2 M for a zgemm.  With y = x + i z, Re G[a, b] =
-    x_a.x_b + z_a.z_b and Im G[a, b] = z_a.x_b - x_a.z_b.  The product runs
+    G is read from one real product S = W^T W of the (rows, 2K) float view W
+    of the block, re and im interleaved, which NumPy hands to dsyrk: 4 K^2
+    flops per row against 8 K^2 for a zgemm.  With z = x + i y, Re G[a, b] =
+    x_a.x_b + y_a.y_b and Im G[a, b] = y_a.x_b - x_a.y_b.  The product runs
     at one BLAS thread (_one_blas_thread): OpenBLAS's workers would spin
     after each call, and OpenBLAS 0.3.31's threaded dsyrk gave other bits at
     2 to 4 threads for K of 50, 150, 229 or 250.
     """
-    cols = grid.alloc.indices
-    # a copy only where `active` is not C-ordered complex128
-    w = np.asanyarray(grid.block, dtype=np.complex128, order="C").view(np.float64)
+    # a copy only where the block is not C-ordered complex128
+    w = np.asanyarray(block, dtype=np.complex128, order="C").view(np.float64)
     with _one_blas_thread:
         s = w.T @ w
-    size = 2 * grid.n_subcarriers
+    size = 2 * n_subcarriers
     lag = ((cols[:, None] - cols) % size).ravel()  # n_a - n_b of G[a, b], mod 2N
     re = s[0::2, 0::2] + s[1::2, 1::2]
     im = s[1::2, 0::2] - s[0::2, 1::2]
-    lags = np.bincount(lag, re.ravel(), size) + 1j * np.bincount(lag, im.ravel(), size)
-    return lags / grid.n_symbols
+    return np.bincount(lag, re.ravel(), size) + 1j * np.bincount(lag, im.ravel(), size)
 
 
 def _fft_lags(grid: FreqGrid) -> np.ndarray:
@@ -282,10 +294,12 @@ def _cpi_lags(grid: FreqGrid) -> np.ndarray:
     """The CPI lag sums R[s] = sum_m sum_{i-j=s} Y_m[i] conj(Y_m[j]) over
     the rows Y_m of the dense grid, divided by M, at s mod 2N.
 
-    By the Gram route (_gram_lags) where _gram_route allows it, else by
-    the FFT route (_fft_lags).
+    By the Gram route (_gram_lags of the (M, K) block) where _gram_route
+    allows it, else by the FFT route (_fft_lags).
     """
-    return _gram_lags(grid) if _gram_route(grid.alloc) else _fft_lags(grid)
+    if _gram_route(grid.alloc):
+        return _gram_lags(grid.block, grid.alloc.indices, grid.n_subcarriers) / grid.n_symbols
+    return _fft_lags(grid)
 
 
 def _resolve_targets(scene: Scene, params: OfdmParams, seed):
@@ -323,6 +337,11 @@ def _resolve_targets(scene: Scene, params: OfdmParams, seed):
     return ss, noise_ss, terms
 
 
+def _symbol_phase(f_d: float, params: OfdmParams) -> np.ndarray:
+    """A target's symbol-phase profile e^{j 2 pi f_D T m} over the M symbols."""
+    return np.exp(2j * np.pi * f_d * params.symbol_dur_s * np.arange(params.n_symbols))
+
+
 def _signal_plus_noise(scene: Scene, params: OfdmParams, seed, phasors, n_sum: int = 1):
     """Values of a grid: returns the grid's SeedSequence, the noise variance
     and a new complex array of the values.
@@ -335,7 +354,6 @@ def _signal_plus_noise(scene: Scene, params: OfdmParams, seed, phasors, n_sum: i
     a value adds sqrt(n_sum * var / 2) * z from each.
     """
     ss, noise_ss, terms = _resolve_targets(scene, params, seed)
-    m_idx = np.arange(params.n_symbols)
     n_idx = np.arange(params.n_subcarriers)
     # The in-place product keeps the amplitude as the first operand, because
     # a complex product can round differently with its operands swapped, and
@@ -343,7 +361,7 @@ def _signal_plus_noise(scene: Scene, params: OfdmParams, seed, phasors, n_sum: i
     # started from zeros (a -0.0 part becomes +0.0).
     values = 0.0
     for coef, tau, f_d in terms:
-        sym_phase = np.exp(2j * np.pi * f_d * params.symbol_dur_s * m_idx)
+        sym_phase = _symbol_phase(f_d, params)
         sub_phase = np.exp(-2j * np.pi * params.subcarrier_spacing_hz * tau * n_idx)
         term = phasors(sym_phase, sub_phase)
         np.multiply(coef, term, out=term)
@@ -401,6 +419,110 @@ def _symbol_sum_row(scene: Scene, alloc: ResourceAllocation, params: OfdmParams,
     row = np.zeros(params.n_subcarriers, dtype=np.complex128)
     row[cols] = values
     return row
+
+
+def _symbol_basis(scene: Scene, params: OfdmParams) -> np.ndarray:
+    """The rows of a (d, M) array Q^T: an orthonormal basis of the all-ones
+    vector, first, as 1/sqrt(M), and of the targets' symbol-phase profiles
+    e^{j 2 pi f_D T m}, where a profile inside the span of the vectors
+    before it adds none (_SPAN_TOL).  A static target adds none.
+
+    Classical Gram-Schmidt, run twice per profile, in elementwise sums (no
+    BLAS call, so the bits do not depend on the BLAS thread count).
+    """
+    m = params.n_symbols
+    basis = np.full((1, m), 1.0 / math.sqrt(m), dtype=np.complex128)
+    for t in scene.targets:
+        v = _symbol_phase(delay_doppler(t, params)[1], params)
+        for _ in range(2):
+            v = v - ((basis.conj() * v).sum(axis=1)[:, None] * basis).sum(axis=0)
+        norm = math.sqrt(float((v.real**2 + v.imag**2).sum()))
+        if len(basis) < m and norm > _SPAN_TOL * math.sqrt(m):
+            basis = np.vstack([basis, v / norm])
+    return basis
+
+
+@dataclass(frozen=True)
+class _GridStatistics:
+    """The two statistics of a grid of a constant allocation that a sweep
+    trial reads, held in a (rows, K) block (_gram_statistics): the Gram
+    matrix of its rows has the law of the grid's G = sum_m y_m y_m^H, and
+    sqrt(M) times its first row is the grid's symbol sum.
+
+    It has what build_virtual_signal reads of a grid (alloc, n_subcarriers,
+    cpi_lags), each computed on read.
+    """
+
+    block: np.ndarray
+    alloc: ResourceAllocation
+    params: OfdmParams
+
+    @property
+    def n_subcarriers(self) -> int:
+        return self.params.n_subcarriers
+
+    @property
+    def cpi_lags(self) -> np.ndarray:
+        """The CPI mean of the lag sums, as FreqGrid.cpi_lags: the lag sums
+        of the block's Gram matrix (_gram_lags), over M."""
+        return _gram_lags(self.block, self.alloc.indices, self.n_subcarriers) / self.params.n_symbols
+
+    @property
+    def symbol_sum(self) -> np.ndarray:
+        """sum_m Y_m[n] as a dense (N,) row, zeros off the allocation."""
+        row = np.zeros(self.n_subcarriers, dtype=np.complex128)
+        row[self.alloc.indices] = math.sqrt(self.params.n_symbols) * self.block[0]
+        return row
+
+
+def _gram_statistics(
+    scene: Scene, alloc: ResourceAllocation, params: OfdmParams, seed
+) -> _GridStatistics:
+    """The symbol sum and the Gram matrix G = sum_m y_m y_m^H of a grid of a
+    constant allocation, drawn without its M x K values, by the Bartlett
+    decomposition (Bartlett 1933; Goodman 1963 for the complex case).
+
+    Q (M x d) is the basis of the symbols' signal space (_symbol_basis).  G
+    is the Gram matrix of the rows of U^H Y for any unitary U = [Q, Q_perp],
+    so the block holds, row for row:
+
+    - Q^H Y (d x K): mean sum_t A e^{j phi} (Q^H p_t) e^{-j 2 pi df tau n}
+      over the targets t, p_t the symbol-phase profile, plus i.i.d.
+      CN(0, var) noise (_signal_plus_noise);
+    - for Q_perp^H Y, an (M - d) x K i.i.d. CN(0, var) matrix, its QR
+      factor sqrt(var) R: r = min(M - d, K) rows, upper trapezoidal, row i
+      with sqrt(Gamma(M - d - i)) on the diagonal and CN(0, 1) right of it.
+      The block holds R's rows: the Gram matrix of its columns has the
+      trace of G but not its diagonal.  Absent at var = 0.
+
+    Same phases as synthesize(scene, alloc, params, seed), other noise
+    draws: Q^H Y's from the noise substream, R's from a third substream of
+    the grid's seed (spawn key + (2,)): two standard normals per entry right
+    of the diagonal, row by row, re then im, then one gamma per diagonal
+    entry.
+    """
+    cols = alloc.indices  # raises if the allocation varies per symbol
+    basis = _symbol_basis(scene, params)
+    (d, m), k = basis.shape, alloc.n_active
+    ss, var, values = _signal_plus_noise(
+        scene, params, seed,
+        lambda sym_phase, sub_phase: np.outer((basis.conj() * sym_phase).sum(axis=1), sub_phase[cols]),
+    )
+    if var == 0.0:
+        return _GridStatistics(values.reshape(d, k), alloc, params)
+    r = min(m - d, k)
+    block = np.zeros((d + r, k), dtype=np.complex128)
+    block[:d] = values.reshape(d, k)
+    factor = block[d:]
+    factor_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (2,))
+    rng = np.random.default_rng(factor_ss)
+    diag = np.arange(r)
+    upper = np.arange(k) > diag[:, None]
+    z = rng.standard_normal(2 * np.count_nonzero(upper))
+    z *= math.sqrt(var / 2.0)
+    factor[upper] = z.view(np.complex128)  # re, im of each entry in turn
+    factor[diag, diag] = np.sqrt(var * rng.standard_gamma(m - d - diag))
+    return _GridStatistics(block, alloc, params)
 
 
 def measure_snr(grid: FreqGrid, scene: Scene) -> float:

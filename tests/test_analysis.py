@@ -327,10 +327,15 @@ class TestMonteCarloSweep:
             full.pslr_db["autocorrelation"], solo.pslr_db["autocorrelation"]
         )
 
+    @pytest.mark.parametrize("gram", [False, True])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_shared_slot_pairs_the_grid_in_any_subset(self, threads):
-        # direct_sparse and autocorrelation read one grid per trial, and
-        # each method's numbers do not depend on the rest of the subset
+    def test_shared_slot_pairs_the_grid_in_any_subset(self, threads, gram, monkeypatch):
+        # direct_sparse and autocorrelation read one grid per trial (its
+        # statistics, on the Gram route), and each method's numbers do not
+        # depend on the rest of the subset
+        if gram:
+            monkeypatch.setattr(synth, "_GRAM_MIN_POINTS", 1)
+            monkeypatch.setattr(si.analysis, "synthesize", None)  # never called
         cfg = self.tiny_config(snr_db_axis=(0.0, 10.0), methods=si.analysis.SWEEP_METHODS)
         every = monte_carlo_sweep(cfg, threads=threads)
         subsets = [("direct_sparse", "autocorrelation")] + [(m,) for m in si.analysis.SWEEP_METHODS]

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparse_isac import analysis, cli
+from sparse_isac import analysis, cli, synth
 from sparse_isac.analysis import SingularFimError
 
 CLI = [sys.executable, "-m", "sparse_isac.cli"]
@@ -666,9 +666,10 @@ def test_non_finite_spectrum_is_a_numeric_failure(tmp_path, experiment, path, va
 
 
 def draw_site_lines() -> list[int]:
-    """Lines of analysis.py whose code names synthesize or _symbol_sum_row."""
+    """Lines of analysis.py whose code names synthesize, _symbol_sum_row or
+    _gram_statistics."""
     tree = ast.parse(Path(analysis.__file__).read_text())
-    names = ("synthesize", "_symbol_sum_row")
+    names = ("synthesize", "_symbol_sum_row", "_gram_statistics")
     return sorted({n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in names})
 
 
@@ -698,6 +699,23 @@ def test_successful_run_shows_its_warnings(tmp_path, experiment):
     (line,) = draw_site_lines()
     assert int(found.group(1)) == line
     assert source.strip() == Path(analysis.__file__).read_text().splitlines()[line - 1].strip()
+
+
+def test_gram_route_sweep_warns_from_the_draw_line(tmp_path, monkeypatch):
+    """With every constant allocation on the Gram route, the sweep draws the
+    statistics of its virtual slots, not their grids, and an aliasing
+    target still warns once, from the one draw line."""
+    monkeypatch.setattr(synth, "_GRAM_MIN_POINTS", 1)
+    monkeypatch.setattr(analysis, "synthesize", failing(AssertionError))
+    path = write_config(tmp_path, ALIASING["rmse_pslr_sweep"])
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("default")  # Python's display: once per source line
+        assert main_in_process("run", "--config", path, "--out", tmp_path / "out")[0] == 0
+    (warning,) = seen
+    assert re.match(r"target at 2000(\.0)? m .* it will alias$", str(warning.message))
+    assert Path(warning.filename) == Path(analysis.__file__)
+    (line,) = draw_site_lines()
+    assert warning.lineno == line
 
 
 def test_failed_run_raises_no_warning(tmp_path):
@@ -831,4 +849,19 @@ def test_underflowing_spectrum_is_a_numeric_failure(tmp_path):
     code, stdout, err = main_in_process("run", "--config", path, "--out", tmp_path / "out")
     assert (code, stdout) == (3, "")
     assert err.startswith("numeric failure in rmse_pslr_sweep: ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("amplitude", [5e-324, 1e-170])
+def test_underflowing_demo_spectrum_is_a_numeric_failure(tmp_path, amplitude):
+    """The demo too: at 5e-324 its spectra underflow to zero everywhere, at
+    1e-170 only the virtual one (|Y|**2 of 1e-340)."""
+    cfg = mutated("two_target_demo", ["amplitudes"], [amplitude, amplitude], NOISE_FREE)
+    cfg = dict(cfg, ofdm=TOY_OFDM, n_active=16, runs=2)
+    path = write_config(tmp_path, cfg)
+    assert main_in_process("validate", "--config", path) == (0, "", "")
+    code, stdout, err = main_in_process("run", "--config", path, "--out", tmp_path / "out")
+    assert (code, stdout) == (3, "")
+    assert err.startswith("numeric failure in two_target_demo: ") and err.count("\n") == 1, err
+    assert err.endswith(" delay spectrum is zero everywhere\n"), err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]

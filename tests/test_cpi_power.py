@@ -9,6 +9,8 @@ import threading
 import time
 from pathlib import Path
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -112,18 +114,20 @@ class TestFftRoute:
 # The largest K on the Gram route at N=1000: K^2 <= 2.4 x 2000 log2 2000
 K_BOUND_1000 = 229
 
-# _cpi_lags's bits of gated grids, printed by a fresh interpreter whose
-# caller's BLAS count is argv[1], with the guard holding the product at one
-# thread ("held") or disabled ("free").  720 is the paper's CPI; unheld,
+# _cpi_lags's bits of gated grids, and the bits of the statistics draw
+# (_gram_statistics) of two moving targets, printed by a fresh interpreter
+# whose caller's BLAS count is argv[1], with the guard holding the product at
+# one thread ("held") or disabled ("free").  720 is the paper's CPI; unheld,
 # OpenBLAS 0.3.31's dsyrk gave other bits at K = 150 from 2 threads and at
 # K = 229 from 3.
 GRAM_BITS = """
 import contextlib, hashlib, sys
 threads, guard = int(sys.argv[1]), sys.argv[2]
 sys.path[:0] = sys.argv[3:]
+import sparse_isac as si
 from test_cpi_power import make_grid
 from sparse_isac import synth
-from sparse_isac.synth import _cpi_lags, _gram_route
+from sparse_isac.synth import _cpi_lags, _gram_route, _gram_statistics
 lib = synth._openblas()
 if lib is not None:  # OpenBLAS caps OPENBLAS_NUM_THREADS at the core count
     lib.scipy_openblas_set_num_threads64_(threads)
@@ -133,6 +137,9 @@ for m, k in ((333, 150), (720, 200), (263, 229)):
     grid = make_grid(1000, m, "constant", n_active=k)
     assert _gram_route(grid.alloc)
     print(m, k, hashlib.sha256(_cpi_lags(grid).tobytes()).hexdigest())
+    targets = tuple(si.Target(distance_m=d, velocity_mps=v, amplitude=1.0) for d, v in ((200, 15), (330, -15)))
+    drawn = _gram_statistics(si.Scene(targets=targets, snr_db=0.0), grid.alloc, grid.params, 5)
+    print(m, k, hashlib.sha256(drawn.cpi_lags.tobytes() + drawn.symbol_sum.tobytes()).hexdigest())
 """
 
 
@@ -192,7 +199,7 @@ class TestGramRoute:
                  str(Path(si.__file__).parents[1])],
                 env=env, capture_output=True, text=True, timeout=300, check=True,
             )
-            assert run.stdout.count("\n") == 3, run.stderr
+            assert run.stdout.count("\n") == 6, run.stderr
             digests.add(run.stdout)
         assert len(digests) == 1
 
@@ -403,6 +410,24 @@ class TestSweepThreads:
         monte_carlo_sweep(self.config(), threads=3)
         assert pools == [3]
         assert blas_threads() == caller_blas_threads
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    def test_statistics_draw_bitwise_at_any_cpu_count(self, pools, monkeypatch, cpus):
+        # two moving targets on the Gram route: slots 1 and 4 draw their
+        # statistics, in a basis of three symbol dimensions, not their grids
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(analysis, "_SWEEP_THREAD_MIN_POINTS", 1)
+        monkeypatch.setattr(synth, "_GRAM_MIN_POINTS", 1)
+        monkeypatch.setattr(analysis, "synthesize", None)  # never called
+        params = make_params(64, 8)
+        targets = tuple(
+            si.Target(distance_m=d * params.range_bin_m, velocity_mps=v, amplitude=1.0)
+            for d, v in ((10, 15.0), (20, -15.0))
+        )
+        cfg = replace(self.config(analysis.SWEEP_METHODS), targets=targets)
+        par = monte_carlo_sweep(cfg)
+        assert pools == ([min(cpus, 5)] if cpus > 1 else [])
+        assert_same_sweep(par, monte_carlo_sweep(cfg, threads=1))
 
     def test_explicit_count_is_kept(self, pools, monkeypatch):
         monkeypatch.setattr(analysis, "_SWEEP_THREAD_MIN_POINTS", 1)

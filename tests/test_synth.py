@@ -5,8 +5,8 @@ import pytest
 
 import sparse_isac as si
 from reference import alloc_mask, dense, dense_synthesize, eval_two_term_model
-from sparse_isac.estimators import _zero_fill
-from sparse_isac.synth import _ROW_BLOCK, _symbol_sum_row
+from sparse_isac.estimators import _symbol_sum, _zero_fill
+from sparse_isac.synth import _ROW_BLOCK, _gram_statistics, _symbol_basis, _symbol_sum_row
 
 C = si.SPEED_OF_LIGHT
 
@@ -299,7 +299,146 @@ class TestSymbolSum:
             si.Target(distance_m=100.0, velocity_mps=v_alias, amplitude=1.0),
         ):
             scene = si.Scene(targets=(t,), noise_variance_w=0.0)
-            for draw in (si.synthesize, _symbol_sum_row):
+            for draw in (si.synthesize, _symbol_sum_row, _gram_statistics):
                 with pytest.warns(UserWarning, match="alias") as record:
                     draw(scene, alloc, params, 0)
                 assert record[0].filename == __file__  # blamed on the caller
+
+
+def gram(rows):
+    """G = sum_i z_i z_i^H of the rows z_i of a (rows, K) block."""
+    return rows.T @ rows.conj()
+
+
+def gram_and_sum(g, row):
+    """The real draws that fix the Hermitian G and the symbol sum `row`:
+    Re G on and above the diagonal, Im G above it, Re and Im of `row`."""
+    upper = np.triu_indices(len(g))
+    strict = np.triu_indices(len(g), 1)
+    return np.concatenate([g[upper].real, g[strict].imag, row.real, row.imag])
+
+
+# (N, M, active subcarriers, target velocities in m/s, basis dimension d)
+STATISTICS_CASES = {
+    "static": (8, 12, [0, 2, 3, 7], (0.0,), 1),
+    "two_moving": (8, 12, [0, 2, 3, 7], (100.0, -100.0), 3),
+    "fewer_symbols_than_subcarriers": (16, 4, [0, 1, 4, 6, 9, 15], (100.0, -100.0), 3),  # M - d < K
+    "paper": (1000, 720, None, (15.0, -15.0), 3),
+}
+
+
+def statistics_case(name, noise_variance_w):
+    """(scene, allocation, params) of a STATISTICS_CASES entry, its targets at
+    fixed phases, so that the signal part of G is the same in every draw."""
+    n, m, cols, velocities, _ = STATISTICS_CASES[name]
+    params = make_params(n=n, m=m)
+    if cols is None:
+        alloc = si.make_allocation(params, "random", n_active=200, seed=5)
+    else:
+        alloc = si.ResourceAllocation.constant(np.array(cols), m, n)
+    targets = tuple(
+        si.Target(distance_m=60.0 + 90.0 * i, velocity_mps=v, amplitude=1.0 - 0.3 * i, phase_rad=0.4 + i)
+        for i, v in enumerate(velocities)
+    )
+    return si.Scene(targets=targets, noise_variance_w=noise_variance_w), alloc, params
+
+
+def assert_same_moments(x, y, z=5.0):
+    """Each column of two samples (draws along axis 0) has the same mean and
+    the same variance, within z standard errors of their difference; the
+    standard error of a sample variance is sqrt((mu4 - var^2) / n)."""
+    n = len(x)
+    mx, my = x.mean(axis=0), y.mean(axis=0)
+    vx, vy = x.var(axis=0), y.var(axis=0)
+    assert np.all(np.abs(mx - my) <= z * np.sqrt((vx + vy) / n))
+    m4x, m4y = np.mean((x - mx) ** 4, axis=0), np.mean((y - my) ** 4, axis=0)
+    assert np.all(np.abs(vx - vy) <= z * np.sqrt((m4x - vx**2 + m4y - vy**2) / n))
+
+
+class TestGramStatistics:
+    """_gram_statistics: a Gram-route sweep slot's symbol sum and Gram matrix,
+    drawn without the grid; synthesize is the reference."""
+
+    @pytest.mark.parametrize("case", [c for c in STATISTICS_CASES if c != "paper"])
+    def test_same_law_as_the_grid(self, case):
+        # every entry of G, each diagonal entry on its own (the Gram matrix of
+        # the factor's columns has the right trace but means 13, 11, 9, 7
+        # against 10 on the diagonal at K=4, M-d=10), and the symbol sum
+        scene, alloc, params = statistics_case(case, noise_variance_w=0.5)
+        cols, trials = alloc.indices, 4000
+        # disjoint seeds: the two draws of one seed share their first noise normals
+        grids = (si.synthesize(scene, alloc, params, s) for s in range(trials))
+        want = np.array([gram_and_sum(gram(g.block), _symbol_sum(g)[cols]) for g in grids])
+        drawn = (_gram_statistics(scene, alloc, params, s) for s in range(trials, 2 * trials))
+        got = np.array([gram_and_sum(gram(d.block), d.symbol_sum[cols]) for d in drawn])
+        assert_same_moments(got, want)
+
+    @pytest.mark.parametrize("case", STATISTICS_CASES)
+    def test_noiseless_draw_is_the_grid_projected(self, case):
+        scene, alloc, params = statistics_case(case, noise_variance_w=0.0)
+        grid = si.synthesize(scene, alloc, params, 3)
+        drawn = _gram_statistics(scene, alloc, params, 3)
+        assert drawn.block.shape == (STATISTICS_CASES[case][-1], alloc.n_active)
+        want = gram(grid.block)
+        assert np.max(np.abs(gram(drawn.block) - want)) <= 1e-13 * np.max(np.abs(want))
+        row = _symbol_sum(grid)
+        assert np.all(drawn.symbol_sum[alloc.column_counts() == 0] == 0.0)
+        assert np.max(np.abs(drawn.symbol_sum - row)) <= 1e-13 * np.max(np.abs(row))
+        lags = grid.cpi_lags
+        assert np.max(np.abs(drawn.cpi_lags - lags)) <= 1e-13 * np.max(np.abs(lags))
+
+    @pytest.mark.parametrize("case", STATISTICS_CASES)
+    def test_noisy_block_is_the_basis_rows_over_a_bartlett_factor(self, case):
+        scene, alloc, params = statistics_case(case, noise_variance_w=0.5)
+        block = _gram_statistics(scene, alloc, params, 3).block
+        d, k = STATISTICS_CASES[case][-1], alloc.n_active
+        r = min(params.n_symbols - d, k)
+        assert block.shape == (d + r, k)
+        factor = block[d:]
+        assert np.all(np.tril(factor, -1) == 0.0)
+        assert np.all(np.diagonal(factor).imag == 0.0) and np.all(np.diagonal(factor).real > 0.0)
+
+    def test_same_draw_per_seed(self):
+        scene, alloc, params = statistics_case("two_moving", noise_variance_w=0.5)
+        a = _gram_statistics(scene, alloc, params, 9)
+        b = _gram_statistics(scene, alloc, params, np.random.SeedSequence(9))
+        assert a.block.tobytes() == b.block.tobytes()
+        assert a.block.tobytes() != _gram_statistics(scene, alloc, params, 10).block.tobytes()
+
+    def test_per_symbol_allocation_rejected(self):
+        params = make_params(n=40, m=2)
+        alloc = si.make_allocation(params, "custom", indices=[[0, 5], [1, 7, 9]])
+        scene = si.Scene(targets=(si.Target(distance_m=50.0, amplitude=1.0),), snr_db=0.0)
+        with pytest.raises(ValueError, match="varies across symbols"):
+            _gram_statistics(scene, alloc, params, 0)
+
+
+class TestSymbolBasis:
+    @pytest.mark.parametrize(
+        "m, velocities, d",
+        [
+            (8, (0.0,), 1),  # a static target's profile is the all-ones vector
+            (8, (0.0, 0.0), 1),
+            (8, (30.0,), 2),
+            (8, (30.0, 30.0), 2),  # one profile, twice
+            (8, (30.0, 0.0), 2),
+            (8, (30.0, -30.0), 3),
+            (8, (0.05, -0.05), 3),  # near-static: one Gram-Schmidt pass leaves them 1e-7 from orthogonal
+            (8, (1.0, 2.0, 3.0), 4),
+            (720, (15.0, -15.0, 40.0), 4),
+            (2, (100.0, -100.0), 2),  # as many dimensions as symbols
+            (1, (100.0,), 1),
+        ],
+    )
+    def test_orthonormal_basis_of_ones_and_profiles(self, m, velocities, d):
+        params = make_params(m=m)
+        targets = tuple(si.Target(distance_m=50.0, velocity_mps=v, amplitude=1.0) for v in velocities)
+        basis = _symbol_basis(si.Scene(targets=targets, noise_variance_w=0.0), params)
+        assert basis.shape == (d, m)
+        assert np.all(basis[0] == 1.0 / math.sqrt(m))
+        assert np.max(np.abs(basis.conj() @ basis.T - np.eye(d))) <= 1e-14
+        for t in targets:
+            _, f_d = si.delay_doppler(t, params)
+            p = np.exp(2j * np.pi * f_d * params.symbol_dur_s * np.arange(m))
+            outside = p - (basis.conj() @ p) @ basis
+            assert np.max(np.abs(outside)) <= 1e-13
