@@ -272,16 +272,14 @@ class VirtualAperture:
 
     lags         ascending available lags, symmetric about 0
     pair_counts  ordered-pair multiplicity per lag (same length as lags)
-    holes        lags in -(N-1)..N-1 produced by no index pair
     """
 
     lags: np.ndarray
     pair_counts: np.ndarray
-    holes: np.ndarray
     n_subcarriers: int
 
     def __post_init__(self):
-        for name in ("lags", "pair_counts", "holes"):
+        for name in ("lags", "pair_counts"):
             arr = np.asarray(getattr(self, name), dtype=np.int64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -424,14 +422,8 @@ def difference_set(alloc: ResourceAllocation) -> VirtualAperture:
     n = alloc.n_subcarriers
     diffs = (idx[:, None] - idx[None, :]).ravel()
     counts = np.bincount(diffs + (n - 1), minlength=2 * n - 1)
-    lags = np.nonzero(counts)[0] - (n - 1)
-    holes = np.nonzero(counts == 0)[0] - (n - 1)
-    return VirtualAperture(
-        lags=lags,
-        pair_counts=counts[counts > 0],
-        holes=holes,
-        n_subcarriers=n,
-    )
+    nonzero = np.flatnonzero(counts)
+    return VirtualAperture(lags=nonzero - (n - 1), pair_counts=counts[nonzero], n_subcarriers=n)
 
 
 def _binomial_halfwidth(p_hat, n: int):

@@ -28,7 +28,6 @@ from .scene import SPEED_OF_LIGHT, LinkBudget, Scene, Target
 from .synth import _gram_route, _gram_statistics, _symbol_sum_row, synthesize
 from .estimators import (
     Periodogram,
-    _symbol_sum,
     _zero_fill,
     build_virtual_signal,
     detect_peaks,
@@ -416,8 +415,9 @@ def _trials(
     allocation on the Gram route of the lag sums (_gram_route), has its
     symbol sum and Gram matrix drawn without the grid (_gram_statistics);
     any other has its symbol sum drawn directly (_symbol_sum_row).  Both
-    draws keep synthesize's phases, with other noise draws.  A grid's or
-    statistics' symbol sum and lag sums are computed only when read.
+    draws keep synthesize's phases, with other noise draws.  A virtual
+    slot is read the same way whichever route drew it, through its
+    `symbol_sum` and `cpi_lags`, each computed only when read.
     """
     params = cfg.params
     readers = {}  # slot: the requested methods that read it
@@ -440,7 +440,7 @@ def _trials(
                     vs, _ = build_virtual_signal(drawn)
                     out[method] = virtual_periodogram(vs, params, oversample=cfg.oversample)
                 else:
-                    row = drawn.symbol_sum if gram else _symbol_sum(drawn) if virtual else drawn
+                    row = drawn.symbol_sum if virtual else drawn
                     out[method] = _zero_fill(row, alloc, params, cfg.oversample)
         yield out
 

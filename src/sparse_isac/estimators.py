@@ -92,7 +92,6 @@ class DelayEstimate:
     bin_index: int
     n_bins: int
     peak_value: float
-    refined: bool
 
 
 @dataclass(frozen=True)
@@ -135,20 +134,6 @@ class PeakList:
         return len(self.peaks) >= self.requested
 
 
-def _symbol_sum(grid: FreqGrid) -> np.ndarray:
-    """sum_m Y_m[n] for every subcarrier n, zeros where none is active.
-
-    Each column adds its active values in symbol order, the same additions
-    as a symbol sum of the dense grid, whose inactive cells add +0.0.
-    """
-    out = np.zeros(grid.n_subcarriers, dtype=np.complex128)
-    if grid.alloc.is_constant:
-        out[grid.alloc.indices] = grid.block.sum(axis=0)
-    else:
-        np.add.at(out, grid.alloc.cols, grid.active)
-    return out
-
-
 def zero_fill_periodogram(grid: FreqGrid, oversample: int = 4) -> Periodogram:
     """Delay periodogram of the zero-filled grid.
 
@@ -157,7 +142,7 @@ def zero_fill_periodogram(grid: FreqGrid, oversample: int = 4) -> Periodogram:
     axis maps bin q to delay q / (Q * subcarrier_spacing).
     """
     oversample = _check_number("oversample", oversample, integer=True, minimum=1)
-    return _zero_fill(_symbol_sum(grid), grid.alloc, grid.params, oversample)
+    return _zero_fill(grid.symbol_sum, grid.alloc, grid.params, oversample)
 
 
 def _zero_fill(
@@ -225,7 +210,6 @@ def ml_single_target(
         bin_index=best,
         n_bins=p.n_bins,
         peak_value=float(p.values[best] * cells),
-        refined=refine,
     )
 
 
@@ -237,13 +221,15 @@ def build_virtual_signal(grid: FreqGrid) -> tuple[VirtualSignal, VirtualAperture
     accumulated virtual signal together with its aperture.
 
     The library reads only the accumulated lags: the CPI mean of the lag
-    sums is kept on the grid (FreqGrid.cpi_lags, whose route
-    sparse_isac.synth picks), and this gathers it at the aperture lags
-    over their pair counts.  The per-symbol lag products, averaged over the
-    symbols, are the tests' reference; they agree up to float round-off.
+    sums (`grid.cpi_lags`, whose route sparse_isac.synth picks), gathered
+    at the aperture lags over their pair counts.  So it reads only the
+    grid's `alloc` and `cpi_lags`, and a sweep trial passes a drawn
+    synth._GridStatistics the same way.  The per-symbol lag products,
+    averaged over the symbols, are the tests' reference; they agree up to
+    float round-off.
     """
     aperture = difference_set(grid.alloc)
-    vals = grid.cpi_lags[np.mod(aperture.lags, 2 * grid.n_subcarriers)] / aperture.pair_counts
+    vals = grid.cpi_lags[np.mod(aperture.lags, 2 * aperture.n_subcarriers)] / aperture.pair_counts
     return VirtualSignal(values=vals, aperture=aperture), aperture
 
 

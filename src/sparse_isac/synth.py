@@ -31,9 +31,10 @@ A sweep or demo trial reads two statistics of a grid only: its symbol sum
 and the Gram matrix of its rows.  On the Gram route it draws them without
 the grid (_gram_statistics, the Bartlett decomposition): d + min(M - d, K)
 rows of K values, d the dimension of the targets' symbol-phase profiles
-with the all-ones vector, in place of M rows, read by the same product.
-synthesize is the reference; the draw keeps its phases, with other noise
-draws.
+with the all-ones vector, in place of M rows.  synthesize is the
+reference; the draw keeps its phases, with other noise draws.  A grid and
+a drawn _GridStatistics are read the same way, through `symbol_sum` and
+`cpi_lags`, and _gram_lags is the one reader of a Gram block's lag means.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alloc import OfdmParams, ResourceAllocation, _check_fits
+from .alloc import OfdmParams, ResourceAllocation, _check_fits, _check_number
 from .scene import Scene, delay_doppler
 
 __all__ = ["FreqGrid", "synthesize", "measure_snr"]
@@ -100,6 +101,7 @@ class FreqGrid:
 
     def __post_init__(self):
         _check_fits(self.alloc, self.params)
+        _check_number("noise_variance", self.noise_variance, minimum=0)
         n_cells = int(self.alloc.starts[-1])
         if self.active.shape != (n_cells,):
             raise ValueError(
@@ -129,6 +131,18 @@ class FreqGrid:
         out = np.zeros((self.n_symbols, self.n_subcarriers), dtype=self.active.dtype)
         out[self.alloc.mask()] = self.active
         out.setflags(write=False)
+        return out
+
+    @property
+    def symbol_sum(self) -> np.ndarray:
+        """sum_m Y_m[n] as a dense (N,) row, zeros where no cell is active:
+        each column adds its active values in symbol order, as the symbol sum
+        of the dense grid does (its inactive cells add +0.0)."""
+        out = np.zeros(self.n_subcarriers, dtype=np.complex128)
+        if self.alloc.is_constant:
+            out[self.alloc.indices] = self.block.sum(axis=0)
+        else:
+            np.add.at(out, self.alloc.cols, self.active)
         return out
 
     @property
@@ -234,10 +248,11 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
-def _gram_lags(block: np.ndarray, cols: np.ndarray, n_subcarriers: int) -> np.ndarray:
-    """The lag sums R of the K x K Gram matrix G = sum_i z_i z_i^H of the
-    rows z_i of a (rows, K) block on the active subcarriers `cols`: R[s] is
-    the sum of the G[a, b] with n_a - n_b = s mod 2N.
+def _gram_lags(block: np.ndarray, alloc: ResourceAllocation) -> np.ndarray:
+    """The CPI mean R / M of the lag sums R of the K x K Gram matrix G =
+    sum_i z_i z_i^H of the rows z_i of a (rows, K) block on the active
+    subcarriers n_a of the constant allocation `alloc` (M symbols, N
+    subcarriers): R[s] is the sum of the G[a, b] with n_a - n_b = s mod 2N.
 
     G is read from one real product S = W^T W of the (rows, 2K) float view W
     of the block, re and im interleaved, which NumPy hands to dsyrk: 4 K^2
@@ -246,16 +261,20 @@ def _gram_lags(block: np.ndarray, cols: np.ndarray, n_subcarriers: int) -> np.nd
     at one BLAS thread (_one_blas_thread): OpenBLAS's workers would spin
     after each call, and OpenBLAS 0.3.31's threaded dsyrk gave other bits at
     2 to 4 threads for K of 50, 150, 229 or 250.
+
+    Each G[a, b] is summed at its linear lag n_a - n_b + N - 1, one bin per
+    s mod 2N, and the bins are rolled by 1 - N into that layout.
     """
     # a copy only where the block is not C-ordered complex128
     w = np.asanyarray(block, dtype=np.complex128, order="C").view(np.float64)
     with _one_blas_thread:
         s = w.T @ w
-    size = 2 * n_subcarriers
-    lag = ((cols[:, None] - cols) % size).ravel()  # n_a - n_b of G[a, b], mod 2N
+    n, cols = alloc.n_subcarriers, alloc.indices
+    lag = ((cols + (n - 1))[:, None] - cols).ravel()  # n_a - n_b + N - 1 of G[a, b]
     re = s[0::2, 0::2] + s[1::2, 1::2]
     im = s[1::2, 0::2] - s[0::2, 1::2]
-    return np.bincount(lag, re.ravel(), size) + 1j * np.bincount(lag, im.ravel(), size)
+    sums = np.bincount(lag, re.ravel(), 2 * n) + 1j * np.bincount(lag, im.ravel(), 2 * n)
+    return np.roll(sums, 1 - n) / alloc.n_symbols
 
 
 def _fft_lags(grid: FreqGrid) -> np.ndarray:
@@ -298,7 +317,7 @@ def _cpi_lags(grid: FreqGrid) -> np.ndarray:
     allows it, else by the FFT route (_fft_lags).
     """
     if _gram_route(grid.alloc):
-        return _gram_lags(grid.block, grid.alloc.indices, grid.n_subcarriers) / grid.n_symbols
+        return _gram_lags(grid.block, grid.alloc)
     return _fft_lags(grid)
 
 
@@ -411,6 +430,7 @@ def _symbol_sum_row(scene: Scene, alloc: ResourceAllocation, params: OfdmParams,
     (_signal_plus_noise with n_sum = M).  Same phases as
     synthesize(scene, alloc, params, seed), other noise draws.
     """
+    _check_fits(alloc, params)
     cols = alloc.indices  # raises if the allocation varies per symbol
     _, _, values = _signal_plus_noise(
         scene, params, seed, lambda sym_phase, sub_phase: sym_phase.sum() * sub_phase[cols],
@@ -444,34 +464,28 @@ def _symbol_basis(scene: Scene, params: OfdmParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _GridStatistics:
-    """The two statistics of a grid of a constant allocation that a sweep
-    trial reads, held in a (rows, K) block (_gram_statistics): the Gram
-    matrix of its rows has the law of the grid's G = sum_m y_m y_m^H, and
-    sqrt(M) times its first row is the grid's symbol sum.
+    """The two statistics of a grid of the constant allocation `alloc` that
+    a sweep trial reads, held in a (rows, K) block (_gram_statistics): the
+    Gram matrix of its rows has the law of the grid's G = sum_m y_m y_m^H,
+    and sqrt(M) times its first row is the grid's symbol sum.
 
-    It has what build_virtual_signal reads of a grid (alloc, n_subcarriers,
-    cpi_lags), each computed on read.
+    It is read as a FreqGrid is, through `alloc`, `symbol_sum` and
+    `cpi_lags`, each computed on read.
     """
 
     block: np.ndarray
     alloc: ResourceAllocation
-    params: OfdmParams
-
-    @property
-    def n_subcarriers(self) -> int:
-        return self.params.n_subcarriers
 
     @property
     def cpi_lags(self) -> np.ndarray:
-        """The CPI mean of the lag sums, as FreqGrid.cpi_lags: the lag sums
-        of the block's Gram matrix (_gram_lags), over M."""
-        return _gram_lags(self.block, self.alloc.indices, self.n_subcarriers) / self.params.n_symbols
+        """The CPI mean of the lag sums, as FreqGrid.cpi_lags (_gram_lags)."""
+        return _gram_lags(self.block, self.alloc)
 
     @property
     def symbol_sum(self) -> np.ndarray:
         """sum_m Y_m[n] as a dense (N,) row, zeros off the allocation."""
-        row = np.zeros(self.n_subcarriers, dtype=np.complex128)
-        row[self.alloc.indices] = math.sqrt(self.params.n_symbols) * self.block[0]
+        row = np.zeros(self.alloc.n_subcarriers, dtype=np.complex128)
+        row[self.alloc.indices] = math.sqrt(self.alloc.n_symbols) * self.block[0]
         return row
 
 
@@ -501,6 +515,7 @@ def _gram_statistics(
     of the diagonal, row by row, re then im, then one gamma per diagonal
     entry.
     """
+    _check_fits(alloc, params)
     cols = alloc.indices  # raises if the allocation varies per symbol
     basis = _symbol_basis(scene, params)
     (d, m), k = basis.shape, alloc.n_active
@@ -509,7 +524,7 @@ def _gram_statistics(
         lambda sym_phase, sub_phase: np.outer((basis.conj() * sym_phase).sum(axis=1), sub_phase[cols]),
     )
     if var == 0.0:
-        return _GridStatistics(values.reshape(d, k), alloc, params)
+        return _GridStatistics(values.reshape(d, k), alloc)
     r = min(m - d, k)
     block = np.zeros((d + r, k), dtype=np.complex128)
     block[:d] = values.reshape(d, k)
@@ -522,7 +537,7 @@ def _gram_statistics(
     z *= math.sqrt(var / 2.0)
     factor[upper] = z.view(np.complex128)  # re, im of each entry in turn
     factor[diag, diag] = np.sqrt(var * rng.standard_gamma(m - d - diag))
-    return _GridStatistics(block, alloc, params)
+    return _GridStatistics(block, alloc)
 
 
 def measure_snr(grid: FreqGrid, scene: Scene) -> float:

@@ -4,7 +4,7 @@ Each function computes the plain way something that `sparse_isac`
 computes fast: a dense (M, N) view of a grid built from its allocation's
 index sets, whole-grid synthesis and every estimator's whole-grid formula
 on that view, the per-symbol lag products that the virtual signal
-accumulates, brute-force enumerations of difference sets, lag products
+accumulates, the Gram route's lag gather at the lag taken mod 2N, brute-force enumerations of difference sets, lag products
 and Fisher sums, the per-trial hole-fill draw, the row-at-a-time CSV
 writer and the symbol-constant CRLB.  The tests compare the package with
 them: bit for bit (`bits`) where the fast path does the same float
@@ -20,7 +20,7 @@ import numpy as np
 
 import sparse_isac as si
 from sparse_isac.estimators import _refine_bin
-from sparse_isac.synth import _ROW_BLOCK
+from sparse_isac.synth import _ROW_BLOCK, _one_blas_thread
 
 C = si.SPEED_OF_LIGHT
 
@@ -166,6 +166,20 @@ def serial_cpi_lags(grid):
         s = np.einsum("mk,mk->k", v, v)
         power += s[0::2] + s[1::2]
     return np.fft.ifft(power / grid.n_symbols)
+
+
+def modulo_gram_lags(block, alloc):
+    """synth._gram_lags with each Gram entry G[a, b] gathered at its lag
+    n_a - n_b taken mod 2N by an integer modulo: the same product and the
+    same bincounts, so the same bits."""
+    w = np.ascontiguousarray(block, dtype=np.complex128).view(np.float64)
+    with _one_blas_thread:
+        s = w.T @ w
+    size, cols = 2 * alloc.n_subcarriers, alloc.indices
+    lag = ((cols[:, None] - cols) % size).ravel()
+    re = s[0::2, 0::2] + s[1::2, 1::2]
+    im = s[1::2, 0::2] - s[0::2, 1::2]
+    return (np.bincount(lag, re.ravel(), size) + 1j * np.bincount(lag, im.ravel(), size)) / alloc.n_symbols
 
 
 def dense_virtual(grid, aperture):

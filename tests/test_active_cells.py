@@ -26,7 +26,7 @@ from reference import (
     dense_zero_fill,
 )
 from sparse_isac.estimators import _noncoherent_delay, _noncoherent_profile
-from sparse_isac.synth import _ROW_BLOCK, _symbol_sum_row
+from sparse_isac.synth import _ROW_BLOCK, _gram_statistics, _symbol_sum_row
 
 N = 40
 SEED = 11
@@ -263,12 +263,23 @@ class TestConstructor:
         for call in (
             lambda: si.FreqGrid(np.zeros(9 * m, complex), alloc, self.params, noise_variance=0.0),
             lambda: si.synthesize(scene, alloc, self.params, seed=1),
+            lambda: _symbol_sum_row(scene, alloc, self.params, 1),
+            lambda: _gram_statistics(scene, alloc, self.params, 1),
             lambda: si.fim_single_target(alloc, self.params, 1.0, 1.0),
             lambda: si.crlb_delay(alloc, self.params, 1.0, 1.0),
             lambda: si.ambiguity_function(alloc, self.params, axis, axis),
         ):
             with pytest.raises(ValueError, match=message):
                 call()
+
+    @pytest.mark.parametrize(
+        "value, error",
+        [(-1.0, ValueError), (math.inf, ValueError), (math.nan, ValueError), (True, TypeError), ("x", TypeError)],
+    )
+    def test_rejects_invalid_noise_variance(self, value, error):
+        alloc = si.make_allocation(self.params, "random", n_active=9, seed=3)
+        with pytest.raises(error, match="noise_variance"):
+            si.FreqGrid(np.zeros(27, complex), alloc, self.params, noise_variance=value)
 
     def test_active_read_only(self):
         alloc = si.make_allocation(self.params, "random", n_active=9, seed=3)

@@ -386,10 +386,10 @@ class TestMonteCarloSweep:
         monkeypatch.setattr(si.analysis, "synthesize", spy(si.analysis.synthesize, False))
         monkeypatch.setattr(si.analysis, "_symbol_sum_row", spy(si.analysis._symbol_sum_row, True))
         monkeypatch.setattr(synth, "_cpi_lags", counted)
-        symbol_sum = si.analysis._symbol_sum
+        symbol_sum = synth.FreqGrid.symbol_sum.fget
         monkeypatch.setattr(
-            si.analysis, "_symbol_sum",
-            lambda grid: symbol_sums.append(fixed.get(id(grid.alloc), "random")) or symbol_sum(grid),
+            synth.FreqGrid, "symbol_sum",
+            property(lambda grid: symbol_sums.append(fixed.get(id(grid.alloc), "random")) or symbol_sum(grid)),
         )
         monte_carlo_sweep(cfg)
         draws = cfg.n_trials * len(cfg.snr_db_axis)

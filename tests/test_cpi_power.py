@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 import sparse_isac as si
-from reference import serial_cpi_lags
+from reference import bits, modulo_gram_lags, serial_cpi_lags
 from sparse_isac import analysis, synth
 from sparse_isac.analysis import SweepConfig, monte_carlo_sweep
 from sparse_isac.alloc import nested_params_for
-from sparse_isac.synth import _ROW_BLOCK, _cpi_lags, _gram_route
+from sparse_isac.synth import _ROW_BLOCK, _cpi_lags, _gram_lags, _gram_route
 
 
 def make_params(n, m):
@@ -186,6 +186,19 @@ class TestGramRoute:
             assert np.max(np.abs(lags - ref)) <= 1e-13 * np.max(np.abs(ref))
         else:
             assert lags.tobytes() == ref.tobytes()
+
+    def test_linear_lag_gather_bitwise_equal_to_the_modulo_gather(self):
+        # N from 2 to 299, K from 1 to N, 1 to 39 rows, every tenth block zero
+        rng = np.random.default_rng(29)
+        for case in range(3000):
+            n = int(rng.integers(2, 300))
+            k, rows = int(rng.integers(1, n + 1)), int(rng.integers(1, 40))
+            alloc = si.ResourceAllocation.constant(rng.choice(n, k, replace=False), rows, n)
+            block = rng.standard_normal((rows, 2 * k)).view(np.complex128)
+            if case % 10 == 0:
+                block[:] = 0.0
+            got, want = _gram_lags(block, alloc), modulo_gram_lags(block, alloc)
+            assert np.array_equal(bits(got), bits(want)), (n, k, rows)
 
     def test_same_bits_at_any_blas_thread_count(self):
         # held at one thread, the product gives one set of bits at any

@@ -405,7 +405,7 @@ class TestVirtualPeriodogram:
         t = si.Target(distance_m=150.0, amplitude=1.0, phase_rad=0.0)
         grid = noiseless_grid(params, alloc, (t,))
         vs, ap = si.build_virtual_signal(grid)
-        assert ap.holes.size == 0
+        assert ap.n_lags == 2 * params.n_subcarriers - 1
         p_virtual = si.virtual_periodogram(vs, params, oversample=8)
 
         params23 = make_params(n=23, m=1)

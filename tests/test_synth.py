@@ -5,7 +5,7 @@ import pytest
 
 import sparse_isac as si
 from reference import alloc_mask, dense, dense_synthesize, eval_two_term_model
-from sparse_isac.estimators import _symbol_sum, _zero_fill
+from sparse_isac.estimators import _zero_fill
 from sparse_isac.synth import _ROW_BLOCK, _gram_statistics, _symbol_basis, _symbol_sum_row
 
 C = si.SPEED_OF_LIGHT
@@ -368,7 +368,7 @@ class TestGramStatistics:
         cols, trials = alloc.indices, 4000
         # disjoint seeds: the two draws of one seed share their first noise normals
         grids = (si.synthesize(scene, alloc, params, s) for s in range(trials))
-        want = np.array([gram_and_sum(gram(g.block), _symbol_sum(g)[cols]) for g in grids])
+        want = np.array([gram_and_sum(gram(g.block), g.symbol_sum[cols]) for g in grids])
         drawn = (_gram_statistics(scene, alloc, params, s) for s in range(trials, 2 * trials))
         got = np.array([gram_and_sum(gram(d.block), d.symbol_sum[cols]) for d in drawn])
         assert_same_moments(got, want)
@@ -381,7 +381,7 @@ class TestGramStatistics:
         assert drawn.block.shape == (STATISTICS_CASES[case][-1], alloc.n_active)
         want = gram(grid.block)
         assert np.max(np.abs(gram(drawn.block) - want)) <= 1e-13 * np.max(np.abs(want))
-        row = _symbol_sum(grid)
+        row = grid.symbol_sum
         assert np.all(drawn.symbol_sum[alloc.column_counts() == 0] == 0.0)
         assert np.max(np.abs(drawn.symbol_sum - row)) <= 1e-13 * np.max(np.abs(row))
         lags = grid.cpi_lags
