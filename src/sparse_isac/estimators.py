@@ -117,7 +117,6 @@ class VirtualSignal:
 @dataclass(frozen=True)
 class Peak:
     bin_index: int
-    axis_value: float
     refined_axis_value: float
     magnitude: float
 
@@ -295,14 +294,7 @@ def detect_peaks(p: Periodogram, k: int = 1, min_separation: int = 1) -> PeakLis
     for idx in chosen:
         pos = _refine_bin(v, idx)
         refined_axis = (pos % n) * p.bin_width + float(p.axis[0])
-        peaks.append(
-            Peak(
-                bin_index=idx,
-                axis_value=float(p.axis[idx]),
-                refined_axis_value=refined_axis,
-                magnitude=float(v[idx]),
-            )
-        )
+        peaks.append(Peak(bin_index=idx, refined_axis_value=refined_axis, magnitude=float(v[idx])))
     return PeakList(peaks=tuple(peaks), requested=k)
 
 

@@ -67,13 +67,19 @@ _ROW_BLOCK = 64
 _GRAM_MIN_POINTS = 1 << 19
 
 # Largest K^2 / (2N log2 2N) on the Gram route, whose cost grows as M K^2
-# where the FFT route's grows as M 2N log2 2N.  CPU time of the two on a
-# 2-core x86-64 guest, with the former zgemm form of the Gram route at
-# OpenBLAS 0.3.31's default thread count, each route in its own process,
-# median of 15 calls: the Gram route cost more from K of about 140 at N=256
-# (M=1024), 175 at N=500, 300 at N=1000 and 450 at N=2000 (M=720), and 500
-# at N=4000 (M=131), a ratio of 2.4 to 4.3.  The bound is the smallest of
-# them: K up to 229 at N=1000.
+# where the FFT route's grows as M 2N log2 2N.  Set from the former zgemm
+# form of the Gram route at OpenBLAS 0.3.31's default thread count (CPU time,
+# each route in its own process, median of 15 calls, 2-core x86-64 guest):
+# it cost more than the FFT route from K of about 140 at N=256 (M=1024), 175
+# at N=500, 300 at N=1000 and 450 at N=2000 (M=720), and 500 at N=4000
+# (M=131), a ratio of 2.4 to 4.3; the bound is the smallest, K up to 229 at
+# N=1000.  The value is stale for the one-thread dsyrk of _gram_lags: its
+# wall time over _fft_lags' (best of 5, same guest) reads 0.37, 0.49, 0.64,
+# 0.67-0.84, 1.01 and 1.48 at K = 260, 300, 350, 400, 450 and 500 (N=1000,
+# M=720), and 0.46, 0.83-1.07 and 1.31 at K = 128, 200 and 220 (N=256,
+# M=1024): a crossover near a ratio of 8 to 9.  It stays at 2.4 because
+# _gram_route also picks the trial draw of the sweep and the demo, so a new
+# value moves their noise streams at K from about 230 to 440 (N=1000).
 _GRAM_MAX_COST_RATIO = 2.4
 
 # A target's symbol-phase profile adds a dimension to the basis of

@@ -5,8 +5,9 @@ computes fast: a dense (M, N) view of a grid built from its allocation's
 index sets, whole-grid synthesis and every estimator's whole-grid formula
 on that view, the per-symbol lag products that the virtual signal
 accumulates, the Gram route's lag gather at the lag taken mod 2N, brute-force enumerations of difference sets, lag products
-and Fisher sums, the per-trial hole-fill draw, the row-at-a-time CSV
-writer and the symbol-constant CRLB.  The tests compare the package with
+and Fisher sums, the modular-distance PSLR mask, the nearest-peak target
+match, the per-trial hole-fill draw, the row-at-a-time CSV writer and the
+symbol-constant CRLB.  The tests compare the package with
 them: bit for bit (`bits`) where the fast path does the same float
 operations in the same order, to round-off where it does not.
 """
@@ -296,6 +297,38 @@ def lag_sum_ambiguity(alloc, params, delays, dopplers):
     direct = np.abs(np.outer(dop, direct_delay)) / (params.n_symbols * alloc.n_active)
     virtual = np.abs(np.outer(dop, virt_delay)) / (params.n_symbols * ap.pair_counts.sum())
     return direct, virtual
+
+
+# ---------------------------------------------------------------------------
+# scoring a periodogram
+
+
+def modular_pslr(p, mainlobe_halfwidth):
+    """pslr with the exclusion zone as a mask of the circular distance of
+    every bin from the main peak, taken by an integer modulo."""
+    v = p.values
+    n = v.size
+    main_idx = int(np.argmax(v))
+    if v[main_idx] <= 0.0:
+        raise FloatingPointError("spectrum is zero everywhere")
+    dist = np.abs((np.arange(n) - main_idx + n // 2) % n - n // 2)
+    side = v[dist > mainlobe_halfwidth].max()
+    if side <= 0.0:
+        return math.inf
+    return 20.0 * math.log10(v[main_idx] / side)
+
+
+def nearest_peak_match(peaks, true_ranges_m, miss_tol_m):
+    """Each target takes its nearest peak (the first in peak order on a
+    tie), and is detected where that peak is within the tolerance: one
+    peak may detect two targets.  Returns (errors of the detected targets
+    in target order, count of missed targets), as analysis._match does,
+    which lets each peak detect one target at most; the two agree wherever
+    the targets are more than twice the tolerance apart."""
+    est = np.array([p.refined_axis_value * C / 2.0 for p in peaks.peaks])
+    nearest = [est[np.argmin(np.abs(est - r))] - r for r in true_ranges_m] if est.size else []
+    errors = [float(err) for err in nearest if abs(err) <= miss_tol_m]
+    return errors, len(true_ranges_m) - len(errors)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,22 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import sparse_isac as si
-from reference import brute_force_fim_terms, crlb_delay_constant, lag_sum_ambiguity
+from reference import (
+    bits,
+    brute_force_fim_terms,
+    crlb_delay_constant,
+    lag_sum_ambiguity,
+    modular_pslr,
+    nearest_peak_match,
+)
 from sparse_isac.analysis import (
     SweepConfig,
+    _match,
+    _trials,
     common_exclusion_halfwidth,
     monte_carlo_sweep,
 )
@@ -159,30 +170,32 @@ class TestCrlbDelay:
         assert rep.fim.shape == (2, 2)
 
 
-class TestPslr:
-    def spectrum(self, vals):
-        params = make_params(n=16, m=1)
-        axis = np.arange(len(vals)) / (len(vals) * params.subcarrier_spacing_hz)
-        return si.Periodogram(
-            axis=axis, values=np.asarray(vals, dtype=float), domain="delay",
-            method="zero_fill", oversample=1, params=params,
-        )
+def toy_spectrum(vals):
+    """A hand-built delay periodogram of the values `vals` (N=16, 1 symbol)."""
+    params = make_params(n=16, m=1)
+    axis = np.arange(len(vals)) / (len(vals) * params.subcarrier_spacing_hz)
+    return si.Periodogram(
+        axis=axis, values=np.asarray(vals, dtype=float), domain="delay",
+        method="zero_fill", oversample=1, params=params,
+    )
 
+
+class TestPslr:
     def test_delta_spectrum_infinite(self):
         vals = np.zeros(32)
         vals[4] = 1.0
-        assert si.pslr(self.spectrum(vals), mainlobe_halfwidth=2) == math.inf
+        assert si.pslr(toy_spectrum(vals), mainlobe_halfwidth=2) == math.inf
 
     def test_all_zero_spectrum_is_a_numeric_failure(self):
         # a signal that underflows to 0 leaves no peak: the CLI's exit 3
         with pytest.raises(FloatingPointError, match="zero everywhere"):
-            si.pslr(self.spectrum(np.zeros(32)), mainlobe_halfwidth=2)
+            si.pslr(toy_spectrum(np.zeros(32)), mainlobe_halfwidth=2)
 
     def test_two_level_toy(self):
         vals = np.zeros(64)
         vals[10] = 1.0
         vals[40] = 0.1
-        assert si.pslr(self.spectrum(vals), mainlobe_halfwidth=3) == pytest.approx(20.0)
+        assert si.pslr(toy_spectrum(vals), mainlobe_halfwidth=3) == pytest.approx(20.0)
 
     def test_contiguous_kernel_level(self):
         params = make_params(n=128, m=1)
@@ -195,7 +208,82 @@ class TestPslr:
     def test_exclusion_zone_cannot_swallow_spectrum(self):
         vals = np.ones(16)
         with pytest.raises(ValueError):
-            si.pslr(self.spectrum(vals), mainlobe_halfwidth=8)
+            si.pslr(toy_spectrum(vals), mainlobe_halfwidth=8)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_the_modular_reference(self, data):
+        # small integer magnitudes tie often: on plateaus, next to the peak
+        # and across the wrap past the last bin
+        n = data.draw(st.integers(3, 59))
+        vals = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        assume(max(vals) > 0)
+        halfwidth = data.draw(st.integers(0, (n - 2) // 2))
+        p = toy_spectrum(vals)
+        assert bits(si.pslr(p, halfwidth)) == bits(modular_pslr(p, halfwidth))
+
+
+class TestMatch:
+    def test_one_peak_detects_one_of_two_close_targets(self):
+        vals = np.zeros(64)
+        vals[10] = 1.0  # the one local maximum, so the one peak
+        p = toy_spectrum(vals)
+        range_bin = p.bin_width * C / 2.0
+        true_ranges = np.array([9.6, 10.7]) * range_bin  # both within tol of the peak
+        tol = 1.0 * range_bin
+        errors, missed = _match(p, true_ranges, tol)
+        assert missed == 1
+        assert errors == [pytest.approx(0.4 * range_bin)]
+        # nearest-peak assignment lets the one peak detect both
+        peaks = si.detect_peaks(p, k=2, min_separation=2 * common_exclusion_halfwidth(p))
+        assert nearest_peak_match(peaks, true_ranges, tol)[1] == 0
+
+    @pytest.mark.parametrize("distances", [(200.0,), (200.0, 330.0)])
+    def test_matches_nearest_peak_reference_on_separated_targets(self, distances):
+        # one target, or two more than twice the tolerance apart: the
+        # nearest-peak rule cannot count one peak twice, so the two agree
+        cfg = SweepConfig(
+            params=si.OfdmParams(256, 32, 120e3, 24e9),
+            n_active=64,
+            snr_db_axis=(-28.0, 0.0),  # misses at -28 dB
+            methods=si.SWEEP_METHODS,
+            targets=tuple(si.Target(distance_m=d, amplitude=a) for d, a in zip(distances, (1.0, 0.8))),
+            n_trials=15,
+            master_seed=5,
+        )
+        true_ranges = np.array(distances)
+        tol = cfg.miss_threshold_bins * cfg.params.range_bin_m
+        assert len(distances) == 1 or np.ptp(true_ranges) > 2 * tol
+        misses = 0
+        for scene, ss in zip(cfg.scenes, np.random.SeedSequence(5).spawn(2)):
+            for trial in _trials(cfg, scene, cfg.methods, cfg._allocations, cfg.n_trials, ss):
+                for p in trial.values():
+                    peaks = si.detect_peaks(
+                        p, k=len(distances), min_separation=2 * common_exclusion_halfwidth(p)
+                    )
+                    want = nearest_peak_match(peaks, true_ranges, tol)
+                    got = _match(p, true_ranges, tol)
+                    assert got[1] == want[1]
+                    assert np.array_equal(bits(got[0]), bits(want[0]))
+                    misses += got[1]
+        assert misses > 0
+
+    def test_sweep_counts_a_merged_pair_as_one_miss(self):
+        # two targets 15 m apart: the 64-subcarrier contiguous band (19.5 m
+        # resolution) merges them into one peak between them, the full band
+        # resolves them
+        cfg = SweepConfig(
+            params=si.OfdmParams(256, 32, 120e3, 24e9),
+            n_active=64,
+            snr_db_axis=(10.0,),
+            methods=("full_bandwidth", "equivalent_bandwidth"),
+            targets=(si.Target(distance_m=200.0, amplitude=1.0), si.Target(distance_m=215.0, amplitude=0.8)),
+            n_trials=20,
+            master_seed=5,
+        )
+        res = monte_carlo_sweep(cfg)
+        assert res.miss_rate["equivalent_bandwidth"][0] > 0.0
+        assert res.miss_rate["full_bandwidth"][0] == 0.0
 
 
 class TestAmbiguityFunction:

@@ -489,7 +489,7 @@ class TestDetectPeaks:
         p = si.zero_fill_periodogram(grid, oversample=4)
         peaks = si.detect_peaks(p, k=1)
         pk = peaks.peaks[0]
-        assert abs(pk.refined_axis_value - pk.axis_value) <= p.bin_width
+        assert abs(pk.refined_axis_value - p.axis[pk.bin_index]) <= p.bin_width
 
 
 class TestDopplerPeriodogram:
