@@ -414,8 +414,12 @@ def difference_set(alloc: ResourceAllocation) -> VirtualAperture:
     """All pairwise index differences of the allocation, with multiplicities.
 
     Requires the allocation to be symbol-constant (the autocorrelation
-    estimator fixes one index set across the CPI).
+    estimator fixes one index set across the CPI).  Computed on the first
+    call and kept with the allocation, as FreqGrid.cpi_lags is with its grid.
     """
+    aperture = vars(alloc).get("_aperture")
+    if aperture is not None:
+        return aperture
     idx = alloc.indices  # raises if per-symbol sets differ
     if idx.size < 2:
         raise ValueError("difference set needs at least 2 active indices")
@@ -423,7 +427,9 @@ def difference_set(alloc: ResourceAllocation) -> VirtualAperture:
     diffs = (idx[:, None] - idx[None, :]).ravel()
     counts = np.bincount(diffs + (n - 1), minlength=2 * n - 1)
     nonzero = np.flatnonzero(counts)
-    return VirtualAperture(lags=nonzero - (n - 1), pair_counts=counts[nonzero], n_subcarriers=n)
+    aperture = VirtualAperture(lags=nonzero - (n - 1), pair_counts=counts[nonzero], n_subcarriers=n)
+    vars(alloc)["_aperture"] = aperture  # frozen: no field, not compared
+    return aperture
 
 
 def _binomial_halfwidth(p_hat, n: int):

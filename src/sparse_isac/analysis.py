@@ -210,8 +210,9 @@ def pslr(p: Periodogram, mainlobe_halfwidth: int) -> float:
     if 2 * mainlobe_halfwidth + 1 >= n:
         raise ValueError("exclusion zone swallows the whole spectrum")
     main_idx = _main_peak(p)
-    # rolled to the peak, the bins more than the halfwidth away circularly
-    side = np.roll(v, -main_idx)[mainlobe_halfwidth + 1 : n - mainlobe_halfwidth].max()
+    # bins lo..hi-1 mod n, more than the halfwidth away; magnitudes are >= 0
+    lo, hi = main_idx + mainlobe_halfwidth + 1, main_idx + n - mainlobe_halfwidth
+    side = max(v[lo:hi].max(initial=0.0), v[max(lo - n, 0) : max(hi - n, 0)].max(initial=0.0))
     if side <= 0.0:
         return math.inf
     return 20.0 * math.log10(v[main_idx] / side)
@@ -293,8 +294,9 @@ class SweepConfig:
     the method comparison is paired.  `scenes` holds the Scene of each SNR
     point; the seed-independent allocations are built once, by sweep method.
     A target is detected when a peak lies within miss_threshold_bins range
-    bins of it and nearer to it than to any other target; one peak detects
-    one target at most (_match, the demo's rule too).
+    bins of it (10 by default) and nearer to it than to any other target;
+    one peak detects one target at most (_match, the demo's rule too, which
+    the demo applies at _DEMO_MATCH_TOL_BINS, 5).  Each method runs once.
     """
 
     params: OfdmParams
@@ -317,9 +319,11 @@ class SweepConfig:
 
     def __post_init__(self):
         methods = _as_tuple("methods", self.methods)
-        for m in methods:
+        for i, m in enumerate(methods):
             if m not in SWEEP_METHODS:
                 raise ValueError(f"methods: unknown sweep method {m!r}; valid: {SWEEP_METHODS}")
+            if m in methods[:i]:
+                raise ValueError(f"methods[{i}]: sweep method {m!r} is listed twice")
         n = self.params.n_subcarriers
         _check_number("n_active", self.n_active, integer=True, minimum=2, maximum=n)
         _check_number("n_trials", self.n_trials, integer=True, minimum=1, maximum=_AXIS_MAX_POINTS)
@@ -572,6 +576,7 @@ class TwoTargetDemoConfig:
     and decoheres over the CPI, while the per-symbol autocorrelation
     cancels the symbol phase and keeps the full integration gain.
     `scene` holds the two targets, built once from the three pair fields.
+    A run matches by _match at _DEMO_MATCH_TOL_BINS (5) range bins, the sweep at 10.
     """
 
     params: OfdmParams

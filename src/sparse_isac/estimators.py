@@ -17,6 +17,7 @@ The library reads the accumulated lags only, as the grid's CPI lag means
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,7 +43,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Periodogram:
-    """Magnitude spectrum on a delay (s) or Doppler (Hz) axis."""
+    """Magnitude spectrum on a delay (s) or Doppler (Hz) axis.  Library delay
+    axes are shared and read-only (_delay_axis); only an axis built elsewhere
+    is checked to be strictly increasing."""
 
     axis: np.ndarray
     values: np.ndarray
@@ -54,7 +57,9 @@ class Periodogram:
     def __post_init__(self):
         if self.axis.shape != self.values.shape:
             raise ValueError("axis and values must align")
-        if np.any(np.diff(self.axis) <= 0):
+        spacing = self.params.subcarrier_spacing_hz
+        shared = not self.axis.flags.writeable and self.axis is _delay_axis(self.n_bins, spacing)
+        if not shared and np.any(np.diff(self.axis) <= 0):
             raise ValueError("axis must be strictly increasing")
         if not np.isfinite(self.values).all():
             raise FloatingPointError(f"{self.method} {self.domain} magnitudes must be finite")
@@ -74,6 +79,15 @@ class Periodogram:
     @property
     def argmax_bin(self) -> int:
         return int(np.argmax(self.values))
+
+
+@functools.lru_cache(maxsize=4)
+def _delay_axis(q_bins: int, spacing_hz: float) -> np.ndarray:
+    """The delay axis q / (Q * spacing) s, q = 0..Q-1, of a Q-bin library
+    periodogram: built once per (Q, spacing), read-only and shared."""
+    axis = np.arange(q_bins) / (q_bins * spacing_hz)
+    axis.setflags(write=False)
+    return axis
 
 
 @dataclass(frozen=True)
@@ -153,9 +167,8 @@ def _zero_fill(
     k = alloc.cardinalities().mean()  # active subcarriers per symbol
     spectrum = np.fft.ifft(collapsed, n=q_bins) * q_bins
     values = np.abs(spectrum) / (alloc.n_symbols * k)
-    axis = np.arange(q_bins) / (q_bins * params.subcarrier_spacing_hz)
     return Periodogram(
-        axis=axis,
+        axis=_delay_axis(q_bins, params.subcarrier_spacing_hz),
         values=values,
         domain="delay",
         method="zero_fill",
@@ -251,9 +264,8 @@ def virtual_periodogram(
     taps[np.mod(vs.aperture.lags, q_bins)] = vs.values
     spectrum = np.fft.ifft(taps) * q_bins
     values = np.abs(spectrum) / vs.aperture.n_lags
-    axis = np.arange(q_bins) / (q_bins * params.subcarrier_spacing_hz)
     return Periodogram(
-        axis=axis,
+        axis=_delay_axis(q_bins, params.subcarrier_spacing_hz),
         values=values,
         domain="delay",
         method="autocorrelation",
@@ -273,23 +285,30 @@ def detect_peaks(p: Periodogram, k: int = 1, min_separation: int = 1) -> PeakLis
     Local maxima are ranked by magnitude (lowest bin wins exact ties) and
     accepted unless within min_separation bins of an already accepted
     peak.  Fewer than k peaks may come back; PeakList.complete tells.
+    For k == 1 the greedy's first pick is returned directly, unranked.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     v = p.values
     n = v.size
-    left = np.roll(v, 1)
-    right = np.roll(v, -1)
-    cand = np.nonzero((v > left) & (v >= right))[0]
-    if cand.size == 0 and np.any(v > 0):
-        cand = np.array([int(np.argmax(v))])
-    order = cand[np.lexsort((cand, -v[cand]))]  # magnitude desc, index asc
-    chosen: list[int] = []
-    for idx in order:
-        if len(chosen) == k:
-            break
-        if all(_circular_distance(idx, c, n) > min_separation for c in chosen):
-            chosen.append(int(idx))
+    if k == 1 and n:
+        # the lowest bin at the maximum with a lower circular left neighbour;
+        # with none, every bin holds the maximum: the greedy's argmax, bin 0
+        vmax = v.max()
+        at_max = np.flatnonzero(v == vmax)
+        rising = at_max[v[at_max - 1] < vmax]
+        chosen = rising[:1].tolist() if rising.size else [0] if vmax > 0 else []
+    else:
+        cand = np.nonzero((v > np.roll(v, 1)) & (v >= np.roll(v, -1)))[0]
+        if cand.size == 0 and np.any(v > 0):
+            cand = np.array([int(np.argmax(v))])
+        order = cand[np.lexsort((cand, -v[cand]))]  # magnitude desc, index asc
+        chosen = []
+        for idx in order:
+            if len(chosen) == k:
+                break
+            if all(_circular_distance(idx, c, n) > min_separation for c in chosen):
+                chosen.append(int(idx))
     peaks = []
     for idx in chosen:
         pos = _refine_bin(v, idx)

@@ -4,12 +4,13 @@ Each function computes the plain way something that `sparse_isac`
 computes fast: a dense (M, N) view of a grid built from its allocation's
 index sets, whole-grid synthesis and every estimator's whole-grid formula
 on that view, the per-symbol lag products that the virtual signal
-accumulates, the Gram route's lag gather at the lag taken mod 2N, brute-force enumerations of difference sets, lag products
-and Fisher sums, the modular-distance PSLR mask, the nearest-peak target
-match, the per-trial hole-fill draw, the row-at-a-time CSV writer and the
-symbol-constant CRLB.  The tests compare the package with
-them: bit for bit (`bits`) where the fast path does the same float
-operations in the same order, to round-off where it does not.
+accumulates, the Gram route's lag gather at the lag taken mod 2N,
+brute-force enumerations of difference sets, lag products and Fisher sums,
+the modular-distance PSLR mask, the greedy peak picker for every k, the
+nearest-peak target match, the per-trial hole-fill draw, the
+row-at-a-time CSV writer and the symbol-constant CRLB.  The tests compare
+the package with them: bit for bit (`bits`) where the fast path does the
+same float operations in the same order, to round-off where it does not.
 """
 import cmath
 import csv
@@ -20,7 +21,7 @@ from collections import Counter
 import numpy as np
 
 import sparse_isac as si
-from sparse_isac.estimators import _refine_bin
+from sparse_isac.estimators import Peak, PeakList, _circular_distance, _refine_bin
 from sparse_isac.synth import _ROW_BLOCK, _one_blas_thread
 
 C = si.SPEED_OF_LIGHT
@@ -301,6 +302,35 @@ def lag_sum_ambiguity(alloc, params, delays, dopplers):
 
 # ---------------------------------------------------------------------------
 # scoring a periodogram
+
+
+def greedy_detect_peaks(p, k=1, min_separation=1):
+    """detect_peaks by the greedy for every k: every local maximum ranked by
+    magnitude (lowest bin on a tie), each accepted unless within
+    min_separation bins of an accepted one.  detect_peaks takes this path
+    for k > 1 and picks its first peak directly for k == 1."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    v = p.values
+    n = v.size
+    left = np.roll(v, 1)
+    right = np.roll(v, -1)
+    cand = np.nonzero((v > left) & (v >= right))[0]
+    if cand.size == 0 and np.any(v > 0):
+        cand = np.array([int(np.argmax(v))])
+    order = cand[np.lexsort((cand, -v[cand]))]  # magnitude desc, index asc
+    chosen: list[int] = []
+    for idx in order:
+        if len(chosen) == k:
+            break
+        if all(_circular_distance(idx, c, n) > min_separation for c in chosen):
+            chosen.append(int(idx))
+    peaks = []
+    for idx in chosen:
+        pos = _refine_bin(v, idx)
+        refined_axis = (pos % n) * p.bin_width + float(p.axis[0])
+        peaks.append(Peak(bin_index=idx, refined_axis_value=refined_axis, magnitude=float(v[idx])))
+    return PeakList(peaks=tuple(peaks), requested=k)
 
 
 def modular_pslr(p, mainlobe_halfwidth):

@@ -419,6 +419,18 @@ class TestDifferenceSet:
             for lag, cnt in zip(ap.lags, ap.pair_counts):
                 assert oracle[int(lag)] == int(cnt)
 
+    def test_kept_with_the_allocation(self):
+        # computed on the first call, then the same read-only aperture; the
+        # kept aperture takes no part in equality
+        alloc = si.ResourceAllocation.constant([0, 1, 4, 6], 3, 7)
+        ap = si.difference_set(alloc)
+        assert si.difference_set(alloc) is ap
+        assert not ap.lags.flags.writeable and not ap.pair_counts.flags.writeable
+        assert alloc == si.ResourceAllocation.constant([0, 1, 4, 6], 3, 7)
+        fresh = si.difference_set(si.ResourceAllocation.constant([0, 1, 4, 6], 3, 7))
+        assert fresh is not ap
+        assert np.array_equal(fresh.lags, ap.lags) and np.array_equal(fresh.pair_counts, ap.pair_counts)
+
     def test_requires_two_indices(self):
         alloc = si.ResourceAllocation.constant([3], 1, 8)
         with pytest.raises(ValueError):

@@ -205,6 +205,20 @@ class TestPslr:
         p = si.zero_fill_periodogram(grid, oversample=16)
         assert si.pslr(p, mainlobe_halfwidth=16) == pytest.approx(13.26, abs=0.1)
 
+    @pytest.mark.parametrize("halfwidth", [0, 1, 3, 7])
+    def test_exclusion_zone_wraps_past_either_end(self, halfwidth):
+        # shoulders above every sidelobe: a side range that takes in one
+        # exclusion bin, at any peak position, reads that bin
+        n = 16
+        for main_idx in range(n):
+            vals = np.ones(n)
+            for d in range(1, halfwidth + 1):
+                vals[(main_idx + d) % n] = vals[(main_idx - d) % n] = 3.0
+            vals[main_idx] = 4.0
+            p = toy_spectrum(vals)
+            assert si.pslr(p, halfwidth) == 20.0 * math.log10(4.0)
+            assert bits(si.pslr(p, halfwidth)) == bits(modular_pslr(p, halfwidth))
+
     def test_exclusion_zone_cannot_swallow_spectrum(self):
         vals = np.ones(16)
         with pytest.raises(ValueError):

@@ -520,6 +520,15 @@ class TestContract:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "cfg.json"]
         assert blocker.read_text() == "keep"
 
+    def test_duplicated_sweep_method_is_a_config_error(self, tmp_path):
+        cfg = mutated("rmse_pslr_sweep", ["methods"], ["direct_sparse", "direct_sparse", "nested"])
+        path, out = write_config(tmp_path, cfg), tmp_path / "out"
+        for args in (["validate", "--config", path], ["run", "--config", path, "--out", out]):
+            code, stdout, err = main_in_process(*args)
+            assert (code, stdout) == (2, "")
+            assert err == "config error: methods[1]: sweep method 'direct_sparse' is listed twice\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     @pytest.mark.parametrize("position", [0, 1])
     def test_overflowing_rcs_target_is_a_config_error(self, tmp_path, position):
         cfg = mutated("rmse_pslr_sweep", ["methods"], ["direct_sparse"])

@@ -3,6 +3,8 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparse_isac as si
 from reference import (
@@ -14,6 +16,7 @@ from reference import (
     dense,
     exp_gemv_ml,
     from_dense,
+    greedy_detect_peaks,
 )
 from sparse_isac.synth import _ROW_BLOCK
 
@@ -432,17 +435,63 @@ class TestVirtualPeriodogram:
         assert d2.values.max() == pytest.approx(2.0 * d1.values.max(), rel=1e-9)
 
 
+def hand_built(vals, axis=None):
+    """A delay periodogram of the magnitudes `vals` on `axis` (by default
+    bin q at q / (n * spacing) s), both built here, not by the library."""
+    params = make_params(n=16, m=1)
+    n = len(vals)
+    if axis is None:
+        axis = np.arange(n) / (n * params.subcarrier_spacing_hz)
+    return si.Periodogram(
+        axis=np.asarray(axis, dtype=float), values=np.asarray(vals, dtype=float),
+        domain="delay", method="zero_fill", oversample=1, params=params,
+    )
+
+
+def peak_outcome(detect, p, k, min_separation):
+    """What `detect` gives for p: each peak's bin and the bits of its
+    magnitude and refined axis value, and `complete`; or the type of the
+    exception it raises (one bin has no bin width to refine on)."""
+    try:
+        peaks = detect(p, k=k, min_separation=min_separation)
+    except Exception as exc:
+        return type(exc)
+    return [
+        (q.bin_index, bits([q.magnitude, q.refined_axis_value]).tolist()) for q in peaks.peaks
+    ], peaks.complete
+
+
+class TestPeriodogramAxis:
+    @pytest.mark.parametrize("axis", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]])
+    def test_caller_axis_must_increase(self, axis):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            hand_built([1.0, 2.0, 3.0, 4.0], axis)
+        read_only = np.array(axis)
+        read_only.setflags(write=False)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            hand_built([1.0, 2.0, 3.0, 4.0], read_only)
+
+    def test_library_periodograms_share_one_read_only_axis(self):
+        params = make_params(n=32, m=4)
+        alloc = si.make_allocation(params, "random", n_active=8, seed=3)
+        g1 = noiseless_grid(params, alloc, (on_grid_target(params, 5),))
+        g2 = noiseless_grid(params, alloc, (on_grid_target(params, 9),), seed=1)
+        z1, z2 = si.zero_fill_periodogram(g1), si.zero_fill_periodogram(g2)
+        assert z1.axis is z2.axis and not z1.axis.flags.writeable
+        q = 4 * 32
+        assert bits(z1.axis).tolist() == bits(np.arange(q) / (q * params.subcarrier_spacing_hz)).tolist()
+        v1, v2 = (si.virtual_periodogram(si.build_virtual_signal(g)[0], params) for g in (g1, g2))
+        assert v1.axis is v2.axis and v1.axis is not z1.axis
+        # a hand-built periodogram on the shared axis passes its checks too
+        assert hand_built(z1.values, z1.axis).axis is z1.axis
+
+
 class TestDetectPeaks:
     def delta_spectrum(self, n, peaks):
-        params = make_params(n=16, m=1)
         vals = np.zeros(n)
         for idx, mag in peaks:
             vals[idx] = mag
-        axis = np.arange(n) / (n * params.subcarrier_spacing_hz)
-        return si.Periodogram(
-            axis=axis, values=vals, domain="delay", method="zero_fill",
-            oversample=1, params=params,
-        )
+        return hand_built(vals)
 
     def test_single_delta(self):
         p = self.delta_spectrum(64, [(20, 1.0)])
@@ -480,6 +529,37 @@ class TestDetectPeaks:
         peaks = si.detect_peaks(p, k=2, min_separation=16)
         ratio_db = 20 * math.log10(peaks.peaks[1].magnitude / peaks.peaks[0].magnitude)
         assert ratio_db == pytest.approx(-13.26, abs=0.1)
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_the_greedy_reference(self, data):
+        # small integer magnitudes tie often: plateaus at the maximum, across
+        # the wrap past the last bin, and spectra equal or zero everywhere
+        n = data.draw(st.integers(1, 59))
+        vals = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        k = data.draw(st.integers(1, 3))
+        min_separation = data.draw(st.integers(-1, 64))
+        p = hand_built(vals)
+        fast = peak_outcome(si.detect_peaks, p, k, min_separation)
+        assert fast == peak_outcome(greedy_detect_peaks, p, k, min_separation)
+
+    @pytest.mark.parametrize(
+        "vals, first",
+        [
+            ([0, 1, 3, 3, 3, 1, 2, 0], 2),  # a plateau at the maximum: its first bin
+            ([0, 3, 1, 3, 3, 0], 1),  # two plateaus at the maximum: the lower one
+            ([3, 3, 0, 1, 0, 3], 5),  # wraps past the last bin: bin n-1 beats bin 0
+            ([3, 0, 2, 1, 3], 4),  # the same with one bin on each side of the wrap
+            ([2, 2, 2, 2, 2], 0),  # equal everywhere: the greedy's argmax
+            ([0, 0, 0, 0], None),  # zero everywhere: no peak
+        ],
+    )
+    def test_first_pick_cases(self, vals, first):
+        p = hand_built(vals)
+        peaks = si.detect_peaks(p, k=1)
+        assert [q.bin_index for q in peaks.peaks] == ([] if first is None else [first])
+        assert peaks.complete is (first is not None)
+        assert peak_outcome(si.detect_peaks, p, 1, 1) == peak_outcome(greedy_detect_peaks, p, 1, 1)
 
     def test_refined_value_within_one_cell(self):
         params = make_params(n=128, m=2)
