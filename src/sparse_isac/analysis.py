@@ -224,7 +224,10 @@ def common_exclusion_halfwidth(p: Periodogram) -> int:
     width for every method keeps PSLR comparisons on an equal footing.
     For the zero-fill methods (at most N subcarriers) that is half their
     main lobe or less: at oversample 4 its 2 bins sit inside the lobe, so
-    their PSLR reads the lobe's shoulder, not their first sidelobe."""
+    their PSLR reads the lobe's shoulder, not their first sidelobe.  A
+    virtual bin is half a zero-fill bin (Q = oversample * 2N), so at
+    oversample 4 the virtual halfwidth is round(8N / (2N - 1)) bins: 4 for
+    N >= 5, 5 for N = 2..4."""
     n = p.params.n_subcarriers
     first_null_s = 1.0 / ((2 * n - 1) * p.params.subcarrier_spacing_hz)
     return max(1, round(first_null_s / p.bin_width))
@@ -348,19 +351,19 @@ class SweepConfig:
 
 def _check_delay_axes(params: OfdmParams, oversample, minimum: int) -> None:
     """Bound `oversample` and the subcarrier spacing by the largest delay
-    spectrum, the virtual periodogram: Q = oversample * (2N - 1) bins, at
-    most _AXIS_MAX_POINTS, on an axis spanning 1 / spacing s in steps of
+    spectrum, the virtual periodogram: Q = oversample * 2N bins, at most
+    _AXIS_MAX_POINTS, on an axis spanning 1 / spacing s in steps of
     1 / (Q * spacing) s.  An infinite span or Q * spacing leaves that axis
     without increasing values."""
-    lags = 2 * params.n_subcarriers - 1
+    span = 2 * params.n_subcarriers
     _check_number(
-        "oversample", oversample, integer=True, minimum=minimum, maximum=_AXIS_MAX_POINTS // lags
+        "oversample", oversample, integer=True, minimum=minimum, maximum=_AXIS_MAX_POINTS // span
     )
     spacing = params.subcarrier_spacing_hz
-    if math.isinf(oversample * lags * spacing) or math.isinf(1.0 / spacing):
+    if math.isinf(oversample * span * spacing) or math.isinf(1.0 / spacing):
         raise ValueError(
-            f"subcarrier_spacing_hz: {spacing} Hz overflows the delay axis of "
-            f"{oversample * lags} bins at oversample {oversample}"
+            f"subcarrier_spacing_hz: {spacing} Hz overflows the virtual delay axis of "
+            f"Q = oversample * 2N = {oversample * span} bins at oversample {oversample}"
         )
 
 

@@ -9,8 +9,10 @@ Three estimators work off the same received grid:
   active-cell count, so the ML estimate is its refined peak;
 * autocorrelation on the virtual aperture: per-symbol lag products build
   a signal on the difference set, coherent accumulation over the CPI
-  suppresses the cross terms, and an inverse transform of the zero-filled
-  lag axis yields a periodogram with the virtual resolution.
+  suppresses the cross terms, and a real inverse transform of the lags
+  >= 0 on Q = oversample * 2N points (the signal is conjugate-symmetric,
+  so its spectrum is real) yields a periodogram with the virtual
+  resolution, each bin half a zero-fill bin.
 
 The library reads the accumulated lags only, as the grid's CPI lag means
 (FreqGrid.cpi_lags); the per-symbol lag products are the tests' reference.
@@ -114,18 +116,26 @@ class VirtualSignal:
     per-symbol lag products, read from the grid's CPI lag means (the
     per-symbol products are the tests' reference).
 
-    Conjugate-symmetric by construction: the value at -s is the conjugate
-    of the value at s, and the zero lag is real and non-negative up to
-    round-off.
+    Conjugate-symmetric, checked exactly: the aperture lags run symmetric
+    about 0 and the value at -s is the conjugate of the value at s, so the
+    zero lag is real (and non-negative up to round-off in a library
+    signal).  virtual_periodogram reads the lags >= 0 alone.
     """
 
     values: np.ndarray  # complex, aligned with aperture.lags
     aperture: VirtualAperture
 
     def __post_init__(self):
-        if self.values.shape != self.aperture.lags.shape:
+        lags, values = self.aperture.lags, self.values
+        if values.shape != lags.shape:
             raise ValueError("values must align with the aperture lag set")
-        self.values.setflags(write=False)
+        if not (lags[::-1] == -lags).all():
+            raise ValueError("aperture lags must be symmetric about 0")
+        mirror = values[::-1].conj()
+        # a NaN pair passes, to fail as a non-finite spectrum
+        if not (values == mirror).all() and not np.array_equal(values, mirror, equal_nan=True):
+            raise ValueError("values must be conjugate-symmetric: at -s the conjugate of s")
+        values.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -234,14 +244,19 @@ def build_virtual_signal(grid: FreqGrid) -> tuple[VirtualSignal, VirtualAperture
 
     The library reads only the accumulated lags: the CPI mean of the lag
     sums (`grid.cpi_lags`, whose route sparse_isac.synth picks), gathered
-    at the aperture lags over their pair counts.  So it reads only the
-    grid's `alloc` and `cpi_lags`, and a sweep trial passes a drawn
+    at the aperture lags >= 0 over their pair counts, the zero lag's real
+    part, and mirrored with the conjugate onto the negative lags, so the
+    signal is exactly conjugate-symmetric.  So it reads only the grid's
+    `alloc` and `cpi_lags`, and a sweep trial passes a drawn
     synth._GridStatistics the same way.  The per-symbol lag products,
     averaged over the symbols, are the tests' reference; they agree up to
     float round-off.
     """
     aperture = difference_set(grid.alloc)
-    vals = grid.cpi_lags[np.mod(aperture.lags, 2 * aperture.n_subcarriers)] / aperture.pair_counts
+    zero = aperture.n_lags // 2  # the lags run symmetric about 0
+    half = grid.cpi_lags[aperture.lags[zero:]] / aperture.pair_counts[zero:]
+    half[0] = half[0].real
+    vals = np.concatenate((half[:0:-1].conj(), half))
     return VirtualSignal(values=vals, aperture=aperture), aperture
 
 
@@ -252,18 +267,22 @@ def virtual_periodogram(
 ) -> Periodogram:
     """Delay periodogram of a virtual signal.
 
-    The lag values are placed on a zero-filled axis spanning the full
-    range -(N-1)..N-1 (holes stay zero) and inverse-transformed on a
-    Q = oversample * (2N - 1) point grid; magnitudes are scaled by the
-    number of available lags so a unit noiseless target peaks at A^2.
+    The lag values span -(N-1)..N-1 (holes stay zero) and are transformed
+    on a Q = oversample * 2N point grid, so a virtual bin is exactly half a
+    zero-fill bin (lag N stays empty).  The signal is conjugate-symmetric
+    (VirtualSignal), so its spectrum is real: one real inverse transform of
+    the lags >= 0 gives it.  Magnitudes are scaled by the number of
+    available lags so a unit noiseless target peaks at A^2.
     """
     oversample = _check_number("oversample", oversample, integer=True, minimum=1)
-    span = 2 * vs.aperture.n_subcarriers - 1
-    q_bins = oversample * span
-    taps = np.zeros(q_bins, dtype=np.complex128)
-    taps[np.mod(vs.aperture.lags, q_bins)] = vs.values
-    spectrum = np.fft.ifft(taps) * q_bins
-    values = np.abs(spectrum) / vs.aperture.n_lags
+    aperture = vs.aperture
+    n = aperture.n_subcarriers
+    q_bins = oversample * 2 * n
+    zero = aperture.n_lags // 2
+    half = np.zeros(n, dtype=np.complex128)  # lags 0..N-1; irfft zero-fills the rest
+    half[aperture.lags[zero:]] = vs.values[zero:]
+    spectrum = np.fft.irfft(half, n=q_bins) * q_bins
+    values = np.abs(spectrum) / aperture.n_lags
     return Periodogram(
         axis=_delay_axis(q_bins, params.subcarrier_spacing_hz),
         values=values,

@@ -186,8 +186,15 @@ def modulo_gram_lags(block, alloc):
 
 def dense_virtual(grid, aperture):
     """The accumulated virtual signal: serial_cpi_lags at the aperture lags
-    over their pair counts."""
-    return serial_cpi_lags(grid)[np.mod(aperture.lags, 2 * grid.n_subcarriers)] / aperture.pair_counts
+    over their pair counts, the value at each lag s < 0 replaced by the
+    conjugate of the one at -s and the zero lag by its real part, lag by
+    lag."""
+    values = serial_cpi_lags(grid)[np.mod(aperture.lags, 2 * grid.n_subcarriers)] / aperture.pair_counts
+    at = dict(zip(aperture.lags.tolist(), values))
+    return np.array(
+        [at[s] if s > 0 else np.conj(at[-s]) if s < 0 else at[0].real + 0j for s in at],
+        dtype=np.complex128,
+    )
 
 
 def lag_products(rows, aperture):

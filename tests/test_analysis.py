@@ -633,7 +633,7 @@ class TestCommonExclusion:
     @pytest.mark.parametrize("n", range(2, 12))
     def test_sweep_refuses_the_grids_whose_spectra_pslr_refuses(self, n):
         """A sweep scores the zero-fill spectrum (Q = oversample * N) and the
-        virtual one (Q = oversample * (2N - 1)) at the common exclusion zone;
+        virtual one (Q = oversample * 2N) at the common exclusion zone;
         SweepConfig must reject exactly the oversamples where pslr would refuse."""
         params = make_params(n=n, m=1)
 
@@ -652,7 +652,7 @@ class TestCommonExclusion:
 
         for oversample in range(1, 6):
             config = partial(SweepConfig, params, 2, (0.0,), oversample=oversample)
-            if any(pslr_refuses(q, oversample) for q in (oversample * n, oversample * (2 * n - 1))):
+            if any(pslr_refuses(q, oversample) for q in (oversample * n, oversample * 2 * n)):
                 with pytest.raises(ValueError, match="^oversample: "):
                     config()
             else:

@@ -269,19 +269,19 @@ CLI_RUNS = {
 SEEDED = {
     "rmse_pslr_sweep": {
         "sweep.csv": [
-            [0, "autocorrelation", 2.36821994945, 0.199531035447, 1.97461635626, 2.03510496677, 0, 2],
+            [0, "autocorrelation", 2.27745019366, 0.208677337653, 2.00182182092, 2.46964967574, 0, 2],
             [0, "direct_sparse", 2.55122275355, 2.38690493004, 0.675442303248, 0.423275870176, 0, 2],
-            [0, "nested", 66.2396369226, 54.0342474633, 1.44745556049, 0.644038288408, 0, 2],
-            [10, "autocorrelation", 1.85574493827, 0.322400005853, 3.62176991249, 0.0393131260781, 0, 2],
+            [0, "nested", 66.2300127302, 54.0607413639, 1.25679363581, 0.690130926389, 0, 2],
+            [10, "autocorrelation", 1.7962931572, 0.360645752019, 3.48897607811, 0.0890147341709, 0, 2],
             [10, "direct_sparse", 1.77564197737, 0.46324202795, 1.44990046213, 0.179675338549, 0, 2],
-            [10, "nested", 8.48185580572, 8.27743451422, 2.83165216489, 0.10452644456, 0, 2],
+            [10, "nested", 8.4743625533, 8.27111626575, 2.41669684694, 0.0179250326638, 0, 2],
         ],
     },
     "two_target_demo": {
         "demo_runs.csv": [[0, 0, 0], [1, 0, 0]],
         "demo_summary.csv": [["direct_sparse", 0, 2], ["autocorrelation", 0, 2]],
         "demo_direct_periodogram.csv": (55, 54.74264373122462),
-        "demo_virtual_periodogram.csv": (107, 180.07619938321446),
+        "demo_virtual_periodogram.csv": (111, 186.81951532610458),
     },
 }
 

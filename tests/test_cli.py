@@ -310,7 +310,7 @@ PROBES = [
     # one subcarrier in every symbol: a constant set too small for a surface
     ("allocation", mutated("ambiguity", ["allocation"], {"pattern": "custom", "indices": [[5], [5]]})),
     ("indices", mutated("ambiguity", ["allocation"], {"pattern": "custom", "indices": {"a": 1}})),
-    # a virtual periodogram of oversample * (2N - 1) > 2**53 points
+    # a virtual periodogram of oversample * 2N > 2**53 points
     ("oversample", mutated("rmse_pslr_sweep", ["oversample"], 10**17)),
     ("oversample", mutated("two_target_demo", ["oversample"], 10**17)),
     # a spectrum of oversample * N < 4 bins, all inside pslr's exclusion zone
@@ -320,7 +320,7 @@ PROBES = [
         for n in (2, 3)
     ),
     # a spacing whose delay axis overflows: Q * spacing (1e308) or 1 / spacing
-    # (5e-324) is inf; the bound moves with Q = oversample * (2N - 1)
+    # (5e-324) is inf; the bound moves with Q = oversample * 2N
     *(
         ("subcarrier_spacing_hz", mutated(exp, ["ofdm", "subcarrier_spacing_hz"], spacing))
         for exp in ("rmse_pslr_sweep", "two_target_demo") for spacing in (1e308, 5e-324)

@@ -3,7 +3,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sparse_isac as si
@@ -18,7 +18,10 @@ from reference import (
     from_dense,
     greedy_detect_peaks,
 )
-from sparse_isac.synth import _ROW_BLOCK
+from sparse_isac import synth
+from sparse_isac.analysis import common_exclusion_halfwidth
+from sparse_isac.estimators import _zero_fill
+from sparse_isac.synth import _ROW_BLOCK, _gram_statistics
 
 C = si.SPEED_OF_LIGHT
 
@@ -402,7 +405,9 @@ class TestVirtualPeriodogram:
 
     def test_hole_free_kernel_matches_contiguous_aperture(self):
         # nested pattern covering every lag behaves exactly like a contiguous
-        # aperture of the same virtual extent
+        # aperture of the same virtual extent: subcarriers 0..2N-2 of a
+        # 2N-subcarrier grid, whose zero-fill spectrum has the virtual
+        # periodogram's oversample * 2N bins
         params = make_params(n=12, m=1)
         alloc = si.make_allocation(params, "nested", inner=3, outer=3)
         t = si.Target(distance_m=150.0, amplitude=1.0, phase_rad=0.0)
@@ -411,12 +416,50 @@ class TestVirtualPeriodogram:
         assert ap.n_lags == 2 * params.n_subcarriers - 1
         p_virtual = si.virtual_periodogram(vs, params, oversample=8)
 
-        params23 = make_params(n=23, m=1)
-        full23 = si.make_allocation(params23, "full")
-        grid23 = noiseless_grid(params23, full23, (t,))
-        p_direct = si.zero_fill_periodogram(grid23, oversample=8)
-        assert p_virtual.n_bins == p_direct.n_bins
+        params24 = make_params(n=24, m=1)
+        band23 = si.ResourceAllocation.constant(np.arange(23), 1, 24)
+        grid24 = noiseless_grid(params24, band23, (t,))
+        p_direct = si.zero_fill_periodogram(grid24, oversample=8)
+        assert p_virtual.n_bins == p_direct.n_bins == 8 * 24
         assert np.allclose(p_virtual.values, p_direct.values, atol=1e-10)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(2, 64),
+        m=st.integers(1, 8),
+        oversample=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        drawn=st.booleans(),
+        snr_db=st.sampled_from([0.0, math.inf]),
+    )
+    # the exclusion zone's boundary at oversample 4, and Q = 2N exactly
+    @example(n=2, m=1, oversample=4, seed=1, drawn=False, snr_db=0.0)
+    @example(n=3, m=2, oversample=4, seed=2, drawn=True, snr_db=0.0)
+    @example(n=4, m=3, oversample=4, seed=3, drawn=False, snr_db=math.inf)
+    @example(n=5, m=4, oversample=4, seed=4, drawn=True, snr_db=0.0)
+    @example(n=2, m=1, oversample=1, seed=5, drawn=True, snr_db=0.0)
+    @example(n=33, m=5, oversample=1, seed=6, drawn=False, snr_db=0.0)
+    @example(n=64, m=8, oversample=8, seed=7, drawn=True, snr_db=math.inf)
+    def test_axis_is_half_a_zero_fill_bin(self, n, m, oversample, seed, drawn, snr_db):
+        """On Q = oversample * 2N bins the real transform of the lags >= 0
+        is the DTFT of the whole signal, on a synthesized grid and on a
+        drawn sweep slot (_gram_statistics); lag N stays empty."""
+        rng = np.random.default_rng(seed)
+        params = make_params(n=n, m=m)
+        alloc = si.ResourceAllocation.constant(rng.choice(n, rng.integers(2, n + 1), replace=False), m, n)
+        target = si.Target(distance_m=float(rng.uniform(1.0, 1200.0)), velocity_mps=15.0, amplitude=1.0)
+        grid = (_gram_statistics if drawn else si.synthesize)(
+            si.Scene(targets=(target,), snr_db=snr_db), alloc, params, seed
+        )
+        vs, aperture = si.build_virtual_signal(grid)
+        p = si.virtual_periodogram(vs, params, oversample=oversample)
+        q_bins = oversample * 2 * n
+        assert p.n_bins == q_bins and aperture.lags.max() < n
+        want = exp_gemv_ml(vs.values, aperture.lags, q_bins) / aperture.n_lags
+        assert np.max(np.abs(p.values - want)) <= 1e-12 * np.max(want)
+        assert 2 * p.bin_width == _zero_fill(grid.symbol_sum, alloc, params, oversample).bin_width
+        if oversample == 4:
+            assert common_exclusion_halfwidth(p) == (4 if n >= 5 else 5)
 
     def test_amplitude_square_law(self):
         params = make_params(n=64, m=4)
@@ -433,6 +476,64 @@ class TestVirtualPeriodogram:
         d1 = si.zero_fill_periodogram(g1)
         d2 = si.zero_fill_periodogram(g2)
         assert d2.values.max() == pytest.approx(2.0 * d1.values.max(), rel=1e-9)
+
+
+class TestVirtualSymmetry:
+    """VirtualSignal holds an exactly conjugate-symmetric signal, the one
+    virtual_periodogram reads from its lags >= 0."""
+
+    APERTURE = si.VirtualAperture(lags=[-2, -1, 0, 1, 2], pair_counts=[1, 2, 3, 2, 1], n_subcarriers=3)
+
+    @staticmethod
+    def symmetric():
+        a, b = 0.5 - 0.25j, -0.125 + 1j
+        return np.array([np.conj(b), np.conj(a), 3.0, a, b])
+
+    def test_symmetric_values_construct(self):
+        vs = si.VirtualSignal(values=self.symmetric(), aperture=self.APERTURE)
+        assert not vs.values.flags.writeable
+
+    @pytest.mark.parametrize("lag", [0, 1])
+    def test_a_perturbed_negative_lag_raises(self, lag):
+        values = self.symmetric()
+        values[lag] += np.nextafter(values[lag].real, math.inf) - values[lag].real
+        with pytest.raises(ValueError, match="conjugate-symmetric"):
+            si.VirtualSignal(values=values, aperture=self.APERTURE)
+
+    def test_an_imaginary_zero_lag_raises(self):
+        values = self.symmetric()
+        values[2] += 1e-300j
+        with pytest.raises(ValueError, match="conjugate-symmetric"):
+            si.VirtualSignal(values=values, aperture=self.APERTURE)
+
+    def test_asymmetric_lags_raise(self):
+        aperture = si.VirtualAperture(lags=[-2, 0, 1], pair_counts=[1, 3, 2], n_subcarriers=3)
+        with pytest.raises(ValueError, match="symmetric about 0"):
+            si.VirtualSignal(values=np.array([1.0, 3.0, 1.0], dtype=complex), aperture=aperture)
+
+    def test_a_nan_pair_is_left_to_the_spectrum(self):
+        values = self.symmetric()
+        values[[0, 4]] = complex(math.nan, math.nan)
+        vs = si.VirtualSignal(values=values, aperture=self.APERTURE)
+        with pytest.raises(FloatingPointError, match="finite"):
+            si.virtual_periodogram(vs, make_params(n=3, m=1))
+
+    @pytest.mark.parametrize("route", ["fft", "gram", "gram_statistics"])
+    def test_library_signals_construct(self, route, monkeypatch):
+        """Both routes of the lag sums, the Gram route forced below its size
+        gate; the FFT route's raw lag sums are symmetric to round-off only."""
+        params = make_params(n=64, m=_ROW_BLOCK + 3)
+        alloc = si.make_allocation(params, "random", n_active=20, seed=3)
+        scene = si.Scene(targets=(si.Target(distance_m=120.0, velocity_mps=30.0, amplitude=1.0),), snr_db=0.0)
+        if route != "fft":
+            monkeypatch.setattr(synth, "_GRAM_MIN_POINTS", 1)
+        assert synth._gram_route(alloc) is (route != "fft")
+        draw = _gram_statistics if route == "gram_statistics" else si.synthesize
+        grid = draw(scene, alloc, params, 5)
+        vs, aperture = si.build_virtual_signal(grid)
+        assert vs.aperture is aperture
+        assert np.array_equal(vs.values[::-1], vs.values.conj())
+        assert vs.values[aperture.n_lags // 2].imag == 0.0
 
 
 def hand_built(vals, axis=None):

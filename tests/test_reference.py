@@ -168,5 +168,5 @@ def test_every_estimator_matches_the_reference(n, m, layout, gram, seed, noise, 
         check_lag_sums(vs.values, dense_virtual(grid, aperture), gram)
         assert_close(vs.values, accumulated, 1e-12)
         virtual = si.virtual_periodogram(vs, params, oversample=oversample)
-        taps = exp_gemv_ml(vs.values, aperture.lags, oversample * (2 * n - 1)) / aperture.n_lags
+        taps = exp_gemv_ml(vs.values, aperture.lags, oversample * 2 * n) / aperture.n_lags
         assert_close(virtual.values, taps, 1e-12)
