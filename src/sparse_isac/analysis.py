@@ -430,12 +430,14 @@ def _trials(
     Trial i reads child i of `ss`, which spawns one seed per _SWEEP_TABLE
     slot; slot 0 draws the random allocation of each method `fixed` does
     not map.  A slot a virtual method reads is synthesized, or, for an
-    allocation on the Gram route of the lag sums (_gram_route), has its
-    symbol sum and Gram matrix drawn without the grid (_gram_statistics);
-    any other has its symbol sum drawn directly (_symbol_sum_row).  Both
-    draws keep synthesize's phases, with other noise draws.  A virtual
-    slot is read the same way whichever route drew it, through its
-    `symbol_sum` and `cpi_lags`, each computed only when read.
+    allocation past the draw gate (_gram_route), has its symbol sum and
+    Gram matrix drawn without the grid (_gram_statistics); any other has
+    its symbol sum drawn directly (_symbol_sum_row).  Both draws keep
+    synthesize's phases, with other noise draws.  A virtual slot is read
+    the same way whichever route drew it, through its `symbol_sum` and
+    `cpi_lags`, each computed only when read; a synthesized grid reads its
+    lag sums on the route of the read gate (_gram_read), which moves no
+    draw.
     """
     params = cfg.params
     readers = {}  # slot: the requested methods that read it

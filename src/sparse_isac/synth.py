@@ -11,24 +11,33 @@ A grid also carries the CPI mean of its lag sums (`FreqGrid.cpi_lags`),
 which both per-symbol estimators read, computed on first read by one of
 two routes:
 
-- the Gram route, for a constant allocation on a large grid
-  (_GRAM_MIN_POINTS transform points, symbols x 2N) with few active
-  subcarriers (K^2 at most _GRAM_MAX_COST_RATIO x 2N log2 2N): the lag sums
-  of the K x K Gram matrix of the active block, read from one real rank-2K
-  update (dsyrk) of its interleaved re/im parts, run at one BLAS thread;
-- the FFT route, for every other grid and as the reference: one transform
-  of length 2N per symbol, over blocks of 64 symbols, in the caller's
-  thread, and one inverse transform of the power sum.
+- the Gram route: the lag sums of the K x K Gram matrix of the active
+  block, read from one real rank-2K update (dsyrk) of its interleaved
+  re/im parts, run at one BLAS thread;
+- the FFT route, the reference: one transform of length 2N per symbol,
+  over blocks of 64 symbols, in the caller's thread, and one inverse
+  transform of the power sum.
 
-The size gate keeps grids of few symbols, and the desk-size grids, on the FFT
-route; the K gate keeps the route where M K^2 costs less than M 2N log2 2N.
+Two gates decide two different things:
+
+- the read gate (_gram_read) picks the route of the lag sums of a grid,
+  and nothing else: the Gram route for a constant allocation whose read
+  costs less there, K^2 (M + _GRAM_READ_ROWS) at most _GRAM_READ_RATIO x
+  M 2N log2 2N.  A grid read on either route has the same values to
+  round-off (about 5e-16 of the peak);
+- the draw gate (_gram_route) picks, in a sweep or demo trial, whether a
+  virtual slot draws its statistics (below) or its grid: a constant
+  allocation on at least _GRAM_MIN_POINTS transform points (symbols x 2N)
+  whose K^2 is at most _GRAM_MAX_COST_RATIO x 2N log2 2N.  It decides
+  which noise stream a trial draws, so a new value moves the outputs'
+  noise draws, not only their round-off.
 
 While a Gram-route product runs, the BLAS thread count is held at 1
 (_one_blas_thread).  That count is process-wide: a caller's own BLAS work
 in another thread also runs at one thread meanwhile.
 
 A sweep or demo trial reads two statistics of a grid only: its symbol sum
-and the Gram matrix of its rows.  On the Gram route it draws them without
+and the Gram matrix of its rows.  Past the draw gate it draws them without
 the grid (_gram_statistics, the Bartlett decomposition): d + min(M - d, K)
 rows of K values, d the dimension of the targets' symbol-phase profiles
 with the all-ones vector, in place of M rows.  synthesize is the
@@ -57,29 +66,39 @@ __all__ = ["FreqGrid", "synthesize", "measure_snr"]
 # 2 * B * 2N complex values, 4 MB at N = 1000.
 _ROW_BLOCK = 64
 
-# Fewest transform points (symbols x 2N) of a grid on the Gram route; below
-# it every grid takes the FFT route.  It keeps the desk outputs' bits, which
-# the Gram route would move by round-off, and grids of few symbols off the
-# Gram route, slower there: Gram over FFT wall time (median of 31 calls,
-# 2-core x86-64 guest) was 2.54, 1.06, 0.72 at M=1, 16, 32 (N=256, K=64) and
-# 9.3, 1.86, 0.58 at M=1, 16, 64 (N=1000, K=200).  So it also keeps the desk
-# grids (N=256, M=32: 16,384 points) off the Gram route where it is faster.
+# The read gate (_gram_read): the Gram route reads the lag sums where
+# K^2 (M + _GRAM_READ_ROWS) <= _GRAM_READ_RATIO x M 2N log2 2N.  Its cost
+# grows as K^2 per row of the block, plus K^2 per call (the re/im slices and
+# the two bincounts), which _GRAM_READ_ROWS counts in rows; the FFT route's
+# grows as 2N log2 2N per symbol.  Fitted to the crossovers of _gram_lags'
+# wall time over _fft_lags' (one BLAS thread, best of 5 timed loops, 2-core
+# x86-64 guest, NumPy 2.4 with OpenBLAS 0.3.31):
+# - N=256, K=64: 1.05, 1.03, 0.87, 0.80, 0.42 and 0.40 at M = 12, 16, 20,
+#   24, 32 and 128;
+# - N=1000, K=200: 2.72, 1.62, 1.07, 0.78 and 0.50 at M = 8, 16, 24, 32, 64;
+#   K=400: 2.16, 1.26 and 0.99 at M = 64, 128 and 256;
+# - N=1000, M=720: 0.37, 0.62, 0.75, 0.84 and 1.41 at K = 300, 400, 430,
+#   460 and 500;
+# - N=256, M=1024: 0.39, 0.82, 0.81 and 1.10 at K = 128, 200, 220 and 256;
+# - N=4000, M=131: 0.49 and 1.14 at K = 500 and 700.
+# So at N=256, K=64 a grid of 19 symbols or more (the desk grid: M=32) reads
+# on the Gram route and one of 18 or fewer on the FFT route, and at N=1000,
+# M=720 the Gram route reads up to K = 458.
+_GRAM_READ_ROWS = 256
+_GRAM_READ_RATIO = 13
+
+# The draw gate (_gram_route), which picks the trial draw of a sweep or demo
+# virtual slot and no read route.  Its two values date from when one gate
+# also picked the read; they stay because a new value moves the noise
+# streams of the sweeps and demos it admits or drops.
+#
+# Fewest transform points (symbols x 2N) of an allocation whose trials draw
+# their statistics: 2**19 keeps the desk grids (N=256, M=32: 16,384 points),
+# where the statistics draw saves no rows (M <= d + K), drawing their grids.
 _GRAM_MIN_POINTS = 1 << 19
 
-# Largest K^2 / (2N log2 2N) on the Gram route, whose cost grows as M K^2
-# where the FFT route's grows as M 2N log2 2N.  Set from the former zgemm
-# form of the Gram route at OpenBLAS 0.3.31's default thread count (CPU time,
-# each route in its own process, median of 15 calls, 2-core x86-64 guest):
-# it cost more than the FFT route from K of about 140 at N=256 (M=1024), 175
-# at N=500, 300 at N=1000 and 450 at N=2000 (M=720), and 500 at N=4000
-# (M=131), a ratio of 2.4 to 4.3; the bound is the smallest, K up to 229 at
-# N=1000.  The value is stale for the one-thread dsyrk of _gram_lags: its
-# wall time over _fft_lags' (best of 5, same guest) reads 0.37, 0.49, 0.64,
-# 0.67-0.84, 1.01 and 1.48 at K = 260, 300, 350, 400, 450 and 500 (N=1000,
-# M=720), and 0.46, 0.83-1.07 and 1.31 at K = 128, 200 and 220 (N=256,
-# M=1024): a crossover near a ratio of 8 to 9.  It stays at 2.4 because
-# _gram_route also picks the trial draw of the sweep and the demo, so a new
-# value moves their noise streams at K from about 230 to 440 (N=1000).
+# Largest K^2 / (2N log2 2N) of an allocation whose trials draw their
+# statistics: K up to 229 at N=1000 and 105 at N=256.
 _GRAM_MAX_COST_RATIO = 2.4
 
 # A target's symbol-phase profile adds a dimension to the basis of
@@ -157,15 +176,16 @@ class FreqGrid:
         computed by _cpi_lags on the first read and kept for the life of
         the grid.
 
-        On the Gram route (a constant allocation past both gates, see the
-        module docstring) it agrees with the FFT route to about 5e-16 of
-        its peak.  Its one BLAS product runs at one BLAS thread, so its bits
-        do not depend on the caller's BLAS thread count; that count is
-        process-wide, so while the product runs a caller's own BLAS work in
-        another thread also runs at one thread.  Where no OpenBLAS thread
-        control is found (_openblas), the product runs at the caller's
-        count, and OpenBLAS 0.3.31's dsyrk gave other bits at 2 to 4
-        threads for some K (test_same_bits_at_any_blas_thread_count).
+        On the Gram route (a constant allocation past the read gate,
+        _gram_read; see the module docstring) it agrees with the FFT route
+        to about 5e-16 of its peak.  Its one BLAS product runs at one BLAS
+        thread, so its bits do not depend on the caller's BLAS thread
+        count; that count is process-wide, so while the product runs a
+        caller's own BLAS work in another thread also runs at one thread.
+        Where no OpenBLAS thread control is found (_openblas), the product
+        runs at the caller's count, and OpenBLAS 0.3.31's dsyrk gave other
+        bits at 2 to 4 threads for some K
+        (test_same_bits_at_any_blas_thread_count).
 
         Not functools.cached_property: before Python 3.12 its lock is one
         for all instances, so sweep threads would wait on each other's
@@ -180,10 +200,22 @@ class FreqGrid:
         return lags
 
 
+def _gram_read(alloc: ResourceAllocation) -> bool:
+    """Whether _cpi_lags reads the lag sums of a grid on `alloc` on the Gram
+    route: a constant allocation of M symbols and K active subcarriers with
+    K^2 (M + _GRAM_READ_ROWS) at most _GRAM_READ_RATIO x M 2N log2 2N."""
+    m, size = alloc.n_symbols, 2 * alloc.n_subcarriers
+    return alloc.is_constant and (
+        alloc.n_active**2 * (m + _GRAM_READ_ROWS) <= _GRAM_READ_RATIO * m * size * math.log2(size)
+    )
+
+
 def _gram_route(alloc: ResourceAllocation) -> bool:
-    """Whether _cpi_lags takes the Gram route for a grid on `alloc`: a
-    constant allocation on at least _GRAM_MIN_POINTS transform points whose
-    K active subcarriers keep K^2 at most _GRAM_MAX_COST_RATIO x 2N log2 2N."""
+    """Whether a sweep or demo trial draws the statistics of a virtual slot
+    on `alloc` (_gram_statistics) instead of its grid: a constant allocation
+    on at least _GRAM_MIN_POINTS transform points whose K active subcarriers
+    keep K^2 at most _GRAM_MAX_COST_RATIO x 2N log2 2N.  It picks no read
+    route (_gram_read)."""
     size = 2 * alloc.n_subcarriers
     return (
         alloc.is_constant
@@ -268,19 +300,33 @@ def _gram_lags(block: np.ndarray, alloc: ResourceAllocation) -> np.ndarray:
     after each call, and OpenBLAS 0.3.31's threaded dsyrk gave other bits at
     2 to 4 threads for K of 50, 150, 229 or 250.
 
-    Each G[a, b] is summed at its linear lag n_a - n_b + N - 1, one bin per
-    s mod 2N, and the bins are rolled by 1 - N into that layout.
+    Each G[a, b] is summed at its linear lag n_a - n_b + N - 1 (_pair_lags),
+    one bin per s mod 2N, and the bins are rolled by 1 - N into that layout:
+    bins N - 1 .. 2N - 1 to the front, as np.roll does, without its
+    overhead.
     """
     # a copy only where the block is not C-ordered complex128
     w = np.asanyarray(block, dtype=np.complex128, order="C").view(np.float64)
     with _one_blas_thread:
         s = w.T @ w
-    n, cols = alloc.n_subcarriers, alloc.indices
-    lag = ((cols + (n - 1))[:, None] - cols).ravel()  # n_a - n_b + N - 1 of G[a, b]
+    n, lag = alloc.n_subcarriers, _pair_lags(alloc)
     re = s[0::2, 0::2] + s[1::2, 1::2]
     im = s[1::2, 0::2] - s[0::2, 1::2]
     sums = np.bincount(lag, re.ravel(), 2 * n) + 1j * np.bincount(lag, im.ravel(), 2 * n)
-    return np.roll(sums, 1 - n) / alloc.n_symbols
+    return np.concatenate((sums[n - 1 :], sums[: n - 1])) / alloc.n_symbols
+
+
+def _pair_lags(alloc: ResourceAllocation) -> np.ndarray:
+    """The linear lag n_a - n_b + N - 1 of each G[a, b] of _gram_lags, as a
+    flat (K^2,) index, computed on the first call and kept with the constant
+    allocation `alloc`, as difference_set keeps its aperture."""
+    lag = vars(alloc).get("_pair_lags")
+    if lag is None:
+        cols = alloc.indices
+        lag = ((cols + (alloc.n_subcarriers - 1))[:, None] - cols).ravel()
+        lag.setflags(write=False)
+        vars(alloc)["_pair_lags"] = lag  # frozen: no field, not compared
+    return lag
 
 
 def _fft_lags(grid: FreqGrid) -> np.ndarray:
@@ -319,10 +365,10 @@ def _cpi_lags(grid: FreqGrid) -> np.ndarray:
     """The CPI lag sums R[s] = sum_m sum_{i-j=s} Y_m[i] conj(Y_m[j]) over
     the rows Y_m of the dense grid, divided by M, at s mod 2N.
 
-    By the Gram route (_gram_lags of the (M, K) block) where _gram_route
-    allows it, else by the FFT route (_fft_lags).
+    By the Gram route (_gram_lags of the (M, K) block) where the read gate
+    _gram_read puts the grid's allocation, else by the FFT route (_fft_lags).
     """
-    if _gram_route(grid.alloc):
+    if _gram_read(grid.alloc):
         return _gram_lags(grid.block, grid.alloc)
     return _fft_lags(grid)
 
@@ -397,8 +443,9 @@ def _signal_plus_noise(scene: Scene, params: OfdmParams, seed, phasors, n_sum: i
     if var > 0.0:
         sigma = math.sqrt(n_sum * (var / 2.0))
         rng = np.random.default_rng(noise_ss)
+        z = np.empty(values.size)  # one buffer: the same draws as standard_normal(size)
         for part in (values.real, values.imag):
-            z = rng.standard_normal(values.size)
+            rng.standard_normal(out=z)
             z *= sigma
             part += z
     return ss, var, values

@@ -25,6 +25,7 @@ from reference import (
     dense_virtual,
     dense_zero_fill,
 )
+from sparse_isac import synth
 from sparse_isac.estimators import _noncoherent_delay, _noncoherent_profile
 from sparse_isac.synth import _ROW_BLOCK, _gram_statistics, _symbol_sum_row
 
@@ -120,15 +121,22 @@ class TestAgainstDenseGrid:
         assert got.bin_index == best
         assert np.array_equal(bits([got.peak_value, got.delay_s]), bits([peak, delay]))
 
-    def test_virtual_signal(self, case):
+    @pytest.mark.parametrize("gram", [False, True], ids=["fft", "gram"])
+    def test_virtual_signal(self, case, gram, monkeypatch):
+        """Bits on the FFT route of the lag sums; 1e-13 of the peak on the
+        Gram route.  Each route is selected through the read gate."""
         _, grid = case
+        monkeypatch.setattr(synth, "_gram_read", lambda alloc: gram and alloc.is_constant)
         if not grid.alloc.is_constant:
             with pytest.raises(ValueError, match="varies across symbols"):
                 si.build_virtual_signal(grid)
             return
         vs, aperture = si.build_virtual_signal(grid)
         want = dense_virtual(grid, aperture)
-        assert np.array_equal(bits(vs.values), bits(want))
+        if gram:
+            assert np.max(np.abs(vs.values - want)) <= 1e-13 * np.max(np.abs(want))
+        else:
+            assert np.array_equal(bits(vs.values), bits(want))
 
     def test_noncoherent_delay(self, case):
         """The lag-sum profile adds in another order than the per-row one, so

@@ -1,6 +1,7 @@
 """The CPI lag-sum kernel: its FFT route against the serial loop, in the
 caller's thread, its Gram route and the guard that runs its BLAS product at
-one BLAS thread, the per-grid memo that both per-symbol estimators read,
+one BLAS thread, the read gate that picks the route and the draw gate of
+the sweep's trials, the per-grid memo that both per-symbol estimators read,
 and the sweep's SNR-point threads, the package's only thread pool."""
 import os
 import subprocess
@@ -19,7 +20,7 @@ from reference import bits, modulo_gram_lags, serial_cpi_lags
 from sparse_isac import analysis, synth
 from sparse_isac.analysis import SweepConfig, monte_carlo_sweep
 from sparse_isac.alloc import nested_params_for
-from sparse_isac.synth import _ROW_BLOCK, _cpi_lags, _gram_lags, _gram_route
+from sparse_isac.synth import _ROW_BLOCK, _cpi_lags, _fft_lags, _gram_lags, _gram_read, _gram_route
 
 
 def make_params(n, m):
@@ -57,23 +58,25 @@ def assert_same_sweep(a, b):
 
 
 class TestFftRoute:
+    """The reference route, run directly: a constant allocation reads on it
+    where the read gate keeps it (_gram_read), a per-symbol one always."""
+
     @pytest.mark.parametrize("pattern", ["constant", "per_symbol"])
     @pytest.mark.parametrize("m", [1, 63, 64, 65, 2 * _ROW_BLOCK + 3, 720])
     def test_bitwise_equal_to_serial_loop(self, m, pattern):
         grid = make_grid(24, m, pattern)
-        assert _cpi_lags(grid).tobytes() == serial_cpi_lags(grid).tobytes()
+        assert _fft_lags(grid).tobytes() == serial_cpi_lags(grid).tobytes()
 
     @pytest.mark.parametrize("pattern", ["constant", "per_symbol"])
     def test_paper_size_in_the_calling_thread(self, monkeypatch, pattern):
-        grid = make_grid(1000, 720, pattern)  # K = 250: past the Gram route's K bound
-        assert not _gram_route(grid.alloc)
+        grid = make_grid(1000, 720, pattern)  # K = 250
         ref = serial_cpi_lags(grid)
 
         def refuse(thread):
             raise AssertionError(f"the kernel started thread {thread.name}")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        assert _cpi_lags(grid).tobytes() == ref.tobytes()
+        assert _fft_lags(grid).tobytes() == ref.tobytes()
 
     def test_threaded_sweep_bitwise_under_fast_switching(self, monkeypatch):
         # 4 SNR-point threads, more than cores, switching every few
@@ -111,15 +114,16 @@ class TestFftRoute:
         assert_same_sweep(par, seq)
 
 
-# The largest K on the Gram route at N=1000: K^2 <= 2.4 x 2000 log2 2000
+# The largest K past the draw gate at N=1000: K^2 <= 2.4 x 2000 log2 2000
 K_BOUND_1000 = 229
 
-# _cpi_lags's bits of gated grids, and the bits of the statistics draw
-# (_gram_statistics) of two moving targets, printed by a fresh interpreter
-# whose caller's BLAS count is argv[1], with the guard holding the product at
-# one thread ("held") or disabled ("free").  720 is the paper's CPI; unheld,
-# OpenBLAS 0.3.31's dsyrk gave other bits at K = 150 from 2 threads and at
-# K = 229 from 3.
+# _cpi_lags's bits of grids read on the Gram route, and the bits of the
+# statistics draw (_gram_statistics) of two moving targets, printed by a
+# fresh interpreter whose caller's BLAS count is argv[1], with the guard
+# holding the product at one thread ("held") or disabled ("free").  720 is
+# the paper's CPI and N=256, M=32, K=64 the desk grid; unheld, OpenBLAS
+# 0.3.31's dsyrk gave other bits at K = 150 from 2 threads and at K = 229
+# from 3.
 GRAM_BITS = """
 import contextlib, hashlib, sys
 threads, guard = int(sys.argv[1]), sys.argv[2]
@@ -127,15 +131,15 @@ sys.path[:0] = sys.argv[3:]
 import sparse_isac as si
 from test_cpi_power import make_grid
 from sparse_isac import synth
-from sparse_isac.synth import _cpi_lags, _gram_route, _gram_statistics
+from sparse_isac.synth import _cpi_lags, _gram_read, _gram_statistics
 lib = synth._openblas()
 if lib is not None:  # OpenBLAS caps OPENBLAS_NUM_THREADS at the core count
     lib.scipy_openblas_set_num_threads64_(threads)
 if guard == "free":
     synth._one_blas_thread = contextlib.nullcontext()
-for m, k in ((333, 150), (720, 200), (263, 229)):
-    grid = make_grid(1000, m, "constant", n_active=k)
-    assert _gram_route(grid.alloc)
+for n, m, k in ((1000, 333, 150), (1000, 720, 200), (1000, 263, 229), (256, 32, 64)):
+    grid = make_grid(n, m, "constant", n_active=k)
+    assert _gram_read(grid.alloc)
     print(m, k, hashlib.sha256(_cpi_lags(grid).tobytes()).hexdigest())
     targets = tuple(si.Target(distance_m=d, velocity_mps=v, amplitude=1.0) for d, v in ((200, 15), (330, -15)))
     drawn = _gram_statistics(si.Scene(targets=targets, snr_db=0.0), grid.alloc, grid.params, 5)
@@ -144,8 +148,37 @@ for m, k in ((333, 150), (720, 200), (263, 229)):
 
 
 class TestGramRoute:
-    """A constant allocation on a large grid with few active subcarriers
-    takes its lag sums from the Gram matrix of its active block."""
+    """A constant allocation whose read costs less there takes its lag sums
+    from the Gram matrix of its active block (the read gate, _gram_read); a
+    sweep trial draws the statistics of one on a large grid with few active
+    subcarriers (the draw gate, _gram_route)."""
+
+    @pytest.mark.parametrize(
+        "n, m, pattern, k, read, draw",
+        [
+            (256, 1, "constant", 64, False, False),
+            (256, 8, "constant", 64, False, False),
+            (256, 16, "constant", 64, False, False),
+            (256, 32, "constant", 64, True, False),  # desk
+            (256, 128, "constant", 64, True, False),  # the desk demo
+            (256, 32, "per_symbol", None, False, False),
+            (1000, 720, "constant", 200, True, True),  # paper
+            (1000, 720, "constant", 250, True, False),
+            (1000, 720, "constant", 350, True, False),
+            (1000, 720, "constant", 500, False, False),
+            (256, 1024, "constant", 128, True, False),
+            (256, 1024, "constant", 200, True, False),
+            (256, 1024, "constant", 220, False, False),
+        ],
+    )
+    def test_read_and_draw_gates(self, n, m, pattern, k, read, draw):
+        # the draw column is the one gate's decision before the read had its
+        # own, so no noise stream moved with the read
+        grid = make_grid(n, m, pattern, n_active=k)
+        assert _gram_read(grid.alloc) is read
+        assert _gram_route(grid.alloc) is draw
+        want = _gram_lags(grid.block, grid.alloc) if read else _fft_lags(grid)
+        assert _cpi_lags(grid).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "n, m, pattern, k, gram",
@@ -163,6 +196,7 @@ class TestGramRoute:
         ],
     )
     def test_gates(self, n, m, pattern, k, gram):
+        # the draw gate at the edges of its size and K bounds
         assert _gram_route(make_grid(n, m, pattern, n_active=k).alloc) is gram
 
     @pytest.mark.parametrize(
@@ -182,7 +216,7 @@ class TestGramRoute:
         grid = make_grid(1000, m, pattern, n_active=k)
         ref = serial_cpi_lags(grid)
         lags = _cpi_lags(grid)
-        if _gram_route(grid.alloc):
+        if _gram_read(grid.alloc):
             assert np.max(np.abs(lags - ref)) <= 1e-13 * np.max(np.abs(ref))
         else:
             assert lags.tobytes() == ref.tobytes()
@@ -200,6 +234,39 @@ class TestGramRoute:
             got, want = _gram_lags(block, alloc), modulo_gram_lags(block, alloc)
             assert np.array_equal(bits(got), bits(want)), (n, k, rows)
 
+    def test_lag_index_kept_with_the_allocation(self, monkeypatch):
+        # built on the first read, then the same read-only index, with the
+        # same bits; it takes no part in equality or repr, and the sweep's
+        # fixed nested allocation builds it once per sweep
+        alloc = si.ResourceAllocation.constant([0, 1, 4, 6], 3, 7)
+        block = np.random.default_rng(3).standard_normal((3, 8)).view(np.complex128)
+        first = _gram_lags(block, alloc)
+        lag = vars(alloc)["_pair_lags"]
+        assert not lag.flags.writeable
+        assert _gram_lags(block, alloc).tobytes() == first.tobytes()
+        assert vars(alloc)["_pair_lags"] is lag
+        assert first.tobytes() == modulo_gram_lags(block, alloc).tobytes()
+        assert alloc == si.ResourceAllocation.constant([0, 1, 4, 6], 3, 7)
+        assert "_pair_lags" not in repr(alloc)
+
+        built = []
+        pair_lags = synth._pair_lags
+
+        def counted(a):
+            if "_pair_lags" not in vars(a):
+                built.append(a)
+            return pair_lags(a)
+
+        monkeypatch.setattr(synth, "_pair_lags", counted)
+        params = make_params(64, 32)
+        cfg = SweepConfig(
+            params=params, n_active=16, snr_db_axis=(0.0, 10.0), methods=("nested",),
+            targets=(si.Target(distance_m=10 * params.range_bin_m, amplitude=1.0),), n_trials=3,
+        )
+        assert _gram_read(cfg._allocations["nested"])
+        monte_carlo_sweep(cfg, threads=1)
+        assert built == [cfg._allocations["nested"]]
+
     def test_same_bits_at_any_blas_thread_count(self):
         # held at one thread, the product gives one set of bits at any
         # caller's count, and they are dsyrk's own bits at one thread
@@ -212,7 +279,7 @@ class TestGramRoute:
                  str(Path(si.__file__).parents[1])],
                 env=env, capture_output=True, text=True, timeout=300, check=True,
             )
-            assert run.stdout.count("\n") == 6, run.stderr
+            assert run.stdout.count("\n") == 8, run.stderr
             digests.add(run.stdout)
         assert len(digests) == 1
 
@@ -256,12 +323,11 @@ class TestBlasGuard:
     count is back after it, however the product ends."""
 
     @pytest.fixture(autouse=True)
-    def small_gram_grids(self, monkeypatch):
-        monkeypatch.setattr(synth, "_GRAM_MIN_POINTS", 1)
+    def gram_reads(self, monkeypatch):
+        monkeypatch.setattr(synth, "_gram_read", lambda alloc: alloc.is_constant)
 
     def test_product_runs_at_one_thread(self, caller_blas_threads):
         grid = make_grid(64, 8, "constant", n_active=16)
-        assert _gram_route(grid.alloc)
         seen = []
         lags = probed(grid, lambda: seen.append(blas_threads())).cpi_lags
         assert seen == [1]
@@ -307,7 +373,9 @@ class TestBlasGuard:
 
 
 class TestMemo:
-    def test_second_read_is_the_same_read_only_array(self, monkeypatch):
+    @pytest.mark.parametrize("gram", [False, True], ids=["fft", "gram"])
+    def test_second_read_is_the_same_read_only_array(self, monkeypatch, gram):
+        monkeypatch.setattr(synth, "_gram_read", lambda alloc: gram)
         grid = make_grid(40, 70, "constant")
         calls = []
         kernel = synth._cpi_lags
@@ -316,7 +384,11 @@ class TestMemo:
         assert grid.cpi_lags is first
         assert not first.flags.writeable
         assert len(calls) == 1
-        assert first.tobytes() == serial_cpi_lags(grid).tobytes()
+        ref = serial_cpi_lags(grid)
+        if gram:
+            assert np.max(np.abs(first - ref)) <= 1e-13 * np.max(np.abs(ref))
+        else:
+            assert first.tobytes() == ref.tobytes()
 
     def test_memo_is_per_grid_and_not_compared(self):
         a = make_grid(40, 70, "constant")

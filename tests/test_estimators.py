@@ -520,14 +520,13 @@ class TestVirtualSymmetry:
 
     @pytest.mark.parametrize("route", ["fft", "gram", "gram_statistics"])
     def test_library_signals_construct(self, route, monkeypatch):
-        """Both routes of the lag sums, the Gram route forced below its size
-        gate; the FFT route's raw lag sums are symmetric to round-off only."""
+        """Both routes of the lag sums, each selected through the read gate,
+        and a drawn statistics block; the FFT route's raw lag sums are
+        symmetric to round-off only."""
         params = make_params(n=64, m=_ROW_BLOCK + 3)
         alloc = si.make_allocation(params, "random", n_active=20, seed=3)
         scene = si.Scene(targets=(si.Target(distance_m=120.0, velocity_mps=30.0, amplitude=1.0),), snr_db=0.0)
-        if route != "fft":
-            monkeypatch.setattr(synth, "_GRAM_MIN_POINTS", 1)
-        assert synth._gram_route(alloc) is (route != "fft")
+        monkeypatch.setattr(synth, "_gram_read", lambda _: route != "fft")
         draw = _gram_statistics if route == "gram_statistics" else si.synthesize
         grid = draw(scene, alloc, params, 5)
         vs, aperture = si.build_virtual_signal(grid)

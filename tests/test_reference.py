@@ -3,8 +3,8 @@
 One derandomized property test draws grids over what the fast paths
 branch on: constant and per-symbol allocations, M around one row block of
 the lag-sum kernel (1, 63, 64, 65), odd and even N, moving targets, the
-noise specs, and both routes of the CPI lag sums, the Gram route forced
-below its size gate.  Where the current tests pin bits the comparison is
+noise specs, and both routes of the CPI lag sums, each selected through
+the read gate.  Where the current tests pin bits the comparison is
 bit for bit; elsewhere it allows their round-off.
 """
 import math
@@ -34,7 +34,7 @@ from reference import (
 )
 from sparse_isac import synth
 from sparse_isac.estimators import _noncoherent_delay, _noncoherent_profile
-from sparse_isac.synth import _ROW_BLOCK, _gram_route
+from sparse_isac.synth import _ROW_BLOCK
 
 NOISE = {
     "snr_low": dict(snr_db=-3.0),
@@ -115,9 +115,7 @@ def test_every_estimator_matches_the_reference(n, m, layout, gram, seed, noise, 
     targets = (si.Target(distance_m=d, velocity_mps=v, amplitude=a, phase_rad=p) for d, v, a, p in specs)
     scene = si.Scene(targets=tuple(targets), **NOISE[noise])
     with pytest.MonkeyPatch.context() as patch:
-        if gram:  # the K gate holds for every K <= N at these sizes
-            patch.setattr(synth, "_GRAM_MIN_POINTS", 1)
-        assert _gram_route(alloc) is gram
+        patch.setattr(synth, "_gram_read", lambda _: gram)
 
         grid = si.synthesize(scene, alloc, params, seed=seed)
         samples = dense(grid)
