@@ -293,8 +293,9 @@ class SweepConfig:
     snr_db entries are per-active-RE SNRs; +inf means noiseless.  The
     sparse allocation is redrawn every trial (seeded); direct_sparse and
     autocorrelation share the allocation and the grid drawn on it (its
-    symbol sum and Gram matrix alone, on the Gram route of the lag sums) so
-    the method comparison is paired.  `scenes` holds the Scene of each SNR
+    symbol sum and Gram matrix alone where _gram_route holds: the Gram route
+    of the lag sums, and M > K + 1 + T for T targets) so the method
+    comparison is paired.  `scenes` holds the Scene of each SNR
     point; the seed-independent allocations are built once, by sweep method.
     A target is detected when a peak lies within miss_threshold_bins range
     bins of it (10 by default) and nearer to it than to any other target;
@@ -429,15 +430,15 @@ def _trials(
 
     Trial i reads child i of `ss`, which spawns one seed per _SWEEP_TABLE
     slot; slot 0 draws the random allocation of each method `fixed` does
-    not map.  A slot a virtual method reads is synthesized, or, for an
-    allocation past the draw gate (_gram_route), has its symbol sum and
-    Gram matrix drawn without the grid (_gram_statistics); any other has
-    its symbol sum drawn directly (_symbol_sum_row).  Both draws keep
-    synthesize's phases, with other noise draws.  A virtual slot is read
-    the same way whichever route drew it, through its `symbol_sum` and
-    `cpi_lags`, each computed only when read; a synthesized grid reads its
-    lag sums on the route of the read gate (_gram_read), which moves no
-    draw.
+    not map.  A slot a virtual method reads is synthesized, or, where
+    _gram_route(alloc, scene) holds (the read gate picks the Gram route and
+    M > K + 1 + T for the T targets), has its symbol sum and Gram matrix
+    drawn without the grid, in fewer rows (_gram_statistics); any other has
+    its symbol sum drawn directly (_symbol_sum_row).  Both draws keep synthesize's phases, with other
+    noise draws.  A virtual slot is read the same way whichever route drew
+    it, through its `symbol_sum` and `cpi_lags`, each computed only when
+    read; a synthesized grid reads its lag sums on the route of the read
+    gate.
     """
     params = cfg.params
     readers = {}  # slot: the requested methods that read it
@@ -451,7 +452,7 @@ def _trials(
                 params, "random", n_active=cfg.n_active, seed=seeds[0]
             )
             virtual = slot in _VIRTUAL_SLOTS
-            gram = virtual and _gram_route(alloc)
+            gram = virtual and _gram_route(alloc, scene)
             args = scene, alloc, params, seeds[slot]
             # one call site: an aliasing target warns once per sweep or demo, not per draw
             drawn = (_gram_statistics if gram else synthesize if virtual else _symbol_sum_row)(*args)

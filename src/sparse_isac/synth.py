@@ -18,32 +18,27 @@ two routes:
   over blocks of 64 symbols, in the caller's thread, and one inverse
   transform of the power sum.
 
-Two gates decide two different things:
-
-- the read gate (_gram_read) picks the route of the lag sums of a grid,
-  and nothing else: the Gram route for a constant allocation whose read
-  costs less there, K^2 (M + _GRAM_READ_ROWS) at most _GRAM_READ_RATIO x
-  M 2N log2 2N.  A grid read on either route has the same values to
-  round-off (about 5e-16 of the peak);
-- the draw gate (_gram_route) picks, in a sweep or demo trial, whether a
-  virtual slot draws its statistics (below) or its grid: a constant
-  allocation on at least _GRAM_MIN_POINTS transform points (symbols x 2N)
-  whose K^2 is at most _GRAM_MAX_COST_RATIO x 2N log2 2N.  It decides
-  which noise stream a trial draws, so a new value moves the outputs'
-  noise draws, not only their round-off.
+One cost model picks the route: the read gate (_gram_read) puts the lag
+sums of a grid of a constant allocation on the Gram route where its read
+costs less there, K^2 (M + _GRAM_READ_ROWS) at most _GRAM_READ_RATIO x
+M 2N log2 2N.  A grid read on either route has the same values to
+round-off (about 5e-16 of the peak).
 
 While a Gram-route product runs, the BLAS thread count is held at 1
 (_one_blas_thread).  That count is process-wide: a caller's own BLAS work
 in another thread also runs at one thread meanwhile.
 
 A sweep or demo trial reads two statistics of a grid only: its symbol sum
-and the Gram matrix of its rows.  Past the draw gate it draws them without
-the grid (_gram_statistics, the Bartlett decomposition): d + min(M - d, K)
-rows of K values, d the dimension of the targets' symbol-phase profiles
-with the all-ones vector, in place of M rows.  synthesize is the
-reference; the draw keeps its phases, with other noise draws.  A grid and
-a drawn _GridStatistics are read the same way, through `symbol_sum` and
-`cpi_lags`, and _gram_lags is the one reader of a Gram block's lag means.
+and the Gram matrix of its rows.  Where the read gate picks the Gram route
+and the grid has more rows than the draw (_gram_route: M > K + 1 + T for
+T targets), it draws them without the grid (_gram_statistics, the
+Bartlett decomposition): d + min(M - d, K) rows of K values, d <= 1 + T
+the dimension of the targets' symbol-phase profiles with the all-ones
+vector, in place of M rows.  synthesize is the reference; the draw keeps
+its phases, with other noise draws, so the row rule decides which noise
+stream a trial draws.  A grid and a drawn _GridStatistics are read the
+same way, through `symbol_sum` and `cpi_lags`, and _gram_lags is the one
+reader of a Gram block's lag means.
 """
 from __future__ import annotations
 
@@ -86,20 +81,6 @@ _ROW_BLOCK = 64
 # M=720 the Gram route reads up to K = 458.
 _GRAM_READ_ROWS = 256
 _GRAM_READ_RATIO = 13
-
-# The draw gate (_gram_route), which picks the trial draw of a sweep or demo
-# virtual slot and no read route.  Its two values date from when one gate
-# also picked the read; they stay because a new value moves the noise
-# streams of the sweeps and demos it admits or drops.
-#
-# Fewest transform points (symbols x 2N) of an allocation whose trials draw
-# their statistics: 2**19 keeps the desk grids (N=256, M=32: 16,384 points),
-# where the statistics draw saves no rows (M <= d + K), drawing their grids.
-_GRAM_MIN_POINTS = 1 << 19
-
-# Largest K^2 / (2N log2 2N) of an allocation whose trials draw their
-# statistics: K up to 229 at N=1000 and 105 at N=256.
-_GRAM_MAX_COST_RATIO = 2.4
 
 # A target's symbol-phase profile adds a dimension to the basis of
 # _symbol_basis where the part of it outside the span of the vectors before
@@ -210,18 +191,12 @@ def _gram_read(alloc: ResourceAllocation) -> bool:
     )
 
 
-def _gram_route(alloc: ResourceAllocation) -> bool:
+def _gram_route(alloc: ResourceAllocation, scene: Scene) -> bool:
     """Whether a sweep or demo trial draws the statistics of a virtual slot
-    on `alloc` (_gram_statistics) instead of its grid: a constant allocation
-    on at least _GRAM_MIN_POINTS transform points whose K active subcarriers
-    keep K^2 at most _GRAM_MAX_COST_RATIO x 2N log2 2N.  It picks no read
-    route (_gram_read)."""
-    size = 2 * alloc.n_subcarriers
-    return (
-        alloc.is_constant
-        and alloc.n_symbols * size >= _GRAM_MIN_POINTS
-        and alloc.n_active**2 <= _GRAM_MAX_COST_RATIO * size * math.log2(size)
-    )
+    on `alloc` (_gram_statistics) instead of its grid: where the read gate
+    puts its lag sums on the Gram route and the drawn block, at most K + 1 +
+    T rows for the T targets of `scene`, is shorter than the grid's M."""
+    return _gram_read(alloc) and alloc.n_symbols > alloc.n_active + 1 + len(scene.targets)
 
 
 @functools.cache
@@ -518,7 +493,8 @@ def _symbol_basis(scene: Scene, params: OfdmParams) -> np.ndarray:
 @dataclass(frozen=True)
 class _GridStatistics:
     """The two statistics of a grid of the constant allocation `alloc` that
-    a sweep trial reads, held in a (rows, K) block (_gram_statistics): the
+    a sweep or demo trial reads, held in a (rows, K) block of fewer rows
+    than the grid's M where _gram_route draws it (_gram_statistics): the
     Gram matrix of its rows has the law of the grid's G = sum_m y_m y_m^H,
     and sqrt(M) times its first row is the grid's symbol sum.
 
@@ -566,7 +542,9 @@ def _gram_statistics(
     draws: Q^H Y's from the noise substream, R's from a third substream of
     the grid's seed (spawn key + (2,)): two standard normals per entry right
     of the diagonal, row by row, re then im, then one gamma per diagonal
-    entry.
+    entry.  A sweep or demo trial draws it in place of synthesize where
+    _gram_route holds, so its d + r rows (d <= 1 + T for T targets) are
+    fewer than the grid's M.
     """
     _check_fits(alloc, params)
     cols = alloc.indices  # raises if the allocation varies per symbol

@@ -433,10 +433,10 @@ class TestMonteCarloSweep:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_shared_slot_pairs_the_grid_in_any_subset(self, threads, gram, monkeypatch):
         # direct_sparse and autocorrelation read one grid per trial (its
-        # statistics, on the Gram route), and each method's numbers do not
-        # depend on the rest of the subset
+        # statistics, with the draw opened for every constant allocation),
+        # and each method's numbers do not depend on the rest of the subset
         if gram:
-            monkeypatch.setattr(synth, "_GRAM_MIN_POINTS", 1)
+            monkeypatch.setattr(si.analysis, "_gram_route", lambda alloc, scene: alloc.is_constant)
             monkeypatch.setattr(si.analysis, "synthesize", None)  # never called
         cfg = self.tiny_config(snr_db_axis=(0.0, 10.0), methods=si.analysis.SWEEP_METHODS)
         every = monte_carlo_sweep(cfg, threads=threads)

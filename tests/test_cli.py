@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparse_isac import analysis, cli, synth
+from sparse_isac import analysis, cli
 from sparse_isac.analysis import SingularFimError
 
 CLI = [sys.executable, "-m", "sparse_isac.cli"]
@@ -711,10 +711,10 @@ def test_successful_run_shows_its_warnings(tmp_path, experiment):
 
 
 def test_gram_route_sweep_warns_from_the_draw_line(tmp_path, monkeypatch):
-    """With every constant allocation on the Gram route, the sweep draws the
-    statistics of its virtual slots, not their grids, and an aliasing
+    """With the draw opened for every constant allocation, the sweep draws
+    the statistics of its virtual slots, not their grids, and an aliasing
     target still warns once, from the one draw line."""
-    monkeypatch.setattr(synth, "_GRAM_MIN_POINTS", 1)
+    monkeypatch.setattr(analysis, "_gram_route", lambda alloc, scene: alloc.is_constant)
     monkeypatch.setattr(analysis, "synthesize", failing(AssertionError))
     path = write_config(tmp_path, ALIASING["rmse_pslr_sweep"])
     with warnings.catch_warnings(record=True) as seen:

@@ -1,8 +1,9 @@
 """The CPI lag-sum kernel: its FFT route against the serial loop, in the
 caller's thread, its Gram route and the guard that runs its BLAS product at
-one BLAS thread, the read gate that picks the route and the draw gate of
-the sweep's trials, the per-grid memo that both per-symbol estimators read,
-and the sweep's SNR-point threads, the package's only thread pool."""
+one BLAS thread, the read gate that picks the route and the row rule by
+which a sweep or demo trial draws a slot's statistics past it, the
+per-grid memo that both per-symbol estimators read, and the sweep's
+SNR-point threads, the package's only thread pool."""
 import os
 import subprocess
 import sys
@@ -80,7 +81,10 @@ class TestFftRoute:
 
     def test_threaded_sweep_bitwise_under_fast_switching(self, monkeypatch):
         # 4 SNR-point threads, more than cores, switching every few
-        # microseconds, each reading the kernel on its own grids
+        # microseconds, each reading the kernel on its own grids; the read
+        # gate closed, so each trial synthesizes its grids and reads them on
+        # the FFT route
+        monkeypatch.setattr(synth, "_gram_read", lambda alloc: False)
         params = make_params(64, 2 * _ROW_BLOCK + 3)
         cfg = SweepConfig(
             params=params,
@@ -114,9 +118,6 @@ class TestFftRoute:
         assert_same_sweep(par, seq)
 
 
-# The largest K past the draw gate at N=1000: K^2 <= 2.4 x 2000 log2 2000
-K_BOUND_1000 = 229
-
 # _cpi_lags's bits of grids read on the Gram route, and the bits of the
 # statistics draw (_gram_statistics) of two moving targets, printed by a
 # fresh interpreter whose caller's BLAS count is argv[1], with the guard
@@ -147,11 +148,17 @@ for n, m, k in ((1000, 333, 150), (1000, 720, 200), (1000, 263, 229), (256, 32, 
 """
 
 
+def make_scene(n_targets):
+    """A 0 dB scene of n_targets static targets 30 m apart."""
+    targets = tuple(si.Target(distance_m=100.0 + 30.0 * i, amplitude=1.0) for i in range(n_targets))
+    return si.Scene(targets=targets, snr_db=0.0)
+
+
 class TestGramRoute:
     """A constant allocation whose read costs less there takes its lag sums
     from the Gram matrix of its active block (the read gate, _gram_read); a
-    sweep trial draws the statistics of one on a large grid with few active
-    subcarriers (the draw gate, _gram_route)."""
+    sweep or demo trial draws the statistics of one whose drawn block is
+    shorter than the grid, M > K + 1 + T for T targets (_gram_route)."""
 
     @pytest.mark.parametrize(
         "n, m, pattern, k, read, draw",
@@ -159,45 +166,73 @@ class TestGramRoute:
             (256, 1, "constant", 64, False, False),
             (256, 8, "constant", 64, False, False),
             (256, 16, "constant", 64, False, False),
-            (256, 32, "constant", 64, True, False),  # desk
-            (256, 128, "constant", 64, True, False),  # the desk demo
+            (256, 32, "constant", 64, True, False),  # desk: M <= K + 2
+            (256, 128, "constant", 64, True, True),  # the desk demo's grid
             (256, 32, "per_symbol", None, False, False),
             (1000, 720, "constant", 200, True, True),  # paper
-            (1000, 720, "constant", 250, True, False),
-            (1000, 720, "constant", 350, True, False),
+            (1000, 720, "constant", 250, True, True),
+            (1000, 720, "constant", 350, True, True),
+            (1000, 720, "constant", 458, True, True),  # the read gate's largest K
+            (1000, 720, "constant", 459, False, False),
             (1000, 720, "constant", 500, False, False),
-            (256, 1024, "constant", 128, True, False),
-            (256, 1024, "constant", 200, True, False),
+            (256, 1024, "constant", 128, True, True),
+            (256, 1024, "constant", 200, True, True),
             (256, 1024, "constant", 220, False, False),
         ],
     )
     def test_read_and_draw_gates(self, n, m, pattern, k, read, draw):
-        # the draw column is the one gate's decision before the read had its
-        # own, so no noise stream moved with the read
+        # make_grid's grids have one target: a trial draws where the read
+        # gate holds and M > K + 2
         grid = make_grid(n, m, pattern, n_active=k)
         assert _gram_read(grid.alloc) is read
-        assert _gram_route(grid.alloc) is draw
+        assert _gram_route(grid.alloc, make_scene(1)) is draw
         want = _gram_lags(grid.block, grid.alloc) if read else _fft_lags(grid)
         assert _cpi_lags(grid).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
-        "n, m, pattern, k, gram",
+        "n, m, pattern, k, n_targets, gram",
         [
-            (1000, 262, "constant", 200, False),  # 524,000 points: below the size gate
-            (1000, 263, "constant", 200, True),  # 526,000 points
-            (1000, 720, "constant", K_BOUND_1000, True),
-            (1000, 720, "constant", K_BOUND_1000 + 1, False),
-            (1000, 720, "nested", 200, True),
-            (1000, 720, "per_symbol", None, False),
-            (256, 32, "constant", 64, False),  # desk
-            (256, 2048, "constant", 64, True),
-            (4000, 131, "constant", 498, True),  # 498^2 <= 2.4 x 8000 log2 8000 < 499^2
-            (4000, 131, "constant", 499, False),
+            (256, 66, "constant", 64, 1, False),  # M = K + 1 + T
+            (256, 67, "constant", 64, 1, True),
+            (256, 67, "constant", 64, 2, False),
+            (256, 68, "constant", 64, 2, True),
+            (1000, 720, "constant", 458, 1, True),
+            (1000, 720, "constant", 459, 1, False),  # FFT read
+            (1000, 202, "constant", 200, 1, False),
+            (1000, 203, "constant", 200, 1, True),
+            (1000, 720, "nested", 200, 2, True),
+            (1000, 720, "per_symbol", None, 1, False),
+            (256, 1024, "per_symbol", None, 2, False),
         ],
     )
-    def test_gates(self, n, m, pattern, k, gram):
-        # the draw gate at the edges of its size and K bounds
-        assert _gram_route(make_grid(n, m, pattern, n_active=k).alloc) is gram
+    def test_gates(self, n, m, pattern, k, n_targets, gram):
+        # the row rule at its M edge for one and two targets, the read gate
+        # at its K edge, and a per-symbol allocation, which never draws
+        assert _gram_route(make_grid(n, m, pattern, n_active=k).alloc, make_scene(n_targets)) is gram
+
+    @pytest.mark.parametrize("m", [66, 67])
+    def test_trials_draw_exactly_where_the_rule_holds(self, monkeypatch, m):
+        # a desk-width sweep of one target on both sides of the M edge: each
+        # virtual slot (the random draw and nested) draws its statistics at
+        # M = 67 and synthesizes its grid at M = 66
+        calls = []  # (draw, allocation) of each slot drawn
+
+        def spying(name):
+            real = getattr(analysis, name)
+            return lambda *args: calls.append((name, args[1])) or real(*args)
+
+        for name in ("synthesize", "_gram_statistics"):
+            monkeypatch.setattr(analysis, name, spying(name))
+        params = make_params(256, m)
+        cfg = SweepConfig(
+            params=params, n_active=64, snr_db_axis=(0.0, 10.0), methods=analysis.SWEEP_METHODS,
+            targets=(si.Target(distance_m=60 * params.range_bin_m, amplitude=1.0),), n_trials=2,
+        )
+        monte_carlo_sweep(cfg, threads=1)
+        draw = "_gram_statistics" if m == 67 else "synthesize"
+        assert [name for name, _ in calls] == [draw] * (2 * 2 * 2)  # points x trials x virtual slots
+        for name, alloc in calls:
+            assert _gram_route(alloc, cfg.scenes[0]) is (name == "_gram_statistics")
 
     @pytest.mark.parametrize(
         "m, pattern, k",
@@ -205,8 +240,8 @@ class TestGramRoute:
             (262, "constant", 200),
             (263, "constant", 200),
             (333, "constant", 200),
-            (333, "constant", K_BOUND_1000),
-            (333, "constant", K_BOUND_1000 + 1),
+            (333, "constant", 229),
+            (333, "constant", 230),
             (720, "constant", 200),
             (720, "constant", 300),
             (720, "nested", 200),
@@ -447,8 +482,10 @@ class TestSweepThreads:
         return opened
 
     @staticmethod
-    def config(methods=("direct_sparse", "autocorrelation")):
-        params = make_params(64, 8)  # 8 symbols x 128 points
+    def config(methods=("direct_sparse", "autocorrelation"), n_symbols=8):
+        # 8 symbols x 128 points; from 20 symbols (M > K + 1 + T for up to
+        # two targets) a trial draws the statistics of its virtual slots
+        params = make_params(64, n_symbols)
         return SweepConfig(
             params=params,
             n_active=16,
@@ -480,36 +517,33 @@ class TestSweepThreads:
         ],
     )
     def test_gram_route_grid_opens_the_pool(self, pools, monkeypatch, methods):
-        monkeypatch.setattr(analysis, "_SWEEP_THREAD_MIN_POINTS", 8 * 128)
-        monkeypatch.setattr(synth, "_GRAM_MIN_POINTS", 8 * 128)
-        cfg = self.config(methods)
-        assert _gram_route(cfg._allocations.get(methods[-1]) or cfg._allocations["equivalent_bandwidth"])
+        monkeypatch.setattr(analysis, "_SWEEP_THREAD_MIN_POINTS", 32 * 128)
+        cfg = self.config(methods, n_symbols=32)
+        alloc = cfg._allocations.get(methods[-1]) or cfg._allocations["equivalent_bandwidth"]
+        assert _gram_route(alloc, cfg.scenes[0])
         result = monte_carlo_sweep(cfg)
         assert pools == [3]
         assert_same_sweep(result, monte_carlo_sweep(cfg, threads=1))
 
-    def test_gram_route_sweep_gives_back_the_callers_blas_count(
-        self, pools, monkeypatch, caller_blas_threads
-    ):
-        monkeypatch.setattr(synth, "_GRAM_MIN_POINTS", 8 * 128)
-        monte_carlo_sweep(self.config(), threads=3)
+    def test_gram_route_sweep_gives_back_the_callers_blas_count(self, pools, caller_blas_threads):
+        monte_carlo_sweep(self.config(n_symbols=32), threads=3)
         assert pools == [3]
         assert blas_threads() == caller_blas_threads
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
     def test_statistics_draw_bitwise_at_any_cpu_count(self, pools, monkeypatch, cpus):
-        # two moving targets on the Gram route: slots 1 and 4 draw their
-        # statistics, in a basis of three symbol dimensions, not their grids
+        # two moving targets on the Gram route, M = 32 > K + 3: slots 1 and
+        # 4 draw their statistics, in a basis of three symbol dimensions,
+        # not their grids
         monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(analysis, "_SWEEP_THREAD_MIN_POINTS", 1)
-        monkeypatch.setattr(synth, "_GRAM_MIN_POINTS", 1)
         monkeypatch.setattr(analysis, "synthesize", None)  # never called
-        params = make_params(64, 8)
+        cfg = self.config(analysis.SWEEP_METHODS, n_symbols=32)
         targets = tuple(
-            si.Target(distance_m=d * params.range_bin_m, velocity_mps=v, amplitude=1.0)
+            si.Target(distance_m=d * cfg.params.range_bin_m, velocity_mps=v, amplitude=1.0)
             for d, v in ((10, 15.0), (20, -15.0))
         )
-        cfg = replace(self.config(analysis.SWEEP_METHODS), targets=targets)
+        cfg = replace(cfg, targets=targets)
         par = monte_carlo_sweep(cfg)
         assert pools == ([min(cpus, 5)] if cpus > 1 else [])
         assert_same_sweep(par, monte_carlo_sweep(cfg, threads=1))
@@ -542,7 +576,7 @@ class TestSweepThreads:
     @pytest.mark.parametrize(
         "n, m, k, cpus, threads",
         [
-            (1000, 720, 250, 2, 2),  # paper size, past the Gram route's K bound: 1.44 M points
+            (1000, 720, 250, 2, 2),  # paper size, K=250: 1.44 M points
             (1000, 720, 250, 8, 5),  # one thread per SNR point
             (1000, 720, 250, 1, 1),
             (1000, 720, 200, 8, 5),  # paper size on the Gram route
