@@ -410,6 +410,23 @@ def make_allocation(
     return alloc
 
 
+def _pair_lags(alloc: ResourceAllocation) -> np.ndarray:
+    """The linear lag n_a - n_b + N - 1 of each ordered pair (a, b) of the
+    active subcarriers of the constant allocation `alloc`, as a flat (K^2,)
+    index, computed on the first call and kept with the allocation: the
+    pair counts of difference_set and the lag bins of synth._gram_lags.
+
+    Left writeable, so np.bincount reads it without a copy; no reader
+    writes to it.
+    """
+    lag = vars(alloc).get("_pair_lags")
+    if lag is None:
+        cols = alloc.indices
+        lag = ((cols + (alloc.n_subcarriers - 1))[:, None] - cols).ravel()
+        vars(alloc)["_pair_lags"] = lag  # frozen: no field, not compared
+    return lag
+
+
 def difference_set(alloc: ResourceAllocation) -> VirtualAperture:
     """All pairwise index differences of the allocation, with multiplicities.
 
@@ -424,8 +441,7 @@ def difference_set(alloc: ResourceAllocation) -> VirtualAperture:
     if idx.size < 2:
         raise ValueError("difference set needs at least 2 active indices")
     n = alloc.n_subcarriers
-    diffs = (idx[:, None] - idx[None, :]).ravel()
-    counts = np.bincount(diffs + (n - 1), minlength=2 * n - 1)
+    counts = np.bincount(_pair_lags(alloc), minlength=2 * n - 1)
     nonzero = np.flatnonzero(counts)
     aperture = VirtualAperture(lags=nonzero - (n - 1), pair_counts=counts[nonzero], n_subcarriers=n)
     vars(alloc)["_aperture"] = aperture  # frozen: no field, not compared

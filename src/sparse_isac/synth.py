@@ -26,7 +26,11 @@ round-off (about 5e-16 of the peak).
 
 While a Gram-route product runs, the BLAS thread count is held at 1
 (_one_blas_thread).  That count is process-wide: a caller's own BLAS work
-in another thread also runs at one thread meanwhile.
+in another thread also runs at one thread meanwhile.  The product and its
+re/im planes are written into one workspace per thread (_gram_workspace),
+6 K^2 float64 held while K stays the same: 1.9 MB at K = 200, 10 MB at the
+read gate's K = 458 for N = 1000, M = 720.  A sweep's SNR-point threads
+free theirs when the sweep ends; the caller's thread keeps its own.
 
 A sweep or demo trial reads two statistics of a grid only: its symbol sum
 and the Gram matrix of its rows.  Where the read gate picks the Gram route
@@ -52,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alloc import OfdmParams, ResourceAllocation, _check_fits, _check_number
+from .alloc import OfdmParams, ResourceAllocation, _check_fits, _check_number, _pair_lags
 from .scene import Scene, delay_doppler
 
 __all__ = ["FreqGrid", "synthesize", "measure_snr"]
@@ -261,6 +265,25 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
+_workspace = threading.local()
+
+
+def _gram_workspace(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's S (2K, 2K) and re, im (K, K) planes for _gram_lags:
+    views of one float64 buffer of 6 K^2 values, kept per thread and
+    replaced when K changes."""
+    planes = getattr(_workspace, "planes", None)
+    if planes is None or planes[1].shape[0] != k:
+        buf, kk = np.empty(6 * k * k), k * k
+        planes = (
+            buf[: 4 * kk].reshape(2 * k, 2 * k),
+            buf[4 * kk : 5 * kk].reshape(k, k),
+            buf[5 * kk :].reshape(k, k),
+        )
+        _workspace.planes = planes
+    return planes
+
+
 def _gram_lags(block: np.ndarray, alloc: ResourceAllocation) -> np.ndarray:
     """The CPI mean R / M of the lag sums R of the K x K Gram matrix G =
     sum_i z_i z_i^H of the rows z_i of a (rows, K) block on the active
@@ -275,6 +298,12 @@ def _gram_lags(block: np.ndarray, alloc: ResourceAllocation) -> np.ndarray:
     after each call, and OpenBLAS 0.3.31's threaded dsyrk gave other bits at
     2 to 4 threads for K of 50, 150, 229 or 250.
 
+    S and the re, im planes are written into this thread's workspace
+    (_gram_workspace), 6 K^2 float64 held per thread: 1.9 MB at K = 200,
+    10 MB at the read gate's K = 458 for N = 1000, M = 720.  A sweep's
+    SNR-point threads free theirs when the sweep ends.  The result is a new
+    array: no view of the workspace is returned or kept.
+
     Each G[a, b] is summed at its linear lag n_a - n_b + N - 1 (_pair_lags),
     one bin per s mod 2N, and the bins are rolled by 1 - N into that layout:
     bins N - 1 .. 2N - 1 to the front, as np.roll does, without its
@@ -282,26 +311,14 @@ def _gram_lags(block: np.ndarray, alloc: ResourceAllocation) -> np.ndarray:
     """
     # a copy only where the block is not C-ordered complex128
     w = np.asanyarray(block, dtype=np.complex128, order="C").view(np.float64)
+    s, re, im = _gram_workspace(alloc.n_active)
     with _one_blas_thread:
-        s = w.T @ w
+        np.matmul(w.T, w, out=s)
+    np.add(s[0::2, 0::2], s[1::2, 1::2], out=re)
+    np.subtract(s[1::2, 0::2], s[0::2, 1::2], out=im)
     n, lag = alloc.n_subcarriers, _pair_lags(alloc)
-    re = s[0::2, 0::2] + s[1::2, 1::2]
-    im = s[1::2, 0::2] - s[0::2, 1::2]
     sums = np.bincount(lag, re.ravel(), 2 * n) + 1j * np.bincount(lag, im.ravel(), 2 * n)
     return np.concatenate((sums[n - 1 :], sums[: n - 1])) / alloc.n_symbols
-
-
-def _pair_lags(alloc: ResourceAllocation) -> np.ndarray:
-    """The linear lag n_a - n_b + N - 1 of each G[a, b] of _gram_lags, as a
-    flat (K^2,) index, computed on the first call and kept with the constant
-    allocation `alloc`, as difference_set keeps its aperture."""
-    lag = vars(alloc).get("_pair_lags")
-    if lag is None:
-        cols = alloc.indices
-        lag = ((cols + (alloc.n_subcarriers - 1))[:, None] - cols).ravel()
-        lag.setflags(write=False)
-        vars(alloc)["_pair_lags"] = lag  # frozen: no field, not compared
-    return lag
 
 
 def _fft_lags(grid: FreqGrid) -> np.ndarray:
@@ -518,6 +535,15 @@ class _GridStatistics:
         return row
 
 
+@functools.lru_cache(maxsize=8)
+def _upper_mask(r: int, k: int) -> np.ndarray:
+    """The read-only (r, K) mask of the entries right of the diagonal,
+    where _gram_statistics draws its factor R, kept per (r, K)."""
+    mask = np.arange(k) > np.arange(r)[:, None]
+    mask.setflags(write=False)
+    return mask
+
+
 def _gram_statistics(
     scene: Scene, alloc: ResourceAllocation, params: OfdmParams, seed
 ) -> _GridStatistics:
@@ -562,8 +588,7 @@ def _gram_statistics(
     factor = block[d:]
     factor_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (2,))
     rng = np.random.default_rng(factor_ss)
-    diag = np.arange(r)
-    upper = np.arange(k) > diag[:, None]
+    diag, upper = np.arange(r), _upper_mask(r, k)
     z = rng.standard_normal(2 * np.count_nonzero(upper))
     z *= math.sqrt(var / 2.0)
     factor[upper] = z.view(np.complex128)  # re, im of each entry in turn

@@ -4,13 +4,14 @@ Each function computes the plain way something that `sparse_isac`
 computes fast: a dense (M, N) view of a grid built from its allocation's
 index sets, whole-grid synthesis and every estimator's whole-grid formula
 on that view, the per-symbol lag products that the virtual signal
-accumulates, the Gram route's lag gather at the lag taken mod 2N,
-brute-force enumerations of difference sets, lag products and Fisher sums,
-the modular-distance PSLR mask, the greedy peak picker for every k, the
-nearest-peak target match, the per-trial hole-fill draw, the
-row-at-a-time CSV writer and the symbol-constant CRLB.  The tests compare
-the package with them: bit for bit (`bits`) where the fast path does the
-same float operations in the same order, to round-off where it does not.
+accumulates, the Gram route's read into fresh arrays and its lag gather
+at the lag taken mod 2N, brute-force enumerations of difference sets, lag
+products and Fisher sums, the modular-distance PSLR mask, the greedy peak
+picker for every k, the nearest-peak target match, the per-trial
+hole-fill draw, the row-at-a-time CSV writer and the symbol-constant
+CRLB.  The tests compare the package with them: bit for bit (`bits`)
+where the fast path does the same float operations in the same order, to
+round-off where it does not.
 """
 import cmath
 import csv
@@ -168,6 +169,21 @@ def serial_cpi_lags(grid):
         s = np.einsum("mk,mk->k", v, v)
         power += s[0::2] + s[1::2]
     return np.fft.ifft(power / grid.n_symbols)
+
+
+def fresh_gram_lags(block, alloc):
+    """synth._gram_lags with every array made fresh: S = W^T W by `@`, the
+    re, im planes by `+` and `-`, the linear lag index built from the
+    allocation's indices; the same float operations, so the same bits."""
+    w = np.asanyarray(block, dtype=np.complex128, order="C").view(np.float64)
+    with _one_blas_thread:
+        s = w.T @ w
+    n, cols = alloc.n_subcarriers, alloc.indices
+    lag = ((cols + (n - 1))[:, None] - cols).ravel()
+    re = s[0::2, 0::2] + s[1::2, 1::2]
+    im = s[1::2, 0::2] - s[0::2, 1::2]
+    sums = np.bincount(lag, re.ravel(), 2 * n) + 1j * np.bincount(lag, im.ravel(), 2 * n)
+    return np.concatenate((sums[n - 1 :], sums[: n - 1])) / alloc.n_symbols
 
 
 def modulo_gram_lags(block, alloc):

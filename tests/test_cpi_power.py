@@ -1,14 +1,16 @@
 """The CPI lag-sum kernel: its FFT route against the serial loop, in the
-caller's thread, its Gram route and the guard that runs its BLAS product at
-one BLAS thread, the read gate that picks the route and the row rule by
-which a sweep or demo trial draws a slot's statistics past it, the
-per-grid memo that both per-symbol estimators read, and the sweep's
-SNR-point threads, the package's only thread pool."""
+caller's thread, its Gram route, the per-thread workspace it reads into and
+the guard that runs its BLAS product at one BLAS thread, the read gate that
+picks the route and the row rule by which a sweep or demo trial draws a
+slot's statistics past it, the per-grid memo that both per-symbol
+estimators read, and the sweep's SNR-point threads, the package's only
+thread pool."""
 import os
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 from dataclasses import replace
@@ -17,7 +19,8 @@ import numpy as np
 import pytest
 
 import sparse_isac as si
-from reference import bits, modulo_gram_lags, serial_cpi_lags
+from reference import bits, fresh_gram_lags, modulo_gram_lags, serial_cpi_lags
+from sparse_isac import alloc as alloc_module
 from sparse_isac import analysis, synth
 from sparse_isac.analysis import SweepConfig, monte_carlo_sweep
 from sparse_isac.alloc import nested_params_for
@@ -270,29 +273,33 @@ class TestGramRoute:
             assert np.array_equal(bits(got), bits(want)), (n, k, rows)
 
     def test_lag_index_kept_with_the_allocation(self, monkeypatch):
-        # built on the first read, then the same read-only index, with the
-        # same bits; it takes no part in equality or repr, and the sweep's
-        # fixed nested allocation builds it once per sweep
+        # built on the first read, then the same index, with the same bits,
+        # which neither a read nor difference_set changes; it takes no part
+        # in equality or repr, and the sweep's fixed nested allocation
+        # builds it once per sweep
         alloc = si.ResourceAllocation.constant([0, 1, 4, 6], 3, 7)
         block = np.random.default_rng(3).standard_normal((3, 8)).view(np.complex128)
         first = _gram_lags(block, alloc)
         lag = vars(alloc)["_pair_lags"]
-        assert not lag.flags.writeable
+        before = lag.tobytes()
         assert _gram_lags(block, alloc).tobytes() == first.tobytes()
+        si.difference_set(alloc)
         assert vars(alloc)["_pair_lags"] is lag
+        assert lag.tobytes() == before
         assert first.tobytes() == modulo_gram_lags(block, alloc).tobytes()
         assert alloc == si.ResourceAllocation.constant([0, 1, 4, 6], 3, 7)
         assert "_pair_lags" not in repr(alloc)
 
         built = []
-        pair_lags = synth._pair_lags
+        pair_lags = alloc_module._pair_lags
 
         def counted(a):
             if "_pair_lags" not in vars(a):
                 built.append(a)
             return pair_lags(a)
 
-        monkeypatch.setattr(synth, "_pair_lags", counted)
+        # difference_set builds it, before the trial's read
+        monkeypatch.setattr(alloc_module, "_pair_lags", counted)
         params = make_params(64, 32)
         cfg = SweepConfig(
             params=params, n_active=16, snr_db_axis=(0.0, 10.0), methods=("nested",),
@@ -317,6 +324,87 @@ class TestGramRoute:
             assert run.stdout.count("\n") == 8, run.stderr
             digests.add(run.stdout)
         assert len(digests) == 1
+
+
+def gram_case(n, k, rows, seed):
+    """A random constant allocation of k of n subcarriers and a (rows, k)
+    standard normal complex block on it."""
+    rng = np.random.default_rng(seed)
+    alloc = si.ResourceAllocation.constant(rng.choice(n, k, replace=False), rows, n)
+    return rng.standard_normal((rows, 2 * k)).view(np.complex128), alloc
+
+
+class TestGramWorkspace:
+    """_gram_lags reads into one workspace per thread, kept while K stays
+    the same and replaced when it changes; its results own their memory
+    and have the bits of a read into fresh arrays (fresh_gram_lags)."""
+
+    def test_reads_of_changing_k_have_the_fresh_bits(self):
+        for i, (n, k, rows) in enumerate(((256, 64, 32), (256, 61, 7), (1000, 200, 203), (256, 64, 128))):
+            block, alloc = gram_case(n, k, rows, seed=i)
+            got = _gram_lags(block, alloc)
+            assert np.array_equal(bits(got), bits(fresh_gram_lags(block, alloc))), (n, k, rows)
+            assert synth._workspace.planes[1].shape == (k, k)
+
+    def test_results_share_no_memory_and_keep_their_values(self):
+        block, alloc = gram_case(256, 64, 32, seed=1)
+        first = _gram_lags(block, alloc)
+        kept = first.tobytes()
+        assert not any(np.shares_memory(first, plane) for plane in synth._workspace.planes)
+        for seed, k in ((2, 64), (3, 61), (4, 64)):
+            other = _gram_lags(*gram_case(256, k, 16, seed))
+            assert not any(np.shares_memory(other, plane) for plane in synth._workspace.planes)
+        assert first.tobytes() == kept
+
+    def test_threads_reading_different_k_get_the_fresh_bits(self):
+        # more threads than cores, switching fast, each reading its own K
+        # (two share one) in turn with the others
+        shapes = ((256, 64), (256, 61), (1000, 200), (256, 64))
+        cases = [[gram_case(n, k, 40, 10 * i + seed) for seed in range(3)] for i, (n, k) in enumerate(shapes)]
+        want = [[bits(fresh_gram_lags(*c)) for c in reads] for reads in cases]
+        start, got = threading.Barrier(len(cases)), [None] * len(cases)
+
+        def read(i):
+            start.wait(timeout=60)
+            got[i] = [bits(_gram_lags(*c)) for c in cases[i] * 3]
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, reads in enumerate(want):
+            assert len(got[i]) == 3 * len(reads)
+            for g, w in zip(got[i], reads * 3):
+                assert np.array_equal(g, w), shapes[i]
+
+    def test_a_warm_read_allocates_less_than_one_k_squared_array(self):
+        # the lag index is built with the allocation's difference set, as
+        # build_virtual_signal builds it, before the read
+        k = 200
+        _gram_lags(*gram_case(1000, k, 203, seed=5))
+        block, alloc = gram_case(1000, k, 203, seed=6)
+        si.difference_set(alloc)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _gram_lags(block, alloc)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < k * k * 8
+
+    def test_bartlett_mask_is_kept_read_only(self):
+        mask = synth._upper_mask(5, 7)
+        assert synth._upper_mask(5, 7) is mask
+        assert not mask.flags.writeable
+        assert np.array_equal(mask, np.triu(np.ones((5, 7), dtype=bool), 1))
 
 
 def blas_threads():
