@@ -230,13 +230,6 @@ class ResourceAllocation:
         """Symbol of every active cell, row-major."""
         return np.repeat(np.arange(self.n_symbols), self.cardinalities())
 
-    @property
-    def per_symbol_indices(self) -> tuple[np.ndarray, ...]:
-        """Each symbol's read-only index set; one shared array if constant."""
-        if self.is_constant:
-            return (self._cols,) * self.n_symbols
-        return tuple(np.split(self._cols, self._starts[1:-1]))
-
     def cardinalities(self) -> np.ndarray:
         starts = self.starts
         return starts[1:] - starts[:-1]  # np.diff, without its overhead

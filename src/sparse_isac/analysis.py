@@ -25,7 +25,7 @@ from .alloc import (
     nested_params_for,
 )
 from .scene import SPEED_OF_LIGHT, LinkBudget, Scene, Target
-from .synth import _gram_route, _gram_statistics, _symbol_sum_row, synthesize
+from .synth import _gram_route, _gram_statistics, synthesize
 from .estimators import (
     Periodogram,
     _zero_fill,
@@ -72,7 +72,8 @@ _SWEEP_TABLE = {
 }
 # Slots a virtual method reads (1 and 4): _trials synthesizes only their
 # grids, or draws their statistics on the Gram route, and sums a grid's
-# symbols only for a zero-fill reader (slot 1).
+# symbols only for a zero-fill reader (slot 1).  Any other slot draws its
+# symbol sum alone.
 # The rule reads the table, not the requested subset, so no method's noise
 # stream depends on which others were requested.
 _VIRTUAL_SLOTS = {s for s, v in _SWEEP_TABLE.values() if v}
@@ -295,8 +296,10 @@ class SweepConfig:
     autocorrelation share the allocation and the grid drawn on it (its
     symbol sum and Gram matrix alone where _gram_route holds: the Gram route
     of the lag sums, and M > K + 1 + T for T targets) so the method
-    comparison is paired.  `scenes` holds the Scene of each SNR
-    point; the seed-independent allocations are built once, by sweep method.
+    comparison is paired; full_bandwidth and equivalent_bandwidth, read by
+    zero-fill alone, draw their grid's symbol sum alone.  `scenes` holds the
+    Scene of each SNR point; the seed-independent allocations are built
+    once, by sweep method.
     A target is detected when a peak lies within miss_threshold_bins range
     bins of it (10 by default) and nearer to it than to any other target;
     one peak detects one target at most (_match, the demo's rule too, which
@@ -434,11 +437,11 @@ def _trials(
     _gram_route(alloc, scene) holds (the read gate picks the Gram route and
     M > K + 1 + T for the T targets), has its symbol sum and Gram matrix
     drawn without the grid, in fewer rows (_gram_statistics); any other has
-    its symbol sum drawn directly (_symbol_sum_row).  Both draws keep synthesize's phases, with other
-    noise draws.  A virtual slot is read the same way whichever route drew
-    it, through its `symbol_sum` and `cpi_lags`, each computed only when
-    read; a synthesized grid reads its lag sums on the route of the read
-    gate.
+    its symbol sum alone drawn, in one row (_gram_statistics, lags=False).
+    A draw keeps synthesize's phases, with other noise draws.  Every slot is
+    read the same way whichever way drew it, through its `symbol_sum` and
+    `cpi_lags`, each computed only when read; a synthesized grid reads its
+    lag sums on the route of the read gate.
     """
     params = cfg.params
     readers = {}  # slot: the requested methods that read it
@@ -452,17 +455,16 @@ def _trials(
                 params, "random", n_active=cfg.n_active, seed=seeds[0]
             )
             virtual = slot in _VIRTUAL_SLOTS
-            gram = virtual and _gram_route(alloc, scene)
+            grid = virtual and not _gram_route(alloc, scene)
             args = scene, alloc, params, seeds[slot]
             # one call site: an aliasing target warns once per sweep or demo, not per draw
-            drawn = (_gram_statistics if gram else synthesize if virtual else _symbol_sum_row)(*args)
+            drawn = synthesize(*args) if grid else _gram_statistics(*args, lags=virtual)
             for method in slot_methods:
                 if _SWEEP_TABLE[method][1]:
                     vs, _ = build_virtual_signal(drawn)
                     out[method] = virtual_periodogram(vs, params, oversample=cfg.oversample)
                 else:
-                    row = drawn.symbol_sum if virtual else drawn
-                    out[method] = _zero_fill(row, alloc, params, cfg.oversample)
+                    out[method] = _zero_fill(drawn.symbol_sum, alloc, params, cfg.oversample)
         yield out
 
 
@@ -532,12 +534,9 @@ def monte_carlo_sweep(cfg: SweepConfig, threads: int | None = None) -> SweepResu
     the package starts.  None picks one per SNR point, up to the usable CPUs
     (the process's affinity mask), on a grid of at least
     _SWEEP_THREAD_MIN_POINTS transform points (symbols x 2N), else one.  A
-    grid on the Gram route of the CPI lag-sum kernel (FreqGrid.cpi_lags)
-    runs its one BLAS product at one BLAS thread, so no BLAS workers
-    contend with SNR-point threads.  That BLAS count is process-wide: while
-    a point's product runs, a caller's own BLAS work in another thread
-    also runs at one thread, and the caller's count is back when the sweep
-    returns or raises.
+    grid on the Gram route of the CPI lag sums runs its one BLAS product at
+    one BLAS thread, process-wide, so no BLAS workers contend with
+    SNR-point threads (see the synth module docstring).
     """
     if threads is None:
         points = cfg.params.n_symbols * 2 * cfg.params.n_subcarriers

@@ -25,24 +25,30 @@ M 2N log2 2N.  A grid read on either route has the same values to
 round-off (about 5e-16 of the peak).
 
 While a Gram-route product runs, the BLAS thread count is held at 1
-(_one_blas_thread).  That count is process-wide: a caller's own BLAS work
-in another thread also runs at one thread meanwhile.  The product and its
-re/im planes are written into one workspace per thread (_gram_workspace),
-6 K^2 float64 held while K stays the same: 1.9 MB at K = 200, 10 MB at the
-read gate's K = 458 for N = 1000, M = 720.  A sweep's SNR-point threads
-free theirs when the sweep ends; the caller's thread keeps its own.
+(_one_blas_thread), so its bits do not depend on the caller's count
+(OpenBLAS 0.3.31's threaded dsyrk gave other bits at 2 to 4 threads for K
+of 50, 150, 229 or 250) and no idle BLAS workers spin against a sweep's
+SNR-point threads.  That count is process-wide: a caller's own BLAS work
+in another thread also runs at one thread meanwhile.  Where no OpenBLAS
+thread control is found (_openblas), the product runs at the caller's
+count.  The product and its re/im planes are written into one workspace
+per thread (_gram_workspace), 6 K^2 float64 held while K stays the same:
+1.9 MB at K = 200, 10 MB at the read gate's K = 458 for N = 1000,
+M = 720.  A sweep's SNR-point threads free theirs when the sweep ends; the
+caller's thread keeps its own.
 
 A sweep or demo trial reads two statistics of a grid only: its symbol sum
-and the Gram matrix of its rows.  Where the read gate picks the Gram route
-and the grid has more rows than the draw (_gram_route: M > K + 1 + T for
-T targets), it draws them without the grid (_gram_statistics, the
+and the Gram matrix of its rows.  It takes them from one of two draws:
+synthesize, the reference, or _gram_statistics, without the grid (the
 Bartlett decomposition): d + min(M - d, K) rows of K values, d <= 1 + T
 the dimension of the targets' symbol-phase profiles with the all-ones
-vector, in place of M rows.  synthesize is the reference; the draw keeps
-its phases, with other noise draws, so the row rule decides which noise
-stream a trial draws.  A grid and a drawn _GridStatistics are read the
-same way, through `symbol_sum` and `cpi_lags`, and _gram_lags is the one
-reader of a Gram block's lag means.
+vector.  A slot a virtual method reads draws the statistics where the
+read gate picks the Gram route and the draw is shorter than the grid
+(_gram_route: M > K + 1 + T for T targets); a slot that zero-fill alone
+reads draws its symbol sum alone, in one row (lags=False).  A draw keeps
+synthesize's phases, with other noise draws.  A grid and a drawn
+_GridStatistics are read the same way, through `symbol_sum` and
+`cpi_lags`, and _gram_lags is the one reader of a Gram block's lag means.
 """
 from __future__ import annotations
 
@@ -162,15 +168,9 @@ class FreqGrid:
         the grid.
 
         On the Gram route (a constant allocation past the read gate,
-        _gram_read; see the module docstring) it agrees with the FFT route
-        to about 5e-16 of its peak.  Its one BLAS product runs at one BLAS
-        thread, so its bits do not depend on the caller's BLAS thread
-        count; that count is process-wide, so while the product runs a
-        caller's own BLAS work in another thread also runs at one thread.
-        Where no OpenBLAS thread control is found (_openblas), the product
-        runs at the caller's count, and OpenBLAS 0.3.31's dsyrk gave other
-        bits at 2 to 4 threads for some K
-        (test_same_bits_at_any_blas_thread_count).
+        _gram_read) it agrees with the FFT route to about 5e-16 of its
+        peak, and its one BLAS product runs at one BLAS thread: see the
+        module docstring.
 
         Not functools.cached_property: before Python 3.12 its lock is one
         for all instances, so sweep threads would wait on each other's
@@ -294,14 +294,8 @@ def _gram_lags(block: np.ndarray, alloc: ResourceAllocation) -> np.ndarray:
     of the block, re and im interleaved, which NumPy hands to dsyrk: 4 K^2
     flops per row against 8 K^2 for a zgemm.  With z = x + i y, Re G[a, b] =
     x_a.x_b + y_a.y_b and Im G[a, b] = y_a.x_b - x_a.y_b.  The product runs
-    at one BLAS thread (_one_blas_thread): OpenBLAS's workers would spin
-    after each call, and OpenBLAS 0.3.31's threaded dsyrk gave other bits at
-    2 to 4 threads for K of 50, 150, 229 or 250.
-
-    S and the re, im planes are written into this thread's workspace
-    (_gram_workspace), 6 K^2 float64 held per thread: 1.9 MB at K = 200,
-    10 MB at the read gate's K = 458 for N = 1000, M = 720.  A sweep's
-    SNR-point threads free theirs when the sweep ends.  The result is a new
+    at one BLAS thread (_one_blas_thread) into this thread's workspace
+    (_gram_workspace), as the module docstring says.  The result is a new
     array: no view of the workspace is returned or kept.
 
     Each G[a, b] is summed at its linear lag n_a - n_b + N - 1 (_pair_lags),
@@ -405,7 +399,7 @@ def _symbol_phase(f_d: float, params: OfdmParams) -> np.ndarray:
     return np.exp(2j * np.pi * f_d * params.symbol_dur_s * np.arange(params.n_symbols))
 
 
-def _signal_plus_noise(scene: Scene, params: OfdmParams, seed, phasors, n_sum: int = 1):
+def _signal_plus_noise(scene: Scene, params: OfdmParams, seed, phasors):
     """Values of a grid: returns the grid's SeedSequence, the noise variance
     and a new complex array of the values.
 
@@ -414,7 +408,7 @@ def _signal_plus_noise(scene: Scene, params: OfdmParams, seed, phasors, n_sum: i
     target's unit signal as a new array; each is scaled by A e^{j phi}.
     Noise: the noise substream gives one standard normal z per value, in
     order, for the real parts, then one per value for the imaginary parts;
-    a value adds sqrt(n_sum * var / 2) * z from each.
+    a value adds sqrt(var / 2) * z from each.
     """
     ss, noise_ss, terms = _resolve_targets(scene, params, seed)
     n_idx = np.arange(params.n_subcarriers)
@@ -433,7 +427,7 @@ def _signal_plus_noise(scene: Scene, params: OfdmParams, seed, phasors, n_sum: i
 
     var = scene.noise_variance()
     if var > 0.0:
-        sigma = math.sqrt(n_sum * (var / 2.0))
+        sigma = math.sqrt(var / 2.0)
         rng = np.random.default_rng(noise_ss)
         z = np.empty(values.size)  # one buffer: the same draws as standard_normal(size)
         for part in (values.real, values.imag):
@@ -464,40 +458,18 @@ def synthesize(scene: Scene, alloc: ResourceAllocation, params: OfdmParams, seed
     return FreqGrid(active=values, alloc=alloc, params=params, noise_variance=var, seed_ss=ss)
 
 
-def _symbol_sum_row(scene: Scene, alloc: ResourceAllocation, params: OfdmParams, seed) -> np.ndarray:
-    """sum_m Y_m[n] of a grid of a constant allocation, drawn directly as a
-    dense (N,) row, zeros off the allocation.
-
-    For a reader of the symbol sum only (the zero-fill periodogram).  Per
-    target, an active column n holds A e^{j phi} S e^{-j 2 pi df tau n},
-    S = sum_m e^{j 2 pi f_D T m}, plus the sum of its M cell noises,
-    CN(0, M var): one standard normal per active column and quadrature
-    (_signal_plus_noise with n_sum = M).  Same phases as
-    synthesize(scene, alloc, params, seed), other noise draws.
-    """
-    _check_fits(alloc, params)
-    cols = alloc.indices  # raises if the allocation varies per symbol
-    _, _, values = _signal_plus_noise(
-        scene, params, seed, lambda sym_phase, sub_phase: sym_phase.sum() * sub_phase[cols],
-        n_sum=alloc.n_symbols,
-    )
-    row = np.zeros(params.n_subcarriers, dtype=np.complex128)
-    row[cols] = values
-    return row
-
-
-def _symbol_basis(scene: Scene, params: OfdmParams) -> np.ndarray:
+def _symbol_basis(targets, params: OfdmParams) -> np.ndarray:
     """The rows of a (d, M) array Q^T: an orthonormal basis of the all-ones
-    vector, first, as 1/sqrt(M), and of the targets' symbol-phase profiles
-    e^{j 2 pi f_D T m}, where a profile inside the span of the vectors
-    before it adds none (_SPAN_TOL).  A static target adds none.
+    vector, first, as 1/sqrt(M), and of the symbol-phase profiles
+    e^{j 2 pi f_D T m} of `targets`, where a profile inside the span of the
+    vectors before it adds none (_SPAN_TOL).  A static target adds none.
 
     Classical Gram-Schmidt, run twice per profile, in elementwise sums (no
     BLAS call, so the bits do not depend on the BLAS thread count).
     """
     m = params.n_symbols
     basis = np.full((1, m), 1.0 / math.sqrt(m), dtype=np.complex128)
-    for t in scene.targets:
+    for t in targets:
         v = _symbol_phase(delay_doppler(t, params)[1], params)
         for _ in range(2):
             v = v - ((basis.conj() * v).sum(axis=1)[:, None] * basis).sum(axis=0)
@@ -511,9 +483,10 @@ def _symbol_basis(scene: Scene, params: OfdmParams) -> np.ndarray:
 class _GridStatistics:
     """The two statistics of a grid of the constant allocation `alloc` that
     a sweep or demo trial reads, held in a (rows, K) block of fewer rows
-    than the grid's M where _gram_route draws it (_gram_statistics): the
-    Gram matrix of its rows has the law of the grid's G = sum_m y_m y_m^H,
-    and sqrt(M) times its first row is the grid's symbol sum.
+    than the grid's M (_gram_statistics): the Gram matrix of its rows has
+    the law of the grid's G = sum_m y_m y_m^H, and sqrt(M) times its first
+    row is the grid's symbol sum.  A draw with lags=False holds that first
+    row alone, whose `cpi_lags` no reader takes.
 
     It is read as a FreqGrid is, through `alloc`, `symbol_sum` and
     `cpi_lags`, each computed on read.
@@ -545,13 +518,14 @@ def _upper_mask(r: int, k: int) -> np.ndarray:
 
 
 def _gram_statistics(
-    scene: Scene, alloc: ResourceAllocation, params: OfdmParams, seed
+    scene: Scene, alloc: ResourceAllocation, params: OfdmParams, seed, lags: bool = True
 ) -> _GridStatistics:
     """The symbol sum and the Gram matrix G = sum_m y_m y_m^H of a grid of a
     constant allocation, drawn without its M x K values, by the Bartlett
     decomposition (Bartlett 1933; Goodman 1963 for the complex case).
 
-    Q (M x d) is the basis of the symbols' signal space (_symbol_basis).  G
+    Q (M x d) is the basis of the symbols' signal space (_symbol_basis of
+    the targets; of none where `lags` is False: the all-ones vector).  G
     is the Gram matrix of the rows of U^H Y for any unitary U = [Q, Q_perp],
     so the block holds, row for row:
 
@@ -562,7 +536,8 @@ def _gram_statistics(
       factor sqrt(var) R: r = min(M - d, K) rows, upper trapezoidal, row i
       with sqrt(Gamma(M - d - i)) on the diagonal and CN(0, 1) right of it.
       The block holds R's rows: the Gram matrix of its columns has the
-      trace of G but not its diagonal.  Absent at var = 0.
+      trace of G but not its diagonal.  Absent at var = 0 or where `lags`
+      is False, which leaves the one row of the symbol sum over sqrt(M).
 
     Same phases as synthesize(scene, alloc, params, seed), other noise
     draws: Q^H Y's from the noise substream, R's from a third substream of
@@ -570,17 +545,18 @@ def _gram_statistics(
     of the diagonal, row by row, re then im, then one gamma per diagonal
     entry.  A sweep or demo trial draws it in place of synthesize where
     _gram_route holds, so its d + r rows (d <= 1 + T for T targets) are
-    fewer than the grid's M.
+    fewer than the grid's M, and with lags=False, one row of K values, for
+    a slot that zero-fill alone reads.
     """
     _check_fits(alloc, params)
     cols = alloc.indices  # raises if the allocation varies per symbol
-    basis = _symbol_basis(scene, params)
+    basis = _symbol_basis(scene.targets if lags else (), params)
     (d, m), k = basis.shape, alloc.n_active
     ss, var, values = _signal_plus_noise(
         scene, params, seed,
         lambda sym_phase, sub_phase: np.outer((basis.conj() * sym_phase).sum(axis=1), sub_phase[cols]),
     )
-    if var == 0.0:
+    if var == 0.0 or not lags:
         return _GridStatistics(values.reshape(d, k), alloc)
     r = min(m - d, k)
     block = np.zeros((d + r, k), dtype=np.complex128)

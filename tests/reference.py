@@ -2,8 +2,9 @@
 
 Each function computes the plain way something that `sparse_isac`
 computes fast: a dense (M, N) view of a grid built from its allocation's
-index sets, whole-grid synthesis and every estimator's whole-grid formula
-on that view, the per-symbol lag products that the virtual signal
+per-symbol index sets (`cols` split at `starts`), whole-grid synthesis,
+the symbol sum drawn directly as one row, every estimator's whole-grid
+formula on that view, the per-symbol lag products that the virtual signal
 accumulates, the Gram route's read into fresh arrays and its lag gather
 at the lag taken mod 2N, brute-force enumerations of difference sets, lag
 products and Fisher sums, the modular-distance PSLR mask, the greedy peak
@@ -48,9 +49,14 @@ def dense_mask(per_symbol, n_subcarriers):
     return out
 
 
+def per_symbol_indices(alloc):
+    """Each symbol's index set: `cols` split at the symbol offsets `starts`."""
+    return tuple(np.split(alloc.cols, alloc.starts[1:-1]))
+
+
 def alloc_mask(alloc):
     """dense_mask of an allocation's per-symbol index sets."""
-    return dense_mask(alloc.per_symbol_indices, alloc.n_subcarriers)
+    return dense_mask(per_symbol_indices(alloc), alloc.n_subcarriers)
 
 
 def dense(grid):
@@ -85,25 +91,39 @@ def eval_two_term_model(targets_with_phase, params, m, n):
     return total
 
 
-def dense_synthesize(scene, alloc, params, seed):
-    """Whole-grid synthesis: every target phasor on all M x N cells, the
-    inactive cells zeroed, and the noise from two draws of one normal per
-    active cell (real parts, then imaginary parts), added at the active
-    cells in row-major order."""
+def target_phasors(scene, params, seed):
+    """The noise substream's SeedSequence of a grid's seed and, per target,
+    (A e^{j phi}, symbol phases e^{j 2 pi f_D T m} over the M symbols,
+    subcarrier phases e^{-j 2 pi df tau n} over the N subcarriers), with
+    phi drawn from the phase substream in target order."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     phase_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (0,))
     noise_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (1,))
     phase_rng = np.random.default_rng(phase_ss)
     m_idx = np.arange(params.n_symbols)
     n_idx = np.arange(params.n_subcarriers)
-    grid = np.zeros((params.n_symbols, params.n_subcarriers), dtype=np.complex128)
+    terms = []
     for t in scene.targets:
         draw = phase_rng.uniform(0.0, 2.0 * math.pi)
         phi = t.phase_rad if t.phase_rad is not None else draw
         tau, f_d = si.delay_doppler(t, params)
-        sym_phase = np.exp(2j * np.pi * f_d * params.symbol_dur_s * m_idx)
-        sub_phase = np.exp(-2j * np.pi * params.subcarrier_spacing_hz * tau * n_idx)
-        grid += scene.amplitude_of(t) * np.exp(1j * phi) * np.outer(sym_phase, sub_phase)
+        terms.append((
+            scene.amplitude_of(t) * np.exp(1j * phi),
+            np.exp(2j * np.pi * f_d * params.symbol_dur_s * m_idx),
+            np.exp(-2j * np.pi * params.subcarrier_spacing_hz * tau * n_idx),
+        ))
+    return noise_ss, terms
+
+
+def dense_synthesize(scene, alloc, params, seed):
+    """Whole-grid synthesis: every target phasor on all M x N cells, the
+    inactive cells zeroed, and the noise from two draws of one normal per
+    active cell (real parts, then imaginary parts), added at the active
+    cells in row-major order."""
+    noise_ss, terms = target_phasors(scene, params, seed)
+    grid = np.zeros((params.n_symbols, params.n_subcarriers), dtype=np.complex128)
+    for coef, sym_phase, sub_phase in terms:
+        grid += coef * np.outer(sym_phase, sub_phase)
     mask = alloc_mask(alloc)
     grid[~mask] = 0.0
     var = scene.noise_variance()
@@ -113,6 +133,26 @@ def dense_synthesize(scene, alloc, params, seed):
         n_act = int(mask.sum())
         grid[mask] += rng.normal(0.0, sigma, n_act) + 1j * rng.normal(0.0, sigma, n_act)
     return grid
+
+
+def symbol_sum_row(scene, alloc, params, seed):
+    """sum_m Y_m[n] of a grid of a constant allocation, drawn directly as a
+    dense (N,) row, zeros off the allocation.  Per target, an active column
+    n holds A e^{j phi} S e^{-j 2 pi df tau n}, S = sum_m e^{j 2 pi f_D T m},
+    plus the sum of its M cell noises, CN(0, M var): two draws of one
+    normal per active column (real parts, then imaginary parts) from the
+    noise substream.  The same phases as dense_synthesize."""
+    noise_ss, terms = target_phasors(scene, params, seed)
+    cols = alloc.indices
+    row = np.zeros(params.n_subcarriers, dtype=np.complex128)
+    for coef, sym_phase, sub_phase in terms:
+        row[cols] += coef * (sym_phase.sum() * sub_phase[cols])
+    var = scene.noise_variance()
+    if var > 0.0:
+        rng = np.random.default_rng(noise_ss)
+        sigma = math.sqrt(alloc.n_symbols * (var / 2.0))
+        row[cols] += rng.normal(0.0, sigma, cols.size) + 1j * rng.normal(0.0, sigma, cols.size)
+    return row
 
 
 def dense_measure_snr(grid, scene):
@@ -292,7 +332,7 @@ def brute_force_fim_terms(alloc, params):
     a loop over each symbol's index set."""
     w = 2.0 * math.pi * params.subcarrier_spacing_hz
     a = b = c = 0.0
-    for idx in alloc.per_symbol_indices:
+    for idx in per_symbol_indices(alloc):
         for i in idx:
             a += (w * float(i)) ** 2
             b += w * float(i)

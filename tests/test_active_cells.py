@@ -27,7 +27,7 @@ from reference import (
 )
 from sparse_isac import synth
 from sparse_isac.estimators import _noncoherent_delay, _noncoherent_profile
-from sparse_isac.synth import _ROW_BLOCK, _gram_statistics, _symbol_sum_row
+from sparse_isac.synth import _ROW_BLOCK, _gram_statistics
 
 N = 40
 SEED = 11
@@ -230,7 +230,7 @@ def test_readers_take_the_layout_from_the_allocation(pattern, monkeypatch):
     si.doppler_periodogram(grid)
     if alloc.is_constant:
         si.build_virtual_signal(grid)
-        _symbol_sum_row(scene, alloc, params, seed=3)
+        _gram_statistics(scene, alloc, params, seed=3, lags=False).symbol_sum
 
 
 def test_synthesize_builds_no_dense_grid():
@@ -271,7 +271,7 @@ class TestConstructor:
         for call in (
             lambda: si.FreqGrid(np.zeros(9 * m, complex), alloc, self.params, noise_variance=0.0),
             lambda: si.synthesize(scene, alloc, self.params, seed=1),
-            lambda: _symbol_sum_row(scene, alloc, self.params, 1),
+            lambda: _gram_statistics(scene, alloc, self.params, 1, lags=False),
             lambda: _gram_statistics(scene, alloc, self.params, 1),
             lambda: si.fim_single_target(alloc, self.params, 1.0, 1.0),
             lambda: si.crlb_delay(alloc, self.params, 1.0, 1.0),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparse_isac as si
-from reference import brute_force_differences, dense_mask, fft_filled, per_trial_member
+from reference import brute_force_differences, dense_mask, fft_filled, per_symbol_indices, per_trial_member
 from sparse_isac.alloc import _check_number, _hole_fill_trials, nested_params_for
 
 
@@ -99,7 +99,7 @@ class TestOfdmParams:
 class TestMakeAllocation:
     def test_full_pattern(self):
         alloc = si.make_allocation(make_params(8), "full")
-        for idx in alloc.per_symbol_indices:
+        for idx in per_symbol_indices(alloc):
             assert np.array_equal(idx, np.arange(8))
 
     def test_nested_example(self):
@@ -227,10 +227,10 @@ def check_views_against_loops(per_symbol, n):
     assert np.array_equal(alloc.column_counts(), expect_mask.sum(axis=0))
     assert alloc.n_symbols == len(sets)
     assert alloc.is_constant == all(s == sets[0] for s in sets)
-    assert len(alloc.per_symbol_indices) == len(sets)
-    for stored, s in zip(alloc.per_symbol_indices, sets):
+    assert len(per_symbol_indices(alloc)) == len(sets)
+    for stored, s in zip(per_symbol_indices(alloc), sets):
         assert stored.tolist() == s
-        assert not stored.flags.writeable
+    assert not (alloc.indices if alloc.is_constant else alloc.cols).flags.writeable
     if alloc.is_constant:
         assert alloc.indices.tolist() == sets[0]
         assert alloc.n_active == len(sets[0])
@@ -289,7 +289,7 @@ class TestResourceAllocation:
     def test_constant_shares_one_array(self):
         alloc = si.ResourceAllocation.constant([7, 2, 7, 0], 6, 8)
         assert alloc.is_constant
-        assert all(idx is alloc.indices for idx in alloc.per_symbol_indices)
+        assert alloc.indices is alloc.indices  # one stored set, not a copy per read
         assert np.array_equal(alloc.cardinalities(), [3] * 6)
         assert np.array_equal(alloc.column_counts(), [6, 0, 6, 0, 0, 0, 0, 6])
 
@@ -307,7 +307,7 @@ class TestResourceAllocation:
             kwargs = {"full": {}, "random": dict(n_active=12, seed=2), "nested": dict(inner=3, outer=4)}
             alloc = si.make_allocation(params, pattern, **kwargs[pattern])
             assert alloc.is_constant
-        want = np.bincount(np.concatenate(alloc.per_symbol_indices), minlength=64)
+        want = np.bincount(np.concatenate(per_symbol_indices(alloc)), minlength=64)
         got = alloc.column_counts()
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -355,7 +355,7 @@ class TestResourceAllocation:
         varying = si.ResourceAllocation(per_symbol_indices=(src, np.array([2])), n_subcarriers=8)
         src[0] = 7
         assert const.indices.tolist() == [1, 5, 6]
-        assert varying.per_symbol_indices[0].tolist() == [1, 5, 6]
+        assert per_symbol_indices(varying)[0].tolist() == [1, 5, 6]
         assert not const.indices.flags.writeable
 
     def test_equality_compares_values(self):

@@ -465,7 +465,8 @@ class TestMonteCarloSweep:
 
     def test_only_zero_fill_slots_are_summed(self, monkeypatch):
         # slots 2 and 3 (full and equivalent band) are read through zero-fill
-        # only, so only their symbol sum is drawn; slot 1 (the random draw)
+        # only, so only their symbol sum is drawn (the one-row statistics
+        # draw, _gram_statistics with lags=False); slot 1 (the random draw)
         # and slot 4 (nested) are synthesized per cell.  A grid computes its
         # CPI lag sums only when a virtual method reads them, and its symbol
         # sum only when zero-fill reads it: slot 1 (direct_sparse), not slot 4.
@@ -473,10 +474,10 @@ class TestMonteCarloSweep:
         fixed = {id(a): m for m, a in cfg._allocations.items()}
         calls, lag_sums, symbol_sums = [], [], []
 
-        def spy(real, summed):
-            def draw(scene, alloc, params, seed):
-                calls.append((fixed.get(id(alloc), "random"), summed))
-                return real(scene, alloc, params, seed)
+        def spy(real):
+            def draw(scene, alloc, params, seed, **lags):
+                calls.append((fixed.get(id(alloc), "random"), lags == {"lags": False}))
+                return real(scene, alloc, params, seed, **lags)
             return draw
 
         kernel = synth._cpi_lags
@@ -485,8 +486,8 @@ class TestMonteCarloSweep:
             lag_sums.append(fixed.get(id(grid.alloc), "random"))
             return kernel(grid)
 
-        monkeypatch.setattr(si.analysis, "synthesize", spy(si.analysis.synthesize, False))
-        monkeypatch.setattr(si.analysis, "_symbol_sum_row", spy(si.analysis._symbol_sum_row, True))
+        monkeypatch.setattr(si.analysis, "synthesize", spy(si.analysis.synthesize))
+        monkeypatch.setattr(si.analysis, "_gram_statistics", spy(si.analysis._gram_statistics))
         monkeypatch.setattr(synth, "_cpi_lags", counted)
         symbol_sum = synth.FreqGrid.symbol_sum.fget
         monkeypatch.setattr(

@@ -675,10 +675,9 @@ def test_non_finite_spectrum_is_a_numeric_failure(tmp_path, experiment, path, va
 
 
 def draw_site_lines() -> list[int]:
-    """Lines of analysis.py whose code names synthesize, _symbol_sum_row or
-    _gram_statistics."""
+    """Lines of analysis.py whose code names synthesize or _gram_statistics."""
     tree = ast.parse(Path(analysis.__file__).read_text())
-    names = ("synthesize", "_symbol_sum_row", "_gram_statistics")
+    names = ("synthesize", "_gram_statistics")
     return sorted({n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in names})
 
 

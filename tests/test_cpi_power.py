@@ -217,12 +217,13 @@ class TestGramRoute:
     def test_trials_draw_exactly_where_the_rule_holds(self, monkeypatch, m):
         # a desk-width sweep of one target on both sides of the M edge: each
         # virtual slot (the random draw and nested) draws its statistics at
-        # M = 67 and synthesizes its grid at M = 66
-        calls = []  # (draw, allocation) of each slot drawn
+        # M = 67 and synthesizes its grid at M = 66; each zero-fill slot
+        # (full and equivalent band) draws its symbol sum alone at both
+        calls = []  # (draw, allocation, keywords) of each slot drawn
 
         def spying(name):
             real = getattr(analysis, name)
-            return lambda *args: calls.append((name, args[1])) or real(*args)
+            return lambda *args, **kw: calls.append((name, args[1], kw)) or real(*args, **kw)
 
         for name in ("synthesize", "_gram_statistics"):
             monkeypatch.setattr(analysis, name, spying(name))
@@ -232,9 +233,15 @@ class TestGramRoute:
             targets=(si.Target(distance_m=60 * params.range_bin_m, amplitude=1.0),), n_trials=2,
         )
         monte_carlo_sweep(cfg, threads=1)
+        summed = [(name, alloc) for name, alloc, kw in calls if kw == {"lags": False}]
+        assert [name for name, _ in summed] == ["_gram_statistics"] * (2 * 2 * 2)
+        assert {id(alloc) for _, alloc in summed} == {
+            id(cfg._allocations[method]) for method in ("full_bandwidth", "equivalent_bandwidth")
+        }
+        virtual = [(name, alloc) for name, alloc, kw in calls if kw != {"lags": False}]
         draw = "_gram_statistics" if m == 67 else "synthesize"
-        assert [name for name, _ in calls] == [draw] * (2 * 2 * 2)  # points x trials x virtual slots
-        for name, alloc in calls:
+        assert [name for name, _ in virtual] == [draw] * (2 * 2 * 2)  # points x trials x virtual slots
+        for name, alloc in virtual:
             assert _gram_route(alloc, cfg.scenes[0]) is (name == "_gram_statistics")
 
     @pytest.mark.parametrize(

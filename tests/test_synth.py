@@ -1,12 +1,16 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import sparse_isac as si
-from reference import alloc_mask, dense, dense_synthesize, eval_two_term_model
+from reference import alloc_mask, dense, dense_synthesize, eval_two_term_model, symbol_sum_row
 from sparse_isac.estimators import _zero_fill
-from sparse_isac.synth import _ROW_BLOCK, _gram_statistics, _symbol_basis, _symbol_sum_row
+from sparse_isac.synth import _ROW_BLOCK, _gram_statistics, _symbol_basis
+
+# the sweep's draw of a slot read by zero-fill alone: its symbol sum, in one row
+one_row = functools.partial(_gram_statistics, lags=False)
 
 C = si.SPEED_OF_LIGHT
 
@@ -219,8 +223,8 @@ def alloc_for(pattern, params):
     return si.make_allocation(params, pattern, n_active=9, seed=3)
 
 
-def summed_pair(pattern, n_targets=1, moving=True, **noise):
-    """(per-cell grid, symbol-sum row) of one scene, constant allocation and seed."""
+def summed_case(pattern, n_targets=1, moving=True, **noise):
+    """(scene, constant allocation, params) of a symbol-sum draw."""
     params = make_params(n=40, m=13)
     alloc = alloc_for(pattern, params)
     targets = (
@@ -228,13 +232,35 @@ def summed_pair(pattern, n_targets=1, moving=True, **noise):
         si.Target(distance_m=310.0, velocity_mps=-12.0 if moving else 0.0, amplitude=0.4,
                   phase_rad=2.5),
     )[:n_targets]
-    scene = si.Scene(targets=targets, **(noise or dict(noise_variance_w=0.0)))
+    return si.Scene(targets=targets, **(noise or dict(noise_variance_w=0.0))), alloc, params
+
+
+def summed_pair(pattern, n_targets=1, moving=True, **noise):
+    """(per-cell grid, symbol-sum row) of one scene, constant allocation and seed."""
+    scene, alloc, params = summed_case(pattern, n_targets, moving, **noise)
     cells = si.synthesize(scene, alloc, params, seed=17)
-    return cells, _symbol_sum_row(scene, alloc, params, seed=17)
+    return cells, one_row(scene, alloc, params, seed=17).symbol_sum
 
 
 class TestSymbolSum:
-    """_symbol_sum_row: the sweep's direct draw of a grid's symbol sum."""
+    """one_row: the sweep's draw of a grid's symbol sum alone, the one-row
+    statistics draw (_gram_statistics, lags=False)."""
+
+    @pytest.mark.parametrize("pattern", ["full", "random", "nested"])
+    @pytest.mark.parametrize("n_targets, moving", [(1, False), (1, True), (2, True)])
+    @pytest.mark.parametrize(
+        "noise", [dict(noise_variance_w=0.0), dict(snr_db=0.0)], ids=["noise-free", "noisy"]
+    )
+    def test_matches_the_direct_draw(self, pattern, n_targets, moving, noise):
+        """The same phases and the same standard normals in the same order
+        as the symbol sum drawn directly (reference.symbol_sum_row): only
+        round-off moves."""
+        scene, alloc, params = summed_case(pattern, n_targets, moving, **noise)
+        want = symbol_sum_row(scene, alloc, params, 17)
+        got = one_row(scene, alloc, params, 17)
+        assert got.block.shape == (1, alloc.n_active)
+        assert np.all(got.symbol_sum[alloc.column_counts() == 0] == 0.0)
+        assert np.max(np.abs(got.symbol_sum - want)) <= 1e-15 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("pattern", ["full", "random", "nested"])
     @pytest.mark.parametrize("n_targets", [1, 2])
@@ -252,10 +278,10 @@ class TestSymbolSum:
         cols = alloc.indices
         t = si.Target(distance_m=77.0, amplitude=1.0, phase_rad=0.0)
         scene = si.Scene(targets=(t,), noise_variance_w=2.0)
-        quiet = _symbol_sum_row(si.Scene(targets=(t,), noise_variance_w=0.0), alloc, params, None)
+        quiet = one_row(si.Scene(targets=(t,), noise_variance_w=0.0), alloc, params, None).symbol_sum
         trials = 4000
         noise = np.array([
-            _symbol_sum_row(scene, alloc, params, s) - quiet
+            one_row(scene, alloc, params, s).symbol_sum - quiet
             for s in np.random.SeedSequence(23).spawn(trials)
         ])
         assert np.all(np.delete(noise, cols, axis=1) == 0.0)
@@ -273,7 +299,7 @@ class TestSymbolSum:
         alloc = si.make_allocation(params, "custom", indices=[[0, 5], [1, 7, 9]])
         scene = si.Scene(targets=(si.Target(distance_m=50.0, amplitude=1.0),), snr_db=0.0)
         with pytest.raises(ValueError, match="varies across symbols"):
-            _symbol_sum_row(scene, alloc, params, 0)
+            one_row(scene, alloc, params, 0)
 
     def test_constructor_checks_length(self):
         cells, row = summed_pair("random")
@@ -299,7 +325,7 @@ class TestSymbolSum:
             si.Target(distance_m=100.0, velocity_mps=v_alias, amplitude=1.0),
         ):
             scene = si.Scene(targets=(t,), noise_variance_w=0.0)
-            for draw in (si.synthesize, _symbol_sum_row, _gram_statistics):
+            for draw in (si.synthesize, one_row, _gram_statistics):
                 with pytest.warns(UserWarning, match="alias") as record:
                     draw(scene, alloc, params, 0)
                 assert record[0].filename == __file__  # blamed on the caller
@@ -428,12 +454,13 @@ class TestSymbolBasis:
             (720, (15.0, -15.0, 40.0), 4),
             (2, (100.0, -100.0), 2),  # as many dimensions as symbols
             (1, (100.0,), 1),
+            (8, (), 1),  # no targets: the all-ones vector alone
         ],
     )
     def test_orthonormal_basis_of_ones_and_profiles(self, m, velocities, d):
         params = make_params(m=m)
         targets = tuple(si.Target(distance_m=50.0, velocity_mps=v, amplitude=1.0) for v in velocities)
-        basis = _symbol_basis(si.Scene(targets=targets, noise_variance_w=0.0), params)
+        basis = _symbol_basis(targets, params)
         assert basis.shape == (d, m)
         assert np.all(basis[0] == 1.0 / math.sqrt(m))
         assert np.max(np.abs(basis.conj() @ basis.T - np.eye(d))) <= 1e-14
