@@ -25,7 +25,7 @@ from .alloc import (
     nested_params_for,
 )
 from .scene import SPEED_OF_LIGHT, LinkBudget, Scene, Target
-from .synth import _gram_route, _gram_statistics, synthesize
+from .synth import _gram_route, _SignalTable, synthesize  # noqa: F401 (bench/spans.py wraps it here)
 from .estimators import (
     Periodogram,
     _zero_fill,
@@ -73,7 +73,8 @@ _SWEEP_TABLE = {
 # Slots a virtual method reads (1 and 4): _trials synthesizes only their
 # grids, or draws their statistics on the Gram route, and sums a grid's
 # symbols only for a zero-fill reader (slot 1).  Any other slot draws its
-# symbol sum alone.
+# symbol sum alone.  A point's draws read one table (synth._SignalTable),
+# which keeps the unit signals of the fixed slots' draws (slots 2 to 4).
 # The rule reads the table, not the requested subset, so no method's noise
 # stream depends on which others were requested.
 _VIRTUAL_SLOTS = {s for s, v in _SWEEP_TABLE.values() if v}
@@ -406,17 +407,20 @@ class SweepResult:
     error_samples: dict[str, list[np.ndarray]]
 
 
-def _match(p: Periodogram, true_ranges: np.ndarray, tol_m: float) -> tuple[list[float], int]:
+def _match(
+    p: Periodogram, true_ranges: np.ndarray, tol_m: float, halfwidth: int
+) -> tuple[list[float], int]:
     """Score one delay periodogram against the true target ranges (m).
 
-    detect_peaks asks for one peak per target, at least two exclusion
-    halfwidths apart; each peak votes for its nearest target if that target
+    detect_peaks asks for one peak per target, at least 2 * halfwidth bins
+    apart (common_exclusion_halfwidth(p), which the caller computes once per
+    method); each peak votes for its nearest target if that target
     is within tol_m.  A target with a vote is detected, with the range error
     of its nearest voting peak (the first in peak order on a tie), so one
     peak detects one target at most.  Returns (errors of the detected
     targets in target order, count of missed targets).
     """
-    peaks = detect_peaks(p, k=len(true_ranges), min_separation=2 * common_exclusion_halfwidth(p))
+    peaks = detect_peaks(p, k=len(true_ranges), min_separation=2 * halfwidth)
     best = {}  # target index: error of its nearest voting peak
     for peak in peaks.peaks:
         err = peak.refined_axis_value * SPEED_OF_LIGHT / 2.0 - true_ranges
@@ -441,12 +445,15 @@ def _trials(
     A draw keeps synthesize's phases, with other noise draws.  Every slot is
     read the same way whichever way drew it, through its `symbol_sum` and
     `cpi_lags`, each computed only when read; a synthesized grid reads its
-    lag sums on the route of the read gate.
+    lag sums on the route of the read gate.  Every draw reads the point's one
+    _SignalTable, which keeps the unit signals of the `fixed` allocations.
     """
     params = cfg.params
     readers = {}  # slot: the requested methods that read it
     for method in methods:
         readers.setdefault(_SWEEP_TABLE[method][0], []).append(method)
+    # one table per point: an aliasing target warns once per point, from this line
+    table = _SignalTable(scene, params, fixed.values())
     for _ in range(n_trials):  # one child at a time: the same seeds as spawn(n_trials)
         seeds = ss.spawn(1)[0].spawn(5)  # one per _SWEEP_TABLE slot
         out = {}
@@ -456,9 +463,8 @@ def _trials(
             )
             virtual = slot in _VIRTUAL_SLOTS
             grid = virtual and not _gram_route(alloc, scene)
-            args = scene, alloc, params, seeds[slot]
-            # one call site: an aliasing target warns once per sweep or demo, not per draw
-            drawn = synthesize(*args) if grid else _gram_statistics(*args, lags=virtual)
+            seed = seeds[slot]
+            drawn = table.grid(alloc, seed) if grid else table.statistics(alloc, seed, lags=virtual)
             for method in slot_methods:
                 if _SWEEP_TABLE[method][1]:
                     vs, _ = build_virtual_signal(drawn)
@@ -476,12 +482,15 @@ def _sweep_point(cfg: SweepConfig, scene: Scene, point_ss) -> dict:
     errs = {m: [] for m in cfg.methods}
     pslrs = {m: [] for m in cfg.methods}
     misses = dict.fromkeys(cfg.methods, 0)
-    for trial in _trials(cfg, scene, cfg.methods, cfg._allocations, cfg.n_trials, point_ss):
+    trials = _trials(cfg, scene, cfg.methods, cfg._allocations, cfg.n_trials, point_ss)
+    for i, trial in enumerate(trials):
+        if i == 0:  # a method's halfwidth depends on its Q alone, the same every trial
+            halfwidths = {m: common_exclusion_halfwidth(p) for m, p in trial.items()}
         for method, p in trial.items():
-            errors, missed = _match(p, true_ranges, miss_tol_m)
+            errors, missed = _match(p, true_ranges, miss_tol_m, halfwidths[method])
             errs[method].extend(errors)
             misses[method] += missed
-            pslrs[method].append(pslr(p, common_exclusion_halfwidth(p)))
+            pslrs[method].append(pslr(p, halfwidths[method]))
     return {m: (np.array(errs[m]), np.array(pslrs[m]), misses[m]) for m in cfg.methods}
 
 
@@ -652,11 +661,12 @@ def two_target_demo(cfg: TwoTargetDemoConfig) -> TwoTargetDemoResult:
     ok = {m: np.zeros(cfg.n_runs, dtype=bool) for m in pair}
     ss = np.random.SeedSequence(cfg.master_seed)
     for i, trial in enumerate(_trials(cfg, cfg.scene, pair, {}, cfg.n_runs, ss)):
-        for m in pair:
-            _main_peak(trial[m])  # a spectrum zero everywhere fails, as in the sweep's pslr
-            ok[m][i] = _match(trial[m], true_ranges, tol_m)[1] == 0
         if i == 0:
             example = trial
+            halfwidths = {m: common_exclusion_halfwidth(trial[m]) for m in pair}
+        for m in pair:
+            _main_peak(trial[m])  # a spectrum zero everywhere fails, as in the sweep's pslr
+            ok[m][i] = _match(trial[m], true_ranges, tol_m, halfwidths[m])[1] == 0
     return TwoTargetDemoResult(
         config=cfg,
         direct_success=ok["direct_sparse"],

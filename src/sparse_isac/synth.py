@@ -49,6 +49,11 @@ reads draws its symbol sum alone, in one row (lags=False).  A draw keeps
 synthesize's phases, with other noise draws.  A grid and a drawn
 _GridStatistics are read the same way, through `symbol_sum` and
 `cpi_lags`, and _gram_lags is the one reader of a Gram block's lag means.
+
+Every draw reads one table of what does not depend on the seed
+(_SignalTable), built once per sweep or demo point, where aliasing targets
+warn, and kept with the unit signals of its fixed allocations: a trial
+splits its seed, draws the phases, scales the units and adds the noise.
 """
 from __future__ import annotations
 
@@ -359,82 +364,140 @@ def _cpi_lags(grid: FreqGrid) -> np.ndarray:
     return _fft_lags(grid)
 
 
-def _resolve_targets(scene: Scene, params: OfdmParams, seed):
-    """Split the seed, draw the phases and warn about aliasing targets.
-
-    Returns the grid's SeedSequence, the noise substream's SeedSequence
-    and, per target, (A e^{j phi}, tau, f_D).  Phases are drawn in target
-    order regardless of which targets carry explicit phases, so draws are
-    stable under edits.
-    """
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    # children derived by key, not by spawn(), so resynthesizing from the
-    # stored SeedSequence (noiseless twin) reproduces the phase draws
-    phase_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (0,))
-    noise_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (1,))
-    phase_rng = np.random.default_rng(phase_ss)
-    terms = []
-    for t in scene.targets:
-        draw = phase_rng.uniform(0.0, 2.0 * math.pi)
-        phi = t.phase_rad if t.phase_rad is not None else draw
-        tau, f_d = delay_doppler(t, params)
-        if tau > params.symbol_core_s:
-            warnings.warn(
-                f"target at {t.distance_m} m has delay {tau:.3e} s beyond the "
-                f"unambiguous span {params.symbol_core_s:.3e} s; it will alias",
-                stacklevel=4,
-            )
-        if abs(f_d) > 0.5 / params.symbol_dur_s:
-            warnings.warn(
-                f"target Doppler {f_d:.3e} Hz beyond the unambiguous span "
-                f"+/-{0.5 / params.symbol_dur_s:.3e} Hz; it will alias",
-                stacklevel=4,
-            )
-        terms.append((scene.amplitude_of(t) * np.exp(1j * phi), tau, f_d))
-    return ss, noise_ss, terms
-
-
 def _symbol_phase(f_d: float, params: OfdmParams) -> np.ndarray:
     """A target's symbol-phase profile e^{j 2 pi f_D T m} over the M symbols."""
     return np.exp(2j * np.pi * f_d * params.symbol_dur_s * np.arange(params.n_symbols))
 
 
-def _signal_plus_noise(scene: Scene, params: OfdmParams, seed, phasors):
-    """Values of a grid: returns the grid's SeedSequence, the noise variance
-    and a new complex array of the values.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
-    phasors(sym_phase, sub_phase), with sym_phase[m] = e^{j 2 pi f_D T m}
-    and sub_phase[n] = e^{-j 2 pi df tau n} of one target, returns that
-    target's unit signal as a new array; each is scaled by A e^{j phi}.
-    Noise: the noise substream gives one standard normal z per value, in
-    order, for the real parts, then one per value for the imaginary parts;
-    a value adds sqrt(var / 2) * z from each.
+
+class _SignalTable:
+    """The seed-independent part of every draw of the targets of `scene` on
+    the grid of `params`, built once per sweep or demo point (_trials) and
+    once per call of synthesize or _gram_statistics.  Per target: A, its
+    explicit phase (None where the draw picks it), sym_phase[m] = e^{j 2 pi
+    f_D T m} and sub_phase[n] = e^{-j 2 pi df tau n}.  Building it warns
+    once per aliasing target and kind, blamed `stacklevel` frames up (2:
+    the line that builds it).  It keeps, read-only, the projections Q^H p
+    of the profiles on the basis of _symbol_basis, per `lags`, and the unit
+    signals of the draws on the allocations in `fixed` (_units).
     """
-    ss, noise_ss, terms = _resolve_targets(scene, params, seed)
-    n_idx = np.arange(params.n_subcarriers)
-    # The in-place product keeps the amplitude as the first operand, because
-    # a complex product can round differently with its operands swapped, and
-    # the sum starts from 0.0, so a grid has the floats of a whole-grid sum
-    # started from zeros (a -0.0 part becomes +0.0).
-    values = 0.0
-    for coef, tau, f_d in terms:
-        sym_phase = _symbol_phase(f_d, params)
-        sub_phase = np.exp(-2j * np.pi * params.subcarrier_spacing_hz * tau * n_idx)
-        term = phasors(sym_phase, sub_phase)
-        np.multiply(coef, term, out=term)
-        values = np.add(values, term, out=term)
-    values = values.ravel()
 
-    var = scene.noise_variance()
-    if var > 0.0:
-        sigma = math.sqrt(var / 2.0)
-        rng = np.random.default_rng(noise_ss)
-        z = np.empty(values.size)  # one buffer: the same draws as standard_normal(size)
-        for part in (values.real, values.imag):
-            rng.standard_normal(out=z)
-            z *= sigma
-            part += z
-    return ss, var, values
+    def __init__(self, scene: Scene, params: OfdmParams, fixed=(), stacklevel: int = 2):
+        self.scene, self.params, self.var = scene, params, scene.noise_variance()
+        self._fixed = {id(a): a for a in fixed}  # held, so their ids stay theirs
+        self._kept, self._projections = {}, {}
+        n_idx = np.arange(params.n_subcarriers)
+        targets = []
+        for t in scene.targets:
+            tau, f_d = delay_doppler(t, params)
+            if tau > params.symbol_core_s:
+                warnings.warn(
+                    f"target at {t.distance_m} m has delay {tau:.3e} s beyond the "
+                    f"unambiguous span {params.symbol_core_s:.3e} s; it will alias",
+                    stacklevel=stacklevel,
+                )
+            if abs(f_d) > 0.5 / params.symbol_dur_s:
+                warnings.warn(
+                    f"target Doppler {f_d:.3e} Hz beyond the unambiguous span "
+                    f"+/-{0.5 / params.symbol_dur_s:.3e} Hz; it will alias",
+                    stacklevel=stacklevel,
+                )
+            sym_phase = _read_only(_symbol_phase(f_d, params))
+            sub_phase = _read_only(np.exp(-2j * np.pi * params.subcarrier_spacing_hz * tau * n_idx))
+            targets.append((scene.amplitude_of(t), t.phase_rad, sym_phase, sub_phase))
+        self.targets = tuple(targets)
+
+    def _units(self, alloc: ResourceAllocation, lags: bool | None) -> list[np.ndarray]:
+        """Per target, its unit signal on `alloc`: sym_phase[rows] *
+        sub_phase[cols] for a grid (lags None), the rows np.outer(Q^H p,
+        sub_phase[cols]) for a statistics draw.  New arrays, or for an
+        allocation in `fixed` the ones kept on the first call."""
+        key = (id(alloc), lags)
+        if key in self._kept:
+            return self._kept[key]
+        if lags is None:
+            if alloc.is_constant:
+                rows, cols = np.arange(self.params.n_symbols)[:, None], alloc.indices
+            else:
+                rows, cols = alloc.rows, alloc.cols
+            units = [sym[rows] * sub[cols] for _, _, sym, sub in self.targets]
+        else:
+            cols = alloc.indices  # raises if the allocation varies per symbol
+            if lags not in self._projections:
+                basis = _symbol_basis(self.scene.targets if lags else (), self.params)
+                proj = [(basis.conj() * sym).sum(axis=1) for _, _, sym, _ in self.targets]
+                self._projections[lags] = [_read_only(q) for q in proj]
+            units = [np.outer(p, t[3][cols]) for p, t in zip(self._projections[lags], self.targets)]
+        if key[0] in self._fixed:
+            self._kept[key] = [_read_only(u) for u in units]
+        return units
+
+    def _draw(self, seed, units: list[np.ndarray]):
+        """The grid's SeedSequence and a new complex array of the values: the
+        seed split by key into a phase and a noise substream, the phases
+        drawn in target order whichever targets carry explicit ones (so draws
+        are stable under edits), each unit scaled by A e^{j phi} (a kept one,
+        read-only, into a new array) and the terms summed.  Noise: the noise
+        substream gives one standard normal z per value, in order, for the
+        real parts, then one per value for the imaginary parts; a value adds
+        sqrt(var / 2) * z from each.
+        """
+        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        # children derived by key, not by spawn(), so resynthesizing from the
+        # stored SeedSequence (noiseless twin) reproduces the phase draws
+        phase_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (0,))
+        noise_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (1,))
+        phase_rng = np.random.default_rng(phase_ss)
+        # The product keeps the amplitude as the first operand, because a
+        # complex product can round differently with its operands swapped,
+        # and the sum starts from 0.0, so a grid has the floats of a
+        # whole-grid sum started from zeros (a -0.0 part becomes +0.0).
+        values = 0.0
+        for (amplitude, phase, _, _), unit in zip(self.targets, units):
+            draw = phase_rng.uniform(0.0, 2.0 * math.pi)
+            coef = amplitude * np.exp(1j * (phase if phase is not None else draw))
+            term = np.multiply(coef, unit, out=unit if unit.flags.writeable else None)
+            values = np.add(values, term, out=term)
+        values = values.ravel()
+
+        if self.var > 0.0:
+            sigma = math.sqrt(self.var / 2.0)
+            rng = np.random.default_rng(noise_ss)
+            z = np.empty(values.size)  # one buffer: the same draws as standard_normal(size)
+            for part in (values.real, values.imag):
+                rng.standard_normal(out=z)
+                z *= sigma
+                part += z
+        return ss, values
+
+    def grid(self, alloc: ResourceAllocation, seed) -> FreqGrid:
+        """The grid of synthesize(scene, alloc, params, seed)."""
+        ss, values = self._draw(seed, self._units(alloc, None))
+        return FreqGrid(values, alloc, self.params, noise_variance=self.var, seed_ss=ss)
+
+    def statistics(self, alloc: ResourceAllocation, seed, lags: bool = True) -> _GridStatistics:
+        """The statistics of _gram_statistics(scene, alloc, params, seed, lags)."""
+        ss, values = self._draw(seed, self._units(alloc, lags))
+        var, k = self.var, alloc.n_active
+        if var == 0.0 or not lags:
+            return _GridStatistics(values.reshape(-1, k), alloc)
+        d, m = values.size // k, self.params.n_symbols
+        r = min(m - d, k)
+        block = np.zeros((d + r, k), dtype=np.complex128)
+        block[:d] = values.reshape(d, k)
+        factor = block[d:]
+        factor_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (2,))
+        rng = np.random.default_rng(factor_ss)
+        diag, upper = np.arange(r), _upper_mask(r, k)
+        z = rng.standard_normal(2 * np.count_nonzero(upper))
+        z *= math.sqrt(var / 2.0)
+        factor[upper] = z.view(np.complex128)  # re, im of each entry in turn
+        factor[diag, diag] = np.sqrt(var * rng.standard_gamma(m - d - diag))
+        return _GridStatistics(block, alloc)
 
 
 def synthesize(scene: Scene, alloc: ResourceAllocation, params: OfdmParams, seed=None) -> FreqGrid:
@@ -448,14 +511,7 @@ def synthesize(scene: Scene, alloc: ResourceAllocation, params: OfdmParams, seed
     phase draws.
     """
     _check_fits(alloc, params)
-    if alloc.is_constant:
-        rows, cols = np.arange(params.n_symbols)[:, None], alloc.indices
-    else:
-        rows, cols = alloc.rows, alloc.cols
-    ss, var, values = _signal_plus_noise(
-        scene, params, seed, lambda sym_phase, sub_phase: sym_phase[rows] * sub_phase[cols]
-    )
-    return FreqGrid(active=values, alloc=alloc, params=params, noise_variance=var, seed_ss=ss)
+    return _SignalTable(scene, params, stacklevel=3).grid(alloc, seed)
 
 
 def _symbol_basis(targets, params: OfdmParams) -> np.ndarray:
@@ -531,7 +587,7 @@ def _gram_statistics(
 
     - Q^H Y (d x K): mean sum_t A e^{j phi} (Q^H p_t) e^{-j 2 pi df tau n}
       over the targets t, p_t the symbol-phase profile, plus i.i.d.
-      CN(0, var) noise (_signal_plus_noise);
+      CN(0, var) noise (_SignalTable._draw);
     - for Q_perp^H Y, an (M - d) x K i.i.d. CN(0, var) matrix, its QR
       factor sqrt(var) R: r = min(M - d, K) rows, upper trapezoidal, row i
       with sqrt(Gamma(M - d - i)) on the diagonal and CN(0, 1) right of it.
@@ -549,27 +605,7 @@ def _gram_statistics(
     a slot that zero-fill alone reads.
     """
     _check_fits(alloc, params)
-    cols = alloc.indices  # raises if the allocation varies per symbol
-    basis = _symbol_basis(scene.targets if lags else (), params)
-    (d, m), k = basis.shape, alloc.n_active
-    ss, var, values = _signal_plus_noise(
-        scene, params, seed,
-        lambda sym_phase, sub_phase: np.outer((basis.conj() * sym_phase).sum(axis=1), sub_phase[cols]),
-    )
-    if var == 0.0 or not lags:
-        return _GridStatistics(values.reshape(d, k), alloc)
-    r = min(m - d, k)
-    block = np.zeros((d + r, k), dtype=np.complex128)
-    block[:d] = values.reshape(d, k)
-    factor = block[d:]
-    factor_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (2,))
-    rng = np.random.default_rng(factor_ss)
-    diag, upper = np.arange(r), _upper_mask(r, k)
-    z = rng.standard_normal(2 * np.count_nonzero(upper))
-    z *= math.sqrt(var / 2.0)
-    factor[upper] = z.view(np.complex128)  # re, im of each entry in turn
-    factor[diag, diag] = np.sqrt(var * rng.standard_gamma(m - d - diag))
-    return _GridStatistics(block, alloc)
+    return _SignalTable(scene, params, stacklevel=3).statistics(alloc, seed, lags)
 
 
 def measure_snr(grid: FreqGrid, scene: Scene) -> float:

@@ -3,7 +3,8 @@
 Each function computes the plain way something that `sparse_isac`
 computes fast: a dense (M, N) view of a grid built from its allocation's
 per-symbol index sets (`cols` split at `starts`), whole-grid synthesis,
-the symbol sum drawn directly as one row, every estimator's whole-grid
+the symbol sum drawn directly as one row, a sweep trial's every draw
+built per call, with no per-point table, every estimator's whole-grid
 formula on that view, the per-symbol lag products that the virtual signal
 accumulates, the Gram route's read into fresh arrays and its lag gather
 at the lag taken mod 2N, brute-force enumerations of difference sets, lag
@@ -23,8 +24,9 @@ from collections import Counter
 import numpy as np
 
 import sparse_isac as si
+from sparse_isac.analysis import _SWEEP_TABLE, _VIRTUAL_SLOTS
 from sparse_isac.estimators import Peak, PeakList, _circular_distance, _refine_bin
-from sparse_isac.synth import _ROW_BLOCK, _one_blas_thread
+from sparse_isac.synth import _ROW_BLOCK, _GridStatistics, _gram_route, _one_blas_thread, _symbol_basis
 
 C = si.SPEED_OF_LIGHT
 
@@ -153,6 +155,94 @@ def symbol_sum_row(scene, alloc, params, seed):
         sigma = math.sqrt(alloc.n_symbols * (var / 2.0))
         row[cols] += rng.normal(0.0, sigma, cols.size) + 1j * rng.normal(0.0, sigma, cols.size)
     return row
+
+
+def per_call_values(scene, params, seed, phasors):
+    """(noise variance, values) of one draw, every seed-independent term
+    built anew for the call (target_phasors): per target, the new array
+    phasors(sym_phase, sub_phase) scaled in place by A e^{j phi}, the terms
+    summed from 0.0, then the noise substream's normals, all real parts,
+    then all imaginary parts, each times sqrt(var / 2)."""
+    noise_ss, terms = target_phasors(scene, params, seed)
+    values = 0.0
+    for coef, sym_phase, sub_phase in terms:
+        term = phasors(sym_phase, sub_phase)
+        np.multiply(coef, term, out=term)
+        values = np.add(values, term, out=term)
+    values = values.ravel()
+    var = scene.noise_variance()
+    if var > 0.0:
+        rng = np.random.default_rng(noise_ss)
+        sigma = math.sqrt(var / 2.0)
+        values.real += rng.standard_normal(values.size) * sigma
+        values.imag += rng.standard_normal(values.size) * sigma
+    return var, values
+
+
+def per_call_grid(scene, alloc, params, seed):
+    """synthesize with the draw built per call (per_call_values)."""
+    rows = np.arange(params.n_symbols)[:, None] if alloc.is_constant else alloc.rows
+    cols = alloc.indices if alloc.is_constant else alloc.cols
+    var, values = per_call_values(
+        scene, params, seed, lambda sym_phase, sub_phase: sym_phase[rows] * sub_phase[cols]
+    )
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return si.FreqGrid(active=values, alloc=alloc, params=params, noise_variance=var, seed_ss=ss)
+
+
+def per_call_statistics(scene, alloc, params, seed, lags=True):
+    """_gram_statistics with the draw built per call: the basis and its
+    projections Q^H p of the profiles anew (per_call_values), then, where
+    `lags` holds and var > 0, R's rows: two normals per entry right of the
+    diagonal, row by row, re then im, then one gamma per diagonal entry,
+    from the third substream of the seed (spawn key + (2,))."""
+    basis = _symbol_basis(scene.targets if lags else (), params)
+    (d, m), k, cols = basis.shape, alloc.n_active, alloc.indices
+    var, values = per_call_values(
+        scene, params, seed,
+        lambda sym_phase, sub_phase: np.outer((basis.conj() * sym_phase).sum(axis=1), sub_phase[cols]),
+    )
+    block = values.reshape(d, k)
+    if var > 0.0 and lags:
+        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (2,))
+        )
+        r = min(m - d, k)
+        upper = np.triu(np.ones((r, k), dtype=bool), 1)
+        z = rng.standard_normal(2 * int(upper.sum())) * math.sqrt(var / 2.0)
+        entries = np.empty(z.size // 2, dtype=np.complex128)
+        entries.real, entries.imag = z[0::2], z[1::2]
+        factor = np.zeros((r, k), dtype=np.complex128)
+        factor[upper] = entries
+        factor[np.arange(r), np.arange(r)] = np.sqrt(var * rng.standard_gamma(m - d - np.arange(r)))
+        block = np.vstack([block, factor])
+    return _GridStatistics(block, alloc)
+
+
+def per_call_walk(cfg, scene, methods, fixed, n_trials, ss):
+    """Each draw of analysis._trials, in its order, as (slot, allocation,
+    drawn), every draw built per call: the slot layout of _SWEEP_TABLE, a
+    virtual slot's grid (per_call_grid) or, where _gram_route holds, its
+    statistics (per_call_statistics), any other slot's symbol sum alone
+    (lags=False)."""
+    slots = {}  # slot: the first requested method that reads it
+    for method in methods:
+        slots.setdefault(_SWEEP_TABLE[method][0], method)
+    draws = []
+    for child in ss.spawn(n_trials):
+        seeds = child.spawn(5)
+        for slot, method in slots.items():
+            alloc = fixed.get(method) or si.make_allocation(
+                cfg.params, "random", n_active=cfg.n_active, seed=seeds[0]
+            )
+            virtual = slot in _VIRTUAL_SLOTS
+            args = scene, alloc, cfg.params, seeds[slot]
+            if virtual and not _gram_route(alloc, scene):
+                draws.append((slot, alloc, per_call_grid(*args)))
+            else:
+                draws.append((slot, alloc, per_call_statistics(*args, lags=virtual)))
+    return draws
 
 
 def dense_measure_snr(grid, scene):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -14,6 +15,7 @@ from reference import (
     lag_sum_ambiguity,
     modular_pslr,
     nearest_peak_match,
+    per_call_walk,
 )
 from sparse_isac.analysis import (
     SweepConfig,
@@ -245,7 +247,7 @@ class TestMatch:
         range_bin = p.bin_width * C / 2.0
         true_ranges = np.array([9.6, 10.7]) * range_bin  # both within tol of the peak
         tol = 1.0 * range_bin
-        errors, missed = _match(p, true_ranges, tol)
+        errors, missed = _match(p, true_ranges, tol, common_exclusion_halfwidth(p))
         assert missed == 1
         assert errors == [pytest.approx(0.4 * range_bin)]
         # nearest-peak assignment lets the one peak detect both
@@ -276,7 +278,7 @@ class TestMatch:
                         p, k=len(distances), min_separation=2 * common_exclusion_halfwidth(p)
                     )
                     want = nearest_peak_match(peaks, true_ranges, tol)
-                    got = _match(p, true_ranges, tol)
+                    got = _match(p, true_ranges, tol, common_exclusion_halfwidth(p))
                     assert got[1] == want[1]
                     assert np.array_equal(bits(got[0]), bits(want[0]))
                     misses += got[1]
@@ -437,7 +439,7 @@ class TestMonteCarloSweep:
         # and each method's numbers do not depend on the rest of the subset
         if gram:
             monkeypatch.setattr(si.analysis, "_gram_route", lambda alloc, scene: alloc.is_constant)
-            monkeypatch.setattr(si.analysis, "synthesize", None)  # never called
+            monkeypatch.setattr(synth._SignalTable, "grid", None)  # never called
         cfg = self.tiny_config(snr_db_axis=(0.0, 10.0), methods=si.analysis.SWEEP_METHODS)
         every = monte_carlo_sweep(cfg, threads=threads)
         subsets = [("direct_sparse", "autocorrelation")] + [(m,) for m in si.analysis.SWEEP_METHODS]
@@ -475,9 +477,9 @@ class TestMonteCarloSweep:
         calls, lag_sums, symbol_sums = [], [], []
 
         def spy(real):
-            def draw(scene, alloc, params, seed, **lags):
+            def draw(table, alloc, seed, **lags):
                 calls.append((fixed.get(id(alloc), "random"), lags == {"lags": False}))
-                return real(scene, alloc, params, seed, **lags)
+                return real(table, alloc, seed, **lags)
             return draw
 
         kernel = synth._cpi_lags
@@ -486,8 +488,8 @@ class TestMonteCarloSweep:
             lag_sums.append(fixed.get(id(grid.alloc), "random"))
             return kernel(grid)
 
-        monkeypatch.setattr(si.analysis, "synthesize", spy(si.analysis.synthesize))
-        monkeypatch.setattr(si.analysis, "_gram_statistics", spy(si.analysis._gram_statistics))
+        monkeypatch.setattr(synth._SignalTable, "grid", spy(synth._SignalTable.grid))
+        monkeypatch.setattr(synth._SignalTable, "statistics", spy(synth._SignalTable.statistics))
         monkeypatch.setattr(synth, "_cpi_lags", counted)
         symbol_sum = synth.FreqGrid.symbol_sum.fget
         monkeypatch.setattr(
@@ -658,3 +660,95 @@ class TestCommonExclusion:
                     config()
             else:
                 config()
+
+
+def spy_draws(monkeypatch):
+    """Record (table, allocation, drawn) of every draw through a per-point
+    table (synth._SignalTable), in order."""
+    draws = []
+    for name in ("grid", "statistics"):
+        def spy(table, alloc, seed, real=getattr(synth._SignalTable, name), **lags):
+            drawn = real(table, alloc, seed, **lags)
+            draws.append((table, alloc, drawn))
+            return drawn
+        monkeypatch.setattr(synth._SignalTable, name, spy)
+    return draws
+
+
+DESK = make_params(n=256, m=32)
+STILL = si.Target(distance_m=200.0, amplitude=1.0)
+MOVING = si.Target(distance_m=200.0, velocity_mps=15.0, amplitude=1.0)
+SECOND = si.Target(distance_m=330.0, velocity_mps=-9.0, amplitude=0.8)
+PHASED = si.Target(distance_m=200.0, amplitude=1.0, phase_rad=0.7)
+
+
+class TestSignalTable:
+    """A sweep or demo point draws through one table of what does not
+    depend on the seed (synth._SignalTable), with the bits of every draw
+    built per call (reference.per_call_walk).  Each point walks two trials
+    or more, so a draw that wrote into a kept unit would move a later one."""
+
+    def assert_walk_keeps_bits(self, monkeypatch, cfg, scenes, methods, fixed, n_trials):
+        draws = spy_draws(monkeypatch)
+        for i, scene in enumerate(scenes):
+            draws.clear()
+            for _ in _trials(cfg, scene, methods, fixed, n_trials, np.random.SeedSequence([9, i])):
+                pass
+            want = per_call_walk(cfg, scene, methods, fixed, n_trials, np.random.SeedSequence([9, i]))
+            assert len(draws) == len(want) > 0
+            for (_, alloc, got), (_, ref_alloc, ref) in zip(draws, want):
+                assert type(got) is type(ref)
+                assert np.array_equal(alloc.indices, ref_alloc.indices)
+                for read in ("symbol_sum", "cpi_lags", "block"):
+                    assert np.array_equal(bits(getattr(got, read)), bits(getattr(ref, read))), read
+            tables = {id(table): table for table, _, _ in draws}
+            assert len(tables) == 1  # one table per point
+            (table,) = tables.values()
+            kept = [u for units in table._kept.values() for u in units]
+            assert len(table._kept) == len({id(a) for _, a, _ in draws} & set(map(id, fixed.values())))
+            projections = [p for proj in table._projections.values() for p in proj]
+            phases = [a for t in table.targets for a in t[2:]]
+            assert all(not a.flags.writeable for a in kept + projections + phases)
+
+    @pytest.mark.parametrize(
+        "params, n_active, targets, snr_db_axis",
+        [
+            pytest.param(DESK, 64, (STILL,), (0.0, math.inf), id="desk"),
+            pytest.param(make_params(n=1000, m=720), 200, (STILL,), (0.0,), id="paper-gram"),
+            pytest.param(make_params(n=256, m=80), 64, (MOVING,), (0.0, math.inf), id="moving-gram-d2"),
+            pytest.param(DESK, 64, (MOVING, SECOND), (0.0,), id="two-targets"),
+            pytest.param(make_params(n=256, m=80), 64, (MOVING, SECOND), (0.0,), id="two-targets-gram"),
+            pytest.param(DESK, 64, (PHASED,), (0.0,), id="phase"),
+            pytest.param(make_params(n=256, m=80), 64, (PHASED, SECOND), (0.0, math.inf), id="phase-gram"),
+        ],
+    )
+    def test_sweep_draws_keep_the_per_call_bits(self, monkeypatch, params, n_active, targets, snr_db_axis):
+        cfg = SweepConfig(
+            params=params, n_active=n_active, snr_db_axis=snr_db_axis,
+            methods=si.SWEEP_METHODS, targets=targets, n_trials=2,
+        )
+        self.assert_walk_keeps_bits(monkeypatch, cfg, cfg.scenes, cfg.methods, cfg._allocations, 2)
+
+    @pytest.mark.parametrize("m", [32, 128])  # grids, and statistics in three dimensions
+    def test_demo_draws_keep_the_per_call_bits(self, monkeypatch, m):
+        cfg = si.TwoTargetDemoConfig(params=make_params(n=256, m=m), n_runs=3)
+        pair = ("direct_sparse", "autocorrelation")
+        self.assert_walk_keeps_bits(monkeypatch, cfg, [cfg.scene], pair, {}, 3)
+
+    def test_aliasing_sweep_warns_once_per_point_and_kind(self):
+        # a target past both unambiguous spans: 3 points of 4 trials of 4
+        # draws warn once per point and kind, 6 times, not once per draw
+        far = C / (2 * DESK.subcarrier_spacing_hz) * 1.5
+        v_alias = 0.5 / DESK.symbol_dur_s * C / (2 * DESK.carrier_freq_hz) * 1.5
+        cfg = SweepConfig(
+            params=DESK, n_active=64, snr_db_axis=(0.0, 10.0, math.inf), methods=si.SWEEP_METHODS,
+            targets=(si.Target(distance_m=far, velocity_mps=v_alias, amplitude=1.0),), n_trials=4,
+        )
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            monte_carlo_sweep(cfg, threads=1)
+        messages = [str(w.message) for w in seen]
+        assert len(messages) == 6
+        assert sum(m.startswith("target at ") for m in messages) == 3
+        assert sum(m.startswith("target Doppler ") for m in messages) == 3
+        assert all(m.endswith("it will alias") for m in messages)

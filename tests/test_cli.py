@@ -16,6 +16,7 @@ import pytest
 
 from sparse_isac import analysis, cli
 from sparse_isac.analysis import SingularFimError
+from sparse_isac.synth import _SignalTable
 
 CLI = [sys.executable, "-m", "sparse_isac.cli"]
 
@@ -674,11 +675,14 @@ def test_non_finite_spectrum_is_a_numeric_failure(tmp_path, experiment, path, va
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
-def draw_site_lines() -> list[int]:
-    """Lines of analysis.py whose code names synthesize or _gram_statistics."""
+def table_site_lines() -> list[int]:
+    """Lines of analysis.py whose code calls _SignalTable, the per-point
+    table of every draw, which warns about aliasing targets when built."""
     tree = ast.parse(Path(analysis.__file__).read_text())
-    names = ("synthesize", "_gram_statistics")
-    return sorted({n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in names})
+    return sorted({
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_SignalTable"
+    })
 
 
 ALIASING = {  # a target at 2,000 m, past the 1,249 m unambiguous span
@@ -693,8 +697,9 @@ ALIASING = {  # a target at 2,000 m, past the 1,249 m unambiguous span
 @pytest.mark.parametrize("experiment", ALIASING)
 def test_successful_run_shows_its_warnings(tmp_path, experiment):
     """A run that succeeds shows the warnings it raised, as Python shows
-    them.  The demo and the sweep draw every grid from one line of
-    analysis.py, so an aliasing target warns once, from that line."""
+    them.  The demo and the sweep build each point's table of every draw
+    on one line of analysis.py, so an aliasing target warns from that line,
+    which Python's display shows once."""
     path, out = write_config(tmp_path, ALIASING[experiment]), tmp_path / "out"
     proc = run_cli("run", "--config", str(path), "--out", str(out))
     assert proc.returncode == 0
@@ -704,17 +709,17 @@ def test_successful_run_shows_its_warnings(tmp_path, experiment):
     warning, source = proc.stderr.splitlines()
     found = re.search(r"analysis\.py:(\d+): UserWarning: target at 2000(\.0)? m .* it will alias$", warning)
     assert found, warning
-    (line,) = draw_site_lines()
+    (line,) = table_site_lines()
     assert int(found.group(1)) == line
     assert source.strip() == Path(analysis.__file__).read_text().splitlines()[line - 1].strip()
 
 
-def test_gram_route_sweep_warns_from_the_draw_line(tmp_path, monkeypatch):
+def test_gram_route_sweep_warns_from_the_table_line(tmp_path, monkeypatch):
     """With the draw opened for every constant allocation, the sweep draws
     the statistics of its virtual slots, not their grids, and an aliasing
-    target still warns once, from the one draw line."""
+    target still warns once, from the one line that builds the table."""
     monkeypatch.setattr(analysis, "_gram_route", lambda alloc, scene: alloc.is_constant)
-    monkeypatch.setattr(analysis, "synthesize", failing(AssertionError))
+    monkeypatch.setattr(_SignalTable, "grid", failing(AssertionError))
     path = write_config(tmp_path, ALIASING["rmse_pslr_sweep"])
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("default")  # Python's display: once per source line
@@ -722,7 +727,7 @@ def test_gram_route_sweep_warns_from_the_draw_line(tmp_path, monkeypatch):
     (warning,) = seen
     assert re.match(r"target at 2000(\.0)? m .* it will alias$", str(warning.message))
     assert Path(warning.filename) == Path(analysis.__file__)
-    (line,) = draw_site_lines()
+    (line,) = table_site_lines()
     assert warning.lineno == line
 
 

@@ -221,12 +221,12 @@ class TestGramRoute:
         # (full and equivalent band) draws its symbol sum alone at both
         calls = []  # (draw, allocation, keywords) of each slot drawn
 
-        def spying(name):
-            real = getattr(analysis, name)
+        def spying(name):  # args: the table, the allocation, the seed
+            real = getattr(synth._SignalTable, name)
             return lambda *args, **kw: calls.append((name, args[1], kw)) or real(*args, **kw)
 
-        for name in ("synthesize", "_gram_statistics"):
-            monkeypatch.setattr(analysis, name, spying(name))
+        for name in ("grid", "statistics"):
+            monkeypatch.setattr(synth._SignalTable, name, spying(name))
         params = make_params(256, m)
         cfg = SweepConfig(
             params=params, n_active=64, snr_db_axis=(0.0, 10.0), methods=analysis.SWEEP_METHODS,
@@ -234,15 +234,15 @@ class TestGramRoute:
         )
         monte_carlo_sweep(cfg, threads=1)
         summed = [(name, alloc) for name, alloc, kw in calls if kw == {"lags": False}]
-        assert [name for name, _ in summed] == ["_gram_statistics"] * (2 * 2 * 2)
+        assert [name for name, _ in summed] == ["statistics"] * (2 * 2 * 2)
         assert {id(alloc) for _, alloc in summed} == {
             id(cfg._allocations[method]) for method in ("full_bandwidth", "equivalent_bandwidth")
         }
         virtual = [(name, alloc) for name, alloc, kw in calls if kw != {"lags": False}]
-        draw = "_gram_statistics" if m == 67 else "synthesize"
+        draw = "statistics" if m == 67 else "grid"
         assert [name for name, _ in virtual] == [draw] * (2 * 2 * 2)  # points x trials x virtual slots
         for name, alloc in virtual:
-            assert _gram_route(alloc, cfg.scenes[0]) is (name == "_gram_statistics")
+            assert _gram_route(alloc, cfg.scenes[0]) is (name == "statistics")
 
     @pytest.mark.parametrize(
         "m, pattern, k",
@@ -632,7 +632,7 @@ class TestSweepThreads:
         # not their grids
         monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(analysis, "_SWEEP_THREAD_MIN_POINTS", 1)
-        monkeypatch.setattr(analysis, "synthesize", None)  # never called
+        monkeypatch.setattr(synth._SignalTable, "grid", None)  # never called
         cfg = self.config(analysis.SWEEP_METHODS, n_symbols=32)
         targets = tuple(
             si.Target(distance_m=d * cfg.params.range_bin_m, velocity_mps=v, amplitude=1.0)
