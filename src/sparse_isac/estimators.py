@@ -174,7 +174,7 @@ def _zero_fill(
     """zero_fill_periodogram of the grid whose symbol sum is `collapsed`,
     an (N,) row; the symbols combine coherently."""
     q_bins = oversample * params.n_subcarriers
-    k = alloc.cardinalities().mean()  # active subcarriers per symbol
+    k = alloc.starts[-1] / alloc.n_symbols  # active subcarriers per symbol
     spectrum = np.fft.ifft(collapsed, n=q_bins) * q_bins
     values = np.abs(spectrum) / (alloc.n_symbols * k)
     return Periodogram(
@@ -225,7 +225,7 @@ def ml_single_target(
     best = p.argmax_bin
     pos = _refine_bin(p.values, best) if refine else float(best)
     delay = (pos % p.n_bins) * p.bin_width
-    cells = grid.alloc.n_symbols * grid.alloc.cardinalities().mean()  # the normaliser of _zero_fill
+    cells = grid.alloc.n_symbols * (grid.alloc.starts[-1] / grid.alloc.n_symbols)  # the normaliser of _zero_fill
     return DelayEstimate(
         delay_s=delay,
         range_m=delay * SPEED_OF_LIGHT / 2.0,
@@ -384,7 +384,7 @@ def doppler_periodogram(
     slices = np.add.reduceat(grid.active * unwrap[cols], starts)
     m = params.n_symbols
     u_bins = oversample * m
-    k = grid.alloc.cardinalities().mean()  # active subcarriers per symbol
+    k = grid.alloc.starts[-1] / grid.alloc.n_symbols  # active subcarriers per symbol
     spectrum = np.fft.fft(slices, n=u_bins)
     values = np.abs(np.fft.fftshift(spectrum)) / (m * k)
     axis = (np.arange(u_bins) - u_bins // 2) / (u_bins * params.symbol_dur_s)

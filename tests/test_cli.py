@@ -598,7 +598,8 @@ class TestContract:
     def test_extreme_span_is_refused_or_finite(self, tmp_path, field, value):
         path, out = write_config(tmp_path, mutated("ambiguity", [field], value)), tmp_path / "out"
         code, _, err = main_in_process("run", "--config", path, "--out", out)
-        if code == 2:
+        if code == 2 or value > 2**20:  # a span past the bound is always refused
+            assert code == 2, err
             assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
             assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
             return
@@ -624,10 +625,11 @@ class TestContract:
         """`trials` and `runs` build n_trials and n_runs; an error names the
         key the config holds."""
         path = write_config(tmp_path, mutated(experiment, [key], value))
+        bound = "must be >= 1" if value == 0 else f"must be <= {2**53}"
         for command, extra in (("validate", []), ("run", ["--out", tmp_path / "out"])):
             code, _, err = main_in_process(command, "--config", path, *extra)
             assert code == 2
-            assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1, err
+            assert err == f"config error: {key}: {bound}, got {value}\n", err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_hole_probability_runs(self, tmp_path):

@@ -1,35 +1,49 @@
 """Recorded outputs: "no output moved" as a tier-1 check.
 
-Each run is a CLI command at seed 5: the run configs in tests/golden/*.json,
-which CI runs too, and the desk `sweep`, `demo` and `crlb` profiles.
-tests/golden/outputs.json holds, per run, CSV artifact and numeric column,
-the column's length, argmax, max, sum and sum of squares, read back from the
-written .12g text.  The test runs each command in-process and compares the
-floats at a relative 1e-12, not bytes: NumPy releases need not agree on FFT
-round-off.  On a mismatch it prints the largest relative change of each
-column that moved, so round-off reads apart from a moved noise stream.
+Each run is at seed 5.  The CLI runs are the run configs in
+tests/golden/*.json and the desk `sweep`, `demo` and `crlb` profiles; the
+estimator runs are the `ml`, `doppler` and `virtual` lines, one per grid of
+GRIDS, of a one-target scene at 0 dB.  tests/golden/outputs.json holds, per
+CLI run, CSV artifact and numeric column, the column's length, argmax, max,
+sum and sum of squares, read back from the written .12g text; per estimator
+run and grid, the line's numbers.  The test runs each in-process and
+compares integers exactly and floats at a relative 1e-12, not bytes: NumPy
+releases need not agree on FFT round-off.  On a mismatch it prints the
+largest relative change of each entry that moved, so round-off reads apart
+from a moved noise stream.
 
 A change that moves an output re-records the file and lists the moved
-columns in CHANGES.md:
+entries in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
+
+The write mode runs every run in-process and writes its artifacts under a
+directory: a CLI run's output directory as <dir>/<run>/, an estimator run's
+lines, its floats in float.hex, as <dir>/<run>.txt.  CI writes that tree at
+several BLAS thread counts and CPU counts and compares the trees byte for
+byte with `diff -r`:
+
+    PYTHONPATH=src python tests/test_golden.py --write DIR
 """
 import contextlib
 import csv
 import io
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparse_isac as si
 from sparse_isac import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 RECORD = GOLDEN / "outputs.json"
 REL_TOL = 1e-12
+SEED = 5
 
 # What each config runs:
 # - multiblock: N=256, M=131, K=64, past the read gate and M > K + 1 + T, so
@@ -54,6 +68,55 @@ RUNS = {
     **{p.stem: ["run", "--config", str(p)] for p in sorted(GOLDEN.glob("*.json")) if p != RECORD},
     **{f"desk_{cmd}": [cmd, "--profile", "desk"] for cmd in ("sweep", "demo", "crlb")},
 }
+
+# The estimator runs' grids: (N, M, make_allocation keywords).  All but
+# N=1000, M=333 read their lag sums on the Gram route.
+GRIDS = {
+    "random N=256 M=32": (256, 32, dict(pattern="random", n_active=64, seed=5)),
+    "random N=256 M=128": (256, 128, dict(pattern="random", n_active=64, seed=5)),
+    "nested N=256 M=32": (256, 32, dict(pattern="nested", inner=3, outer=61)),
+    "random N=1000 M=333": (1000, 333, dict(pattern="random", n_active=200, seed=5)),
+    "random N=1000 M=720": (1000, 720, dict(pattern="random", n_active=200, seed=5)),
+}
+
+
+def grid(label: str, velocity_mps: float = 0.0) -> si.FreqGrid:
+    """One target at 200 m and 0 dB on the grid `label` of GRIDS."""
+    n, m, kw = GRIDS[label]
+    p = si.OfdmParams(n_subcarriers=n, n_symbols=m, subcarrier_spacing_hz=120e3, carrier_freq_hz=24e9)
+    scene = si.Scene(targets=(si.Target(distance_m=200.0, velocity_mps=velocity_mps, amplitude=1.0),), snr_db=0.0)
+    return si.synthesize(scene, si.make_allocation(p, **kw), p, seed=SEED)
+
+
+def ml_line(label: str) -> dict:
+    """The ML search: the refined zero-fill peak."""
+    e = si.ml_single_target(grid(label))
+    return {"delay_s": e.delay_s, "peak_value": e.peak_value, "bin_index": e.bin_index}
+
+
+def doppler_line(label: str) -> dict:
+    """The Doppler periodogram after the lag-sum delay pre-step, of a 15 m/s target."""
+    d = si.doppler_periodogram(grid(label, velocity_mps=15.0))
+    return {"argmax_bin": d.argmax_bin, "peak": float(d.values[d.argmax_bin]), "sum": float(d.values.sum())}
+
+
+def virtual_line(label: str) -> dict:
+    """The virtual periodogram: the real transform of the lags >= 0 on
+    Q = oversample * 2N bins."""
+    g = grid(label)
+    v = si.virtual_periodogram(si.build_virtual_signal(g)[0], g.params)
+    return {
+        "n_bins": v.n_bins, "argmax_bin": v.argmax_bin,
+        "peak": float(v.values[v.argmax_bin]), "sum": float(v.values.sum()),
+    }
+
+
+ESTIMATORS = {  # run: (line, grids)
+    "ml": (ml_line, [label for label in GRIDS if label != "random N=256 M=128"]),
+    "doppler": (doppler_line, list(GRIDS)),
+    "virtual": (virtual_line, list(GRIDS)),
+}
+ALL_RUNS = [*RUNS, *ESTIMATORS]
 
 
 def column_stats(values: np.ndarray) -> dict:
@@ -81,17 +144,27 @@ def numeric_columns(path: Path) -> dict:
     return out
 
 
-def run_stats(argv: list[str]) -> dict:
-    """{artifact: {column: stats}} of one CLI run at seed 5, in-process."""
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "out"
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main([*argv, "--seed", "5", "--out", str(out)])
-        assert code == 0, argv
-        return {
-            path.name: {name: column_stats(v) for name, v in numeric_columns(path).items()}
-            for path in sorted(out.glob("*.csv"))
-        }
+def outputs(run: str, directory: Path) -> dict:
+    """Run `run` in-process, write its artifacts under `directory` and
+    return what the record holds of them: {artifact: {column: stats}} of a
+    CLI run, {grid: line} of an estimator run."""
+    if run in ESTIMATORS:
+        line, labels = ESTIMATORS[run]
+        lines = {label: line(label) for label in labels}
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{run}.txt").write_text("".join(
+            " ".join([label, *(v.hex() if isinstance(v, float) else str(v) for v in values.values())]) + "\n"
+            for label, values in lines.items()
+        ))
+        return lines
+    out = directory / run
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([*RUNS[run], "--seed", str(SEED), "--out", str(out)])
+    assert code == 0, RUNS[run]
+    return {
+        path.name: {name: column_stats(v) for name, v in numeric_columns(path).items()}
+        for path in sorted(out.glob("*.csv"))
+    }
 
 
 def relative_change(got, want) -> float:
@@ -102,25 +175,26 @@ def relative_change(got, want) -> float:
     return abs(got - want) / abs(want)
 
 
-def changes(got: dict, want: dict) -> list[str]:
-    """One line per artifact or column whose stats moved past REL_TOL: the
-    largest relative change of its floats and which counts changed."""
+def changes(got: dict, want: dict, where: str = "") -> list[str]:
+    """One line per entry whose numbers moved: the largest relative change
+    of its floats past REL_TOL, and which integers changed."""
     lines = []
-    for artifact in sorted(set(got) | set(want)):
-        if artifact not in got or artifact not in want:
-            lines.append(f"{artifact}: {'missing' if artifact in want else 'not recorded'}")
+    for key in sorted(set(got) | set(want)):
+        name = f"{where}{key}"
+        if key not in got or key not in want:
+            lines.append(f"{name}: {'missing' if key in want else 'not recorded'}")
             continue
-        g, w = got[artifact], want[artifact]
-        for column in sorted(set(g) | set(w)):
-            if column not in g or column not in w:
-                lines.append(f"{artifact}:{column}: {'missing' if column in w else 'not recorded'}")
-                continue
-            counts = [f"{k} {w[column][k]} -> {g[column][k]}" for k in ("length", "argmax")
-                      if g[column][k] != w[column][k]]
-            rel = max(relative_change(g[column][k], w[column][k]) for k in ("max", "sum", "sum_sq"))
-            if counts or rel > REL_TOL:
-                lines.append(f"{artifact}:{column}: largest relative change {rel:.3g}"
-                             + "".join(f", {c}" for c in counts))
+        g, w = got[key], want[key]
+        if all(isinstance(v, dict) for v in w.values()):
+            lines += changes(g, w, f"{name}:")
+            continue
+        if set(g) != set(w):
+            lines.append(f"{name}: holds {sorted(g)}, recorded {sorted(w)}")
+            continue
+        counts = [f"{k} {w[k]} -> {g[k]}" for k in sorted(w) if isinstance(w[k], int) and g[k] != w[k]]
+        rel = max((relative_change(g[k], w[k]) for k in w if isinstance(w[k], float)), default=0.0)
+        if counts or rel > REL_TOL:
+            lines.append(f"{name}: largest relative change {rel:.3g}" + "".join(f", {c}" for c in counts))
     return lines
 
 
@@ -129,17 +203,27 @@ def recorded() -> dict:
     return json.loads(RECORD.read_text())
 
 
-@pytest.mark.parametrize("run", RUNS)
-def test_outputs_match_the_record(run, recorded):
-    moved = changes(run_stats(RUNS[run]), recorded[run])
+def test_the_record_holds_exactly_the_runs(recorded):
+    """A run the harness lost, or one it gained, is not silently passed over."""
+    assert sorted(recorded) == sorted(ALL_RUNS)
+
+
+@pytest.mark.parametrize("run", ALL_RUNS)
+def test_outputs_match_the_record(run, recorded, tmp_path):
+    moved = changes(outputs(run, tmp_path), recorded[run])
     assert not moved, f"{run} moved from tests/golden/outputs.json:\n" + "\n".join(moved)
 
 
-def record() -> None:
-    """Rewrite tests/golden/outputs.json from the current code."""
-    stats = {name: run_stats(argv) for name, argv in RUNS.items()}
-    RECORD.write_text(json.dumps(stats, indent=1, sort_keys=True) + "\n")
+def write(directory: Path) -> dict:
+    """Write every run's artifacts under `directory`; return the record."""
+    return {run: outputs(run, directory) for run in ALL_RUNS}
 
 
 if __name__ == "__main__":
-    record()
+    if sys.argv[1:2] == ["--write"] and len(sys.argv) == 3:
+        write(Path(sys.argv[2]))
+    elif len(sys.argv) == 1:  # re-record
+        with tempfile.TemporaryDirectory() as tmp:
+            RECORD.write_text(json.dumps(write(Path(tmp)), indent=1, sort_keys=True) + "\n")
+    else:
+        sys.exit("usage: python tests/test_golden.py [--write DIR]")
