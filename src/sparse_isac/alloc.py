@@ -374,7 +374,7 @@ def make_allocation(
         _check_number("n_active", n_active, integer=True, minimum=2, maximum=n)
         rng = np.random.default_rng(seed)
         middle = rng.choice(np.arange(1, n - 1), size=n_active - 2, replace=False)
-        idx = np.union1d([0, n - 1], middle)
+        idx = np.concatenate(([0, n - 1], middle))  # constant() sorts it
     elif pattern == "coprime":
         idx = _coprime_indices(p, q, n)
     elif pattern == "nested":

@@ -21,6 +21,7 @@ from .alloc import (
     _as_tuple,
     _check_fits,
     _check_number,
+    difference_set,
     make_allocation,
     nested_params_for,
 )
@@ -28,10 +29,13 @@ from .scene import SPEED_OF_LIGHT, LinkBudget, Scene, Target
 from .synth import _gram_route, _SignalTable, synthesize  # noqa: F401 (bench/spans.py wraps it here)
 from .estimators import (
     Periodogram,
-    _zero_fill,
-    build_virtual_signal,
-    detect_peaks,
-    virtual_periodogram,
+    _active_cells,
+    _check_magnitudes,
+    _delay_axis,
+    _delay_spectra,
+    _pick_peaks,
+    _refined_peaks,
+    _virtual_half,
 )
 
 __all__ = [
@@ -62,7 +66,9 @@ __all__ = [
 # direct_sparse/autocorrelation comparison, and the two-target demo walks
 # the same trials with that pair.  Zero-fill reads a slot's symbol sum and
 # the virtual aperture its CPI lag means (FreqGrid.cpi_lags); the per-symbol
-# lag products are the tests' reference.
+# lag products are the tests' reference.  Of each draw a method keeps one
+# (N,) row, and a block of trials' rows is transformed and scored as one
+# stack per method (_trials).
 _SWEEP_TABLE = {
     "full_bandwidth": (2, False),
     "equivalent_bandwidth": (3, False),
@@ -188,13 +194,36 @@ def crlb_vs_inverse_fim_check(
     return abs(closed - inv00) / closed
 
 
-def _main_peak(p: Periodogram) -> int:
-    """The bin of the largest magnitude of `p`; raises FloatingPointError
-    where `p` is zero everywhere (a signal underflowed to 0)."""
-    main_idx = int(np.argmax(p.values))
-    if p.values[main_idx] <= 0.0:
-        raise FloatingPointError(f"{p.method} {p.domain} spectrum is zero everywhere")
-    return main_idx
+def _main_peaks(v: np.ndarray, label: str) -> np.ndarray:
+    """The bin of the largest magnitude of each row of the (T, Q)
+    magnitudes `v` (the lowest on a tie); raises FloatingPointError where a
+    row is zero everywhere (a signal underflowed to 0), naming the
+    periodogram by `label`, its "method domain"."""
+    main = v.argmax(axis=1)
+    if not (v[np.arange(len(v)), main] > 0.0).all():
+        raise FloatingPointError(f"{label} spectrum is zero everywhere")
+    return main
+
+
+def _pslrs(v: np.ndarray, mainlobe_halfwidth: int, label: str) -> list[float]:
+    """pslr of each row of the (T, Q) magnitudes `v` of the periodogram
+    `label` (_main_peaks): one argmax and one masked maximum for the stack,
+    then 20 log10(main / side) per row in scalar arithmetic."""
+    t, n = v.shape
+    if mainlobe_halfwidth < 0:
+        raise ValueError("mainlobe_halfwidth must be >= 0")
+    if 2 * mainlobe_halfwidth + 1 >= n:
+        raise ValueError("exclusion zone swallows the whole spectrum")
+    main = _main_peaks(v, label)
+    rows = np.arange(t)
+    side_bins = np.ones((t, n), dtype=bool)  # more than the halfwidth from the main peak, circularly
+    offsets = np.arange(-mainlobe_halfwidth, mainlobe_halfwidth + 1)
+    side_bins[rows[:, None], (main[:, None] + offsets) % n] = False
+    side = v.max(axis=1, where=side_bins, initial=0.0)  # magnitudes are >= 0
+    return [
+        20.0 * math.log10(m / s) if s > 0.0 else math.inf
+        for m, s in zip(v[rows, main].tolist(), side.tolist())
+    ]
 
 
 def pslr(p: Periodogram, mainlobe_halfwidth: int) -> float:
@@ -203,21 +232,10 @@ def pslr(p: Periodogram, mainlobe_halfwidth: int) -> float:
     Main peak magnitude over the largest magnitude outside the circular
     exclusion zone of +/- mainlobe_halfwidth bins around it.  A spectrum
     that is zero outside the exclusion zone returns +inf; one that is zero
-    everywhere (a signal underflowed to 0) raises FloatingPointError.
+    everywhere (a signal underflowed to 0) raises FloatingPointError.  The
+    one-row call of _pslrs.
     """
-    v = p.values
-    n = v.size
-    if mainlobe_halfwidth < 0:
-        raise ValueError("mainlobe_halfwidth must be >= 0")
-    if 2 * mainlobe_halfwidth + 1 >= n:
-        raise ValueError("exclusion zone swallows the whole spectrum")
-    main_idx = _main_peak(p)
-    # bins lo..hi-1 mod n, more than the halfwidth away; magnitudes are >= 0
-    lo, hi = main_idx + mainlobe_halfwidth + 1, main_idx + n - mainlobe_halfwidth
-    side = max(v[lo:hi].max(initial=0.0), v[max(lo - n, 0) : max(hi - n, 0)].max(initial=0.0))
-    if side <= 0.0:
-        return math.inf
-    return 20.0 * math.log10(v[main_idx] / side)
+    return _pslrs(p.values[None], mainlobe_halfwidth, f"{p.method} {p.domain}")[0]
 
 
 def common_exclusion_halfwidth(p: Periodogram) -> int:
@@ -230,9 +248,14 @@ def common_exclusion_halfwidth(p: Periodogram) -> int:
     virtual bin is half a zero-fill bin (Q = oversample * 2N), so at
     oversample 4 the virtual halfwidth is round(8N / (2N - 1)) bins: 4 for
     N >= 5, 5 for N = 2..4."""
-    n = p.params.n_subcarriers
-    first_null_s = 1.0 / ((2 * n - 1) * p.params.subcarrier_spacing_hz)
-    return max(1, round(first_null_s / p.bin_width))
+    return _exclusion_halfwidth(p.params, p.bin_width)
+
+
+def _exclusion_halfwidth(params: OfdmParams, bin_width: float) -> int:
+    """common_exclusion_halfwidth on an axis of bin width `bin_width` s."""
+    n = params.n_subcarriers
+    first_null_s = 1.0 / ((2 * n - 1) * params.subcarrier_spacing_hz)
+    return max(1, round(first_null_s / bin_width))
 
 
 @dataclass(frozen=True)
@@ -408,32 +431,68 @@ class SweepResult:
 
 
 def _match(
-    p: Periodogram, true_ranges: np.ndarray, tol_m: float, halfwidth: int
-) -> tuple[list[float], int]:
-    """Score one delay periodogram against the true target ranges (m).
+    v: np.ndarray, bin_width: float, true_ranges: np.ndarray, tol_m: float, halfwidth: int
+) -> np.ndarray:
+    """Score each row of the (T, Q) delay magnitudes `v`, on the library
+    delay axis of `bin_width` s, against the true target ranges (m).
 
-    detect_peaks asks for one peak per target, at least 2 * halfwidth bins
-    apart (common_exclusion_halfwidth(p), which the caller computes once per
-    method); each peak votes for its nearest target if that target
-    is within tol_m.  A target with a vote is detected, with the range error
-    of its nearest voting peak (the first in peak order on a tie), so one
-    peak detects one target at most.  Returns (errors of the detected
-    targets in target order, count of missed targets).
+    _pick_peaks asks each row for one peak per target, at least
+    2 * halfwidth bins apart (common_exclusion_halfwidth, which the caller
+    computes once per method); each peak votes for its nearest target (the
+    first on a tie) if that target is within tol_m.  A target with a vote
+    is detected, with the range error of its nearest voting peak (the first
+    in peak order on a tie), so one peak detects one target at most.
+    Returns the (T, targets) range errors, NaN where a target is missed.
     """
-    peaks = detect_peaks(p, k=len(true_ranges), min_separation=2 * halfwidth)
-    best = {}  # target index: error of its nearest voting peak
-    for peak in peaks.peaks:
-        err = peak.refined_axis_value * SPEED_OF_LIGHT / 2.0 - true_ranges
-        j = int(np.argmin(np.abs(err)))
-        if abs(err[j]) <= tol_m and (j not in best or abs(err[j]) < abs(best[j])):
-            best[j] = float(err[j])
-    return [best[j] for j in sorted(best)], len(true_ranges) - len(best)
+    targets = np.arange(len(true_ranges))
+    bins = _pick_peaks(v, targets.size, 2 * halfwidth)
+    ranges = _refined_peaks(v, bins, bin_width, 0.0) * SPEED_OF_LIGHT / 2.0  # NaN: no peak
+    err = ranges[:, :, None] - true_ranges  # (T, peaks, targets)
+    dist = np.abs(err)
+    nearest = dist.argmin(axis=2, keepdims=True)
+    votes = (np.take_along_axis(dist, nearest, 2) <= tol_m) & (nearest == targets)
+    best = np.where(votes, dist, np.inf).argmin(axis=1, keepdims=True)  # per target, the first nearest
+    errors = np.take_along_axis(err, best, 1)[:, 0]
+    return np.where(np.take_along_axis(votes, best, 1)[:, 0], errors, np.nan)
+
+
+def _periodogram_method(method: str) -> str:
+    """The Periodogram method of a sweep method's delay spectra."""
+    return "autocorrelation" if _SWEEP_TABLE[method][1] else "zero_fill"
+
+
+def _bin_scale(q_bins: int, params: OfdmParams) -> tuple[float, int]:
+    """(bin width, common_exclusion_halfwidth) of a Q-bin library delay
+    periodogram: the same for every trial of a method."""
+    axis = _delay_axis(q_bins, params.subcarrier_spacing_hz)
+    bin_width = float(axis[1] - axis[0])
+    return bin_width, _exclusion_halfwidth(params, bin_width)
+
+
+# Most trials that _trials holds at once (_TRIAL_BLOCK), and most bins
+# (trials x Q) of the largest spectra of a block (_BLOCK_BINS: 64 desk
+# virtual spectra).  A method's stack of a block holds a (T, N) complex row
+# per trial and the (T, Q) magnitudes, so the block bounds a point's memory
+# whatever its trial count, and it pays the per-call cost of one transform,
+# peak pick, match and PSLR per method.  Desk sweep (5 methods, 0 dB, 256
+# trials, one BLAS thread, best of 11 on a 2-core x86-64 KVM guest), ms per
+# trial at 1, 8, 16, 64 and 256 trials per block: 1.90, 1.37, 1.10, 1.05
+# and 1.17.  At N=1000, M=720, K=200 (4 default methods, 128 trials, best
+# of 5) 16 trials per block take 3.01 ms per trial, 64 take 3.15; under
+# tracemalloc a point peaks at 3.7 MiB with 16, 14 MiB with 64.
+_TRIAL_BLOCK = 64
+_BLOCK_BINS = 64 * 2048
 
 
 def _trials(
     cfg: SweepConfig | TwoTargetDemoConfig, scene: Scene, methods, fixed: dict, n_trials: int, ss
 ):
-    """Yield each trial's {method: delay Periodogram}, one trial at a time.
+    """Yield, block by block of at most _TRIAL_BLOCK trials in trial order
+    (fewer where their spectra would pass _BLOCK_BINS bins),
+    {method: (T, Q) delay magnitudes}: row t is trial t's periodogram of the
+    method, zero-fill (Q = oversample * N) or virtual (Q = oversample * 2N)
+    on the library delay axis (_bin_scale), checked as a Periodogram's
+    magnitudes are (_check_magnitudes) once the block's draws are done.
 
     Trial i reads child i of `ss`, which spawns one seed per _SWEEP_TABLE
     slot; slot 0 draws the random allocation of each method `fixed` does
@@ -447,6 +506,10 @@ def _trials(
     `cpi_lags`, each computed only when read; a synthesized grid reads its
     lag sums on the route of the read gate.  Every draw reads the point's one
     _SignalTable, which keeps the unit signals of the `fixed` allocations.
+
+    Of each draw a method keeps one (N,) row (_read_trial); the block's
+    rows of a method are transformed at once, each with the bits of its
+    own zero_fill_periodogram or virtual_periodogram.
     """
     params = cfg.params
     readers = {}  # slot: the requested methods that read it
@@ -454,44 +517,75 @@ def _trials(
         readers.setdefault(_SWEEP_TABLE[method][0], []).append(method)
     # one table per point: an aliasing target warns once per point, from this line
     table = _SignalTable(scene, params, fixed.values())
-    for _ in range(n_trials):  # one child at a time: the same seeds as spawn(n_trials)
-        seeds = ss.spawn(1)[0].spawn(5)  # one per _SWEEP_TABLE slot
-        out = {}
-        for slot, slot_methods in readers.items():
-            alloc = fixed.get(slot_methods[0]) or make_allocation(
-                params, "random", n_active=cfg.n_active, seed=seeds[0]
-            )
-            virtual = slot in _VIRTUAL_SLOTS
-            grid = virtual and not _gram_route(alloc, scene)
-            seed = seeds[slot]
-            drawn = table.grid(alloc, seed) if grid else table.statistics(alloc, seed, lags=virtual)
-            for method in slot_methods:
-                if _SWEEP_TABLE[method][1]:
-                    vs, _ = build_virtual_signal(drawn)
-                    out[method] = virtual_periodogram(vs, params, oversample=cfg.oversample)
-                else:
-                    out[method] = _zero_fill(drawn.symbol_sum, alloc, params, cfg.oversample)
-        yield out
+    n = params.n_subcarriers
+    q_max = cfg.oversample * n * max(2 if _SWEEP_TABLE[m][1] else 1 for m in methods)
+    block_trials = max(1, min(_TRIAL_BLOCK, _BLOCK_BINS // q_max))
+    for first in range(0, n_trials, block_trials):
+        size = min(block_trials, n_trials - first)
+        rows = {m: np.zeros((size, n), dtype=np.complex128) for m in methods}
+        norms = {m: np.empty((size, 1)) for m in methods}
+        for t in range(size):  # one child at a time: the same seeds as spawn(n_trials)
+            seeds = ss.spawn(1)[0].spawn(5)  # one per _SWEEP_TABLE slot
+            _read_trial(cfg, scene, table, readers, fixed, seeds, t, rows, norms)
+        block = {}
+        for method in methods:
+            virtual = _SWEEP_TABLE[method][1]
+            q_bins = cfg.oversample * n * (2 if virtual else 1)
+            block[method] = _delay_spectra(rows.pop(method), norms[method], q_bins, real=virtual)
+            _check_magnitudes(block[method], _periodogram_method(method), "delay")
+        yield block
+        block.clear()  # the caller is done with it: its stacks go before the next block's
+
+
+def _read_trial(cfg, scene, table, readers, fixed, seeds, t, rows, norms) -> None:
+    """Draw one trial's slots (_trials) and keep row t of each method: a
+    zero-fill method's symbol sum over M * K (_active_cells), a virtual
+    one's signal at its aperture lags >= 0 (_virtual_half, zeros off the
+    aperture) over n_lags.  Nothing else of the draw outlives the call."""
+    for slot, slot_methods in readers.items():
+        alloc = fixed.get(slot_methods[0]) or make_allocation(
+            cfg.params, "random", n_active=cfg.n_active, seed=seeds[0]
+        )
+        virtual = slot in _VIRTUAL_SLOTS
+        seed = seeds[slot]
+        if virtual and not _gram_route(alloc, scene):
+            drawn = table.grid(alloc, seed)
+        else:
+            drawn = table.statistics(alloc, seed, lags=virtual)
+        for method in slot_methods:
+            if _SWEEP_TABLE[method][1]:
+                aperture = difference_set(alloc)
+                lags = aperture.lags[aperture.n_lags // 2 :]  # the lags >= 0
+                rows[method][t, lags] = _virtual_half(drawn.cpi_lags, aperture)
+                norms[method][t] = aperture.n_lags
+            else:
+                rows[method][t] = drawn.symbol_sum
+                norms[method][t] = _active_cells(alloc)
 
 
 def _sweep_point(cfg: SweepConfig, scene: Scene, point_ss) -> dict:
     """Per method, the samples of one SNR point: (range errors of the
-    detected targets, PSLR of every trial, missed targets)."""
+    detected targets, trial by trial in target order, PSLR of every trial,
+    missed targets)."""
     true_ranges = np.array([t.distance_m for t in cfg.targets])
     miss_tol_m = cfg.miss_threshold_bins * cfg.params.range_bin_m
     errs = {m: [] for m in cfg.methods}
     pslrs = {m: [] for m in cfg.methods}
-    misses = dict.fromkeys(cfg.methods, 0)
-    trials = _trials(cfg, scene, cfg.methods, cfg._allocations, cfg.n_trials, point_ss)
-    for i, trial in enumerate(trials):
-        if i == 0:  # a method's halfwidth depends on its Q alone, the same every trial
-            halfwidths = {m: common_exclusion_halfwidth(p) for m, p in trial.items()}
-        for method, p in trial.items():
-            errors, missed = _match(p, true_ranges, miss_tol_m, halfwidths[method])
-            errs[method].extend(errors)
-            misses[method] += missed
-            pslrs[method].append(pslr(p, halfwidths[method]))
-    return {m: (np.array(errs[m]), np.array(pslrs[m]), misses[m]) for m in cfg.methods}
+
+    def score(method, v):
+        bin_width, halfwidth = _bin_scale(v.shape[1], cfg.params)
+        errs[method].append(_match(v, bin_width, true_ranges, miss_tol_m, halfwidth).ravel())
+        pslrs[method] += _pslrs(v, halfwidth, f"{_periodogram_method(method)} delay")
+
+    for block in _trials(cfg, scene, cfg.methods, cfg._allocations, cfg.n_trials, point_ss):
+        for method in block:  # no name holds a stack past its block (_trials)
+            score(method, block[method])
+    out = {}
+    for m in cfg.methods:
+        errors = np.concatenate(errs[m])
+        missed = np.isnan(errors)
+        out[m] = (errors[~missed], np.array(pslrs[m]), int(missed.sum()))
+    return out
 
 
 def _mean_ci(x: np.ndarray) -> tuple[float, float]:
@@ -658,19 +752,28 @@ def two_target_demo(cfg: TwoTargetDemoConfig) -> TwoTargetDemoResult:
     true_ranges = np.array(cfg.distances_m)
     tol_m = _DEMO_MATCH_TOL_BINS * cfg.params.range_bin_m
     pair = ("direct_sparse", "autocorrelation")
-    ok = {m: np.zeros(cfg.n_runs, dtype=bool) for m in pair}
+    ok = {m: [] for m in pair}
+    example = {}
+
+    def score(method, v):
+        label = _periodogram_method(method)
+        if method not in example:  # run 0's periodogram
+            example[method] = Periodogram(
+                axis=_delay_axis(v.shape[1], cfg.params.subcarrier_spacing_hz), values=v[0].copy(),
+                domain="delay", method=label, oversample=cfg.oversample, params=cfg.params,
+            )
+        _main_peaks(v, f"{label} delay")  # a spectrum zero everywhere fails, as in the sweep's pslr
+        bin_width, halfwidth = _bin_scale(v.shape[1], cfg.params)
+        ok[method].append(~np.isnan(_match(v, bin_width, true_ranges, tol_m, halfwidth)).any(axis=1))
+
     ss = np.random.SeedSequence(cfg.master_seed)
-    for i, trial in enumerate(_trials(cfg, cfg.scene, pair, {}, cfg.n_runs, ss)):
-        if i == 0:
-            example = trial
-            halfwidths = {m: common_exclusion_halfwidth(trial[m]) for m in pair}
-        for m in pair:
-            _main_peak(trial[m])  # a spectrum zero everywhere fails, as in the sweep's pslr
-            ok[m][i] = _match(trial[m], true_ranges, tol_m, halfwidths[m])[1] == 0
+    for block in _trials(cfg, cfg.scene, pair, {}, cfg.n_runs, ss):
+        for method in block:  # no name holds a stack past its block (_trials)
+            score(method, block[method])
     return TwoTargetDemoResult(
         config=cfg,
-        direct_success=ok["direct_sparse"],
-        virtual_success=ok["autocorrelation"],
+        direct_success=np.concatenate(ok["direct_sparse"]),
+        virtual_success=np.concatenate(ok["autocorrelation"]),
         example_direct=example["direct_sparse"],
         example_virtual=example["autocorrelation"],
     )

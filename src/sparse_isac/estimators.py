@@ -16,6 +16,11 @@ Three estimators work off the same received grid:
 
 The library reads the accumulated lags only, as the grid's CPI lag means
 (FreqGrid.cpi_lags); the per-symbol lag products are the tests' reference.
+
+Each delay-spectrum step is written once, for a (T, Q) stack of spectra:
+the transform (_delay_spectra), the magnitude checks, the peak pick and its
+refinement.  The sweep and the demo run them on a block of trials at once
+(analysis._trials); the public functions are their one-row calls.
 """
 from __future__ import annotations
 
@@ -63,10 +68,7 @@ class Periodogram:
         shared = not self.axis.flags.writeable and self.axis is _delay_axis(self.n_bins, spacing)
         if not shared and np.any(np.diff(self.axis) <= 0):
             raise ValueError("axis must be strictly increasing")
-        if not np.isfinite(self.values).all():
-            raise FloatingPointError(f"{self.method} {self.domain} magnitudes must be finite")
-        if np.any(self.values < 0):
-            raise ValueError("magnitudes must be non-negative")
+        _check_magnitudes(self.values, self.method, self.domain)
         self.axis.setflags(write=False)
         self.values.setflags(write=False)
 
@@ -81,6 +83,16 @@ class Periodogram:
     @property
     def argmax_bin(self) -> int:
         return int(np.argmax(self.values))
+
+
+def _check_magnitudes(values: np.ndarray, method: str, domain: str) -> None:
+    """The magnitude checks of a Periodogram, on its values or on a (T, Q)
+    stack of them (a sweep or demo block): finite, else FloatingPointError,
+    and non-negative, else ValueError."""
+    if not np.isfinite(values).all():
+        raise FloatingPointError(f"{method} {domain} magnitudes must be finite")
+    if np.any(values < 0):
+        raise ValueError("magnitudes must be non-negative")
 
 
 @functools.lru_cache(maxsize=4)
@@ -174,9 +186,7 @@ def _zero_fill(
     """zero_fill_periodogram of the grid whose symbol sum is `collapsed`,
     an (N,) row; the symbols combine coherently."""
     q_bins = oversample * params.n_subcarriers
-    k = alloc.starts[-1] / alloc.n_symbols  # active subcarriers per symbol
-    spectrum = np.fft.ifft(collapsed, n=q_bins) * q_bins
-    values = np.abs(spectrum) / (alloc.n_symbols * k)
+    values = _delay_spectra(collapsed[None], _active_cells(alloc), q_bins, real=False)[0]
     return Periodogram(
         axis=_delay_axis(q_bins, params.subcarrier_spacing_hz),
         values=values,
@@ -187,24 +197,45 @@ def _zero_fill(
     )
 
 
-def _parabolic_offset(log_m1: float, log_0: float, log_p1: float) -> float:
-    """Vertex offset in bins of the parabola through three log-magnitudes."""
+def _active_cells(alloc: ResourceAllocation) -> float:
+    """M * K, the zero-fill normaliser, K the active subcarriers per symbol."""
+    return alloc.n_symbols * (alloc.starts[-1] / alloc.n_symbols)
+
+
+def _delay_spectra(rows: np.ndarray, scale, q_bins: int, real: bool) -> np.ndarray:
+    """|IFFT_Q(r)| * Q / scale of each (N,) row r of the (T, N) stack
+    `rows`, by one transform for the stack, each row with the bits of its
+    own 1-D transform; `scale` is one for all rows or a (T, 1) column.
+    Zero-fill: r a symbol sum, scale M * K (_active_cells), the complex
+    transform.  Virtual (`real`): r the signal at lags 0..N-1, scale
+    n_lags, the real transform of the conjugate-symmetric signal.
+    Unchecked (_check_magnitudes)."""
+    spectrum = (np.fft.irfft if real else np.fft.ifft)(rows, n=q_bins, axis=-1)
+    spectrum *= q_bins
+    values = np.abs(spectrum)
+    values /= scale
+    return values
+
+
+def _refine(idx: int, vm1: float, v0: float, vp1: float) -> float:
+    """Fractional bin position of the peak at bin idx, of magnitude v0
+    between vm1 and vp1: the vertex of the parabola through the three
+    log-magnitudes, within one bin of idx; idx where one of them is not
+    positive or the parabola is flat or not finite."""
+    if v0 <= 0.0 or vm1 <= 0.0 or vp1 <= 0.0:
+        return float(idx)
+    log_m1, log_0, log_p1 = math.log(vm1), math.log(v0), math.log(vp1)
     denom = log_m1 - 2.0 * log_0 + log_p1
     if denom == 0.0 or not math.isfinite(denom):
-        return 0.0
+        return float(idx)
     delta = 0.5 * (log_m1 - log_p1) / denom
-    # stays within one grid cell of the raw bin
-    return float(np.clip(delta, -1.0, 1.0))
+    return idx + min(max(delta, -1.0), 1.0)
 
 
 def _refine_bin(values: np.ndarray, idx: int) -> float:
-    """Fractional bin position of the peak at idx via a 3-point parabolic
-    fit on log-magnitude; the axis is treated as circular."""
+    """_refine of the peak at idx of one spectrum; the axis is circular."""
     n = values.size
-    vm1, v0, vp1 = values[(idx - 1) % n], values[idx], values[(idx + 1) % n]
-    if v0 <= 0.0 or vm1 <= 0.0 or vp1 <= 0.0:
-        return float(idx)
-    return idx + _parabolic_offset(math.log(vm1), math.log(v0), math.log(vp1))
+    return _refine(idx, values[(idx - 1) % n], values[idx], values[(idx + 1) % n])
 
 
 def ml_single_target(
@@ -225,7 +256,7 @@ def ml_single_target(
     best = p.argmax_bin
     pos = _refine_bin(p.values, best) if refine else float(best)
     delay = (pos % p.n_bins) * p.bin_width
-    cells = grid.alloc.n_symbols * (grid.alloc.starts[-1] / grid.alloc.n_symbols)  # the normaliser of _zero_fill
+    cells = _active_cells(grid.alloc)
     return DelayEstimate(
         delay_s=delay,
         range_m=delay * SPEED_OF_LIGHT / 2.0,
@@ -253,11 +284,19 @@ def build_virtual_signal(grid: FreqGrid) -> tuple[VirtualSignal, VirtualAperture
     float round-off.
     """
     aperture = difference_set(grid.alloc)
-    zero = aperture.n_lags // 2  # the lags run symmetric about 0
-    half = grid.cpi_lags[aperture.lags[zero:]] / aperture.pair_counts[zero:]
-    half[0] = half[0].real
+    half = _virtual_half(grid.cpi_lags, aperture)
     vals = np.concatenate((half[:0:-1].conj(), half))
     return VirtualSignal(values=vals, aperture=aperture), aperture
+
+
+def _virtual_half(cpi_lags: np.ndarray, aperture: VirtualAperture) -> np.ndarray:
+    """The virtual signal at the aperture lags >= 0 (aperture.lags[zero:],
+    zero = n_lags // 2, as the lags run symmetric about 0): the CPI lag
+    means over their pair counts, the zero lag's real part."""
+    zero = aperture.n_lags // 2
+    half = cpi_lags[aperture.lags[zero:]] / aperture.pair_counts[zero:]
+    half[0] = half[0].real
+    return half
 
 
 def virtual_periodogram(
@@ -279,10 +318,9 @@ def virtual_periodogram(
     n = aperture.n_subcarriers
     q_bins = oversample * 2 * n
     zero = aperture.n_lags // 2
-    half = np.zeros(n, dtype=np.complex128)  # lags 0..N-1; irfft zero-fills the rest
-    half[aperture.lags[zero:]] = vs.values[zero:]
-    spectrum = np.fft.irfft(half, n=q_bins) * q_bins
-    values = np.abs(spectrum) / aperture.n_lags
+    half = np.zeros((1, n), dtype=np.complex128)  # lags 0..N-1; irfft zero-fills the rest
+    half[0, aperture.lags[zero:]] = vs.values[zero:]
+    values = _delay_spectra(half, aperture.n_lags, q_bins, real=True)[0]
     return Periodogram(
         axis=_delay_axis(q_bins, params.subcarrier_spacing_hz),
         values=values,
@@ -304,36 +342,74 @@ def detect_peaks(p: Periodogram, k: int = 1, min_separation: int = 1) -> PeakLis
     Local maxima are ranked by magnitude (lowest bin wins exact ties) and
     accepted unless within min_separation bins of an already accepted
     peak.  Fewer than k peaks may come back; PeakList.complete tells.
-    For k == 1 the greedy's first pick is returned directly, unranked.
+    The one-row call of _pick_peaks and _refined_peaks.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     v = p.values
-    n = v.size
+    bins = _pick_peaks(v[None], k, min_separation)
+    if bins[0, 0] < 0:
+        return PeakList(peaks=(), requested=k)
+    refined = _refined_peaks(v[None], bins, p.bin_width, float(p.axis[0]))
+    peaks = tuple(
+        Peak(bin_index=b, refined_axis_value=x, magnitude=float(v[b]))
+        for b, x in zip(bins[0].tolist(), refined[0].tolist())
+        if b >= 0
+    )
+    return PeakList(peaks=peaks, requested=k)
+
+
+def _pick_peaks(v: np.ndarray, k: int, min_separation: int) -> np.ndarray:
+    """(T, k) bins of the greedy peak pick of each row of the (T, Q)
+    magnitudes `v`, in pick order, -1 past a row's last peak.
+
+    The greedy ranks a row's local maxima (above the left neighbour, at
+    least the right one, circularly; the argmax where there is none and the
+    row is not zero everywhere) by magnitude, lowest bin first on a tie,
+    and accepts each one more than min_separation bins from every accepted
+    one.  For k == 1 that first pick is the lowest bin at the row's maximum
+    with a lower left neighbour; with none, every bin holds the maximum:
+    bin 0, unless the row is zero everywhere.  That is the row's argmax,
+    for the whole stack at once, but where bin 0 and bin Q-1 (its left
+    neighbour, circularly) both hold the maximum.
+    """
+    t, n = v.shape
     if k == 1 and n:
-        # the lowest bin at the maximum with a lower circular left neighbour;
-        # with none, every bin holds the maximum: the greedy's argmax, bin 0
-        vmax = v.max()
-        at_max = np.flatnonzero(v == vmax)
-        rising = at_max[v[at_max - 1] < vmax]
-        chosen = rising[:1].tolist() if rising.size else [0] if vmax > 0 else []
-    else:
-        cand = np.nonzero((v > np.roll(v, 1)) & (v >= np.roll(v, -1)))[0]
-        if cand.size == 0 and np.any(v > 0):
-            cand = np.array([int(np.argmax(v))])
-        order = cand[np.lexsort((cand, -v[cand]))]  # magnitude desc, index asc
+        bins = v.argmax(axis=1)[:, None]
+        vmax = v.max(axis=1)
+        bins[vmax <= 0.0] = -1
+        for r in np.flatnonzero(v[:, -1] == vmax).tolist():
+            if bins[r, 0] == 0:
+                at_max = np.flatnonzero(v[r] == vmax[r])
+                bins[r, 0] = at_max[np.argmax(v[r, at_max - 1] < vmax[r])]  # bin 0 where none rises
+        return bins
+    bins = np.full((t, k), -1, dtype=np.intp)
+    maxima = (v > np.roll(v, 1, axis=1)) & (v >= np.roll(v, -1, axis=1))
+    for r in range(t):
+        row, cand = v[r], np.flatnonzero(maxima[r])
+        if cand.size == 0 and np.any(row > 0):
+            cand = np.array([int(np.argmax(row))])
         chosen = []
-        for idx in order:
+        for idx in cand[np.lexsort((cand, -row[cand]))].tolist():  # magnitude desc, index asc
             if len(chosen) == k:
                 break
             if all(_circular_distance(idx, c, n) > min_separation for c in chosen):
-                chosen.append(int(idx))
-    peaks = []
-    for idx in chosen:
-        pos = _refine_bin(v, idx)
-        refined_axis = (pos % n) * p.bin_width + float(p.axis[0])
-        peaks.append(Peak(bin_index=idx, refined_axis_value=refined_axis, magnitude=float(v[idx])))
-    return PeakList(peaks=tuple(peaks), requested=k)
+                chosen.append(idx)
+        bins[r, : len(chosen)] = chosen
+    return bins
+
+
+def _refined_peaks(v: np.ndarray, bins: np.ndarray, bin_width: float, axis0: float) -> np.ndarray:
+    """The refined axis value of each peak of _pick_peaks: its _refine_bin
+    position mod Q on the axis axis0 + q * bin_width of the (T, Q)
+    magnitudes `v`, peak by peak in scalar arithmetic; NaN where `bins` is -1."""
+    n = v.shape[1]
+    out = np.full(bins.shape, np.nan)
+    for r, row_bins in enumerate(bins.tolist()):
+        for j, idx in enumerate(row_bins):
+            if idx >= 0:
+                out[r, j] = (_refine_bin(v[r], idx) % n) * bin_width + axis0
+    return out
 
 
 def _noncoherent_profile(grid: FreqGrid, q_bins: int) -> np.ndarray:

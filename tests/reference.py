@@ -4,14 +4,15 @@ Each function computes the plain way something that `sparse_isac`
 computes fast: a dense (M, N) view of a grid built from its allocation's
 per-symbol index sets (`cols` split at `starts`), whole-grid synthesis,
 the symbol sum drawn directly as one row, a sweep trial's every draw
-built per call, with no per-point table, every estimator's whole-grid
-formula on that view, the per-symbol lag products that the virtual signal
-accumulates, the Gram route's read into fresh arrays and its lag gather
-at the lag taken mod 2N, brute-force enumerations of difference sets, lag
-products and Fisher sums, the modular-distance PSLR mask, the greedy peak
-picker for every k, the nearest-peak target match, the per-trial
-hole-fill draw, the row-at-a-time CSV writer and the symbol-constant
-CRLB.  The tests compare the package with them: bit for bit (`bits`)
+built per call, with no per-point table, and its delay periodograms
+transformed one at a time, every estimator's whole-grid formula on that
+view, the per-symbol lag products that the virtual signal accumulates,
+the Gram route's read into fresh arrays and its lag gather at the lag
+taken mod 2N, brute-force enumerations of difference sets, lag products
+and Fisher sums, the modular-distance PSLR mask, the greedy peak picker
+for every k, the nearest-peak and the peak-by-peak voting target
+matches, the per-trial hole-fill draw, the row-at-a-time CSV writer and
+the symbol-constant CRLB.  The tests compare the package with them: bit for bit (`bits`)
 where the fast path does the same float operations in the same order, to
 round-off where it does not.
 """
@@ -243,6 +244,45 @@ def per_call_walk(cfg, scene, methods, fixed, n_trials, ss):
             else:
                 draws.append((slot, alloc, per_call_statistics(*args, lags=virtual)))
     return draws
+
+
+def per_call_periodograms(cfg, scene, methods, n_trials, ss):
+    """Each trial's {method: delay Periodogram} of analysis._trials, built
+    one periodogram at a time from the draws of per_call_walk (the sweep's
+    fixed allocations where `cfg` has them): a zero-fill method's
+    |IFFT_Q(symbol sum)| * Q / (M K), Q = oversample * N, a virtual
+    method's |IRFFT_Q| * Q / n_lags of build_virtual_signal's lags >= 0,
+    Q = oversample * 2N."""
+    params, n = cfg.params, cfg.params.n_subcarriers
+    fixed = getattr(cfg, "_allocations", {})
+    readers = {}  # slot: the requested methods that read it
+    for method in methods:
+        readers.setdefault(_SWEEP_TABLE[method][0], []).append(method)
+    draws = iter(per_call_walk(cfg, scene, methods, fixed, n_trials, ss))
+    trials = []
+    for _ in range(n_trials):
+        trial = {}
+        for slot, slot_methods in readers.items():
+            drawn_slot, alloc, drawn = next(draws)
+            assert drawn_slot == slot
+            for method in slot_methods:
+                if _SWEEP_TABLE[method][1]:
+                    vs, aperture = si.build_virtual_signal(drawn)
+                    q_bins, half = cfg.oversample * 2 * n, np.zeros(n, dtype=np.complex128)
+                    half[aperture.lags[aperture.lags >= 0]] = vs.values[aperture.lags >= 0]
+                    values = np.abs(np.fft.irfft(half, n=q_bins) * q_bins) / aperture.n_lags
+                    label = "autocorrelation"
+                else:
+                    q_bins = cfg.oversample * n
+                    values = np.abs(np.fft.ifft(drawn.symbol_sum, n=q_bins) * q_bins)
+                    values /= float(alloc.n_symbols * alloc.n_active)
+                    label = "zero_fill"
+                trial[method] = si.Periodogram(
+                    axis=np.arange(q_bins) / (q_bins * params.subcarrier_spacing_hz), values=values,
+                    domain="delay", method=label, oversample=cfg.oversample, params=params,
+                )
+        trials.append(trial)
+    return trials
 
 
 def dense_measure_snr(grid, scene):
@@ -512,6 +552,22 @@ def nearest_peak_match(peaks, true_ranges_m, miss_tol_m):
     nearest = [est[np.argmin(np.abs(est - r))] - r for r in true_ranges_m] if est.size else []
     errors = [float(err) for err in nearest if abs(err) <= miss_tol_m]
     return errors, len(true_ranges_m) - len(errors)
+
+
+def voting_match(peaks, true_ranges_m, miss_tol_m):
+    """Each peak in peak order votes for its nearest target (the first on a
+    tie) where that target is within the tolerance; a target with a vote
+    is detected, with the error of its nearest voting peak (the first in
+    peak order on a tie), so one peak detects one target at most.  Returns
+    (errors of the detected targets in target order, count of missed
+    targets), as analysis._match does for a stack of periodograms."""
+    best = {}  # target index: error of its nearest voting peak
+    for peak in peaks.peaks:
+        err = peak.refined_axis_value * C / 2.0 - true_ranges_m
+        j = int(np.argmin(np.abs(err)))
+        if abs(err[j]) <= miss_tol_m and (j not in best or abs(err[j]) < abs(best[j])):
+            best[j] = float(err[j])
+    return [best[j] for j in sorted(best)], len(true_ranges_m) - len(best)
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,12 @@ from reference import (
 from sparse_isac.analysis import (
     SweepConfig,
     _match,
+    _periodogram_method,
     _trials,
     common_exclusion_halfwidth,
     monte_carlo_sweep,
 )
+from sparse_isac.estimators import _delay_axis
 from sparse_isac.cli import _exp_rmse_pslr_sweep, _write_csv
 from sparse_isac import synth
 from sparse_isac.synth import _ROW_BLOCK
@@ -239,6 +241,23 @@ class TestPslr:
         assert bits(si.pslr(p, halfwidth)) == bits(modular_pslr(p, halfwidth))
 
 
+def match_one(p, true_ranges, tol):
+    """_match of the one periodogram p, as (errors of the detected targets
+    in target order, count of missed targets)."""
+    errors = _match(p.values[None], p.bin_width, true_ranges, tol, common_exclusion_halfwidth(p))[0]
+    return errors[~np.isnan(errors)].tolist(), int(np.isnan(errors).sum())
+
+
+def block_periodograms(cfg, method, v):
+    """The Periodogram of each row of a _trials block's (T, Q) magnitudes of `method`."""
+    axis = _delay_axis(v.shape[1], cfg.params.subcarrier_spacing_hz)
+    return [
+        si.Periodogram(axis=axis, values=row.copy(), domain="delay", method=_periodogram_method(method),
+                       oversample=cfg.oversample, params=cfg.params)
+        for row in v
+    ]
+
+
 class TestMatch:
     def test_one_peak_detects_one_of_two_close_targets(self):
         vals = np.zeros(64)
@@ -247,7 +266,7 @@ class TestMatch:
         range_bin = p.bin_width * C / 2.0
         true_ranges = np.array([9.6, 10.7]) * range_bin  # both within tol of the peak
         tol = 1.0 * range_bin
-        errors, missed = _match(p, true_ranges, tol, common_exclusion_halfwidth(p))
+        errors, missed = match_one(p, true_ranges, tol)
         assert missed == 1
         assert errors == [pytest.approx(0.4 * range_bin)]
         # nearest-peak assignment lets the one peak detect both
@@ -272,16 +291,17 @@ class TestMatch:
         assert len(distances) == 1 or np.ptp(true_ranges) > 2 * tol
         misses = 0
         for scene, ss in zip(cfg.scenes, np.random.SeedSequence(5).spawn(2)):
-            for trial in _trials(cfg, scene, cfg.methods, cfg._allocations, cfg.n_trials, ss):
-                for p in trial.values():
-                    peaks = si.detect_peaks(
-                        p, k=len(distances), min_separation=2 * common_exclusion_halfwidth(p)
-                    )
-                    want = nearest_peak_match(peaks, true_ranges, tol)
-                    got = _match(p, true_ranges, tol, common_exclusion_halfwidth(p))
-                    assert got[1] == want[1]
-                    assert np.array_equal(bits(got[0]), bits(want[0]))
-                    misses += got[1]
+            for block in _trials(cfg, scene, cfg.methods, cfg._allocations, cfg.n_trials, ss):
+                for method, v in block.items():
+                    for p in block_periodograms(cfg, method, v):
+                        peaks = si.detect_peaks(
+                            p, k=len(distances), min_separation=2 * common_exclusion_halfwidth(p)
+                        )
+                        want = nearest_peak_match(peaks, true_ranges, tol)
+                        got = match_one(p, true_ranges, tol)
+                        assert got[1] == want[1]
+                        assert np.array_equal(bits(got[0]), bits(want[0]))
+                        misses += got[1]
         assert misses > 0
 
     def test_sweep_counts_a_merged_pair_as_one_miss(self):

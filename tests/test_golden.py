@@ -12,6 +12,12 @@ releases need not agree on FFT round-off.  On a mismatch it prints the
 largest relative change of each entry that moved, so round-off reads apart
 from a moved noise stream.
 
+The record also holds the SHA-256 of each artifact (a CLI run's CSV files,
+an estimator run's lines as written by the write mode below) and the
+NumPy version and OpenBLAS kernel (core) they were recorded with.  Where
+both are the same, the test compares the bytes too: OpenBLAS picks its
+kernels by CPU, and the Gram route's product sums in the kernel's order.
+
 A change that moves an output re-records the file and lists the moved
 entries in CHANGES.md:
 
@@ -27,6 +33,8 @@ byte with `diff -r`:
 """
 import contextlib
 import csv
+import ctypes
+import hashlib
 import io
 import json
 import math
@@ -38,10 +46,11 @@ import numpy as np
 import pytest
 
 import sparse_isac as si
-from sparse_isac import cli
+from sparse_isac import cli, synth
 
 GOLDEN = Path(__file__).parent / "golden"
 RECORD = GOLDEN / "outputs.json"
+SHA_KEY = "sha256"  # the record's entry of the artifact hashes, next to the runs
 REL_TOL = 1e-12
 SEED = 5
 
@@ -167,6 +176,23 @@ def outputs(run: str, directory: Path) -> dict:
     }
 
 
+def artifact_hashes(run: str, directory: Path) -> dict:
+    """{artifact: SHA-256 hex} of what outputs(run, directory) wrote."""
+    paths = [directory / f"{run}.txt"] if run in ESTIMATORS else sorted((directory / run).glob("*.csv"))
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+
+
+def environment() -> dict:
+    """The NumPy version and the OpenBLAS core of this process, whose
+    artifacts the recorded hashes hold."""
+    lib = synth._openblas()
+    core = None
+    if lib is not None and hasattr(lib, "scipy_openblas_get_corename64_"):
+        lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+        core = lib.scipy_openblas_get_corename64_().decode()
+    return {"numpy": np.__version__, "blas_core": core}
+
+
 def relative_change(got, want) -> float:
     if got == want or (math.isnan(got) and math.isnan(want)):
         return 0.0
@@ -205,18 +231,24 @@ def recorded() -> dict:
 
 def test_the_record_holds_exactly_the_runs(recorded):
     """A run the harness lost, or one it gained, is not silently passed over."""
-    assert sorted(recorded) == sorted(ALL_RUNS)
+    assert sorted(set(recorded) - {SHA_KEY}) == sorted(ALL_RUNS)
+    assert sorted(recorded[SHA_KEY]["artifacts"]) == sorted(ALL_RUNS)
 
 
 @pytest.mark.parametrize("run", ALL_RUNS)
 def test_outputs_match_the_record(run, recorded, tmp_path):
     moved = changes(outputs(run, tmp_path), recorded[run])
     assert not moved, f"{run} moved from tests/golden/outputs.json:\n" + "\n".join(moved)
+    hashes = recorded[SHA_KEY]
+    if environment() == {key: hashes[key] for key in ("numpy", "blas_core")}:
+        assert artifact_hashes(run, tmp_path) == hashes["artifacts"][run]
 
 
 def write(directory: Path) -> dict:
     """Write every run's artifacts under `directory`; return the record."""
-    return {run: outputs(run, directory) for run in ALL_RUNS}
+    record = {run: outputs(run, directory) for run in ALL_RUNS}
+    artifacts = {run: artifact_hashes(run, directory) for run in ALL_RUNS}
+    return {**record, SHA_KEY: {**environment(), "artifacts": artifacts}}
 
 
 if __name__ == "__main__":
