@@ -362,7 +362,8 @@ def make_allocation(
                            construction whose difference set is hole-free
       custom               explicit index list, or list of per-symbol lists
 
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  `seed` is what np.random.default_rng
+    takes; a Generator is drawn from as it is, so its state advances.
     """
     n = params.n_subcarriers
     if pattern == "full":

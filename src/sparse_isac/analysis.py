@@ -26,7 +26,14 @@ from .alloc import (
     nested_params_for,
 )
 from .scene import SPEED_OF_LIGHT, LinkBudget, Scene, Target
-from .synth import _gram_route, _SignalTable, synthesize  # noqa: F401 (bench/spans.py wraps it here)
+from .synth import (  # noqa: F401 (bench/spans.py wraps synthesize here)
+    _gram_route,
+    _pcg64_states,
+    _set_state,
+    _SignalTable,
+    _SlotStreams,
+    synthesize,
+)
 from .estimators import (
     Periodogram,
     _active_cells,
@@ -58,11 +65,14 @@ __all__ = [
 ]
 
 # Each sweep method maps to (trial-seed slot of its grid, read through the
-# virtual aperture?).  A trial (_trials) spawns one seed per slot in a fixed
+# virtual aperture?).  A trial's seed spawns one seed per slot in a fixed
 # layout, whatever the method subset, so each method's stream does not
-# depend on which others were requested.  Slot 0 draws the random
-# allocation that slot 1's grid uses; methods sharing a slot share the draw
-# of its grid (of the grid's statistics, on the Gram route), which pairs the
+# depend on which others were requested: slot s of trial i is key (i, s)
+# under the point's SeedSequence, and its draw reads substreams (i, s, 0)
+# to (i, s, 2), whose states _trials derives per block of trials
+# (synth._pcg64_states).  Slot 0 draws the random allocation that slot 1's
+# grid uses; methods sharing a slot share the draw of its grid (of the
+# grid's statistics, on the Gram route), which pairs the
 # direct_sparse/autocorrelation comparison, and the two-target demo walks
 # the same trials with that pair.  Zero-fill reads a slot's symbol sum and
 # the virtual aperture its CPI lag means (FreqGrid.cpi_lags); the per-symbol
@@ -494,18 +504,29 @@ def _trials(
     on the library delay axis (_bin_scale), checked as a Periodogram's
     magnitudes are (_check_magnitudes) once the block's draws are done.
 
-    Trial i reads child i of `ss`, which spawns one seed per _SWEEP_TABLE
-    slot; slot 0 draws the random allocation of each method `fixed` does
-    not map.  A slot a virtual method reads is synthesized, or, where
-    _gram_route(alloc, scene) holds (the read gate picks the Gram route and
-    M > K + 1 + T for the T targets), has its symbol sum and Gram matrix
-    drawn without the grid, in fewer rows (_gram_statistics); any other has
-    its symbol sum alone drawn, in one row (_gram_statistics, lags=False).
-    A draw keeps synthesize's phases, with other noise draws.  Every slot is
-    read the same way whichever way drew it, through its `symbol_sum` and
-    `cpi_lags`, each computed only when read; a synthesized grid reads its
-    lag sums on the route of the read gate.  Every draw reads the point's one
-    _SignalTable, which keeps the unit signals of the `fixed` allocations.
+    Trial i reads child i of `ss`, numbered from ss.n_children_spawned as
+    spawn() numbers them (the walk spawns none), which spawns one seed per
+    _SWEEP_TABLE slot; slot 0 draws the random allocation of each method
+    `fixed` does not map.  A slot a virtual method reads is synthesized, or,
+    where _gram_route(alloc, scene) holds (the read gate picks the Gram
+    route and M > K + 1 + T for the T targets), has its symbol sum and Gram
+    matrix drawn without the grid, in fewer rows (_gram_statistics); any
+    other has its symbol sum alone drawn, in one row (_gram_statistics,
+    lags=False).  A random allocation has the shape of any constant one of
+    n_active subcarriers, so each slot is drawn the same way in every
+    trial.  A draw keeps synthesize's phases, with other noise draws.  Every
+    slot is read the same way whichever way drew it, through its
+    `symbol_sum` and `cpi_lags`, each computed only when read; a
+    synthesized grid reads its lag sums on the route of the read gate.
+    Every draw reads the point's one _SignalTable, which keeps the unit
+    signals of the `fixed` allocations.
+
+    The SeedSequence tree is not built: per block, the PCG64 states of the
+    trials' streams are derived in one _pcg64_states call per key depth,
+    (i, 0) for the allocation draws and (i, slot, j) for substream j of a
+    slot's seed (0 phases, 1 noise, 2 a Bartlett factor, only where one is
+    drawn), and set into the point's three Generators (_SlotStreams) before
+    each draw, so every stream keeps the bits of its SeedSequence.
 
     Of each draw a method keeps one (N,) row (_read_trial); the block's
     rows of a method are transformed at once, each with the bits of its
@@ -517,16 +538,28 @@ def _trials(
         readers.setdefault(_SWEEP_TABLE[method][0], []).append(method)
     # one table per point: an aliasing target warns once per point, from this line
     table = _SignalTable(scene, params, fixed.values())
+    # the shape of every random allocation, which decides how its slot is drawn
+    shape = ResourceAllocation.constant(np.arange(cfg.n_active), params.n_symbols, params.n_subcarriers)
+    slots = []  # (slot, its methods, fixed allocation or None, lags of its draw (None: the grid), substreams)
+    for slot, slot_methods in readers.items():
+        alloc = fixed.get(slot_methods[0])
+        lags = (True if _gram_route(alloc or shape, scene) else None) if slot in _VIRTUAL_SLOTS else False
+        slots.append((slot, slot_methods, alloc, lags, 3 if lags and table.var > 0.0 else 2))
+    random = any(alloc is None for _, _, alloc, _, _ in slots)
+    streams = _SlotStreams(*(np.random.default_rng(0) for _ in range(3)))  # states set per draw
     n = params.n_subcarriers
     q_max = cfg.oversample * n * max(2 if _SWEEP_TABLE[m][1] else 1 for m in methods)
     block_trials = max(1, min(_TRIAL_BLOCK, _BLOCK_BINS // q_max))
+    child = ss.n_children_spawned
     for first in range(0, n_trials, block_trials):
         size = min(block_trials, n_trials - first)
+        ids = range(child + first, child + first + size)
+        alloc_states = _pcg64_states(ss, [(i, 0) for i in ids]) if random else [None] * size
+        states = iter(_pcg64_states(ss, [(i, s, j) for i in ids for s, *_, count in slots for j in range(count)]))
         rows = {m: np.zeros((size, n), dtype=np.complex128) for m in methods}
         norms = {m: np.empty((size, 1)) for m in methods}
-        for t in range(size):  # one child at a time: the same seeds as spawn(n_trials)
-            seeds = ss.spawn(1)[0].spawn(5)  # one per _SWEEP_TABLE slot
-            _read_trial(cfg, scene, table, readers, fixed, seeds, t, rows, norms)
+        for t in range(size):
+            _read_trial(cfg, table, slots, streams, alloc_states[t], states, t, rows, norms)
         block = {}
         for method in methods:
             virtual = _SWEEP_TABLE[method][1]
@@ -537,26 +570,29 @@ def _trials(
         block.clear()  # the caller is done with it: its stacks go before the next block's
 
 
-def _read_trial(cfg, scene, table, readers, fixed, seeds, t, rows, norms) -> None:
-    """Draw one trial's slots (_trials) and keep row t of each method: a
-    zero-fill method's symbol sum over M * K (_active_cells), a virtual
-    one's signal at its aperture lags >= 0 (_virtual_half, zeros off the
-    aperture) over n_lags.  Nothing else of the draw outlives the call."""
-    for slot, slot_methods in readers.items():
-        alloc = fixed.get(slot_methods[0]) or make_allocation(
-            cfg.params, "random", n_active=cfg.n_active, seed=seeds[0]
-        )
-        virtual = slot in _VIRTUAL_SLOTS
-        seed = seeds[slot]
-        if virtual and not _gram_route(alloc, scene):
-            drawn = table.grid(alloc, seed)
+def _read_trial(cfg, table, slots, streams, alloc_state, states, t, rows, norms) -> None:
+    """Draw one trial's slots (_trials), setting `streams` to the next of
+    `states` before each draw, and keep row t of each method: a zero-fill
+    method's symbol sum over M * K (_active_cells), a virtual one's signal
+    at its aperture lags >= 0 (_virtual_half, zeros off the aperture) over
+    n_lags.  Nothing else of the draw outlives the call."""
+    random = None
+    if alloc_state is not None:  # the allocation draw borrows the phase Generator
+        _set_state(streams.phase, alloc_state)
+        random = make_allocation(cfg.params, "random", n_active=cfg.n_active, seed=streams.phase)
+    for _, slot_methods, alloc, lags, count in slots:
+        alloc = alloc or random
+        for rng in streams[:count]:
+            _set_state(rng, next(states))
+        if lags is None:
+            drawn = table.grid(alloc, streams)
         else:
-            drawn = table.statistics(alloc, seed, lags=virtual)
+            drawn = table.statistics(alloc, streams, lags=lags)
         for method in slot_methods:
             if _SWEEP_TABLE[method][1]:
                 aperture = difference_set(alloc)
-                lags = aperture.lags[aperture.n_lags // 2 :]  # the lags >= 0
-                rows[method][t, lags] = _virtual_half(drawn.cpi_lags, aperture)
+                half = aperture.lags[aperture.n_lags // 2 :]  # the lags >= 0
+                rows[method][t, half] = _virtual_half(drawn.cpi_lags, aperture)
                 norms[method][t] = aperture.n_lags
             else:
                 rows[method][t] = drawn.symbol_sum
@@ -633,6 +669,9 @@ def monte_carlo_sweep(cfg: SweepConfig, threads: int | None = None) -> SweepResu
 
     Per-point and per-trial seeds derive from the master seed through a
     fixed SeedSequence tree, so any thread count gives identical results.
+    The points' SeedSequences are built; each point derives the PCG64
+    states of its trials' streams in that tree per block of trials
+    (_trials), without building their SeedSequences.
     `threads` distributes whole SNR points; these threads are the only ones
     the package starts.  None picks one per SNR point, up to the usable CPUs
     (the process's affinity mask), on a grid of at least

@@ -52,8 +52,14 @@ _GridStatistics are read the same way, through `symbol_sum` and
 
 Every draw reads one table of what does not depend on the seed
 (_SignalTable), built once per sweep or demo point, where aliasing targets
-warn, and kept with the unit signals of its fixed allocations: a trial
-splits its seed, draws the phases, scales the units and adds the noise.
+warn, and kept with the unit signals of its fixed allocations: a draw
+takes the phase, noise and Bartlett-factor substreams of its seed, draws
+the phases, scales the units and adds the noise.  synthesize and
+_gram_statistics build each substream's Generator from a SeedSequence, the
+reference.  A sweep or demo point builds none: per block of trials it
+derives the PCG64 states of the same streams at once (_pcg64_states, from
+NumPy's fixed SeedSequence and PCG64 seeding) and sets them into three
+reused Generators (_SlotStreams) before each draw, with the same bits.
 """
 from __future__ import annotations
 
@@ -64,6 +70,7 @@ import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -374,6 +381,106 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# The hash constants of NumPy's SeedSequence and the multiplier of PCG64,
+# whose outputs NumPy keeps fixed (NEP 19)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_WORD, _STATE = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _n_words(x) -> int:
+    """The 32-bit words SeedSequence makes of an entropy or spawn key: an
+    int's little-endian words (one for 0), a sequence's items' in turn."""
+    if isinstance(x, (int, np.integer)):
+        return max(1, -(-int(x).bit_length() // 32))
+    if isinstance(x, str):
+        raise TypeError("only integer entropy words are derived")
+    return sum(map(_n_words, x))
+
+
+def _hashes(init: int, mult: int, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants, as (count, 1) columns, of hash calls
+    first .. first + count - 1 of a SeedSequence hash: call c xors with
+    init mult^c and multiplies by init mult^(c + 1), mod 2^32."""
+    h = [init * pow(mult, c, 1 << 32) & _WORD for c in range(first, first + count + 1)]
+    return np.array(h[:-1], dtype=np.uint64)[:, None], np.array(h[1:], dtype=np.uint64)[:, None]
+
+
+def _pcg64_states(ss: np.random.SeedSequence, keys) -> list[tuple[int, int]]:
+    """Per row of the (n, depth) `keys`, the (state, inc) that
+    np.random.PCG64(SeedSequence(ss.entropy, spawn_key=ss.spawn_key + key))
+    holds, derived without building either, for n keys at once.
+
+    NumPy's SeedSequence hashes its entropy words into a pool of 4: the run
+    entropy, zero-padded to the pool where a spawn key follows, fills and
+    mixes the pool, and each later word is hashed into every pool word.
+    The pool of `ss` is that state after its own words (a zero pad hashes
+    as the fill of an unfilled pool word does), and the hash constants do
+    not depend on the data, so each key word is mixed in as one column, in
+    uint32 arithmetic held in uint64 arrays.  generate_state(4, np.uint64)
+    hashes the pool, cycled, into 8 words; PCG64 seeds from their 128-bit
+    halves s and i: inc = 2i + 1, state = ((inc + s) mult + inc) mod 2^128.
+
+    Raises ValueError for a pool size other than 4, or a key word outside
+    [0, 2^32), which SeedSequence would split into several words, and
+    TypeError for an entropy word given as a string.
+    """
+    if ss.pool_size != 4:
+        raise ValueError(f"pool size {ss.pool_size}: only NumPy's default 4 is derived")
+    keys = np.asarray(keys, dtype=np.int64)
+    if keys.size and (keys.min() < 0 or keys.max() > _WORD):
+        raise ValueError("spawn key words must lie in [0, 2**32)")
+    pool = np.repeat(np.asarray(ss.pool, dtype=np.uint64)[:, None], len(keys), axis=1)
+    # hash calls so far: 4 to fill the pool, 12 to mix it, 4 per later word
+    done = 16 + 4 * (max(4, _n_words(ss.entropy)) + _n_words(ss.spawn_key) - 4)
+    for c, word in enumerate(keys.T.astype(np.uint64)):
+        xor, mult = _hashes(_INIT_A, _MULT_A, done + 4 * c, 4)  # one per pool word
+        h = ((word ^ xor) * mult) & _WORD
+        h ^= h >> 16
+        pool = (_MIX_L * pool - _MIX_R * h) & _WORD
+        pool ^= pool >> 16
+    xor, mult = _hashes(_INIT_B, _MULT_B, 0, 8)
+    out = ((pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ xor) * mult) & _WORD
+    out ^= out >> 16
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in (out[0::2] | (out[1::2] << np.uint64(32))).T.tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _STATE
+        state = (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _STATE
+        states.append((state, inc))
+    return states
+
+
+def _set_state(rng: np.random.Generator, state: tuple[int, int]) -> None:
+    """Set the PCG64 Generator `rng` to a (state, inc) of _pcg64_states, as
+    a new PCG64 holds it: no buffered 32-bit half."""
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64", "state": {"state": state[0], "inc": state[1]}, "has_uint32": 0, "uinteger": 0,
+    }
+
+
+class _SlotStreams(NamedTuple):
+    """The phase, noise and Bartlett-factor Generators of a sweep or demo
+    point's draws (_trials), which it sets, before each draw, to the states
+    (_pcg64_states, _set_state) of the substreams 0, 1 and 2 of the draw's
+    slot seed."""
+
+    phase: np.random.Generator
+    noise: np.random.Generator
+    factor: np.random.Generator
+
+
+def _substream(seed, j: int) -> np.random.Generator:
+    """Substream j of a draw's seed (0 the phases, 1 the noise, 2 the
+    Bartlett factor): a _SlotStreams' Generator, as _trials set it, or a new
+    one on the SeedSequence's child by key (j,), not by spawn(), so
+    resynthesizing from the stored SeedSequence (noiseless twin) reproduces
+    the phase draws."""
+    if isinstance(seed, _SlotStreams):
+        return seed[j]
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed.entropy, spawn_key=seed.spawn_key + (j,)))
+
+
 class _SignalTable:
     """The seed-independent part of every draw of the targets of `scene` on
     the grid of `params`, built once per sweep or demo point (_trials) and
@@ -437,21 +544,23 @@ class _SignalTable:
         return units
 
     def _draw(self, seed, units: list[np.ndarray]):
-        """The grid's SeedSequence and a new complex array of the values: the
-        seed split by key into a phase and a noise substream, the phases
-        drawn in target order whichever targets carry explicit ones (so draws
-        are stable under edits), each unit scaled by A e^{j phi} (a kept one,
-        read-only, into a new array) and the terms summed.  Noise: the noise
-        substream gives one standard normal z per value, in order, for the
-        real parts, then one per value for the imaginary parts; a value adds
-        sqrt(var / 2) * z from each.
+        """The seed, as a SeedSequence or the _SlotStreams of a sweep or demo
+        draw, and a new complex array of the values: the phases drawn from
+        substream 0 of the seed (_substream) in target order whichever
+        targets carry explicit ones (so draws are stable under edits), each
+        unit scaled by A e^{j phi} (a kept one, read-only, into a new array)
+        and the terms summed.  Noise: substream 1 gives one standard normal z
+        per value, in order, for the real parts, then one per value for the
+        imaginary parts; a value adds sqrt(var / 2) * z from each.
+
+        A sweep or demo draw passes its point's _SlotStreams, set by _trials
+        to the same substreams of the trial's slot seed, so it keeps the bits
+        of a draw from that SeedSequence; its grid holds seed_ss None, since
+        no SeedSequence was built for it.
         """
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        # children derived by key, not by spawn(), so resynthesizing from the
-        # stored SeedSequence (noiseless twin) reproduces the phase draws
-        phase_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (0,))
-        noise_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (1,))
-        phase_rng = np.random.default_rng(phase_ss)
+        if not isinstance(seed, _SlotStreams):
+            seed = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        phase_rng = _substream(seed, 0)
         # The product keeps the amplitude as the first operand, because a
         # complex product can round differently with its operands swapped,
         # and the sum starts from 0.0, so a grid has the floats of a
@@ -466,22 +575,27 @@ class _SignalTable:
 
         if self.var > 0.0:
             sigma = math.sqrt(self.var / 2.0)
-            rng = np.random.default_rng(noise_ss)
+            rng = _substream(seed, 1)
             z = np.empty(values.size)  # one buffer: the same draws as standard_normal(size)
             for part in (values.real, values.imag):
                 rng.standard_normal(out=z)
                 z *= sigma
                 part += z
-        return ss, values
+        return seed, values
 
     def grid(self, alloc: ResourceAllocation, seed) -> FreqGrid:
-        """The grid of synthesize(scene, alloc, params, seed)."""
-        ss, values = self._draw(seed, self._units(alloc, None))
+        """The grid of synthesize(scene, alloc, params, seed), or for a
+        _SlotStreams `seed` (_trials) that of its slot seed, with seed_ss
+        None."""
+        seed, values = self._draw(seed, self._units(alloc, None))
+        ss = None if isinstance(seed, _SlotStreams) else seed
         return FreqGrid(values, alloc, self.params, noise_variance=self.var, seed_ss=ss)
 
     def statistics(self, alloc: ResourceAllocation, seed, lags: bool = True) -> _GridStatistics:
-        """The statistics of _gram_statistics(scene, alloc, params, seed, lags)."""
-        ss, values = self._draw(seed, self._units(alloc, lags))
+        """The statistics of _gram_statistics(scene, alloc, params, seed,
+        lags), or for a _SlotStreams `seed` (_trials) those of its slot
+        seed."""
+        seed, values = self._draw(seed, self._units(alloc, lags))
         var, k = self.var, alloc.n_active
         if var == 0.0 or not lags:
             return _GridStatistics(values.reshape(-1, k), alloc)
@@ -490,8 +604,7 @@ class _SignalTable:
         block = np.zeros((d + r, k), dtype=np.complex128)
         block[:d] = values.reshape(d, k)
         factor = block[d:]
-        factor_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (2,))
-        rng = np.random.default_rng(factor_ss)
+        rng = _substream(seed, 2)
         diag, upper = np.arange(r), _upper_mask(r, k)
         z = rng.standard_normal(2 * np.count_nonzero(upper))
         z *= math.sqrt(var / 2.0)
