@@ -27,11 +27,10 @@ from .alloc import (
 )
 from .scene import SPEED_OF_LIGHT, LinkBudget, Scene, Target
 from .synth import (  # noqa: F401 (bench/spans.py wraps synthesize here)
+    _child_rng,
     _gram_route,
-    _pcg64_states,
-    _set_state,
     _SignalTable,
-    _SlotStreams,
+    _streams,
     synthesize,
 )
 from .estimators import (
@@ -64,21 +63,20 @@ __all__ = [
     "SWEEP_METHODS",
 ]
 
-# Each sweep method maps to (trial-seed slot of its grid, read through the
-# virtual aperture?).  A trial's seed spawns one seed per slot in a fixed
-# layout, whatever the method subset, so each method's stream does not
-# depend on which others were requested: slot s of trial i is key (i, s)
-# under the point's SeedSequence, and its draw reads substreams (i, s, 0)
-# to (i, s, 2), whose states _trials derives per block of trials
-# (synth._pcg64_states).  Slot 0 draws the random allocation that slot 1's
-# grid uses; methods sharing a slot share the draw of its grid (of the
-# grid's statistics, on the Gram route), which pairs the
-# direct_sparse/autocorrelation comparison, and the two-target demo walks
-# the same trials with that pair.  Zero-fill reads a slot's symbol sum and
-# the virtual aperture its CPI lag means (FreqGrid.cpi_lags); the per-symbol
-# lag products are the tests' reference.  Of each draw a method keeps one
-# (N,) row, and a block of trials' rows is transformed and scored as one
-# stack per method (_trials).
+# Each sweep method maps to (slot of its draws, read through the virtual
+# aperture?).  A point's slots are keyed in a fixed layout, whatever the
+# method subset, so each method's streams do not depend on which others
+# were requested: slot s draws from the Generators on keys (s, 0) to (s, 2)
+# under the point's SeedSequence, and the random allocation that slot 1's
+# grid uses from the one on key (0,) (_trials, synth._streams).  Methods
+# sharing a slot share the draw of its grid (of the grid's statistics, on
+# the Gram route), which pairs the direct_sparse/autocorrelation
+# comparison, and the two-target demo walks the same trials with that
+# pair.  Zero-fill reads a slot's symbol sum and the virtual aperture its
+# CPI lag means (FreqGrid.cpi_lags); the per-symbol lag products are the
+# tests' reference.  Of each draw a method keeps one (N,) row, and a block
+# of trials' rows is transformed and scored as one stack per method
+# (_trials).
 _SWEEP_TABLE = {
     "full_bandwidth": (2, False),
     "equivalent_bandwidth": (3, False),
@@ -504,10 +502,8 @@ def _trials(
     on the library delay axis (_bin_scale), checked as a Periodogram's
     magnitudes are (_check_magnitudes) once the block's draws are done.
 
-    Trial i reads child i of `ss`, numbered from ss.n_children_spawned as
-    spawn() numbers them (the walk spawns none), which spawns one seed per
-    _SWEEP_TABLE slot; slot 0 draws the random allocation of each method
-    `fixed` does not map.  A slot a virtual method reads is synthesized, or,
+    A method `fixed` does not map reads the trial's random allocation.  A
+    slot (_SWEEP_TABLE) a virtual method reads is synthesized, or,
     where _gram_route(alloc, scene) holds (the read gate picks the Gram
     route and M > K + 1 + T for the T targets), has its symbol sum and Gram
     matrix drawn without the grid, in fewer rows (_gram_statistics); any
@@ -521,12 +517,13 @@ def _trials(
     Every draw reads the point's one _SignalTable, which keeps the unit
     signals of the `fixed` allocations.
 
-    The SeedSequence tree is not built: per block, the PCG64 states of the
-    trials' streams are derived in one _pcg64_states call per key depth,
-    (i, 0) for the allocation draws and (i, slot, j) for substream j of a
-    slot's seed (0 phases, 1 noise, 2 a Bartlett factor, only where one is
-    drawn), and set into the point's three Generators (_SlotStreams) before
-    each draw, so every stream keeps the bits of its SeedSequence.
+    The point's streams are opened once, on children of `ss` by key: the
+    random allocations draw from the Generator on key (0,), and slot s from
+    those on keys (s, j) (synth._streams), j = 0 the phases, 1 the noise
+    and 2 a Bartlett factor, each opened only where the slot's draw reads
+    it.  Trials draw from them in trial order, so the first n trials of a
+    longer walk are those of an n-trial walk, and trial i cannot be drawn
+    without trials 0 .. i - 1.
 
     Of each draw a method keeps one (N,) row (_read_trial); the block's
     rows of a method are transformed at once, each with the bits of its
@@ -540,26 +537,22 @@ def _trials(
     table = _SignalTable(scene, params, fixed.values())
     # the shape of every random allocation, which decides how its slot is drawn
     shape = ResourceAllocation.constant(np.arange(cfg.n_active), params.n_symbols, params.n_subcarriers)
-    slots = []  # (slot, its methods, fixed allocation or None, lags of its draw (None: the grid), substreams)
+    slots = []  # (its methods, fixed allocation or None, lags of its draw (None: the grid), its streams)
     for slot, slot_methods in readers.items():
         alloc = fixed.get(slot_methods[0])
         lags = (True if _gram_route(alloc or shape, scene) else None) if slot in _VIRTUAL_SLOTS else False
-        slots.append((slot, slot_methods, alloc, lags, 3 if lags and table.var > 0.0 else 2))
-    random = any(alloc is None for _, _, alloc, _, _ in slots)
-    streams = _SlotStreams(*(np.random.default_rng(0) for _ in range(3)))  # states set per draw
+        count = 1 if table.var == 0.0 else 3 if lags else 2  # phases, noise, a Bartlett factor
+        slots.append((slot_methods, alloc, lags, _streams(ss, count, (slot,))))
+    alloc_rng = _child_rng(ss, (0,)) if any(alloc is None for _, alloc, _, _ in slots) else None
     n = params.n_subcarriers
     q_max = cfg.oversample * n * max(2 if _SWEEP_TABLE[m][1] else 1 for m in methods)
     block_trials = max(1, min(_TRIAL_BLOCK, _BLOCK_BINS // q_max))
-    child = ss.n_children_spawned
     for first in range(0, n_trials, block_trials):
         size = min(block_trials, n_trials - first)
-        ids = range(child + first, child + first + size)
-        alloc_states = _pcg64_states(ss, [(i, 0) for i in ids]) if random else [None] * size
-        states = iter(_pcg64_states(ss, [(i, s, j) for i in ids for s, *_, count in slots for j in range(count)]))
         rows = {m: np.zeros((size, n), dtype=np.complex128) for m in methods}
         norms = {m: np.empty((size, 1)) for m in methods}
         for t in range(size):
-            _read_trial(cfg, table, slots, streams, alloc_states[t], states, t, rows, norms)
+            _read_trial(cfg, table, slots, alloc_rng, t, rows, norms)
         block = {}
         for method in methods:
             virtual = _SWEEP_TABLE[method][1]
@@ -570,20 +563,18 @@ def _trials(
         block.clear()  # the caller is done with it: its stacks go before the next block's
 
 
-def _read_trial(cfg, table, slots, streams, alloc_state, states, t, rows, norms) -> None:
-    """Draw one trial's slots (_trials), setting `streams` to the next of
-    `states` before each draw, and keep row t of each method: a zero-fill
-    method's symbol sum over M * K (_active_cells), a virtual one's signal
-    at its aperture lags >= 0 (_virtual_half, zeros off the aperture) over
-    n_lags.  Nothing else of the draw outlives the call."""
+def _read_trial(cfg, table, slots, alloc_rng, t, rows, norms) -> None:
+    """Draw the next trial of each slot from its streams (_trials), its
+    random allocation from the Generator `alloc_rng`, and keep row t of each
+    method: a zero-fill method's symbol sum over M * K (_active_cells), a
+    virtual one's signal at its aperture lags >= 0 (_virtual_half, zeros
+    off the aperture) over n_lags.  Nothing else of the draw outlives the
+    call."""
     random = None
-    if alloc_state is not None:  # the allocation draw borrows the phase Generator
-        _set_state(streams.phase, alloc_state)
-        random = make_allocation(cfg.params, "random", n_active=cfg.n_active, seed=streams.phase)
-    for _, slot_methods, alloc, lags, count in slots:
+    if alloc_rng is not None:
+        random = make_allocation(cfg.params, "random", n_active=cfg.n_active, seed=alloc_rng)
+    for slot_methods, alloc, lags, streams in slots:
         alloc = alloc or random
-        for rng in streams[:count]:
-            _set_state(rng, next(states))
         if lags is None:
             drawn = table.grid(alloc, streams)
         else:
@@ -667,11 +658,10 @@ def _usable_cpus() -> int:
 def monte_carlo_sweep(cfg: SweepConfig, threads: int | None = None) -> SweepResult:
     """Run the seeded sweep over the SNR axis.
 
-    Per-point and per-trial seeds derive from the master seed through a
-    fixed SeedSequence tree, so any thread count gives identical results.
-    The points' SeedSequences are built; each point derives the PCG64
-    states of its trials' streams in that tree per block of trials
-    (_trials), without building their SeedSequences.
+    Each SNR point draws from its own SeedSequence, spawned from the
+    master seed, and runs whole in one thread, so any thread count gives
+    identical results; a point's trials draw in trial order from its
+    streams (_trials).
     `threads` distributes whole SNR points; these threads are the only ones
     the package starts.  None picks one per SNR point, up to the usable CPUs
     (the process's affinity mask), on a grid of at least

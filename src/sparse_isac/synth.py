@@ -52,14 +52,14 @@ _GridStatistics are read the same way, through `symbol_sum` and
 
 Every draw reads one table of what does not depend on the seed
 (_SignalTable), built once per sweep or demo point, where aliasing targets
-warn, and kept with the unit signals of its fixed allocations: a draw
-takes the phase, noise and Bartlett-factor substreams of its seed, draws
-the phases, scales the units and adds the noise.  synthesize and
-_gram_statistics build each substream's Generator from a SeedSequence, the
-reference.  A sweep or demo point builds none: per block of trials it
-derives the PCG64 states of the same streams at once (_pcg64_states, from
-NumPy's fixed SeedSequence and PCG64 seeding) and sets them into three
-reused Generators (_SlotStreams) before each draw, with the same bits.
+warn, and kept with the unit signals of its fixed allocations.  A draw
+takes its phase, noise and Bartlett-factor Generators (_SlotStreams), each
+on a child of a SeedSequence by key (_streams), draws the phases, scales
+the units and adds the noise.  synthesize and _gram_statistics open theirs
+per call from their seed.  A sweep or demo point opens a slot's once and
+draws its trials from them in trial order (analysis._trials): a point's
+first n trials are those of an n-trial run, and a trial is drawn only
+after the trials before it.
 """
 from __future__ import annotations
 
@@ -381,104 +381,29 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# The hash constants of NumPy's SeedSequence and the multiplier of PCG64,
-# whose outputs NumPy keeps fixed (NEP 19)
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_WORD, _STATE = (1 << 32) - 1, (1 << 128) - 1
-
-
-def _n_words(x) -> int:
-    """The 32-bit words SeedSequence makes of an entropy or spawn key: an
-    int's little-endian words (one for 0), a sequence's items' in turn."""
-    if isinstance(x, (int, np.integer)):
-        return max(1, -(-int(x).bit_length() // 32))
-    if isinstance(x, str):
-        raise TypeError("only integer entropy words are derived")
-    return sum(map(_n_words, x))
-
-
-def _hashes(init: int, mult: int, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The xor and multiply constants, as (count, 1) columns, of hash calls
-    first .. first + count - 1 of a SeedSequence hash: call c xors with
-    init mult^c and multiplies by init mult^(c + 1), mod 2^32."""
-    h = [init * pow(mult, c, 1 << 32) & _WORD for c in range(first, first + count + 1)]
-    return np.array(h[:-1], dtype=np.uint64)[:, None], np.array(h[1:], dtype=np.uint64)[:, None]
-
-
-def _pcg64_states(ss: np.random.SeedSequence, keys) -> list[tuple[int, int]]:
-    """Per row of the (n, depth) `keys`, the (state, inc) that
-    np.random.PCG64(SeedSequence(ss.entropy, spawn_key=ss.spawn_key + key))
-    holds, derived without building either, for n keys at once.
-
-    NumPy's SeedSequence hashes its entropy words into a pool of 4: the run
-    entropy, zero-padded to the pool where a spawn key follows, fills and
-    mixes the pool, and each later word is hashed into every pool word.
-    The pool of `ss` is that state after its own words (a zero pad hashes
-    as the fill of an unfilled pool word does), and the hash constants do
-    not depend on the data, so each key word is mixed in as one column, in
-    uint32 arithmetic held in uint64 arrays.  generate_state(4, np.uint64)
-    hashes the pool, cycled, into 8 words; PCG64 seeds from their 128-bit
-    halves s and i: inc = 2i + 1, state = ((inc + s) mult + inc) mod 2^128.
-
-    Raises ValueError for a pool size other than 4, or a key word outside
-    [0, 2^32), which SeedSequence would split into several words, and
-    TypeError for an entropy word given as a string.
-    """
-    if ss.pool_size != 4:
-        raise ValueError(f"pool size {ss.pool_size}: only NumPy's default 4 is derived")
-    keys = np.asarray(keys, dtype=np.int64)
-    if keys.size and (keys.min() < 0 or keys.max() > _WORD):
-        raise ValueError("spawn key words must lie in [0, 2**32)")
-    pool = np.repeat(np.asarray(ss.pool, dtype=np.uint64)[:, None], len(keys), axis=1)
-    # hash calls so far: 4 to fill the pool, 12 to mix it, 4 per later word
-    done = 16 + 4 * (max(4, _n_words(ss.entropy)) + _n_words(ss.spawn_key) - 4)
-    for c, word in enumerate(keys.T.astype(np.uint64)):
-        xor, mult = _hashes(_INIT_A, _MULT_A, done + 4 * c, 4)  # one per pool word
-        h = ((word ^ xor) * mult) & _WORD
-        h ^= h >> 16
-        pool = (_MIX_L * pool - _MIX_R * h) & _WORD
-        pool ^= pool >> 16
-    xor, mult = _hashes(_INIT_B, _MULT_B, 0, 8)
-    out = ((pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ xor) * mult) & _WORD
-    out ^= out >> 16
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in (out[0::2] | (out[1::2] << np.uint64(32))).T.tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _STATE
-        state = (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _STATE
-        states.append((state, inc))
-    return states
-
-
-def _set_state(rng: np.random.Generator, state: tuple[int, int]) -> None:
-    """Set the PCG64 Generator `rng` to a (state, inc) of _pcg64_states, as
-    a new PCG64 holds it: no buffered 32-bit half."""
-    rng.bit_generator.state = {
-        "bit_generator": "PCG64", "state": {"state": state[0], "inc": state[1]}, "has_uint32": 0, "uinteger": 0,
-    }
-
-
 class _SlotStreams(NamedTuple):
-    """The phase, noise and Bartlett-factor Generators of a sweep or demo
-    point's draws (_trials), which it sets, before each draw, to the states
-    (_pcg64_states, _set_state) of the substreams 0, 1 and 2 of the draw's
-    slot seed."""
+    """The Generators a draw reads (_streams): the phases, the noise and
+    the Bartlett factor of _gram_statistics, or None where the draw reads
+    none from it.  A draw takes its numbers from where the draws before it
+    left each Generator."""
 
     phase: np.random.Generator
-    noise: np.random.Generator
-    factor: np.random.Generator
+    noise: np.random.Generator | None
+    factor: np.random.Generator | None
 
 
-def _substream(seed, j: int) -> np.random.Generator:
-    """Substream j of a draw's seed (0 the phases, 1 the noise, 2 the
-    Bartlett factor): a _SlotStreams' Generator, as _trials set it, or a new
-    one on the SeedSequence's child by key (j,), not by spawn(), so
-    resynthesizing from the stored SeedSequence (noiseless twin) reproduces
-    the phase draws."""
-    if isinstance(seed, _SlotStreams):
-        return seed[j]
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed.entropy, spawn_key=seed.spawn_key + (j,)))
+def _child_rng(ss: np.random.SeedSequence, key: tuple) -> np.random.Generator:
+    """A Generator on the child of `ss` by spawn key + `key`, not by
+    spawn(), so it does not depend on the children `ss` has spawned, and a
+    resynthesis from a stored SeedSequence (the noiseless twin of
+    measure_snr) reproduces the phase draws."""
+    return np.random.default_rng(np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + key))
+
+
+def _streams(ss: np.random.SeedSequence, count: int, key: tuple = ()) -> _SlotStreams:
+    """_SlotStreams whose Generator j, for j < `count`, is on the child of
+    `ss` by key + (j,) (_child_rng), and None past `count`."""
+    return _SlotStreams(*(_child_rng(ss, key + (j,)) if j < count else None for j in range(3)))
 
 
 class _SignalTable:
@@ -543,31 +468,24 @@ class _SignalTable:
             self._kept[key] = [_read_only(u) for u in units]
         return units
 
-    def _draw(self, seed, units: list[np.ndarray]):
-        """The seed, as a SeedSequence or the _SlotStreams of a sweep or demo
-        draw, and a new complex array of the values: the phases drawn from
-        substream 0 of the seed (_substream) in target order whichever
-        targets carry explicit ones (so draws are stable under edits), each
-        unit scaled by A e^{j phi} (a kept one, read-only, into a new array)
-        and the terms summed.  Noise: substream 1 gives one standard normal z
-        per value, in order, for the real parts, then one per value for the
-        imaginary parts; a value adds sqrt(var / 2) * z from each.
-
-        A sweep or demo draw passes its point's _SlotStreams, set by _trials
-        to the same substreams of the trial's slot seed, so it keeps the bits
-        of a draw from that SeedSequence; its grid holds seed_ss None, since
-        no SeedSequence was built for it.
+    def _draw(self, streams: _SlotStreams, units: list[np.ndarray]) -> np.ndarray:
+        """A new complex array of the values: the phases drawn from
+        streams.phase in target order whichever targets carry explicit ones
+        (so draws are stable under edits), each unit scaled by A e^{j phi}
+        (a kept one, read-only, into a new array) and the terms summed.
+        Noise: streams.noise gives one standard normal z per value, in
+        order, for the real parts, then one per value for the imaginary
+        parts; a value adds sqrt(var / 2) * z from each.  A sweep or demo
+        point passes a slot the same streams in every trial (_trials), so
+        a trial's draws follow the ones of the trials before it.
         """
-        if not isinstance(seed, _SlotStreams):
-            seed = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        phase_rng = _substream(seed, 0)
         # The product keeps the amplitude as the first operand, because a
         # complex product can round differently with its operands swapped,
         # and the sum starts from 0.0, so a grid has the floats of a
         # whole-grid sum started from zeros (a -0.0 part becomes +0.0).
         values = 0.0
         for (amplitude, phase, _, _), unit in zip(self.targets, units):
-            draw = phase_rng.uniform(0.0, 2.0 * math.pi)
+            draw = streams.phase.uniform(0.0, 2.0 * math.pi)
             coef = amplitude * np.exp(1j * (phase if phase is not None else draw))
             term = np.multiply(coef, unit, out=unit if unit.flags.writeable else None)
             values = np.add(values, term, out=term)
@@ -575,27 +493,24 @@ class _SignalTable:
 
         if self.var > 0.0:
             sigma = math.sqrt(self.var / 2.0)
-            rng = _substream(seed, 1)
             z = np.empty(values.size)  # one buffer: the same draws as standard_normal(size)
             for part in (values.real, values.imag):
-                rng.standard_normal(out=z)
+                streams.noise.standard_normal(out=z)
                 z *= sigma
                 part += z
-        return seed, values
+        return values
 
-    def grid(self, alloc: ResourceAllocation, seed) -> FreqGrid:
-        """The grid of synthesize(scene, alloc, params, seed), or for a
-        _SlotStreams `seed` (_trials) that of its slot seed, with seed_ss
-        None."""
-        seed, values = self._draw(seed, self._units(alloc, None))
-        ss = None if isinstance(seed, _SlotStreams) else seed
-        return FreqGrid(values, alloc, self.params, noise_variance=self.var, seed_ss=ss)
+    def grid(self, alloc: ResourceAllocation, streams: _SlotStreams, seed_ss=None) -> FreqGrid:
+        """The grid on `alloc` drawn from `streams` (_draw), holding
+        `seed_ss`, the SeedSequence of the streams where synthesize built
+        them, None for a sweep or demo draw."""
+        values = self._draw(streams, self._units(alloc, None))
+        return FreqGrid(values, alloc, self.params, noise_variance=self.var, seed_ss=seed_ss)
 
-    def statistics(self, alloc: ResourceAllocation, seed, lags: bool = True) -> _GridStatistics:
-        """The statistics of _gram_statistics(scene, alloc, params, seed,
-        lags), or for a _SlotStreams `seed` (_trials) those of its slot
-        seed."""
-        seed, values = self._draw(seed, self._units(alloc, lags))
+    def statistics(self, alloc: ResourceAllocation, streams: _SlotStreams, lags=True) -> _GridStatistics:
+        """The statistics of _gram_statistics on `alloc`, drawn from
+        `streams`, its factor from streams.factor."""
+        values = self._draw(streams, self._units(alloc, lags))
         var, k = self.var, alloc.n_active
         if var == 0.0 or not lags:
             return _GridStatistics(values.reshape(-1, k), alloc)
@@ -604,12 +519,11 @@ class _SignalTable:
         block = np.zeros((d + r, k), dtype=np.complex128)
         block[:d] = values.reshape(d, k)
         factor = block[d:]
-        rng = _substream(seed, 2)
         diag, upper = np.arange(r), _upper_mask(r, k)
-        z = rng.standard_normal(2 * np.count_nonzero(upper))
+        z = streams.factor.standard_normal(2 * np.count_nonzero(upper))
         z *= math.sqrt(var / 2.0)
         factor[upper] = z.view(np.complex128)  # re, im of each entry in turn
-        factor[diag, diag] = np.sqrt(var * rng.standard_gamma(m - d - diag))
+        factor[diag, diag] = np.sqrt(var * streams.factor.standard_gamma(m - d - diag))
         return _GridStatistics(block, alloc)
 
 
@@ -624,7 +538,9 @@ def synthesize(scene: Scene, alloc: ResourceAllocation, params: OfdmParams, seed
     phase draws.
     """
     _check_fits(alloc, params)
-    return _SignalTable(scene, params, stacklevel=3).grid(alloc, seed)
+    table = _SignalTable(scene, params, stacklevel=3)
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return table.grid(alloc, _streams(ss, 2 if table.var > 0.0 else 1), seed_ss=ss)
 
 
 def _symbol_basis(targets, params: OfdmParams) -> np.ndarray:
@@ -718,7 +634,9 @@ def _gram_statistics(
     a slot that zero-fill alone reads.
     """
     _check_fits(alloc, params)
-    return _SignalTable(scene, params, stacklevel=3).statistics(alloc, seed, lags)
+    table = _SignalTable(scene, params, stacklevel=3)
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return table.statistics(alloc, _streams(ss, 3), lags)
 
 
 def measure_snr(grid: FreqGrid, scene: Scene) -> float:

@@ -4,7 +4,8 @@ Each function computes the plain way something that `sparse_isac`
 computes fast: a dense (M, N) view of a grid built from its allocation's
 per-symbol index sets (`cols` split at `starts`), whole-grid synthesis,
 the symbol sum drawn directly as one row, a sweep trial's every draw
-built per call, with no per-point table, and its delay periodograms
+built per call, with no per-point table, from per-slot Generators in
+trial order, and its delay periodograms
 transformed one at a time, every estimator's whole-grid formula on that
 view, the per-symbol lag products that the virtual signal accumulates,
 the Gram route's read into fresh arrays and its lag gather at the lag
@@ -94,15 +95,24 @@ def eval_two_term_model(targets_with_phase, params, m, n):
     return total
 
 
+def keyed_rng(ss, *key):
+    """A Generator on the SeedSequence of the entropy of `ss` whose spawn
+    key is the one of `ss` followed by `key`."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + key))
+
+
 def target_phasors(scene, params, seed):
-    """The noise substream's SeedSequence of a grid's seed and, per target,
-    (A e^{j phi}, symbol phases e^{j 2 pi f_D T m} over the M symbols,
-    subcarrier phases e^{-j 2 pi df tau n} over the N subcarriers), with
-    phi drawn from the phase substream in target order."""
+    """The noise substream's Generator of a grid's seed (key (1,)) and the
+    target terms (target_terms) of its phase substream (key (0,))."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    phase_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (0,))
-    noise_ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (1,))
-    phase_rng = np.random.default_rng(phase_ss)
+    return keyed_rng(ss, 1), target_terms(scene, params, keyed_rng(ss, 0))
+
+
+def target_terms(scene, params, phase_rng):
+    """Per target, (A e^{j phi}, symbol phases e^{j 2 pi f_D T m} over the
+    M symbols, subcarrier phases e^{-j 2 pi df tau n} over the N
+    subcarriers), with phi drawn from the Generator `phase_rng` in target
+    order."""
     m_idx = np.arange(params.n_symbols)
     n_idx = np.arange(params.n_subcarriers)
     terms = []
@@ -115,7 +125,7 @@ def target_phasors(scene, params, seed):
             np.exp(2j * np.pi * f_d * params.symbol_dur_s * m_idx),
             np.exp(-2j * np.pi * params.subcarrier_spacing_hz * tau * n_idx),
         ))
-    return noise_ss, terms
+    return terms
 
 
 def dense_synthesize(scene, alloc, params, seed):
@@ -123,7 +133,7 @@ def dense_synthesize(scene, alloc, params, seed):
     inactive cells zeroed, and the noise from two draws of one normal per
     active cell (real parts, then imaginary parts), added at the active
     cells in row-major order."""
-    noise_ss, terms = target_phasors(scene, params, seed)
+    noise_rng, terms = target_phasors(scene, params, seed)
     grid = np.zeros((params.n_symbols, params.n_subcarriers), dtype=np.complex128)
     for coef, sym_phase, sub_phase in terms:
         grid += coef * np.outer(sym_phase, sub_phase)
@@ -131,10 +141,9 @@ def dense_synthesize(scene, alloc, params, seed):
     grid[~mask] = 0.0
     var = scene.noise_variance()
     if var > 0.0:
-        rng = np.random.default_rng(noise_ss)
         sigma = math.sqrt(var / 2.0)
         n_act = int(mask.sum())
-        grid[mask] += rng.normal(0.0, sigma, n_act) + 1j * rng.normal(0.0, sigma, n_act)
+        grid[mask] += noise_rng.normal(0.0, sigma, n_act) + 1j * noise_rng.normal(0.0, sigma, n_act)
     return grid
 
 
@@ -145,70 +154,67 @@ def symbol_sum_row(scene, alloc, params, seed):
     plus the sum of its M cell noises, CN(0, M var): two draws of one
     normal per active column (real parts, then imaginary parts) from the
     noise substream.  The same phases as dense_synthesize."""
-    noise_ss, terms = target_phasors(scene, params, seed)
+    noise_rng, terms = target_phasors(scene, params, seed)
     cols = alloc.indices
     row = np.zeros(params.n_subcarriers, dtype=np.complex128)
     for coef, sym_phase, sub_phase in terms:
         row[cols] += coef * (sym_phase.sum() * sub_phase[cols])
     var = scene.noise_variance()
     if var > 0.0:
-        rng = np.random.default_rng(noise_ss)
         sigma = math.sqrt(alloc.n_symbols * (var / 2.0))
-        row[cols] += rng.normal(0.0, sigma, cols.size) + 1j * rng.normal(0.0, sigma, cols.size)
+        row[cols] += noise_rng.normal(0.0, sigma, cols.size) + 1j * noise_rng.normal(0.0, sigma, cols.size)
     return row
 
 
-def per_call_values(scene, params, seed, phasors):
-    """(noise variance, values) of one draw, every seed-independent term
-    built anew for the call (target_phasors): per target, the new array
-    phasors(sym_phase, sub_phase) scaled in place by A e^{j phi}, the terms
-    summed from 0.0, then the noise substream's normals, all real parts,
-    then all imaginary parts, each times sqrt(var / 2)."""
-    noise_ss, terms = target_phasors(scene, params, seed)
+def per_call_values(scene, params, streams, phasors):
+    """(noise variance, values) of one draw from the (phase, noise, factor)
+    Generators `streams`, every seed-independent term built anew for the
+    call (target_terms): per target, the new array phasors(sym_phase,
+    sub_phase) scaled in place by A e^{j phi}, the terms summed from 0.0,
+    then the noise Generator's normals, all real parts, then all imaginary
+    parts, each times sqrt(var / 2)."""
+    phase_rng, noise_rng, _ = streams
     values = 0.0
-    for coef, sym_phase, sub_phase in terms:
+    for coef, sym_phase, sub_phase in target_terms(scene, params, phase_rng):
         term = phasors(sym_phase, sub_phase)
         np.multiply(coef, term, out=term)
         values = np.add(values, term, out=term)
     values = values.ravel()
     var = scene.noise_variance()
     if var > 0.0:
-        rng = np.random.default_rng(noise_ss)
         sigma = math.sqrt(var / 2.0)
-        values.real += rng.standard_normal(values.size) * sigma
-        values.imag += rng.standard_normal(values.size) * sigma
+        values.real += noise_rng.standard_normal(values.size) * sigma
+        values.imag += noise_rng.standard_normal(values.size) * sigma
     return var, values
 
 
-def per_call_grid(scene, alloc, params, seed):
-    """synthesize with the draw built per call (per_call_values)."""
+def per_call_grid(scene, alloc, params, streams):
+    """A grid drawn from `streams` as synthesize draws it, with the draw
+    built per call (per_call_values) and no SeedSequence."""
     rows = np.arange(params.n_symbols)[:, None] if alloc.is_constant else alloc.rows
     cols = alloc.indices if alloc.is_constant else alloc.cols
     var, values = per_call_values(
-        scene, params, seed, lambda sym_phase, sub_phase: sym_phase[rows] * sub_phase[cols]
+        scene, params, streams, lambda sym_phase, sub_phase: sym_phase[rows] * sub_phase[cols]
     )
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return si.FreqGrid(active=values, alloc=alloc, params=params, noise_variance=var, seed_ss=ss)
+    return si.FreqGrid(active=values, alloc=alloc, params=params, noise_variance=var)
 
 
-def per_call_statistics(scene, alloc, params, seed, lags=True):
-    """_gram_statistics with the draw built per call: the basis and its
-    projections Q^H p of the profiles anew (per_call_values), then, where
-    `lags` holds and var > 0, R's rows: two normals per entry right of the
-    diagonal, row by row, re then im, then one gamma per diagonal entry,
-    from the third substream of the seed (spawn key + (2,))."""
+def per_call_statistics(scene, alloc, params, streams, lags=True):
+    """The statistics of _gram_statistics drawn from the (phase, noise,
+    factor) Generators `streams`, with the draw built per call: the basis
+    and its projections Q^H p of the profiles anew (per_call_values), then,
+    where `lags` holds and var > 0, R's rows: two normals per entry right
+    of the diagonal, row by row, re then im, then one gamma per diagonal
+    entry, from the factor Generator."""
     basis = _symbol_basis(scene.targets if lags else (), params)
     (d, m), k, cols = basis.shape, alloc.n_active, alloc.indices
     var, values = per_call_values(
-        scene, params, seed,
+        scene, params, streams,
         lambda sym_phase, sub_phase: np.outer((basis.conj() * sym_phase).sum(axis=1), sub_phase[cols]),
     )
     block = values.reshape(d, k)
     if var > 0.0 and lags:
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=ss.entropy, spawn_key=ss.spawn_key + (2,))
-        )
+        rng = streams[2]
         r = min(m - d, k)
         upper = np.triu(np.ones((r, k), dtype=bool), 1)
         z = rng.standard_normal(2 * int(upper.sum())) * math.sqrt(var / 2.0)
@@ -226,23 +232,29 @@ def per_call_walk(cfg, scene, methods, fixed, n_trials, ss):
     drawn), every draw built per call: the slot layout of _SWEEP_TABLE, a
     virtual slot's grid (per_call_grid) or, where _gram_route holds, its
     statistics (per_call_statistics), any other slot's symbol sum alone
-    (lags=False)."""
+    (lags=False).  Each slot s draws its trials in order from its own three
+    Generators, on keys (s, 0), (s, 1) and (s, 2) under `ss`, and a trial
+    with a slot that `fixed` does not map draws one random allocation from
+    the Generator on key (0,)."""
     slots = {}  # slot: the first requested method that reads it
     for method in methods:
         slots.setdefault(_SWEEP_TABLE[method][0], method)
+    streams = {slot: [keyed_rng(ss, slot, j) for j in range(3)] for slot in slots}
+    alloc_rng = keyed_rng(ss, 0)
+    random = any(method not in fixed for method in slots.values())
     draws = []
-    for child in ss.spawn(n_trials):
-        seeds = child.spawn(5)
+    for _ in range(n_trials):
+        alloc = None
+        if random:
+            alloc = si.make_allocation(cfg.params, "random", n_active=cfg.n_active, seed=alloc_rng)
         for slot, method in slots.items():
-            alloc = fixed.get(method) or si.make_allocation(
-                cfg.params, "random", n_active=cfg.n_active, seed=seeds[0]
-            )
+            slot_alloc = fixed.get(method, alloc)
             virtual = slot in _VIRTUAL_SLOTS
-            args = scene, alloc, cfg.params, seeds[slot]
-            if virtual and not _gram_route(alloc, scene):
-                draws.append((slot, alloc, per_call_grid(*args)))
+            args = scene, slot_alloc, cfg.params, streams[slot]
+            if virtual and not _gram_route(slot_alloc, scene):
+                draws.append((slot, slot_alloc, per_call_grid(*args)))
             else:
-                draws.append((slot, alloc, per_call_statistics(*args, lags=virtual)))
+                draws.append((slot, slot_alloc, per_call_statistics(*args, lags=virtual)))
     return draws
 
 

@@ -269,19 +269,19 @@ CLI_RUNS = {
 SEEDED = {
     "rmse_pslr_sweep": {
         "sweep.csv": [
-            [0, "autocorrelation", 2.27745019366, 0.208677337653, 2.00182182092, 2.46964967574, 0, 2],
-            [0, "direct_sparse", 2.55122275355, 2.38690493004, 0.675442303248, 0.423275870176, 0, 2],
-            [0, "nested", 66.2300127302, 54.0607413639, 1.25679363581, 0.690130926389, 0, 2],
-            [10, "autocorrelation", 1.7962931572, 0.360645752019, 3.48897607811, 0.0890147341709, 0, 2],
-            [10, "direct_sparse", 1.77564197737, 0.46324202795, 1.44990046213, 0.179675338549, 0, 2],
-            [10, "nested", 8.4743625533, 8.27111626575, 2.41669684694, 0.0179250326638, 0, 2],
+            [0, "autocorrelation", 197.24749406, 192.787900931, 0.982482490818, 1.54830042312, 0, 2],
+            [0, "direct_sparse", 83.2762067484, 80.306396216, 0.747835032157, 0.232183460613, 0, 2],
+            [0, "nested", 7.50107594055, 0, 1.96774758327, 1.09701257254, 0.5, 2],
+            [10, "autocorrelation", 1.65239053435, 1.52288323421, 3.35188662216, 1.69849089108, 0, 2],
+            [10, "direct_sparse", 1.77239923991, 1.5911616668, 1.22284233045, 0.573181389315, 0, 2],
+            [10, "nested", 2.79704656945, 2.74105043872, 2.52315052705, 0.450857560482, 0, 2],
         ],
     },
     "two_target_demo": {
-        "demo_runs.csv": [[0, 0, 0], [1, 0, 0]],
-        "demo_summary.csv": [["direct_sparse", 0, 2], ["autocorrelation", 0, 2]],
-        "demo_direct_periodogram.csv": (55, 54.74264373122462),
-        "demo_virtual_periodogram.csv": (111, 186.81951532610458),
+        "demo_runs.csv": [[0, 1, 1], [1, 0, 0]],
+        "demo_summary.csv": [["direct_sparse", 0.5, 2], ["autocorrelation", 0.5, 2]],
+        "demo_direct_periodogram.csv": (7, 64.18174454465698),
+        "demo_virtual_periodogram.csv": (13, 191.6740837774816),
     },
 }
 

@@ -3,7 +3,8 @@ one transform per method and block, then one peak pick, match and PSLR
 for the block's stack.  Each outcome has the bits of the trials' periodograms
 built one at a time from the same draws (reference.per_call_periodograms)
 and scored by the slow references: the greedy peak picker, the
-peak-by-peak vote and the modular PSLR mask."""
+peak-by-peak vote and the modular PSLR mask.  A point draws its trials in
+order, so a longer walk starts with the trials of a shorter one."""
 import math
 import tracemalloc
 from dataclasses import replace
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import sparse_isac as si
 from reference import bits, greedy_detect_peaks, modular_pslr, per_call_periodograms, voting_match
 from sparse_isac import analysis
-from sparse_isac.analysis import _TRIAL_BLOCK, _pslrs, _sweep_point, common_exclusion_halfwidth
+from sparse_isac.analysis import _TRIAL_BLOCK, _pslrs, _sweep_point, _trials, common_exclusion_halfwidth
 from sparse_isac.estimators import _pick_peaks, _refined_peaks
 
 
@@ -25,6 +26,8 @@ def params(n, m):
 
 
 DESK = params(256, 32)
+GRAM = params(256, 80)  # M > K + 1 + T: each virtual slot draws its statistics and a Bartlett factor
+MOVING = si.Target(distance_m=200.0, velocity_mps=15.0, amplitude=1.0)
 
 
 def reference_scores(trials, true_ranges, tol_m):
@@ -56,6 +59,13 @@ SWEEPS = {
     "two_blocks": dict(
         params=DESK, n_active=64, snr_db_axis=(0.0,), n_trials=_TRIAL_BLOCK + 1,
         methods=("full_bandwidth", "direct_sparse", "autocorrelation"),
+    ),
+    "gram_factors": dict(
+        params=GRAM, n_active=64, snr_db_axis=(0.0,), methods=si.SWEEP_METHODS, targets=(MOVING,), n_trials=3,
+    ),
+    "gram_noiseless": dict(  # no noise or factor stream
+        params=GRAM, n_active=64, snr_db_axis=(math.inf,), methods=si.SWEEP_METHODS, targets=(MOVING,),
+        n_trials=3,
     ),
 }
 
@@ -105,6 +115,41 @@ def test_demo_keeps_the_per_call_bits(m):
                       (result.example_virtual, trials[0]["autocorrelation"])):
         assert (got.method, got.n_bins, got.bin_width) == (want.method, want.n_bins, want.bin_width)
         assert np.array_equal(bits(got.values), bits(want.values))
+
+
+@pytest.mark.parametrize("grid", [DESK, GRAM], ids=["desk", "gram"])
+def test_a_longer_sweep_starts_with_the_shorter_one(grid):
+    # a point's trials draw in order from its streams, so the first 5
+    # trials of a walk past the first block are those of a 5-trial walk
+    cfg = si.SweepConfig(
+        params=grid, n_active=64, snr_db_axis=(0.0,), methods=si.SWEEP_METHODS, n_trials=5, master_seed=3,
+    )
+    short = si.monte_carlo_sweep(cfg, threads=1)
+    long = si.monte_carlo_sweep(replace(cfg, n_trials=_TRIAL_BLOCK + 3), threads=1)
+    for m in cfg.methods:
+        (want_errors,), (got_errors,) = short.error_samples[m], long.error_samples[m]
+        assert len(want_errors) > 0
+        assert bits(got_errors[: len(want_errors)]).tolist() == bits(want_errors).tolist(), m
+        (want_pslrs,), (got_pslrs,) = short.pslr_samples[m], long.pslr_samples[m]
+        assert bits(got_pslrs[:5]).tolist() == bits(want_pslrs).tolist(), m
+
+
+def demo_walk(cfg) -> dict:
+    """{method: (runs, Q) delay magnitudes} of the demo's walk (_trials)."""
+    pair = ("direct_sparse", "autocorrelation")
+    ss = np.random.SeedSequence(cfg.master_seed)
+    walk = _trials(cfg, cfg.scene, pair, {}, cfg.n_runs, ss)
+    blocks = [{m: v.copy() for m, v in block.items()} for block in walk]  # each block is cleared after use
+    return {m: np.concatenate([block[m] for block in blocks]) for m in pair}
+
+
+def test_a_longer_demo_starts_with_the_shorter_one():
+    # both walks pass the end of the first block, _TRIAL_BLOCK runs at N = 256
+    cfg = si.TwoTargetDemoConfig(params=DESK, n_runs=_TRIAL_BLOCK + 1, master_seed=5)
+    short, long = demo_walk(cfg), demo_walk(replace(cfg, n_runs=_TRIAL_BLOCK + 3))
+    for m, want in short.items():
+        assert len(want) == _TRIAL_BLOCK + 1
+        assert np.array_equal(bits(long[m][: len(want)]), bits(want)), m
 
 
 def stack(rows):
