@@ -28,7 +28,6 @@ from .alloc import (
 from .scene import SPEED_OF_LIGHT, LinkBudget, Scene, Target
 from .synth import (  # noqa: F401 (bench/spans.py wraps synthesize here)
     _child_rng,
-    _gram_route,
     _SignalTable,
     _streams,
     synthesize,
@@ -69,14 +68,13 @@ __all__ = [
 # were requested: slot s draws from the Generators on keys (s, 0) to (s, 2)
 # under the point's SeedSequence, and the random allocation that slot 1's
 # grid uses from the one on key (0,) (_trials, synth._streams).  Methods
-# sharing a slot share the draw of its grid (of the grid's statistics, on
-# the Gram route), which pairs the direct_sparse/autocorrelation
-# comparison, and the two-target demo walks the same trials with that
-# pair.  Zero-fill reads a slot's symbol sum and the virtual aperture its
-# CPI lag means (FreqGrid.cpi_lags); the per-symbol lag products are the
-# tests' reference.  Of each draw a method keeps one (N,) row, and a block
-# of trials' rows is transformed and scored as one stack per method
-# (_trials).
+# sharing a slot share the draw of its grid's statistics, which pairs the
+# direct_sparse/autocorrelation comparison, and the two-target demo walks
+# the same trials with that pair.  Zero-fill reads a slot's symbol sum and
+# the virtual aperture its CPI lag means (cpi_lags); the per-symbol lag
+# products are the tests' reference.  Of each draw a method keeps one (N,)
+# row, and a block of trials' rows is transformed and scored as one stack
+# per method (_trials).
 _SWEEP_TABLE = {
     "full_bandwidth": (2, False),
     "equivalent_bandwidth": (3, False),
@@ -84,10 +82,9 @@ _SWEEP_TABLE = {
     "autocorrelation": (1, True),
     "nested": (4, True),
 }
-# Slots a virtual method reads (1 and 4): _trials synthesizes only their
-# grids, or draws their statistics on the Gram route, and sums a grid's
-# symbols only for a zero-fill reader (slot 1).  Any other slot draws its
-# symbol sum alone.  A point's draws read one table (synth._SignalTable),
+# Slots a virtual method reads (1 and 4): _trials draws their symbol sum
+# and Gram matrix (synth._gram_statistics), and any other slot its symbol
+# sum alone.  A point's draws read one table (synth._SignalTable),
 # which keeps the unit signals of the fixed slots' draws (slots 2 to 4).
 # The rule reads the table, not the requested subset, so no method's noise
 # stream depends on which others were requested.
@@ -325,13 +322,12 @@ class SweepConfig:
 
     snr_db entries are per-active-RE SNRs; +inf means noiseless.  The
     sparse allocation is redrawn every trial (seeded); direct_sparse and
-    autocorrelation share the allocation and the grid drawn on it (its
-    symbol sum and Gram matrix alone where _gram_route holds: the Gram route
-    of the lag sums, and M > K + 1 + T for T targets) so the method
-    comparison is paired; full_bandwidth and equivalent_bandwidth, read by
-    zero-fill alone, draw their grid's symbol sum alone.  `scenes` holds the
-    Scene of each SNR point; the seed-independent allocations are built
-    once, by sweep method.
+    autocorrelation share the allocation and the symbol sum and Gram matrix
+    of the grid drawn on it, so the method comparison is paired;
+    full_bandwidth and equivalent_bandwidth, read by zero-fill alone, draw
+    their grid's symbol sum alone.  `scenes` holds the Scene of each SNR
+    point; the seed-independent allocations are built once, by sweep
+    method.
     A target is detected when a peak lies within miss_threshold_bins range
     bins of it (10 by default) and nearer to it than to any other target;
     one peak detects one target at most (_match, the demo's rule too, which
@@ -503,17 +499,12 @@ def _trials(
     magnitudes are (_check_magnitudes) once the block's draws are done.
 
     A method `fixed` does not map reads the trial's random allocation.  A
-    slot (_SWEEP_TABLE) a virtual method reads is synthesized, or,
-    where _gram_route(alloc, scene) holds (the read gate picks the Gram
-    route and M > K + 1 + T for the T targets), has its symbol sum and Gram
-    matrix drawn without the grid, in fewer rows (_gram_statistics); any
-    other has its symbol sum alone drawn, in one row (_gram_statistics,
-    lags=False).  A random allocation has the shape of any constant one of
-    n_active subcarriers, so each slot is drawn the same way in every
-    trial.  A draw keeps synthesize's phases, with other noise draws.  Every
-    slot is read the same way whichever way drew it, through its
-    `symbol_sum` and `cpi_lags`, each computed only when read; a
-    synthesized grid reads its lag sums on the route of the read gate.
+    slot (_SWEEP_TABLE) a virtual method reads has its symbol sum and Gram
+    matrix drawn without the grid (_gram_statistics); any other has its
+    symbol sum alone drawn, in one row (_gram_statistics, lags=False).  A
+    draw keeps synthesize's phases, with other noise draws.  Each slot is
+    read through its `symbol_sum` and `cpi_lags`, each computed only when
+    read, its lag sums on the route the read gate picks for its rows.
     Every draw reads the point's one _SignalTable, which keeps the unit
     signals of the `fixed` allocations.
 
@@ -535,14 +526,11 @@ def _trials(
         readers.setdefault(_SWEEP_TABLE[method][0], []).append(method)
     # one table per point: an aliasing target warns once per point, from this line
     table = _SignalTable(scene, params, fixed.values())
-    # the shape of every random allocation, which decides how its slot is drawn
-    shape = ResourceAllocation.constant(np.arange(cfg.n_active), params.n_symbols, params.n_subcarriers)
-    slots = []  # (its methods, fixed allocation or None, lags of its draw (None: the grid), its streams)
+    slots = []  # (its methods, fixed allocation or None, lags of its draw, its streams)
     for slot, slot_methods in readers.items():
-        alloc = fixed.get(slot_methods[0])
-        lags = (True if _gram_route(alloc or shape, scene) else None) if slot in _VIRTUAL_SLOTS else False
+        lags = slot in _VIRTUAL_SLOTS
         count = 1 if table.var == 0.0 else 3 if lags else 2  # phases, noise, a Bartlett factor
-        slots.append((slot_methods, alloc, lags, _streams(ss, count, (slot,))))
+        slots.append((slot_methods, fixed.get(slot_methods[0]), lags, _streams(ss, count, (slot,))))
     alloc_rng = _child_rng(ss, (0,)) if any(alloc is None for _, alloc, _, _ in slots) else None
     n = params.n_subcarriers
     q_max = cfg.oversample * n * max(2 if _SWEEP_TABLE[m][1] else 1 for m in methods)
@@ -575,10 +563,7 @@ def _read_trial(cfg, table, slots, alloc_rng, t, rows, norms) -> None:
         random = make_allocation(cfg.params, "random", n_active=cfg.n_active, seed=alloc_rng)
     for slot_methods, alloc, lags, streams in slots:
         alloc = alloc or random
-        if lags is None:
-            drawn = table.grid(alloc, streams)
-        else:
-            drawn = table.statistics(alloc, streams, lags=lags)
+        drawn = table.statistics(alloc, streams, lags=lags)
         for method in slot_methods:
             if _SWEEP_TABLE[method][1]:
                 aperture = difference_set(alloc)
@@ -666,7 +651,7 @@ def monte_carlo_sweep(cfg: SweepConfig, threads: int | None = None) -> SweepResu
     the package starts.  None picks one per SNR point, up to the usable CPUs
     (the process's affinity mask), on a grid of at least
     _SWEEP_THREAD_MIN_POINTS transform points (symbols x 2N), else one.  A
-    grid on the Gram route of the CPI lag sums runs its one BLAS product at
+    read on the Gram route of the CPI lag sums runs its one BLAS product at
     one BLAS thread, process-wide, so no BLAS workers contend with
     SNR-point threads (see the synth module docstring).
     """

@@ -11,18 +11,20 @@ A grid also carries the CPI mean of its lag sums (`FreqGrid.cpi_lags`),
 which both per-symbol estimators read, computed on first read by one of
 two routes:
 
-- the Gram route: the lag sums of the K x K Gram matrix of the active
-  block, read from one real rank-2K update (dsyrk) of its interleaved
-  re/im parts, run at one BLAS thread;
-- the FFT route, the reference: one transform of length 2N per symbol,
-  over blocks of 64 symbols, in the caller's thread, and one inverse
-  transform of the power sum.
+- the Gram route: the lag sums of the K x K Gram matrix of a block of
+  rows on the active subcarriers, read from one real rank-2K update
+  (dsyrk) of its interleaved re/im parts, run at one BLAS thread;
+- the FFT route, the reference: one transform of length 2N per row, over
+  blocks of 64 rows, in the caller's thread, and one inverse transform of
+  the power sum.
 
-One cost model picks the route: the read gate (_gram_read) puts the lag
-sums of a grid of a constant allocation on the Gram route where its read
-costs less there, K^2 (M + _GRAM_READ_ROWS) at most _GRAM_READ_RATIO x
-M 2N log2 2N.  A grid read on either route has the same values to
-round-off (about 5e-16 of the peak).
+One cost model picks the route of every block of a constant allocation,
+a grid's (M, K) block or a drawn statistics block alike: the read gate
+(_gram_read) puts a block of `rows` rows on the Gram route where its read
+costs less there, K^2 (rows + _GRAM_READ_ROWS) at most _GRAM_READ_RATIO x
+rows 2N log2 2N.  A per-symbol allocation reads on the FFT route.  A block
+read on either route has the same values to round-off (about 5e-16 of the
+peak).
 
 While a Gram-route product runs, the BLAS thread count is held at 1
 (_one_blas_thread), so its bits do not depend on the caller's count
@@ -38,17 +40,14 @@ M = 720.  A sweep's SNR-point threads free theirs when the sweep ends; the
 caller's thread keeps its own.
 
 A sweep or demo trial reads two statistics of a grid only: its symbol sum
-and the Gram matrix of its rows.  It takes them from one of two draws:
-synthesize, the reference, or _gram_statistics, without the grid (the
-Bartlett decomposition): d + min(M - d, K) rows of K values, d <= 1 + T
-the dimension of the targets' symbol-phase profiles with the all-ones
-vector.  A slot a virtual method reads draws the statistics where the
-read gate picks the Gram route and the draw is shorter than the grid
-(_gram_route: M > K + 1 + T for T targets); a slot that zero-fill alone
-reads draws its symbol sum alone, in one row (lags=False).  A draw keeps
+and the Gram matrix of its rows.  It draws them without the grid
+(_gram_statistics, the Bartlett decomposition), in d + min(M - d, K) rows
+of K values, d <= 1 + T the dimension of the targets' symbol-phase
+profiles with the all-ones vector; a slot that zero-fill alone reads
+draws its symbol sum alone, in one row (lags=False).  A draw keeps
 synthesize's phases, with other noise draws.  A grid and a drawn
 _GridStatistics are read the same way, through `symbol_sum` and
-`cpi_lags`, and _gram_lags is the one reader of a Gram block's lag means.
+`cpi_lags`, and _cpi_lags is the one reader of a block's lag means.
 
 Every draw reads one table of what does not depend on the seed
 (_SignalTable), built once per sweep or demo point, where aliasing targets
@@ -79,17 +78,18 @@ from .scene import Scene, delay_doppler
 
 __all__ = ["FreqGrid", "synthesize", "measure_snr"]
 
-# Symbols per block B when _fft_lags walks the CPI: its one workspace holds
+# Rows per block B when _fft_lags walks a block: its one workspace holds
 # 2 * B * 2N complex values, 4 MB at N = 1000.
 _ROW_BLOCK = 64
 
-# The read gate (_gram_read): the Gram route reads the lag sums where
-# K^2 (M + _GRAM_READ_ROWS) <= _GRAM_READ_RATIO x M 2N log2 2N.  Its cost
-# grows as K^2 per row of the block, plus K^2 per call (the re/im slices and
-# the two bincounts), which _GRAM_READ_ROWS counts in rows; the FFT route's
-# grows as 2N log2 2N per symbol.  Fitted to the crossovers of _gram_lags'
-# wall time over _fft_lags' (one BLAS thread, best of 5 timed loops, 2-core
-# x86-64 guest, NumPy 2.4 with OpenBLAS 0.3.31):
+# The read gate (_gram_read): the Gram route reads the lag sums of a block
+# of `rows` rows where K^2 (rows + _GRAM_READ_ROWS) <= _GRAM_READ_RATIO x
+# rows 2N log2 2N.  Its cost grows as K^2 per row of the block, plus K^2 per
+# call (the re/im slices and the two bincounts), which _GRAM_READ_ROWS
+# counts in rows; the FFT route's grows as 2N log2 2N per row.  Fitted to
+# the crossovers of _gram_lags' wall time over _fft_lags' (one BLAS thread,
+# best of 5 timed loops, 2-core x86-64 guest, NumPy 2.4 with OpenBLAS
+# 0.3.31), a grid's (M, K) block read at M rows:
 # - N=256, K=64: 1.05, 1.03, 0.87, 0.80, 0.42 and 0.40 at M = 12, 16, 20,
 #   24, 32 and 128;
 # - N=1000, K=200: 2.72, 1.62, 1.07, 0.78 and 0.50 at M = 8, 16, 24, 32, 64;
@@ -98,7 +98,7 @@ _ROW_BLOCK = 64
 #   460 and 500;
 # - N=256, M=1024: 0.39, 0.82, 0.81 and 1.10 at K = 128, 200, 220 and 256;
 # - N=4000, M=131: 0.49 and 1.14 at K = 500 and 700.
-# So at N=256, K=64 a grid of 19 symbols or more (the desk grid: M=32) reads
+# So at N=256, K=64 a block of 19 rows or more (the desk grid: M=32) reads
 # on the Gram route and one of 18 or fewer on the FFT route, and at N=1000,
 # M=720 the Gram route reads up to K = 458.
 _GRAM_READ_ROWS = 256
@@ -177,7 +177,9 @@ class FreqGrid:
     def cpi_lags(self) -> np.ndarray:
         """The complex (2N,) CPI mean of the lag sums at s mod 2N, read-only,
         computed by _cpi_lags on the first read and kept for the life of
-        the grid.
+        the grid: of the (M, K) block of a constant allocation, of the
+        dense (M, N) rows, built from `alloc.rows` and `alloc.cols`, of a
+        per-symbol one.
 
         On the Gram route (a constant allocation past the read gate,
         _gram_read) it agrees with the FFT route to about 5e-16 of its
@@ -191,28 +193,26 @@ class FreqGrid:
         """
         lags = self.__dict__.get("_cpi_lags")
         if lags is None:
-            lags = _cpi_lags(self)
+            if self.alloc.is_constant:
+                rows = self.block
+            else:
+                rows = np.zeros((self.n_symbols, self.n_subcarriers), dtype=self.active.dtype)
+                rows[self.alloc.rows, self.alloc.cols] = self.active
+            lags = _cpi_lags(rows, self.alloc)
             lags.setflags(write=False)
             object.__setattr__(self, "_cpi_lags", lags)  # frozen: no field, not compared
         return lags
 
 
-def _gram_read(alloc: ResourceAllocation) -> bool:
-    """Whether _cpi_lags reads the lag sums of a grid on `alloc` on the Gram
-    route: a constant allocation of M symbols and K active subcarriers with
-    K^2 (M + _GRAM_READ_ROWS) at most _GRAM_READ_RATIO x M 2N log2 2N."""
-    m, size = alloc.n_symbols, 2 * alloc.n_subcarriers
+def _gram_read(rows: int, alloc: ResourceAllocation) -> bool:
+    """Whether _cpi_lags reads the lag sums of a block of `rows` rows on
+    `alloc` on the Gram route: a constant allocation of K active
+    subcarriers with K^2 (rows + _GRAM_READ_ROWS) at most _GRAM_READ_RATIO
+    x rows 2N log2 2N."""
+    size = 2 * alloc.n_subcarriers
     return alloc.is_constant and (
-        alloc.n_active**2 * (m + _GRAM_READ_ROWS) <= _GRAM_READ_RATIO * m * size * math.log2(size)
+        alloc.n_active**2 * (rows + _GRAM_READ_ROWS) <= _GRAM_READ_RATIO * rows * size * math.log2(size)
     )
-
-
-def _gram_route(alloc: ResourceAllocation, scene: Scene) -> bool:
-    """Whether a sweep or demo trial draws the statistics of a virtual slot
-    on `alloc` (_gram_statistics) instead of its grid: where the read gate
-    puts its lag sums on the Gram route and the drawn block, at most K + 1 +
-    T rows for the T targets of `scene`, is shorter than the grid's M."""
-    return _gram_read(alloc) and alloc.n_symbols > alloc.n_active + 1 + len(scene.targets)
 
 
 @functools.cache
@@ -327,48 +327,43 @@ def _gram_lags(block: np.ndarray, alloc: ResourceAllocation) -> np.ndarray:
     return np.concatenate((sums[n - 1 :], sums[: n - 1])) / alloc.n_symbols
 
 
-def _fft_lags(grid: FreqGrid) -> np.ndarray:
-    """IFFT_2N((1/M) sum_m |FFT_2N(Y_m)|^2), one transform of length 2N per symbol.
+def _fft_lags(block: np.ndarray, alloc: ResourceAllocation) -> np.ndarray:
+    """IFFT_2N((1/M) sum_i |FFT_2N(y_i)|^2), one transform of length 2N per
+    row y_i of a (rows, K) block scattered onto the active subcarriers of
+    the constant allocation `alloc` (M symbols, N subcarriers), or of the
+    dense (M, N) rows of a per-symbol one.
 
-    The symbols go through in blocks of _ROW_BLOCK, in one (2, B, 2N)
-    workspace.  Each block's rows are scattered from the active values into
-    the zero-padded front half (a per-symbol allocation zeroes them first; a
-    constant one rewrites the same columns) and forward-transformed into the
+    The rows go through in blocks of _ROW_BLOCK, in one (2, B, 2N)
+    workspace.  Each block's rows are scattered into the zero-padded front
+    half, the same columns every time, and forward-transformed into the
     back half with `out=`, and the block's power is added to one running sum
-    in symbol order.
+    in row order.
     """
-    n_symbols, n = grid.n_symbols, grid.n_subcarriers
-    rows, out = np.zeros((2, min(_ROW_BLOCK, n_symbols), 2 * n), dtype=np.complex128)
-    if grid.alloc.is_constant:
-        block, cols = grid.block, grid.alloc.indices
-    else:
-        cols, starts, cell_rows = grid.alloc.cols, grid.alloc.starts, grid.alloc.rows
+    n = alloc.n_subcarriers
+    cols = alloc.indices if alloc.is_constant else slice(n)
+    rows, out = np.zeros((2, min(_ROW_BLOCK, len(block)), 2 * n), dtype=np.complex128)
     power = np.zeros(2 * n)
-    for r0 in range(0, n_symbols, _ROW_BLOCK):
-        k = min(_ROW_BLOCK, n_symbols - r0)
-        if grid.alloc.is_constant:
-            rows[:k, cols] = block[r0 : r0 + k]
-        else:
-            lo, hi = starts[r0], starts[r0 + k]
-            rows[:k, :n] = 0.0
-            rows[cell_rows[lo:hi] - r0, cols[lo:hi]] = grid.active[lo:hi]
-        # re^2 and im^2 summed over the block's symbols, interleaved by bin
+    for r0 in range(0, len(block), _ROW_BLOCK):
+        k = min(_ROW_BLOCK, len(block) - r0)
+        rows[:k, cols] = block[r0 : r0 + k]
+        # re^2 and im^2 summed over the block's rows, interleaved by bin
         v = np.fft.fft(rows[:k], axis=-1, out=out[:k]).view(np.float64)
         s = np.einsum("mk,mk->k", v, v)
         power += s[0::2] + s[1::2]
-    return np.fft.ifft(power / n_symbols)
+    return np.fft.ifft(power / alloc.n_symbols)
 
 
-def _cpi_lags(grid: FreqGrid) -> np.ndarray:
-    """The CPI lag sums R[s] = sum_m sum_{i-j=s} Y_m[i] conj(Y_m[j]) over
-    the rows Y_m of the dense grid, divided by M, at s mod 2N.
+def _cpi_lags(block: np.ndarray, alloc: ResourceAllocation) -> np.ndarray:
+    """The CPI lag sums R[s] = sum_i sum_{a-b=s} y_i[a] conj(y_i[b]) over
+    the rows y_i of `block` on `alloc` (as _fft_lags takes them), divided
+    by M, at s mod 2N.
 
-    By the Gram route (_gram_lags of the (M, K) block) where the read gate
-    _gram_read puts the grid's allocation, else by the FFT route (_fft_lags).
+    By the Gram route (_gram_lags) where the read gate _gram_read puts a
+    block of its rows on `alloc`, else by the FFT route (_fft_lags).
     """
-    if _gram_read(grid.alloc):
-        return _gram_lags(grid.block, grid.alloc)
-    return _fft_lags(grid)
+    if _gram_read(len(block), alloc):
+        return _gram_lags(block, alloc)
+    return _fft_lags(block, alloc)
 
 
 def _symbol_phase(f_d: float, params: OfdmParams) -> np.ndarray:
@@ -500,13 +495,6 @@ class _SignalTable:
                 part += z
         return values
 
-    def grid(self, alloc: ResourceAllocation, streams: _SlotStreams, seed_ss=None) -> FreqGrid:
-        """The grid on `alloc` drawn from `streams` (_draw), holding
-        `seed_ss`, the SeedSequence of the streams where synthesize built
-        them, None for a sweep or demo draw."""
-        values = self._draw(streams, self._units(alloc, None))
-        return FreqGrid(values, alloc, self.params, noise_variance=self.var, seed_ss=seed_ss)
-
     def statistics(self, alloc: ResourceAllocation, streams: _SlotStreams, lags=True) -> _GridStatistics:
         """The statistics of _gram_statistics on `alloc`, drawn from
         `streams`, its factor from streams.factor."""
@@ -540,7 +528,8 @@ def synthesize(scene: Scene, alloc: ResourceAllocation, params: OfdmParams, seed
     _check_fits(alloc, params)
     table = _SignalTable(scene, params, stacklevel=3)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return table.grid(alloc, _streams(ss, 2 if table.var > 0.0 else 1), seed_ss=ss)
+    values = table._draw(_streams(ss, 2 if table.var > 0.0 else 1), table._units(alloc, None))
+    return FreqGrid(values, alloc, params, noise_variance=table.var, seed_ss=ss)
 
 
 def _symbol_basis(targets, params: OfdmParams) -> np.ndarray:
@@ -567,10 +556,10 @@ def _symbol_basis(targets, params: OfdmParams) -> np.ndarray:
 @dataclass(frozen=True)
 class _GridStatistics:
     """The two statistics of a grid of the constant allocation `alloc` that
-    a sweep or demo trial reads, held in a (rows, K) block of fewer rows
-    than the grid's M (_gram_statistics): the Gram matrix of its rows has
-    the law of the grid's G = sum_m y_m y_m^H, and sqrt(M) times its first
-    row is the grid's symbol sum.  A draw with lags=False holds that first
+    a sweep or demo trial reads, held in a (rows, K) block of at most the
+    grid's M rows (_gram_statistics): the Gram matrix of its rows has the
+    law of the grid's G = sum_m y_m y_m^H, and sqrt(M) times its first row
+    is the grid's symbol sum.  A draw with lags=False holds that first
     row alone, whose `cpi_lags` no reader takes.
 
     It is read as a FreqGrid is, through `alloc`, `symbol_sum` and
@@ -582,8 +571,9 @@ class _GridStatistics:
 
     @property
     def cpi_lags(self) -> np.ndarray:
-        """The CPI mean of the lag sums, as FreqGrid.cpi_lags (_gram_lags)."""
-        return _gram_lags(self.block, self.alloc)
+        """The CPI mean of the lag sums, as FreqGrid.cpi_lags (_cpi_lags of
+        the block)."""
+        return _cpi_lags(self.block, self.alloc)
 
     @property
     def symbol_sum(self) -> np.ndarray:
@@ -628,10 +618,9 @@ def _gram_statistics(
     draws: Q^H Y's from the noise substream, R's from a third substream of
     the grid's seed (spawn key + (2,)): two standard normals per entry right
     of the diagonal, row by row, re then im, then one gamma per diagonal
-    entry.  A sweep or demo trial draws it in place of synthesize where
-    _gram_route holds, so its d + r rows (d <= 1 + T for T targets) are
-    fewer than the grid's M, and with lags=False, one row of K values, for
-    a slot that zero-fill alone reads.
+    entry.  A sweep or demo trial draws every slot this way: a slot a
+    virtual method reads in d + r rows (d <= 1 + T for T targets), any
+    other with lags=False, one row of K values.
     """
     _check_fits(alloc, params)
     table = _SignalTable(scene, params, stacklevel=3)

@@ -28,7 +28,7 @@ import numpy as np
 import sparse_isac as si
 from sparse_isac.analysis import _SWEEP_TABLE, _VIRTUAL_SLOTS
 from sparse_isac.estimators import Peak, PeakList, _circular_distance, _refine_bin
-from sparse_isac.synth import _ROW_BLOCK, _GridStatistics, _gram_route, _one_blas_thread, _symbol_basis
+from sparse_isac.synth import _ROW_BLOCK, _GridStatistics, _one_blas_thread, _symbol_basis
 
 C = si.SPEED_OF_LIGHT
 
@@ -188,17 +188,6 @@ def per_call_values(scene, params, streams, phasors):
     return var, values
 
 
-def per_call_grid(scene, alloc, params, streams):
-    """A grid drawn from `streams` as synthesize draws it, with the draw
-    built per call (per_call_values) and no SeedSequence."""
-    rows = np.arange(params.n_symbols)[:, None] if alloc.is_constant else alloc.rows
-    cols = alloc.indices if alloc.is_constant else alloc.cols
-    var, values = per_call_values(
-        scene, params, streams, lambda sym_phase, sub_phase: sym_phase[rows] * sub_phase[cols]
-    )
-    return si.FreqGrid(active=values, alloc=alloc, params=params, noise_variance=var)
-
-
 def per_call_statistics(scene, alloc, params, streams, lags=True):
     """The statistics of _gram_statistics drawn from the (phase, noise,
     factor) Generators `streams`, with the draw built per call: the basis
@@ -230,12 +219,11 @@ def per_call_statistics(scene, alloc, params, streams, lags=True):
 def per_call_walk(cfg, scene, methods, fixed, n_trials, ss):
     """Each draw of analysis._trials, in its order, as (slot, allocation,
     drawn), every draw built per call: the slot layout of _SWEEP_TABLE, a
-    virtual slot's grid (per_call_grid) or, where _gram_route holds, its
-    statistics (per_call_statistics), any other slot's symbol sum alone
-    (lags=False).  Each slot s draws its trials in order from its own three
-    Generators, on keys (s, 0), (s, 1) and (s, 2) under `ss`, and a trial
-    with a slot that `fixed` does not map draws one random allocation from
-    the Generator on key (0,)."""
+    virtual slot's statistics (per_call_statistics), any other slot's
+    symbol sum alone (lags=False).  Each slot s draws its trials in order
+    from its own three Generators, on keys (s, 0), (s, 1) and (s, 2) under
+    `ss`, and a trial with a slot that `fixed` does not map draws one
+    random allocation from the Generator on key (0,)."""
     slots = {}  # slot: the first requested method that reads it
     for method in methods:
         slots.setdefault(_SWEEP_TABLE[method][0], method)
@@ -249,12 +237,8 @@ def per_call_walk(cfg, scene, methods, fixed, n_trials, ss):
             alloc = si.make_allocation(cfg.params, "random", n_active=cfg.n_active, seed=alloc_rng)
         for slot, method in slots.items():
             slot_alloc = fixed.get(method, alloc)
-            virtual = slot in _VIRTUAL_SLOTS
-            args = scene, slot_alloc, cfg.params, streams[slot]
-            if virtual and not _gram_route(slot_alloc, scene):
-                draws.append((slot, slot_alloc, per_call_grid(*args)))
-            else:
-                draws.append((slot, slot_alloc, per_call_statistics(*args, lags=virtual)))
+            drawn = per_call_statistics(scene, slot_alloc, cfg.params, streams[slot], lags=slot in _VIRTUAL_SLOTS)
+            draws.append((slot, slot_alloc, drawn))
     return draws
 
 

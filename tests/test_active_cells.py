@@ -126,7 +126,7 @@ class TestAgainstDenseGrid:
         """Bits on the FFT route of the lag sums; 1e-13 of the peak on the
         Gram route.  Each route is selected through the read gate."""
         _, grid = case
-        monkeypatch.setattr(synth, "_gram_read", lambda alloc: gram and alloc.is_constant)
+        monkeypatch.setattr(synth, "_gram_read", lambda rows, alloc: gram and alloc.is_constant)
         if not grid.alloc.is_constant:
             with pytest.raises(ValueError, match="varies across symbols"):
                 si.build_virtual_signal(grid)

@@ -454,12 +454,10 @@ class TestMonteCarloSweep:
     @pytest.mark.parametrize("gram", [False, True])
     @pytest.mark.parametrize("threads", [1, 2])
     def test_shared_slot_pairs_the_grid_in_any_subset(self, threads, gram, monkeypatch):
-        # direct_sparse and autocorrelation read one grid per trial (its
-        # statistics, with the draw opened for every constant allocation),
-        # and each method's numbers do not depend on the rest of the subset
-        if gram:
-            monkeypatch.setattr(si.analysis, "_gram_route", lambda alloc, scene: alloc.is_constant)
-            monkeypatch.setattr(synth._SignalTable, "grid", None)  # never called
+        # direct_sparse and autocorrelation read the statistics of one grid
+        # per trial, read on either route of the lag sums, and each method's
+        # numbers do not depend on the rest of the subset
+        monkeypatch.setattr(synth, "_gram_read", lambda rows, alloc: gram)
         cfg = self.tiny_config(snr_db_axis=(0.0, 10.0), methods=si.analysis.SWEEP_METHODS)
         every = monte_carlo_sweep(cfg, threads=threads)
         subsets = [("direct_sparse", "autocorrelation")] + [(m,) for m in si.analysis.SWEEP_METHODS]
@@ -489,9 +487,10 @@ class TestMonteCarloSweep:
         # slots 2 and 3 (full and equivalent band) are read through zero-fill
         # only, so only their symbol sum is drawn (the one-row statistics
         # draw, _gram_statistics with lags=False); slot 1 (the random draw)
-        # and slot 4 (nested) are synthesized per cell.  A grid computes its
-        # CPI lag sums only when a virtual method reads them, and its symbol
-        # sum only when zero-fill reads it: slot 1 (direct_sparse), not slot 4.
+        # and slot 4 (nested) draw their symbol sum and Gram matrix.  A draw
+        # computes its CPI lag sums only when a virtual method reads them,
+        # and its symbol sum only when zero-fill reads it: slot 1
+        # (direct_sparse), not slot 4.
         cfg = self.tiny_config(snr_db_axis=(0.0, 10.0), methods=si.analysis.SWEEP_METHODS)
         fixed = {id(a): m for m, a in cfg._allocations.items()}
         calls, lag_sums, symbol_sums = [], [], []
@@ -504,17 +503,16 @@ class TestMonteCarloSweep:
 
         kernel = synth._cpi_lags
 
-        def counted(grid):
-            lag_sums.append(fixed.get(id(grid.alloc), "random"))
-            return kernel(grid)
+        def counted(block, alloc):
+            lag_sums.append(fixed.get(id(alloc), "random"))
+            return kernel(block, alloc)
 
-        monkeypatch.setattr(synth._SignalTable, "grid", spy(synth._SignalTable.grid))
         monkeypatch.setattr(synth._SignalTable, "statistics", spy(synth._SignalTable.statistics))
         monkeypatch.setattr(synth, "_cpi_lags", counted)
-        symbol_sum = synth.FreqGrid.symbol_sum.fget
+        symbol_sum = synth._GridStatistics.symbol_sum.fget
         monkeypatch.setattr(
-            synth.FreqGrid, "symbol_sum",
-            property(lambda grid: symbol_sums.append(fixed.get(id(grid.alloc), "random")) or symbol_sum(grid)),
+            synth._GridStatistics, "symbol_sum",
+            property(lambda drawn: symbol_sums.append(fixed.get(id(drawn.alloc), "random")) or symbol_sum(drawn)),
         )
         monte_carlo_sweep(cfg)
         draws = cfg.n_trials * len(cfg.snr_db_axis)
@@ -527,10 +525,10 @@ class TestMonteCarloSweep:
         }
         # two per trial and SNR point: slots 1 and 4
         assert sorted(lag_sums) == ["nested"] * draws + ["random"] * draws
-        assert symbol_sums == ["random"] * draws
+        assert sorted(symbol_sums) == sorted(["equivalent_bandwidth", "full_bandwidth", "random"] * draws)
 
-        # direct_sparse reads slot 1, a virtual method's slot, so its grid is
-        # synthesized as before, but nothing reads its lag sums
+        # direct_sparse reads slot 1, a virtual method's slot, so its
+        # statistics are drawn as before, but nothing reads its lag sums
         calls.clear()
         lag_sums.clear()
         symbol_sums.clear()
@@ -686,12 +684,13 @@ def spy_draws(monkeypatch):
     """Record (table, allocation, drawn) of every draw through a per-point
     table (synth._SignalTable), in order."""
     draws = []
-    for name in ("grid", "statistics"):
-        def spy(table, alloc, seed, real=getattr(synth._SignalTable, name), **lags):
-            drawn = real(table, alloc, seed, **lags)
-            draws.append((table, alloc, drawn))
-            return drawn
-        monkeypatch.setattr(synth._SignalTable, name, spy)
+
+    def spy(table, alloc, seed, real=synth._SignalTable.statistics, **lags):
+        drawn = real(table, alloc, seed, **lags)
+        draws.append((table, alloc, drawn))
+        return drawn
+
+    monkeypatch.setattr(synth._SignalTable, "statistics", spy)
     return draws
 
 
@@ -749,7 +748,7 @@ class TestSignalTable:
         )
         self.assert_walk_keeps_bits(monkeypatch, cfg, cfg.scenes, cfg.methods, cfg._allocations, 2)
 
-    @pytest.mark.parametrize("m", [32, 128])  # grids, and statistics in three dimensions
+    @pytest.mark.parametrize("m", [32, 128])  # statistics in three dimensions, r = M - 3 < K and r = K
     def test_demo_draws_keep_the_per_call_bits(self, monkeypatch, m):
         cfg = si.TwoTargetDemoConfig(params=make_params(n=256, m=m), n_runs=3)
         pair = ("direct_sparse", "autocorrelation")

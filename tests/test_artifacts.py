@@ -269,19 +269,19 @@ CLI_RUNS = {
 SEEDED = {
     "rmse_pslr_sweep": {
         "sweep.csv": [
-            [0, "autocorrelation", 197.24749406, 192.787900931, 0.982482490818, 1.54830042312, 0, 2],
-            [0, "direct_sparse", 83.2762067484, 80.306396216, 0.747835032157, 0.232183460613, 0, 2],
-            [0, "nested", 7.50107594055, 0, 1.96774758327, 1.09701257254, 0.5, 2],
-            [10, "autocorrelation", 1.65239053435, 1.52288323421, 3.35188662216, 1.69849089108, 0, 2],
-            [10, "direct_sparse", 1.77239923991, 1.5911616668, 1.22284233045, 0.573181389315, 0, 2],
-            [10, "nested", 2.79704656945, 2.74105043872, 2.52315052705, 0.450857560482, 0, 2],
+            [0, "autocorrelation", 9.59709270644, 2.03279517015, 1.48884886375, 0.26119814013, 0, 2],
+            [0, "direct_sparse", 10.0807304339, 3.73155882219, 1.00718241414, 0.225884950681, 0, 2],
+            [0, "nested", 5.93165086238, 0, 2.54152686073, 0.32560258855, 0.5, 2],
+            [10, "autocorrelation", 1.68316633127, 1.5843401087, 2.66922834336, 0.39154013398, 0, 2],
+            [10, "direct_sparse", 1.60225527848, 1.5169226204, 1.2170470683, 0.105968191355, 0, 2],
+            [10, "nested", 6.51604797265, 3.61480694008, 2.59578578604, 0.480922226739, 0, 2],
         ],
     },
     "two_target_demo": {
-        "demo_runs.csv": [[0, 1, 1], [1, 0, 0]],
-        "demo_summary.csv": [["direct_sparse", 0.5, 2], ["autocorrelation", 0.5, 2]],
-        "demo_direct_periodogram.csv": (7, 64.18174454465698),
-        "demo_virtual_periodogram.csv": (13, 191.6740837774816),
+        "demo_runs.csv": [[0, 0, 0], [1, 0, 1]],
+        "demo_summary.csv": [["direct_sparse", 0, 2], ["autocorrelation", 0.5, 2]],
+        "demo_direct_periodogram.csv": (33, 63.000941630047976),
+        "demo_virtual_periodogram.csv": (109, 181.05697350774298),
     },
 }
 

@@ -13,10 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparse_isac import analysis, cli
 from sparse_isac.analysis import SingularFimError
-from sparse_isac.synth import _SignalTable
 
 CLI = [sys.executable, "-m", "sparse_isac.cli"]
 
@@ -264,8 +265,8 @@ def failing(exc_type):
     return fail
 
 
-def mutated(experiment, path, value, configs=TINY):
-    cfg = json.loads(json.dumps(configs[experiment]))
+def mutate(cfg, path, value):
+    """Set `path` of `cfg` to `value` in place, or delete it where `value` is DROP."""
     node = cfg
     for key in path[:-1]:
         node = node[key]
@@ -273,6 +274,11 @@ def mutated(experiment, path, value, configs=TINY):
         del node[path[-1]]
     else:
         node[path[-1]] = value
+
+
+def mutated(experiment, path, value, configs=TINY):
+    cfg = json.loads(json.dumps(configs[experiment]))
+    mutate(cfg, path, value)
     return cfg
 
 
@@ -716,12 +722,10 @@ def test_successful_run_shows_its_warnings(tmp_path, experiment):
     assert source.strip() == Path(analysis.__file__).read_text().splitlines()[line - 1].strip()
 
 
-def test_gram_route_sweep_warns_from_the_table_line(tmp_path, monkeypatch):
-    """With the draw opened for every constant allocation, the sweep draws
-    the statistics of its virtual slots, not their grids, and an aliasing
-    target still warns once, from the one line that builds the table."""
-    monkeypatch.setattr(analysis, "_gram_route", lambda alloc, scene: alloc.is_constant)
-    monkeypatch.setattr(_SignalTable, "grid", failing(AssertionError))
+def test_gram_route_sweep_warns_from_the_table_line(tmp_path):
+    """In process too, the sweep, which draws the statistics of its
+    virtual slots, warns once of an aliasing target, from the one line that
+    builds the table."""
     path = write_config(tmp_path, ALIASING["rmse_pslr_sweep"])
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("default")  # Python's display: once per source line
@@ -827,15 +831,11 @@ FIELDS = [("", exp, path) for exp in TINY for path in leaf_paths(TINY[exp])] + [
 ]
 
 
-# every (field, value) pair; a value's id stops at 24 characters (10**400 has 401)
-@pytest.mark.parametrize("value", MUTATIONS, ids=lambda v: "DROP" if v is DROP else repr(v)[:24])
-@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"{f[0]}{f[1]}:{'.'.join(map(str, f[2]))}")
-def test_any_single_field_mutation_keeps_the_exit_code_contract(field, value):
-    base, experiment, path = field
-    if value is DROP and isinstance(path[-1], int):
-        value = "x"  # list entries cannot be dropped without renumbering the rest
-    cfg = mutated(experiment, list(path), value, NOISE_FREE if base else TINY)
-    named = next(key for key in reversed(path) if isinstance(key, str))
+def assert_exit_code_contract(cfg, keys):
+    """validate and run of `cfg` each exit 0, 2 or 3 without a traceback,
+    a 2 naming one of the config `keys` and writing nothing; they agree on
+    the config; and a successful run leaves only the documented cells
+    non-finite."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path, out = write_config(Path(tmp), cfg), Path(tmp) / "out"
         codes = set()
@@ -845,12 +845,53 @@ def test_any_single_field_mutation_keeps_the_exit_code_contract(field, value):
             assert code in (0, 2, 3)
             assert "Traceback" not in err
             if code == 2:
-                assert names(named, err), err
+                assert any(names(key, err) for key in keys), err
                 assert not out.exists()
             codes.add(code)
         assert len(codes) == 1 or codes == {0, 3}  # validate and run agree on the config
         if code == 0:  # run succeeded: only the documented cells may be non-finite
             assert undocumented_non_finite_cells(out) == []
+
+
+def fuzz_value(path, value):
+    """`value`, but "x" for DROP of a list entry: list entries cannot be
+    dropped without renumbering the rest."""
+    return "x" if value is DROP and isinstance(path[-1], int) else value
+
+
+def named_key(path):
+    """The config key an error names for `path`: its last string key."""
+    return next(key for key in reversed(path) if isinstance(key, str))
+
+
+# every (field, value) pair; a value's id stops at 24 characters (10**400 has 401)
+@pytest.mark.parametrize("value", MUTATIONS, ids=lambda v: "DROP" if v is DROP else repr(v)[:24])
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"{f[0]}{f[1]}:{'.'.join(map(str, f[2]))}")
+def test_any_single_field_mutation_keeps_the_exit_code_contract(field, value):
+    base, experiment, path = field
+    cfg = mutated(experiment, list(path), fuzz_value(path, value), NOISE_FREE if base else TINY)
+    assert_exit_code_contract(cfg, [named_key(path)])
+
+
+# Two fields of one config mutated at once, neither inside the other, the
+# pairs drawn derandomized from FIELDS x MUTATIONS: the noise-free bases
+# first, whose virtual slots of M = 2 symbols draw their statistics without
+# noise to hide an underflow.
+BASES = [("noise_free:", exp) for exp in NOISE_FREE] + [("", exp) for exp in TINY]
+
+
+@pytest.mark.parametrize("base, experiment", BASES, ids=[f"{b}{exp}" for b, exp in BASES])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_two_field_mutation_keeps_the_exit_code_contract(base, experiment, data):
+    paths = [path for b, exp, path in FIELDS if (b, exp) == (base, experiment)]
+    first = data.draw(st.sampled_from(paths))
+    apart = [p for p in paths if p[: len(first)] != first and first[: len(p)] != p]
+    second = data.draw(st.sampled_from(apart))
+    cfg = json.loads(json.dumps((NOISE_FREE if base else TINY)[experiment]))
+    for path in (first, second):
+        mutate(cfg, path, fuzz_value(path, data.draw(st.sampled_from(MUTATIONS))))
+    assert_exit_code_contract(cfg, [named_key(first), named_key(second)])
 
 
 def test_underflowing_spectrum_is_a_numeric_failure(tmp_path):

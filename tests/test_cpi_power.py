@@ -1,10 +1,10 @@
 """The CPI lag-sum kernel: its FFT route against the serial loop, in the
 caller's thread, its Gram route, the per-thread workspace it reads into and
 the guard that runs its BLAS product at one BLAS thread, the read gate that
-picks the route and the row rule by which a sweep or demo trial draws a
-slot's statistics past it, the per-grid memo that both per-symbol
-estimators read, and the sweep's SNR-point threads, the package's only
-thread pool."""
+picks the route of a grid's block and of a drawn statistics block by its
+rows, the sweep's draws, which are statistics at any grid size, the
+per-grid memo that both per-symbol estimators read, and the sweep's
+SNR-point threads, the package's only thread pool."""
 import os
 import subprocess
 import sys
@@ -24,7 +24,7 @@ from sparse_isac import alloc as alloc_module
 from sparse_isac import analysis, synth
 from sparse_isac.analysis import SweepConfig, monte_carlo_sweep
 from sparse_isac.alloc import nested_params_for
-from sparse_isac.synth import _ROW_BLOCK, _cpi_lags, _fft_lags, _gram_lags, _gram_read, _gram_route
+from sparse_isac.synth import _ROW_BLOCK, _cpi_lags, _fft_lags, _gram_lags, _gram_read, _gram_statistics
 
 
 def make_params(n, m):
@@ -63,31 +63,38 @@ def assert_same_sweep(a, b):
 
 class TestFftRoute:
     """The reference route, run directly: a constant allocation reads on it
-    where the read gate keeps it (_gram_read), a per-symbol one always."""
+    where the read gate keeps it (_gram_read), a per-symbol one always, on
+    its dense rows."""
+
+    @staticmethod
+    def rows(grid):
+        """What FreqGrid.cpi_lags hands _cpi_lags: the active block of a
+        constant allocation, the dense rows of a per-symbol one."""
+        return grid.block if grid.alloc.is_constant else grid.samples
 
     @pytest.mark.parametrize("pattern", ["constant", "per_symbol"])
     @pytest.mark.parametrize("m", [1, 63, 64, 65, 2 * _ROW_BLOCK + 3, 720])
     def test_bitwise_equal_to_serial_loop(self, m, pattern):
         grid = make_grid(24, m, pattern)
-        assert _fft_lags(grid).tobytes() == serial_cpi_lags(grid).tobytes()
+        assert _fft_lags(self.rows(grid), grid.alloc).tobytes() == serial_cpi_lags(grid).tobytes()
 
     @pytest.mark.parametrize("pattern", ["constant", "per_symbol"])
     def test_paper_size_in_the_calling_thread(self, monkeypatch, pattern):
         grid = make_grid(1000, 720, pattern)  # K = 250
-        ref = serial_cpi_lags(grid)
+        ref, rows = serial_cpi_lags(grid), self.rows(grid)
 
         def refuse(thread):
             raise AssertionError(f"the kernel started thread {thread.name}")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        assert _fft_lags(grid).tobytes() == ref.tobytes()
+        assert _fft_lags(rows, grid.alloc).tobytes() == ref.tobytes()
 
     def test_threaded_sweep_bitwise_under_fast_switching(self, monkeypatch):
         # 4 SNR-point threads, more than cores, switching every few
-        # microseconds, each reading the kernel on its own grids; the read
-        # gate closed, so each trial synthesizes its grids and reads them on
-        # the FFT route
-        monkeypatch.setattr(synth, "_gram_read", lambda alloc: False)
+        # microseconds, each reading the kernel on its own draws; the read
+        # gate closed, so each trial reads its drawn statistics on the FFT
+        # route
+        monkeypatch.setattr(synth, "_gram_read", lambda rows, alloc: False)
         params = make_params(64, 2 * _ROW_BLOCK + 3)
         cfg = SweepConfig(
             params=params,
@@ -102,9 +109,9 @@ class TestFftRoute:
         callers = []
         kernel = synth._cpi_lags
 
-        def counted(grid):
+        def counted(block, alloc):
             callers.append(threading.get_ident())
-            return kernel(grid)
+            return kernel(block, alloc)
 
         monkeypatch.setattr(synth, "_cpi_lags", counted)
         seq = monte_carlo_sweep(cfg, threads=1)
@@ -143,106 +150,109 @@ if guard == "free":
     synth._one_blas_thread = contextlib.nullcontext()
 for n, m, k in ((1000, 333, 150), (1000, 720, 200), (1000, 263, 229), (256, 32, 64)):
     grid = make_grid(n, m, "constant", n_active=k)
-    assert _gram_read(grid.alloc)
-    print(m, k, hashlib.sha256(_cpi_lags(grid).tobytes()).hexdigest())
+    assert _gram_read(m, grid.alloc)
+    print(m, k, hashlib.sha256(_cpi_lags(grid.block, grid.alloc).tobytes()).hexdigest())
     targets = tuple(si.Target(distance_m=d, velocity_mps=v, amplitude=1.0) for d, v in ((200, 15), (330, -15)))
     drawn = _gram_statistics(si.Scene(targets=targets, snr_db=0.0), grid.alloc, grid.params, 5)
     print(m, k, hashlib.sha256(drawn.cpi_lags.tobytes() + drawn.symbol_sum.tobytes()).hexdigest())
 """
 
 
-def make_scene(n_targets):
-    """A 0 dB scene of n_targets static targets 30 m apart."""
-    targets = tuple(si.Target(distance_m=100.0 + 30.0 * i, amplitude=1.0) for i in range(n_targets))
-    return si.Scene(targets=targets, snr_db=0.0)
-
-
 class TestGramRoute:
-    """A constant allocation whose read costs less there takes its lag sums
-    from the Gram matrix of its active block (the read gate, _gram_read); a
-    sweep or demo trial draws the statistics of one whose drawn block is
-    shorter than the grid, M > K + 1 + T for T targets (_gram_route)."""
+    """A block of a constant allocation whose read costs less there, a
+    grid's (M, K) block or a drawn statistics block of d + r rows, takes its
+    lag sums from its Gram matrix (the read gate, _gram_read, by the
+    block's own rows); a sweep or demo trial draws the statistics of every
+    slot, never a grid."""
 
     @pytest.mark.parametrize(
-        "n, m, pattern, k, read, draw",
+        "n, m, pattern, k, read",
         [
-            (256, 1, "constant", 64, False, False),
-            (256, 8, "constant", 64, False, False),
-            (256, 16, "constant", 64, False, False),
-            (256, 32, "constant", 64, True, False),  # desk: M <= K + 2
-            (256, 128, "constant", 64, True, True),  # the desk demo's grid
-            (256, 32, "per_symbol", None, False, False),
-            (1000, 720, "constant", 200, True, True),  # paper
-            (1000, 720, "constant", 250, True, True),
-            (1000, 720, "constant", 350, True, True),
-            (1000, 720, "constant", 458, True, True),  # the read gate's largest K
-            (1000, 720, "constant", 459, False, False),
-            (1000, 720, "constant", 500, False, False),
-            (256, 1024, "constant", 128, True, True),
-            (256, 1024, "constant", 200, True, True),
-            (256, 1024, "constant", 220, False, False),
+            (256, 1, "constant", 64, False),
+            (256, 8, "constant", 64, False),
+            (256, 16, "constant", 64, False),
+            (256, 32, "constant", 64, True),  # desk
+            (256, 128, "constant", 64, True),  # the desk demo's grid
+            (256, 32, "per_symbol", None, False),
+            (1000, 720, "constant", 200, True),  # paper
+            (1000, 720, "constant", 250, True),
+            (1000, 720, "constant", 350, True),
+            (1000, 720, "constant", 458, True),  # the read gate's largest K
+            (1000, 720, "constant", 459, False),
+            (1000, 720, "constant", 500, False),
+            (256, 1024, "constant", 128, True),
+            (256, 1024, "constant", 200, True),
+            (256, 1024, "constant", 220, False),
         ],
     )
-    def test_read_and_draw_gates(self, n, m, pattern, k, read, draw):
-        # make_grid's grids have one target: a trial draws where the read
-        # gate holds and M > K + 2
+    def test_read_gate(self, n, m, pattern, k, read):
         grid = make_grid(n, m, pattern, n_active=k)
-        assert _gram_read(grid.alloc) is read
-        assert _gram_route(grid.alloc, make_scene(1)) is draw
-        want = _gram_lags(grid.block, grid.alloc) if read else _fft_lags(grid)
-        assert _cpi_lags(grid).tobytes() == want.tobytes()
+        assert _gram_read(m, grid.alloc) is read
+        want = _gram_lags(grid.block, grid.alloc) if read else _fft_lags(TestFftRoute.rows(grid), grid.alloc)
+        assert grid.cpi_lags.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
-        "n, m, pattern, k, n_targets, gram",
+        "n, rows, pattern, k, gram",
         [
-            (256, 66, "constant", 64, 1, False),  # M = K + 1 + T
-            (256, 67, "constant", 64, 1, True),
-            (256, 67, "constant", 64, 2, False),
-            (256, 68, "constant", 64, 2, True),
-            (1000, 720, "constant", 458, 1, True),
-            (1000, 720, "constant", 459, 1, False),  # FFT read
-            (1000, 202, "constant", 200, 1, False),
-            (1000, 203, "constant", 200, 1, True),
-            (1000, 720, "nested", 200, 2, True),
-            (1000, 720, "per_symbol", None, 1, False),
-            (256, 1024, "per_symbol", None, 2, False),
+            (256, 18, "constant", 64, False),  # the row edge at N=256, K=64
+            (256, 19, "constant", 64, True),
+            (1000, 720, "constant", 458, True),  # the K edge at 720 rows
+            (1000, 720, "constant", 459, False),
+            (1000, 459, "constant", 458, False),  # K=458 drawn in 1 + K rows
+            (1000, 201, "constant", 200, True),  # paper, drawn in 1 + K rows
+            (1000, 720, "nested", 200, True),
+            (1000, 720, "per_symbol", None, False),
+            (256, 1024, "per_symbol", None, False),
         ],
     )
-    def test_gates(self, n, m, pattern, k, n_targets, gram):
-        # the row rule at its M edge for one and two targets, the read gate
-        # at its K edge, and a per-symbol allocation, which never draws
-        assert _gram_route(make_grid(n, m, pattern, n_active=k).alloc, make_scene(n_targets)) is gram
+    def test_gates(self, n, rows, pattern, k, gram):
+        # the read gate at its row edge and at its K edge, by the rows of
+        # the block read, and a per-symbol allocation, which never reads on
+        # the Gram route
+        assert _gram_read(rows, make_grid(n, rows, pattern, n_active=k).alloc) is gram
+
+    @pytest.mark.parametrize("m, route", [(16, "fft"), (32, "gram")])
+    def test_statistics_block_reads_on_the_route_of_its_rows(self, m, route):
+        # one static target at N=256, K=64: the drawn block holds 1 + (M - 1)
+        # = M rows, 16 on the FFT side of the gate and 32 on the Gram side,
+        # and the two routes agree to round-off
+        params = make_params(256, m)
+        alloc = si.make_allocation(params, "random", n_active=64, seed=5)
+        scene = si.Scene(targets=(si.Target(distance_m=60 * params.range_bin_m, amplitude=1.0),), snr_db=0.0)
+        drawn = _gram_statistics(scene, alloc, params, 5)
+        assert drawn.block.shape == (m, 64)
+        gram, fft = _gram_lags(drawn.block, alloc), _fft_lags(drawn.block, alloc)
+        assert _gram_read(m, alloc) is (route == "gram")
+        assert drawn.cpi_lags.tobytes() == (gram if route == "gram" else fft).tobytes()
+        assert np.max(np.abs(gram - fft)) <= 1e-13 * np.max(np.abs(fft))
 
     @pytest.mark.parametrize("m", [66, 67])
-    def test_trials_draw_exactly_where_the_rule_holds(self, monkeypatch, m):
-        # a desk-width sweep of one target on both sides of the M edge: each
-        # virtual slot (the random draw and nested) draws its statistics at
-        # M = 67 and synthesizes its grid at M = 66; each zero-fill slot
-        # (full and equivalent band) draws its symbol sum alone at both
-        calls = []  # (draw, allocation, keywords) of each slot drawn
-
-        def spying(name):  # args: the table, the allocation, the seed
-            real = getattr(synth._SignalTable, name)
-            return lambda *args, **kw: calls.append((name, args[1], kw)) or real(*args, **kw)
-
-        for name in ("grid", "statistics"):
-            monkeypatch.setattr(synth._SignalTable, name, spying(name))
+    def test_no_sweep_calls_the_grid_draw(self, monkeypatch, m):
+        # a desk-width sweep of one target at M = K + 1 + T and one symbol
+        # past it: each virtual slot (the random draw and nested) draws its
+        # statistics, each zero-fill slot (full and equivalent band) its
+        # symbol sum alone, and no grid is built
+        calls = []  # (allocation, keywords) of each slot drawn
+        real = synth._SignalTable.statistics
+        monkeypatch.setattr(
+            synth._SignalTable, "statistics",
+            lambda table, alloc, streams, **kw: calls.append((alloc, kw)) or real(table, alloc, streams, **kw),
+        )
+        monkeypatch.setattr(synth.FreqGrid, "__post_init__", lambda grid: pytest.fail("a grid was built"))
         params = make_params(256, m)
         cfg = SweepConfig(
             params=params, n_active=64, snr_db_axis=(0.0, 10.0), methods=analysis.SWEEP_METHODS,
             targets=(si.Target(distance_m=60 * params.range_bin_m, amplitude=1.0),), n_trials=2,
         )
         monte_carlo_sweep(cfg, threads=1)
-        summed = [(name, alloc) for name, alloc, kw in calls if kw == {"lags": False}]
-        assert [name for name, _ in summed] == ["statistics"] * (2 * 2 * 2)
-        assert {id(alloc) for _, alloc in summed} == {
+        summed = [alloc for alloc, kw in calls if kw == {"lags": False}]
+        assert len(summed) == 2 * 2 * 2  # points x trials x zero-fill slots
+        assert {id(alloc) for alloc in summed} == {
             id(cfg._allocations[method]) for method in ("full_bandwidth", "equivalent_bandwidth")
         }
-        virtual = [(name, alloc) for name, alloc, kw in calls if kw != {"lags": False}]
-        draw = "statistics" if m == 67 else "grid"
-        assert [name for name, _ in virtual] == [draw] * (2 * 2 * 2)  # points x trials x virtual slots
-        for name, alloc in virtual:
-            assert _gram_route(alloc, cfg.scenes[0]) is (name == "statistics")
+        virtual = [alloc for alloc, kw in calls if kw == {"lags": True}]
+        assert len(virtual) == 2 * 2 * 2  # points x trials x virtual slots
+        assert len(calls) == len(summed) + len(virtual)
 
     @pytest.mark.parametrize(
         "m, pattern, k",
@@ -260,8 +270,8 @@ class TestGramRoute:
     def test_close_to_serial_loop(self, m, pattern, k):
         grid = make_grid(1000, m, pattern, n_active=k)
         ref = serial_cpi_lags(grid)
-        lags = _cpi_lags(grid)
-        if _gram_read(grid.alloc):
+        lags = _cpi_lags(grid.block, grid.alloc)
+        if _gram_read(m, grid.alloc):
             assert np.max(np.abs(lags - ref)) <= 1e-13 * np.max(np.abs(ref))
         else:
             assert lags.tobytes() == ref.tobytes()
@@ -312,7 +322,7 @@ class TestGramRoute:
             params=params, n_active=16, snr_db_axis=(0.0, 10.0), methods=("nested",),
             targets=(si.Target(distance_m=10 * params.range_bin_m, amplitude=1.0),), n_trials=3,
         )
-        assert _gram_read(cfg._allocations["nested"])
+        assert _gram_read(1 + cfg.n_active, cfg._allocations["nested"])  # its drawn block's rows
         monte_carlo_sweep(cfg, threads=1)
         assert built == [cfg._allocations["nested"]]
 
@@ -454,7 +464,7 @@ class TestBlasGuard:
 
     @pytest.fixture(autouse=True)
     def gram_reads(self, monkeypatch):
-        monkeypatch.setattr(synth, "_gram_read", lambda alloc: alloc.is_constant)
+        monkeypatch.setattr(synth, "_gram_read", lambda rows, alloc: alloc.is_constant)
 
     def test_product_runs_at_one_thread(self, caller_blas_threads):
         grid = make_grid(64, 8, "constant", n_active=16)
@@ -505,11 +515,11 @@ class TestBlasGuard:
 class TestMemo:
     @pytest.mark.parametrize("gram", [False, True], ids=["fft", "gram"])
     def test_second_read_is_the_same_read_only_array(self, monkeypatch, gram):
-        monkeypatch.setattr(synth, "_gram_read", lambda alloc: gram)
+        monkeypatch.setattr(synth, "_gram_read", lambda rows, alloc: gram)
         grid = make_grid(40, 70, "constant")
         calls = []
         kernel = synth._cpi_lags
-        monkeypatch.setattr(synth, "_cpi_lags", lambda g: calls.append(g) or kernel(g))
+        monkeypatch.setattr(synth, "_cpi_lags", lambda *args: calls.append(args) or kernel(*args))
         first = grid.cpi_lags
         assert grid.cpi_lags is first
         assert not first.flags.writeable
@@ -534,7 +544,7 @@ class TestMemo:
     def test_one_pass_feeds_both_readers(self, monkeypatch, pattern, m):
         calls = []
         kernel = synth._cpi_lags
-        monkeypatch.setattr(synth, "_cpi_lags", lambda g: calls.append(g) or kernel(g))
+        monkeypatch.setattr(synth, "_cpi_lags", lambda *args: calls.append(args) or kernel(*args))
         shared = make_grid(64, m, pattern)
         doppler = si.doppler_periodogram(shared)
         if pattern == "constant":
@@ -578,8 +588,8 @@ class TestSweepThreads:
 
     @staticmethod
     def config(methods=("direct_sparse", "autocorrelation"), n_symbols=8):
-        # 8 symbols x 128 points; from 20 symbols (M > K + 1 + T for up to
-        # two targets) a trial draws the statistics of its virtual slots
+        # 8 symbols x 128 points; a trial draws the statistics of its
+        # virtual slots, 1 + min(M - 1, K) rows for one static target
         params = make_params(64, n_symbols)
         return SweepConfig(
             params=params,
@@ -615,7 +625,7 @@ class TestSweepThreads:
         monkeypatch.setattr(analysis, "_SWEEP_THREAD_MIN_POINTS", 32 * 128)
         cfg = self.config(methods, n_symbols=32)
         alloc = cfg._allocations.get(methods[-1]) or cfg._allocations["equivalent_bandwidth"]
-        assert _gram_route(alloc, cfg.scenes[0])
+        assert _gram_read(1 + cfg.n_active, alloc)  # the drawn block's rows
         result = monte_carlo_sweep(cfg)
         assert pools == [3]
         assert_same_sweep(result, monte_carlo_sweep(cfg, threads=1))
@@ -627,12 +637,10 @@ class TestSweepThreads:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
     def test_statistics_draw_bitwise_at_any_cpu_count(self, pools, monkeypatch, cpus):
-        # two moving targets on the Gram route, M = 32 > K + 3: slots 1 and
-        # 4 draw their statistics, in a basis of three symbol dimensions,
-        # not their grids
+        # two moving targets on the Gram route: slots 1 and 4 draw their
+        # statistics in a basis of three symbol dimensions, 3 + K rows
         monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(analysis, "_SWEEP_THREAD_MIN_POINTS", 1)
-        monkeypatch.setattr(synth._SignalTable, "grid", None)  # never called
         cfg = self.config(analysis.SWEEP_METHODS, n_symbols=32)
         targets = tuple(
             si.Target(distance_m=d * cfg.params.range_bin_m, velocity_mps=v, amplitude=1.0)

@@ -526,7 +526,7 @@ class TestVirtualSymmetry:
         params = make_params(n=64, m=_ROW_BLOCK + 3)
         alloc = si.make_allocation(params, "random", n_active=20, seed=3)
         scene = si.Scene(targets=(si.Target(distance_m=120.0, velocity_mps=30.0, amplitude=1.0),), snr_db=0.0)
-        monkeypatch.setattr(synth, "_gram_read", lambda _: route != "fft")
+        monkeypatch.setattr(synth, "_gram_read", lambda rows, alloc: route != "fft")
         draw = _gram_statistics if route == "gram_statistics" else si.synthesize
         grid = draw(scene, alloc, params, 5)
         vs, aperture = si.build_virtual_signal(grid)

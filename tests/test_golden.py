@@ -19,7 +19,8 @@ both are the same, the test compares the bytes too: OpenBLAS picks its
 kernels by CPU, and the Gram route's product sums in the kernel's order.
 
 A change that moves an output re-records the file and lists the moved
-entries in CHANGES.md:
+entries in CHANGES.md.  The re-record prints them: one `changes` line per
+entry that moved from the old record.
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -55,9 +56,8 @@ REL_TOL = 1e-12
 SEED = 5
 
 # What each config runs:
-# - multiblock: N=256, M=131, K=64, past the read gate and M > K + 1 + T, so
-#   the sweep draws the statistics of its virtual slots (_gram_statistics)
-#   in 1 + K = 65 rows, not their 131-row grids;
+# - multiblock: N=256, M=131, K=64, whose virtual slots' statistics
+#   (_gram_statistics) fill all K = 64 rows of the Bartlett factor, 65 rows;
 # - paper: N=1000, M=720, K=200, every sweep method;
 # - paper333: N=1000, M=333, K=200, a static target, so the drawn statistics
 #   span one symbol dimension;
@@ -66,8 +66,8 @@ SEED = 5
 # - paper250: N=1000, M=720, K=250, drawn statistics, one thread per SNR point;
 # - demo250, demo_gram: the two-target demo at N=1000, M=720, K=250 and 200,
 #   each run drawing its slot's statistics;
-# - fft_read: N=256, M=16, K=64, the FFT side of the read gate, so the sweep
-#   synthesizes its virtual grids and reads their lag sums in row blocks;
+# - fft_read: N=256, M=16, K=64, whose virtual slots' 16-row statistics
+#   read their lag sums on the FFT side of the read gate;
 # - close_targets: two desk targets 15 m apart, which one peak of the
 #   64-subcarrier contiguous band merges and the full band resolves;
 # - ambiguity: the desk surface at its default 401 x 101 axes, the largest
@@ -78,8 +78,8 @@ RUNS = {
     **{f"desk_{cmd}": [cmd, "--profile", "desk"] for cmd in ("sweep", "demo", "crlb")},
 }
 
-# The estimator runs' grids: (N, M, make_allocation keywords).  All but
-# N=1000, M=333 read their lag sums on the Gram route.
+# The estimator runs' grids: (N, M, make_allocation keywords).  All read
+# their lag sums on the Gram route.
 GRIDS = {
     "random N=256 M=32": (256, 32, dict(pattern="random", n_active=64, seed=5)),
     "random N=256 M=128": (256, 128, dict(pattern="random", n_active=64, seed=5)),
@@ -254,8 +254,13 @@ def write(directory: Path) -> dict:
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--write"] and len(sys.argv) == 3:
         write(Path(sys.argv[2]))
-    elif len(sys.argv) == 1:  # re-record
+    elif len(sys.argv) == 1:  # re-record, and print what moved
+        old = json.loads(RECORD.read_text())
         with tempfile.TemporaryDirectory() as tmp:
-            RECORD.write_text(json.dumps(write(Path(tmp)), indent=1, sort_keys=True) + "\n")
+            record = write(Path(tmp))
+        old.pop(SHA_KEY)
+        for line in changes({run: record[run] for run in ALL_RUNS}, old):
+            print(line)
+        RECORD.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     else:
         sys.exit("usage: python tests/test_golden.py [--write DIR]")

@@ -115,7 +115,7 @@ def test_every_estimator_matches_the_reference(n, m, layout, gram, seed, noise, 
     targets = (si.Target(distance_m=d, velocity_mps=v, amplitude=a, phase_rad=p) for d, v, a, p in specs)
     scene = si.Scene(targets=tuple(targets), **NOISE[noise])
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(synth, "_gram_read", lambda _: gram)
+        patch.setattr(synth, "_gram_read", lambda rows, alloc: gram)
 
         grid = si.synthesize(scene, alloc, params, seed=seed)
         samples = dense(grid)

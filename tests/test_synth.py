@@ -349,6 +349,7 @@ STATISTICS_CASES = {
     "static": (8, 12, [0, 2, 3, 7], (0.0,), 1),
     "two_moving": (8, 12, [0, 2, 3, 7], (100.0, -100.0), 3),
     "fewer_symbols_than_subcarriers": (16, 4, [0, 1, 4, 6, 9, 15], (100.0, -100.0), 3),  # M - d < K
+    "static_fewer_symbols_than_subcarriers": (16, 4, [0, 1, 4, 6, 9, 15], (0.0,), 1),  # a desk virtual slot
     "paper": (1000, 720, None, (15.0, -15.0), 3),
 }
 

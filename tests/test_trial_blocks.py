@@ -26,7 +26,7 @@ def params(n, m):
 
 
 DESK = params(256, 32)
-GRAM = params(256, 80)  # M > K + 1 + T: each virtual slot draws its statistics and a Bartlett factor
+GRAM = params(256, 80)  # M - d > K: each virtual slot's Bartlett factor fills all K rows
 MOVING = si.Target(distance_m=200.0, velocity_mps=15.0, amplitude=1.0)
 
 
