@@ -438,7 +438,8 @@ _CSV_SPECIAL = (",", '"', "\r", "\n")
 
 
 def _csv_cells(column) -> list[str]:
-    """One column of `_write_csv` as text; str cells are kept as they are."""
+    """One column of `_write_csv` as text; str cells are kept as they are.
+    A cell that csv.writer would quote is refused (ValueError)."""
     if isinstance(column, np.ndarray):
         column = column.tolist()
     try:
@@ -447,14 +448,9 @@ def _csv_cells(column) -> list[str]:
         column = [f"{x:.12g}" if isinstance(x, float) else str(x) for x in column]
         text = "".join(column)
     if any(ch in text for ch in _CSV_SPECIAL):
-        column = [_csv_quote(c) for c in column]
+        cell = next(c for c in column if any(ch in c for ch in _CSV_SPECIAL))
+        raise ValueError(f"CSV cell {cell!r} holds a comma, a double quote or a line break")
     return column
-
-
-def _csv_quote(cell: str) -> str:
-    if any(ch in cell for ch in _CSV_SPECIAL):
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
 
 
 def _write_csv(path, header, columns, comment: str | None = None) -> None:
@@ -464,10 +460,11 @@ def _write_csv(path, header, columns, comment: str | None = None) -> None:
     The rows are one `%` pass of a row format, `%.12g` for a float ndarray
     column (fed its tolist()) and `%s` for any other (fed its `_csv_cells`
     text: a float cell, np.float64 included, at .12g, a str cell as it is,
-    any other cell str()), over the row-major tuple of every cell.  A cell
-    holding a comma, a double quote or a line break is quoted as
-    csv.writer's QUOTE_MINIMAL quotes it; .12g text never is.  Rows end in
-    CR LF, as csv.writer ends them."""
+    any other cell str()), over the row-major tuple of every cell.  No
+    artifact cell or header holds a comma, a double quote or a line break,
+    so none is quoted: such a cell is refused (ValueError) before the file
+    is opened; .12g text never holds one.  Rows end in CR LF, as
+    csv.writer ends them."""
     n_rows = len(columns[0])
     if any(len(column) != n_rows for column in columns):
         raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
@@ -476,10 +473,11 @@ def _write_csv(path, header, columns, comment: str | None = None) -> None:
     flat = [None] * (len(columns) * n_rows)  # cell j of row i at i * len(columns) + j
     for j, (column, f) in enumerate(zip(columns, floats)):
         flat[j :: len(columns)] = column.tolist() if f else _csv_cells(column)
+    head = ",".join(_csv_cells(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
-        fh.write(",".join(_csv_cells(header)) + "\r\n")
+        fh.write(head)
         fh.write((row * n_rows) % tuple(flat))
 
 

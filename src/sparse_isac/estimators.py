@@ -278,10 +278,10 @@ def build_virtual_signal(grid: FreqGrid) -> tuple[VirtualSignal, VirtualAperture
     at the aperture lags >= 0 over their pair counts, the zero lag's real
     part, and mirrored with the conjugate onto the negative lags, so the
     signal is exactly conjugate-symmetric.  So it reads only the grid's
-    `alloc` and `cpi_lags`, and a sweep trial passes a drawn
-    synth._GridStatistics the same way.  The per-symbol lag products,
-    averaged over the symbols, are the tests' reference; they agree up to
-    float round-off.
+    `alloc` and `cpi_lags`.  A sweep or demo trial (analysis._read_trial)
+    skips this call and gathers its drawn lag sums with _virtual_half.
+    The per-symbol lag products, averaged over the symbols, are the tests'
+    reference; they agree up to float round-off.
     """
     aperture = difference_set(grid.alloc)
     half = _virtual_half(grid.cpi_lags, aperture)
@@ -331,11 +331,6 @@ def virtual_periodogram(
     )
 
 
-def _circular_distance(i: int, j: int, n: int) -> int:
-    d = abs(i - j) % n
-    return min(d, n - d)
-
-
 def detect_peaks(p: Periodogram, k: int = 1, min_separation: int = 1) -> PeakList:
     """Greedy peak picking with circular exclusion zones.
 
@@ -348,7 +343,7 @@ def detect_peaks(p: Periodogram, k: int = 1, min_separation: int = 1) -> PeakLis
         raise ValueError("k must be >= 1")
     v = p.values
     bins = _pick_peaks(v[None], k, min_separation)
-    if bins[0, 0] < 0:
+    if (bins < 0).all():  # no peak, or no bin
         return PeakList(peaks=(), requested=k)
     refined = _refined_peaks(v[None], bins, p.bin_width, float(p.axis[0]))
     peaks = tuple(
@@ -360,42 +355,46 @@ def detect_peaks(p: Periodogram, k: int = 1, min_separation: int = 1) -> PeakLis
 
 
 def _pick_peaks(v: np.ndarray, k: int, min_separation: int) -> np.ndarray:
-    """(T, k) bins of the greedy peak pick of each row of the (T, Q)
-    magnitudes `v`, in pick order, -1 past a row's last peak.
+    """(T, min(k, Q)) bins of the greedy peak pick of each row of the
+    (T, Q) magnitudes `v`, in pick order, -1 past a row's last peak; a row
+    has no more peaks than bins.
 
     The greedy ranks a row's local maxima (above the left neighbour, at
     least the right one, circularly; the argmax where there is none and the
     row is not zero everywhere) by magnitude, lowest bin first on a tie,
     and accepts each one more than min_separation bins from every accepted
-    one.  For k == 1 that first pick is the lowest bin at the row's maximum
-    with a lower left neighbour; with none, every bin holds the maximum:
-    bin 0, unless the row is zero everywhere.  That is the row's argmax,
-    for the whole stack at once, but where bin 0 and bin Q-1 (its left
-    neighbour, circularly) both hold the maximum.
+    one.  It runs for the whole stack at once, one pick at a time.  The
+    first pick is the lowest bin at the row's maximum with a lower left
+    neighbour; with none, every bin holds the maximum: bin 0, unless the
+    row is zero everywhere.  That is the row's argmax, but where bin 0 and
+    bin Q-1 (its left neighbour, circularly) both hold the maximum.  Each
+    later pick is the argmax over the local maxima still left (every other
+    bin reads -1) once the bins within min_separation of the pick before
+    it are struck out; argmax breaks a tie to the lowest bin, as the
+    ranking does.
     """
     t, n = v.shape
-    if k == 1 and n:
-        bins = v.argmax(axis=1)[:, None]
-        vmax = v.max(axis=1)
-        bins[vmax <= 0.0] = -1
-        for r in np.flatnonzero(v[:, -1] == vmax).tolist():
-            if bins[r, 0] == 0:
-                at_max = np.flatnonzero(v[r] == vmax[r])
-                bins[r, 0] = at_max[np.argmax(v[r, at_max - 1] < vmax[r])]  # bin 0 where none rises
+    picks = min(k, n)
+    bins = np.full((t, picks), -1, dtype=np.intp)
+    if n == 0:
         return bins
-    bins = np.full((t, k), -1, dtype=np.intp)
-    maxima = (v > np.roll(v, 1, axis=1)) & (v >= np.roll(v, -1, axis=1))
-    for r in range(t):
-        row, cand = v[r], np.flatnonzero(maxima[r])
-        if cand.size == 0 and np.any(row > 0):
-            cand = np.array([int(np.argmax(row))])
-        chosen = []
-        for idx in cand[np.lexsort((cand, -row[cand]))].tolist():  # magnitude desc, index asc
-            if len(chosen) == k:
-                break
-            if all(_circular_distance(idx, c, n) > min_separation for c in chosen):
-                chosen.append(idx)
-        bins[r, : len(chosen)] = chosen
+    vmax = v.max(axis=1)
+    bins[:, 0] = v.argmax(axis=1)
+    bins[vmax <= 0.0, 0] = -1
+    for r in np.flatnonzero(v[:, -1] == vmax).tolist():
+        if bins[r, 0] == 0:
+            at_max = np.flatnonzero(v[r] == vmax[r])
+            bins[r, 0] = at_max[np.argmax(v[r, at_max - 1] < vmax[r])]  # bin 0 where none rises
+    if picks == 1:
+        return bins
+    left = np.where((v > np.roll(v, 1, axis=1)) & (v >= np.roll(v, -1, axis=1)), v, -1.0)
+    m = min(max(min_separation, 0), n // 2)
+    near = np.arange(-m, m + 1)
+    rows = np.arange(t)[:, None]
+    for j in range(1, picks):
+        left[rows, (bins[:, j - 1 : j] + near) % n] = -1.0
+        best = left.argmax(axis=1)
+        bins[:, j] = np.where(left[rows[:, 0], best] > 0.0, best, -1)
     return bins
 
 
@@ -458,11 +457,9 @@ def doppler_periodogram(
     unwrap = np.exp(2j * np.pi * params.subcarrier_spacing_hz * delay_s * n_idx)
     # per-symbol matched sum over the active subcarriers
     slices = np.add.reduceat(grid.active * unwrap[cols], starts)
-    m = params.n_symbols
-    u_bins = oversample * m
-    k = grid.alloc.starts[-1] / grid.alloc.n_symbols  # active subcarriers per symbol
+    u_bins = oversample * params.n_symbols
     spectrum = np.fft.fft(slices, n=u_bins)
-    values = np.abs(np.fft.fftshift(spectrum)) / (m * k)
+    values = np.abs(np.fft.fftshift(spectrum)) / _active_cells(grid.alloc)
     axis = (np.arange(u_bins) - u_bins // 2) / (u_bins * params.symbol_dur_s)
     return Periodogram(
         axis=axis,

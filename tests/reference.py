@@ -27,7 +27,7 @@ import numpy as np
 
 import sparse_isac as si
 from sparse_isac.analysis import _SWEEP_TABLE, _VIRTUAL_SLOTS
-from sparse_isac.estimators import Peak, PeakList, _circular_distance, _refine_bin
+from sparse_isac.estimators import Peak, PeakList, _refine_bin
 from sparse_isac.synth import _ROW_BLOCK, _GridStatistics, _one_blas_thread, _symbol_basis
 
 C = si.SPEED_OF_LIGHT
@@ -493,11 +493,15 @@ def lag_sum_ambiguity(alloc, params, delays, dopplers):
 # scoring a periodogram
 
 
+def circular_distance(i: int, j: int, n: int) -> int:
+    d = abs(i - j) % n
+    return min(d, n - d)
+
+
 def greedy_detect_peaks(p, k=1, min_separation=1):
-    """detect_peaks by the greedy for every k: every local maximum ranked by
-    magnitude (lowest bin on a tie), each accepted unless within
-    min_separation bins of an accepted one.  detect_peaks takes this path
-    for k > 1 and picks its first peak directly for k == 1."""
+    """detect_peaks by the greedy, one row and one candidate at a time:
+    every local maximum ranked by magnitude (lowest bin on a tie), each
+    accepted unless within min_separation bins of an accepted one."""
     if k < 1:
         raise ValueError("k must be >= 1")
     v = p.values
@@ -512,7 +516,7 @@ def greedy_detect_peaks(p, k=1, min_separation=1):
     for idx in order:
         if len(chosen) == k:
             break
-        if all(_circular_distance(idx, c, n) > min_separation for c in chosen):
+        if all(circular_distance(idx, c, n) > min_separation for c in chosen):
             chosen.append(int(idx))
     peaks = []
     for idx in chosen:

@@ -867,6 +867,7 @@ def named_key(path):
 # every (field, value) pair; a value's id stops at 24 characters (10**400 has 401)
 @pytest.mark.parametrize("value", MUTATIONS, ids=lambda v: "DROP" if v is DROP else repr(v)[:24])
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"{f[0]}{f[1]}:{'.'.join(map(str, f[2]))}")
+@pytest.mark.filterwarnings("ignore:target .* it will alias:UserWarning")
 def test_any_single_field_mutation_keeps_the_exit_code_contract(field, value):
     base, experiment, path = field
     cfg = mutated(experiment, list(path), fuzz_value(path, value), NOISE_FREE if base else TINY)
@@ -881,6 +882,7 @@ BASES = [("noise_free:", exp) for exp in NOISE_FREE] + [("", exp) for exp in TIN
 
 
 @pytest.mark.parametrize("base, experiment", BASES, ids=[f"{b}{exp}" for b, exp in BASES])
+@pytest.mark.filterwarnings("ignore:target .* it will alias:UserWarning")
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_any_two_field_mutation_keeps_the_exit_code_contract(base, experiment, data):

@@ -1,4 +1,6 @@
 """The column writer against the row-at-a-time reference writer, byte for byte."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,9 @@ from sparse_isac.cli import _write_csv
 EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-300, 1e300, -1e300, 1.0 / 3.0]
 
 floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
-# printable ASCII plus the characters csv.writer quotes
-texts = st.text(st.sampled_from([chr(c) for c in range(32, 127)] + ["\r", "\n"]), max_size=8)
+# printable ASCII but the comma and the double quote: no artifact cell
+# holds a character that csv.writer quotes, and the writer refuses one
+texts = st.text(st.sampled_from([chr(c) for c in range(32, 127) if chr(c) not in ',"']), max_size=8)
 cells = st.one_of(
     floats,
     floats.map(np.float64),
@@ -61,7 +64,7 @@ def test_edge_cells_match_row_reference(tmp_path, comment):
         np.array(int64s),
         [np.int64(x) for x in int64s],
         [10**30, *int64s[1:]],
-        ["a,b", 'say "x"', "two\nlines", "cr\r", "", " ", "plain", "-0", "nan", "1e+300"],
+        ["a;b", "say 'x'", "two\tlines", "cr", "", " ", "plain", "-0", "nan", "1e+300"],
     ]
     header = [f"c{i}" for i in range(len(columns))]
     _write_csv(tmp_path / "got.csv", header, columns, comment)
@@ -69,11 +72,13 @@ def test_edge_cells_match_row_reference(tmp_path, comment):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-@pytest.mark.parametrize("cell", [",", '"', "\n", "\r", 'a "b", c\r\nd', "", " "])
-def test_str_cells_are_quoted_like_csv_writer(tmp_path, cell):
-    _write_csv(tmp_path / "got.csv", ["label", "x"], [[cell, "plain"], [1.5, 2]])
-    write_csv_rows(tmp_path / "want.csv", ["label", "x"], [[cell, 1.5], ["plain", 2]])
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+@pytest.mark.parametrize("cell", [",", '"', "\n", "\r", 'a "b", c\r\nd'])
+@pytest.mark.parametrize("in_header", [False, True])
+def test_str_cells_that_csv_writer_would_quote_are_refused(tmp_path, cell, in_header):
+    header, labels = ([cell, "x"], ["a", "plain"]) if in_header else (["label", "x"], [cell, "plain"])
+    with pytest.raises(ValueError, match=f"^CSV cell {re.escape(repr(cell))} holds "):
+        _write_csv(tmp_path / "bad.csv", header, [labels, [1.5, 2]], "snr_definition=x")
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_columns_of_unequal_length_are_refused(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -20,7 +21,7 @@ from reference import (
 )
 from sparse_isac import synth
 from sparse_isac.analysis import common_exclusion_halfwidth
-from sparse_isac.estimators import _zero_fill
+from sparse_isac.estimators import _pick_peaks, _zero_fill
 from sparse_isac.synth import _ROW_BLOCK, _gram_statistics
 
 C = si.SPEED_OF_LIGHT
@@ -614,6 +615,22 @@ class TestDetectPeaks:
         peaks = si.detect_peaks(p, k=3, min_separation=2)
         assert len(peaks.peaks) == 1
         assert not peaks.complete
+
+    def test_a_huge_k_allocates_no_more_columns_than_bins(self):
+        # a row has no more peaks than bins, so k = 2**40 (8 TiB of int64
+        # columns) asks for at most Q = 64 of them
+        p = self.delta_spectrum(64, [(10, 1.0), (40, 0.8)])
+        tracemalloc.start()
+        try:
+            peaks = si.detect_peaks(p, k=2**40, min_separation=5)
+            traced_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [q.bin_index for q in peaks.peaks] == [10, 40]
+        assert peaks.requested == 2**40 and not peaks.complete
+        assert traced_peak < 2**20
+        assert _pick_peaks(np.ones((3, 1)), 2**40, 1).tolist() == [[0], [0], [0]]
+        assert _pick_peaks(np.ones((3, 0)), 2**40, 1).shape == (3, 0)
 
     def test_tie_breaks_to_lowest_bin(self):
         p = self.delta_spectrum(64, [(10, 1.0), (40, 1.0)])

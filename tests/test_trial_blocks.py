@@ -196,6 +196,27 @@ def test_stack_rules_match_the_references_row_by_row(data):
         assert bits(got).tolist() == bits([modular_pslr(p, halfwidth) for p in periodograms]).tolist()
 
 
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_stack_pick_is_the_greedy_row_by_row(data):
+    # small integer magnitudes tie often: plateaus at the maximum and across
+    # the wrap past the last bin; every stack holds a zero row and a
+    # constant row; k runs past the peaks a row can hold and min_separation
+    # past half the row, where one peak strikes out every other bin
+    n = data.draw(st.integers(2, 29))
+    rows = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), max_size=6))
+    rows += [[0] * n, [data.draw(st.integers(1, 3))] * n]
+    rows = data.draw(st.permutations(rows))
+    k = data.draw(st.integers(1, 6))
+    min_separation = data.draw(st.integers(-1, n + 2))
+    v, periodograms = stack(rows)
+    bins = _pick_peaks(v, k, min_separation)
+    assert bins.shape == (len(rows), min(k, n))
+    for row_bins, p in zip(bins.tolist(), periodograms):
+        want = [q.bin_index for q in greedy_detect_peaks(p, k=k, min_separation=min_separation).peaks]
+        assert row_bins == want + [-1] * (bins.shape[1] - len(want))
+
+
 def traced_peak(cfg) -> int:
     tracemalloc.start()
     try:
