@@ -21,7 +21,6 @@ from .alloc import (
     _as_tuple,
     _check_fits,
     _check_number,
-    difference_set,
     make_allocation,
     nested_params_for,
 )
@@ -87,7 +86,9 @@ _SWEEP_TABLE = {
 # sum alone.  A point's draws read one table (synth._SignalTable),
 # which keeps the unit signals of the fixed slots' draws (slots 2 to 4).
 # The rule reads the table, not the requested subset, so no method's noise
-# stream depends on which others were requested.
+# stream depends on which others were requested.  Only a slot's Bartlett
+# factor, on a Generator of its own, is drawn where a requested virtual
+# method reads the slot and nowhere else.
 _VIRTUAL_SLOTS = {s for s, v in _SWEEP_TABLE.values() if v}
 SWEEP_METHODS = tuple(_SWEEP_TABLE)
 
@@ -498,27 +499,34 @@ def _trials(
     on the library delay axis (_bin_scale), checked as a Periodogram's
     magnitudes are (_check_magnitudes) once the block's draws are done.
 
-    A method `fixed` does not map reads the trial's random allocation.  A
-    slot (_SWEEP_TABLE) a virtual method reads has its symbol sum and Gram
-    matrix drawn without the grid (_gram_statistics); any other has its
-    symbol sum alone drawn, in one row (_gram_statistics, lags=False).  A
-    draw keeps synthesize's phases, with other noise draws.  Each slot is
-    read through its `symbol_sum` and `cpi_lags`, each computed only when
-    read, its lag sums on the route the read gate picks for its rows.
-    Every draw reads the point's one _SignalTable, which keeps the unit
-    signals of the `fixed` allocations.
+    A method `fixed` does not map reads the trial's random allocation; a
+    block draws its T random allocations first, in trial order.  Each slot
+    (_SWEEP_TABLE) is drawn once per block, all T trials at once, through
+    the point's one _SignalTable, which keeps the unit signals of the
+    `fixed` allocations (synth._SignalTable.statistics): a virtual slot's
+    symbol sum and Gram matrix without the grid (the rows of
+    _gram_statistics), any other slot's symbol sum alone, in one row
+    (lags=False).  A draw keeps synthesize's phases, with other noise
+    draws.  Where zero-fill reads a slot, the block's symbol sums go into
+    its methods' rows in one assignment; where a requested virtual method
+    reads it, each trial's Bartlett factor is drawn and its lag means read,
+    trial by trial, on the route the read gate picks once for the block,
+    and each random allocation is dropped once its trial is read.
 
     The point's streams are opened once, on children of `ss` by key: the
     random allocations draw from the Generator on key (0,), and slot s from
     those on keys (s, j) (synth._streams), j = 0 the phases, 1 the noise
     and 2 a Bartlett factor, each opened only where the slot's draw reads
-    it.  Trials draw from them in trial order, so the first n trials of a
-    longer walk are those of an n-trial walk, and trial i cannot be drawn
-    without trials 0 .. i - 1.
+    it (the factor only where a requested virtual method reads the slot).
+    Trials draw from them in trial order, so the first n trials of a longer
+    walk are those of an n-trial walk, and trial i cannot be drawn without
+    trials 0 .. i - 1.
 
-    Of each draw a method keeps one (N,) row (_read_trial); the block's
-    rows of a method are transformed at once, each with the bits of its
-    own zero_fill_periodogram or virtual_periodogram.
+    Of each draw a method keeps one (N,) row: a zero-fill method's symbol
+    sum over M * K (_active_cells), a virtual one's signal at its aperture
+    lags >= 0 (_virtual_half, zeros off the aperture) over n_lags.  The
+    block's rows of a method are transformed at once, each with the bits
+    of its own zero_fill_periodogram or virtual_periodogram.
     """
     params = cfg.params
     readers = {}  # slot: the requested methods that read it
@@ -526,21 +534,39 @@ def _trials(
         readers.setdefault(_SWEEP_TABLE[method][0], []).append(method)
     # one table per point: an aliasing target warns once per point, from this line
     table = _SignalTable(scene, params, fixed.values())
-    slots = []  # (its methods, fixed allocation or None, lags of its draw, its streams)
+    slots = []  # (zero-fill methods, virtual methods, fixed allocation or None, lags of its draw, streams)
     for slot, slot_methods in readers.items():
-        lags = slot in _VIRTUAL_SLOTS
-        count = 1 if table.var == 0.0 else 3 if lags else 2  # phases, noise, a Bartlett factor
-        slots.append((slot_methods, fixed.get(slot_methods[0]), lags, _streams(ss, count, (slot,))))
-    alloc_rng = _child_rng(ss, (0,)) if any(alloc is None for _, alloc, _, _ in slots) else None
+        virtual = [m for m in slot_methods if _SWEEP_TABLE[m][1]]
+        zero_fill = [m for m in slot_methods if m not in virtual]
+        count = 1 if table.var == 0.0 else 3 if virtual else 2  # phases, noise, a Bartlett factor
+        alloc = fixed.get(slot_methods[0])
+        slots.append((zero_fill, virtual, alloc, slot in _VIRTUAL_SLOTS, _streams(ss, count, (slot,))))
+    alloc_rng = _child_rng(ss, (0,)) if any(alloc is None for _, _, alloc, _, _ in slots) else None
     n = params.n_subcarriers
     q_max = cfg.oversample * n * max(2 if _SWEEP_TABLE[m][1] else 1 for m in methods)
     block_trials = max(1, min(_TRIAL_BLOCK, _BLOCK_BINS // q_max))
     for first in range(0, n_trials, block_trials):
         size = min(block_trials, n_trials - first)
+        randoms = None
+        if alloc_rng is not None:
+            randoms = [
+                make_allocation(params, "random", n_active=cfg.n_active, seed=alloc_rng) for _ in range(size)
+            ]
         rows = {m: np.zeros((size, n), dtype=np.complex128) for m in methods}
         norms = {m: np.empty((size, 1)) for m in methods}
-        for t in range(size):
-            _read_trial(cfg, table, slots, alloc_rng, t, rows, norms)
+        for zero_fill, virtual, alloc, lags, streams in slots:
+            allocs = randoms if alloc is None else [alloc] * size
+            drawn = table.statistics(allocs, streams, lags=lags)
+            for method in zero_fill:
+                drawn.symbol_sums(rows[method])
+                norms[method][:] = _active_cells(allocs[0])
+            if virtual:
+                for t, aperture, lag_means in drawn.lag_means():  # drops each allocation after its trial
+                    half = aperture.lags[aperture.n_lags // 2 :]  # the lags >= 0
+                    signal = _virtual_half(lag_means, aperture)
+                    for method in virtual:
+                        rows[method][t, half] = signal
+                        norms[method][t] = aperture.n_lags
         block = {}
         for method in methods:
             virtual = _SWEEP_TABLE[method][1]
@@ -549,30 +575,6 @@ def _trials(
             _check_magnitudes(block[method], _periodogram_method(method), "delay")
         yield block
         block.clear()  # the caller is done with it: its stacks go before the next block's
-
-
-def _read_trial(cfg, table, slots, alloc_rng, t, rows, norms) -> None:
-    """Draw the next trial of each slot from its streams (_trials), its
-    random allocation from the Generator `alloc_rng`, and keep row t of each
-    method: a zero-fill method's symbol sum over M * K (_active_cells), a
-    virtual one's signal at its aperture lags >= 0 (_virtual_half, zeros
-    off the aperture) over n_lags.  Nothing else of the draw outlives the
-    call."""
-    random = None
-    if alloc_rng is not None:
-        random = make_allocation(cfg.params, "random", n_active=cfg.n_active, seed=alloc_rng)
-    for slot_methods, alloc, lags, streams in slots:
-        alloc = alloc or random
-        drawn = table.statistics(alloc, streams, lags=lags)
-        for method in slot_methods:
-            if _SWEEP_TABLE[method][1]:
-                aperture = difference_set(alloc)
-                half = aperture.lags[aperture.n_lags // 2 :]  # the lags >= 0
-                rows[method][t, half] = _virtual_half(drawn.cpi_lags, aperture)
-                norms[method][t] = aperture.n_lags
-            else:
-                rows[method][t] = drawn.symbol_sum
-                norms[method][t] = _active_cells(alloc)
 
 
 def _sweep_point(cfg: SweepConfig, scene: Scene, point_ss) -> dict:

@@ -278,8 +278,10 @@ def build_virtual_signal(grid: FreqGrid) -> tuple[VirtualSignal, VirtualAperture
     at the aperture lags >= 0 over their pair counts, the zero lag's real
     part, and mirrored with the conjugate onto the negative lags, so the
     signal is exactly conjugate-symmetric.  So it reads only the grid's
-    `alloc` and `cpi_lags`.  A sweep or demo trial (analysis._read_trial)
-    skips this call and gathers its drawn lag sums with _virtual_half.
+    `alloc` and `cpi_lags`.  A sweep or demo point (analysis._trials)
+    skips this call: it gathers each trial's drawn lag means, read from a
+    block of trials drawn at once (synth._StatisticsBlock.lag_means), with
+    _virtual_half.
     The per-symbol lag products, averaged over the symbols, are the tests'
     reference; they agree up to float round-off.
     """
@@ -337,13 +339,17 @@ def detect_peaks(p: Periodogram, k: int = 1, min_separation: int = 1) -> PeakLis
     Local maxima are ranked by magnitude (lowest bin wins exact ties) and
     accepted unless within min_separation bins of an already accepted
     peak.  Fewer than k peaks may come back; PeakList.complete tells.
-    The one-row call of _pick_peaks and _refined_peaks.
+    A periodogram of fewer than 2 bins has no bin width to refine a peak
+    on, and raises ValueError.  The one-row call of _pick_peaks and
+    _refined_peaks.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if p.n_bins < 2:
+        raise ValueError(f"detect_peaks needs a periodogram of at least 2 bins, got {p.n_bins}")
     v = p.values
     bins = _pick_peaks(v[None], k, min_separation)
-    if (bins < 0).all():  # no peak, or no bin
+    if (bins < 0).all():  # no peak
         return PeakList(peaks=(), requested=k)
     refined = _refined_peaks(v[None], bins, p.bin_width, float(p.axis[0]))
     peaks = tuple(

@@ -47,18 +47,28 @@ profiles with the all-ones vector; a slot that zero-fill alone reads
 draws its symbol sum alone, in one row (lags=False).  A draw keeps
 synthesize's phases, with other noise draws.  A grid and a drawn
 _GridStatistics are read the same way, through `symbol_sum` and
-`cpi_lags`, and _cpi_lags is the one reader of a block's lag means.
+`cpi_lags`; a block of drawn trials (_StatisticsBlock) writes all its
+symbol sums in one assignment and reads each trial's lag means on the
+route that the read gate picks once for the block.
 
 Every draw reads one table of what does not depend on the seed
 (_SignalTable), built once per sweep or demo point, where aliasing targets
 warn, and kept with the unit signals of its fixed allocations.  A draw
 takes its phase, noise and Bartlett-factor Generators (_SlotStreams), each
-on a child of a SeedSequence by key (_streams), draws the phases, scales
-the units and adds the noise.  synthesize and _gram_statistics open theirs
-per call from their seed.  A sweep or demo point opens a slot's once and
-draws its trials from them in trial order (analysis._trials): a point's
-first n trials are those of an n-trial run, and a trial is drawn only
-after the trials before it.
+on a child of a SeedSequence by key (_streams).  It draws T trials of one
+slot at once (_SignalTable.statistics): their phases in one call, their
+units scaled in one broadcast (a fixed allocation's kept units shared, the
+random allocations' stacked) and their noise in one call, which gives the
+numbers of T calls in turn.  Each trial's Bartlett factor still takes its
+own normals, then gammas (a gamma takes a varying count of bits), drawn
+as its rows are read, into one complex (d + r, K) block and one buffer of
+its normals per thread (_factor_workspace: 0.96 MB at M = 720, K = 200);
+no trial writes the block's zeros below the diagonal.  synthesize draws one grid and _gram_statistics
+one trial's statistics the same way, from Generators opened per call from
+their seed.  A sweep or demo point opens a slot's once and draws its
+trials from them block by block in trial order (analysis._trials): a
+point's first n trials are those of an n-trial run, and a trial is drawn
+only after the trials before it.
 """
 from __future__ import annotations
 
@@ -73,7 +83,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .alloc import OfdmParams, ResourceAllocation, _check_fits, _check_number, _pair_lags
+from .alloc import OfdmParams, ResourceAllocation, _check_fits, _check_number, _pair_lags, difference_set
 from .scene import Scene, delay_doppler
 
 __all__ = ["FreqGrid", "synthesize", "measure_snr"]
@@ -296,6 +306,21 @@ def _gram_workspace(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return planes
 
 
+def _factor_workspace(d: int, r: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's complex (d + r, K) statistics block and float buffer
+    of the factor's normals, for a draw whose Bartlett factor has r rows
+    (_StatisticsBlock.rows), kept per thread and replaced when d, r or K
+    changes.  The block's zeros below the factor's diagonal are never
+    written, so each trial writes only its d rows Q^H Y and its factor's
+    entries on and right of the diagonal; the buffer takes each trial's
+    two normals per entry right of the diagonal."""
+    key, spaces = getattr(_workspace, "factor", (None, None))
+    if key != (d, r, k):
+        spaces = np.zeros((d + r, k), dtype=np.complex128), np.empty(2 * np.count_nonzero(_upper_mask(r, k)))
+        _workspace.factor = ((d, r, k), spaces)
+    return spaces
+
+
 def _gram_lags(block: np.ndarray, alloc: ResourceAllocation) -> np.ndarray:
     """The CPI mean R / M of the lag sums R of the K x K Gram matrix G =
     sum_i z_i z_i^H of the rows z_i of a (rows, K) block on the active
@@ -439,10 +464,11 @@ class _SignalTable:
         self.targets = tuple(targets)
 
     def _units(self, alloc: ResourceAllocation, lags: bool | None) -> list[np.ndarray]:
-        """Per target, its unit signal on `alloc`: sym_phase[rows] *
-        sub_phase[cols] for a grid (lags None), the rows np.outer(Q^H p,
-        sub_phase[cols]) for a statistics draw.  New arrays, or for an
-        allocation in `fixed` the ones kept on the first call."""
+        """Per target, its unit signal on `alloc` as one (1, cells) row:
+        sym_phase[rows] * sub_phase[cols] for a grid (lags None), the rows
+        np.outer(Q^H p, sub_phase[cols]) for a statistics draw
+        (_row_units).  New arrays, or for an allocation in `fixed` the ones
+        kept on the first call."""
         key = (id(alloc), lags)
         if key in self._kept:
             return self._kept[key]
@@ -451,68 +477,144 @@ class _SignalTable:
                 rows, cols = np.arange(self.params.n_symbols)[:, None], alloc.indices
             else:
                 rows, cols = alloc.rows, alloc.cols
-            units = [sym[rows] * sub[cols] for _, _, sym, sub in self.targets]
+            units = [(sym[rows] * sub[cols]).reshape(1, -1) for _, _, sym, sub in self.targets]
         else:
-            cols = alloc.indices  # raises if the allocation varies per symbol
-            if lags not in self._projections:
-                basis = _symbol_basis(self.scene.targets if lags else (), self.params)
-                proj = [(basis.conj() * sym).sum(axis=1) for _, _, sym, _ in self.targets]
-                self._projections[lags] = [_read_only(q) for q in proj]
-            units = [np.outer(p, t[3][cols]) for p, t in zip(self._projections[lags], self.targets)]
+            units = self._row_units(alloc.indices, lags)  # raises if the allocation varies per symbol
         if key[0] in self._fixed:
             self._kept[key] = [_read_only(u) for u in units]
         return units
 
-    def _draw(self, streams: _SlotStreams, units: list[np.ndarray]) -> np.ndarray:
-        """A new complex array of the values: the phases drawn from
-        streams.phase in target order whichever targets carry explicit ones
-        (so draws are stable under edits), each unit scaled by A e^{j phi}
-        (a kept one, read-only, into a new array) and the terms summed.
-        Noise: streams.noise gives one standard normal z per value, in
-        order, for the real parts, then one per value for the imaginary
-        parts; a value adds sqrt(var / 2) * z from each.  A sweep or demo
-        point passes a slot the same streams in every trial (_trials), so
-        a trial's draws follow the ones of the trials before it.
+    def _row_units(self, cols: np.ndarray, lags: bool) -> list[np.ndarray]:
+        """Per target, the unit rows np.outer(Q^H p, sub_phase[cols]) of a
+        statistics draw at the active subcarriers `cols`, flattened: one
+        (1, d K) row for (K,) `cols`, a (T, d K) stack for the (T, K) `cols`
+        of T allocations.  New arrays."""
+        if lags not in self._projections:
+            basis = _symbol_basis(self.scene.targets if lags else (), self.params)
+            proj = [(basis.conj() * sym).sum(axis=1) for _, _, sym, _ in self.targets]
+            self._projections[lags] = [_read_only(q) for q in proj]
+        units = [p[:, None] * t[3][cols][..., None, :] for p, t in zip(self._projections[lags], self.targets)]
+        return [u.reshape(-1, u.shape[-2] * u.shape[-1]) for u in units]
+
+    def _draw(self, streams: _SlotStreams, units: list[np.ndarray], trials: int = 1) -> np.ndarray:
+        """A new complex (trials, cells) array of `trials` draws in trial
+        order.  Per trial: the phases drawn from streams.phase in target
+        order whichever targets carry explicit ones (so draws are stable
+        under edits), each unit scaled by A e^{j phi} and the terms summed.
+        A unit is one (1, cells) row for every trial (a kept one, read-only,
+        into a new array) or a (trials, cells) stack of one row per trial.
+        Noise: per trial, streams.noise gives one standard normal z per
+        value, in order, for the real parts, then one per value for the
+        imaginary parts; a value adds sqrt(var / 2) * z from each.  So one
+        draw of T trials takes the numbers that T one-trial draws take in
+        turn, and a sweep or demo point, which passes a slot the same
+        streams in every block (analysis._trials), draws its trials in
+        trial order.
         """
         # The product keeps the amplitude as the first operand, because a
         # complex product can round differently with its operands swapped,
         # and the sum starts from 0.0, so a grid has the floats of a
         # whole-grid sum started from zeros (a -0.0 part becomes +0.0).
+        phases = streams.phase.uniform(0.0, 2.0 * math.pi, size=(trials, len(self.targets)))
         values = 0.0
-        for (amplitude, phase, _, _), unit in zip(self.targets, units):
-            draw = streams.phase.uniform(0.0, 2.0 * math.pi)
-            coef = amplitude * np.exp(1j * (phase if phase is not None else draw))
-            term = np.multiply(coef, unit, out=unit if unit.flags.writeable else None)
+        for (amplitude, phase, _, _), drawn, unit in zip(self.targets, phases.T, units):
+            angle = drawn[:, None] if phase is None else np.full((trials, 1), phase)
+            coef = amplitude * np.exp(1j * angle)
+            in_place = unit.flags.writeable and len(unit) == trials
+            term = np.multiply(coef, unit, out=unit if in_place else None)
             values = np.add(values, term, out=term)
-        values = values.ravel()
 
         if self.var > 0.0:
-            sigma = math.sqrt(self.var / 2.0)
-            z = np.empty(values.size)  # one buffer: the same draws as standard_normal(size)
-            for part in (values.real, values.imag):
-                streams.noise.standard_normal(out=z)
-                z *= sigma
-                part += z
+            z = streams.noise.standard_normal((trials, 2, values.shape[1]))
+            z *= math.sqrt(self.var / 2.0)
+            values.real += z[:, 0]
+            values.imag += z[:, 1]
         return values
 
-    def statistics(self, alloc: ResourceAllocation, streams: _SlotStreams, lags=True) -> _GridStatistics:
-        """The statistics of _gram_statistics on `alloc`, drawn from
-        `streams`, its factor from streams.factor."""
-        values = self._draw(streams, self._units(alloc, lags))
-        var, k = self.var, alloc.n_active
-        if var == 0.0 or not lags:
-            return _GridStatistics(values.reshape(-1, k), alloc)
-        d, m = values.size // k, self.params.n_symbols
-        r = min(m - d, k)
-        block = np.zeros((d + r, k), dtype=np.complex128)
-        block[:d] = values.reshape(d, k)
-        factor = block[d:]
-        diag, upper = np.arange(r), _upper_mask(r, k)
-        z = streams.factor.standard_normal(2 * np.count_nonzero(upper))
-        z *= math.sqrt(var / 2.0)
-        factor[upper] = z.view(np.complex128)  # re, im of each entry in turn
-        factor[diag, diag] = np.sqrt(var * streams.factor.standard_gamma(m - d - diag))
-        return _GridStatistics(block, alloc)
+    def statistics(self, allocs: list, streams: _SlotStreams, lags=True) -> _StatisticsBlock:
+        """The statistics of _gram_statistics of len(allocs) trials in
+        trial order, trial t's on allocs[t], drawn from `streams`: the rows
+        Q^H Y of every trial in one draw (_draw), of the units of one
+        allocation where every trial has the same one (kept where it is in
+        `fixed`), else stacked from each trial's active subcarriers.  Each
+        trial's Bartlett factor is drawn from streams.factor where `lags`
+        holds, the scene has noise and the streams have a factor Generator,
+        when _StatisticsBlock.rows reaches the trial.  The block holds
+        `allocs` itself, not a copy (_StatisticsBlock.rows)."""
+        first = allocs[0]
+        if all(a is first for a in allocs):
+            cols, units = first.indices, self._units(first, lags)
+        else:
+            cols = np.stack([a.indices for a in allocs])
+            units = self._row_units(cols, lags)
+        values = self._draw(streams, units, len(allocs))
+        factor = streams.factor if lags and self.var > 0.0 else None
+        return _StatisticsBlock(
+            values.reshape(len(allocs), -1, first.n_active), allocs, cols, first.n_symbols, factor, self.var
+        )
+
+
+class _StatisticsBlock:
+    """The statistics of a block of T trials of one slot, drawn at once
+    (_SignalTable.statistics).  `values` holds the (T, d, K) rows Q^H Y of
+    every trial, on the active subcarriers `cols` of its allocation: (K,)
+    where the trials share one, (T, K) where each has its own.  Each
+    trial's Bartlett factor is drawn, in trial order, from the Generator
+    `factor` (None: the block has none) as `rows` reaches the trial.
+    """
+
+    def __init__(self, values, allocs, cols, n_symbols, factor, var):
+        self.values, self.allocs, self.cols = values, allocs, cols
+        self._m, self._factor, self._var = n_symbols, factor, var
+
+    def symbol_sums(self, out: np.ndarray) -> None:
+        """Write each trial's symbol sum, sqrt(M) times its first row, into
+        its row of the (T, N) `out` at its active subcarriers, in one
+        assignment; out's other entries are left as they are."""
+        out[np.arange(len(out))[:, None], self.cols] = math.sqrt(self._m) * self.values[:, 0]
+
+    def rows(self):
+        """Yield (t, its allocation, its statistics block) of each trial t in
+        trial order: its (d, K) rows Q^H Y, or, with a factor, those and
+        the r = min(M - d, K) rows of its Bartlett factor, drawn then, in
+        this thread's workspace (_factor_workspace), whose content holds
+        until the next trial is drawn in this thread.  The block drops its
+        reference to each allocation once it yields the trial, so a random
+        allocation held nowhere else goes with its trial."""
+        trials, d, k = self.values.shape
+        if self._factor is None:
+            for t in range(trials):
+                yield t, self._take(t), self.values[t]
+            return
+        rng, var, r = self._factor, self._var, min(self._m - d, k)
+        block, z = _factor_workspace(d, r, k)
+        factor, diag, upper = block[d:], np.arange(r), _upper_mask(r, k)
+        shapes, scale = self._m - d - diag, math.sqrt(var / 2.0)
+        for t in range(trials):
+            block[:d] = self.values[t]
+            rng.standard_normal(out=z)  # the numbers of standard_normal(z.size)
+            z *= scale
+            factor[upper] = z.view(np.complex128)  # re, im of each entry in turn
+            factor[diag, diag] = np.sqrt(var * rng.standard_gamma(shapes))
+            yield t, self._take(t), block
+
+    def lag_means(self):
+        """Yield (t, its difference set, its CPI lag means) of each trial t in
+        trial order (rows), the lag sums read on the route the read gate
+        picks once for the block's rows: _gram_lags where _gram_read puts
+        them there, else _fft_lags.  The trials' allocations share their M,
+        N and K, so one gate reads for all.  No allocation is yielded, so
+        the last trial's is gone before the next trial's lag index is built.
+        """
+        read = None
+        for t, alloc, block in self.rows():
+            if read is None:
+                read = _gram_lags if _gram_read(len(block), alloc) else _fft_lags
+            yield t, difference_set(alloc), read(block, alloc)
+
+    def _take(self, t: int) -> ResourceAllocation:
+        alloc, self.allocs[t] = self.allocs[t], None
+        return alloc
 
 
 def synthesize(scene: Scene, alloc: ResourceAllocation, params: OfdmParams, seed=None) -> FreqGrid:
@@ -528,7 +630,7 @@ def synthesize(scene: Scene, alloc: ResourceAllocation, params: OfdmParams, seed
     _check_fits(alloc, params)
     table = _SignalTable(scene, params, stacklevel=3)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    values = table._draw(_streams(ss, 2 if table.var > 0.0 else 1), table._units(alloc, None))
+    values = table._draw(_streams(ss, 2 if table.var > 0.0 else 1), table._units(alloc, None))[0]
     return FreqGrid(values, alloc, params, noise_variance=table.var, seed_ss=ss)
 
 
@@ -618,14 +720,18 @@ def _gram_statistics(
     draws: Q^H Y's from the noise substream, R's from a third substream of
     the grid's seed (spawn key + (2,)): two standard normals per entry right
     of the diagonal, row by row, re then im, then one gamma per diagonal
-    entry.  A sweep or demo trial draws every slot this way: a slot a
-    virtual method reads in d + r rows (d <= 1 + T for T targets), any
-    other with lags=False, one row of K values.
+    entry.  The one-trial call of the block draw (_SignalTable.statistics),
+    its block copied out of the workspace.  A sweep or demo point draws
+    every slot by that draw, once per block of trials: a slot of the
+    virtual methods in d + r rows per trial (d <= 1 + T for T targets;
+    d rows, without a factor, where no requested virtual method reads
+    it), any other with lags=False, one row of K values.
     """
     _check_fits(alloc, params)
     table = _SignalTable(scene, params, stacklevel=3)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return table.statistics(alloc, _streams(ss, 3), lags)
+    _, _, block = next(table.statistics([alloc], _streams(ss, 3), lags).rows())
+    return _GridStatistics(block.copy(), alloc)
 
 
 def measure_snr(grid: FreqGrid, scene: Scene) -> float:

@@ -4,18 +4,18 @@ Each function computes the plain way something that `sparse_isac`
 computes fast: a dense (M, N) view of a grid built from its allocation's
 per-symbol index sets (`cols` split at `starts`), whole-grid synthesis,
 the symbol sum drawn directly as one row, a sweep trial's every draw
-built per call, with no per-point table, from per-slot Generators in
-trial order, and its delay periodograms
-transformed one at a time, every estimator's whole-grid formula on that
-view, the per-symbol lag products that the virtual signal accumulates,
-the Gram route's read into fresh arrays and its lag gather at the lag
-taken mod 2N, brute-force enumerations of difference sets, lag products
-and Fisher sums, the modular-distance PSLR mask, the greedy peak picker
-for every k, the nearest-peak and the peak-by-peak voting target
-matches, the per-trial hole-fill draw, the row-at-a-time CSV writer and
-the symbol-constant CRLB.  The tests compare the package with them: bit for bit (`bits`)
-where the fast path does the same float operations in the same order, to
-round-off where it does not.
+built per call, with no per-point table or block, from per-slot
+Generators in trial order, the rows it hands to its delay transform and
+its delay periodograms transformed one at a time, every estimator's
+whole-grid formula on that view, the per-symbol lag products that the
+virtual signal accumulates, the Gram route's read into fresh arrays and
+its lag gather at the lag taken mod 2N, brute-force enumerations of
+difference sets, lag products and Fisher sums, the modular-distance PSLR
+mask, the greedy peak picker for every k, the nearest-peak and the
+peak-by-peak voting target matches, the per-trial hole-fill draw, the
+row-at-a-time CSV writer and the symbol-constant CRLB.  The tests compare
+the package with them: bit for bit (`bits`) where the fast path does the
+same float operations in the same order, to round-off where it does not.
 """
 import cmath
 import csv
@@ -242,41 +242,61 @@ def per_call_walk(cfg, scene, methods, fixed, n_trials, ss):
     return draws
 
 
-def per_call_periodograms(cfg, scene, methods, n_trials, ss):
-    """Each trial's {method: delay Periodogram} of analysis._trials, built
-    one periodogram at a time from the draws of per_call_walk (the sweep's
-    fixed allocations where `cfg` has them): a zero-fill method's
-    |IFFT_Q(symbol sum)| * Q / (M K), Q = oversample * N, a virtual
-    method's |IRFFT_Q| * Q / n_lags of build_virtual_signal's lags >= 0,
-    Q = oversample * 2N."""
-    params, n = cfg.params, cfg.params.n_subcarriers
-    fixed = getattr(cfg, "_allocations", {})
+def per_call_rows(cfg, scene, methods, fixed, n_trials, ss):
+    """{method: ((T, N) rows, (T,) scales)} that analysis._trials hands to
+    its delay transform, built one trial at a time from the draws of
+    per_call_walk: a zero-fill method's symbol sum over M * K, a virtual
+    method's build_virtual_signal values at the lags >= 0 (zeros at the
+    other lags 0..N-1) over n_lags."""
     readers = {}  # slot: the requested methods that read it
     for method in methods:
         readers.setdefault(_SWEEP_TABLE[method][0], []).append(method)
+    rows = {m: np.zeros((n_trials, cfg.params.n_subcarriers), dtype=np.complex128) for m in methods}
+    scales = {m: np.zeros(n_trials) for m in methods}
     draws = iter(per_call_walk(cfg, scene, methods, fixed, n_trials, ss))
-    trials = []
-    for _ in range(n_trials):
-        trial = {}
+    for t in range(n_trials):
         for slot, slot_methods in readers.items():
             drawn_slot, alloc, drawn = next(draws)
             assert drawn_slot == slot
             for method in slot_methods:
                 if _SWEEP_TABLE[method][1]:
                     vs, aperture = si.build_virtual_signal(drawn)
-                    q_bins, half = cfg.oversample * 2 * n, np.zeros(n, dtype=np.complex128)
-                    half[aperture.lags[aperture.lags >= 0]] = vs.values[aperture.lags >= 0]
-                    values = np.abs(np.fft.irfft(half, n=q_bins) * q_bins) / aperture.n_lags
-                    label = "autocorrelation"
+                    ahead = aperture.lags >= 0
+                    rows[method][t, aperture.lags[ahead]] = vs.values[ahead]
+                    scales[method][t] = aperture.n_lags
                 else:
-                    q_bins = cfg.oversample * n
-                    values = np.abs(np.fft.ifft(drawn.symbol_sum, n=q_bins) * q_bins)
-                    values /= float(alloc.n_symbols * alloc.n_active)
-                    label = "zero_fill"
-                trial[method] = si.Periodogram(
-                    axis=np.arange(q_bins) / (q_bins * params.subcarrier_spacing_hz), values=values,
-                    domain="delay", method=label, oversample=cfg.oversample, params=params,
-                )
+                    rows[method][t] = drawn.symbol_sum
+                    scales[method][t] = alloc.n_symbols * alloc.n_active
+    return {m: (rows[m], scales[m]) for m in methods}
+
+
+def per_call_periodograms(cfg, scene, methods, n_trials, ss):
+    """Each trial's {method: delay Periodogram} of analysis._trials, built
+    one periodogram at a time from the rows of per_call_rows (the sweep's
+    fixed allocations where `cfg` has them): a zero-fill method's
+    |IFFT_Q(symbol sum)| * Q / (M K), Q = oversample * N, a virtual
+    method's |IRFFT_Q| * Q / n_lags of build_virtual_signal's lags >= 0,
+    Q = oversample * 2N."""
+    params, n = cfg.params, cfg.params.n_subcarriers
+    rows = per_call_rows(cfg, scene, methods, getattr(cfg, "_allocations", {}), n_trials, ss)
+    trials = []
+    for t in range(n_trials):
+        trial = {}
+        for method in methods:
+            row, scale = rows[method][0][t], rows[method][1][t]
+            if _SWEEP_TABLE[method][1]:
+                q_bins = cfg.oversample * 2 * n
+                values = np.abs(np.fft.irfft(row, n=q_bins) * q_bins) / scale
+                label = "autocorrelation"
+            else:
+                q_bins = cfg.oversample * n
+                values = np.abs(np.fft.ifft(row, n=q_bins) * q_bins)
+                values /= scale
+                label = "zero_fill"
+            trial[method] = si.Periodogram(
+                axis=np.arange(q_bins) / (q_bins * params.subcarrier_spacing_hz), values=values,
+                domain="delay", method=label, oversample=cfg.oversample, params=params,
+            )
         trials.append(trial)
     return trials
 
@@ -501,11 +521,14 @@ def circular_distance(i: int, j: int, n: int) -> int:
 def greedy_detect_peaks(p, k=1, min_separation=1):
     """detect_peaks by the greedy, one row and one candidate at a time:
     every local maximum ranked by magnitude (lowest bin on a tie), each
-    accepted unless within min_separation bins of an accepted one."""
+    accepted unless within min_separation bins of an accepted one; a
+    periodogram of fewer than 2 bins raises ValueError."""
     if k < 1:
         raise ValueError("k must be >= 1")
     v = p.values
     n = v.size
+    if n < 2:
+        raise ValueError(f"{n} bins: no bin width to refine a peak on")
     left = np.roll(v, 1)
     right = np.roll(v, -1)
     cand = np.nonzero((v > left) & (v >= right))[0]

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 from functools import partial
 
@@ -15,7 +17,7 @@ from reference import (
     lag_sum_ambiguity,
     modular_pslr,
     nearest_peak_match,
-    per_call_walk,
+    per_call_rows,
 )
 from sparse_isac.analysis import (
     SweepConfig,
@@ -27,7 +29,7 @@ from sparse_isac.analysis import (
 )
 from sparse_isac.estimators import _delay_axis
 from sparse_isac.cli import _exp_rmse_pslr_sweep, _write_csv
-from sparse_isac import synth
+from sparse_isac import analysis, synth
 from sparse_isac.synth import _ROW_BLOCK
 
 C = si.SPEED_OF_LIGHT
@@ -486,56 +488,64 @@ class TestMonteCarloSweep:
     def test_only_zero_fill_slots_are_summed(self, monkeypatch):
         # slots 2 and 3 (full and equivalent band) are read through zero-fill
         # only, so only their symbol sum is drawn (the one-row statistics
-        # draw, _gram_statistics with lags=False); slot 1 (the random draw)
-        # and slot 4 (nested) draw their symbol sum and Gram matrix.  A draw
-        # computes its CPI lag sums only when a virtual method reads them,
-        # and its symbol sum only when zero-fill reads it: slot 1
-        # (direct_sparse), not slot 4.
+        # draw, lags=False); slot 1 (the random draw) and slot 4 (nested)
+        # draw their symbol sum and Gram matrix.  Each slot draws once per
+        # block of trials.  A block reads a slot's CPI lag sums, once per
+        # trial, only where a virtual method reads the slot, and writes its
+        # symbol sums only where zero-fill reads it: slot 1 (direct_sparse),
+        # not slot 4.  Every method's rows and scales have the bits of the
+        # per-call walk.
         cfg = self.tiny_config(snr_db_axis=(0.0, 10.0), methods=si.analysis.SWEEP_METHODS)
         fixed = {id(a): m for m, a in cfg._allocations.items()}
         calls, lag_sums, symbol_sums = [], [], []
+        statistics = synth._SignalTable.statistics
 
-        def spy(real):
-            def draw(table, alloc, seed, **lags):
-                calls.append((fixed.get(id(alloc), "random"), lags == {"lags": False}))
-                return real(table, alloc, seed, **lags)
-            return draw
+        def draw(table, allocs, streams, lags=True):
+            calls.append((fixed.get(id(allocs[0]), "random"), len(allocs), lags))
+            return statistics(table, allocs, streams, lags=lags)
 
-        kernel = synth._cpi_lags
+        def counted(kernel):
+            def read(block, alloc):
+                lag_sums.append(fixed.get(id(alloc), "random"))
+                return kernel(block, alloc)
+            return read
 
-        def counted(block, alloc):
-            lag_sums.append(fixed.get(id(alloc), "random"))
-            return kernel(block, alloc)
+        summed = synth._StatisticsBlock.symbol_sums
 
-        monkeypatch.setattr(synth._SignalTable, "statistics", spy(synth._SignalTable.statistics))
-        monkeypatch.setattr(synth, "_cpi_lags", counted)
-        symbol_sum = synth._GridStatistics.symbol_sum.fget
-        monkeypatch.setattr(
-            synth._GridStatistics, "symbol_sum",
-            property(lambda drawn: symbol_sums.append(fixed.get(id(drawn.alloc), "random")) or symbol_sum(drawn)),
-        )
+        def sums(drawn, out):  # before the block's lag reads, so allocs[0] is still there
+            symbol_sums.append(fixed.get(id(drawn.allocs[0]), "random"))
+            return summed(drawn, out)
+
+        monkeypatch.setattr(synth._SignalTable, "statistics", draw)
+        monkeypatch.setattr(synth, "_gram_lags", counted(synth._gram_lags))
+        monkeypatch.setattr(synth, "_fft_lags", counted(synth._fft_lags))
+        monkeypatch.setattr(synth._StatisticsBlock, "symbol_sums", sums)
+        walked = WalkRows(monkeypatch, cfg.methods)
         monte_carlo_sweep(cfg)
-        draws = cfg.n_trials * len(cfg.snr_db_axis)
-        assert len(calls) == 4 * draws
-        assert set(calls) == {
-            ("full_bandwidth", True),
-            ("equivalent_bandwidth", True),
-            ("random", False),
-            ("nested", False),
-        }
-        # two per trial and SNR point: slots 1 and 4
-        assert sorted(lag_sums) == ["nested"] * draws + ["random"] * draws
-        assert sorted(symbol_sums) == sorted(["equivalent_bandwidth", "full_bandwidth", "random"] * draws)
+        trials, points = cfg.n_trials, len(cfg.snr_db_axis)
+        assert sorted(calls) == sorted([
+            ("full_bandwidth", trials, False),
+            ("equivalent_bandwidth", trials, False),
+            ("random", trials, True),
+            ("nested", trials, True),
+        ] * points)
+        # one per trial and SNR point of slots 1 and 4
+        assert sorted(lag_sums) == ["nested"] * trials * points + ["random"] * trials * points
+        assert sorted(symbol_sums) == sorted(["equivalent_bandwidth", "full_bandwidth", "random"] * points)
+        walked.assert_per_call_bits(cfg)
 
-        # direct_sparse reads slot 1, a virtual method's slot, so its
-        # statistics are drawn as before, but nothing reads its lag sums
+        # direct_sparse reads slot 1, a virtual method's slot, so its rows
+        # Q^H Y are drawn as before, but no Bartlett factor and no lag sums
+        cfg = self.tiny_config(snr_db_axis=(0.0, 10.0), methods=("direct_sparse",))
         calls.clear()
         lag_sums.clear()
         symbol_sums.clear()
-        monte_carlo_sweep(self.tiny_config(snr_db_axis=(0.0, 10.0), methods=("direct_sparse",)))
-        assert calls == [("random", False)] * draws
+        walked = WalkRows(monkeypatch, cfg.methods)
+        monte_carlo_sweep(cfg)
+        assert calls == [("random", trials, True)] * points
         assert lag_sums == []
-        assert symbol_sums == ["random"] * draws
+        assert symbol_sums == ["random"] * points
+        walked.assert_per_call_bits(cfg)
 
     def test_invalid_method_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep method"):
@@ -680,18 +690,57 @@ class TestCommonExclusion:
                 config()
 
 
-def spy_draws(monkeypatch):
-    """Record (table, allocation, drawn) of every draw through a per-point
-    table (synth._SignalTable), in order."""
-    draws = []
+class WalkRows:
+    """The (T, N) rows and (T,) scales that each block of the trial walk
+    (analysis._trials) hands to _delay_spectra, recorded per SNR point (the
+    snr_db of the scene that _sweep_point walks; None for a walk called
+    directly) from any thread.  The walk transforms one method after the
+    other, in the order of `methods`, block by block."""
 
-    def spy(table, alloc, seed, real=synth._SignalTable.statistics, **lags):
-        drawn = real(table, alloc, seed, **lags)
-        draws.append((table, alloc, drawn))
-        return drawn
+    def __init__(self, monkeypatch, methods):
+        self.methods, self.calls, local = methods, {}, threading.local()
+        point, spectra = analysis._sweep_point, analysis._delay_spectra
 
-    monkeypatch.setattr(synth._SignalTable, "statistics", spy)
-    return draws
+        def walk_point(cfg, scene, ss):
+            local.key = scene.snr_db
+            try:
+                return point(cfg, scene, ss)
+            finally:
+                del local.key
+
+        def spy(rows, scale, q_bins, real):
+            scales = np.broadcast_to(scale, (len(rows), 1)).ravel().copy()
+            self.calls.setdefault(getattr(local, "key", None), []).append((rows.copy(), scales))
+            return spectra(rows, scale, q_bins, real)
+
+        monkeypatch.setattr(analysis, "_sweep_point", walk_point)
+        monkeypatch.setattr(analysis, "_delay_spectra", spy)
+
+    def take(self, key=None) -> dict:
+        """{method: (rows, scales)} of the walk at `key`, its blocks stacked
+        in trial order; forgets them."""
+        calls, stacks = self.calls.pop(key), {}
+        assert len(calls) % len(self.methods) == 0
+        for i, call in enumerate(calls):
+            stacks.setdefault(self.methods[i % len(self.methods)], []).append(call)
+        return {m: tuple(np.concatenate(part) for part in zip(*blocks)) for m, blocks in stacks.items()}
+
+    def assert_per_call_bits(self, cfg):
+        """The rows and scales of each SNR point of the sweep `cfg` are the
+        per-call walk's (reference.per_call_rows) from the point's seed."""
+        point_seeds = np.random.SeedSequence(cfg.master_seed).spawn(len(cfg.scenes))
+        for scene, ss in zip(cfg.scenes, point_seeds):
+            assert_same_rows(self.take(scene.snr_db), per_call_rows(
+                cfg, scene, cfg.methods, cfg._allocations, cfg.n_trials, ss
+            ))
+        assert self.calls == {}
+
+
+def assert_same_rows(got, want):
+    assert got.keys() == want.keys()
+    for method, (rows, scales) in want.items():
+        assert np.array_equal(bits(got[method][0]), bits(rows)), method
+        assert np.array_equal(bits(got[method][1]), bits(scales)), method
 
 
 DESK = make_params(n=256, m=32)
@@ -699,60 +748,100 @@ STILL = si.Target(distance_m=200.0, amplitude=1.0)
 MOVING = si.Target(distance_m=200.0, velocity_mps=15.0, amplitude=1.0)
 SECOND = si.Target(distance_m=330.0, velocity_mps=-9.0, amplitude=0.8)
 PHASED = si.Target(distance_m=200.0, amplitude=1.0, phase_rad=0.7)
+PAIR = ("direct_sparse", "autocorrelation")
 
 
 class TestSignalTable:
-    """A sweep or demo point draws through one table of what does not
-    depend on the seed (synth._SignalTable), with the bits of every draw
-    built per call (reference.per_call_walk).  Each point walks two trials
-    or more, so a draw that wrote into a kept unit would move a later one."""
+    """A sweep or demo point draws each block of trials slot by slot,
+    through one table of what does not depend on the seed
+    (synth._SignalTable): one draw of every trial's rows Q^H Y per slot,
+    then each trial's Bartlett factor into a per-thread workspace.  The
+    rows and scales that the walk hands to its delay transform have the
+    bits of the per-call walk (reference.per_call_rows).  Each point walks
+    two trials or more, so a draw that wrote into a kept unit would move a
+    later one."""
 
     def assert_walk_keeps_bits(self, monkeypatch, cfg, scenes, methods, fixed, n_trials):
-        draws = spy_draws(monkeypatch)
+        walked = WalkRows(monkeypatch, methods)
+        blocks = []  # (table, the block's allocations) of each slot's draw
+        statistics = synth._SignalTable.statistics
+
+        def draw(table, allocs, streams, lags=True):
+            blocks.append((table, list(allocs)))
+            return statistics(table, allocs, streams, lags=lags)
+
+        monkeypatch.setattr(synth._SignalTable, "statistics", draw)
         for i, scene in enumerate(scenes):
-            draws.clear()
+            blocks.clear()
             for _ in _trials(cfg, scene, methods, fixed, n_trials, np.random.SeedSequence([9, i])):
                 pass
-            want = per_call_walk(cfg, scene, methods, fixed, n_trials, np.random.SeedSequence([9, i]))
-            assert len(draws) == len(want) > 0
-            for (_, alloc, got), (_, ref_alloc, ref) in zip(draws, want):
-                assert type(got) is type(ref)
-                assert np.array_equal(alloc.indices, ref_alloc.indices)
-                for read in ("symbol_sum", "cpi_lags", "block"):
-                    assert np.array_equal(bits(getattr(got, read)), bits(getattr(ref, read))), read
-            tables = {id(table): table for table, _, _ in draws}
+            want = per_call_rows(cfg, scene, methods, fixed, n_trials, np.random.SeedSequence([9, i]))
+            assert_same_rows(walked.take(), want)
+            slots = {analysis._SWEEP_TABLE[m][0] for m in methods}
+            assert sum(len(allocs) for _, allocs in blocks) == n_trials * len(slots)
+            tables = {id(table): table for table, _ in blocks}
             assert len(tables) == 1  # one table per point
             (table,) = tables.values()
             kept = [u for units in table._kept.values() for u in units]
-            assert len(table._kept) == len({id(a) for _, a, _ in draws} & set(map(id, fixed.values())))
+            drawn = {id(a) for _, allocs in blocks for a in allocs}
+            assert len(table._kept) == len(drawn & set(map(id, fixed.values())))
             projections = [p for proj in table._projections.values() for p in proj]
             phases = [a for t in table.targets for a in t[2:]]
             assert all(not a.flags.writeable for a in kept + projections + phases)
 
     @pytest.mark.parametrize(
-        "params, n_active, targets, snr_db_axis",
+        "params, n_active, targets, snr_db_axis, methods, n_trials",
         [
-            pytest.param(DESK, 64, (STILL,), (0.0, math.inf), id="desk"),
-            pytest.param(make_params(n=1000, m=720), 200, (STILL,), (0.0,), id="paper-gram"),
-            pytest.param(make_params(n=256, m=80), 64, (MOVING,), (0.0, math.inf), id="moving-gram-d2"),
-            pytest.param(DESK, 64, (MOVING, SECOND), (0.0,), id="two-targets"),
-            pytest.param(make_params(n=256, m=80), 64, (MOVING, SECOND), (0.0,), id="two-targets-gram"),
-            pytest.param(DESK, 64, (PHASED,), (0.0,), id="phase"),
-            pytest.param(make_params(n=256, m=80), 64, (PHASED, SECOND), (0.0, math.inf), id="phase-gram"),
+            pytest.param(DESK, 64, (STILL,), (0.0, math.inf), si.SWEEP_METHODS, 2, id="desk"),
+            pytest.param(DESK, 64, (STILL,), (0.0, math.inf), si.SWEEP_METHODS, 1, id="one-trial"),
+            # a full block of 64 trials and 3 more
+            pytest.param(DESK, 64, (MOVING,), (0.0, math.inf), si.SWEEP_METHODS, 67, id="67-trials"),
+            pytest.param(make_params(n=1000, m=720), 200, (STILL,), (0.0,), si.SWEEP_METHODS, 2,
+                         id="paper-gram"),
+            pytest.param(make_params(n=256, m=80), 64, (MOVING,), (0.0, math.inf), si.SWEEP_METHODS, 2,
+                         id="moving-gram-d2"),
+            pytest.param(DESK, 64, (MOVING, SECOND), (0.0,), si.SWEEP_METHODS, 2, id="two-targets"),
+            pytest.param(make_params(n=256, m=80), 64, (MOVING, SECOND), (0.0,), si.SWEEP_METHODS, 2,
+                         id="two-targets-gram"),
+            pytest.param(DESK, 64, (PHASED,), (0.0,), si.SWEEP_METHODS, 2, id="phase"),
+            pytest.param(make_params(n=256, m=80), 64, (PHASED, SECOND), (0.0, math.inf), si.SWEEP_METHODS, 2,
+                         id="phase-gram"),
+            # the random slot alone: without and with its Bartlett factor
+            pytest.param(DESK, 64, (MOVING, SECOND), (0.0,), ("direct_sparse",), 3, id="random-zero-fill"),
+            pytest.param(DESK, 64, (MOVING, SECOND), (0.0, math.inf), ("autocorrelation",), 3,
+                         id="random-virtual"),
         ],
     )
-    def test_sweep_draws_keep_the_per_call_bits(self, monkeypatch, params, n_active, targets, snr_db_axis):
+    def test_sweep_draws_keep_the_per_call_bits(
+        self, monkeypatch, params, n_active, targets, snr_db_axis, methods, n_trials
+    ):
         cfg = SweepConfig(
             params=params, n_active=n_active, snr_db_axis=snr_db_axis,
-            methods=si.SWEEP_METHODS, targets=targets, n_trials=2,
+            methods=methods, targets=targets, n_trials=n_trials,
         )
-        self.assert_walk_keeps_bits(monkeypatch, cfg, cfg.scenes, cfg.methods, cfg._allocations, 2)
+        self.assert_walk_keeps_bits(monkeypatch, cfg, cfg.scenes, cfg.methods, cfg._allocations, n_trials)
 
     @pytest.mark.parametrize("m", [32, 128])  # statistics in three dimensions, r = M - 3 < K and r = K
     def test_demo_draws_keep_the_per_call_bits(self, monkeypatch, m):
         cfg = si.TwoTargetDemoConfig(params=make_params(n=256, m=m), n_runs=3)
-        pair = ("direct_sparse", "autocorrelation")
-        self.assert_walk_keeps_bits(monkeypatch, cfg, [cfg.scene], pair, {}, 3)
+        self.assert_walk_keeps_bits(monkeypatch, cfg, [cfg.scene], PAIR, {}, 3)
+
+    def test_threaded_sweep_keeps_the_per_call_bits(self, monkeypatch):
+        # 4 SNR points in 2 threads, switching every few microseconds, each
+        # drawing its Bartlett factors into its own thread's workspace of
+        # the same shape: every point's rows are the per-call walk's
+        cfg = SweepConfig(
+            params=make_params(n=256, m=80), n_active=64, snr_db_axis=(0.0, 5.0, 10.0, 15.0),
+            methods=si.SWEEP_METHODS, targets=(MOVING, SECOND), n_trials=12, master_seed=4,
+        )
+        walked = WalkRows(monkeypatch, cfg.methods)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            monte_carlo_sweep(cfg, threads=2)
+        finally:
+            sys.setswitchinterval(interval)
+        walked.assert_per_call_bits(cfg)
 
     def test_aliasing_sweep_warns_once_per_point_and_kind(self):
         # a target past both unambiguous spans: 3 points of 4 trials of 4

@@ -107,13 +107,13 @@ class TestFftRoute:
             master_seed=3,
         )
         callers = []
-        kernel = synth._cpi_lags
+        kernel = synth._fft_lags
 
         def counted(block, alloc):
             callers.append(threading.get_ident())
             return kernel(block, alloc)
 
-        monkeypatch.setattr(synth, "_cpi_lags", counted)
+        monkeypatch.setattr(synth, "_fft_lags", counted)
         seq = monte_carlo_sweep(cfg, threads=1)
         n_kernel_calls = len(cfg.snr_db_axis) * cfg.n_trials * len(cfg.methods)
         assert callers == [threading.get_ident()] * n_kernel_calls
@@ -231,13 +231,15 @@ class TestGramRoute:
         # a desk-width sweep of one target at M = K + 1 + T and one symbol
         # past it: each virtual slot (the random draw and nested) draws its
         # statistics, each zero-fill slot (full and equivalent band) its
-        # symbol sum alone, and no grid is built
-        calls = []  # (allocation, keywords) of each slot drawn
+        # symbol sum alone, once per block of trials, and no grid is built
+        calls = []  # (the block's allocations, keywords) of each slot drawn
         real = synth._SignalTable.statistics
-        monkeypatch.setattr(
-            synth._SignalTable, "statistics",
-            lambda table, alloc, streams, **kw: calls.append((alloc, kw)) or real(table, alloc, streams, **kw),
-        )
+
+        def draw(table, allocs, streams, **kw):
+            calls.append((list(allocs), kw))
+            return real(table, allocs, streams, **kw)
+
+        monkeypatch.setattr(synth._SignalTable, "statistics", draw)
         monkeypatch.setattr(synth.FreqGrid, "__post_init__", lambda grid: pytest.fail("a grid was built"))
         params = make_params(256, m)
         cfg = SweepConfig(
@@ -245,14 +247,15 @@ class TestGramRoute:
             targets=(si.Target(distance_m=60 * params.range_bin_m, amplitude=1.0),), n_trials=2,
         )
         monte_carlo_sweep(cfg, threads=1)
-        summed = [alloc for alloc, kw in calls if kw == {"lags": False}]
-        assert len(summed) == 2 * 2 * 2  # points x trials x zero-fill slots
-        assert {id(alloc) for alloc in summed} == {
+        summed = [allocs for allocs, kw in calls if kw == {"lags": False}]
+        assert len(summed) == 2 * 2  # points x zero-fill slots, one block each
+        assert {id(alloc) for allocs in summed for alloc in allocs} == {
             id(cfg._allocations[method]) for method in ("full_bandwidth", "equivalent_bandwidth")
         }
-        virtual = [alloc for alloc, kw in calls if kw == {"lags": True}]
-        assert len(virtual) == 2 * 2 * 2  # points x trials x virtual slots
+        virtual = [allocs for allocs, kw in calls if kw == {"lags": True}]
+        assert len(virtual) == 2 * 2  # points x virtual slots, one block each
         assert len(calls) == len(summed) + len(virtual)
+        assert all(len(allocs) == cfg.n_trials for allocs, _ in calls)
 
     @pytest.mark.parametrize(
         "m, pattern, k",

@@ -552,7 +552,8 @@ def hand_built(vals, axis=None):
 def peak_outcome(detect, p, k, min_separation):
     """What `detect` gives for p: each peak's bin and the bits of its
     magnitude and refined axis value, and `complete`; or the type of the
-    exception it raises (one bin has no bin width to refine on)."""
+    exception it raises (ValueError for fewer than 2 bins, which have no
+    bin width to refine on)."""
     try:
         peaks = detect(p, k=k, min_separation=min_separation)
     except Exception as exc:
@@ -631,6 +632,15 @@ class TestDetectPeaks:
         assert traced_peak < 2**20
         assert _pick_peaks(np.ones((3, 1)), 2**40, 1).tolist() == [[0], [0], [0]]
         assert _pick_peaks(np.ones((3, 0)), 2**40, 1).shape == (3, 0)
+
+    @pytest.mark.parametrize("vals", [[3.0], [0.0], []], ids=["one-positive", "one-zero", "none"])
+    def test_refuses_fewer_than_two_bins(self, vals):
+        # a one-bin periodogram has no bin width (axis[1] - axis[0]) to
+        # refine a peak on, zero or not
+        p = hand_built(vals)
+        with pytest.raises(ValueError, match=f"at least 2 bins, got {len(vals)}$"):
+            si.detect_peaks(p)
+        assert peak_outcome(greedy_detect_peaks, p, 1, 1) is ValueError
 
     def test_tie_breaks_to_lowest_bin(self):
         p = self.delta_spectrum(64, [(10, 1.0), (40, 1.0)])

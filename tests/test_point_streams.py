@@ -88,10 +88,11 @@ SLOT_OF = {"full_bandwidth": 2, "equivalent_bandwidth": 3, "direct_sparse": 1, "
 @pytest.mark.parametrize("methods", METHOD_SETS.values(), ids=METHOD_SETS.keys())
 def test_a_point_opens_only_the_streams_it_reads(monkeypatch, methods, grid, snr_db):
     # slot s opens its phases, its noise where the scene has noise, and a
-    # Bartlett factor where a virtual slot (1, 4) draws its statistics with
-    # noise; the allocation stream only where a method reads the random
-    # allocation (slot 1).  Each one it opens is
-    # read: the walk leaves none where it was opened.
+    # Bartlett factor where a requested virtual method (autocorrelation on
+    # slot 1, nested on slot 4) reads the slot of a noisy scene; the
+    # allocation stream only where a method reads the random allocation
+    # (slot 1).  Each one it opens is read: the walk leaves none where it
+    # was opened.
     cfg = si.SweepConfig(
         params=grid, n_active=64, snr_db_axis=(snr_db,), methods=methods, targets=(MOVING,), n_trials=2,
     )
@@ -112,7 +113,8 @@ def test_a_point_opens_only_the_streams_it_reads(monkeypatch, methods, grid, snr
         pass
 
     slots = {SLOT_OF[m] for m in methods}
-    want = {(slot,): 1 if snr_db == math.inf else 3 if slot in (1, 4) else 2 for slot in slots}
+    factors = {SLOT_OF[m] for m in methods if m in ("autocorrelation", "nested")}
+    want = {(slot,): 1 if snr_db == math.inf else 3 if slot in factors else 2 for slot in slots}
     if 1 in slots:
         want[(0,)] = None
     assert {key: count for key, (count, _) in opened.items()} == want

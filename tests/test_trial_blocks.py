@@ -7,6 +7,7 @@ peak-by-peak vote and the modular PSLR mask.  A point draws its trials in
 order, so a longer walk starts with the trials of a shorter one."""
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -235,3 +236,29 @@ def test_point_memory_is_bounded_by_the_block():
     one = traced_peak(cfg)
     four = traced_peak(replace(cfg, n_trials=4 * _TRIAL_BLOCK))
     assert four <= 1.5 * one, (one, four)
+
+
+def test_a_random_allocation_goes_with_its_trial(monkeypatch):
+    # a block draws its random allocations first, then reads its trials in
+    # order; once trial t's lag means are read, nothing holds the
+    # allocations of the trials before it, so their K^2 lag indices
+    # (alloc._pair_lags) do not pile up over a block
+    cfg = si.SweepConfig(
+        params=DESK, n_active=64, snr_db_axis=(0.0,), methods=("direct_sparse", "autocorrelation"), n_trials=5,
+    )
+    made, alive = [], []
+    make_allocation, virtual_half = analysis.make_allocation, analysis._virtual_half
+
+    def make(*args, **kwargs):
+        alloc = make_allocation(*args, **kwargs)
+        made.append(weakref.ref(alloc))
+        return alloc
+
+    def gather(lag_means, aperture):
+        alive.append([ref() is not None for ref in made])
+        return virtual_half(lag_means, aperture)
+
+    monkeypatch.setattr(analysis, "make_allocation", make)
+    monkeypatch.setattr(analysis, "_virtual_half", gather)
+    _sweep_point(cfg, cfg.scenes[0], np.random.SeedSequence(1))
+    assert alive == [[i >= t for i in range(5)] for t in range(5)]
